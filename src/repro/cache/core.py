@@ -27,6 +27,11 @@ _MISSING = object()
 REMOVAL_REASONS = ("evicted", "expired", "invalidated", "replaced", "cleared")
 
 
+#: The events :class:`CacheStats` mirrors as ``<prefix>.<event>`` counters.
+_COUNTED_EVENTS = ("hits", "misses", "stale_hits", "evictions", "expirations",
+                   "invalidations", "puts", "coalesced", "bytes_cached")
+
+
 class CacheStats:
     """Typed hit/miss/eviction/byte counters, mirrored into ``repro.obs``.
 
@@ -53,15 +58,23 @@ class CacheStats:
         self.bytes_cached = 0       # total bytes ever written
         self.size_bytes = 0         # bytes currently resident
         self.entries = 0            # entries currently resident
-        self._obs = obs
-        self._prefix = metric_prefix
-        self._labels = dict(labels) if labels is not None else {"cache": name}
+        # Metric handles resolved once: a cache hit pays a dict probe and
+        # an increment, not a name format and a registry lookup.
+        labels = dict(labels) if labels is not None else {"cache": name}
+        self._counters: Optional[dict[str, Any]] = None
+        if obs is not None:
+            self._counters = {
+                event: obs.counter(f"{metric_prefix}.{event}", **labels)
+                for event in _COUNTED_EVENTS
+            }
+            self._entries_gauge = obs.gauge(f"{metric_prefix}.entries", **labels)
+            self._size_gauge = obs.gauge(f"{metric_prefix}.size_bytes", **labels)
 
     # -- event recording (obs-mirrored) -------------------------------------
 
     def _count(self, event: str, n: float = 1) -> None:
-        if self._obs is not None and n:
-            self._obs.count(f"{self._prefix}.{event}", n, **self._labels)
+        if self._counters is not None and n:
+            self._counters[event].inc(n)
 
     def record_hit(self, n: int = 1) -> None:
         self.hits += n
@@ -102,10 +115,9 @@ class CacheStats:
     def set_size(self, entries: int, size_bytes: int) -> None:
         self.entries = entries
         self.size_bytes = size_bytes
-        if self._obs is not None:
-            self._obs.set_gauge(f"{self._prefix}.entries", entries, **self._labels)
-            self._obs.set_gauge(f"{self._prefix}.size_bytes", size_bytes,
-                                **self._labels)
+        if self._counters is not None:
+            self._entries_gauge.set(entries)
+            self._size_gauge.set(size_bytes)
 
     # -- derived ------------------------------------------------------------
 

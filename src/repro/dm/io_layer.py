@@ -5,7 +5,8 @@ data accesses happen through this layer."  It owns:
 
 * the database adapter — collection objects in, SQL out (§5.4: "the DM
   API has no provisions for regular SQL calls ... objects are parsed,
-  analyzed, verified and transformed into regular SQL queries");
+  analyzed, verified and transformed into regular SQL queries"), as
+  prepared statements: bind-variable text, parsed once per shape;
 * vertical partition routing — "data requests for certain parts of a
   database schema are routed to a different DBMS";
 * the filesystem adapter over the hierarchical storage manager;
@@ -19,6 +20,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from ..cache import Cache
 from ..filestore import ChecksumError, StorageManager
 from ..obs import Observability, resolve as resolve_obs
 from ..metadb import (
@@ -29,13 +31,18 @@ from ..metadb import (
     PoolSet,
     Select,
     Update,
-    parse as parse_sql,
+    prepare as parse_sql,   # bench/trace.py times parse_sql and to_sql by these names
     to_sql,
 )
 from ..resil import Deadline, InjectedFault, RetryPolicy
 from .naming import NameMapper, ResolvedName
 
 Statement = Union[Select, Insert, Update, Delete]
+
+#: Statement shapes (bind-variable SQL texts) kept parsed, LRU beyond
+#: that.  The DM's own services issue a few dozen; the rest of the room
+#: is for user SQL and IN-lists of varying length.
+STATEMENT_CACHE_SHAPES = 256
 
 
 class IoStats:
@@ -77,7 +84,6 @@ class IoLayer:
         default_db: Database,
         storage: StorageManager,
         pool_open_cost_s: float = 0.0,
-        translate_through_sql: bool = True,
         obs: Optional[Observability] = None,
     ):
         self._databases: dict[str, Database] = {"default": default_db}
@@ -86,11 +92,11 @@ class IoLayer:
         self.obs = resolve_obs(obs)
         self.pools = PoolSet(default_db, open_cost_s=pool_open_cost_s, obs=self.obs)
         self.stats = IoStats()
-        #: When True, collection objects are rendered to SQL text and
-        #: re-parsed before execution — the faithful §5.4 pipeline.  The
-        #: round trip is semantics-preserving (tested) and lets query
-        #: rewriting happen "without system downtime".
-        self.translate_through_sql = translate_through_sql
+        #: The §5.4 pipeline's statement cache: bind-variable SQL text ->
+        #: :class:`~repro.metadb.PreparedStatement`.
+        self.statements = Cache(
+            "dm.statements", max_entries=STATEMENT_CACHE_SHAPES, obs=self.obs
+        )
         #: Idempotent reads (autocommit SELECTs, archive retrievals) are
         #: retried through this policy; writes are never retried here.
         self.read_retry = RetryPolicy(
@@ -138,8 +144,8 @@ class IoLayer:
             )
         Deadline.check_current("dm.execute")
         database = self.database_for(statement.table)
-        if self.translate_through_sql and tx is None and self._translatable(statement):
-            statement = parse_sql(to_sql(statement))
+        if tx is None:
+            statement = self._through_sql(statement)
         if isinstance(statement, Select):
             self.stats.queries += 1
             kind = "query"
@@ -184,11 +190,7 @@ class IoLayer:
                     f"got {type(statement).__name__}"
                 )
         Deadline.check_current("dm.execute_batch")
-        prepared: list[Select] = []
-        for statement in statements:
-            if self.translate_through_sql and self._translatable(statement):
-                statement = parse_sql(to_sql(statement))
-            prepared.append(statement)
+        prepared = [self._through_sql(statement) for statement in statements]
         self.stats.queries += len(prepared)
         self.stats.round_trips += 1
         # Group consecutive statements sharing a database so routed
@@ -219,6 +221,19 @@ class IoLayer:
             result = self.read_retry.call(run)
         obs.observe("dm.batch_s", time.perf_counter() - started)
         return result
+
+    def _through_sql(self, statement: Statement) -> Statement:
+        """The §5.4 translation: render ``statement`` to bind-variable SQL
+        and build it back from that text.  The text is parsed on first
+        sight of its shape only; every call checks and binds its values.
+        What comes back equals ``parse(to_sql(statement))`` (tested), so
+        rewriting the text still happens "without system downtime"."""
+        if not self._translatable(statement):
+            return statement
+        params: list[Any] = []
+        text = to_sql(statement, params)
+        prepared = self.statements.get_or_load(text, lambda: parse_sql(text))
+        return prepared.bind(params)
 
     @staticmethod
     def _translatable(statement: Statement) -> bool:

@@ -20,6 +20,7 @@ from ..metadb import (
     And,
     Comparison,
     Delete,
+    In,
     Insert,
     Select,
     Update,
@@ -336,14 +337,19 @@ class SemanticLayer:
         )
 
     def catalog_hles(self, user: Optional[User], catalog_id: int) -> list[dict[str, Any]]:
+        """The catalogue's events the user may see, in member order."""
         self._get_catalog(user, catalog_id)
         members = self.io.execute(
             Select("catalog_members", where=Comparison("catalog_id", "=", catalog_id))
         )
-        hles = []
-        for member in members:
-            try:
-                hles.append(self.get_hle(user, member["hle_id"]))
-            except EntityNotFound:
-                continue  # private member of a shared catalog
-        return hles
+        if not members:
+            return []
+        member_ids = [member["hle_id"] for member in members]
+        visible = {
+            row["hle_id"]: row
+            for row in self.io.execute(
+                Select("hle", where=scoped_where(user, In("hle_id", member_ids)))
+            )
+        }
+        # A private member of a shared catalog is not in ``visible``.
+        return [visible[hle_id] for hle_id in member_ids if hle_id in visible]

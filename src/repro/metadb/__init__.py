@@ -33,7 +33,7 @@ from .predicate import (
 from .query import Aggregate, Delete, Explain, Insert, Join, Plan, Select, Update
 from .schema import Column, ForeignKey, TableSchema
 from .storage import TableStats
-from .sql import parse, to_sql
+from .sql import PreparedStatement, parse, prepare, to_sql
 from .types import ColumnType, coerce
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "Plan",
     "PoolSet",
     "Predicate",
+    "PreparedStatement",
     "QueryError",
     "ReplicatedDatabase",
     "SchemaError",
@@ -78,5 +79,6 @@ __all__ = [
     "clone_database",
     "coerce",
     "parse",
+    "prepare",
     "to_sql",
 ]

@@ -17,7 +17,18 @@ from typing import Any, Optional, Union
 from ..obs import Observability, resolve as resolve_obs
 from ..resil.faults import fire as fire_fault
 from .errors import ClosedError, IntegrityError, SchemaError, TransactionError
-from .query import Delete, Explain, Insert, Plan, Select, Update, execute_select, plan_select
+from .predicate import Predicate
+from .query import (
+    Delete,
+    Explain,
+    Insert,
+    Plan,
+    Select,
+    Update,
+    execute_select,
+    index_rowids,
+    plan_select,
+)
 from .schema import TableSchema
 from .sql import Statement, parse, to_sql
 from .storage import Table
@@ -521,6 +532,24 @@ class Database:
                 self.commit(local_tx)
             return result
 
+    @staticmethod
+    def _target_rowids(table: Table, where: Optional[Predicate]) -> list[int]:
+        """The rows an UPDATE or DELETE affects, in row-store order (the
+        order the redo and undo logs record them in)."""
+        if where is None:
+            return list(table.rowids())
+        candidates = index_rowids(table, where)
+        if candidates is None:
+            rowids = table.rowids()
+        elif len(candidates) > 1:
+            # Only the row store knows its order; the walk costs a set
+            # probe per row where the matcher would cost a row evaluation.
+            rowids = [rowid for rowid in table.rowids() if rowid in candidates]
+        else:
+            rowids = candidates
+        matcher = where.compile()
+        return [rowid for rowid in rowids if matcher(table.row(rowid))]
+
     def _execute_mutation(self, statement: Statement, tx: Transaction) -> Any:
         if isinstance(statement, Insert):
             table = self.table(statement.table)
@@ -533,13 +562,7 @@ class Database:
             return rowid
         if isinstance(statement, Update):
             table = self.table(statement.table)
-            where = statement.where
-            matcher = where.compile() if where is not None else None
-            target_rowids = [
-                rowid
-                for rowid in table.rowids()
-                if matcher is None or matcher(table.row(rowid))
-            ]
+            target_rowids = self._target_rowids(table, statement.where)
             preview = table.schema.normalize_row(statement.changes, for_update=True)
             for rowid in target_rowids:
                 merged = {**table.row(rowid), **preview}
@@ -551,13 +574,7 @@ class Database:
             return len(target_rowids)
         if isinstance(statement, Delete):
             table = self.table(statement.table)
-            where = statement.where
-            matcher = where.compile() if where is not None else None
-            target_rowids = [
-                rowid
-                for rowid in table.rowids()
-                if matcher is None or matcher(table.row(rowid))
-            ]
+            target_rowids = self._target_rowids(table, statement.where)
             for rowid in target_rowids:
                 self._check_fk_on_delete(table, table.row(rowid))
                 old_row = table.delete(rowid)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 RowMatcher = Callable[[dict], bool]
 
@@ -385,8 +385,15 @@ class TruePredicate(Predicate):
 ALWAYS = TruePredicate()
 
 
-def conjuncts(predicate: Optional[Predicate]) -> list[Predicate]:
+#: What the sargability helpers take: a WHERE tree, or the conjunct list
+#: a caller asking about several columns has flattened once already.
+Conjunction = Union[Predicate, None, list[Predicate]]
+
+
+def conjuncts(predicate: Conjunction) -> list[Predicate]:
     """Flatten nested ANDs into a conjunct list (for the planner)."""
+    if isinstance(predicate, list):
+        return predicate
     if predicate is None or isinstance(predicate, TruePredicate):
         return []
     if isinstance(predicate, And):
@@ -397,7 +404,7 @@ def conjuncts(predicate: Optional[Predicate]) -> list[Predicate]:
     return [predicate]
 
 
-def equality_on(predicate: Optional[Predicate], column: str) -> Optional[Any]:
+def equality_on(predicate: Conjunction, column: str) -> Optional[Any]:
     """If the conjuncts pin ``column`` to a single value, return it."""
     for conjunct in conjuncts(predicate):
         if isinstance(conjunct, Comparison) and conjunct.op == "=" and conjunct.column == column:
@@ -405,7 +412,7 @@ def equality_on(predicate: Optional[Predicate], column: str) -> Optional[Any]:
     return None
 
 
-def in_list_on(predicate: Optional[Predicate], column: str) -> Optional[frozenset]:
+def in_list_on(predicate: Conjunction, column: str) -> Optional[frozenset]:
     """If a conjunct restricts ``column`` to an IN-list, return its values."""
     for conjunct in conjuncts(predicate):
         if isinstance(conjunct, In) and conjunct.column == column:
@@ -413,7 +420,7 @@ def in_list_on(predicate: Optional[Predicate], column: str) -> Optional[frozense
     return None
 
 
-def range_on(predicate: Optional[Predicate], column: str) -> Optional[tuple]:
+def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
     """Extract (low, high, low_incl, high_incl) bounds for ``column``.
 
     Returns None when no conjunct constrains the column's range.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
@@ -28,7 +28,7 @@ from .predicate import (
     in_list_on,
     range_on,
 )
-from .storage import Table
+from .storage import Table, TableStats
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,19 @@ class Plan:
         }
 
 
-def plan_select(table: Table, select: Select) -> Plan:
-    """Cost every sargable conjunct against table statistics, pick cheapest.
+def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Plan]:
+    """The cheapest index access path over the sargable conjuncts, if any.
 
-    Candidate access paths are ranked by estimated output cardinality
-    (rows the executor must touch); ties break towards cheaper probe
-    kinds (pk < unique/hash < IN multi-probe < range).
+    Candidates are ranked by estimated output cardinality (rows the
+    executor must touch); ties break towards cheaper probe kinds
+    (pk < unique/hash < IN multi-probe < range).
     """
-    where = select.where
-    stats = table.stats()
+    where = conjuncts(select.where)    # flattened once for every probe below
     n_rows = stats.row_count
     candidates: list[tuple[int, int, Plan]] = []
 
     seen: set[str] = set()
-    for conjunct in conjuncts(where):
+    for conjunct in where:
         for column in conjunct.columns():
             if column in seen:
                 continue
@@ -209,13 +208,23 @@ def plan_select(table: Table, select: Select) -> Plan:
                                            estimated_rows=estimate, table_rows=n_rows))
                     )
 
-    best_estimate = min((item[0] for item in candidates), default=None)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda item: (item[0], item[1]))[2]
+
+
+def plan_select(table: Table, select: Select) -> Plan:
+    """Cost every sargable conjunct against table statistics, pick cheapest;
+    a dominating scan goes columnar where the table allows it."""
+    stats = table.stats()
+    n_rows = stats.row_count
+    indexed = _index_plan(table, select, stats)
+    best_estimate = None if indexed is None else indexed.estimated_rows
     columnar = _columnar_plan(table, select, n_rows, best_estimate)
     if columnar is not None:
         return _finalize(columnar, select)
-    if candidates:
-        _estimate, _rank, plan = min(candidates, key=lambda item: (item[0], item[1]))
-        return _finalize(plan, select)
+    if indexed is not None:
+        return _finalize(indexed, select)
     # Ordered scan that satisfies ORDER BY even without a range constraint.
     if len(select.order_by) == 1:
         first_column = select.order_by[0][0]
@@ -284,20 +293,14 @@ def _finalize(plan: Plan, select: Select) -> Plan:
     )
 
 
-def _candidate_rows(table: Table, select: Select, plan: Plan) -> Iterator[dict[str, Any]]:
+def _candidate_rowids(table: Table, select: Select, plan: Plan) -> Optional[Iterable[int]]:
+    """Rowids the plan's index hands out, in its order; None for a scan."""
     where = select.where
     if plan.access in ("pk_probe", "hash_probe"):
         index = table.hash_index_on(plan.index_column)
-        key = equality_on(where, plan.index_column)
-        for rowid in index.probe(key):
-            yield table.row(rowid)
-        return
+        return index.probe(equality_on(where, plan.index_column))
     if plan.access == "in_probe":
-        index = table.hash_index_on(plan.index_column)
-        row = table.row
-        for rowid in index.probe_many(plan.keys):
-            yield row(rowid)
-        return
+        return table.hash_index_on(plan.index_column).probe_many(plan.keys)
     if plan.access == "range_scan":
         ordered_index = table.ordered_index_on(plan.index_column)
         bounds = range_on(where, plan.index_column)
@@ -305,19 +308,35 @@ def _candidate_rows(table: Table, select: Select, plan: Plan) -> Iterator[dict[s
             plan.ordered and select.order_by and select.order_by[0][1] == "desc"
         )
         if bounds is None:
-            rowids = ordered_index.scan(descending=descending)
-        else:
-            low, high, low_inclusive, high_inclusive = bounds
-            rowids = ordered_index.range(
-                low, high,
-                low_inclusive=low_inclusive, high_inclusive=high_inclusive,
-                descending=descending,
-            )
-        row = table.row
-        for rowid in rowids:
-            yield row(rowid)
-        return
-    yield from table.rows()
+            return ordered_index.scan(descending=descending)
+        low, high, low_inclusive, high_inclusive = bounds
+        return ordered_index.range(
+            low, high,
+            low_inclusive=low_inclusive, high_inclusive=high_inclusive,
+            descending=descending,
+        )
+    return None
+
+
+def _candidate_rows(table: Table, select: Select, plan: Plan) -> Iterator[dict[str, Any]]:
+    rowids = _candidate_rowids(table, select, plan)
+    return table.rows() if rowids is None else map(table.row, rowids)
+
+
+def index_rowids(table: Table, where: Optional[Predicate]) -> Optional[set[int]]:
+    """Rowids of the cheapest index access path for ``where``: a superset
+    of the rows it matches, for UPDATE and DELETE to filter.  None when no
+    index applies and the caller has to walk the table."""
+    select = Select(table.name, where=where)
+    try:
+        plan = _index_plan(table, select, table.stats())
+        if plan is None:
+            return None
+        return set(_candidate_rowids(table, select, plan))
+    except TypeError:
+        # A literal the index keys do not compare (or hash) with.  The
+        # matcher is false on such a comparison; let it decide row by row.
+        return None
 
 
 def _project(row: dict[str, Any], columns: Optional[Sequence[str]]) -> dict[str, Any]:

@@ -8,6 +8,13 @@ HEDC supports two SQL paths that this module covers:
   (paper §5.4), which :func:`to_sql` implements, so tests can assert the
   round trip ``parse(to_sql(q))`` is semantics-preserving.
 
+The DM's own statements travel as *prepared statements*:
+``to_sql(statement, params)`` renders every literal as ``?`` and collects
+the values, so the text is the statement's shape; :func:`prepare` parses
+such a text once into a :class:`PreparedStatement` whose ``bind(params)``
+builds what ``parse(to_sql(statement))`` would, without tokenizing or
+parsing again.  Plain :func:`parse` rejects an unbound ``?``.
+
 Supported grammar (case-insensitive keywords)::
 
     SELECT select_list FROM table [WHERE pred] [GROUP BY cols]
@@ -20,12 +27,15 @@ Supported grammar (case-insensitive keywords)::
     select_list := * | expr, ...        expr := col | FUNC(col|*) [AS alias]
     pred := disjunction of conjunctions of comparisons, BETWEEN, IN,
             LIKE, IS [NOT] NULL, parentheses, NOT
+    literal := string | number | NULL | TRUE | FALSE | ?   (? in prepare only)
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Optional, Union
+from math import isfinite
+from operator import itemgetter
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import QueryError
 from .predicate import (
@@ -47,9 +57,10 @@ _TOKEN_RE = re.compile(
     r"""
     \s*(
         (?P<string>'(?:[^']|'')*')
-      | (?P<number>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+)
+      | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<op><=|>=|!=|<>|=|<|>)
       | (?P<punct>[(),;*])
+      | (?P<param>\?)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
     )
     """,
@@ -97,6 +108,8 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("op", "!=" if operator == "<>" else operator))
         elif match.group("punct") is not None:
             tokens.append(_Token("punct", match.group("punct")))
+        elif match.group("param") is not None:
+            tokens.append(_Token("param", "?"))
         else:
             name = match.group("name")
             lowered = name.lower()
@@ -107,10 +120,35 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+class _Param:
+    """Stands in a template for the literal ``bind`` takes from
+    ``params[index]``."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+class _LikeParam:
+    """``column LIKE ?`` in a template: :class:`Like` compiles its pattern
+    on construction, so it cannot hold a placeholder."""
+
+    __slots__ = ("column", "pattern")
+
+    def __init__(self, column: str, pattern: _Param):
+        self.column = column
+        self.pattern = pattern
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], template: bool = False):
         self._tokens = tokens
         self._position = 0
+        self._template = template
+        #: Placeholders read so far; a template's ``?`` are numbered in
+        #: text order, the order :func:`to_sql` appends their values in.
+        self.arity = 0
 
     def _peek(self) -> Optional[_Token]:
         if self._position < len(self._tokens):
@@ -334,6 +372,8 @@ class _Parser:
             self._expect("punct", ")")
             return In(column, values)
         if self._accept("keyword", "like"):
+            if self._accept("param"):
+                return _LikeParam(column, self._param())
             pattern = self._expect("string").value
             return Like(column, pattern)
         if self._accept("keyword", "is"):
@@ -348,11 +388,20 @@ class _Parser:
         token = self._next()
         if token.kind in ("string", "number"):
             return token.value
+        if token.kind == "param":
+            return self._param()
         if token.kind == "keyword" and token.value == "null":
             return None
         if token.kind == "keyword" and token.value in ("true", "false"):
             return token.value == "true"
         raise QueryError(f"expected literal, got {token!r}")
+
+    def _param(self) -> _Param:
+        if not self._template:
+            raise QueryError("unbound parameter '?': only prepare() takes placeholders")
+        param = _Param(self.arity)
+        self.arity += 1
+        return param
 
 
 def parse(sql: str) -> Statement:
@@ -360,7 +409,141 @@ def parse(sql: str) -> Statement:
     return _Parser(_tokenize(sql)).statement()
 
 
+# -- prepared statements -----------------------------------------------------
+
+#: ``params -> node``: what a template node compiles to.
+_Builder = Callable[[Sequence[Any]], Any]
+
+
+def _value_builder(literal: Any) -> _Builder:
+    if isinstance(literal, _Param):
+        return itemgetter(literal.index)
+    return lambda params: literal
+
+
+def _values_builder(literals: Sequence[Any]) -> _Builder:
+    """``params -> values`` for a literal list given in text order."""
+    if all(isinstance(literal, _Param) for literal in literals):
+        # Placeholders are numbered as they are read, so a list made of
+        # nothing else is one contiguous run of ``params``.
+        low = literals[0].index
+        high = low + len(literals)
+        return lambda params: params[low:high]
+    builders = [_value_builder(literal) for literal in literals]
+    return lambda params: [build(params) for build in builders]
+
+
+def _predicate_builder(node: Any) -> _Builder:
+    if node is None:
+        return lambda params: None
+    if isinstance(node, Comparison):
+        column, op, value = node.column, node.op, _value_builder(node.value)
+        return lambda params: Comparison(column, op, value(params))
+    if isinstance(node, Between):
+        column = node.column
+        low, high = _value_builder(node.low), _value_builder(node.high)
+        return lambda params: Between(column, low(params), high(params))
+    if isinstance(node, In):
+        column = node.column
+        # The frozen set lost the text order; literals first, then the
+        # placeholders by number, gives a run of them back its order.
+        values = _values_builder(sorted(
+            node.values,
+            key=lambda value: value.index if isinstance(value, _Param) else -1,
+        ))
+        return lambda params: In(column, values(params))
+    if isinstance(node, _LikeParam):
+        column, index = node.column, node.pattern.index
+
+        def like(params: Sequence[Any]) -> Like:
+            pattern = params[index]
+            if not isinstance(pattern, str):
+                raise QueryError(f"LIKE pattern must be a string, got {pattern!r}")
+            return Like(column, pattern)
+        return like
+    if isinstance(node, (And, Or)):
+        combine = type(node)
+        operands = [_predicate_builder(operand) for operand in node.operands]
+        return lambda params: combine([build(params) for build in operands])
+    if isinstance(node, Not):
+        operand = _predicate_builder(node.operand)
+        return lambda params: Not(operand(params))
+    # Like with a literal pattern, IsNull: no placeholder, never mutated.
+    return lambda params: node
+
+
+def _statement_builder(template: Statement) -> _Builder:
+    if isinstance(template, Explain):
+        select = _statement_builder(template.select)
+        return lambda params: Explain(select(params))
+    table = template.table
+    if isinstance(template, Select):
+        where = _predicate_builder(template.where)
+        columns, order_by = template.columns, template.order_by
+        limit, offset = template.limit, template.offset
+        group_by, aggregates = template.group_by, template.aggregates
+        return lambda params: Select(
+            table,
+            columns=None if columns is None else list(columns),
+            where=where(params),
+            order_by=list(order_by),
+            limit=limit,
+            offset=offset,
+            group_by=list(group_by),
+            aggregates=list(aggregates),
+        )
+    if isinstance(template, Insert):
+        columns = list(template.values)
+        values = _values_builder(list(template.values.values()))
+        return lambda params: Insert(table, dict(zip(columns, values(params))))
+    if isinstance(template, Update):
+        columns = list(template.changes)
+        values = _values_builder(list(template.changes.values()))
+        where = _predicate_builder(template.where)
+        return lambda params: Update(
+            table, dict(zip(columns, values(params))), where(params)
+        )
+    where = _predicate_builder(template.where)
+    return lambda params: Delete(table, where(params))
+
+
+class PreparedStatement:
+    """A ``?`` template parsed once; :meth:`bind` builds statements from it."""
+
+    __slots__ = ("sql", "arity", "_build")
+
+    def __init__(self, sql: str, arity: int, build: _Builder):
+        self.sql = sql
+        self.arity = arity
+        self._build = build
+
+    def bind(self, params: Sequence[Any]) -> Statement:
+        """A fresh statement, equal to parsing ``sql`` with each ``?``
+        written out as the literal :func:`to_sql` renders for its value."""
+        if len(params) != self.arity:
+            raise QueryError(
+                f"statement takes {self.arity} parameters, got {len(params)}: {self.sql}"
+            )
+        for value in params:
+            if value is None or isinstance(value, (int, str)):  # bool is an int
+                continue
+            if isinstance(value, float) and isfinite(value):
+                continue
+            raise QueryError(f"cannot bind {value!r} as a SQL literal")
+        return self._build(params)
+
+
+def prepare(sql: str) -> PreparedStatement:
+    """Parse one statement whose literals may be ``?`` placeholders."""
+    parser = _Parser(_tokenize(sql), template=True)
+    template = parser.statement()
+    return PreparedStatement(sql, parser.arity, _statement_builder(template))
+
+
 # -- SQL generation ----------------------------------------------------------
+
+#: ``value -> text``: how a statement's literals are written.
+_Literal = Callable[[Any], str]
 
 
 def _quote(value: Any) -> str:
@@ -376,31 +559,51 @@ def _quote(value: Any) -> str:
     raise QueryError(f"cannot render literal {value!r} as SQL")
 
 
-def _predicate_sql(predicate: Predicate) -> str:
+def _predicate_sql(predicate: Predicate, literal: _Literal) -> str:
     if isinstance(predicate, Comparison):
-        return f"{predicate.column} {predicate.op} {_quote(predicate.value)}"
+        return f"{predicate.column} {predicate.op} {literal(predicate.value)}"
     if isinstance(predicate, Between):
-        return f"{predicate.column} BETWEEN {_quote(predicate.low)} AND {_quote(predicate.high)}"
+        return (f"{predicate.column} BETWEEN {literal(predicate.low)} "
+                f"AND {literal(predicate.high)}")
     if isinstance(predicate, In):
-        rendered = ", ".join(_quote(value) for value in sorted(predicate.values, key=repr))
+        rendered = ", ".join(map(literal, sorted(predicate.values, key=repr)))
         return f"{predicate.column} IN ({rendered})"
     if isinstance(predicate, Like):
-        return f"{predicate.column} LIKE {_quote(predicate.pattern)}"
+        return f"{predicate.column} LIKE {literal(predicate.pattern)}"
     if isinstance(predicate, IsNull):
         return f"{predicate.column} IS {'NOT ' if predicate.negated else ''}NULL"
     if isinstance(predicate, And):
-        return "(" + " AND ".join(_predicate_sql(operand) for operand in predicate.operands) + ")"
+        return "(" + " AND ".join(
+            [_predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
     if isinstance(predicate, Or):
-        return "(" + " OR ".join(_predicate_sql(operand) for operand in predicate.operands) + ")"
+        return "(" + " OR ".join(
+            [_predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
     if isinstance(predicate, Not):
-        return f"NOT ({_predicate_sql(predicate.operand)})"
+        return f"NOT ({_predicate_sql(predicate.operand, literal)})"
     raise QueryError(f"cannot render predicate {predicate!r} as SQL")
 
 
-def to_sql(statement: Statement) -> str:
-    """Render a collection object back to SQL text."""
+def to_sql(statement: Statement, params: Optional[list] = None) -> str:
+    """Render a collection object back to SQL text.
+
+    Given ``params``, every literal is written as ``?`` and its value
+    appended to ``params`` in text order, so that two statements differing
+    only in their values render the same text (column lists, ORDER BY,
+    LIMIT/OFFSET and the length of an IN-list are part of it): the form
+    :func:`prepare` takes.
+    """
+    if params is None:
+        return _statement_sql(statement, _quote)
+
+    def placeholder(value: Any) -> str:
+        params.append(value)
+        return "?"
+    return _statement_sql(statement, placeholder)
+
+
+def _statement_sql(statement: Statement, literal: _Literal) -> str:
     if isinstance(statement, Explain):
-        return "EXPLAIN " + to_sql(statement.select)
+        return "EXPLAIN " + _statement_sql(statement.select, literal)
     if isinstance(statement, Select):
         parts = []
         if statement.aggregates or statement.group_by:
@@ -414,7 +617,7 @@ def to_sql(statement: Statement) -> str:
             parts.append("SELECT *")
         parts.append(f"FROM {statement.table}")
         if statement.where is not None:
-            parts.append("WHERE " + _predicate_sql(statement.where))
+            parts.append("WHERE " + _predicate_sql(statement.where, literal))
         if statement.group_by:
             parts.append("GROUP BY " + ", ".join(statement.group_by))
         if statement.order_by:
@@ -429,17 +632,18 @@ def to_sql(statement: Statement) -> str:
         return " ".join(parts)
     if isinstance(statement, Insert):
         columns = ", ".join(statement.values)
-        values = ", ".join(_quote(value) for value in statement.values.values())
+        values = ", ".join(map(literal, statement.values.values()))
         return f"INSERT INTO {statement.table} ({columns}) VALUES ({values})"
     if isinstance(statement, Update):
-        sets = ", ".join(f"{column} = {_quote(value)}" for column, value in statement.changes.items())
+        sets = ", ".join(
+            [f"{column} = {literal(value)}" for column, value in statement.changes.items()])
         sql = f"UPDATE {statement.table} SET {sets}"
         if statement.where is not None:
-            sql += " WHERE " + _predicate_sql(statement.where)
+            sql += " WHERE " + _predicate_sql(statement.where, literal)
         return sql
     if isinstance(statement, Delete):
         sql = f"DELETE FROM {statement.table}"
         if statement.where is not None:
-            sql += " WHERE " + _predicate_sql(statement.where)
+            sql += " WHERE " + _predicate_sql(statement.where, literal)
         return sql
     raise QueryError(f"cannot render {statement!r} as SQL")

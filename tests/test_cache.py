@@ -209,6 +209,43 @@ class TestStatsAndObs:
         assert registry.value("cache.puts", cache="mirrored") == 1
         assert registry.value("cache.entries", cache="mirrored") == 1
 
+    def test_metric_handles_are_resolved_once(self, monkeypatch):
+        """Every recorded event lands in the registry under the name it
+        always had, without a registry lookup per event."""
+        obs = Observability()
+        cache = Cache("handles", max_entries=1, ttl_s=10.0, size_of=len, obs=obs)
+        stats = CacheStats("s", obs=obs, metric_prefix="family", labels={"kind": "x"})
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("metric resolved on the hot path")
+        for resolver in ("counter", "gauge", "count", "set_gauge"):
+            monkeypatch.setattr(obs, resolver, no_lookup)
+        cache.put("a", b"12")
+        cache.put("b", b"345")          # evicts "a"
+        cache.get("b")
+        cache.get("a")
+        cache.get_stale("b")
+        cache.invalidate("b")
+        stats.record_hit(2)
+        stats.record_coalesced()
+        stats.record_expiration()
+        stats.set_size(4, 40)
+        value = obs.registry.value
+        assert {event: value(f"cache.{event}", cache="handles") for event in (
+            "hits", "misses", "puts", "evictions", "stale_hits", "invalidations",
+            "bytes_cached", "entries", "size_bytes")} == {
+            "hits": 1, "misses": 1, "puts": 2, "evictions": 1, "stale_hits": 1,
+            "invalidations": 1, "bytes_cached": 5, "entries": 0, "size_bytes": 0}
+        assert value("family.hits", kind="x") == 2
+        assert value("family.coalesced", kind="x") == 1
+        assert value("family.expirations", kind="x") == 1
+        assert value("family.entries", kind="x") == 4
+        assert value("family.size_bytes", kind="x") == 40
+        # A registry reset zeroes the metrics and leaves the handles valid.
+        obs.registry.reset()
+        stats.record_hit()
+        assert value("family.hits", kind="x") == 1
+
     def test_hit_rate_and_snapshot(self):
         stats = CacheStats("s")
         stats.record_hit(3)

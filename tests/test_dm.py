@@ -1,13 +1,16 @@
 """Tests for the DM component: name mapping, I/O layer, semantic layer,
 process layer, sessions and call redirection."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis import AnalysisProduct, render_pgm
 from repro.dm import DataManager, DmRouter, NameMappingError, SessionCache, WorkflowError
 from repro.dm.semantic import EntityNotFound
 from repro.filestore import DiskArchive
-from repro.metadb import Comparison, Insert, Select
+from repro.metadb import Between, Comparison, In, Insert, QueryError, Select, Update
 from repro.rhessi import TelemetryGenerator, package_units, standard_day_plan
 from repro.security import AuthError, ConstraintViolation
 
@@ -131,6 +134,143 @@ class TestIoLayer:
         assert dm.io.stats.bytes_read == 3
 
 
+def _config_row(config_id: int) -> dict:
+    return {"config_id": config_id, "section": f"s{config_id % 3}",
+            "key": f"k{config_id}", "value": f"v{config_id}"}
+
+
+class TestStatementCache:
+    """The §5.4 pipeline as prepared statements: one parse per shape."""
+
+    def test_a_shape_is_parsed_on_first_sight_only(self, dm, monkeypatch):
+        from repro.dm import io_layer
+
+        parsed = []
+        real_prepare = io_layer.parse_sql
+        monkeypatch.setattr(io_layer, "parse_sql",
+                            lambda text: parsed.append(text) or real_prepare(text))
+        for config_id in range(1, 21):
+            dm.io.execute(Insert("admin_config", _config_row(config_id)))
+        for config_id in range(1, 21):
+            rows = dm.io.execute(
+                Select("admin_config", where=Comparison("config_id", "=", config_id)))
+            assert rows[0]["value"] == f"v{config_id}"
+        assert parsed == [
+            "INSERT INTO admin_config (config_id, section, key, value) "
+            "VALUES (?, ?, ?, ?)",
+            "SELECT * FROM admin_config WHERE config_id = ?",
+        ]
+        for text in parsed:
+            assert text in dm.io.statements
+
+    def test_every_bind_is_checked(self, dm):
+        select = Select("admin_config", where=Comparison("key", "=", "k"))
+        dm.io.execute(select)
+        for value in (1 + 2j, [1], float("nan")):
+            with pytest.raises(QueryError):
+                dm.io.execute(Select("admin_config", where=Comparison("key", "=", value)))
+        assert dm.io.execute(select) == []
+
+    def test_blobs_joins_and_transactions_execute_natively(self, dm):
+        before = dm.io.statements.stats.snapshot()
+        tx = dm.io.begin()
+        dm.io.execute(Insert("admin_config", _config_row(1)), tx=tx)
+        dm.io.commit(tx)
+        dm.io.execute(Update("admin_config", {"value": "w"},
+                             Comparison("config_id", "=", 1)), tx=None)
+        after = dm.io.statements.stats.snapshot()
+        assert after["misses"] - before["misses"] == 1      # the UPDATE alone
+        assert dm.io.execute(Select("admin_config"))[0]["value"] == "w"
+
+    def test_ten_thousand_shapes_leave_the_cache_at_its_bound(self, dm):
+        from repro.dm.io_layer import STATEMENT_CACHE_SHAPES
+
+        for limit in range(10_000):
+            dm.io.execute(Select("admin_config", limit=limit))
+        assert len(dm.io.statements) == STATEMENT_CACHE_SHAPES
+        stats = dm.io.statements.stats
+        assert stats.entries == STATEMENT_CACHE_SHAPES
+        assert stats.evictions >= 10_000 - STATEMENT_CACHE_SHAPES
+        # Least recently used goes first: the latest shapes are resident.
+        assert "SELECT * FROM admin_config LIMIT 9999" in dm.io.statements
+        assert "SELECT * FROM admin_config LIMIT 0" not in dm.io.statements
+
+    def test_cache_reports_like_every_other_cache(self, tmp_path):
+        from repro.cache import cache_report
+        from repro.obs import Observability
+
+        # A hub of its own: the report covers the caches of one deployment.
+        dm = DataManager.standalone(tmp_path / "dm", obs=Observability())
+        for _ in range(50):
+            dm.io.execute(Select("admin_config", where=Comparison("key", "=", "k")))
+        report = cache_report(dm.obs)["dm.statements"]
+        assert report["misses"] >= 1 and report["hits"] >= 49
+        assert report["entries"] == len(dm.io.statements)
+        assert dm.telemetry_report()["caches"]["dm.statements"]["hits"] >= 49
+        assert dm.obs.registry.value("cache.hits", cache="dm.statements") == report["hits"]
+
+    def test_eight_threads_through_execute_batch_agree_with_one(self, dm):
+        for config_id in range(1, 41):
+            dm.io.execute(Insert("admin_config", _config_row(config_id)))
+
+        def batch(offset: int) -> list[Select]:
+            return [
+                Select("admin_config", where=Comparison("config_id", "=", offset + 1)),
+                Select("admin_config", where=In("config_id", [offset + 1, offset + 2]),
+                       order_by=[("config_id", "asc")]),
+                Select("admin_config", where=Between("config_id", offset, offset + 5)
+                       & Comparison("section", "=", f"s{offset % 3}"),
+                       order_by=[("config_id", "desc")], limit=3),
+                Select("admin_config", columns=["key"], limit=offset % 7 + 1),
+            ]
+
+        offsets = list(range(30)) * 4
+        expected = [dm.io.execute_batch(batch(offset)) for offset in offsets]
+        dm.io.statements.clear()     # the threads race to fill it again
+        results: dict[int, list] = {}
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            try:
+                results[index] = [dm.io.execute_batch(batch(offset)) for offset in offsets]
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(results[index] == expected for index in range(8))
+
+    def test_two_hundred_hle_pages_miss_at_most_a_dozen_times(self, dm):
+        alice = dm.users.create_user("alice", "pw", group="scientist")
+        hle_ids = [
+            dm.semantic.insert_hle(alice, {
+                "start_time": 100.0 * index, "end_time": 100.0 * index + 50.0,
+                "peak_rate": 10.0 + index, "public": index % 2 == 0,
+                "title": f"event {index}",
+            })
+            for index in range(10)
+        ]
+        dm.io.names.register_file(f"hle:{hle_ids[0]}", "main", "hle/preview.pgm")
+        stats = dm.io.statements.stats
+        misses, hits = stats.misses, stats.hits
+        for index in range(200):
+            user = alice if index % 3 else None
+            hle_id = hle_ids[index % 10] if user else hle_ids[index % 5 * 2]
+            assert dm.fetch_page(user, hle_id).hle["hle_id"] == hle_id
+        assert stats.misses - misses <= 12
+        assert stats.hits - hits >= 200 * 6 - 12
+
+
 class TestSemanticLayer:
     def test_insert_hle_registers_tuple_reference(self, dm):
         alice = dm.users.create_user("alice", "pw", group="scientist")
@@ -220,6 +360,69 @@ class TestSemanticLayer:
         dm.semantic.add_to_catalog(alice, catalog_id, private_hle)
         assert dm.semantic.catalog_hles(bob, catalog_id) == []
         assert len(dm.semantic.catalog_hles(alice, catalog_id)) == 1
+
+
+    def test_catalog_members_come_in_one_query_in_member_order(self, dm, monkeypatch):
+        alice = dm.users.create_user("alice", "pw", group="scientist")
+        bob = dm.users.create_user("bob", "pw", group="user")
+        hle_ids = [
+            dm.semantic.insert_hle(alice, {
+                "start_time": float(index), "end_time": index + 1.0,
+                "public": index % 4 != 0, "title": f"event {index}",
+            })
+            for index in range(24)
+        ]
+        small = dm.semantic.create_catalog(alice, "small", public=True)
+        large = dm.semantic.create_catalog(alice, "large", public=True)
+        filed = [hle_ids[index] for index in (5, 3, 4, 1)]       # not id order
+        for hle_id in filed:
+            dm.semantic.add_to_catalog(alice, small, hle_id)
+        for hle_id in reversed(hle_ids):
+            dm.semantic.add_to_catalog(alice, large, hle_id)
+
+        assert [row["hle_id"] for row in dm.semantic.catalog_hles(alice, small)] == filed
+        private = hle_ids[4]
+        assert [row["hle_id"] for row in dm.semantic.catalog_hles(bob, small)] == \
+            [hle_id for hle_id in filed if hle_id != private]
+        counts = []
+        for catalog_id in (small, large):
+            dm.io.stats.reset()
+            rows = dm.semantic.catalog_hles(bob, catalog_id)
+            counts.append(dm.io.stats.queries)
+            assert all(row["public"] for row in rows)
+        assert len(rows) == 18
+        assert counts == [3, 3]     # gate, members, events: whatever the size
+
+        def per_member(semantic, user, catalog_id):
+            """The path this replaced: one get_hle round trip per member."""
+            semantic.get_catalog(user, catalog_id)
+            hles = []
+            for member in semantic.io.execute(Select(
+                    "catalog_members", where=Comparison("catalog_id", "=", catalog_id))):
+                try:
+                    hles.append(semantic.get_hle(user, member["hle_id"]))
+                except EntityNotFound:
+                    continue
+            return hles
+
+        from repro.web import HttpRequest, WebServer
+
+        server = WebServer(dm)
+        pages = [server.handle(HttpRequest.get(f"/hedc/catalog?id={catalog_id}"))
+                 for catalog_id in (small, large)]
+        monkeypatch.setattr(type(dm.semantic), "catalog_hles", per_member)
+        for catalog_id, page in zip((small, large), pages):
+            reference = server.handle(HttpRequest.get(f"/hedc/catalog?id={catalog_id}"))
+            assert page.status == reference.status == 200
+            assert page.body == reference.body
+            assert page.text.count("/hedc/hle?id=") == (3 if catalog_id == small else 18)
+        monkeypatch.undo()
+
+        empty = dm.semantic.create_catalog(alice, "empty", public=True)
+        assert dm.semantic.catalog_hles(bob, empty) == []
+        hidden = dm.semantic.create_catalog(alice, "hidden", public=False)
+        with pytest.raises(EntityNotFound):
+            dm.semantic.catalog_hles(bob, hidden)
 
 
 class TestProcessLayer:

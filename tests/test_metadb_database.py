@@ -5,6 +5,8 @@ import threading
 import pytest
 
 from repro.metadb import (
+    And,
+    Between,
     ClosedError,
     Column,
     ColumnType,
@@ -13,10 +15,12 @@ from repro.metadb import (
     Database,
     Delete,
     ForeignKey,
+    In,
     Insert,
     IntegrityError,
     LockTimeout,
     PoolSet,
+    Predicate,
     SchemaError,
     Select,
     TableSchema,
@@ -196,6 +200,106 @@ class TestTransactions:
         assert snapshot["inserts"] == 1
         assert snapshot["updates"] == 1
         assert snapshot["deletes"] == 1
+
+
+class _Counting(Predicate):
+    """Matches every row and counts the rows it was shown; mentions no
+    column, so the planner can hang no index on it."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def columns(self) -> set:
+        return set()
+
+    def compile(self):
+        def match(row: dict) -> bool:
+            self.calls += 1
+            return True
+        return match
+
+
+def _big_table(n_rows: int = 5_000) -> Database:
+    database = Database()
+    database.create_table(TableSchema(
+        "t",
+        [Column("k", ColumnType.INTEGER, nullable=False),
+         Column("v", ColumnType.INTEGER),
+         Column("tag", ColumnType.TEXT)],
+        primary_key="k",
+        indexes=[("v",)],
+    ))
+    tx = database.begin()
+    for key in range(n_rows):
+        database.execute(Insert("t", {"k": key, "v": key % 97, "tag": f"t{key % 5}"}), tx=tx)
+    database.commit(tx)
+    # Out of rowid order, as after any rolled-back delete: row-store order
+    # is what the redo log follows, not rowid order.
+    tx = database.begin()
+    database.execute(Delete("t", In("k", [40, 11, 4_000])), tx=tx)
+    database.rollback(tx)
+    return database
+
+
+class TestMutationAccessPath:
+    """UPDATE and DELETE find their rows through the index the planner
+    would pick for the same WHERE, in the order the scan visits them."""
+
+    def test_pk_equality_evaluates_the_predicate_on_one_row(self):
+        database = _big_table()
+        counting = _Counting()
+        assert database.execute(
+            Update("t", {"tag": "x"}, And([Comparison("k", "=", 1234), counting]))) == 1
+        assert counting.calls == 1
+        assert database.execute(
+            Delete("t", And([Comparison("k", "=", 1234), counting]))) == 1
+        assert counting.calls == 2
+        assert database.execute(
+            Delete("t", And([Comparison("k", "=", 1234), counting]))) == 0
+        assert counting.calls == 2
+        # Several candidates: still only the candidates are evaluated.
+        assert database.execute(
+            Update("t", {"tag": "y"}, And([In("k", [7, 9, 11]), counting]))) == 3
+        assert counting.calls == 5
+        assert database.execute(
+            Delete("t", And([Comparison("v", "=", 5), counting]))) == 52
+        assert counting.calls == 57
+        # No index to go by: the full walk, as before.
+        assert database.execute(Update("t", {"tag": "z"}, counting)) == 4_999 - 52
+        assert counting.calls == 57 + 4_999 - 52
+
+    @pytest.mark.parametrize("statement", [
+        Update("t", {"tag": "x"}, Comparison("k", "=", 40)),
+        Delete("t", Comparison("k", "=", 4_000)),
+        Delete("t", Comparison("k", "=", 99_999)),
+        Update("t", {"v": 3}, In("k", [4_000, 11, 12, 40, 4_999])),
+        Delete("t", In("k", [4_000, 11, 12, 40, 4_999]) & Comparison("tag", "=", "t0")),
+        Update("t", {"tag": "x"}, Between("v", 10, 12)),
+        Delete("t", Comparison("v", ">=", 90) & Comparison("k", "<", 500)),
+        Update("t", {"k": 11}, Between("v", 11, 12)),         # unique violation mid-way
+        Update("t", {"tag": "x"}, Comparison("v", ">", "abc")),   # keys do not compare
+        Delete("t", Comparison("k", "=", "40")),
+        Update("t", {"tag": "x"}, Comparison("tag", "=", "t1")),  # no index
+        Delete("t", None),
+    ], ids=lambda statement: type(statement).__name__)
+    def test_results_redo_and_rollback_match_the_scan(self, statement, monkeypatch):
+        from repro.metadb import database as database_module
+
+        def run(database: Database):
+            tx = database.begin()
+            try:
+                result = database.execute(statement, tx=tx)
+            except IntegrityError as exc:
+                result = str(exc)
+            redo = list(tx.redo)
+            inside = database.execute(Select("t"))
+            database.rollback(tx)
+            return result, redo, inside, database.execute(Select("t"))
+
+        indexed = run(_big_table())
+        monkeypatch.setattr(database_module, "index_rowids", lambda table, where: None)
+        scanned = run(_big_table())
+        assert indexed == scanned
 
 
 class TestPersistence:

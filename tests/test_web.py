@@ -160,6 +160,14 @@ class TestServlets:
         assert response.status == 200
         assert f"/hedc/hle?id={events[0]['hle_id']}" in response.text
 
+    @pytest.mark.parametrize("rate", ["0.00001", "1e-05", "2.5e-07", "1e16",
+                                      "10000000000000000", "-0.0"])
+    def test_search_takes_any_finite_rate(self, logged_in_client, rate):
+        """float(rate) renders as 1e-05, 1e+16, ...: SQL the parser must read."""
+        response = logged_in_client.get(f"/hedc/search?min_rate={rate}")
+        assert response.status == 200
+        assert ("/hedc/hle?id=" in response.text) == (float(rate) < 1.0)
+
     def test_search_with_user_sql(self, web_stack, logged_in_client):
         _hedc, _server, _events = web_stack
         sql = "select hle_id, title, kind, peak_rate from hle where peak_rate > 0"
