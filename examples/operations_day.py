@@ -76,16 +76,15 @@ def main() -> None:
     print(f"post-move analysis: {request.phase.value}")
 
     # 5. Read load keeps growing: replicate the database (§7.3).
-    from repro.metadb import ReplicatedDatabase
+    from repro.repl import ReplicaGroup
 
-    primary = hedc.dm.io.default_database
-    replicated = ReplicatedDatabase(primary)
-    replicated.add_replica()
-    replicated.add_replica()
+    replicated = ReplicaGroup(hedc.dm.io.default_database, n_replicas=2)
     for _query in range(90):
         replicated.execute(Select("hle", limit=5))
     print(f"\nreplicated reads by copy: {replicated.reads_by_copy}")
-    print(f"replica consistency verified: {replicated.verify_consistency()}")
+    divergent = {name: ranges for name, ranges in replicated.verify().items()
+                 if ranges}
+    print(f"divergent ranges per follower: {divergent}")
 
 
 if __name__ == "__main__":

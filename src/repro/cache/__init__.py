@@ -4,8 +4,8 @@ HEDC's middle tier lives or dies by reuse: §5.3 calls session creation
 one of the two most expensive parts of request processing, and the whole
 point of storing derived products is that the same analysis is never
 computed twice.  This package is the one implementation behind every
-cache in the repo: a thread-safe :class:`Cache` with pluggable eviction
-policies (LRU, ARC, TTL/FIFO), byte-size accounting, a typed
+cache in the repo: a thread-safe LRU :class:`Cache` with entry and
+byte budgets, per-entry expiry, a typed
 :class:`CacheStats` mirrored into :mod:`repro.obs`, and a
 :class:`SingleFlight` request coalescer so N concurrent identical
 requests do the work once.
@@ -19,19 +19,13 @@ Consumers:
 """
 
 from .core import Cache, CacheStats
-from .policies import ArcPolicy, EvictionPolicy, FifoPolicy, LruPolicy, make_policy
 from .registry import cache_report, iter_caches
 from .singleflight import SingleFlight
 
 __all__ = [
-    "ArcPolicy",
     "Cache",
     "CacheStats",
-    "EvictionPolicy",
-    "FifoPolicy",
-    "LruPolicy",
     "SingleFlight",
     "cache_report",
     "iter_caches",
-    "make_policy",
 ]

@@ -3,9 +3,9 @@
 One :class:`Cache` instance backs every cache in the system: the DM's
 session cache, both StreamCorder strategies, and the PL's derived-product
 cache.  Entries carry a byte size (for ``max_bytes`` budgets) and an
-optional expiry; eviction order is delegated to a pluggable policy; all
-outcomes land in one typed :class:`CacheStats`, mirrored into the
-:mod:`repro.obs` registry so ``/hedc/metrics`` and
+optional expiry; eviction is least-recently-used, the order kept by the
+entry map itself; all outcomes land in one typed :class:`CacheStats`,
+mirrored into the :mod:`repro.obs` registry so ``/hedc/metrics`` and
 ``DataManager.telemetry_report()`` can report per-cache hit ratios,
 resident bytes and eviction counts without bespoke wiring.
 """
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator, Optional
 
 from ..obs import Observability, resolve as resolve_obs
-from .policies import EvictionPolicy, make_policy
 from .registry import register_cache
 from .singleflight import SingleFlight
 
@@ -158,10 +158,10 @@ class _Entry:
 
 
 class Cache:
-    """Thread-safe store with pluggable eviction and byte accounting.
+    """Thread-safe LRU store with byte accounting.
 
-    * ``max_entries`` / ``max_bytes`` — either, both or neither budget
-    * ``policy`` — ``"lru"`` (default), ``"arc"`` or ``"ttl"``/``"fifo"``
+    * ``max_entries`` / ``max_bytes`` — either, both or neither budget;
+      over budget, the least recently used entry (read or written) goes
     * ``ttl_s`` — default entry lifetime (overridable per ``put``)
     * ``size_of`` — value → byte size (default: every entry costs 0 bytes
       and 1 entry, i.e. pure entry-count budgeting)
@@ -175,7 +175,6 @@ class Cache:
         name: str,
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        policy: str | EvictionPolicy = "lru",
         ttl_s: Optional[float] = None,
         size_of: Optional[Callable[[Any], int]] = None,
         on_evict: Optional[Callable[[Hashable, Any, str], None]] = None,
@@ -192,12 +191,9 @@ class Cache:
         self._on_evict = on_evict
         self._clock = clock
         self._lock = threading.RLock()
-        self._data: dict[Hashable, _Entry] = {}
+        #: Least recently used first: a hit or a put moves a key to the end.
+        self._data: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes = 0
-        if isinstance(policy, EvictionPolicy):
-            self._policy = policy
-        else:
-            self._policy = make_policy(policy, max_entries)
         self.stats = stats if stats is not None else CacheStats(name, obs=self.obs)
         self._flight = SingleFlight(obs=self.obs)
         register_cache(self)
@@ -212,7 +208,6 @@ class Cache:
         if entry is None:
             return None
         self._bytes -= entry.size
-        self._policy.record_remove(key)
         if reason == "evicted":
             self.stats.record_eviction()
         elif reason == "expired":
@@ -225,14 +220,11 @@ class Cache:
         return entry.value
 
     def _evict_over_budget(self) -> None:
-        while (
+        while self._data and (
             (self.max_entries is not None and len(self._data) > self.max_entries)
             or (self.max_bytes is not None and self._bytes > self.max_bytes)
         ):
-            victim = self._policy.victim()
-            if victim is None or victim not in self._data:
-                break
-            self._remove(victim, "evicted")
+            self._remove(next(iter(self._data)), "evicted")
 
     # -- reads --------------------------------------------------------------
 
@@ -248,7 +240,7 @@ class Cache:
                 self._remove(key, "expired")
                 self.stats.record_miss()
                 return default
-            self._policy.record_get(key)
+            self._data.move_to_end(key)
             self.stats.record_hit()
             return entry.value
 
@@ -265,7 +257,7 @@ class Cache:
                 self._remove(key, "expired")
                 return default
             if touch:
-                self._policy.record_get(key)
+                self._data.move_to_end(key)
             return entry.value
 
     def get_stale(self, key: Hashable, default: Any = None) -> Any:
@@ -310,7 +302,6 @@ class Cache:
             entry = _Entry(value, size, self._clock(), expires_at)
             self._data[key] = entry
             self._bytes += size
-            self._policy.record_put(key)
             self.stats.record_put()
             if size:
                 self.stats.record_cached(size)

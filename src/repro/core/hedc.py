@@ -15,7 +15,7 @@ from typing import Any, Optional, Sequence, Union
 
 from ..dm import DataManager, DmRouter
 from ..filestore import DiskArchive, StorageManager, TapeArchive
-from ..metadb import Comparison, Database, Select
+from ..metadb import Comparison, Database, DatabaseApi, Select
 from ..obs import Observability
 from ..pl import (
     AnalysisRequest,
@@ -78,7 +78,7 @@ class Hedc:
             # log-shipped replica group inside every shard for read HA.
             from ..shard import ShardedDatabase
 
-            database: Any = ShardedDatabase(
+            database: DatabaseApi = ShardedDatabase(
                 boundaries=shard_boundaries,
                 path=self.data_dir / "db" if persistent else None,
                 name="hedc",

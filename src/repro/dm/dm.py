@@ -15,8 +15,10 @@ from typing import Any, Optional, Union
 
 from ..cache import cache_report
 from ..filestore import DiskArchive, StorageManager
-from ..metadb import Aggregate, Between, Comparison, Database, In, Select
-from ..obs import Observability, resolve as resolve_obs, runtime_report
+from ..metadb import (
+    Aggregate, Between, Comparison, Database, DatabaseApi, In, Select,
+)
+from ..obs import Observability, runtime_report
 from ..resil import breaker_report, get_default_injector
 from ..schema import install_all
 from ..security import User, UserManager, scoped_where
@@ -49,7 +51,7 @@ class DataManager:
 
     def __init__(
         self,
-        database: Database,
+        database: DatabaseApi,
         storage: StorageManager,
         node_name: str = "dm0",
         install_schema: bool = True,
@@ -58,7 +60,7 @@ class DataManager:
         obs: Optional[Observability] = None,
     ):
         self.node_name = node_name
-        self.obs = obs if obs is not None else resolve_obs(getattr(database, "obs", None))
+        self.obs = obs if obs is not None else database.obs
         if install_schema:
             install_all(database)
         self.io = IoLayer(database, storage, pool_open_cost_s=pool_open_cost_s,
@@ -224,10 +226,7 @@ class DataManager:
             for pool in (self.io.pools.queries, self.io.pools.updates,
                          self.io.pools.auth)
         }
-        # Duck-typed: present exactly when the default database is a
-        # ShardedDatabase (repro.shard), so the DM has no shard import.
-        shard_reporter = getattr(self.io.default_database, "shard_report", None)
-        repl_reporter = getattr(self.io.default_database, "repl_report", None)
+        data_tier = self.io.default_database.describe()
         return {
             "node": self.node_name,
             "tracing_enabled": self.obs.enabled,
@@ -237,8 +236,8 @@ class DataManager:
                                       db=self.io.default_database.name, op="select"),
                 "wal_fsyncs": registry.value("metadb.wal.fsyncs"),
             },
-            "shard": shard_reporter() if shard_reporter is not None else None,
-            "replication": repl_reporter() if repl_reporter is not None else None,
+            "shard": data_tier["shard"],
+            "replication": data_tier["replication"],
             "pools": pool_waits,
             "sessions": {
                 "size": self.sessions.size,

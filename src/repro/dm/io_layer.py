@@ -24,7 +24,7 @@ from ..cache import Cache
 from ..filestore import ChecksumError, StorageManager
 from ..obs import Observability, resolve as resolve_obs
 from ..metadb import (
-    Database,
+    DatabaseApi,
     Delete,
     Insert,
     LockTimeout,
@@ -81,12 +81,12 @@ class IoLayer:
 
     def __init__(
         self,
-        default_db: Database,
+        default_db: DatabaseApi,
         storage: StorageManager,
         pool_open_cost_s: float = 0.0,
         obs: Optional[Observability] = None,
     ):
-        self._databases: dict[str, Database] = {"default": default_db}
+        self._databases: dict[str, DatabaseApi] = {"default": default_db}
         self._routes: dict[str, str] = {}  # table name -> database key
         self.storage = storage
         self.obs = resolve_obs(obs)
@@ -115,7 +115,7 @@ class IoLayer:
 
     # -- partitioning ------------------------------------------------------
 
-    def attach_database(self, key: str, database: Database) -> None:
+    def attach_database(self, key: str, database: DatabaseApi) -> None:
         if key in self._databases:
             raise ValueError(f"database key {key!r} already attached")
         self._databases[key] = database
@@ -126,11 +126,11 @@ class IoLayer:
             raise ValueError(f"unknown database key {database_key!r}")
         self._routes[table] = database_key
 
-    def database_for(self, table: str) -> Database:
+    def database_for(self, table: str) -> DatabaseApi:
         return self._databases[self._routes.get(table, "default")]
 
     @property
-    def default_database(self) -> Database:
+    def default_database(self) -> DatabaseApi:
         return self._databases["default"]
 
     # -- database adapter -----------------------------------------------------
@@ -176,9 +176,7 @@ class IoLayer:
         The multi-get behind :meth:`~repro.dm.dm.DataManager.fetch_page`:
         statements destined for the same database travel together through
         its ``execute_batch`` entry point (one round trip, one retry
-        scope), falling back to per-statement execution for backends
-        without one (sharded/replicated stacks route per statement
-        anyway).  Results come back in statement order.  Reads only —
+        scope).  Results come back in statement order.  Reads only —
         writes keep their exactly-once path through :meth:`execute`.
         """
         if not statements:
@@ -195,7 +193,7 @@ class IoLayer:
         self.stats.round_trips += 1
         # Group consecutive statements sharing a database so routed
         # (vertically partitioned) tables still batch with their kin.
-        runs: list[tuple[Database, list[Select]]] = []
+        runs: list[tuple[DatabaseApi, list[Select]]] = []
         for statement in prepared:
             database = self.database_for(statement.table)
             if runs and runs[-1][0] is database:
@@ -206,11 +204,10 @@ class IoLayer:
         def run() -> list[Any]:
             results: list[Any] = []
             for database, group in runs:
-                batch = getattr(database, "execute_batch", None)
-                if batch is not None and len(group) > 1:
-                    results.extend(batch(group))
+                if len(group) > 1:
+                    results.extend(database.execute_batch(group))
                 else:
-                    results.extend(database.execute(s) for s in group)
+                    results.append(database.execute(group[0]))
             return results
 
         obs = self.obs

@@ -71,7 +71,7 @@ class SessionCache:
         # max_entries is None: the capacity unit is *users*, enforced in
         # create(); the core handles storage, stats and cookie cleanup.
         self._cache: Cache = Cache(
-            "dm.sessions", policy="lru", obs=self.obs, stats=self.stats,
+            "dm.sessions", obs=self.obs, stats=self.stats,
             on_evict=self._on_removed,
         )
         self._creations_counter = self.obs.counter("dm.sessions.creations")
@@ -161,15 +161,20 @@ class SessionCache:
         return self.create(user, kind, client_ip)
 
     def by_cookie(self, cookie: str) -> Optional[Session]:
+        """Match a request to its session by cookie alone (the servlets'
+        lookup).  Counted like :meth:`lookup`: an unknown or expired
+        cookie is a miss, a hit touches the session."""
         key = self._by_cookie.get(cookie)
-        if key is None:
-            return None
-        session = self._cache.peek(key)
+        session = self._cache.peek(key) if key is not None else None
         if session is None or session.cookie != cookie:
+            self._miss()
             return None
         if self._expired(session):
             self._cache.invalidate(key)
+            self._miss()
             return None
+        self.stats.record_hit()     # the store did not change: no size update
+        session.touch()
         return session
 
     def invalidate_user(self, user_id: int) -> int:

@@ -5,6 +5,7 @@ Plays the role Oracle 8.1.7 plays in the paper: it stores the metadata
 interface, and sits behind the DM's database adapter.
 """
 
+from .api import DatabaseApi
 from .columnar import SEGMENT_ROWS, ColumnarStore
 from .database import Database, DatabaseStats
 from .errors import (
@@ -17,7 +18,6 @@ from .errors import (
     TransactionError,
 )
 from .pool import Connection, ConnectionPool, PoolSet
-from .replication import ReplicatedDatabase, clone_database
 from .predicate import (
     ALWAYS,
     And,
@@ -50,6 +50,7 @@ __all__ = [
     "Connection",
     "ConnectionPool",
     "Database",
+    "DatabaseApi",
     "DatabaseError",
     "DatabaseStats",
     "Delete",
@@ -69,14 +70,12 @@ __all__ = [
     "Predicate",
     "PreparedStatement",
     "QueryError",
-    "ReplicatedDatabase",
     "SchemaError",
     "Select",
     "TableSchema",
     "TableStats",
     "TransactionError",
     "Update",
-    "clone_database",
     "coerce",
     "parse",
     "prepare",

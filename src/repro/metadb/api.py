@@ -1,0 +1,108 @@
+"""The database contract the tiers above the data tier are written against.
+
+The paper's DM "hides the DBMS" (§3), which is what lets §7.3's
+replication slot in underneath it unnoticed.  :class:`DatabaseApi` is
+that narrow interface, written down once: exactly the members ``dm``,
+``web``, ``security`` and ``schema`` call.  It is a declaration only —
+no base class, no adapter, no registry.  :class:`~repro.metadb.Database`,
+:class:`~repro.repl.ReplicaGroup`, :class:`~repro.shard.ShardedDatabase`
+and :class:`~repro.web.loadgen.RemoteDatabase` each satisfy all of it,
+and ``tests/test_database_contract.py`` holds every one of them, alone
+and composed, to the same behaviour.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Protocol, Sequence, Union, runtime_checkable
+
+from ..obs import Observability
+from .database import DatabaseStats
+from .query import Explain, Select
+from .schema import TableSchema
+from .sql import Statement
+from .storage import Table
+
+
+@runtime_checkable
+class DatabaseApi(Protocol):
+    """What a database is, to everything above the data tier.
+
+    **Isolation rule.**  A statement given ``tx=`` sees that
+    transaction's own writes, committed or not.  A read without ``tx=``
+    sees at least every committed transaction — or, where the caller
+    set a ``max_lag`` on a replicated implementation, no more than
+    ``max_lag`` committed transactions behind.
+
+    A transaction handle is opaque: it comes from :meth:`begin` and goes
+    back only to the ``execute``/``commit``/``rollback`` of the database
+    that issued it.
+    """
+
+    @property
+    def name(self) -> str: ...
+
+    @property
+    def obs(self) -> Observability: ...
+
+    @property
+    def stats(self) -> DatabaseStats: ...
+
+    # -- statements ----------------------------------------------------------
+
+    def execute(self, statement: Union[Statement, str], tx: Any = None) -> Any:
+        """SELECT returns a list of row dicts, INSERT the new rowid,
+        UPDATE/DELETE the affected row count.  Without ``tx`` the
+        statement autocommits."""
+        ...
+
+    def execute_batch(self, statements: Sequence[Union[Statement, str]],
+                      tx: Any = None) -> list[Any]:
+        """One round trip: the results, in statement order, each exactly
+        what :meth:`execute` would have returned."""
+        ...
+
+    # -- transactions --------------------------------------------------------
+
+    def begin(self) -> Any: ...
+
+    def commit(self, tx: Any) -> None: ...
+
+    def rollback(self, tx: Any) -> None: ...
+
+    def allocate_id(self, table: str, column: str) -> int:
+        """The next integer id for ``table.column``: strictly increasing
+        across every caller and transaction sharing this open database
+        (a reopened one re-seeds above the highest stored value)."""
+        ...
+
+    # -- DDL -----------------------------------------------------------------
+
+    def create_table(self, schema: TableSchema) -> None: ...
+
+    def drop_table(self, name: str) -> None: ...
+
+    def has_table(self, name: str) -> bool: ...
+
+    def table_names(self) -> list[str]: ...
+
+    def table(self, name: str) -> Table:
+        """Direct table access, where one copy holds the table whole (a
+        sharded catalog raises for its partitioned tables)."""
+        ...
+
+    # -- introspection -------------------------------------------------------
+
+    def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]: ...
+
+    def describe(self) -> dict[str, Any]:
+        """The data tier's report: ``{"kind", "name", "stats", "shard",
+        "replication"}``.  ``shard`` and ``replication`` are ``None``
+        exactly where that layer is absent; each layer that is present
+        contributes its own section.  JSON-serialisable."""
+        ...
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def checkpoint(self) -> None: ...
+
+    def close(self) -> None: ...

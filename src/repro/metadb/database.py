@@ -601,3 +601,14 @@ class Database:
         with self._lock:
             table = self.table(select.table)
             return {"table": select.table, **plan_select(table, select).to_dict()}
+
+    def describe(self) -> dict[str, Any]:
+        """The data tier's report (see :class:`~repro.metadb.api.DatabaseApi`):
+        one plain database has neither a shard nor a replication layer."""
+        return {
+            "kind": "database",
+            "name": self.name,
+            "stats": self.stats.snapshot(),
+            "shard": None,
+            "replication": None,
+        }

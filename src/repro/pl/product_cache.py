@@ -89,7 +89,6 @@ class ProductCache:
             "pl.products",
             max_entries=max_entries,
             max_bytes=max_bytes,
-            policy="lru",
             ttl_s=ttl_s,
             size_of=lambda entry: entry.size_bytes,
             obs=self.obs,

@@ -1,13 +1,13 @@
 """Replica groups: one primary, N log-shipped followers, self-healing.
 
-A :class:`ReplicaGroup` quacks like a :class:`~repro.metadb.Database`
-(``execute``/``begin``/``commit``/``rollback``/DDL/``stats``), so the
-DM's I/O layer and :class:`~repro.shard.ShardedDatabase` sit on top of
-it unchanged.  Writes go to the primary only; its commit listener
+A :class:`ReplicaGroup` satisfies :class:`~repro.metadb.api.DatabaseApi`,
+so the DM's I/O layer and :class:`~repro.shard.ShardedDatabase` sit on
+top of it unchanged.  Writes go to the primary only; its commit listener
 appends each durable redo batch to the :class:`ReplicationLog`, and the
 :class:`LogShipper` streams the batches to followers.  Reads rotate
 across the primary and every follower that is healthy *and* fresh
-enough (``max_lag``), behind the standard breaker machinery.
+enough (``max_lag``), behind the standard breaker machinery; a read
+inside a transaction goes to the primary, which holds the transaction.
 
 Per-copy state machine::
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import threading
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 from ..metadb.database import Database, DatabaseStats
 from ..metadb.query import Delete, Explain, Insert, Select, Update
@@ -227,8 +227,8 @@ class ReplicaGroup:
         replay; a torn tail is detected and truncated by
         :class:`~repro.metadb.wal.Journal`), which also recovers its
         last durably acked offset.  Catch-up is then a log replay of
-        everything past that offset — no full ``clone_database`` —
-        unless the retained log window no longer reaches back that far,
+        everything past that offset — no full re-clone — unless the
+        retained log window no longer reaches back that far,
         in which case anti-entropy re-syncs it range by range.
         """
         replica = self._replica(name)
@@ -501,7 +501,7 @@ class ReplicaGroup:
             min((b.retry_after_s() for b in self.breakers.values()), default=0.0),
         )
 
-    # -- Database-compatible interface ---------------------------------------
+    # -- the DatabaseApi surface ----------------------------------------------
 
     def has_table(self, name: str) -> bool:
         return self.primary.has_table(name)
@@ -527,9 +527,6 @@ class ReplicaGroup:
         self.obs.set_gauge("repl.head_lsn", self.log.head_lsn, db=self.name)
         if self.auto_ship and self.replicas:
             self.ship()
-
-    def explain(self, select) -> str:
-        return self.primary.explain(select)
 
     def explain_plan(self, select) -> dict[str, Any]:
         return self.primary.explain_plan(select)
@@ -558,7 +555,16 @@ class ReplicaGroup:
         if isinstance(statement, Explain):
             return self.primary.execute(statement, tx=tx)
         if isinstance(statement, Select):
-            return self._read_with_failover(statement)
+            if tx is None:
+                return self._read_with_failover(statement)
+            # The transaction lives on the primary, and so do its
+            # uncommitted writes: no follower can serve this read.
+            rows = self.primary.execute(statement, tx=tx)
+            with self._lock:
+                self.stats.selects += 1
+                self.stats.rows_read += len(rows)
+                self.reads_by_copy[self.primary.name] += 1
+            return rows
         result = self.primary.execute(statement, tx=tx)
         with self._lock:
             if isinstance(statement, Insert):
@@ -571,6 +577,15 @@ class ReplicaGroup:
                 self.stats.deletes += 1
                 self.stats.rows_written += int(result or 0)
         return result
+
+    def execute_batch(
+        self,
+        statements: Sequence[Union[Statement, str]],
+        tx: Optional[Transaction] = None,
+    ) -> list[Any]:
+        """Statement by statement through :meth:`execute`, so every read
+        of the batch rotates and fails over on its own."""
+        return [self.execute(statement, tx=tx) for statement in statements]
 
     def checkpoint(self) -> None:
         self.primary.checkpoint()
@@ -586,9 +601,18 @@ class ReplicaGroup:
 
     # -- reporting -----------------------------------------------------------
 
+    def describe(self) -> dict[str, Any]:
+        return {
+            "kind": "replica_group",
+            "name": self.name,
+            "stats": self.stats.snapshot(),
+            "shard": None,
+            "replication": self.repl_report(),
+        }
+
     def repl_report(self) -> dict[str, Any]:
-        """Replication topology and health, for ``telemetry_report()`` /
-        ``/hedc/metrics`` / ``/hedc/debug``."""
+        """Replication topology and health: the ``replication`` section
+        of :meth:`describe`."""
         head = self.log.head_lsn
         return {
             "primary": self.primary.name,

@@ -16,7 +16,6 @@ Injection points wired through the tiers:
 ``metadb.statement``       :meth:`Database.execute` raises before execution
 ``metadb.pool.acquire``    :meth:`ConnectionPool.acquire` stalls (``delay_s``)
 ``metadb.wal.fsync``       :meth:`Journal._fsync` raises (failed fsync)
-``metadb.replica.<name>``  a :class:`ReplicatedDatabase` copy is partitioned
 ``metadb.shard.<id>.statement``  every router-dispatched statement to one
                            shard of a :class:`ShardedDatabase` raises —
                            kills that time range's shard mid-scatter

@@ -1,14 +1,14 @@
-"""A partitioned catalog behind the single-database ``execute()`` API.
+"""A partitioned catalog behind the single-database contract.
 
 :class:`ShardedDatabase` owns one independent :class:`~repro.metadb.Database`
 per time range (each with its own WAL when persistent), routes statements
 through :mod:`repro.shard.router`, merges scatter-gather reads through
 :mod:`repro.shard.merge`, and wraps every shard in the same
-circuit-breaker/failover machinery :class:`ReplicatedDatabase` uses per
-copy — so a dead shard degrades *one time range* instead of the whole
-catalog.  Because it quacks like a :class:`Database` (``execute`` /
-``begin`` / ``commit`` / ``rollback`` / ``allocate_id`` / DDL), the DM's
-I/O layer, pools and semantic layers sit on top of it unchanged.
+circuit-breaker/failover machinery :class:`~repro.repl.ReplicaGroup`
+uses per copy — so a dead shard degrades *one time range* instead of the
+whole catalog.  Because it satisfies
+:class:`~repro.metadb.api.DatabaseApi`, the DM's I/O layer, pools and
+semantic layers sit on top of it unchanged.
 
 Degradation semantics: reads over a dead shard's range return a
 :class:`PartialResult` (a ``list`` subclass carrying the missing ranges)
@@ -248,7 +248,7 @@ class ShardedDatabase:
                 self._autocommit_writes -= 1
                 self._gate.notify_all()
 
-    # -- Database-compatible surface ---------------------------------------------
+    # -- the DatabaseApi surface ---------------------------------------------------
 
     def has_table(self, name: str) -> bool:
         return self._topology.first_db().has_table(name)
@@ -356,13 +356,13 @@ class ShardedDatabase:
             statement = parse(statement)
         if isinstance(statement, Explain):
             return [self.explain_plan(statement.select)]
+        if tx is not None and not isinstance(tx, _ShardedTransaction):
+            raise TransactionError(
+                "a sharded database needs transactions from its own begin()"
+            )
         if isinstance(statement, Select):
-            return self._execute_select(statement)
+            return self._execute_select(statement, tx)
         if tx is not None:
-            if not isinstance(tx, _ShardedTransaction):
-                raise TransactionError(
-                    "a sharded database needs transactions from its own begin()"
-                )
             return self._execute_mutation(statement, tx)
         with self._write_permit():
             topology = self._topology
@@ -379,10 +379,23 @@ class ShardedDatabase:
             self.stats.transactions_committed += 1
             return result
 
+    def execute_batch(
+        self,
+        statements: Sequence[Union[Statement, str]],
+        tx: Optional[_ShardedTransaction] = None,
+    ) -> list[Any]:
+        """Statement by statement through :meth:`execute`: each one is
+        routed, pruned and merged on its own."""
+        return [self.execute(statement, tx=tx) for statement in statements]
+
     # -- reads ---------------------------------------------------------------------
 
-    def _execute_select(self, select: Select) -> list[dict[str, Any]]:
-        topology = self._topology
+    def _execute_select(self, select: Select,
+                        tx: Optional[_ShardedTransaction]) -> list[dict[str, Any]]:
+        """Route one read.  Inside a transaction every shard is handed
+        its own part of ``tx``, so the read sees the transaction's
+        uncommitted writes wherever they landed."""
+        topology = tx.topology if tx is not None else self._topology
         config = self._config
         kind = config.kind(select.table)
         if select.join is not None:
@@ -396,9 +409,9 @@ class ShardedDatabase:
                 # partitioned side is disjoint across shards, so a scatter
                 # concatenation is exactly the single-node join.
                 return self._scatter_read(select, scatter_all(topology.shard_map),
-                                          topology)
+                                          topology, tx)
         if kind == "broadcast":
-            return self._broadcast_read(select, topology)
+            return self._broadcast_read(select, topology, tx)
         if kind == "partitioned":
             decision = route_partitioned(
                 select.where, config.partition_column(select.table),
@@ -406,9 +419,10 @@ class ShardedDatabase:
             )
         else:
             decision = scatter_all(topology.shard_map)
-        return self._scatter_read(select, decision, topology)
+        return self._scatter_read(select, decision, topology, tx)
 
-    def _broadcast_read(self, select: Select, topology: _Topology) -> list[dict]:
+    def _broadcast_read(self, select: Select, topology: _Topology,
+                        tx: Optional[_ShardedTransaction]) -> list[dict]:
         """Round-robin a broadcast-table read across shards with failover
         — broadcast tables multiply read capacity like replicas do."""
         specs = topology.shard_map.specs
@@ -424,7 +438,9 @@ class ShardedDatabase:
                 continue
             try:
                 fire_fault(f"metadb.shard.{spec.shard_id}.statement")
-                rows = topology.db(spec.shard_id).execute(select)
+                rows = topology.db(spec.shard_id).execute(
+                    select,
+                    tx=tx.parts[spec.shard_id][1] if tx is not None else None)
             except TRANSIENT_ERRORS as exc:
                 breaker.record_failure()
                 last_transient = exc
@@ -447,7 +463,8 @@ class ShardedDatabase:
         )
 
     def _scatter_read(self, select: Select, decision: RouteDecision,
-                      topology: _Topology) -> list[dict]:
+                      topology: _Topology,
+                      tx: Optional[_ShardedTransaction]) -> list[dict]:
         self._count_route(decision.kind, len(decision.specs),
                           len(topology.shard_map))
         shard_select, merge = prepare_scatter(select)
@@ -461,7 +478,9 @@ class ShardedDatabase:
                 continue
             try:
                 fire_fault(f"metadb.shard.{shard_id}.statement")
-                rows = topology.db(shard_id).execute(shard_select)
+                rows = topology.db(shard_id).execute(
+                    shard_select,
+                    tx=tx.parts[shard_id][1] if tx is not None else None)
             except TRANSIENT_ERRORS:
                 breaker.record_failure()
                 missing.append(spec)
@@ -573,9 +592,12 @@ class ShardedDatabase:
         self.stats.rows_written += 1
         return result
 
-    def _count_matching(self, db: Database, table: str, where) -> int:
+    def _count_matching(self, tx: _ShardedTransaction, shard_id: int,
+                        table: str, where) -> int:
+        db, part = tx.parts[shard_id]
         rows = db.execute(Select(table, where=where,
-                                 aggregates=[Aggregate("count", "*", "n")]))
+                                 aggregates=[Aggregate("count", "*", "n")]),
+                          tx=part)
         return rows[0]["n"]
 
     def _execute_update(self, statement: Update, tx: _ShardedTransaction) -> int:
@@ -598,8 +620,8 @@ class ShardedDatabase:
             total = 0
             for spec in decision.specs:
                 if column in statement.changes and not spec.covers(new_value):
-                    db = topology.db(spec.shard_id)
-                    if self._count_matching(db, table, statement.where):
+                    if self._count_matching(tx, spec.shard_id, table,
+                                            statement.where):
                         raise ShardError(
                             f"update would move {table!r} rows out of "
                             f"{spec.describe()}; cross-shard row migration "
@@ -618,7 +640,7 @@ class ShardedDatabase:
             for spec in topology.shard_map:
                 if spec.shard_id == home:
                     total += self._exec_on_shard(tx, spec.shard_id, statement)
-                elif self._count_matching(topology.db(spec.shard_id), table,
+                elif self._count_matching(tx, spec.shard_id, table,
                                           statement.where):
                     raise ShardError(
                         f"update would re-parent {table!r} rows across shards"
@@ -722,9 +744,18 @@ class ShardedDatabase:
 
     # -- reporting -----------------------------------------------------------------
 
+    def describe(self) -> dict[str, Any]:
+        return {
+            "kind": "sharded",
+            "name": self.name,
+            "stats": self.stats.snapshot(),
+            "shard": self.shard_report(),
+            "replication": self.repl_report(),
+        }
+
     def shard_report(self) -> dict[str, Any]:
         """Topology, placement config, routing and per-shard health —
-        the ``shard`` section of the DM instrument panel."""
+        the ``shard`` section of :meth:`describe`."""
         topology = self._topology
         data_tables = sorted(
             list(self._config.partitioned) + list(self._config.co_partitioned)
@@ -748,9 +779,9 @@ class ShardedDatabase:
                 "reads": self.reads_by_shard.get(spec.shard_id, 0),
                 "writes": self.writes_by_shard.get(spec.shard_id, 0),
             }
-            reporter = getattr(db, "repl_report", None)
-            if reporter is not None:
-                entry["replicas"] = reporter()
+            replication = db.describe()["replication"]
+            if replication is not None:
+                entry["replicas"] = replication
             shards.append(entry)
         return {
             "n_shards": len(topology.shard_map),
@@ -768,18 +799,16 @@ class ShardedDatabase:
 
     def repl_report(self) -> Optional[dict[str, Any]]:
         """Per-shard replica topology when ``replicas_per_shard > 1`` —
-        the ``replication`` section of the instrument panel (duck-typed
-        by the web tier, like :meth:`shard_report`)."""
+        the ``replication`` section of :meth:`describe`."""
         if self.replicas_per_shard <= 1:
             return None
         topology = self._topology
-        per_shard = {}
-        for spec in topology.shard_map:
-            reporter = getattr(topology.db(spec.shard_id), "repl_report", None)
-            if reporter is not None:
-                per_shard[spec.shard_id] = reporter()
         return {
             "replicas_per_shard": self.replicas_per_shard,
             "max_lag": self.replica_max_lag,
-            "per_shard": per_shard,
+            "per_shard": {
+                spec.shard_id:
+                    topology.db(spec.shard_id).describe()["replication"]
+                for spec in topology.shard_map
+            },
         }

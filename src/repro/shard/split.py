@@ -5,7 +5,7 @@ and upper halves of its time range.  The protocol keeps the catalog
 readable throughout and loses/duplicates nothing:
 
 1. **Build** — two empty databases are created with the shard's schema
-   (foreign-key dependency order, as :func:`clone_database` does).
+   (foreign-key dependency order).
 2. **Warm copy** — every row is copied (``restore`` preserves rowids and
    bypasses per-shard FK checks) while reads *and writes* keep flowing
    to the old shard.  Each copied row's snapshot and placement are
@@ -108,10 +108,10 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         # groups, park their followers (out of the read rotation) for the
         # duration and re-sync them via anti-entropy once the cutover has
         # settled — otherwise they would silently diverge at lag zero.
-        for new_db in (low_db, high_db):
-            pause = getattr(new_db, "pause_followers", None)
-            if pause is not None:
-                pause()
+        replicated = sharded.replicas_per_shard > 1
+        if replicated:
+            for new_db in (low_db, high_db):
+                new_db.pause_followers()
         tables = _dependency_order(old_db)
         _create_schema(old_db, [low_db, high_db], tables)
 
@@ -189,10 +189,9 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         # Reads on the new shards are served by their primaries until the
         # followers re-sync (anti-entropy clones the warm-copied rows
         # through the journaled apply path, then shipping resumes).
-        for new_db in (low_db, high_db):
-            resync = getattr(new_db, "resync_followers", None)
-            if resync is not None:
-                resync()
+        if replicated:
+            for new_db in (low_db, high_db):
+                new_db.resync_followers()
         if sharded._path is not None:
             low_db.checkpoint()
             high_db.checkpoint()

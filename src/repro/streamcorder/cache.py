@@ -49,7 +49,7 @@ class StaticPathCache:
         resolved = resolve_obs(obs)
         self.stats = _strategy_stats("static", resolved)
         self._index: Cache = Cache(
-            "streamcorder.static", max_bytes=max_bytes, policy="lru",
+            "streamcorder.static", max_bytes=max_bytes,
             obs=resolved, stats=self.stats, on_evict=self._on_removed,
         )
 

@@ -35,7 +35,7 @@ from typing import Any, Callable, Optional, Union
 
 from ..dm import DataManager
 from ..filestore import DiskArchive, StorageManager
-from ..metadb import Database
+from ..metadb import Database, DatabaseApi
 from ..obs import Observability
 from .http import HttpRequest, HttpResponse
 from .scheduler import CLASS_ORDER, classify_route
@@ -57,7 +57,7 @@ class RemoteDatabase:
     measured at full latency.
     """
 
-    def __init__(self, inner: Database, rtt_s: float = 0.0):
+    def __init__(self, inner: DatabaseApi, rtt_s: float = 0.0):
         self._inner = inner
         self.rtt_s = rtt_s
 
@@ -69,15 +69,12 @@ class RemoteDatabase:
     def execute_batch(self, statements, tx=None):
         if self.rtt_s > 0:
             time.sleep(self.rtt_s)
-        inner_batch = getattr(self._inner, "execute_batch", None)
-        if inner_batch is not None:
-            return inner_batch(statements, tx=tx)
-        return [self._inner.execute(statement, tx=tx)
-                for statement in statements]
+        return self._inner.execute_batch(statements, tx=tx)
 
     def __getattr__(self, name: str):
-        # Everything else (schema install, transactions, allocate_id,
-        # stats, obs) passes straight through to the real database.
+        # The rest of the DatabaseApi (DDL, transactions, allocate_id,
+        # stats, obs, describe) passes straight through to the real
+        # database: the wire changes latency, nothing else.
         return getattr(self._inner, name)
 
 

@@ -105,8 +105,10 @@ class WebServer:
         # Last server wired wins when several share one hub — fine, they
         # share the DM too in every assembly we ship.
         self.obs.health.add_source("serving", self.serving_report)
-        self.obs.health.add_source("shard", self.servlets._shard_report)
-        self.obs.health.add_source("repl", self.servlets._repl_report)
+        self.obs.health.add_source(
+            "shard", lambda: dm.io.default_database.describe()["shard"])
+        self.obs.health.add_source(
+            "repl", lambda: dm.io.default_database.describe()["replication"])
         self.obs.slo.cause_resolver = self.obs.health.attributed_cause
         #: Set by :meth:`enable_canary`.
         self.canary = None

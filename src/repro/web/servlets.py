@@ -60,10 +60,7 @@ class Servlets:
         if cookie is None:
             return None
         session = self.dm.sessions.by_cookie(cookie)
-        if session is None:
-            return None
-        session.touch()
-        return session.user
+        return session.user if session is not None else None
 
     def _base_context(self, request: HttpRequest, title: str) -> dict[str, Any]:
         return {"title": title, "user": self._user_for(request)}
@@ -323,8 +320,9 @@ class Servlets:
                 "breakers": breaker_report(self.obs),
                 "faults": get_default_injector().report(),
             }
-            body["shard"] = self._shard_report()
-            body["replication"] = self._repl_report()
+            data_tier = self.dm.io.default_database.describe()
+            body["shard"] = data_tier["shard"]
+            body["replication"] = data_tier["replication"]
             body["serving"] = self._serving_report()
             body["runtime"] = runtime_report(self.obs)
             return HttpResponse(
@@ -342,6 +340,7 @@ class Servlets:
         diffed against the evalmodel calibration, profiler state and
         resilience machinery — JSON with ``?format=json``, text else."""
         obs = self.obs
+        data_tier = self.dm.io.default_database.describe()
         exemplars = []
         for metric in obs.registry.metrics():
             if isinstance(metric, Histogram):
@@ -367,8 +366,8 @@ class Servlets:
                 "breakers": breaker_report(obs),
                 "faults": get_default_injector().report(),
             },
-            "shard": self._shard_report(),
-            "replication": self._repl_report(),
+            "shard": data_tier["shard"],
+            "replication": data_tier["replication"],
             "serving": self._serving_report(),
         }
         if request.params.get("format") == "json":
@@ -573,18 +572,6 @@ class Servlets:
             body=("\n".join(lines) + "\n").encode("utf-8"),
             content_type="text/plain",
         )
-
-    def _shard_report(self) -> Optional[dict[str, Any]]:
-        """Shard topology/health when the DM sits on a ShardedDatabase
-        (duck-typed — no repro.shard import at the web tier)."""
-        reporter = getattr(self.dm.io.default_database, "shard_report", None)
-        return reporter() if reporter is not None else None
-
-    def _repl_report(self) -> Optional[dict[str, Any]]:
-        """Replica-group topology when the DM sits on a ReplicaGroup or a
-        replicated ShardedDatabase (duck-typed, like shard_report)."""
-        reporter = getattr(self.dm.io.default_database, "repl_report", None)
-        return reporter() if reporter is not None else None
 
     def _serving_report(self) -> Optional[dict[str, Any]]:
         """Scheduler/admission state from the owning WebServer, when the

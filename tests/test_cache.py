@@ -1,4 +1,4 @@
-"""Tests for the unified caching core (`repro.cache`): policies, byte
+"""Tests for the unified caching core (`repro.cache`): LRU order, byte
 budgets, TTL, stats, the registry, singleflight coalescing, and the
 refactored session cache (including the historical cookie-map leak)."""
 
@@ -9,15 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cache import (
-    ArcPolicy,
     Cache,
     CacheStats,
-    FifoPolicy,
-    LruPolicy,
     SingleFlight,
     cache_report,
     iter_caches,
-    make_policy,
 )
 from repro.dm.sessions import SessionCache
 from repro.obs import Observability
@@ -156,44 +152,6 @@ class TestGetOrLoad:
         assert results == ["v"] * 8
         assert len(calls) == 1
         assert cache.stats.coalesced >= 1
-
-
-class TestArcPolicy:
-    def test_requires_capacity(self):
-        with pytest.raises(ValueError):
-            make_policy("arc", None)
-        assert isinstance(make_policy("arc", 4), ArcPolicy)
-        assert isinstance(make_policy("lru", None), LruPolicy)
-        assert isinstance(make_policy("ttl", None), FifoPolicy)
-        with pytest.raises(ValueError):
-            make_policy("magic", 4)
-
-    def test_scan_resistance(self):
-        """A one-pass scan must not flush the frequently-reused working
-        set — the property LRU lacks and ARC exists for."""
-        capacity = 8
-        cache = Cache("t", max_entries=capacity, policy="arc")
-        working_set = [f"hot{i}" for i in range(4)]
-        for key in working_set:
-            cache.put(key, key)
-        for _round in range(3):
-            for key in working_set:
-                assert cache.get(key) == key    # promote into T2
-        for index in range(64):                 # the scan
-            cache.put(f"scan{index}", index)
-        survivors = [key for key in working_set if key in cache]
-        assert len(survivors) == len(working_set)
-
-    def test_ghost_hit_adapts_and_promotes(self):
-        policy = ArcPolicy(capacity=2)
-        cache = Cache("t", max_entries=2, policy=policy)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)                   # evicts a -> ghost list B1
-        assert "a" not in cache
-        cache.put("a", 1)                   # ghost hit: adapts p, lands in T2
-        assert policy.p > 0
-        assert "a" in cache
 
 
 class TestStatsAndObs:

@@ -12,17 +12,15 @@ from repro.metadb import (
     ColumnType,
     Comparison,
     Database,
-    Delete,
     Insert,
     IntegrityError,
     QueryError,
-    ReplicatedDatabase,
     Select,
     TableSchema,
     Update,
-    clone_database,
 )
 from repro.pl import Phase
+from repro.repl import ReplicaGroup
 from repro.security import AuthError
 
 
@@ -36,84 +34,41 @@ def _schema() -> TableSchema:
 
 
 class TestReplication:
-    def test_clone_copies_schema_and_rows(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        primary.execute(Insert("t", {"a": 1, "v": "x"}))
-        replica = clone_database(primary)
-        assert replica.table_names() == ["t"]
-        assert replica.execute(Select("t")) == primary.execute(Select("t"))
-
-    def test_writes_reach_all_copies(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary)
-        replicated.add_replica()
-        replicated.add_replica()
-        replicated.execute(Insert("t", {"a": 1, "v": "x"}))
-        replicated.execute(Update("t", {"v": "y"}, Comparison("a", "=", 1)))
-        assert replicated.verify_consistency()
-        for copy in [primary, *replicated.replicas]:
-            assert copy.execute(Select("t"))[0]["v"] == "y"
-
-    def test_reads_rotate_across_copies(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary)
-        replicated.add_replica()
-        for _query in range(10):
-            replicated.execute(Select("t"))
-        assert replicated.reads_by_copy["p"] == 5
-        assert replicated.reads_by_copy["p-r1"] == 5
+    """What ``tests/test_repl.py`` does not already hold the replica
+    group to: a failed autocommit write, and the DM on top."""
 
     def test_failed_write_rolls_back_everywhere(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary)
-        replicated.add_replica()
-        replicated.execute(Insert("t", {"a": 1, "v": "x"}))
+        group = ReplicaGroup(name="p", n_replicas=1)
+        group.create_table(_schema())
+        group.execute(Insert("t", {"a": 1, "v": "x"}))
+        head = group.log.head_lsn
         with pytest.raises(IntegrityError):
-            replicated.execute(Insert("t", {"a": 1, "v": "dup"}))
-        assert replicated.verify_consistency()
-        assert len(primary.execute(Select("t"))) == 1
-
-    def test_explicit_transaction_spans_copies(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary)
-        replicated.add_replica()
-        tx = replicated.begin()
-        replicated.execute(Insert("t", {"a": 1, "v": "x"}), tx=tx)
-        replicated.rollback(tx)
-        assert replicated.verify_consistency()
-        assert primary.execute(Select("t")) == []
-
-    def test_delete_replicated(self):
-        primary = Database(name="p")
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary)
-        replicated.add_replica()
-        replicated.execute(Insert("t", {"a": 1, "v": "x"}))
-        replicated.execute(Delete("t", Comparison("a", "=", 1)))
-        assert replicated.verify_consistency()
+            group.execute(Insert("t", {"a": 1, "v": "dup"}))
+        assert group.log.head_lsn == head       # nothing shipped
+        assert group.verify() == {"p-r1": {}}
+        for copy in (group.primary, group.replicas[0].db):
+            assert len(copy.execute(Select("t"))) == 1
 
     def test_dm_runs_on_replicated_database(self, tmp_path):
-        """The DM's I/O layer sits on a ReplicatedDatabase unchanged."""
+        """The DM's I/O layer sits on a ReplicaGroup unchanged, and a
+        follower attached after the schema install bootstraps from the
+        populated primary."""
         from repro.dm import DataManager
         from repro.filestore import DiskArchive, StorageManager
 
-        primary = Database(name="hedc")
-        replicated = ReplicatedDatabase(primary)
+        group = ReplicaGroup(Database(name="hedc"))
         storage = StorageManager()
         archive = DiskArchive("main", tmp_path / "archive")
         storage.register(archive)
-        dm = DataManager(replicated, storage, install_schema=True)
+        dm = DataManager(group, storage, install_schema=True)
         dm.io.names.register_archive("main", str(archive.root))
-        replicated.add_replica()  # replicate AFTER schema install
+        group.add_replica()  # replicate AFTER schema install
         alice = dm.users.create_user("alice", "pw", group="scientist")
         hle_id = dm.semantic.insert_hle(alice, {"start_time": 0.0, "end_time": 1.0})
-        assert replicated.verify_consistency()
-        assert dm.semantic.get_hle(alice, hle_id)["hle_id"] == hle_id
+        assert group.verify() == {"hedc-r1": {}}
+        for _copy in range(group.n_copies):
+            assert dm.semantic.get_hle(alice, hle_id)["hle_id"] == hle_id
+        assert all(reads > 0 for reads in group.reads_by_copy.values())
 
 
 class TestPredefinedQueries:

@@ -359,21 +359,20 @@ class TestSeededChaos:
         recovers when the partition heals."""
         import time
 
-        from repro.metadb import Database, ReplicatedDatabase
+        from repro.repl import ReplicaGroup
         from repro.web import HttpRequest, WebServer
 
-        primary = Database(name="p")
-        replicated = ReplicatedDatabase(primary, breaker_cooldown_s=0.2)
+        group = ReplicaGroup(name="p", breaker_cooldown_s=0.2)
         storage = StorageManager(scratch_dir=tmp_path / "scratch")
         storage.register(DiskArchive("main", tmp_path / "archive"))
-        dm = DataManager(replicated, storage)
+        dm = DataManager(group, storage)
         dm.io.names.ensure_archive("main", str(tmp_path / "archive"))
-        replicated.add_replica()
+        group.add_replica()
         server = WebServer(dm)
 
         injector = FaultInjector(seed=CHAOS_SEED)
-        injector.inject("metadb.replica.p", rate=1.0)
-        injector.inject("metadb.replica.p-r1", rate=1.0)
+        injector.inject("repl.replica.p.crash", rate=1.0)
+        injector.inject("repl.replica.p-r1.crash", rate=1.0)
         shed = server.obs.counter("web.shed", server=server.name,
                                   route="/hedc/catalogs")
         with use_injector(injector):
@@ -386,7 +385,8 @@ class TestSeededChaos:
             assert response.status == 503
             assert int(response.headers["Retry-After"]) >= 1
         assert shed.value > 0
-        assert sum(b.trips for b in replicated.breakers.values()) >= 2
+        assert group.failovers > 0
+        assert sum(b.trips for b in group.breakers.values()) >= 2
 
         # Partition healed: after the cooldown the breakers half-open,
         # the probes succeed, and service restores without operator action.

@@ -591,6 +591,45 @@ class TestHedcIntegration:
         assert "replication (head_lsn=" in debug.text
         assert "replica hedc-r1: in_sync" in debug.text
 
+    def test_composed_hedc_reports_the_same_tree_on_every_surface(self, tmp_path):
+        """Sharded and replicated at once: each shard's replica group is
+        nested under its shard, and the telemetry report, both servlets
+        and the health rollup all read the one ``describe()``."""
+        import json as jsonlib
+
+        from repro.core import Hedc
+        from repro.web import HttpRequest
+
+        hedc = Hedc.create(tmp_path / "hedc", shard_boundaries=(100.0,),
+                           replicas_per_shard=2)
+        hedc.register_user("alice", "pw")
+        database = hedc.dm.io.default_database
+        database.shard_db(1).kill_replica("hedc-s1-r1")
+
+        tree = jsonlib.loads(jsonlib.dumps(database.describe()))
+        assert tree["kind"] == "sharded"
+        assert [entry["replicas"]["primary"]
+                for entry in tree["shard"]["shards"]] == ["hedc-s0", "hedc-s1"]
+        assert tree["replication"]["replicas_per_shard"] == 2
+        assert sorted(tree["replication"]["per_shard"]) == ["0", "1"]
+
+        report = jsonlib.loads(jsonlib.dumps(hedc.telemetry_report()))
+        metrics = jsonlib.loads(hedc.web.handle(
+            HttpRequest.get("/hedc/metrics?format=json")).body)
+        debug = jsonlib.loads(hedc.web.handle(
+            HttpRequest.get("/hedc/debug?format=json")).body)
+        for surface in (report, metrics, debug):
+            assert surface["shard"] == tree["shard"]
+            assert surface["replication"] == tree["replication"]
+
+        text = hedc.web.handle(HttpRequest.get("/hedc/debug")).text
+        assert "    replica hedc-s0-r1: in_sync lag=0" in text
+        assert "    replica hedc-s1-r1: dead" in text
+        assert ("replication: 2 copies/shard, max_lag=0 "
+                "(per-shard detail above)") in text
+        metadb = hedc.obs.health.report()["subsystems"]["metadb"]
+        assert metadb["causes"] == ["replica hedc-s1-r1 (shard 1) dead"]
+
 
 class TestEvalmodelReplicaMath:
     def test_default_efficiency_reproduces_legacy_projection(self):
@@ -626,42 +665,30 @@ class TestEvalmodelReplicaMath:
             project_scaling(4, replica_read_efficiency=-0.1)
 
 
-class TestReplicatedDatabaseOpenBreakerSkip:
+class TestOpenBreakerSkip:
     def test_open_breaker_copies_are_filtered_before_any_attempt(self):
-        """Satellite: the eager ReplicatedDatabase must not burn a
-        failover hop per read on a copy whose breaker is already open —
-        proven by the obs counters: ``read_attempts`` for the dead copy
-        stays flat while ``skipped_open`` climbs."""
-        from repro.metadb import ReplicatedDatabase
-        from repro.obs import Observability
-
-        obs = Observability(name="t")
-        primary = Database(name="p", obs=obs)
-        primary.create_table(_schema())
-        replicated = ReplicatedDatabase(primary, obs=obs,
-                                        breaker_cooldown_s=60.0)
-        replicated.add_replica()
+        """A copy whose breaker is already open leaves the rotation
+        before any attempt: no read reaches it, its fault point is not
+        even evaluated, and the primary serves."""
+        group = ReplicaGroup(name="p", n_replicas=1, breaker_cooldown_s=60.0)
+        group.create_table(_schema())
         injector = FaultInjector(seed=7)
-        injector.inject("metadb.replica.p-r1", rate=1.0)
+        point = injector.inject("repl.replica.p-r1.crash", rate=1.0)
         with use_injector(injector):
             for _ in range(30):
-                replicated.execute(Select("events"))
-                breaker = replicated.breakers.get("p-r1")
-                if breaker is not None and breaker.state is BreakerState.OPEN:
+                group.execute(Select("events"))
+                if group.breakers["p-r1"].state is BreakerState.OPEN:
                     break
-            assert replicated.breakers["p-r1"].state is BreakerState.OPEN
-            attempts = obs.counter("metadb.replication.read_attempts",
-                                   db="p", copy="p-r1")
-            skipped = obs.counter("metadb.replication.skipped_open",
-                                  db="p", copy="p-r1")
-            attempts_before = attempts.value
-            skipped_before = skipped.value
+            assert group.breakers["p-r1"].state is BreakerState.OPEN
+            evaluated_before = point.evaluated
+            failovers_before = group.failovers
+            primary_reads_before = group.reads_by_copy["p"]
             for _ in range(10):
-                assert replicated.execute(Select("events")) == []
-            assert attempts.value == attempts_before
-            assert skipped.value == skipped_before + 10
-        # Every one of those reads was served by the primary directly.
-        assert replicated.reads_by_copy["p"] >= 10
+                assert group.execute(Select("events")) == []
+            assert point.evaluated == evaluated_before
+            assert group.failovers == failovers_before
+        assert group.replicas[0].reads == 0
+        assert group.reads_by_copy["p"] == primary_reads_before + 10
 
 
 class TestVerifyReplicaStandalone:

@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from repro.filestore import ChecksumError, DiskArchive, StorageManager
-from repro.metadb import Database, ReplicatedDatabase, Select
+from repro.metadb import Select
 from repro.pl import IdlServerManager, NoServerAvailable
+from repro.repl import ReplicaGroup, ReplicaState
 from repro.resil import (
     BreakerOpen,
     BreakerState,
@@ -413,48 +414,44 @@ class TestManagerRetryPolicy:
 
 
 class TestReplicatedFailover:
-    def make_replicated(self, **kwargs):
-        primary = Database(name="p")
-        install_all(primary)
-        replicated = ReplicatedDatabase(primary, **kwargs)
-        replicated.add_replica()
-        return replicated
-
-    def test_partitioned_replica_fails_over_to_primary(self):
-        replicated = self.make_replicated()
-        injector = FaultInjector(seed=1)
-        injector.inject("metadb.replica.p-r1", rate=1.0)
-        with use_injector(injector):
-            for _ in range(6):
-                assert replicated.execute(Select("hle")) == []
-        # Every read landed on the healthy primary.
-        assert replicated.reads_by_copy["p"] == 6
-        assert replicated.reads_by_copy["p-r1"] == 0
-        assert replicated.breakers["p-r1"].state is BreakerState.OPEN
+    """Single-copy read failover and revival after a cooldown are held
+    in ``tests/test_repl.py``; these are the partitions it leaves out."""
 
     def test_all_copies_partitioned_raises_and_recovers(self):
-        replicated = self.make_replicated(breaker_cooldown_s=0.0)
+        group = ReplicaGroup(name="p", n_replicas=1, breaker_cooldown_s=0.0)
+        install_all(group)
         injector = FaultInjector(seed=1)
-        injector.inject("metadb.replica.p", rate=1.0)
-        injector.inject("metadb.replica.p-r1", rate=1.0)
+        injector.inject("repl.replica.p.crash", rate=1.0)
+        injector.inject("repl.replica.p-r1.crash", rate=1.0)
         with use_injector(injector):
             for _ in range(8):
                 with pytest.raises(InjectedFault):
-                    replicated.execute(Select("hle"))
+                    group.execute(Select("hle"))
+        assert sum(b.trips for b in group.breakers.values()) >= 2
         # Partition healed: with zero cooldown the breakers half-open and
         # the first successful probes close them again.
         for _ in range(4):
-            assert replicated.execute(Select("hle")) == []
+            assert group.execute(Select("hle")) == []
         assert all(b.state is BreakerState.CLOSED
-                   for b in replicated.breakers.values())
+                   for b in group.breakers.values())
+        assert group.replicas[0].state is ReplicaState.IN_SYNC
 
     def test_writes_unaffected_by_replica_partition(self):
-        replicated = self.make_replicated()
+        """The crash point cuts shipping as well as reads: the write
+        still commits, and the follower catches up once it heals."""
+        group = ReplicaGroup(name="p", n_replicas=1)
+        install_all(group)
         injector = FaultInjector(seed=1)
-        injector.inject("metadb.replica.p-r1", rate=1.0)
+        injector.inject("repl.replica.p-r1.crash", rate=1.0)
         with use_injector(injector):
-            replicated.execute(
+            group.execute(
                 "INSERT INTO ops_log (log_id, level, component, message) "
                 "VALUES (900, 'info', 'chaos', 'write during partition')"
             )
-        assert replicated.verify_consistency()
+            assert len(group.execute(Select("ops_log"))) == 1
+        follower = group.replicas[0]
+        assert follower.ship_failures == 1
+        assert follower.state is ReplicaState.LAGGING
+        group.ship()
+        assert follower.state is ReplicaState.IN_SYNC
+        assert group.verify() == {"p-r1": {}}

@@ -231,6 +231,26 @@ class TestServlets:
         client.get("/hedc/catalogs")
         assert server.bytes_sent > before
 
+    def test_cookie_traffic_counts_as_session_hits(self, tmp_path):
+        """``by_cookie`` is the only session lookup the servlets make: one
+        login, then pages by cookie, must read as a warm session cache on
+        every surface that reports it."""
+        from repro.web.loadgen import build_serving_stack
+
+        stack = build_serving_stack(tmp_path, n_hles=2, rtt_s=0.0)
+        sessions = stack.dm.sessions
+        for _page in range(20):
+            assert stack.web.handle(stack.request("/hedc/catalogs")).status == 200
+        assert sessions.hits >= 20
+        assert sessions.hit_ratio > 0.9
+        assert stack.dm.telemetry_report()["sessions"]["hit_ratio"] > 0.9
+        assert stack.obs.registry.value("dm.sessions.hits") == sessions.hits
+        served = sessions.by_cookie(stack.session_cookie).requests_served
+        assert served >= 20      # the lookup touches the session itself
+        misses = sessions.misses
+        assert sessions.by_cookie("no-such-cookie") is None
+        assert sessions.misses == misses + 1
+
 
 class TestObservabilityIntegration:
     """A full browse through the three tiers, observed end to end."""
