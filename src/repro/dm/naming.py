@@ -56,10 +56,9 @@ class ResolvedName:
 class NameMapper:
     """Name construction and location-table maintenance.
 
-    ``executor`` is anything with ``execute(statement, tx=None)`` — a
-    :class:`~repro.metadb.Database` directly, or the DM's I/O layer so
-    that name-construction queries are counted as DM queries (they are
-    the "two extra database queries" of §4.3).
+    ``executor`` is the DM's I/O layer, so that name-construction
+    queries are counted as DM queries (they are the "two extra database
+    queries" of §4.3).
     """
 
     def __init__(self, executor, obs: Optional[Observability] = None):
@@ -71,13 +70,7 @@ class NameMapper:
         }
 
     def _allocate(self, table: str, column: str) -> int:
-        # IoLayer exposes database_for; a bare Database allocates directly.
-        database = (
-            self._db.database_for(table)
-            if hasattr(self._db, "database_for")
-            else self._db
-        )
-        return database.allocate_id(table, column)
+        return self._db.database_for(table).allocate_id(table, column)
 
     # -- registration -----------------------------------------------------
 

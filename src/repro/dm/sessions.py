@@ -99,15 +99,9 @@ class SessionCache:
                     reason: str) -> None:
         """Every removal path — eviction, expiry, invalidation, overwrite
         — drops the session's cookie, so ``_by_cookie`` can never outgrow
-        the live session set."""
+        the live session set, and refreshes the size gauge
+        (:meth:`create` covers growth)."""
         self._by_cookie.pop(session.cookie, None)
-
-    def _miss(self) -> None:
-        self.stats.record_miss()
-        self._size_gauge.set(len(self._cache))
-
-    def _hit(self) -> None:
-        self.stats.record_hit()
         self._size_gauge.set(len(self._cache))
 
     def _expired(self, session: Session) -> bool:
@@ -120,12 +114,12 @@ class SessionCache:
         if session is None or self._expired(session):
             if session is not None:
                 self._cache.invalidate(key)
-            self._miss()
+            self.stats.record_miss()
             return None
         if session.client_ip != client_ip or session.cookie != cookie:
-            self._miss()
+            self.stats.record_miss()
             return None
-        self._hit()
+        self.stats.record_hit()
         session.touch()
         return session
 
@@ -157,7 +151,7 @@ class SessionCache:
             if session is not None:
                 return session
         else:
-            self._miss()
+            self.stats.record_miss()
         return self.create(user, kind, client_ip)
 
     def by_cookie(self, cookie: str) -> Optional[Session]:
@@ -167,13 +161,13 @@ class SessionCache:
         key = self._by_cookie.get(cookie)
         session = self._cache.peek(key) if key is not None else None
         if session is None or session.cookie != cookie:
-            self._miss()
+            self.stats.record_miss()
             return None
         if self._expired(session):
             self._cache.invalidate(key)
-            self._miss()
+            self.stats.record_miss()
             return None
-        self.stats.record_hit()     # the store did not change: no size update
+        self.stats.record_hit()
         session.touch()
         return session
 
@@ -183,7 +177,6 @@ class SessionCache:
         for kind in SESSION_KINDS:
             if self._cache.invalidate((user_id, kind)):
                 dropped += 1
-        self._size_gauge.set(len(self._cache))
         return dropped
 
     def prune_expired(self) -> int:
@@ -195,7 +188,6 @@ class SessionCache:
             if session is not None and self._expired(session):
                 if self._cache.invalidate(key):
                     dropped += 1
-        self._size_gauge.set(len(self._cache))
         return dropped
 
     def _evict_if_needed(self, user: User) -> None:

@@ -528,6 +528,9 @@ class ReplicaGroup:
         if self.auto_ship and self.replicas:
             self.ship()
 
+    def explain(self, select) -> str:
+        return self.primary.explain(select)
+
     def explain_plan(self, select) -> dict[str, Any]:
         return self.primary.explain_plan(select)
 
@@ -554,20 +557,17 @@ class ReplicaGroup:
             statement = parse(statement)
         if isinstance(statement, Explain):
             return self.primary.execute(statement, tx=tx)
-        if isinstance(statement, Select):
-            if tx is None:
-                return self._read_with_failover(statement)
-            # The transaction lives on the primary, and so do its
-            # uncommitted writes: no follower can serve this read.
-            rows = self.primary.execute(statement, tx=tx)
-            with self._lock:
-                self.stats.selects += 1
-                self.stats.rows_read += len(rows)
-                self.reads_by_copy[self.primary.name] += 1
-            return rows
+        if isinstance(statement, Select) and tx is None:
+            return self._read_with_failover(statement)
+        # Writes go to the primary, and so does a read inside a
+        # transaction: only the primary holds its uncommitted rows.
         result = self.primary.execute(statement, tx=tx)
         with self._lock:
-            if isinstance(statement, Insert):
+            if isinstance(statement, Select):
+                self.stats.selects += 1
+                self.stats.rows_read += len(result)
+                self.reads_by_copy[self.primary.name] += 1
+            elif isinstance(statement, Insert):
                 self.stats.inserts += 1
                 self.stats.rows_written += 1
             elif isinstance(statement, Update):

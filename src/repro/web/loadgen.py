@@ -71,11 +71,60 @@ class RemoteDatabase:
             time.sleep(self.rtt_s)
         return self._inner.execute_batch(statements, tx=tx)
 
-    def __getattr__(self, name: str):
-        # The rest of the DatabaseApi (DDL, transactions, allocate_id,
-        # stats, obs, describe) passes straight through to the real
-        # database: the wire changes latency, nothing else.
-        return getattr(self._inner, name)
+    # The rest of the DatabaseApi passes straight through: the wire
+    # changes latency, nothing else.  Spelled out, not ``__getattr__``,
+    # so isinstance() against the protocol holds on Python 3.12 too.
+
+    @property
+    def name(self) -> str:
+        return self._inner.name
+
+    @property
+    def obs(self) -> Observability:
+        return self._inner.obs
+
+    @property
+    def stats(self):
+        return self._inner.stats
+
+    def begin(self):
+        return self._inner.begin()
+
+    def commit(self, tx) -> None:
+        self._inner.commit(tx)
+
+    def rollback(self, tx) -> None:
+        self._inner.rollback(tx)
+
+    def allocate_id(self, table: str, column: str) -> int:
+        return self._inner.allocate_id(table, column)
+
+    def create_table(self, schema) -> None:
+        self._inner.create_table(schema)
+
+    def drop_table(self, name: str) -> None:
+        self._inner.drop_table(name)
+
+    def has_table(self, name: str) -> bool:
+        return self._inner.has_table(name)
+
+    def table_names(self) -> list[str]:
+        return self._inner.table_names()
+
+    def table(self, name: str):
+        return self._inner.table(name)
+
+    def explain_plan(self, select) -> dict[str, Any]:
+        return self._inner.explain_plan(select)
+
+    def describe(self) -> dict[str, Any]:
+        return self._inner.describe()
+
+    def checkpoint(self) -> None:
+        self._inner.checkpoint()
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 @dataclass

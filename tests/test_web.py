@@ -13,7 +13,6 @@ from repro.web import (
     TemplateError,
     TemplateRegistry,
     ThinClient,
-    WebServer,
 )
 
 
