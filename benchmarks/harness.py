@@ -180,52 +180,6 @@ def run_sec43() -> None:
           f"{database.stats.rows_written}   (static binding: 200)\n")
 
 
-def run_resil() -> None:
-    import time
-
-    from repro.metadb import (
-        Column, ColumnType, Comparison, Database, Insert, Select, TableSchema,
-    )
-    from repro.resil import CircuitBreaker, RetryPolicy, resilient
-
-    database = Database()
-    database.create_table(TableSchema(
-        "t",
-        [Column("a", ColumnType.INTEGER, nullable=False),
-         Column("b", ColumnType.REAL, nullable=False)],
-        primary_key="a",
-    ))
-    for index in range(300):
-        database.execute(Insert("t", {"a": index, "b": float(index)}))
-    select = Select("t", where=Comparison("b", ">=", 0.0))
-
-    def per_call(fn, arg, calls):
-        fn(arg)
-        best = float("inf")
-        for _repeat in range(9):
-            started = time.perf_counter()
-            for _call in range(calls):
-                fn(arg)
-            best = min(best, time.perf_counter() - started)
-        return best / calls
-
-    def trivial(x):
-        return x
-
-    guarded = resilient(
-        trivial, name="harness.trivial",
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
-        breaker=CircuitBreaker("harness", window=50, min_calls=10),
-    )
-    scan_s = per_call(database.execute, select, 100)
-    wrapper_s = per_call(guarded, 1, 50_000) - per_call(trivial, 1, 50_000)
-    print("Resilience wrapper overhead (hot metadb execute path)")
-    print(f"  300-row scan           : {scan_s * 1e6:8.1f} us/call")
-    print(f"  resilient() stack      : {wrapper_s * 1e6:8.2f} us/call")
-    print(f"  overhead               : {wrapper_s / scan_s * 100:+.2f}%   "
-          f"(budget: <5%)\n")
-
-
 def run_cache() -> None:
     import time
 
@@ -270,7 +224,6 @@ def _write_bench(name: str, payload: dict) -> Path:
 
 
 def run_query() -> None:
-    import os
     import time
 
     from repro.metadb import (
@@ -325,35 +278,30 @@ def run_query() -> None:
 
     # -- columnar vs row-at-a-time on full-scan analytics ----------------
     def columnar_experiment(n_rows: int, vec_calls: int, row_calls: int) -> dict:
-        db = Database(name=f"colbench{n_rows}")
         kinds = ["flare", "quiet", "storm", "saa", "burst", "cal", "idle"]
-        db.create_table(TableSchema(
-            "ev",
-            [Column("ev_id", ColumnType.INTEGER, nullable=False),
-             Column("kind", ColumnType.TEXT, nullable=False),
-             Column("rate", ColumnType.REAL, nullable=False),
-             Column("counts", ColumnType.INTEGER, nullable=False)],
-            primary_key="ev_id",
-            columnar=True,
-        ))
-        for index in range(n_rows):
-            db.execute(Insert("ev", {
-                "ev_id": index,
-                "kind": kinds[(index * 131) % len(kinds)],
-                "rate": float((index * 37) % 1000),
-                "counts": (index * 7919) % 10_000,
-            }))
 
-        def row_path(fn, arg, calls):
-            previous = os.environ.get("HEDC_COLUMNAR")
-            os.environ["HEDC_COLUMNAR"] = "0"
-            try:
-                return fn(arg) if calls is None else best(fn, arg, calls, 3)
-            finally:
-                if previous is None:
-                    os.environ.pop("HEDC_COLUMNAR", None)
-                else:
-                    os.environ["HEDC_COLUMNAR"] = previous
+        def build(columnar: bool) -> Database:
+            built = Database(name=f"colbench{n_rows}-{columnar}")
+            built.create_table(TableSchema(
+                "ev",
+                [Column("ev_id", ColumnType.INTEGER, nullable=False),
+                 Column("kind", ColumnType.TEXT, nullable=False),
+                 Column("rate", ColumnType.REAL, nullable=False),
+                 Column("counts", ColumnType.INTEGER, nullable=False)],
+                primary_key="ev_id",
+                columnar=columnar,
+            ))
+            for index in range(n_rows):
+                built.execute(Insert("ev", {
+                    "ev_id": index,
+                    "kind": kinds[(index * 131) % len(kinds)],
+                    "rate": float((index * 37) % 1000),
+                    "counts": (index * 7919) % 10_000,
+                }))
+            return built
+
+        # The row path is the same rows in a twin declared columnar=False.
+        db, row_db = build(True), build(False)
 
         queries = {
             "full_scan_filter": Select("ev", where=And([
@@ -381,9 +329,9 @@ def run_query() -> None:
         for label, query in queries.items():
             vec_plan = db.explain_plan(query)
             assert vec_plan["access"] == "columnar_scan", (label, vec_plan)
-            assert db.execute(query) == row_path(db.execute, query, None)
+            assert db.execute(query) == row_db.execute(query)
             vectorized_s = best(db.execute, query, vec_calls, 3)
-            row_s = row_path(db.execute, query, row_calls)
+            row_s = best(row_db.execute, query, row_calls, 3)
             section[label] = {
                 "vectorized_us_per_query": vectorized_s * 1e6,
                 "row_us_per_query": row_s * 1e6,
@@ -844,7 +792,6 @@ EXPERIMENTS = {
     "sec72": run_sec72,
     "sec63": run_sec63,
     "sec43": run_sec43,
-    "resil": run_resil,
     "cache": run_cache,
     "query": run_query,
     "backprojection": run_backprojection,

@@ -1,63 +1,23 @@
-"""Overhead guard: the resilience layer must stay out of the hot path.
+"""Overhead guards: resilience wiring must stay out of the hot path.
 
-The wiring budget is <5% on the hot ``metadb`` execute path with
-injection disabled and no policies armed.  A direct wall-clock A/B of the
-two loops is too noisy on shared runners (block-to-block variance alone
-exceeds the budget), so the guard measures the two quantities that make
-up the ratio separately, each the stable way:
+A direct wall-clock A/B of two loops is too noisy on shared runners
+(block-to-block variance alone exceeds a 5% budget), so each guard
+measures the two quantities that make up its ratio separately, each as
+a min-of-repeats per-call cost (min converges to the quiet-window time):
 
-* the per-call cost of one hot-path ``execute`` (min-of-repeats over a
-  few-hundred-row scan — min converges to the quiet-window time);
-* the per-call cost of the full ``resilient()`` stack, which is
-  independent of the wrapped callable, measured as the delta between a
-  wrapped and a bare trivial callable in tight loops.
-
-The assertion is ``wrapper_cost / scan_cost < 5%``.
+* the replication commit hook against the journaled write it rides;
+* the module-level ``fire()`` fault point, armed with nothing, against
+  an empty call.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
+from repro.metadb import Column, ColumnType, Database, Insert, TableSchema
 
-from repro.metadb import (
-    Column,
-    ColumnType,
-    Comparison,
-    Database,
-    Insert,
-    Select,
-    TableSchema,
-)
-from repro.resil import CircuitBreaker, RetryPolicy, resilient
-
-N_ROWS = 300
-SCAN_CALLS = 100
-WRAPPER_CALLS = 50_000
 REPEATS = 9
 MAX_OVERHEAD = 0.05
-
-
-@pytest.fixture(scope="module")
-def scan_db():
-    database = Database()
-    database.create_table(TableSchema(
-        "t",
-        [Column("a", ColumnType.INTEGER, nullable=False),
-         Column("b", ColumnType.REAL, nullable=False)],
-        primary_key="a",
-    ))
-    for index in range(N_ROWS):
-        database.execute(Insert("t", {"a": index, "b": float(index)}))
-    return database
-
-
-def _bench_policies():
-    return dict(
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
-        breaker=CircuitBreaker("bench", window=50, min_calls=10),
-    )
 
 
 def _min_per_call(fn, arg, calls: int) -> float:
@@ -70,34 +30,6 @@ def _min_per_call(fn, arg, calls: int) -> float:
             fn(arg)
         best = min(best, time.perf_counter() - started)
     return best / calls
-
-
-def test_resilient_wrapper_overhead_under_five_percent(scan_db):
-    select = Select("t", where=Comparison("b", ">=", 0.0))
-    scan_s = _min_per_call(scan_db.execute, select, SCAN_CALLS)
-
-    def trivial(x):
-        return x
-
-    guarded = resilient(trivial, name="bench.trivial", **_bench_policies())
-    bare_s = _min_per_call(trivial, 1, WRAPPER_CALLS)
-    guarded_s = _min_per_call(guarded, 1, WRAPPER_CALLS)
-    wrapper_s = guarded_s - bare_s
-
-    overhead = wrapper_s / scan_s
-    print(f"\nscan {scan_s * 1e6:.1f}us/call  wrapper {wrapper_s * 1e6:.2f}us/call  "
-          f"overhead {overhead * 100:+.2f}%  (budget {MAX_OVERHEAD * 100:.0f}%)")
-    assert overhead < MAX_OVERHEAD
-
-
-def test_resilient_wrapper_returns_hot_path_results(scan_db):
-    """The wrapped execute is the same call, not a cached or degraded one."""
-    select = Select("t", where=Comparison("b", ">=", 0.0))
-    wrapped = resilient(scan_db.execute, name="bench.execute", **_bench_policies())
-    raw_rows = scan_db.execute(select)
-    wrapped_rows = wrapped(select)
-    assert len(wrapped_rows) == N_ROWS
-    assert wrapped_rows == raw_rows
 
 
 def test_log_shipping_hook_overhead_under_five_percent(tmp_path):

@@ -19,13 +19,10 @@ Consumers:
 """
 
 from .core import Cache, CacheStats
-from .registry import cache_report, iter_caches
 from .singleflight import SingleFlight
 
 __all__ = [
     "Cache",
     "CacheStats",
     "SingleFlight",
-    "cache_report",
-    "iter_caches",
 ]

@@ -7,7 +7,8 @@ optional expiry; eviction is least-recently-used, the order kept by the
 entry map itself; all outcomes land in one typed :class:`CacheStats`,
 mirrored into the :mod:`repro.obs` registry so ``/hedc/metrics`` and
 ``DataManager.telemetry_report()`` can report per-cache hit ratios,
-resident bytes and eviction counts without bespoke wiring.
+resident bytes and eviction counts without bespoke wiring: every cache
+joins the ``caches`` section of its hub's report tree as it is built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator, Optional
 
 from ..obs import Observability, resolve as resolve_obs
-from .registry import register_cache
 from .singleflight import SingleFlight
 
 _MISSING = object()
@@ -146,6 +146,25 @@ class CacheStats:
         }
 
 
+def cache_report(caches: "list[Cache]") -> dict[str, dict]:
+    """Per-cache stat snapshots keyed by cache name: the ``caches``
+    section of the report tree.  Two caches sharing a name within one
+    hub (every DM node's ``dm.sessions``) merge by summing counters."""
+    report: dict[str, dict] = {}
+    for cache in caches:
+        snapshot = cache.stats.snapshot()
+        existing = report.get(cache.name)
+        if existing is None:
+            report[cache.name] = snapshot
+        else:
+            for field, value in snapshot.items():
+                if field != "hit_ratio":
+                    existing[field] = existing.get(field, 0) + value
+            total = existing["hits"] + existing["misses"]
+            existing["hit_ratio"] = existing["hits"] / total if total else 0.0
+    return report
+
+
 class _Entry:
     __slots__ = ("value", "size", "created_at", "expires_at")
 
@@ -196,7 +215,7 @@ class Cache:
         self._bytes = 0
         self.stats = stats if stats is not None else CacheStats(name, obs=self.obs)
         self._flight = SingleFlight(obs=self.obs)
-        register_cache(self)
+        self.obs.contribute("caches", cache_report, self)
 
     # -- internals ----------------------------------------------------------
 

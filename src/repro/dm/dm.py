@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..cache import cache_report
 from ..filestore import DiskArchive, StorageManager
 from ..metadb import (
     Aggregate, Between, Comparison, Database, DatabaseApi, In, Select,
 )
-from ..obs import Observability, runtime_report
-from ..resil import breaker_report, get_default_injector
+from ..obs import Observability
 from ..schema import install_all
 from ..security import User, UserManager, scoped_where
 from .io_layer import IoLayer
@@ -55,7 +53,6 @@ class DataManager:
         storage: StorageManager,
         node_name: str = "dm0",
         install_schema: bool = True,
-        pool_open_cost_s: float = 0.0,
         batched_pages: bool = True,
         obs: Optional[Observability] = None,
     ):
@@ -63,8 +60,7 @@ class DataManager:
         self.obs = obs if obs is not None else database.obs
         if install_schema:
             install_all(database)
-        self.io = IoLayer(database, storage, pool_open_cost_s=pool_open_cost_s,
-                          obs=self.obs)
+        self.io = IoLayer(database, storage, obs=self.obs)
         self.users = UserManager(database)
         self.import_user = self.users.ensure_import_user()
         self.semantic = SemanticLayer(self.io)
@@ -77,6 +73,10 @@ class DataManager:
         #: queries into three DM↔DBMS round trips; False replays the
         #: historical one-query-per-trip sequence.
         self.batched_pages = batched_pages
+        # The data tier is looked up when the section is read, never
+        # here: a database proxy need not describe itself to be wrapped.
+        self.obs.contribute("data", lambda: self.io.default_database.describe())
+        self.obs.contribute("dm", self.describe)
 
     # -- construction helpers ------------------------------------------------
 
@@ -202,43 +202,29 @@ class DataManager:
             },
         }
 
-    def telemetry_report(self) -> dict:
-        """The admin's instrument panel: per-tier highlights computed
-        from the obs registry, plus the full metric snapshot."""
+    def describe(self) -> dict:
+        """This node's ``dm`` section of the report tree: the DM's own
+        counters plus the highlights it keeps about its database."""
         registry = self.obs.registry
-
-        def _quantiles(name: str, **labels) -> dict:
-            histogram = registry.get(name, **labels)
-            if histogram is None or not getattr(histogram, "count", 0):
-                return {"count": 0, "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0}
-            return {
-                "count": histogram.count,
-                "p50_s": histogram.quantile(0.50),
-                "p95_s": histogram.quantile(0.95),
-                "p99_s": histogram.quantile(0.99),
+        database = self.io.default_database
+        latency = registry.get("metadb.query_s", db=database.name, op="select")
+        if latency is None or not latency.count:
+            quantiles = {"count": 0, "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0}
+        else:
+            quantiles = {
+                "count": latency.count,
+                "p50_s": latency.quantile(0.50),
+                "p95_s": latency.quantile(0.95),
+                "p99_s": latency.quantile(0.99),
             }
-
-        pool_waits = {
-            pool.name: {
-                "acquisitions": pool.acquisitions,
-                "waits": pool.waits,
-            }
-            for pool in (self.io.pools.queries, self.io.pools.updates,
-                         self.io.pools.auth)
-        }
-        data_tier = self.io.default_database.describe()
         return {
             "node": self.node_name,
-            "tracing_enabled": self.obs.enabled,
+            "batched_pages": self.batched_pages,
             "db": {
-                "queries": self.io.default_database.stats.queries,
-                "latency": _quantiles("metadb.query_s",
-                                      db=self.io.default_database.name, op="select"),
+                "queries": database.stats.queries,
+                "latency": quantiles,
                 "wal_fsyncs": registry.value("metadb.wal.fsyncs"),
             },
-            "shard": data_tier["shard"],
-            "replication": data_tier["replication"],
-            "pools": pool_waits,
             "sessions": {
                 "size": self.sessions.size,
                 "hit_ratio": self.sessions.hit_ratio,
@@ -247,17 +233,28 @@ class DataManager:
             "name_mapping": {
                 "lookups": registry.family_total("dm.name_mapping.lookups"),
             },
-            "caches": cache_report(self.obs),
-            "resilience": {
-                "breakers": breaker_report(self.obs),
-                "faults": get_default_injector().report(),
-            },
-            "diagnostics": {
-                "events": self.obs.events.total_emitted,
-                "slow_ops": self.obs.slowlog.total_recorded,
-                "profiler_running": self.obs.profiler.running,
-            },
-            "runtime": runtime_report(self.obs),
             "io": self.io.stats.snapshot(),
-            "metrics": registry.snapshot(),
+        }
+
+    def telemetry_report(self) -> dict:
+        """The admin's instrument panel: a selection of the hub's report
+        tree (:meth:`repro.obs.Observability.describe`): per-tier
+        highlights plus the full metric snapshot."""
+        tree = self.obs.describe("dm", "data", "caches", "resilience",
+                                 "diagnostics", "runtime", "metrics")
+        node, data = tree["dm"], tree["data"]
+        return {
+            "node": node["node"],
+            "tracing_enabled": self.obs.enabled,
+            "db": node["db"],
+            "shard": data["shard"],
+            "replication": data["replication"],
+            "sessions": node["sessions"],
+            "name_mapping": node["name_mapping"],
+            "caches": tree["caches"],
+            "resilience": tree["resilience"],
+            "diagnostics": tree["diagnostics"],
+            "runtime": tree["runtime"],
+            "io": node["io"],
+            "metrics": tree["metrics"],
         }

@@ -11,7 +11,7 @@ data accesses happen through this layer."  It owns:
   database schema are routed to a different DBMS";
 * the filesystem adapter over the hierarchical storage manager;
 * dynamic name construction;
-* connection pooling and the query/edit counters the evaluation reports.
+* the query/edit counters the evaluation reports.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..metadb import (
     Delete,
     Insert,
     LockTimeout,
-    PoolSet,
     Select,
     Update,
     prepare as parse_sql,   # bench/trace.py times parse_sql and to_sql by these names
@@ -83,14 +82,12 @@ class IoLayer:
         self,
         default_db: DatabaseApi,
         storage: StorageManager,
-        pool_open_cost_s: float = 0.0,
         obs: Optional[Observability] = None,
     ):
         self._databases: dict[str, DatabaseApi] = {"default": default_db}
         self._routes: dict[str, str] = {}  # table name -> database key
         self.storage = storage
         self.obs = resolve_obs(obs)
-        self.pools = PoolSet(default_db, open_cost_s=pool_open_cost_s, obs=self.obs)
         self.stats = IoStats()
         #: The §5.4 pipeline's statement cache: bind-variable SQL text ->
         #: :class:`~repro.metadb.PreparedStatement`.

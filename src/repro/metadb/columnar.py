@@ -32,7 +32,6 @@ vector-filtered rows.
 from __future__ import annotations
 
 import bisect
-import os
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 try:  # pragma: no cover - numpy is a baked-in dependency
@@ -66,24 +65,6 @@ DICT_MAX_DISTINCT = 4096
 def available() -> bool:
     """True when numpy is importable (the columnar tier's only dependency)."""
     return np is not None
-
-
-_enabled_cache: tuple[Optional[str], bool] = (None, True)
-
-
-def enabled() -> bool:
-    """Kill-switch: ``HEDC_COLUMNAR=0`` disables the columnar access path
-    globally (tables keep row storage only; plans fall back to the
-    row-at-a-time paths).  The parse is cached against the raw variable
-    so runtime toggles are still observed without re-parsing per plan."""
-    global _enabled_cache
-    raw = os.environ.get("HEDC_COLUMNAR")
-    cached_raw, cached_value = _enabled_cache
-    if raw == cached_raw:
-        return cached_value
-    value = (raw or "1").lower() not in ("0", "off", "false")
-    _enabled_cache = (raw, value)
-    return value
 
 
 _NULL_REJECTING = (Comparison, Between, In, Like)

@@ -252,8 +252,7 @@ def _columnar_plan(
     BY column with an ordered index plus LIMIT) still wins — it streams
     in order and stops early, which no mask evaluation can match.
     """
-    # Cheap integer disqualifiers first: the eligibility check reads the
-    # environment kill-switch, which must stay off the OLTP probe path.
+    # Cheap integer disqualifiers first: most OLTP probes stop here.
     if n_rows < COLUMNAR_MIN_ROWS or select.join is not None:
         return None
     if best_estimate is not None and best_estimate * 4 < n_rows:

@@ -110,13 +110,8 @@ class Table:
     @property
     def columnar_eligible(self) -> bool:
         """True when this table maintains a columnar copy the vectorized
-        executor may scan (declared in the schema, numpy importable, and
-        not disabled via ``HEDC_COLUMNAR=0``)."""
-        return (
-            self.schema.columnar
-            and _columnar.available()
-            and _columnar.enabled()
-        )
+        executor may scan (declared in the schema and numpy importable)."""
+        return self.schema.columnar and _columnar.available()
 
     def columnar_store(self) -> "_columnar.ColumnarStore":
         """The table's columnar copy, created on first use (freshness is

@@ -8,25 +8,22 @@ tier of the reproduction measurable the same way:
   :class:`Histogram` (streaming p50/p95/p99);
 * :class:`Tracer` producing nested per-request span trees with
   contextvars propagation across threads;
-* exporters (in-memory, line protocol, JSON snapshot);
+* renderers (line protocol, JSON snapshot);
 * the :func:`instrument` decorator and :class:`Observability` hub that
   components thread through the tiers (``web`` → ``dm`` → ``metadb``,
   ``pl`` → ``idl``, ``streamcorder``).
 
 Tracing is off by default (``Observability.enabled``); metrics always
-collect, cheaply.  ``/hedc/metrics`` renders a deployment's registry and
-:meth:`repro.dm.DataManager.telemetry_report` summarises it.
+collect, cheaply.  Every operator surface (``/hedc/metrics``,
+``/hedc/debug``, ``/hedc/dashboard``,
+:meth:`repro.dm.DataManager.telemetry_report`, the health rollup) is a
+selection of sections of one report tree,
+:meth:`Observability.describe`.
 """
 
 from .events import SEVERITIES, Event, EventLog
 from .health import DEGRADED, GREEN, RED, CanaryProbe, HealthMonitor
-from .export import (
-    InMemoryExporter,
-    JsonExporter,
-    LineProtocolExporter,
-    to_json_snapshot,
-    to_line_protocol,
-)
+from .export import to_json_snapshot, to_line_protocol
 from .hub import (
     DEFAULT,
     Observability,
@@ -54,7 +51,6 @@ from .timeseries import (
     DEFAULT_TIERS,
     TelemetryCollector,
     TimeSeriesStore,
-    runtime_report,
     sample_runtime,
     sparkline,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "TelemetryCollector",
     "TimeSeriesStore",
     "default_slos",
-    "runtime_report",
     "sample_runtime",
     "sparkline",
     "Event",
@@ -102,9 +97,6 @@ __all__ = [
     "usage_report",
     "Gauge",
     "Histogram",
-    "InMemoryExporter",
-    "JsonExporter",
-    "LineProtocolExporter",
     "Metric",
     "MetricsRegistry",
     "NULL_SPAN",

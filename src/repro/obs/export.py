@@ -1,19 +1,13 @@
-"""Pluggable exporters over the registry (and optionally the tracer).
+"""Renderers over the registry (and optionally the tracer).
 
-Three targets, matching the three consumers the repo actually has:
-
-* :class:`InMemoryExporter` — tests and the benchmark harness pull
-  structured snapshots;
-* :func:`to_line_protocol` / :class:`LineProtocolExporter` — an
-  influx-style text dump, which is also what the ``/hedc/metrics``
-  servlet serves;
-* :func:`to_json_snapshot` / :class:`JsonExporter` — a JSON snapshot
-  including recent span trees, for machine consumption.
+* :func:`to_line_protocol` — an influx-style text dump, which is what
+  the ``/hedc/metrics`` servlet serves;
+* :func:`to_json_snapshot` — a JSON-ready snapshot including recent span
+  trees, for machine consumption.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Optional
 
 from .metrics import Histogram, MetricsRegistry
@@ -78,47 +72,5 @@ def to_json_snapshot(
     """A JSON-ready snapshot of every metric plus recent span trees."""
     snapshot: dict[str, Any] = {"metrics": registry.snapshot()}
     if tracer is not None:
-        snapshot["traces"] = [
-            span.to_dict() for span in tracer.finished_spans()[-max_traces:]
-        ]
+        snapshot["traces"] = tracer.snapshot(max_traces)
     return snapshot
-
-
-class InMemoryExporter:
-    """Collects structured snapshots — the test/benchmark exporter."""
-
-    def __init__(self) -> None:
-        self.snapshots: list[dict[str, Any]] = []
-
-    def export(self, registry: MetricsRegistry, tracer: Optional[Tracer] = None) -> dict:
-        snapshot = to_json_snapshot(registry, tracer)
-        self.snapshots.append(snapshot)
-        return snapshot
-
-    @property
-    def latest(self) -> Optional[dict[str, Any]]:
-        return self.snapshots[-1] if self.snapshots else None
-
-
-class LineProtocolExporter:
-    """Renders line-protocol text, optionally appending to a file."""
-
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
-
-    def export(self, registry: MetricsRegistry) -> str:
-        text = to_line_protocol(registry)
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(text)
-        return text
-
-
-class JsonExporter:
-    """Renders a JSON snapshot string (metrics + recent traces)."""
-
-    def __init__(self, indent: Optional[int] = None) -> None:
-        self.indent = indent
-
-    def export(self, registry: MetricsRegistry, tracer: Optional[Tracer] = None) -> str:
-        return json.dumps(to_json_snapshot(registry, tracer), indent=self.indent)

@@ -19,7 +19,7 @@ heartbeat series alive, so "no traffic" and "down" stop looking alike.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .hub import Observability
@@ -64,31 +64,21 @@ class Subsystem:
 class HealthMonitor:
     """Rolls subsystem reports up into one attributed verdict.
 
-    Sources are zero-arg callables returning the reports the servlets
-    already build (``shard_report``/``repl_report``/``serving_report``)
-    — wired by whoever owns them (:class:`~repro.web.server.WebServer`
-    registers its own), so the obs package never imports the tiers it
+    Everything it judges comes from the hub's report tree
+    (:meth:`~repro.obs.hub.Observability.describe`): the ``data``,
+    ``serving`` and ``breakers`` sections the tiers contribute where
+    they are built, so the obs package never imports the tiers it
     observes.
     """
 
     def __init__(self, obs: "Observability"):
         self.obs = obs
-        self.sources: dict[str, Callable[[], Optional[dict[str, Any]]]] = {}
 
-    def add_source(
-        self, name: str, provider: Callable[[], Optional[dict[str, Any]]]
-    ) -> None:
-        """Register a report provider: ``"shard"``, ``"repl"`` or
-        ``"serving"`` (unknown names are carried into the report
-        verbatim as extra subsystems)."""
-        self.sources[name] = provider
-
-    def _pull(self, name: str) -> Optional[dict[str, Any]]:
-        provider = self.sources.get(name)
-        if provider is None:
-            return None
+    def _section(self, name: str) -> Any:
+        """One section of the tree; a section that fails to build reads
+        as absent, so a broken tier never breaks the rollup."""
         try:
-            return provider()
+            return self.obs.describe(name)[name]
         except Exception:
             return None
 
@@ -96,11 +86,7 @@ class HealthMonitor:
 
     def _check_resilience(self) -> Subsystem:
         sub = Subsystem("resilience")
-        # Lazy: repro.resil imports repro.obs; never the reverse at
-        # module scope.
-        from ..resil import breaker_report
-
-        breakers = breaker_report(self.obs)
+        breakers = self._section("breakers") or {}
         open_names = []
         for name, snap in breakers.items():
             if snap["state"] == "open":
@@ -113,8 +99,9 @@ class HealthMonitor:
 
     def _check_metadb(self) -> Subsystem:
         sub = Subsystem("metadb")
-        shard = self._pull("shard")
-        repl = self._pull("repl")
+        data = self._section("data") or {}
+        shard = data.get("shard")
+        repl = data.get("replication")
         if shard is not None:
             down = []
             for entry in shard.get("shards", []):
@@ -155,7 +142,7 @@ class HealthMonitor:
 
     def _check_serving(self, store=None, now: Optional[float] = None) -> Subsystem:
         sub = Subsystem("serving")
-        serving = self._pull("serving")
+        serving = self._section("serving")
         if serving is None:
             return sub
         queue = serving.get("queue")
@@ -226,34 +213,22 @@ class HealthMonitor:
             self._check_wal(),
         ]
         overall = GREEN
+        ranked: list[tuple[int, str]] = []
         for sub in subsystems:
             overall = _worst(overall, sub.status)
+            for cause in sub.causes:
+                ranked.append((-_RANK[sub.status], f"{sub.name}: {cause}"))
         return {
             "status": overall,
             "subsystems": {sub.name: sub.to_dict() for sub in subsystems},
-            "causes": self.causes(subsystems),
+            "causes": [cause for _rank, cause
+                       in sorted(ranked, key=lambda r: r[0])],
         }
-
-    def causes(self, subsystems: Optional[list[Subsystem]] = None) -> list[str]:
-        """Attributed causes across all subsystems, worst first."""
-        if subsystems is None:
-            subsystems = [
-                self._check_canary(),
-                self._check_metadb(),
-                self._check_serving(),
-                self._check_resilience(),
-                self._check_wal(),
-            ]
-        ranked: list[tuple[int, str]] = []
-        for sub in subsystems:
-            for cause in sub.causes:
-                ranked.append((-_RANK[sub.status], f"{sub.name}: {cause}"))
-        return [cause for _rank, cause in sorted(ranked, key=lambda r: r[0])]
 
     def attributed_cause(self, slo=None, window: str = "") -> str:
         """The most-suspect cause for a firing alert (worst-first); used
         as the :class:`~repro.obs.slo.SloManager` ``cause_resolver``."""
-        causes = self.causes()
+        causes = self.report()["causes"]
         if causes:
             return causes[0]
         return "no attributed cause (all subsystems green)"

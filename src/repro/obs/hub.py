@@ -15,7 +15,8 @@ default-off overhead on the request path stays unmeasurable.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional, Sequence
+import weakref
+from typing import Any, Callable, Optional, Sequence
 
 from .events import EventLog
 from .health import HealthMonitor
@@ -23,8 +24,9 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import SamplingProfiler
 from .slo import SloManager
 from .slowlog import SlowLog
-from .timeseries import TelemetryCollector
+from .timeseries import TelemetryCollector, sample_runtime
 from .trace import NULL_SPAN_CONTEXT, Span, Tracer
+from .usage import usage_report
 
 
 class Timed:
@@ -62,6 +64,10 @@ class Timed:
         return False
 
 
+def _absent() -> None:
+    """A section no layer has contributed yet."""
+
+
 class Observability:
     """A registry, a tracer, and the enabled switch binding them.
 
@@ -88,6 +94,91 @@ class Observability:
         self.slo = SloManager(self)
         self.health = HealthMonitor(self)
         self.collector = TelemetryCollector(self)
+        #: The report tree: section name -> zero-argument builder, each
+        #: looking its source up when read.  The hub fills in what it
+        #: owns; the last five are placeholders the layers replace
+        #: through :meth:`contribute` where they are built.
+        self._sections: dict[str, Callable[[], Any]] = {
+            "metrics": lambda: self.registry.snapshot(),
+            "traces": lambda: self.tracer.snapshot(),
+            "exemplars": self._exemplars,
+            "events": lambda: self.events.snapshot(limit=100),
+            "slow_ops": lambda: self.slowlog.snapshot(limit=50),
+            "slow_thresholds": lambda: self.slowlog.thresholds(),
+            "profiler": lambda: {
+                "running": self.profiler.running,
+                "samples": self.profiler.samples,
+                "hot_stacks": self.profiler.snapshot(limit=10),
+            },
+            "diagnostics": lambda: {
+                "events": self.events.total_emitted,
+                "slow_ops": self.slowlog.total_recorded,
+                "profiler_running": self.profiler.running,
+            },
+            "runtime": lambda: sample_runtime(self),
+            "collector": lambda: self.collector.report(),
+            "slos": lambda: self.slo.report(),
+            "health": lambda: self.health.report(store=self.collector.store),
+            "usage": lambda: usage_report(self),
+            "resilience": self._resilience,
+            "caches": dict,
+            "breakers": dict,
+            "serving": _absent,
+            "data": _absent,
+            "dm": _absent,
+        }
+        self._members: dict[str, "weakref.WeakSet[Any]"] = {}
+
+    # -- the report tree -------------------------------------------------------
+
+    def contribute(self, section: str, report: Callable[..., Any],
+                   member: Any = None) -> None:
+        """The one way into the report tree.
+
+        ``contribute("serving", self.serving_report)`` makes ``report()``
+        the section, replacing whoever described it before: the layer
+        built last on a hub owns its section.  With ``member`` the
+        section is a collection instead (caches, breakers): the hub
+        holds each member weakly and the section is ``report(members)``
+        over those still alive, so a dropped cache leaves the tree with
+        its last reference.
+        """
+        if member is None:
+            self._sections[section] = report
+        else:
+            members = self._members.setdefault(section, weakref.WeakSet())
+            members.add(member)
+            self._sections[section] = lambda: report(list(members))
+
+    def describe(self, *sections: str) -> dict[str, Any]:
+        """The named sections of the report tree (all of them when none
+        is named), each built now.  A section nobody asks for costs
+        nothing, which is what lets the health rollup and a full
+        ``/hedc/debug`` page read the same tree."""
+        return {name: self._sections[name]()
+                for name in sections or tuple(self._sections)}
+
+    def _exemplars(self) -> list[dict[str, Any]]:
+        """Histogram exemplars: the bucket -> trace links of ``/hedc/debug``."""
+        exemplars = []
+        for metric in self.registry.metrics():
+            if isinstance(metric, Histogram):
+                slots = metric.exemplars()
+                if slots:
+                    exemplars.append({
+                        "name": metric.name,
+                        "labels": dict(metric.labels),
+                        "exemplars": slots,
+                    })
+        return exemplars
+
+    def _resilience(self) -> dict[str, Any]:
+        # Lazy: repro.resil imports repro.obs; never the reverse at
+        # module scope.
+        from ..resil.faults import get_default_injector
+
+        return {"breakers": self._sections["breakers"](),
+                "faults": get_default_injector().report()}
 
     # -- switch ----------------------------------------------------------------
 

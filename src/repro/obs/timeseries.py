@@ -16,7 +16,7 @@ hot path:
   ``benchmarks/test_timeseries_overhead.py``;
 * :func:`sample_runtime` — process gauges (RSS, thread count, GC
   collections, uptime, open WAL handles) refreshed on every collector
-  tick and by :func:`runtime_report`;
+  tick and whenever the report tree's ``runtime`` section is read;
 * :func:`sparkline` — unicode block rendering for ``/hedc/dashboard``.
 
 Everything is injectable-clock friendly: tests drive
@@ -381,8 +381,9 @@ def sample_runtime(obs: "Observability") -> dict[str, Any]:
     """Refresh the ``process.*`` gauges and return their values.
 
     Called on every collector tick (so the TSDB retains RSS/thread/GC
-    history) and synchronously by :func:`runtime_report` (so the panel is
-    current even in deployments that never started a collector)."""
+    history) and synchronously as the report tree's ``runtime`` section
+    (so the panel is current even in deployments that never started a
+    collector)."""
     report: dict[str, Any] = {}
     rss = _rss_bytes()
     if rss is not None:
@@ -411,11 +412,6 @@ def sample_runtime(obs: "Observability") -> dict[str, Any]:
         obs.set_gauge("process.open_wal_handles", handles)
         report["open_wal_handles"] = handles
     return report
-
-
-def runtime_report(obs: "Observability") -> dict[str, Any]:
-    """A fresh sample of the process-runtime gauges, JSON-ready."""
-    return sample_runtime(obs)
 
 
 # -- the collector -------------------------------------------------------------
@@ -493,9 +489,7 @@ class TelemetryCollector:
                                  metric.value)
             self.samples += 1
             self.last_sample_s = time.perf_counter() - started
-            slo = getattr(self.obs, "slo", None)
-            if slo is not None:
-                slo.evaluate(now=now, store=store)
+            self.obs.slo.evaluate(now=now, store=store)
             return now
 
     # -- thread lifecycle ------------------------------------------------------
@@ -509,9 +503,7 @@ class TelemetryCollector:
         calibration-seeded default SLOs if none were defined."""
         if interval_s is not None:
             self.interval_s = interval_s
-        slo = getattr(self.obs, "slo", None)
-        if slo is not None:
-            slo.ensure_defaults()
+        self.obs.slo.ensure_defaults()
         if self.running:
             return self
         self._stop_event.clear()

@@ -190,6 +190,10 @@ class Tracer:
             found.extend(root.find(name))
         return found
 
+    def snapshot(self, limit: int = 32) -> list[dict[str, Any]]:
+        """JSON-ready trees of the most recent finished root spans."""
+        return [span.to_dict() for span in self.finished_spans()[-limit:]]
+
     def reset(self) -> None:
         with self._lock:
             self._finished.clear()

@@ -15,10 +15,12 @@ never blocks a request.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .hub import Observability
 from .metrics import Histogram
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .hub import Observability
 
 #: Measured/predicted ratio beyond which a calibration entry is flagged.
 DEFAULT_DRIFT_TOLERANCE = 0.25
@@ -31,7 +33,7 @@ def _histogram_sum(registry, name: str) -> float:
     )
 
 
-def request_mix(obs: Observability) -> dict[str, dict[str, Any]]:
+def request_mix(obs: "Observability") -> dict[str, dict[str, Any]]:
     """Per-route request counts, shares and latency — §7.1's request mix.
 
     Built from the ``web.responses`` counters (per route × status) and
@@ -65,7 +67,7 @@ def request_mix(obs: Observability) -> dict[str, dict[str, Any]]:
     return mix
 
 
-def bytes_served(obs: Observability) -> dict[str, float]:
+def bytes_served(obs: "Observability") -> dict[str, float]:
     """Total and per-request bytes sent by the web tier (§7.2)."""
     registry = obs.registry
     total_bytes = registry.family_total("web.bytes_sent")
@@ -77,7 +79,7 @@ def bytes_served(obs: Observability) -> dict[str, float]:
     }
 
 
-def tier_time_split(obs: Observability) -> dict[str, Any]:
+def tier_time_split(obs: "Observability") -> dict[str, Any]:
     """Where wall-clock time went, by tier — the §7.2 breakdown.
 
     Sums the per-tier latency histograms: total web-request time, the DM
@@ -110,9 +112,11 @@ def tier_time_split(obs: Observability) -> dict[str, Any]:
     return split
 
 
-def page_characteristics(obs: Observability, dm=None) -> dict[str, Any]:
+def page_characteristics(obs: "Observability") -> dict[str, Any]:
     """The §7.2 in-text page characteristics, from live counters:
-    DM queries per HLE page, bytes per response, name-mapping lookups."""
+    DM queries per HLE page, bytes per response, name-mapping lookups.
+    The query counts come from the report tree's ``dm`` node, so a hub
+    no :class:`~repro.dm.DataManager` was built on reports none."""
     registry = obs.registry
     hle_pages = sum(
         metric.value for metric in registry.family("web.responses")
@@ -125,10 +129,11 @@ def page_characteristics(obs: Observability, dm=None) -> dict[str, Any]:
     }
     served = bytes_served(obs)
     characteristics["bytes_per_request"] = served["bytes_per_request"]
-    if dm is not None:
-        queries = dm.io.stats.queries
+    node = obs.describe("dm")["dm"]
+    if node is not None:
+        queries = node["io"]["queries"]
         characteristics["dm_queries"] = queries
-        round_trips = getattr(dm.io.stats, "round_trips", 0)
+        round_trips = node["io"]["round_trips"]
         characteristics["dm_round_trips"] = round_trips
         if hle_pages:
             characteristics["dm_queries_per_page"] = queries / hle_pages
@@ -137,8 +142,7 @@ def page_characteristics(obs: Observability, dm=None) -> dict[str, Any]:
 
 
 def calibration_drift(
-    obs: Observability,
-    dm=None,
+    obs: "Observability",
     tolerance: float = DEFAULT_DRIFT_TOLERANCE,
 ) -> list[dict[str, Any]]:
     """Diff live telemetry against the :mod:`repro.evalmodel` calibration
@@ -169,7 +173,7 @@ def calibration_drift(
             "drifted": abs(ratio - 1.0) > tolerance,
         })
 
-    pages = page_characteristics(obs, dm=dm)
+    pages = page_characteristics(obs)
     # Logical queries per page is batching-invariant: the seven §7.2
     # statements ride in fewer round trips, but they are still issued
     # (and counted), so batched deployments don't falsely trip this.
@@ -177,8 +181,9 @@ def calibration_drift(
             pages.get("dm_queries_per_page"))
     # Round trips per page is the batching contract itself: 3 with the
     # grouped fetch, the historical one-per-query otherwise.
+    node = obs.describe("dm")["dm"]
     predicted_trips = (PAGE_ROUND_TRIPS_BATCHED
-                       if getattr(dm, "batched_pages", False)
+                       if node is not None and node["batched_pages"]
                        else QUERIES_PER_REQUEST)
     compare("dm_round_trips_per_page", float(predicted_trips),
             pages.get("dm_round_trips_per_page"))
@@ -199,8 +204,7 @@ def calibration_drift(
 
 
 def usage_report(
-    obs: Observability,
-    dm=None,
+    obs: "Observability",
     tolerance: float = DEFAULT_DRIFT_TOLERANCE,
 ) -> dict[str, Any]:
     """The full §7-style usage-analytics report, JSON-ready."""
@@ -208,6 +212,6 @@ def usage_report(
         "request_mix": request_mix(obs),
         "bytes": bytes_served(obs),
         "tier_time_split": tier_time_split(obs),
-        "page_characteristics": page_characteristics(obs, dm=dm),
-        "calibration_drift": calibration_drift(obs, dm=dm, tolerance=tolerance),
+        "page_characteristics": page_characteristics(obs),
+        "calibration_drift": calibration_drift(obs, tolerance=tolerance),
     }

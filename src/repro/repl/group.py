@@ -524,7 +524,7 @@ class ReplicaGroup:
 
     def _replicate_ddl(self, record: dict[str, Any]) -> None:
         self.log.append(0, [record])
-        self.obs.set_gauge("repl.head_lsn", self.log.head_lsn, db=self.name)
+        self._head_gauge.set(self.log.head_lsn)
         if self.auto_ship and self.replicas:
             self.ship()
 

@@ -12,7 +12,6 @@ reusable machinery instead of per-call-site heroics:
 * :class:`Deadline` — a contextvars-propagated time budget flowing
   web → DM → metadb/PL, so blown requests fail fast instead of queueing;
 * :class:`Bulkhead` — semaphore concurrency caps with load shedding;
-* :func:`resilient` — compose any subset around a callable;
 * :class:`FaultInjector` — named, seeded, probabilistic injection
   points threaded through every tier (see :mod:`repro.resil.faults` for
   the point inventory), so chaos scenarios are reproducible library
@@ -23,7 +22,7 @@ All policies emit to :mod:`repro.obs`: ``resil.retries``,
 and ``resil.faults.injected``.
 """
 
-from .breaker import BreakerOpen, BreakerState, CircuitBreaker, breaker_report
+from .breaker import BreakerOpen, BreakerState, CircuitBreaker
 from .bulkhead import Bulkhead, BulkheadFull
 from .deadline import Deadline, DeadlineExceeded
 from .faults import (
@@ -40,12 +39,10 @@ from .faults import (
     use_injector,
 )
 from .policies import RetryPolicy, TRANSIENT_ERRORS
-from .wrapper import resilient
 
 __all__ = [
     "BreakerOpen",
     "BreakerState",
-    "breaker_report",
     "Bulkhead",
     "BulkheadFull",
     "CircuitBreaker",
@@ -61,7 +58,6 @@ __all__ = [
     "fire",
     "get_default_injector",
     "maybe_corrupt",
-    "resilient",
     "resolve_faults",
     "set_default_injector",
     "use_injector",

@@ -13,7 +13,8 @@ Classic three-state machine over a sliding outcome window:
   cooldown.
 
 State is exported to ``repro.obs`` as a gauge (0 closed, 1 open, 2
-half-open) plus a ``resil.breaker.trips`` counter.
+half-open) plus a ``resil.breaker.trips`` counter, and every breaker
+joins the ``breakers`` section of its hub's report tree as it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import enum
 import threading
 import time
-import weakref
 from collections import deque
 from typing import Callable, Optional, TypeVar
 
@@ -29,19 +29,12 @@ from ..obs import Observability, resolve as resolve_obs
 
 T = TypeVar("T")
 
-#: Weak registry of live breakers, for the operator's instrument panel
-#: (``/hedc/metrics?format=json`` and ``telemetry_report()``); filtered
-#: by obs hub so side-by-side deployments report only their own.
-_breakers: "weakref.WeakSet[CircuitBreaker]" = weakref.WeakSet()
 
-
-def breaker_report(obs: Optional[Observability] = None) -> dict[str, dict]:
+def breaker_report(breakers: "list[CircuitBreaker]") -> dict[str, dict]:
     """Per-breaker state snapshots (window reduced to counts), keyed by
-    breaker name.  With ``obs`` given, only that hub's breakers report."""
+    breaker name: the ``breakers`` section of the report tree."""
     report: dict[str, dict] = {}
-    for breaker in list(_breakers):
-        if obs is not None and breaker.obs is not obs:
-            continue
+    for breaker in breakers:
         snapshot = breaker.snapshot()
         window = snapshot.pop("window")
         snapshot["window"] = {
@@ -109,7 +102,7 @@ class CircuitBreaker:
         self._trip_counter = self.obs.counter("resil.breaker.trips", breaker=name)
         self._reject_counter = self.obs.counter("resil.breaker.rejections",
                                                 breaker=name)
-        _breakers.add(self)
+        self.obs.contribute("breakers", breaker_report, self)
 
     # -- state machine (all transitions hold the lock) --------------------------
 

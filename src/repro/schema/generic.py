@@ -108,8 +108,8 @@ def ops_log() -> TableSchema:
         ],
         primary_key="log_id",
         indexes=[("at",), ("component",)],
-        # §7-style analytics aggregate over the whole log; columnar copy
-        # feeds the vectorized path (HEDC_COLUMNAR=0 disables).
+        # §7-style analytics aggregate over the whole log; the columnar
+        # copy feeds the vectorized path.
         columnar=True,
     )
 

@@ -61,7 +61,7 @@ def hle() -> TableSchema:
         indexes=[("start_time",), ("peak_rate",), ("kind",), ("owner_id",)],
         foreign_keys=[ForeignKey("owner_id", "admin_users", "user_id")],
         # Synoptic-catalog sweeps scan this table whole; keep a columnar
-        # copy for the vectorized path (HEDC_COLUMNAR=0 disables).
+        # copy for the vectorized path.
         columnar=True,
     )
 

@@ -745,12 +745,13 @@ class ShardedDatabase:
     # -- reporting -----------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
+        shard = self.shard_report()
         return {
             "kind": "sharded",
             "name": self.name,
             "stats": self.stats.snapshot(),
-            "shard": self.shard_report(),
-            "replication": self.repl_report(),
+            "shard": shard,
+            "replication": self._replication_of(shard),
         }
 
     def shard_report(self) -> dict[str, Any]:
@@ -800,15 +801,17 @@ class ShardedDatabase:
     def repl_report(self) -> Optional[dict[str, Any]]:
         """Per-shard replica topology when ``replicas_per_shard > 1`` —
         the ``replication`` section of :meth:`describe`."""
+        return self._replication_of(self.shard_report())
+
+    def _replication_of(self, shard: dict[str, Any]) -> Optional[dict[str, Any]]:
+        """The ``replication`` section, placed from the replica reports a
+        shard report already carries: each group reports once."""
         if self.replicas_per_shard <= 1:
             return None
-        topology = self._topology
         return {
             "replicas_per_shard": self.replicas_per_shard,
             "max_lag": self.replica_max_lag,
             "per_shard": {
-                spec.shard_id:
-                    topology.db(spec.shard_id).describe()["replication"]
-                for spec in topology.shard_map
+                entry["shard_id"]: entry["replicas"] for entry in shard["shards"]
             },
         }

@@ -323,7 +323,7 @@ class AdmissionController:
             "expired": {cls: int(self._expired[cls].value) for cls in CLASS_ORDER},
             "wait_p95_s": {
                 cls: self._wait_hists[cls].quantile(0.95)
-                if getattr(self._wait_hists[cls], "count", 0) else 0.0
+                if self._wait_hists[cls].count else 0.0
                 for cls in CLASS_ORDER
             },
             "service_ewma_s": self.service_ewma_s,

@@ -86,7 +86,6 @@ class WebServer:
         self.dm = dm
         self.obs = obs if obs is not None else resolve_obs(getattr(dm, "obs", None))
         self.servlets = Servlets(dm, frontend=frontend, obs=self.obs)
-        self.servlets.serving_report = self.serving_report
         self.router = Router()
         self.router.add("/static", self.servlets.static)
         self.router.add("/hedc/login", self.servlets.login)
@@ -101,16 +100,9 @@ class WebServer:
         self.router.add("/hedc/metrics", self.servlets.metrics)
         self.router.add("/hedc/debug", self.servlets.debug)
         self.router.add("/hedc/dashboard", self.servlets.dashboard)
-        # Health rollup sources: the reports the servlets already build.
         # Last server wired wins when several share one hub — fine, they
-        # share the DM too in every assembly we ship.  "shard" and "repl"
-        # each build the whole describe() and keep one section: ~50 us on
-        # a 4x2 stack, once per collector tick, accepted over a cache.
-        self.obs.health.add_source("serving", self.serving_report)
-        self.obs.health.add_source(
-            "shard", lambda: dm.io.default_database.describe()["shard"])
-        self.obs.health.add_source(
-            "repl", lambda: dm.io.default_database.describe()["replication"])
+        # share the DM too in every assembly we ship.
+        self.obs.contribute("serving", self.serving_report)
         self.obs.slo.cause_resolver = self.obs.health.attributed_cause
         #: Set by :meth:`enable_canary`.
         self.canary = None
@@ -293,7 +285,8 @@ class WebServer:
         self.executor.shutdown()
 
     def serving_report(self) -> dict[str, Any]:
-        """Scheduler/admission state for ``/hedc/metrics`` + ``/hedc/debug``."""
+        """Scheduler/admission state: the ``serving`` section of the
+        report tree."""
         executor_report = self.executor.report()
         return {
             "scheduler": executor_report["mode"],

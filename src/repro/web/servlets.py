@@ -16,18 +16,8 @@ from typing import Any, Optional
 import numpy as np
 
 from ..analysis import render_pgm
-from ..cache import cache_report
 from ..metadb import And, Comparison, Select
-from ..obs import (
-    Histogram,
-    resolve as resolve_obs,
-    runtime_report,
-    sparkline,
-    to_json_snapshot,
-    to_line_protocol,
-    usage_report,
-)
-from ..resil import breaker_report, get_default_injector
+from ..obs import resolve as resolve_obs, sparkline, to_line_protocol
 from ..security import AuthError, User, scoped_where
 from .http import HttpRequest, HttpResponse
 from .pages import build_registry
@@ -49,9 +39,6 @@ class Servlets:
         self.obs = obs if obs is not None else resolve_obs(getattr(dm, "obs", None))
         self.registry = build_registry()
         self._static = {"logo.pgm": _logo(), "nav.pgm": _logo()}
-        #: Set by the owning WebServer: a callable returning its
-        #: scheduler/admission state for the telemetry panels.
-        self.serving_report: Optional[Any] = None
 
     # -- session helpers -----------------------------------------------------
 
@@ -308,23 +295,27 @@ class Servlets:
             return HttpResponse.error(500, f"analysis failed: {analysis_request.error}")
         return HttpResponse.redirect(f"/hedc/ana?id={analysis_request.ana_id}")
 
-    # -- telemetry (the repro.obs registry, rendered at the edge) ---------------------------------
+    # -- telemetry: three renderings of the hub's report tree -------------------------------------
+
+    def _panel(self, *sections: str) -> dict[str, Any]:
+        """The named sections of ``obs.describe()``, the data tier's
+        ``shard``/``replication`` lifted to the top level in its place:
+        that is where every panel shows them."""
+        body: dict[str, Any] = {}
+        for name, section in self.obs.describe(*sections).items():
+            if name == "data":
+                body["shard"] = section["shard"]
+                body["replication"] = section["replication"]
+            else:
+                body[name] = section
+        return body
 
     def metrics(self, request: HttpRequest) -> HttpResponse:
         """Serve the obs registry: line protocol by default, JSON with
         ``?format=json`` (which also includes recent trace trees)."""
         if request.params.get("format") == "json":
-            body = to_json_snapshot(self.obs.registry, tracer=self.obs.tracer)
-            body["caches"] = cache_report(self.obs)
-            body["resilience"] = {
-                "breakers": breaker_report(self.obs),
-                "faults": get_default_injector().report(),
-            }
-            data_tier = self.dm.io.default_database.describe()
-            body["shard"] = data_tier["shard"]
-            body["replication"] = data_tier["replication"]
-            body["serving"] = self._serving_report()
-            body["runtime"] = runtime_report(self.obs)
+            body = self._panel("metrics", "traces", "caches", "resilience",
+                               "data", "serving", "runtime")
             return HttpResponse(
                 body=json.dumps(body, indent=2).encode("utf-8"),
                 content_type="application/json",
@@ -339,37 +330,9 @@ class Servlets:
         their attached detail, histogram exemplars, live usage analytics
         diffed against the evalmodel calibration, profiler state and
         resilience machinery — JSON with ``?format=json``, text else."""
-        obs = self.obs
-        data_tier = self.dm.io.default_database.describe()
-        exemplars = []
-        for metric in obs.registry.metrics():
-            if isinstance(metric, Histogram):
-                slots = metric.exemplars()
-                if slots:
-                    exemplars.append({
-                        "name": metric.name,
-                        "labels": dict(metric.labels),
-                        "exemplars": slots,
-                    })
-        body: dict[str, Any] = {
-            "usage": usage_report(obs, dm=self.dm),
-            "events": obs.events.snapshot(limit=100),
-            "slow_ops": obs.slowlog.snapshot(limit=50),
-            "slow_thresholds": obs.slowlog.thresholds(),
-            "exemplars": exemplars,
-            "profiler": {
-                "running": obs.profiler.running,
-                "samples": obs.profiler.samples,
-                "hot_stacks": obs.profiler.snapshot(limit=10),
-            },
-            "resilience": {
-                "breakers": breaker_report(obs),
-                "faults": get_default_injector().report(),
-            },
-            "shard": data_tier["shard"],
-            "replication": data_tier["replication"],
-            "serving": self._serving_report(),
-        }
+        body = self._panel("usage", "events", "slow_ops", "slow_thresholds",
+                           "exemplars", "profiler", "resilience", "data",
+                           "serving")
         if request.params.get("format") == "json":
             return HttpResponse(
                 body=json.dumps(body, indent=2, default=repr).encode("utf-8"),
@@ -504,10 +467,9 @@ class Servlets:
         causes, active burn-rate alerts, per-SLO error-budget state and
         sparkline timelines — text by default, ``?format=json`` for
         machines (and for ``benchmarks/capture_dashboard.py``)."""
-        obs = self.obs
-        store = obs.collector.store
-        health = obs.health.report(store=store)
-        slo_report = obs.slo.report()
+        tree = self.obs.describe("health", "slos", "collector")
+        health, slo_report = tree["health"], tree["slos"]
+        collector = tree["collector"]
         timelines = {
             title: self._dashboard_timeline(name, field, style)
             for title, name, field, style in self._DASHBOARD_SERIES
@@ -518,15 +480,14 @@ class Servlets:
                 "health": health,
                 "slos": slo_report["slos"],
                 "active_alerts": slo_report["active_alerts"],
-                "collector": obs.collector.report(),
-                "runtime": runtime_report(obs),
+                "collector": collector,
+                "runtime": self.obs.describe("runtime")["runtime"],
                 "timelines": timelines,
             }
             return HttpResponse(
                 body=json.dumps(body, indent=2).encode("utf-8"),
                 content_type="application/json",
             )
-        collector = obs.collector.report()
         lines = [
             f"HEDC dashboard — status: {health['status'].upper()}",
             "=" * 40,
@@ -572,11 +533,6 @@ class Servlets:
             body=("\n".join(lines) + "\n").encode("utf-8"),
             content_type="text/plain",
         )
-
-    def _serving_report(self) -> Optional[dict[str, Any]]:
-        """Scheduler/admission state from the owning WebServer, when the
-        servlets are mounted behind one (None under direct unit tests)."""
-        return self.serving_report() if self.serving_report is not None else None
 
     @staticmethod
     def _replica_line(copy: dict[str, Any], indent: str) -> str:

@@ -1,5 +1,5 @@
 """Tests for the unified caching core (`repro.cache`): LRU order, byte
-budgets, TTL, stats, the registry, singleflight coalescing, and the
+budgets, TTL, stats, the report tree, singleflight coalescing, and the
 refactored session cache (including the historical cookie-map leak)."""
 
 import threading
@@ -8,13 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cache import (
-    Cache,
-    CacheStats,
-    SingleFlight,
-    cache_report,
-    iter_caches,
-)
+from repro.cache import Cache, CacheStats, SingleFlight
 from repro.dm.sessions import SessionCache
 from repro.obs import Observability
 
@@ -221,11 +215,10 @@ class TestStatsAndObs:
         mine.put("a", 1)
         mine.get("a")
         other.put("b", 2)
-        report = cache_report(ours)
-        assert "report.mine" in report
-        assert "report.other" not in report
+        report = ours.describe("caches")["caches"]
+        assert set(report) == {"report.mine"}
         assert report["report.mine"]["hits"] == 1
-        assert {cache.name for cache in iter_caches(ours)} == {"report.mine"}
+        assert set(theirs.describe("caches")["caches"]) == {"report.other"}
 
 
 class TestSingleFlight:
@@ -388,6 +381,6 @@ class TestSessionCacheOnCore:
         alice = _user(1)
         session = sessions.create(alice, "hle", "10.0.0.1")
         sessions.lookup(alice, "hle", "10.0.0.1", session.cookie)
-        report = cache_report(obs)
+        report = obs.describe("caches")["caches"]
         assert report["dm.sessions"]["hits"] == 1
         assert obs.registry.value("dm.sessions.hits") == 1

@@ -1,9 +1,9 @@
 """Columnar segments and the vectorized executor.
 
-The load-bearing property is *differential equivalence*: with
-``HEDC_COLUMNAR`` toggled and nothing else changed, every query must
-return byte-identical rows, order and aggregates — the columnar copy is
-an access path, never a semantics change.  The suite drives randomized
+The load-bearing property is *differential equivalence*: against a twin
+table declared ``columnar=False`` and holding the same rows, every query
+must return byte-identical rows, order and aggregates — the columnar
+copy is an access path, never a semantics change.  The suite drives randomized
 predicates over a seeded schema (single-node and sharded), the NULL and
 LIKE edge cases that bit the row path historically, zone-map pruning,
 epoch-based rebuild after mutations, and the bulk-delete statistics
@@ -12,9 +12,7 @@ regression.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -42,20 +40,6 @@ from repro.metadb.query import COLUMNAR_MIN_ROWS
 
 N_ROWS = SEGMENT_ROWS + 2000  # two segments, second partial
 KINDS = ["flare", "quiet", "storm", "abc\n", "ab%c"]
-
-
-@contextmanager
-def columnar_disabled():
-    """Flip the kill-switch for the duration of a with-block."""
-    previous = os.environ.get("HEDC_COLUMNAR")
-    os.environ["HEDC_COLUMNAR"] = "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("HEDC_COLUMNAR", None)
-        else:
-            os.environ["HEDC_COLUMNAR"] = previous
 
 
 def events_schema(columnar: bool = True) -> TableSchema:
@@ -103,13 +87,31 @@ def big_db() -> Database:
     return db
 
 
+#: id(db) -> (mutation epoch of its ``ev`` when copied, the twin).
+_ROW_TWINS: dict[int, tuple[int, Database]] = {}
+
+
+def row_twin(db: Database) -> Database:
+    """The row path's oracle: a twin of ``db`` whose ``ev`` is declared
+    ``columnar=False`` and holds the same rows in the same iteration
+    order.  Rebuilt only after ``db`` mutated."""
+    source = db.table("ev")
+    epoch, twin = _ROW_TWINS.get(id(db), (None, None))
+    if epoch != source.mutation_epoch:
+        twin = Database(name=f"{db.name}-rows")
+        twin.create_table(events_schema(columnar=False))
+        for row in source.rows():
+            twin.execute(Insert("ev", dict(row)))
+        _ROW_TWINS[id(db)] = (source.mutation_epoch, twin)
+    return twin
+
+
 def both_paths(db: Database, select: Select):
     """(columnar_result, row_result) for the same statement."""
     vectorized = db.execute(select)
-    with columnar_disabled():
-        assert db.explain_plan(select)["access"] != "columnar_scan"
-        row = db.execute(select)
-    return vectorized, row
+    twin = row_twin(db)
+    assert twin.explain_plan(select)["access"] != "columnar_scan"
+    return vectorized, twin.execute(select)
 
 
 def multiset(rows) -> list[str]:
@@ -175,12 +177,6 @@ class TestPlanChoice:
             Select("ev", where=Between("val", 10.0, 10.5))
         )
         assert plan["access"] == "range_scan"
-
-    def test_kill_switch_disables_columnar(self, big_db):
-        select = Select("ev", where=Comparison("n", ">=", 0))
-        with columnar_disabled():
-            assert big_db.explain_plan(select)["access"] == "full_scan"
-        assert big_db.explain_plan(select)["access"] == "columnar_scan"
 
     def test_small_tables_stay_row_oriented(self):
         db = Database(name="small")
@@ -414,15 +410,25 @@ class TestStatsStalenessRegression:
 
 class TestShardedColumnar:
     def test_scatter_gather_is_layout_agnostic(self):
-        from repro.schema import install_all
+        from repro.schema import install_all, install_generic
+        from repro.schema.rhessi_schema import hle
         from repro.shard import ShardedDatabase
 
         day = 86_400.0
         single = Database(name="colsingle")
-        install_all(single)
         sharded = ShardedDatabase(boundaries=(day, 2 * day), name="colshard")
-        install_all(sharded)
-        for db in (single, sharded):
+        # The row-path oracles: the same deployments with ``hle``
+        # declared columnar=False (install_all keeps a table it finds).
+        single_rows = Database(name="colsingle-rows")
+        sharded_rows = ShardedDatabase(boundaries=(day, 2 * day),
+                                       name="colshard-rows")
+        for db in (single_rows, sharded_rows):
+            install_generic(db)
+            db.create_table(TableSchema.from_dict(
+                {**hle().to_dict(), "columnar": False}))
+        databases = (single, sharded, single_rows, sharded_rows)
+        for db in databases:
+            install_all(db)
             db.execute(Insert("admin_users", {
                 "user_id": 1, "login": "alice", "password_hash": "x",
             }))
@@ -436,8 +442,8 @@ class TestShardedColumnar:
                 "peak_rate": rng.randint(0, 4000) / 4,
                 "created_at": 1000.0,
             }
-            single.execute(Insert("hle", row))
-            sharded.execute(Insert("hle", row))
+            for db in databases:
+                db.execute(Insert("hle", row))
 
         sweeps = [
             Select("hle", where=Comparison("peak_rate", ">=", 0.0),
@@ -448,12 +454,13 @@ class TestShardedColumnar:
                    aggregates=[Aggregate("count", "*", "c"),
                                Aggregate("max", "peak_rate", "p")]),
         ]
+        assert single.explain_plan(sweeps[0])["access"] == "columnar_scan"
+        assert single_rows.explain_plan(sweeps[0])["access"] != "columnar_scan"
         for select in sweeps:
             expected = single.execute(select)
             assert sharded.execute(select) == expected
-            with columnar_disabled():
-                assert sharded.execute(select) == expected
-                assert single.execute(select) == expected
+            assert sharded_rows.execute(select) == expected
+            assert single_rows.execute(select) == expected
 
     def test_shard_explain_surfaces_columnar_path(self):
         from repro.schema import install_all

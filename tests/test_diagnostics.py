@@ -32,7 +32,7 @@ from repro.obs import (
     to_line_protocol,
     trace_profile,
 )
-from repro.resil import CircuitBreaker, FaultInjector, breaker_report
+from repro.resil import CircuitBreaker, FaultInjector
 
 
 # -- event log -----------------------------------------------------------------
@@ -338,7 +338,7 @@ class TestResilEvents:
         obs_a, obs_b = Observability(), Observability()
         breaker_a = CircuitBreaker("only.a", obs=obs_a)
         CircuitBreaker("only.b", obs=obs_b)
-        report = breaker_report(obs_a)
+        report = obs_a.describe("breakers")["breakers"]
         assert set(report) == {"only.a"}
         assert report["only.a"]["state"] == "closed"
         assert report["only.a"]["window"] == {

@@ -169,7 +169,7 @@ class TestUsageAnalytics:
         # direct analyze calls), and the batched page fetch cut the
         # per-page web cost, so the db share can legitimately exceed 1.
         assert split["shares"]["db"] > 0.0
-        pages = page_characteristics(hedc.obs, dm=hedc.dm)
+        pages = page_characteristics(hedc.obs)
         assert pages["hle_pages"] == len(driven["browses"])
         assert pages["bytes_per_request"] > 0
         # §7.2: "seven database queries" per HLE display page — the live
@@ -180,7 +180,7 @@ class TestUsageAnalytics:
     def test_calibration_drift_entries_cover_the_model_constants(self, hedc, driven):
         from repro.obs import calibration_drift, usage_report
 
-        entries = calibration_drift(hedc.obs, dm=hedc.dm)
+        entries = calibration_drift(hedc.obs)
         metrics = {entry["metric"] for entry in entries}
         assert "html_bytes_per_request" in metrics
         assert "db_query_service_s" in metrics
@@ -188,7 +188,7 @@ class TestUsageAnalytics:
             assert entry["ratio"] == pytest.approx(
                 entry["measured"] / entry["predicted"])
             assert isinstance(entry["drifted"], bool)
-        report = usage_report(hedc.obs, dm=hedc.dm)
+        report = usage_report(hedc.obs)
         json.dumps(report)      # the whole report is JSON-ready
 
 

@@ -196,14 +196,13 @@ class TestStatementCache:
         assert "SELECT * FROM admin_config LIMIT 0" not in dm.io.statements
 
     def test_cache_reports_like_every_other_cache(self, tmp_path):
-        from repro.cache import cache_report
         from repro.obs import Observability
 
         # A hub of its own: the report covers the caches of one deployment.
         dm = DataManager.standalone(tmp_path / "dm", obs=Observability())
         for _ in range(50):
             dm.io.execute(Select("admin_config", where=Comparison("key", "=", "k")))
-        report = cache_report(dm.obs)["dm.statements"]
+        report = dm.obs.describe("caches")["caches"]["dm.statements"]
         assert report["misses"] >= 1 and report["hits"] >= 49
         assert report["entries"] == len(dm.io.statements)
         assert dm.telemetry_report()["caches"]["dm.statements"]["hits"] >= 49

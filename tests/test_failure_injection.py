@@ -539,8 +539,9 @@ class TestSeededChaos:
                 "start_time": start, "end_time": start + 1.0,
             }))
         # Wire the rollup exactly as WebServer does, minus the web tier:
-        # health reads the shard report, alerts resolve causes from health.
-        obs.health.add_source("shard", sharded.shard_report)
+        # health reads the data tier's section of the report tree,
+        # alerts resolve causes from health.
+        obs.contribute("data", sharded.describe)
         obs.slo.cause_resolver = obs.health.attributed_cause
         obs.slo.define(Slo(
             name="data-read-completeness", kind="ratio", objective=0.9,

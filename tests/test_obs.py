@@ -7,9 +7,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    InMemoryExporter,
-    JsonExporter,
-    LineProtocolExporter,
     MetricsRegistry,
     NO_DATA,
     NULL_SPAN,
@@ -291,26 +288,3 @@ class TestExporters:
         assert snapshot["traces"][0]["name"] == "root"
         assert snapshot["traces"][0]["children"][0]["name"] == "leaf"
         json.dumps(snapshot)  # fully serialisable
-
-    def test_in_memory_exporter_accumulates(self):
-        obs = self._populated()
-        exporter = InMemoryExporter()
-        exporter.export(obs.registry, obs.tracer)
-        obs.count("reqs", route="/hle")
-        exporter.export(obs.registry, obs.tracer)
-        assert len(exporter.snapshots) == 2
-        assert exporter.latest["metrics"]["reqs"][0]["value"] == 4
-
-    def test_json_exporter_emits_parseable_text(self):
-        obs = self._populated()
-        parsed = json.loads(JsonExporter().export(obs.registry, obs.tracer))
-        assert parsed["metrics"]["lat_s"][0]["count"] == 1
-
-    def test_line_protocol_exporter_appends_to_file(self, tmp_path):
-        obs = self._populated()
-        target = tmp_path / "metrics.lp"
-        exporter = LineProtocolExporter(str(target))
-        exporter.export(obs.registry)
-        exporter.export(obs.registry)
-        content = target.read_text()
-        assert content.count("reqs,route=/hle") == 2

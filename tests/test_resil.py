@@ -22,7 +22,6 @@ from repro.resil import (
     FaultInjector,
     InjectedFault,
     RetryPolicy,
-    resilient,
     use_injector,
 )
 from repro.schema import install_all
@@ -309,47 +308,6 @@ class TestFaultInjector:
         injector.inject("p", error=ConnectionDropped)
         with pytest.raises(ConnectionDropped):
             injector.fire("p")
-
-
-class TestResilientWrapper:
-    def test_composes_retry_and_breaker(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 2:
-                raise TimeoutError("transient")
-            return 42
-
-        wrapped = resilient(
-            flaky,
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
-            breaker=CircuitBreaker("w", window=4, min_calls=2),
-        )
-        assert wrapped() == 42
-        assert wrapped.policies["retry"].max_attempts == 3
-
-    def test_bare_wrapper_checks_deadline(self):
-        clock = FakeClock()
-
-        @resilient
-        def work():
-            return "ok"
-
-        assert work() == "ok"
-        with Deadline(1.0, clock=clock):
-            clock.advance(2.0)
-            with pytest.raises(DeadlineExceeded):
-                work()
-
-    def test_bulkhead_sheds_through_wrapper(self):
-        bulkhead = Bulkhead("w", max_concurrent=1)
-        wrapped = resilient(lambda: "ok", bulkhead=bulkhead)
-        bulkhead.acquire()  # simulate a concurrent holder
-        with pytest.raises(BulkheadFull):
-            wrapped()
-        bulkhead.release()
-        assert wrapped() == "ok"
 
 
 class TestChecksumVerification:

@@ -212,7 +212,7 @@ class TestHealthRollup:
 
     def test_open_shard_breaker_is_red_with_named_range(self):
         obs = Observability()
-        obs.health.add_source("shard", lambda: {
+        obs.contribute("data", lambda: {"replication": None, "shard": {
             "n_shards": 3,
             "degraded_reads": 4,
             "shards": [
@@ -221,7 +221,7 @@ class TestHealthRollup:
                 {"shard_id": 1, "low": 100.0, "high": 200.0,
                  "breaker": "open"},
             ],
-        })
+        }})
         report = obs.health.report()
         assert report["status"] == RED
         metadb = report["subsystems"]["metadb"]
@@ -234,11 +234,12 @@ class TestHealthRollup:
 
     def test_dead_and_lagging_replicas_degrade(self):
         obs = Observability()
-        obs.health.add_source("repl", lambda: {"replicas": [
-            {"name": "r1", "state": "dead", "lag": 0},
-            {"name": "r2", "state": "in_sync", "lag": 9},
-            {"name": "r3", "state": "in_sync", "lag": 0},
-        ]})
+        obs.contribute("data", lambda: {"shard": None, "replication": {
+            "replicas": [
+                {"name": "r1", "state": "dead", "lag": 0},
+                {"name": "r2", "state": "in_sync", "lag": 9},
+                {"name": "r3", "state": "in_sync", "lag": 0},
+            ]}})
         metadb = obs.health.report()["subsystems"]["metadb"]
         assert metadb["status"] == DEGRADED
         assert len(metadb["causes"]) == 2
@@ -250,7 +251,7 @@ class TestHealthRollup:
         serving = {"n_workers": 4, "queue": {
             "depth": {"browse": 9}, "max_queue_depth": 10,
         }, "routes": {}}
-        obs.health.add_source("serving", lambda: serving)
+        obs.contribute("serving", lambda: serving)
         sub = obs.health.report()["subsystems"]["serving"]
         assert sub["status"] == DEGRADED
         assert "admission queue at 9/10" in sub["causes"][0]
@@ -272,7 +273,7 @@ class TestHealthRollup:
 
     def test_broken_source_never_breaks_the_rollup(self):
         obs = Observability()
-        obs.health.add_source("shard", lambda: 1 / 0)
+        obs.contribute("data", lambda: 1 / 0)
         report = obs.health.report()
         assert report["status"] == GREEN
 
