@@ -281,9 +281,6 @@ class Hedc:
             install_schema=False,
             obs=self.obs,
         )
-        # The last node built on a hub owns its ``dm`` section; the
-        # panels keep describing the node the web tier fronts.
-        self.obs.contribute("dm", self.dm.describe)
         self.router.add_node(node)
         return node
 

@@ -73,10 +73,6 @@ class DataManager:
         #: queries into three DM↔DBMS round trips; False replays the
         #: historical one-query-per-trip sequence.
         self.batched_pages = batched_pages
-        # The data tier is looked up when the section is read, never
-        # here: a database proxy need not describe itself to be wrapped.
-        self.obs.contribute("data", lambda: self.io.default_database.describe())
-        self.obs.contribute("dm", self.describe)
 
     # -- construction helpers ------------------------------------------------
 
@@ -236,13 +232,20 @@ class DataManager:
             "io": self.io.stats.snapshot(),
         }
 
+    def describe_data(self) -> dict:
+        """This node's ``data`` section: its database's
+        :meth:`~repro.metadb.DatabaseApi.describe`, looked up when read,
+        so a database proxy need not describe itself to be wrapped."""
+        return self.io.default_database.describe()
+
     def telemetry_report(self) -> dict:
-        """The admin's instrument panel: a selection of the hub's report
-        tree (:meth:`repro.obs.Observability.describe`): per-tier
-        highlights plus the full metric snapshot."""
-        tree = self.obs.describe("dm", "data", "caches", "resilience",
-                                 "diagnostics", "runtime", "metrics")
-        node, data = tree["dm"], tree["data"]
+        """The admin's instrument panel: this node describing itself and
+        its database, plus the hub-wide sections of the report tree
+        (:meth:`repro.obs.Observability.describe`) and the full metric
+        snapshot."""
+        node, data = self.describe(), self.describe_data()
+        tree = self.obs.describe("caches", "resilience", "diagnostics",
+                                 "runtime", "metrics")
         return {
             "node": node["node"],
             "tracing_enabled": self.obs.enabled,

@@ -66,9 +66,8 @@ class HealthMonitor:
 
     Everything it judges comes from the hub's report tree
     (:meth:`~repro.obs.hub.Observability.describe`): the ``data``,
-    ``serving`` and ``breakers`` sections the tiers contribute where
-    they are built, so the obs package never imports the tiers it
-    observes.
+    ``serving`` and ``breakers`` sections the tiers contribute, so the
+    obs package never imports the tiers it observes.
     """
 
     def __init__(self, obs: "Observability"):

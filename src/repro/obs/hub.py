@@ -136,8 +136,10 @@ class Observability:
         """The one way into the report tree.
 
         ``contribute("serving", self.serving_report)`` makes ``report()``
-        the section, replacing whoever described it before: the layer
-        built last on a hub owns its section.  With ``member`` the
+        the section, replacing whoever described it before.  The web
+        tier places ``serving`` and, for the node it fronts, ``dm`` and
+        ``data``: the server built last on a hub owns all three, and a
+        DM no server fronts claims nothing.  With ``member`` the
         section is a collection instead (caches, breakers): the hub
         holds each member weakly and the section is ``report(members)``
         over those still alive, so a dropped cache leaves the tree with

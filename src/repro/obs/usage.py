@@ -116,7 +116,7 @@ def page_characteristics(obs: "Observability") -> dict[str, Any]:
     """The §7.2 in-text page characteristics, from live counters:
     DM queries per HLE page, bytes per response, name-mapping lookups.
     The query counts come from the report tree's ``dm`` node, so a hub
-    no :class:`~repro.dm.DataManager` was built on reports none."""
+    whose web tier fronts no :class:`~repro.dm.DataManager` reports none."""
     registry = obs.registry
     hle_pages = sum(
         metric.value for metric in registry.family("web.responses")

@@ -100,9 +100,12 @@ class WebServer:
         self.router.add("/hedc/metrics", self.servlets.metrics)
         self.router.add("/hedc/debug", self.servlets.debug)
         self.router.add("/hedc/dashboard", self.servlets.dashboard)
-        # Last server wired wins when several share one hub — fine, they
-        # share the DM too in every assembly we ship.
+        # The panels describe the web tier and the node it fronts: a DM
+        # built on the hub without a server (an extra §7.3 node, a
+        # StreamCorder's clone) claims nothing.  Last server wired wins.
         self.obs.contribute("serving", self.serving_report)
+        self.obs.contribute("dm", dm.describe)
+        self.obs.contribute("data", dm.describe_data)
         self.obs.slo.cause_resolver = self.obs.health.attributed_cause
         #: Set by :meth:`enable_canary`.
         self.canary = None

@@ -13,6 +13,7 @@ regression.
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
@@ -87,8 +88,10 @@ def big_db() -> Database:
     return db
 
 
-#: id(db) -> (mutation epoch of its ``ev`` when copied, the twin).
-_ROW_TWINS: dict[int, tuple[int, Database]] = {}
+#: db -> (mutation epoch of its ``ev`` when copied, the twin); an entry
+#: goes with its database, so a later one at the same address starts clean.
+_ROW_TWINS: "weakref.WeakKeyDictionary[Database, tuple[int, Database]]" = (
+    weakref.WeakKeyDictionary())
 
 
 def row_twin(db: Database) -> Database:
@@ -96,13 +99,13 @@ def row_twin(db: Database) -> Database:
     ``columnar=False`` and holds the same rows in the same iteration
     order.  Rebuilt only after ``db`` mutated."""
     source = db.table("ev")
-    epoch, twin = _ROW_TWINS.get(id(db), (None, None))
+    epoch, twin = _ROW_TWINS.get(db, (None, None))
     if epoch != source.mutation_epoch:
         twin = Database(name=f"{db.name}-rows")
         twin.create_table(events_schema(columnar=False))
         for row in source.rows():
             twin.execute(Insert("ev", dict(row)))
-        _ROW_TWINS[id(db)] = (source.mutation_epoch, twin)
+        _ROW_TWINS[db] = (source.mutation_epoch, twin)
     return twin
 
 

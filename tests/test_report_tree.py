@@ -7,9 +7,10 @@ payload of ``telemetry_report()`` and of the three operator servlets is
 held to the key sets they had before the tree existed, and every section
 a surface shows is held to the same-named section of one
 ``obs.describe()`` taken just before.  The rest checks the tree's own
-rules: weak membership of caches and breakers, last-built-wins for
-``serving``/``dm``/``data``, sections built only when named, and one
-replica report per shard per read.
+rules: weak membership of caches and breakers, ``serving``/``dm``/``data``
+owned by the web tier built last and by no DM a server does not front,
+sections built only when named, and one replica report per shard per
+read.
 """
 
 import gc
@@ -226,9 +227,50 @@ class TestTreeRules:
     def test_hedc_add_dm_node_keeps_describing_the_fronted_node(self, tmp_path):
         hedc = build_hedc(tmp_path, "plain")
         queries = hedc.obs.describe("dm")["dm"]["io"]["queries"]
-        hedc.add_dm_node()
+        extra = hedc.add_dm_node()
         node = hedc.obs.describe("dm")["dm"]
         assert node["node"] == "dm0" and node["io"]["queries"] == queries
+        # ... while each node's own report is about itself.
+        report = extra.telemetry_report()
+        assert report["node"] == "dm1" and report["io"]["queries"] == 0
+        assert hedc.telemetry_report()["node"] == "dm0"
+
+    def test_clone_streamcorder_on_the_server_hub_moves_no_panel(self, tmp_path):
+        from repro.streamcorder import StreamCorder
+
+        hedc = build_hedc(tmp_path, "replicated")
+        before = as_json(hedc.obs.describe("dm", "data", "health"))
+        assert before["health"]["subsystems"]["metadb"]["causes"] == [
+            "replica hedc-r1 (group) dead"]
+        corder = StreamCorder(hedc.dm, hedc.dm.import_user, tmp_path / "laptop",
+                              cache_strategy="clone")
+        assert corder.obs is hedc.obs and corder.local_dm.node_name == "sc"
+        assert as_json(hedc.obs.describe("dm", "data", "health")) == before
+        report = hedc.telemetry_report()
+        assert report["node"] == "dm0"
+        assert report["replication"] == before["data"]["replication"]
+        body = servlet_json(hedc, "/hedc/debug?format=json")
+        assert body["replication"] == before["data"]["replication"]
+        assert body["usage"]["page_characteristics"]["dm_queries"] == (
+            hedc.dm.io.stats.queries)
+        # The clone still answers for itself when asked directly.
+        assert corder.local_dm.telemetry_report()["node"] == "sc"
+        assert corder.local_dm.telemetry_report()["replication"] is None
+
+    def test_server_on_another_hub_describes_the_node_it_fronts(self, tmp_path):
+        hedc = build_hedc(tmp_path, "sharded")
+        hub = Observability(name="panel")
+        assert hub.describe("dm", "data", "serving") == {
+            "dm": None, "data": None, "serving": None}
+        web = WebServer(hedc.dm, name="web-panel", obs=hub)
+        for path in ("/hedc/metrics?format=json", "/hedc/debug?format=json",
+                     "/hedc/dashboard?format=json"):
+            response = web.handle(HttpRequest.get(path))
+            assert response.status == 200, response.text
+        body = json.loads(web.handle(
+            HttpRequest.get("/hedc/metrics?format=json")).body)
+        assert body["shard"]["n_shards"] == 2
+        assert hub.describe("dm")["dm"]["node"] == "dm0"
 
     def test_a_section_is_built_only_when_named(self, tmp_path, monkeypatch):
         hedc = build_hedc(tmp_path, "plain")
