@@ -226,6 +226,14 @@ class Database:
         with self._lock:
             return name in self._tables
 
+    def holds(self, table: str, column: str, value: Any) -> bool:
+        """True when some row of ``table`` has ``column == value``, read
+        under the statement lock: a caller outside a statement (the shard
+        router locating a key) never sees a row mid-update, while its
+        index entries are removed and not yet re-inserted."""
+        with self._lock:
+            return self.table(table).exists_value(column, value)
+
     # -- id allocation --------------------------------------------------------------
 
     def allocate_id(self, table: str, column: str) -> int:

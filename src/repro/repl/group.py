@@ -512,6 +512,9 @@ class ReplicaGroup:
     def table(self, name: str):
         return self.primary.table(name)
 
+    def holds(self, table: str, column: str, value: Any) -> bool:
+        return self.primary.holds(table, column, value)
+
     def create_table(self, schema: TableSchema) -> None:
         self.primary.create_table(schema)
         self._replicate_ddl({

@@ -16,7 +16,7 @@ from .partition import (
     ShardSpec,
     ShardUnavailable,
 )
-from .router import RouteDecision, route_partitioned
+from .router import RouteDecision, route_keyed, route_partitioned
 from .sharded import PartialResult, ShardedDatabase
 from .split import rebalance, split_shard
 
@@ -33,6 +33,7 @@ __all__ = [
     "ShardedDatabase",
     "prepare_scatter",
     "rebalance",
+    "route_keyed",
     "route_partitioned",
     "split_shard",
 ]

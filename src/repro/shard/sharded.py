@@ -10,6 +10,12 @@ whole catalog.  Because it satisfies
 :class:`~repro.metadb.api.DatabaseApi`, the DM's I/O layer, pools and
 semantic layers sit on top of it unchanged.
 
+Routing: one function (:meth:`ShardedDatabase._route`) names the shards
+a statement touches, by partition column or by key, and reads, writes
+and EXPLAIN all act on its decision.  A statement that names one shard
+is handed to it as written; a transaction opens a shard's part when it
+first runs a statement there.
+
 Degradation semantics: reads over a dead shard's range return a
 :class:`PartialResult` (a ``list`` subclass carrying the missing ranges)
 when ``degraded_reads`` is on; writes never degrade — a failed shard
@@ -31,22 +37,27 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..obs import Observability, resolve as resolve_obs
-from ..resil.breaker import BreakerOpen, CircuitBreaker
+from ..resil.breaker import BreakerOpen, BreakerState, CircuitBreaker
 from ..resil.faults import fire as fire_fault
 from ..resil.policies import TRANSIENT_ERRORS
 from ..metadb.database import Database, DatabaseStats
 from ..metadb.errors import TransactionError
+from ..metadb.predicate import Comparison, Predicate, conjuncts
 from ..metadb.query import (
-    Aggregate, Delete, Explain, Insert, Select, Update,
+    Aggregate, Delete, Explain, Insert, Join, Select, Update,
 )
 from ..metadb.schema import TableSchema
 from ..metadb.sql import Statement, parse
+from ..metadb.transactions import Transaction, TxState
 from .merge import prepare_scatter
 from .partition import (
     HEDC_SHARD_CONFIG, ShardConfig, ShardError, ShardMap, ShardSpec,
     ShardUnavailable,
 )
-from .router import BROADCAST, PRUNED, RouteDecision, route_partitioned, scatter_all
+from .router import (
+    BROADCAST, PRUNED, RouteDecision, key_values, route_keyed,
+    route_partitioned, scatter_all,
+)
 
 TOPOLOGY_FILE = "topology.json"
 
@@ -87,15 +98,44 @@ class _Topology:
 
 
 class _ShardedTransaction:
-    """One logical transaction fanned out as one part per shard."""
+    """One logical transaction over the shards it touches.
 
-    def __init__(self, topology: _Topology, parts: dict[int, tuple]):
+    A shard's part opens when a statement first runs there, so commit
+    and rollback walk only the shards the transaction used.  The state
+    is the transaction's own: with no part open there is nowhere else
+    to read it from.
+    """
+
+    __slots__ = ("topology", "parts", "state")
+
+    def __init__(self, topology: _Topology):
         self.topology = topology
-        self.parts = parts  # shard_id -> (Database, Transaction)
+        self.parts: dict[int, tuple[Database, Transaction]] = {}
+        self.state = TxState.ACTIVE
 
-    @property
-    def state(self):
-        return next(iter(self.parts.values()))[1].state
+    def part(self, shard_id: int) -> tuple[Database, Transaction]:
+        """The shard's database and this transaction's part on it."""
+        entry = self.parts.get(shard_id)
+        if entry is None:
+            db = self.topology.db(shard_id)
+            entry = self.parts[shard_id] = (db, db.begin())
+        return entry
+
+    def require_active(self) -> None:
+        if self.state is not TxState.ACTIVE:
+            raise TransactionError(f"transaction is {self.state.value}")
+
+    def commit(self) -> None:
+        self.require_active()
+        self.state = TxState.COMMITTED
+        for db, part in self.parts.values():
+            db.commit(part)
+
+    def rollback(self) -> None:
+        self.require_active()
+        self.state = TxState.ROLLED_BACK
+        for db, part in self.parts.values():
+            db.rollback(part)
 
 
 class ShardedDatabase:
@@ -315,35 +355,35 @@ class ShardedDatabase:
             while self._stalled:
                 self._gate.wait()
             self._open_txs += 1
-        topology = self._topology
-        return _ShardedTransaction(topology, self._make_parts(topology))
-
-    def _make_parts(self, topology: _Topology) -> dict[int, tuple]:
-        return {
-            spec.shard_id: (topology.db(spec.shard_id),
-                            topology.db(spec.shard_id).begin())
-            for spec in topology.shard_map
-        }
+        return _ShardedTransaction(self._topology)
 
     def commit(self, tx: _ShardedTransaction) -> None:
+        # Checked before the gate: a finished transaction has left it.
+        tx.require_active()
         try:
-            for db, part in tx.parts.values():
-                db.commit(part)
-            self.stats.transactions_committed += 1
+            self._commit_parts(tx)
         finally:
-            with self._gate:
-                self._open_txs -= 1
-                self._gate.notify_all()
+            self._leave_gate()
 
     def rollback(self, tx: _ShardedTransaction) -> None:
+        tx.require_active()
         try:
-            for db, part in tx.parts.values():
-                db.rollback(part)
-            self.stats.transactions_rolled_back += 1
+            self._rollback_parts(tx)
         finally:
-            with self._gate:
-                self._open_txs -= 1
-                self._gate.notify_all()
+            self._leave_gate()
+
+    def _leave_gate(self) -> None:
+        with self._gate:
+            self._open_txs -= 1
+            self._gate.notify_all()
+
+    def _commit_parts(self, tx: _ShardedTransaction) -> None:
+        tx.commit()
+        self.stats.transactions_committed += 1
+
+    def _rollback_parts(self, tx: _ShardedTransaction) -> None:
+        tx.rollback()
+        self.stats.transactions_rolled_back += 1
 
     # -- execution -----------------------------------------------------------------
 
@@ -356,27 +396,25 @@ class ShardedDatabase:
             statement = parse(statement)
         if isinstance(statement, Explain):
             return [self.explain_plan(statement.select)]
-        if tx is not None and not isinstance(tx, _ShardedTransaction):
-            raise TransactionError(
-                "a sharded database needs transactions from its own begin()"
-            )
+        if tx is not None:
+            if not isinstance(tx, _ShardedTransaction):
+                raise TransactionError(
+                    "a sharded database needs transactions from its own begin()"
+                )
+            # No shard would notice: a part opens on demand.
+            tx.require_active()
         if isinstance(statement, Select):
             return self._execute_select(statement, tx)
         if tx is not None:
             return self._execute_mutation(statement, tx)
         with self._write_permit():
-            topology = self._topology
-            local_tx = _ShardedTransaction(topology, self._make_parts(topology))
+            local_tx = _ShardedTransaction(self._topology)
             try:
                 result = self._execute_mutation(statement, local_tx)
             except Exception:
-                for db, part in local_tx.parts.values():
-                    db.rollback(part)
-                self.stats.transactions_rolled_back += 1
+                self._rollback_parts(local_tx)
                 raise
-            for db, part in local_tx.parts.values():
-                db.commit(part)
-            self.stats.transactions_committed += 1
+            self._commit_parts(local_tx)
             return result
 
     def execute_batch(
@@ -388,38 +426,92 @@ class ShardedDatabase:
         routed, pruned and merged on its own."""
         return [self.execute(statement, tx=tx) for statement in statements]
 
+    # -- routing -------------------------------------------------------------------
+
+    def _route(self, topology: _Topology, table: str,
+               where: Optional[Predicate], join: Optional[Join] = None,
+               writing: bool = False) -> RouteDecision:
+        """The shards a statement over ``table`` must touch: the one
+        decision SELECT, UPDATE, DELETE, the co-partitioned INSERT and
+        EXPLAIN all act on.
+
+        A partitioned table prunes on its partition column, else on an
+        equality or IN over its primary key; a co-partitioned child on
+        its parent key.  Keys are located by probing the shards' own
+        primary-key indexes, against the topology snapshot the statement
+        holds.  A read does not probe a shard whose breaker is open; a
+        write probes them all, because it must name the one owner.
+        """
+        config = self._config
+        shard_map = topology.shard_map
+        kind = config.kind(table)
+        if join is not None and not config.joinable(table, join.table):
+            raise ShardError(
+                f"cannot join {table!r} with {join.table!r}: "
+                "tables are not co-located under the shard config"
+            )
+        if kind == "broadcast":
+            if join is not None and config.kind(join.table) != "broadcast":
+                # Every shard holds the full broadcast side; the join's
+                # partitioned side is disjoint across shards, so a scatter
+                # concatenation is exactly the single-node join.
+                return scatter_all(shard_map)
+            return RouteDecision(BROADCAST, shard_map.specs)
+        if len(shard_map) == 1:
+            return scatter_all(shard_map)
+        parts = conjuncts(where)
+        if kind == "partitioned":
+            decision = route_partitioned(
+                parts, config.partition_column(table), shard_map)
+            if decision.kind == PRUNED:
+                return decision
+            # A partitioned table holds its own keys ...
+            holder = table
+            holder_key = column = \
+                topology.first_db().table(table).schema.primary_key
+        else:
+            # ... a co-partitioned child lives where its parent's key does.
+            co = config.co_partitioned[table]
+            holder, holder_key, column = \
+                co.parent_table, co.parent_column, co.fk_column
+        values = key_values(parts, column) if column is not None else None
+        if values is None:
+            return scatter_all(shard_map)
+
+        dbs = topology.dbs
+
+        def holds(spec: ShardSpec, value: Any) -> bool:
+            return dbs[spec.shard_id].holds(holder, holder_key, value)
+
+        return route_keyed(values, shard_map, holds,
+                           () if writing else self._open_shards())
+
+    def _open_shards(self) -> list[int]:
+        """Shards whose breaker rejects calls right now.  Reading the
+        state takes the breaker's lock; one that never tripped is spared it."""
+        return [shard_id for shard_id, breaker in list(self.breakers.items())
+                if breaker.trips and breaker.state is BreakerState.OPEN]
+
     # -- reads ---------------------------------------------------------------------
 
     def _execute_select(self, select: Select,
                         tx: Optional[_ShardedTransaction]) -> list[dict[str, Any]]:
-        """Route one read.  Inside a transaction every shard is handed
-        its own part of ``tx``, so the read sees the transaction's
+        """Route one read.  Inside a transaction each shard asked runs it
+        under its own part of ``tx``, so the read sees the transaction's
         uncommitted writes wherever they landed."""
         topology = tx.topology if tx is not None else self._topology
-        config = self._config
-        kind = config.kind(select.table)
-        if select.join is not None:
-            if not config.joinable(select.table, select.join.table):
-                raise ShardError(
-                    f"cannot join {select.table!r} with {select.join.table!r}: "
-                    "tables are not co-located under the shard config"
-                )
-            if kind == "broadcast" and config.kind(select.join.table) != "broadcast":
-                # Every shard holds the full broadcast side; the join's
-                # partitioned side is disjoint across shards, so a scatter
-                # concatenation is exactly the single-node join.
-                return self._scatter_read(select, scatter_all(topology.shard_map),
-                                          topology, tx)
-        if kind == "broadcast":
+        decision = self._route(topology, select.table, select.where, select.join)
+        if decision.kind == BROADCAST:
             return self._broadcast_read(select, topology, tx)
-        if kind == "partitioned":
-            decision = route_partitioned(
-                select.where, config.partition_column(select.table),
-                topology.shard_map,
-            )
-        else:
-            decision = scatter_all(topology.shard_map)
         return self._scatter_read(select, decision, topology, tx)
+
+    def _read_shard(self, topology: _Topology, shard_id: int, select: Select,
+                    tx: Optional[_ShardedTransaction]) -> list[dict]:
+        fire_fault(f"metadb.shard.{shard_id}.statement")
+        if tx is None:
+            return topology.db(shard_id).execute(select)
+        db, part = tx.part(shard_id)
+        return db.execute(select, tx=part)
 
     def _broadcast_read(self, select: Select, topology: _Topology,
                         tx: Optional[_ShardedTransaction]) -> list[dict]:
@@ -429,7 +521,8 @@ class ShardedDatabase:
         with self._report_lock:
             start = self._read_cursor
             self._read_cursor += 1
-        self._count_route(BROADCAST, 1, len(specs))
+            self.route_counts[BROADCAST] += 1
+        self._count_route(BROADCAST, 1)
         last_transient: Optional[BaseException] = None
         for offset in range(len(specs)):
             spec = specs[(start + offset) % len(specs)]
@@ -437,10 +530,7 @@ class ShardedDatabase:
             if not breaker.allow():
                 continue
             try:
-                fire_fault(f"metadb.shard.{spec.shard_id}.statement")
-                rows = topology.db(spec.shard_id).execute(
-                    select,
-                    tx=tx.parts[spec.shard_id][1] if tx is not None else None)
+                rows = self._read_shard(topology, spec.shard_id, select, tx)
             except TRANSIENT_ERRORS as exc:
                 breaker.record_failure()
                 last_transient = exc
@@ -465,22 +555,22 @@ class ShardedDatabase:
     def _scatter_read(self, select: Select, decision: RouteDecision,
                       topology: _Topology,
                       tx: Optional[_ShardedTransaction]) -> list[dict]:
-        self._count_route(decision.kind, len(decision.specs),
-                          len(topology.shard_map))
-        shard_select, merge = prepare_scatter(select)
+        specs = decision.specs
+        # One target that answers is the answer: the caller's statement
+        # goes to it as written and its rows come back as they are.
+        shard_select, merge = \
+            (select, None) if len(specs) == 1 else prepare_scatter(select)
         gathered: list[list[dict]] = []
+        answered: list[int] = []
         missing: list[ShardSpec] = []
-        for spec in decision.specs:
+        for spec in specs:
             shard_id = spec.shard_id
             breaker = self._breaker_for(shard_id)
             if not breaker.allow():
                 missing.append(spec)
                 continue
             try:
-                fire_fault(f"metadb.shard.{shard_id}.statement")
-                rows = topology.db(shard_id).execute(
-                    shard_select,
-                    tx=tx.parts[shard_id][1] if tx is not None else None)
+                rows = self._read_shard(topology, shard_id, shard_select, tx)
             except TRANSIENT_ERRORS:
                 breaker.record_failure()
                 missing.append(spec)
@@ -489,19 +579,28 @@ class ShardedDatabase:
                 continue
             breaker.record_success()
             gathered.append(rows)
-            with self._report_lock:
-                self.reads_by_shard[shard_id] = (
-                    self.reads_by_shard.get(shard_id, 0) + 1
-                )
-        rows = merge(gathered)
+            answered.append(shard_id)
+        if merge is None and gathered:
+            rows = gathered[0]
+        else:
+            if merge is None:
+                # The one target did not answer: the merge of nothing
+                # keeps the statement's shape (an aggregate is one row).
+                merge = prepare_scatter(select)[1]
+            rows = merge(gathered)
+        reads = self.reads_by_shard
         with self._report_lock:
+            self.route_counts[decision.kind] += 1
+            for shard_id in answered:
+                reads[shard_id] = reads.get(shard_id, 0) + 1
             self.stats.selects += 1
             self.stats.rows_read += len(rows)
+        self._count_route(decision.kind, len(specs))
         if not missing:
             return rows
         if not self.degraded_reads:
             raise ShardUnavailable(
-                f"{len(missing)} of {len(decision.specs)} targeted shards "
+                f"{len(missing)} of {len(specs)} targeted shards "
                 f"unavailable for {select.table!r}",
                 shard_ids=[spec.shard_id for spec in missing],
             )
@@ -510,16 +609,17 @@ class ShardedDatabase:
         self.obs.count("metadb.shard.degraded", db=self.name)
         return PartialResult(rows, missing)
 
-    def _count_route(self, kind: str, n_touched: int, n_total: int) -> None:
-        with self._report_lock:
-            self.route_counts[kind] = self.route_counts.get(kind, 0) + 1
-        counter = self._route_counters.get(kind)
-        if counter is None:
-            counter = self.obs.counter("metadb.shard.route", db=self.name,
-                                       route=kind)
-            self._route_counters[kind] = counter
-        counter.inc()
-        self.obs.count("metadb.shard.shards_touched", n_touched, db=self.name)
+    def _count_route(self, kind: str, n_touched: int) -> None:
+        """The obs side of one routed read (``route_counts`` moves under
+        the lock the read takes anyway); both handles resolved once."""
+        counters = self._route_counters.get(kind)
+        if counters is None:
+            counters = self._route_counters[kind] = (
+                self.obs.counter("metadb.shard.route", db=self.name, route=kind),
+                self.obs.counter("metadb.shard.shards_touched", db=self.name),
+            )
+        counters[0].inc()
+        counters[1].inc(n_touched)
 
     # -- writes --------------------------------------------------------------------
 
@@ -534,7 +634,7 @@ class ShardedDatabase:
 
     def _exec_on_shard(self, tx: _ShardedTransaction, shard_id: int,
                        statement: Statement) -> Any:
-        db, part = tx.parts[shard_id]
+        db, part = tx.part(shard_id)
         fire_fault(f"metadb.shard.{shard_id}.statement")
         result = db.execute(statement, tx=part)
         with self._report_lock:
@@ -550,16 +650,16 @@ class ShardedDatabase:
         schema = tx.topology.first_db().table(table).schema
         return schema.normalize_row(values)
 
-    def _parent_shard(self, tx: _ShardedTransaction, parent_table: str,
-                      parent_column: str, value: Any) -> int:
-        topology = tx.topology
-        for spec in topology.shard_map:
-            table = topology.db(spec.shard_id).table(parent_table)
-            if table.exists_value(parent_column, value):
-                return spec.shard_id
-        # No parent anywhere: route to the first shard so the per-shard
-        # foreign-key check raises the normal IntegrityError.
-        return topology.shard_map.specs[0].shard_id
+    def _home(self, tx: _ShardedTransaction, table: str, parent_key: Any) -> int:
+        """The one shard a co-partitioned row with this parent key lives
+        on.  A NULL key has no parent, like an unknown one: both land on
+        the first shard, whose own foreign-key check answers as a single
+        node would."""
+        co = self._config.co_partitioned[table]
+        decision = self._route(
+            tx.topology, table, Comparison(co.fk_column, "=", parent_key),
+            writing=True)
+        return decision.specs[0].shard_id
 
     def _execute_insert(self, statement: Insert, tx: _ShardedTransaction) -> int:
         table = statement.table
@@ -584,9 +684,7 @@ class ShardedDatabase:
                 shard_id = tx.topology.shard_map.spec_for_value(value).shard_id
         else:
             co = self._config.co_partitioned[table]
-            shard_id = self._parent_shard(
-                tx, co.parent_table, co.parent_column, row.get(co.fk_column)
-            )
+            shard_id = self._home(tx, table, row.get(co.fk_column))
         result = self._exec_on_shard(tx, shard_id, routed)
         self.stats.inserts += 1
         self.stats.rows_written += 1
@@ -594,7 +692,7 @@ class ShardedDatabase:
 
     def _count_matching(self, tx: _ShardedTransaction, shard_id: int,
                         table: str, where) -> int:
-        db, part = tx.parts[shard_id]
+        db, part = tx.part(shard_id)
         rows = db.execute(Select(table, where=where,
                                  aggregates=[Aggregate("count", "*", "n")]),
                           tx=part)
@@ -602,129 +700,97 @@ class ShardedDatabase:
 
     def _execute_update(self, statement: Update, tx: _ShardedTransaction) -> int:
         table = statement.table
-        kind = self._config.kind(table)
+        changes = statement.changes
+        config = self._config
         topology = tx.topology
-        if kind == "broadcast":
-            result = None
-            for spec in topology.shard_map:
-                count = self._exec_on_shard(tx, spec.shard_id, statement)
-                result = count if result is None else result
-            self.stats.updates += 1
-            self.stats.rows_written += int(result or 0)
-            return int(result or 0)
+        decision = self._route(topology, table, statement.where, writing=True)
+        # An update may not carry rows to another shard: when it rewrites
+        # the column that places them, only the shard the new value
+        # belongs on (``home``) may run it.
+        home = refusal = None
+        kind = config.kind(table)
         if kind == "partitioned":
-            column = self._config.partition_column(table)
-            decision = route_partitioned(statement.where, column,
-                                         topology.shard_map)
-            new_value = statement.changes.get(column)
-            total = 0
-            for spec in decision.specs:
-                if column in statement.changes and not spec.covers(new_value):
-                    if self._count_matching(tx, spec.shard_id, table,
-                                            statement.where):
-                        raise ShardError(
-                            f"update would move {table!r} rows out of "
-                            f"{spec.describe()}; cross-shard row migration "
-                            "requires a split/rebalance"
-                        )
-                    continue
-                total += self._exec_on_shard(tx, spec.shard_id, statement)
-            self.stats.updates += 1
-            self.stats.rows_written += total
-            return total
-        co = self._config.co_partitioned[table]
-        if co.fk_column in statement.changes:
-            home = self._parent_shard(tx, co.parent_table, co.parent_column,
-                                      statement.changes[co.fk_column])
-            total = 0
-            for spec in topology.shard_map:
-                if spec.shard_id == home:
-                    total += self._exec_on_shard(tx, spec.shard_id, statement)
-                elif self._count_matching(tx, spec.shard_id, table,
-                                          statement.where):
+            column = config.partition_column(table)
+            if column in changes:
+                home = next((spec.shard_id for spec in topology.shard_map
+                             if spec.covers(changes[column])), None)
+                refusal = ("update would move {table!r} rows out of {shard}; "
+                           "cross-shard row migration requires a "
+                           "split/rebalance")
+        elif kind == "co_partitioned":
+            column = config.co_partitioned[table].fk_column
+            if column in changes:
+                home = self._home(tx, table, changes[column])
+                refusal = "update would re-parent {table!r} rows across shards"
+        counts = []
+        for spec in decision.specs:
+            if refusal is not None and spec.shard_id != home:
+                if self._count_matching(tx, spec.shard_id, table,
+                                        statement.where):
                     raise ShardError(
-                        f"update would re-parent {table!r} rows across shards"
-                    )
-            self.stats.updates += 1
-            self.stats.rows_written += total
-            return total
-        total = 0
-        for spec in topology.shard_map:
-            total += self._exec_on_shard(tx, spec.shard_id, statement)
+                        refusal.format(table=table, shard=spec.describe()))
+                continue
+            counts.append(self._exec_on_shard(tx, spec.shard_id, statement))
+        total = self._rows_affected(decision, counts)
         self.stats.updates += 1
         self.stats.rows_written += total
         return total
 
     def _execute_delete(self, statement: Delete, tx: _ShardedTransaction) -> int:
-        table = statement.table
-        kind = self._config.kind(table)
-        topology = tx.topology
-        if kind == "broadcast":
-            result = None
-            for spec in topology.shard_map:
-                count = self._exec_on_shard(tx, spec.shard_id, statement)
-                result = count if result is None else result
-            self.stats.deletes += 1
-            self.stats.rows_written += int(result or 0)
-            return int(result or 0)
-        if kind == "partitioned":
-            column = self._config.partition_column(table)
-            decision = route_partitioned(statement.where, column,
-                                         topology.shard_map)
-            specs = decision.specs
-        else:
-            specs = topology.shard_map.specs
-        total = 0
-        for spec in specs:
-            total += self._exec_on_shard(tx, spec.shard_id, statement)
+        decision = self._route(tx.topology, statement.table, statement.where,
+                               writing=True)
+        total = self._rows_affected(decision, [
+            self._exec_on_shard(tx, spec.shard_id, statement)
+            for spec in decision.specs
+        ])
         self.stats.deletes += 1
         self.stats.rows_written += total
         return total
+
+    @staticmethod
+    def _rows_affected(decision: RouteDecision, counts: list[int]) -> int:
+        """Every copy of a broadcast table changes the same rows, so one
+        copy's count is the statement's; disjoint shards add up."""
+        if decision.kind == BROADCAST:
+            return int(counts[0] or 0)
+        return sum(counts)
 
     # -- EXPLAIN -------------------------------------------------------------------
 
     def explain(self, select) -> str:
         plan = self.explain_plan(select)
         route = plan["shard_route"]
+        by = f" by {route['by']}" if route["by"] else ""
         return (
             f"{plan['description']} over {len(route['shards'])}/"
-            f"{route['n_shards']} shards ({route['kind']})"
+            f"{route['n_shards']} shards ({route['kind']}){by}"
         )
 
     def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]:
         """Single-node EXPLAIN of the per-shard plan plus a ``shard_route``
-        section: which shards the router would touch and why."""
+        section: which shards executing the statement now would touch,
+        and what they were pruned by (from the same :meth:`_route`)."""
         if isinstance(select, str):
             select = parse(select)
         if isinstance(select, Explain):
             select = select.select
         topology = self._topology
-        config = self._config
-        kind = config.kind(select.table)
-        if kind == "broadcast" and (
-            select.join is None or config.kind(select.join.table) == "broadcast"
-        ):
-            decision = RouteDecision(BROADCAST, topology.shard_map.specs[:1])
-            shard_select = select
-        else:
-            if kind == "partitioned":
-                decision = route_partitioned(
-                    select.where, config.partition_column(select.table),
-                    topology.shard_map,
-                )
-            else:
-                decision = scatter_all(topology.shard_map)
-            shard_select, _merge = prepare_scatter(select)
-        if decision.specs:
-            representative = topology.db(decision.specs[0].shard_id)
-        else:
-            representative = topology.first_db()
+        decision = self._route(topology, select.table, select.where, select.join)
+        specs = decision.specs
+        if decision.kind == BROADCAST:
+            specs = specs[:1]
+        # What a shard is handed: the statement as written when one shard
+        # is asked, its scatter rewrite when several are.
+        shard_select = select if len(specs) == 1 else prepare_scatter(select)[0]
+        representative = topology.db(specs[0].shard_id) if specs \
+            else topology.first_db()
         plan = representative.explain_plan(shard_select)
         plan["shard_route"] = {
             "kind": decision.kind,
-            "shards": list(decision.shard_ids),
+            "shards": [spec.shard_id for spec in specs],
             "n_shards": len(topology.shard_map),
             "pruned": decision.kind == PRUNED,
+            "by": decision.by,
         }
         return plan
 

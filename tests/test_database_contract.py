@@ -7,7 +7,10 @@ same behaviour here.  The core is a stateful property test: a random
 interleaving of inserts, updates, deletes, batches, queries,
 transactions (with rollbacks) and, on the persistent builds,
 close/reopen must always agree with a plain Python-dict model,
-regardless of which index, shard or copy served each statement.
+regardless of which index, shard or copy served each statement: on a
+table the sharded builds place by its key, and on a parent/child pair
+they place by a column that is not the key, where a statement selected
+by key has to find its shard first.
 
 A new implementation joins by satisfying the protocol and adding one
 line to :data:`BUILDS`.
@@ -39,20 +42,30 @@ from repro.metadb import (
     Database,
     DatabaseApi,
     Delete,
+    ForeignKey,
+    In,
     Insert,
     IntegrityError,
     Select,
     TableSchema,
+    TransactionError,
     Update,
 )
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
-from repro.shard import ShardConfig, ShardedDatabase
+from repro.shard import CoPartition, ShardConfig, ShardedDatabase
 from repro.web.loadgen import RemoteDatabase
 
 #: The sharded builds place ``t`` by its key, so an update of ``v``
-#: never moves a row between shards; ``notes`` is broadcast.
-PLACEMENT = ShardConfig(partitioned={"t": "k"})
+#: never moves a row between shards; ``notes`` is broadcast.  ``e`` is
+#: placed by ``at``, which is not its key, and ``c`` follows its ``e``:
+#: the shape of every table an HLE page reads (``hle`` by ``start_time``,
+#: ``ana`` by its ``hle``), where a statement selected by key has to
+#: find the shard first.
+PLACEMENT = ShardConfig(
+    partitioned={"t": "k", "e": "at"},
+    co_partitioned={"c": CoPartition("e_id", "e", "id")},
+)
 FOUR_SHARDS = (8, 16, 24)
 
 
@@ -115,19 +128,61 @@ def _notes_schema() -> TableSchema:
     )
 
 
+def _e_schema() -> TableSchema:
+    return TableSchema(
+        "e",
+        [Column("id", ColumnType.INTEGER, nullable=False),
+         Column("at", ColumnType.INTEGER, nullable=False),
+         Column("label", ColumnType.TEXT)],
+        primary_key="id",
+        indexes=[("at",)],
+    )
+
+
+def _c_schema() -> TableSchema:
+    return TableSchema(
+        "c",
+        [Column("cid", ColumnType.INTEGER, nullable=False),
+         Column("e_id", ColumnType.INTEGER, nullable=False),
+         Column("note", ColumnType.TEXT)],
+        primary_key="cid",
+        indexes=[("e_id",)],
+        foreign_keys=[ForeignKey("e_id", "e", "id")],
+    )
+
+
 def _fresh(build: Build, root: Path):
-    """A new instance of ``build`` with both tables; returns (db, path)."""
+    """A new instance of ``build`` with its four tables; returns (db, path)."""
     path = Path(tempfile.mkdtemp(dir=root)) / "db" if build.persistent else None
     db = build.open(path)
-    db.create_table(_t_schema())
-    db.create_table(_notes_schema())
+    _create_tables(db)
     return db, path
+
+
+def _create_tables(db) -> None:
+    for schema in (_t_schema(), _notes_schema(), _e_schema(), _c_schema()):
+        db.create_table(schema)
 
 
 # -- the stateful core -------------------------------------------------------
 
 KEYS = st.integers(min_value=0, max_value=30)
 VALUES = st.integers(min_value=-50, max_value=50)
+EVENT_IDS = st.integers(min_value=0, max_value=11)
+CHILD_IDS = st.integers(min_value=0, max_value=23)
+
+
+def _at(event_id: int) -> int:
+    """Where an ``e`` row is placed: fixed by its id and never updated, so
+    an id always lands on the same shard.  (Keys are unique per shard, not
+    across shards; the program draws them from ``allocate_id``.)"""
+    return (event_id * 7) % 32
+
+
+def _parent_of(child_id: int) -> int:
+    """A ``c`` row's parent, fixed by its id for the same reason.  Ids 8
+    to 11 of ``e`` never have children."""
+    return child_id % 8
 
 
 class ContractMachine(RuleBasedStateMachine):
@@ -140,8 +195,10 @@ class ContractMachine(RuleBasedStateMachine):
         self.build = build
         self.db, self.path = _fresh(build, root)
         self.model: dict[int, dict] = {}
+        self.events: dict[int, dict] = {}
+        self.children: dict[int, dict] = {}
         self.tx = None
-        self.tx_shadow: dict[int, dict] = {}
+        self.tx_shadow: tuple[dict, dict, dict] = ({}, {}, {})
         self.last_id = 0
 
     def teardown(self):
@@ -198,13 +255,110 @@ class ContractMachine(RuleBasedStateMachine):
                            self._expected_point(key)]
         assert results[1] == self.db.execute(point, tx=self.tx)
 
+    # -- a table placed by a column that is not its key, and its child -----
+
+    def _children_of(self, event_ids) -> list[dict]:
+        return sorted((row for row in self.children.values()
+                       if row["e_id"] in event_ids),
+                      key=lambda row: row["cid"])
+
+    @rule(event_id=EVENT_IDS, label=st.sampled_from(["x", "y"]))
+    def insert_event(self, event_id, label):
+        row = {"id": event_id, "at": _at(event_id), "label": label}
+        if event_id in self.events:
+            with pytest.raises(IntegrityError):
+                self.db.execute(Insert("e", row), tx=self.tx)
+        else:
+            self.db.execute(Insert("e", row), tx=self.tx)
+            self.events[event_id] = row
+
+    @rule(child_id=CHILD_IDS, note=st.sampled_from(["p", "q"]))
+    def insert_child(self, child_id, note):
+        """Lands on its parent's shard, found by key; an orphan or a
+        repeated key is refused as one node would refuse it."""
+        row = {"cid": child_id, "e_id": _parent_of(child_id), "note": note}
+        if child_id in self.children or row["e_id"] not in self.events:
+            with pytest.raises(IntegrityError):
+                self.db.execute(Insert("c", row), tx=self.tx)
+        else:
+            self.db.execute(Insert("c", row), tx=self.tx)
+            self.children[child_id] = row
+
+    @rule(event_id=EVENT_IDS)
+    def delete_event_by_key(self, event_id):
+        delete = Delete("e", Comparison("id", "=", event_id))
+        if self._children_of({event_id}):
+            with pytest.raises(IntegrityError):      # restrict
+                self.db.execute(delete, tx=self.tx)
+            return
+        affected = self.db.execute(delete, tx=self.tx)
+        assert affected == (1 if event_id in self.events else 0)
+        self.events.pop(event_id, None)
+
+    @rule(event_id=EVENT_IDS)
+    def delete_children_by_parent_key(self, event_id):
+        gone = self._children_of({event_id})
+        affected = self.db.execute(
+            Delete("c", Comparison("e_id", "=", event_id)), tx=self.tx)
+        assert affected == len(gone)
+        for row in gone:
+            del self.children[row["cid"]]
+
+    @rule(event_id=EVENT_IDS, label=st.sampled_from(["x", "y", "z"]))
+    def update_event_by_key(self, event_id, label):
+        affected = self.db.execute(
+            Update("e", {"label": label}, Comparison("id", "=", event_id)),
+            tx=self.tx)
+        assert affected == (1 if event_id in self.events else 0)
+        if event_id in self.events:
+            self.events[event_id] = {**self.events[event_id], "label": label}
+
+    @rule(event_id=EVENT_IDS)
+    def reads_by_key(self, event_id):
+        """Point, child and count reads, all selected by the parent key."""
+        by_id = Comparison("id", "=", event_id)
+        by_parent = Comparison("e_id", "=", event_id)
+        results = self.db.execute_batch([
+            Select("e", where=by_id),
+            Select("e", where=by_id, aggregates=[Aggregate("count", "*", "n")]),
+            Select("c", where=by_parent, order_by=[("cid", "asc")]),
+            Select("c", where=by_parent,
+                   aggregates=[Aggregate("count", "*", "n")]),
+        ], tx=self.tx)
+        event = [self.events[event_id]] if event_id in self.events else []
+        children = self._children_of({event_id})
+        assert results == [event, [{"n": len(event)}],
+                           children, [{"n": len(children)}]]
+
+    @rule(event_ids=st.lists(EVENT_IDS, min_size=0, max_size=5))
+    def in_list_reads_by_key(self, event_ids):
+        events = self.db.execute(
+            Select("e", where=In("id", event_ids), order_by=[("id", "desc")]),
+            tx=self.tx)
+        assert events == sorted(
+            (self.events[key] for key in set(event_ids) if key in self.events),
+            key=lambda row: -row["id"])
+        children = self._children_of(set(event_ids))
+        assert self.db.execute(
+            Select("c", where=In("e_id", event_ids),
+                   order_by=[("cid", "asc")], limit=3, offset=1),
+            tx=self.tx) == children[1:4]
+        assert self.db.execute(
+            Select("c", where=In("e_id", event_ids),
+                   aggregates=[Aggregate("count", "*", "n")]),
+            tx=self.tx) == [{"n": len(children)}]
+
     # -- transactions ---------------------------------------------------------
+
+    def _snapshot(self) -> tuple[dict, dict, dict]:
+        return tuple({key: dict(row) for key, row in table.items()}
+                     for table in (self.model, self.events, self.children))
 
     @precondition(lambda self: self.tx is None)
     @rule()
     def begin(self):
         self.tx = self.db.begin()
-        self.tx_shadow = {key: dict(row) for key, row in self.model.items()}
+        self.tx_shadow = self._snapshot()
 
     @precondition(lambda self: self.tx is not None)
     @rule()
@@ -216,7 +370,7 @@ class ContractMachine(RuleBasedStateMachine):
     @rule()
     def rollback(self):
         self.db.rollback(self.tx)
-        self.model = self.tx_shadow
+        self.model, self.events, self.children = self.tx_shadow
         self.tx = None
 
     @rule()
@@ -273,6 +427,11 @@ class ContractMachine(RuleBasedStateMachine):
     def count_agrees(self):
         rows = self.db.execute(Select("t"), tx=self.tx)
         assert len(rows) == len(self.model)
+        count = [Aggregate("count", "*", "n")]
+        assert self.db.execute_batch(
+            [Select("e", aggregates=count), Select("c", aggregates=count)],
+            tx=self.tx,
+        ) == [[{"n": len(self.events)}], [{"n": len(self.children)}]]
 
 
 @every_build
@@ -349,13 +508,13 @@ def test_ddl_round_trip(build, opened):
         "scratch", [Column("id", ColumnType.INTEGER, nullable=False)],
         primary_key="id"))
     assert opened.has_table("scratch")
-    assert opened.table_names() == ["notes", "scratch", "t"]
+    assert opened.table_names() == ["c", "e", "notes", "scratch", "t"]
     assert opened.table("scratch").schema.primary_key == "id"
     opened.execute(Insert("scratch", {"id": 1}))
     assert opened.execute(Select("scratch")) == [{"id": 1}]
     opened.drop_table("scratch")
     assert not opened.has_table("scratch")
-    assert opened.table_names() == ["notes", "t"]
+    assert opened.table_names() == ["c", "e", "notes", "t"]
 
 
 @every_build
@@ -376,3 +535,110 @@ def test_describe_reports_exactly_the_layers_present(build, opened):
     assert (report["shard"] is not None) == build.shard
     assert (report["replication"] is not None) == build.replication
     assert json.loads(json.dumps(report))["kind"] == report["kind"]
+
+
+# -- a sharded transaction opens a shard's part when it first touches it -------
+
+def _four_shards(**kwargs) -> ShardedDatabase:
+    db = ShardedDatabase(FOUR_SHARDS, config=PLACEMENT, name="c", **kwargs)
+    _create_tables(db)
+    return db
+
+
+def _shard_transactions(db: ShardedDatabase) -> dict[int, tuple[int, int]]:
+    """(committed, rolled back) per shard, from each shard's own stats."""
+    return {
+        spec.shard_id: (
+            db.shard_db(spec.shard_id).stats.transactions_committed,
+            db.shard_db(spec.shard_id).stats.transactions_rolled_back)
+        for spec in db.shard_map
+    }
+
+
+def _moved(before: dict, after: dict) -> dict:
+    return {
+        shard: (after[shard][0] - before[shard][0],
+                after[shard][1] - before[shard][1])
+        for shard in after if after[shard] != before[shard]
+    }
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_a_transaction_commits_only_on_the_shards_it_touched(copies):
+    db = _four_shards(replicas_per_shard=copies)
+    begins = []
+    for spec in db.shard_map:
+        shard = db.shard_db(spec.shard_id)
+        shard.begin = (lambda inner=shard.begin, shard_id=spec.shard_id:
+                       begins.append(shard_id) or inner())
+    before = _shard_transactions(db)
+
+    # No statement: no shard hears of it.
+    tx = db.begin()
+    assert db._open_txs == 1 and tx.parts == {}
+    db.commit(tx)
+    assert begins == [] and _shard_transactions(db) == before
+    assert db._open_txs == 0
+
+    # One write, one shard (k=20 lives on shard 2), then a read of the
+    # same key inside the transaction: still that shard alone.
+    tx = db.begin()
+    db.execute(Insert("t", {"k": 20, "v": 1, "tag": "a"}), tx=tx)
+    assert db.execute(Select("t", where=Comparison("k", "=", 20)), tx=tx) \
+        == [{"k": 20, "v": 1, "tag": "a"}]
+    db.commit(tx)
+    assert begins == [2]
+    assert _moved(before, _shard_transactions(db)) == {2: (1, 0)}
+    assert db._open_txs == 0
+
+    # Autocommit is the same object: a by-key write opens one part (the
+    # row with id 3 is placed by at=21, on shard 2), a broadcast write four.
+    begins.clear()
+    before = _shard_transactions(db)
+    db.execute(Insert("e", {"id": 3, "at": _at(3), "label": "x"}))
+    db.execute(Insert("c", {"cid": 3, "e_id": 3, "note": "p"}))
+    assert db.execute(Update("e", {"label": "y"}, Comparison("id", "=", 3))) == 1
+    assert db.execute(Delete("c", Comparison("e_id", "=", 3))) == 1
+    assert begins == [2, 2, 2, 2]
+    assert _moved(before, _shard_transactions(db)) == {2: (4, 0)}
+    begins.clear()
+    db.execute(Insert("notes", {"note_id": 1, "text": "everywhere"}))
+    assert sorted(begins) == [0, 1, 2, 3]
+    assert db._open_txs == 0 and db._autocommit_writes == 0
+    db.close()
+
+
+def test_a_failed_statement_rolls_back_every_part_it_opened():
+    db = _four_shards()
+    db.execute(Insert("t", {"k": 1, "v": 1, "tag": "a"}))     # shard 0
+    before = _shard_transactions(db)
+    tx = db.begin()
+    db.execute(Insert("t", {"k": 9, "v": 1, "tag": "a"}), tx=tx)    # shard 1
+    db.execute(Insert("t", {"k": 30, "v": 1, "tag": "a"}), tx=tx)   # shard 3
+    with pytest.raises(IntegrityError):
+        db.execute(Insert("t", {"k": 1, "v": 2, "tag": "b"}), tx=tx)
+    assert set(tx.parts) == {0, 1, 3}
+    db.rollback(tx)
+    assert _moved(before, _shard_transactions(db)) == {
+        0: (0, 1), 1: (0, 1), 3: (0, 1)}
+    assert db.execute(Select("t")) == [{"k": 1, "v": 1, "tag": "a"}]
+    assert db._open_txs == 0
+    with pytest.raises(TransactionError):
+        db.rollback(tx)
+    with pytest.raises(TransactionError):
+        db.commit(tx)
+    assert db._open_txs == 0
+
+    # Autocommit: the failing statement undoes what it did on the shards
+    # it reached (a broadcast insert that the last shard refuses).
+    db.shard_db(3).execute(Insert("notes", {"note_id": 7, "text": "stray"}))
+    before = _shard_transactions(db)
+    with pytest.raises(IntegrityError):
+        db.execute(Insert("notes", {"note_id": 7, "text": "everywhere"}))
+    moved = _moved(before, _shard_transactions(db))
+    assert moved == {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (0, 1)}
+    assert [len(db.shard_db(spec.shard_id).table("notes"))
+            for spec in db.shard_map] == [0, 0, 0, 1]
+    assert db._open_txs == 0 and db._autocommit_writes == 0
+    assert db.stats.transactions_rolled_back == 2
+    db.close()

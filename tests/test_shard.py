@@ -22,12 +22,17 @@ from repro.metadb import (
     Delete,
     In,
     Insert,
+    IntegrityError,
     Join,
     Or,
     Select,
+    TransactionError,
     Update,
 )
+from repro.metadb.storage import Table
 from repro.resil import FaultInjector, use_injector
+from repro.security import User
+from repro.security.constraints import scoped_where
 from repro.schema import install_all
 from repro.shard import (
     HEDC_SHARD_CONFIG,
@@ -37,6 +42,7 @@ from repro.shard import (
     ShardMap,
     ShardSpec,
     ShardUnavailable,
+    route_keyed,
     route_partitioned,
 )
 
@@ -100,6 +106,71 @@ def _assert_same(single, sharded, select: Select, ordered: bool) -> None:
         assert list(actual) == list(expected), select
     else:
         assert _multiset(actual) == _multiset(expected), select
+
+
+def _seed_family(dbs, events: list[dict], seed: int = 5) -> dict:
+    """Children of every co-partitioned kind, on the same rows everywhere:
+    ten analyses, one catalogue with eight members, four raw units with a
+    view each.  Returns the keys the tests select by."""
+    rng = random.Random(seed)
+    ana_parents = [row["hle_id"] for row in rng.sample(events, 10)]
+    members = [row["hle_id"] for row in rng.sample(events, 8)]
+    units = [(f"unit:{index}", index * DAY + 100.0) for index in range(4)]
+    for db in dbs:
+        for index, hle_id in enumerate(ana_parents, start=1):
+            db.execute(Insert("ana", {
+                "ana_id": index, "item_id": f"ana:{index}", "hle_id": hle_id,
+                "owner_id": 1, "algorithm": "histogram", "created_at": 1000.0,
+            }))
+        db.execute(Insert("catalogs", {
+            "catalog_id": 1, "item_id": "cat:1", "owner_id": 1, "name": "c",
+            "created_at": 1000.0,
+        }))
+        for index, hle_id in enumerate(members, start=1):
+            db.execute(Insert("catalog_members", {
+                "member_id": index, "catalog_id": 1, "hle_id": hle_id,
+                "added_at": 1000.0,
+            }))
+        for index, (unit_id, start) in enumerate(units, start=1):
+            db.execute(Insert("raw_units", {
+                "unit_id": unit_id, "item_id": unit_id, "start_time": start,
+                "end_time": start + 60.0, "n_photons": 10, "bytes_on_disk": 10,
+                "loaded_at": 1000.0,
+            }))
+            db.execute(Insert("views", {
+                "view_id": index, "item_id": f"view:{index}",
+                "unit_id": unit_id, "signal": "counts", "domain_start": start,
+                "domain_step": 1.0, "n_partitions": 1, "encoded_bytes": 1,
+                "created_at": 1000.0,
+            }))
+    return {"ana_parents": ana_parents, "members": members,
+            "units": [unit_id for unit_id, _start in units]}
+
+
+def _owner(sharded: ShardedDatabase, table: str, column: str, value) -> int:
+    """The shard whose own table holds ``column == value``."""
+    owners = [
+        spec.shard_id for spec in sharded.shard_map
+        if sharded.shard_db(spec.shard_id).table(table).exists_value(column, value)
+    ]
+    assert len(owners) == 1, (table, column, value, owners)
+    return owners[0]
+
+
+def _reads(sharded: ShardedDatabase, statement) -> tuple[dict[int, int], list]:
+    """Shard-level reads one statement made, by shard, and its answer."""
+    before = dict(sharded.reads_by_shard)
+    rows = sharded.execute(statement)
+    delta = {
+        shard: count - before.get(shard, 0)
+        for shard, count in sharded.reads_by_shard.items()
+        if count != before.get(shard, 0)
+    }
+    return delta, rows
+
+
+#: A logged-in scientist, for the visibility conjunct every page read carries.
+SCIENTIST = User(1, "alice", "scientist", frozenset({"browse"}))
 
 
 class TestShardMap:
@@ -193,15 +264,80 @@ class TestRouting:
             decision = route_partitioned(where, "start_time", self.shard_map)
             assert decision.kind == "scatter"
 
+    def test_pruned_decisions_say_what_they_pruned_by(self):
+        by_partition = route_partitioned(
+            Comparison("start_time", "=", 0.0), "start_time", self.shard_map)
+        assert by_partition.by == "partition"
+        scatter = route_partitioned(None, "start_time", self.shard_map)
+        assert scatter.by is None
+
+    def _keyed(self, values, placement: dict, unreachable=()):
+        """Route ``values`` over a fake placement (key -> shard id);
+        returns the decision and every (shard, key) probe made."""
+        probes = []
+
+        def holds(spec, value):
+            probes.append((spec.shard_id, value))
+            return placement.get(value) == spec.shard_id
+
+        decision = route_keyed(values, self.shard_map, holds, unreachable)
+        return decision, probes
+
+    def test_key_equality_pins_the_shard_that_holds_it(self):
+        decision, probes = self._keyed([7], {7: 2})
+        assert (decision.kind, decision.by) == ("pruned", "key")
+        assert decision.shard_ids == (2,)
+        assert probes == [(0, 7), (1, 7), (2, 7)]   # stops at the owner
+
+    def test_key_in_list_resolves_each_value_to_its_owner(self):
+        decision, _probes = self._keyed([7, 8, 9], {7: 3, 8: 0, 9: 3})
+        assert decision.kind == "pruned"
+        assert decision.shard_ids == (0, 3)          # map order, no duplicates
+
+    def test_unknown_key_routes_to_the_first_shard(self):
+        decision, probes = self._keyed([404], {})
+        assert (decision.kind, decision.by) == ("pruned", "key")
+        assert decision.shard_ids == (0,)
+        assert len(probes) == 4                      # everyone was asked
+        # An unknown value beside known ones adds no shard.
+        decision, _probes = self._keyed([404, 7], {7: 2})
+        assert decision.shard_ids == (2,)
+
+    def test_in_list_stops_probing_once_every_shard_is_a_target(self):
+        placement = {key: key % 4 for key in range(40)}
+        decision, probes = self._keyed(list(range(40)), placement)
+        assert decision.kind == "scatter"
+        assert decision.shard_ids == (0, 1, 2, 3)
+        assert {value for _shard, value in probes} == {0, 1, 2, 3}
+
+    def test_unreachable_shard_is_never_probed_and_stays_a_target(self):
+        # Found on a reachable shard: the unreachable one is not needed.
+        decision, probes = self._keyed([7], {7: 0}, unreachable=[2])
+        assert decision.shard_ids == (0,)
+        # Found nowhere reachable: it may live on the unreachable shard.
+        decision, more = self._keyed([7], {7: 2}, unreachable=[2])
+        assert decision.shard_ids == (2,)
+        decision, rest = self._keyed([404], {}, unreachable=[2])
+        assert decision.shard_ids == (2,)
+        assert all(shard != 2 for shard, _value in probes + more + rest)
+        # An id that is not in the map at all (a breaker outliving a
+        # split) changes nothing.
+        decision, _probes = self._keyed([404], {}, unreachable=[99])
+        assert decision.shard_ids == (0,)
+
 
 class TestPruningThroughExecute:
     def test_explain_plan_reports_the_route(self):
         _single, sharded = _fresh_pair()
+        _seed_users(sharded)
+        events = _seed_events([sharded], n=40)
+        keys = _seed_family([sharded], events)
         plan = sharded.explain_plan(
             Select("hle", where=Between("start_time", DAY + 1, DAY + 100))
         )
         assert plan["shard_route"] == {
             "kind": "pruned", "shards": [1], "n_shards": 4, "pruned": True,
+            "by": "partition",
         }
         plan = sharded.explain_plan(Select("hle"))
         assert plan["shard_route"]["pruned"] is False
@@ -209,21 +345,160 @@ class TestPruningThroughExecute:
         assert "over 1/4 shards (pruned)" in sharded.explain(
             Select("hle", where=Comparison("start_time", "=", 0.0))
         )
+        # Selected by key: the owner alone, and EXPLAIN says why.
+        hle_id = events[0]["hle_id"]
+        by_id = Select("hle", where=Comparison("hle_id", "=", hle_id))
+        owner = _owner(sharded, "hle", "hle_id", hle_id)
+        assert sharded.explain_plan(by_id)["shard_route"] == {
+            "kind": "pruned", "shards": [owner], "n_shards": 4, "pruned": True,
+            "by": "key",
+        }
+        assert "over 1/4 shards (pruned) by key" in sharded.explain(by_id)
+        parent = keys["ana_parents"][0]
+        by_child_key = Select("ana", where=Comparison("hle_id", "=", parent))
+        route = sharded.explain_plan(by_child_key)["shard_route"]
+        assert (route["kind"], route["by"]) == ("pruned", "key")
+        assert route["shards"] == [_owner(sharded, "hle", "hle_id", parent)]
+        assert sharded.explain_plan(Select("hle"))["shard_route"]["by"] is None
+        assert sharded.explain_plan(
+            Select("admin_users"))["shard_route"]["by"] is None
+        # The route EXPLAIN reports is the one execution takes: the same
+        # shards answer the statement right after.
+        some_ids = [row["hle_id"] for row in events[:3]]
+        for select in (
+            by_id, by_child_key, Select("hle"),
+            Select("hle", where=In("hle_id", some_ids),
+                   order_by=[("hle_id", "asc")]),
+            Select("hle", where=Comparison("hle_id", "=", 404_404)),
+            Select("hle", where=Between("start_time", DAY, 2.5 * DAY)),
+            Select("views", where=Comparison("unit_id", "=", keys["units"][2])),
+            Select("admin_users"),
+        ):
+            route = sharded.explain_plan(select)["shard_route"]
+            touched, _rows = _reads(sharded, select)
+            if route["kind"] == "broadcast":
+                assert len(touched) == 1    # any one shard, round-robin
+            else:
+                assert touched == {shard: 1 for shard in route["shards"]}, select
+
+    def test_key_selected_statements_read_only_the_owning_shard(self):
+        single, sharded = _fresh_pair()
+        _seed_users(single, sharded)
+        events = _seed_events([single, sharded], n=40)
+        keys = _seed_family([single, sharded], events)
+        count = [Aggregate("count", "*", "n")]
+
+        def check(select: Select, owners: set[int]) -> None:
+            pruned = sharded.route_counts["pruned"]
+            touched, rows = _reads(sharded, select)
+            assert touched == {shard: 1 for shard in owners}, select
+            assert not isinstance(rows, PartialResult)
+            assert rows == single.execute(select), select
+            assert sharded.route_counts["pruned"] == pruned + 1
+
+        def hle_owner(hle_id: int) -> int:
+            return _owner(sharded, "hle", "hle_id", hle_id)
+
+        for row in events[:6]:
+            hle_id = row["hle_id"]
+            by_id = Comparison("hle_id", "=", hle_id)
+            check(Select("hle", where=by_id), {hle_owner(hle_id)})
+            check(Select("hle", where=scoped_where(SCIENTIST, by_id)),
+                  {hle_owner(hle_id)})
+        ids = [row["hle_id"] for row in events[:2]]
+        in_list = In("hle_id", ids)
+        owners = {hle_owner(hle_id) for hle_id in ids}
+        assert len(owners) < 4
+        check(Select("hle", where=in_list, order_by=[("hle_id", "desc")]), owners)
+        check(Select("hle", where=scoped_where(SCIENTIST, in_list),
+                     order_by=[("hle_id", "asc")], limit=1), owners)
+        for parent in keys["ana_parents"][:4]:
+            by_parent = Comparison("hle_id", "=", parent)
+            check(Select("ana", where=by_parent), {hle_owner(parent)})
+            check(Select("ana", where=scoped_where(SCIENTIST, by_parent),
+                         order_by=[("ana_id", "asc")]), {hle_owner(parent)})
+            check(Select("ana", where=by_parent, aggregates=count),
+                  {hle_owner(parent)})
+        for member in keys["members"][:4]:
+            by_parent = Comparison("hle_id", "=", member)
+            check(Select("catalog_members", where=by_parent, aggregates=count),
+                  {hle_owner(member)})
+            check(Select("catalog_members",
+                         where=by_parent & Comparison("catalog_id", "=", 1)),
+                  {hle_owner(member)})
+        for unit_id in keys["units"]:
+            by_unit = Comparison("unit_id", "=", unit_id)
+            owner = _owner(sharded, "raw_units", "unit_id", unit_id)
+            check(Select("views", where=by_unit), {owner})
+            check(Select("views",
+                         where=by_unit & Comparison("signal", "=", "counts")),
+                  {owner})
+
+    def test_unknown_key_reads_one_shard_and_keeps_the_single_node_answer(self):
+        single, sharded = _fresh_pair()
+        _seed_users(single, sharded)
+        events = _seed_events([single, sharded], n=40)
+        _seed_family([single, sharded], events)
+        nobody = Comparison("hle_id", "=", 404_404)
+        for select, expected in (
+            (Select("hle", where=nobody), []),
+            (Select("hle", where=scoped_where(SCIENTIST, nobody)), []),
+            (Select("hle", where=nobody,
+                    aggregates=[Aggregate("count", "*", "n")]), [{"n": 0}]),
+            (Select("ana", where=nobody, order_by=[("ana_id", "asc")]), []),
+            (Select("catalog_members", where=nobody,
+                    aggregates=[Aggregate("count", "*", "n")]), [{"n": 0}]),
+            (Select("views", where=Comparison("unit_id", "=", "unit:none")), []),
+        ):
+            touched, rows = _reads(sharded, select)
+            assert touched == {0: 1}, select
+            assert type(rows) is list and rows == expected
+            assert rows == single.execute(select)
+        # The insert of an orphan keeps its single-node error too.
+        orphan = Insert("ana", {
+            "ana_id": 99, "item_id": "ana:99", "hle_id": 404_404,
+            "owner_id": 1, "algorithm": "histogram",
+        })
+        for db in (single, sharded):
+            with pytest.raises(IntegrityError, match="foreign key"):
+                db.execute(orphan)
+
+    def test_one_shard_map_is_never_probed(self, monkeypatch):
+        sharded = ShardedDatabase(name="one")
+        install_all(sharded)
+        _seed_users(sharded)
+        events = _seed_events([sharded], n=10)
+        keys = _seed_family([sharded], events)
+        probes = []
+        exists_value = Table.exists_value
+        monkeypatch.setattr(
+            Table, "exists_value",
+            lambda table, column, value: probes.append((table.name, value))
+            or exists_value(table, column, value))
+        hle_id = keys["ana_parents"][0]
+        assert len(sharded.execute(
+            Select("hle", where=Comparison("hle_id", "=", hle_id)))) == 1
+        assert sharded.execute(
+            Select("hle", where=In("hle_id", [hle_id, 404_404]),
+                   aggregates=[Aggregate("count", "*", "n")])) == [{"n": 1}]
+        assert sharded.execute(
+            Select("ana", where=Comparison("hle_id", "=", hle_id)))
+        assert sharded.execute(
+            Update("hle", {"kind": "seen"}, Comparison("hle_id", "=", hle_id))
+        ) == 1
+        # (The update's own foreign-key check asks admin_users; nobody
+        # asked a key's table who holds it.)
+        assert [probe for probe in probes if probe[0] != "admin_users"] == []
+        assert sharded.route_counts == {"pruned": 0, "scatter": 3,
+                                        "broadcast": 0}
 
     def test_pruned_read_skips_non_matching_shards(self):
         single, sharded = _fresh_pair()
         _seed_users(single, sharded)
         _seed_events([single, sharded], n=40)
-        before = dict(sharded.reads_by_shard)
-        rows = sharded.execute(
-            Select("hle", where=Comparison("start_time", "<", DAY))
-        )
+        touched, rows = _reads(
+            sharded, Select("hle", where=Comparison("start_time", "<", DAY)))
         assert rows  # day one has events
-        touched = {
-            shard: count - before.get(shard, 0)
-            for shard, count in sharded.reads_by_shard.items()
-            if count != before.get(shard, 0)
-        }
         assert set(touched) == {0}
         assert sharded.route_counts["pruned"] >= 1
 
@@ -289,6 +564,46 @@ class TestDifferential:
                        ]),
                 ordered=True,
             )
+            # Selected by key: one owner answers as written (the
+            # pass-through), several merge, an unknown id is nobody's.
+            ids = rng.sample(range(1, len(rows) + 1), rng.choice([1, 1, 2, 5]))
+            if rng.random() < 0.3:
+                ids.append(404_404)
+            by_key = (Comparison("hle_id", "=", ids[0]) if len(ids) == 1
+                      else In("hle_id", ids))
+            if rng.random() < 0.5:
+                by_key = scoped_where(SCIENTIST, by_key)
+            _assert_same(
+                single, sharded,
+                Select("hle", where=by_key,
+                       columns=rng.choice([None, ["hle_id", "kind"],
+                                           ["peak_rate"]]),
+                       order_by=[(rng.choice(["hle_id", "peak_rate",
+                                              "start_time"]),
+                                  rng.choice(["asc", "desc"]))],
+                       limit=rng.choice([None, 1, 3]),
+                       offset=rng.choice([0, 1])),
+                ordered=True,
+            )
+            _assert_same(single, sharded, Select("hle", where=by_key),
+                         ordered=False)
+            _assert_same(
+                single, sharded,
+                Select("hle", where=by_key,
+                       aggregates=[
+                           Aggregate("count", "*", "n"),
+                           Aggregate("avg", "total_counts", "mean"),
+                           Aggregate("max", "peak_rate", "top"),
+                       ]),
+                ordered=True,
+            )
+            _assert_same(
+                single, sharded,
+                Select("hle", where=by_key, group_by=["kind"],
+                       aggregates=[Aggregate("count", "*", "n"),
+                                   Aggregate("sum", "total_counts", "total")]),
+                ordered=True,
+            )
 
         # Projections, GROUP BY, and the full unfiltered scan.
         _assert_same(
@@ -339,6 +654,39 @@ class TestDifferential:
             single, sharded,
             Select("ana", order_by=[("ana_id", "asc")]), ordered=True,
         )
+        # By parent key, through every clause: a parent with children, one
+        # without, several at once and one that does not exist.
+        parents = sorted({child["hle_id"]
+                          for child in single.execute(Select("ana"))})
+        childless = next(row["hle_id"] for row in rows
+                         if row["hle_id"] not in parents)
+        count = [Aggregate("count", "*", "n")]
+        for by_parent in (
+            Comparison("hle_id", "=", parents[0]),
+            Comparison("hle_id", "=", childless),
+            Comparison("hle_id", "=", 404_404),
+            In("hle_id", parents[:3]),
+            In("hle_id", [parents[-1], childless, 404_404]),
+            scoped_where(SCIENTIST, Comparison("hle_id", "=", parents[1])),
+            scoped_where(SCIENTIST, In("hle_id", parents)),
+        ):
+            for select in (
+                Select("ana", where=by_parent, order_by=[("ana_id", "desc")]),
+                Select("ana", where=by_parent, columns=["ana_id", "hle_id"],
+                       order_by=[("ana_id", "asc")], limit=2, offset=1),
+                Select("ana", where=by_parent, aggregates=count),
+                Select("ana", where=by_parent, group_by=["hle_id"],
+                       aggregates=count),
+                Select("ana", where=by_parent,
+                       join=Join("hle", "hle_id", "hle_id"),
+                       order_by=[("ana_id", "asc")]),
+                Select("ana", where=by_parent,
+                       join=Join("hle", "hle_id", "hle_id"), aggregates=count),
+                Select("hle", where=by_parent,
+                       join=Join("ana", "hle_id", "hle_id"),
+                       order_by=[("ana_id", "asc")]),
+            ):
+                _assert_same(single, sharded, select, ordered=True)
         for spec in sharded.shard_map:
             shard_db = sharded.shard_db(spec.shard_id)
             parents = {row["hle_id"] for row in shard_db.table("hle").rows()}
@@ -355,6 +703,74 @@ class TestDifferential:
         delete = Delete("hle", where=Comparison("peak_rate", "<", 100.0))
         assert sharded.execute(delete) == single.execute(delete)
         _assert_same(single, sharded, Select("hle"), ordered=False)
+        # By key: each runs on the owner alone and counts as one node would.
+        left = sorted(row["hle_id"] for row in single.execute(Select("hle")))
+        writes_before = dict(sharded.writes_by_shard)
+        for statement in (
+            Update("hle", {"kind": "one"}, Comparison("hle_id", "=", left[0])),
+            Update("hle", {"kind": "some"}, In("hle_id", left[1:6] + [404_404])),
+            Update("hle", {"kind": "none"}, Comparison("hle_id", "=", 404_404)),
+            Delete("hle", Comparison("hle_id", "=", left[0])),
+            Delete("hle", Comparison("hle_id", "=", left[0])),   # gone already
+            Delete("hle", In("hle_id", left[6:9])),
+        ):
+            assert sharded.execute(statement) == single.execute(statement), \
+                statement
+        assert sum(sharded.writes_by_shard.values()) \
+            - sum(writes_before.values()) <= 1 + 4 + 1 + 1 + 1 + 3
+        _assert_same(single, sharded, Select("hle"), ordered=False)
+        # A by-key update inside the owner's range moves nothing ...
+        keeper = single.execute(
+            Select("hle", where=Comparison("hle_id", "=", left[10])))[0]
+        nudge = Update("hle", {"start_time": keeper["start_time"] + 0.5},
+                       Comparison("hle_id", "=", left[10]))
+        assert sharded.execute(nudge) == single.execute(nudge) == 1
+        _assert_same(single, sharded, Select("hle"), ordered=False)
+        # ... and one that would leave it is still refused, rows untouched.
+        far = keeper["start_time"] + 2 * DAY
+        with pytest.raises(ShardError, match="split/rebalance"):
+            sharded.execute(Update("hle", {"start_time": far % (4 * DAY)},
+                                   Comparison("hle_id", "=", left[10])))
+        _assert_same(single, sharded, Select("hle"), ordered=False)
+
+    def test_co_partitioned_writes_by_parent_key_match_single_node(self):
+        single, sharded = _fresh_pair()
+        _seed_users(single, sharded)
+        events = _seed_events([single, sharded], n=30)
+        keys = _seed_family([single, sharded], events)
+        parents = keys["ana_parents"]
+        for statement in (
+            Update("ana", {"status": "reviewed"},
+                   Comparison("hle_id", "=", parents[0])),
+            Update("ana", {"status": "batch"}, In("hle_id", parents[1:4])),
+            Delete("ana", Comparison("hle_id", "=", parents[4])),
+            Delete("catalog_members", In("hle_id", keys["members"][:3])),
+            Delete("views", Comparison("unit_id", "=", keys["units"][0])),
+            Update("ana", {"status": "nobody"},
+                   Comparison("hle_id", "=", 404_404)),
+        ):
+            assert sharded.execute(statement) == single.execute(statement), \
+                statement
+        for table in ("ana", "catalog_members", "views"):
+            _assert_same(single, sharded, Select(table), ordered=False)
+        # Re-parenting: onto a parent of the same shard it is an update,
+        # across shards it is refused.
+        child = single.execute(Select("ana", limit=1))[0]
+        home = _owner(sharded, "hle", "hle_id", child["hle_id"])
+        same_shard = next(
+            row["hle_id"] for row in events
+            if row["hle_id"] != child["hle_id"]
+            and _owner(sharded, "hle", "hle_id", row["hle_id"]) == home)
+        elsewhere = next(
+            row["hle_id"] for row in events
+            if _owner(sharded, "hle", "hle_id", row["hle_id"]) != home)
+        by_child = Comparison("ana_id", "=", child["ana_id"])
+        move = Update("ana", {"hle_id": same_shard}, by_child)
+        assert sharded.execute(move) == single.execute(move) == 1
+        _assert_same(single, sharded, Select("ana"), ordered=False)
+        with pytest.raises(ShardError, match="re-parent"):
+            sharded.execute(Update("ana", {"hle_id": elsewhere}, by_child))
+        _assert_same(single, sharded, Select("ana"), ordered=False)
 
     def test_update_may_not_move_rows_across_shards(self):
         _single, sharded = _fresh_pair()
@@ -419,6 +835,82 @@ class TestDegradation:
         assert not isinstance(recovered, PartialResult)
         assert len(recovered) == total
 
+    def test_key_selected_reads_over_a_dead_owner_stay_typed(self):
+        sharded = self._dead_shard(breaker_cooldown_s=60.0)
+        rows = sharded.execute(Select("hle"))
+        on_0 = next(row for row in rows if row["start_time"] < DAY)
+        on_2 = next(row for row in rows
+                    if 2 * DAY <= row["start_time"] < 3 * DAY)
+        sharded.execute(Insert("ana", {
+            "ana_id": 1, "item_id": "ana:1", "hle_id": on_2["hle_id"],
+            "owner_id": 1, "algorithm": "histogram",
+        }))
+        count = [Aggregate("count", "*", "n")]
+
+        def by_id(hle_id, table="hle", **clauses):
+            return Select(table, where=Comparison("hle_id", "=", hle_id),
+                          **clauses)
+
+        injector = FaultInjector(seed=2003)
+        injector.inject("metadb.shard.2.statement", rate=1.0)
+        with use_injector(injector):
+            # While the breaker is still closed the probe finds the owner
+            # and the owner fails: degraded by name from the first read.
+            first = sharded.execute(by_id(on_2["hle_id"]))
+            assert isinstance(first, PartialResult) and first == []
+            while sharded.breakers[2].state.value != "open":
+                sharded.execute(Select("hle"))
+            rejected = sharded.obs.counter(
+                "resil.breaker.rejections", breaker=sharded.breakers[2].name)
+            rejections = rejected.value
+            before = dict(sharded.reads_by_shard)
+
+            healthy = sharded.execute(by_id(on_0["hle_id"]))
+            assert type(healthy) is list and healthy == [on_0]
+            # The open breaker was neither probed nor asked.
+            assert rejected.value == rejections
+
+            dead = sharded.execute(by_id(on_2["hle_id"]))
+            assert isinstance(dead, PartialResult) and dead == []
+            assert [m["shard_id"] for m in dead.missing_shards] == [2]
+
+            unknown = sharded.execute(by_id(404_404))
+            assert isinstance(unknown, PartialResult) and unknown == []
+            assert [m["shard_id"] for m in unknown.missing_shards] == [2]
+
+            for select in (by_id(on_2["hle_id"], aggregates=count),
+                           by_id(on_2["hle_id"], "ana", aggregates=count)):
+                counted = sharded.execute(select)
+                assert isinstance(counted, PartialResult)
+                assert list(counted) == [{"n": 0}]     # fetch_page indexes [0]
+                assert [m["shard_id"] for m in counted.missing_shards] == [2]
+
+            # An IN list: owners that answer do, the dead one is named.
+            both = sharded.execute(Select(
+                "hle", where=In("hle_id", [on_0["hle_id"], on_2["hle_id"]])))
+            assert isinstance(both, PartialResult) and list(both) == [on_0]
+            assert [m["shard_id"] for m in both.missing_shards] == [2]
+            touched = {shard for shard, n in sharded.reads_by_shard.items()
+                       if n != before.get(shard, 0)}
+            assert touched == {0}
+            assert sharded.explain_plan(by_id(404_404))["shard_route"][
+                "shards"] == [2]
+            # A write must name the one owner, so it probes every shard,
+            # open breaker or not, and fails on the dead one as before.
+            with pytest.raises(Exception):
+                sharded.execute(Update("hle", {"kind": "x"},
+                                       Comparison("hle_id", "=", on_2["hle_id"])))
+            assert sharded.execute(Update(
+                "hle", {"kind": "x"},
+                Comparison("hle_id", "=", on_0["hle_id"]))) == 1
+        strict = self._dead_shard(degraded_reads=False)
+        victim = next(row for row in strict.execute(Select("hle"))
+                      if 2 * DAY <= row["start_time"] < 3 * DAY)
+        with use_injector(injector):
+            with pytest.raises(ShardUnavailable) as excinfo:
+                strict.execute(by_id(victim["hle_id"]))
+            assert excinfo.value.shard_ids == (2,)
+
     def test_strict_mode_raises_instead_of_degrading(self):
         sharded = self._dead_shard(degraded_reads=False)
         injector = FaultInjector(seed=2003)
@@ -473,6 +965,43 @@ class TestOnlineSplit:
                 assert spec.covers(row["start_time"]), spec.describe()
         assert sharded.splits == 1
 
+    def test_key_selected_reads_follow_rows_through_a_split(self):
+        single, sharded = _fresh_pair()
+        _seed_users(single, sharded)
+        events = _seed_events([single, sharded], n=80)
+        keys = _seed_family([single, sharded], events)
+        moved = [row for row in events if DAY <= row["start_time"] < 2 * DAY]
+        assert any(row["start_time"] < 1.5 * DAY for row in moved)
+        assert any(row["start_time"] >= 1.5 * DAY for row in moved)
+        moved_parents = {row["hle_id"] for row in moved} \
+            & set(keys["ana_parents"])
+        assert moved_parents
+
+        def check_all(owner_of) -> None:
+            for row in moved:
+                by_id = Comparison("hle_id", "=", row["hle_id"])
+                touched, rows = _reads(sharded, Select("hle", where=by_id))
+                assert rows == single.execute(Select("hle", where=by_id))
+                assert [each["item_id"] for each in rows] == [row["item_id"]]
+                assert touched == {owner_of(row): 1}
+                if row["hle_id"] in moved_parents:
+                    select = Select("ana", where=by_id,
+                                    order_by=[("ana_id", "asc")])
+                    touched, rows = _reads(sharded, select)
+                    assert rows == single.execute(select) and rows
+                    assert touched == {owner_of(row): 1}
+
+        check_all(lambda row: 1)
+        low_id, high_id = sharded.split(1, 1.5 * DAY)
+        check_all(lambda row: low_id if row["start_time"] < 1.5 * DAY
+                  else high_id)
+        # Writes by key find the moved rows too.
+        victim = moved[0]["hle_id"]
+        update = Update("hle", {"kind": "moved"},
+                        Comparison("hle_id", "=", victim))
+        assert sharded.execute(update) == single.execute(update) == 1
+        _assert_same(single, sharded, Select("hle"), ordered=False)
+
     def test_split_point_must_be_inside_the_range(self):
         _single, sharded = _fresh_pair()
         with pytest.raises(ShardError, match="outside"):
@@ -500,6 +1029,31 @@ class TestOnlineSplit:
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
+        in_range = [row for row in seeded
+                    if DAY <= row["start_time"] < 2 * DAY]
+
+        def key_reader():
+            """Rows of the splitting range, by id: before, during and
+            after the cutover each one is exactly where the probe says."""
+            rng = random.Random(17)
+            try:
+                while not stop.is_set():
+                    row = rng.choice(in_range)
+                    rows = sharded.execute(Select(
+                        "hle", where=Comparison("hle_id", "=", row["hle_id"])))
+                    assert not isinstance(rows, PartialResult)
+                    assert [each["item_id"] for each in rows] == \
+                        [row["item_id"]], "lost or duplicated by id"
+                    some = rng.sample(seeded, 6)
+                    rows = sharded.execute(Select(
+                        "hle", where=In("hle_id",
+                                        [each["hle_id"] for each in some]),
+                        aggregates=[Aggregate("count", "*", "n")]))
+                    assert not isinstance(rows, PartialResult)
+                    assert rows == [{"n": 6}]
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
         def writer():
             try:
                 for index in range(60):
@@ -517,6 +1071,7 @@ class TestOnlineSplit:
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads += [threading.Thread(target=key_reader) for _ in range(2)]
         threads.append(threading.Thread(target=writer))
         for thread in threads:
             thread.start()
@@ -535,6 +1090,37 @@ class TestOnlineSplit:
             for spec in sharded.shard_map
         )
         assert per_shard == len(expected)
+
+    def test_finishing_a_transaction_twice_cannot_wedge_a_split(self):
+        """A second commit/rollback used to take the open-transaction
+        count below zero, and the next split drained forever."""
+        _single, sharded = _fresh_pair()
+        _seed_users(sharded)
+        _seed_events([sharded], n=40)
+        endings = (sharded.commit, sharded.rollback)
+        for first in endings:
+            for second in endings:
+                tx = sharded.begin()
+                sharded.execute(
+                    Update("hle", {"kind": "seen"},
+                           Comparison("start_time", "<", DAY)), tx=tx)
+                first(tx)
+                with pytest.raises(TransactionError):
+                    second(tx)
+                with pytest.raises(TransactionError):
+                    sharded.execute(Select("hle"), tx=tx)
+                with pytest.raises(TransactionError):
+                    sharded.execute(Delete("hle"), tx=tx)
+                assert sharded._open_txs == 0
+        assert len(sharded.execute(Select("hle"))) == 40
+        done = []
+        splitter = threading.Thread(
+            target=lambda: done.append(sharded.split(1, 1.5 * DAY)),
+            daemon=True)
+        splitter.start()
+        splitter.join(timeout=30)
+        assert not splitter.is_alive(), "split is waiting on a phantom transaction"
+        assert done and sharded.n_shards == 5
 
     def test_rebalance_splits_the_heaviest_shard(self):
         _single, sharded = _fresh_pair()
@@ -577,6 +1163,125 @@ class TestOnlineSplit:
         assert [spec.high for spec in reopened.shard_map] == \
             [DAY, 2 * DAY, None]
         assert len(reopened.execute(Select("hle"))) == total
+
+
+class TestConcurrentRouting:
+    def test_key_probes_never_lose_a_row_that_is_being_updated(self):
+        """Readers by id race writers re-keying the same rows' index
+        entries (an UPDATE removes and re-inserts them).  A probe that
+        read the index outside the shard's statement lock lost about one
+        read in 20 000 here; under it (``Database.holds``) every read
+        finds its row."""
+        import sys
+        import time
+
+        _single, sharded = _fresh_pair()
+        _seed_users(sharded)
+        events = _seed_events([sharded], n=40)
+        targets = [row["hle_id"] for row in events[:4]]
+        stop = threading.Event()
+        errors: list[Exception] = []
+        reads = [0]
+
+        def reader(hle_id: int):
+            select = Select("hle", where=Comparison("hle_id", "=", hle_id))
+            count = Select("hle", where=In("hle_id", targets),
+                           aggregates=[Aggregate("count", "*", "n")])
+            try:
+                while not stop.is_set():
+                    rows = sharded.execute(select)
+                    assert [row["hle_id"] for row in rows] == [hle_id]
+                    assert sharded.execute(count) == [{"n": len(targets)}]
+                    reads[0] += 1
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def writer(offset: int):
+            try:
+                turn = 0
+                while not stop.is_set():
+                    turn += 1
+                    hle_id = targets[(turn + offset) % len(targets)]
+                    assert sharded.execute(Update(
+                        "hle", {"kind": f"k{turn}"},
+                        Comparison("hle_id", "=", hle_id))) == 1
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(hle_id,))
+                   for hle_id in targets]
+        threads += [threading.Thread(target=writer, args=(offset,))
+                    for offset in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:1]
+        assert reads[0] > 0
+        assert sharded._open_txs == 0 and sharded._autocommit_writes == 0
+
+
+class TestPageRouting:
+    def test_one_hle_page_scatters_once_and_reads_each_key_from_its_owner(
+            self, tmp_path):
+        """The count pin behind the composed benchmark: of the page's
+        seven statements only the rate sweep has nothing to route by."""
+        from repro.dm import DataManager
+        from repro.filestore import DiskArchive, StorageManager
+        from repro.obs import Observability
+
+        sharded = ShardedDatabase(boundaries=BOUNDS, name="page",
+                                  replicas_per_shard=2,
+                                  obs=Observability(name="page"))
+        storage = StorageManager(scratch_dir=tmp_path / "scratch")
+        storage.register(DiskArchive("main", tmp_path / "archive"))
+        dm = DataManager(sharded, storage)
+        user = dm.users.create_user("alice", "pw", group="scientist")
+        ids = [
+            dm.semantic.insert_hle(user, {
+                key: value for key, value in row.items()
+                if key not in ("hle_id", "item_id", "owner_id")
+            })
+            for row in _event_rows(40, 2003)
+        ]
+        hle_id = ids[7]
+        sharded.execute(Insert("ana", {
+            "ana_id": 1, "item_id": "ana:1", "hle_id": hle_id,
+            "owner_id": user.user_id, "algorithm": "histogram",
+        }))
+        owner = _owner(sharded, "hle", "hle_id", hle_id)
+
+        statements = []
+        execute = sharded.execute
+
+        def spy(statement, tx=None):
+            before = dict(sharded.reads_by_shard)
+            result = execute(statement, tx=tx)
+            touched = {shard for shard, n in sharded.reads_by_shard.items()
+                       if n != before.get(shard, 0)}
+            statements.append((statement, touched))
+            return result
+
+        sharded.execute = spy
+        routes = dict(sharded.route_counts)
+        page = dm.fetch_page(user, hle_id)
+        assert page.hle["hle_id"] == hle_id and page.n_analyses == 1
+        assert len(statements) == 7
+        assert sharded.route_counts["scatter"] == routes["scatter"] + 1
+        by_key = [touched for statement, touched in statements
+                  if "hle_id" in statement.where.columns()]
+        assert by_key == [{owner}] * 4    # hle, analyses, and the two counts
+        sweep = [touched for statement, touched in statements
+                 if "peak_rate" in statement.where.columns()]
+        assert sweep == [{0, 1, 2, 3}]
 
 
 class TestShardedHedc:
