@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..dm import DataManager, DmRouter
-from ..filestore import DiskArchive, StorageManager, TapeArchive
+from ..filestore import DiskArchive, StorageManager
 from ..metadb import Comparison, Database, DatabaseApi, Select
 from ..obs import Observability
 from ..pl import (
@@ -62,7 +62,6 @@ class Hedc:
         data_dir: Union[str, Path],
         n_idl_servers: int = 1,
         persistent: bool = False,
-        with_tape: bool = False,
         obs: Optional[Observability] = None,
         shard_boundaries: Optional[Sequence[float]] = None,
         replicas_per_shard: int = 1,
@@ -105,10 +104,6 @@ class Hedc:
         storage.register(main)
         self.dm = DataManager(database, storage, node_name="dm0", obs=self.obs)
         self.dm.io.names.ensure_archive("main", str(main.root))
-        if with_tape:
-            tape = TapeArchive("tape", self.data_dir / "tape")
-            storage.register(tape)
-            self.dm.io.names.ensure_archive("tape", str(tape.root), kind="tape")
         self.directory = GlobalDirectory()
         self.routines = RoutineLibrary(self.dm)
         self.idl = IdlServerManager("server", n_servers=n_idl_servers,

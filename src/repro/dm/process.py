@@ -47,21 +47,22 @@ class LoadReport:
 class ProcessLayer:
     """Workflow engine over the I/O and semantic layers."""
 
+    #: Count-rate views are binned at this width and range-partitioned
+    #: into runs of this many bins (§6.3).
+    view_bin_s = 4.0
+    view_partition_length = 512
+
     def __init__(
         self,
         io: IoLayer,
         semantic: SemanticLayer,
         import_user: User,
         detector: Optional[EventDetector] = None,
-        view_bin_s: float = 4.0,
-        view_partition_length: int = 512,
     ):
         self.io = io
         self.semantic = semantic
         self.import_user = import_user
         self.detector = detector or EventDetector()
-        self.view_bin_s = view_bin_s
-        self.view_partition_length = view_partition_length
         self.calibration = CalibrationHistory()
         #: In-memory cache of wavelet views keyed by (unit_id, signal);
         #: the encoded bytes also live in the file store.

@@ -29,7 +29,10 @@ class NodeStats:
 class DmRouter:
     """Routes DM API calls across one or more DM nodes."""
 
-    def __init__(self, async_workers: int = 2):
+    #: Threads serving the asynchronous call queue.
+    ASYNC_WORKERS = 2
+
+    def __init__(self):
         self._nodes: list = []
         self._stats: dict[int, NodeStats] = {}
         self._round_robin = 0
@@ -37,7 +40,7 @@ class DmRouter:
         self._queue: "queue.Queue[tuple[DmCall, Future]]" = queue.Queue()
         self._workers: list[threading.Thread] = []
         self._shutdown = False
-        for worker_index in range(async_workers):
+        for worker_index in range(self.ASYNC_WORKERS):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"dm-worker-{worker_index}", daemon=True
             )

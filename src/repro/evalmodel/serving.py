@@ -1,7 +1,7 @@
 """Discrete-event model of the concurrent serving tier (PR-8).
 
-The live serving benchmark (:mod:`repro.web.loadgen` via
-``benchmarks/harness.py``) measures a real :class:`~repro.web.WebServer`;
+The live serving benchmark (:mod:`repro.web.loadgen`, driven by
+``bench/``'s ``serve_wire`` workload) measures a real :class:`~repro.web.WebServer`;
 this model predicts the same two shapes analytically, so the measured
 numbers can be sanity-checked against queueing theory:
 

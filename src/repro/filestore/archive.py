@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import shutil
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -194,15 +193,13 @@ class TapeArchive(Archive):
     """Near-line storage: items must be staged to disk before access.
 
     ``retrieve``/``local_path`` raise :class:`NotStaged` unless the item
-    has been staged; ``stage_latency_s`` simulates robot mount time (kept
-    tiny by default so tests stay fast, but measurable for benches).
+    has been staged.
     """
 
     kind = ArchiveKind.TAPE
 
-    def __init__(self, archive_id: str, root, capacity_bytes=None, stage_latency_s: float = 0.0):
+    def __init__(self, archive_id: str, root, capacity_bytes=None):
         super().__init__(archive_id, root, capacity_bytes)
-        self.stage_latency_s = stage_latency_s
         self._staged: set[str] = set()
         self.stages = 0
 
@@ -212,8 +209,6 @@ class TapeArchive(Archive):
             raise ArchiveError(f"{self.archive_id}:{rel_path} not found")
         if rel_path in self._staged:
             return
-        if self.stage_latency_s > 0:
-            time.sleep(self.stage_latency_s)
         self._staged.add(rel_path)
         self.stages += 1
 
@@ -239,11 +234,3 @@ class RemoteArchive(Archive):
 
     kind = ArchiveKind.REMOTE
 
-    def __init__(self, archive_id: str, root, capacity_bytes=None, access_latency_s: float = 0.0):
-        super().__init__(archive_id, root, capacity_bytes)
-        self.access_latency_s = access_latency_s
-
-    def retrieve(self, rel_path: str) -> bytes:
-        if self.access_latency_s > 0:
-            time.sleep(self.access_latency_s)
-        return super().retrieve(rel_path)

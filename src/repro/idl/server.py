@@ -58,14 +58,12 @@ class IdlServer:
         self,
         name: str = "idl0",
         step_budget: int = 5_000_000,
-        default_timeout_s: Optional[float] = None,
         fault_hook: Optional[Callable[[], None]] = None,
         on_start: Optional[Callable[[Interpreter], None]] = None,
         obs: Optional[Observability] = None,
     ):
         self.name = name
         self.step_budget = step_budget
-        self.default_timeout_s = default_timeout_s
         self.fault_hook = fault_hook
         self.obs = resolve_obs(obs)
         #: Called with the fresh interpreter on every (re)start — the PL
@@ -142,7 +140,7 @@ class IdlServer:
                 raise IdlServerError(f"server {self.name} is {self.state.value}")
             self.state = ServerState.BUSY
         interpreter = self._interpreter
-        interpreter.deadline_s = timeout_s if timeout_s is not None else self.default_timeout_s
+        interpreter.deadline_s = timeout_s
         interpreter.printed = []
         self.invocations += 1
         try:

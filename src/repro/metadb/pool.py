@@ -173,21 +173,20 @@ class ConnectionPool:
 class PoolSet:
     """The DM's three-way pool split (queries / updates / authentication)."""
 
+    QUERY_SIZE, UPDATE_SIZE, AUTH_SIZE = 16, 4, 2
+
     def __init__(
         self,
         database: Database,
-        query_size: int = 16,
-        update_size: int = 4,
-        auth_size: int = 2,
         open_cost_s: float = 0.0,
         obs: Optional[Observability] = None,
     ):
         obs = resolve_obs(obs)
-        self.queries = ConnectionPool(database, query_size, open_cost_s,
+        self.queries = ConnectionPool(database, self.QUERY_SIZE, open_cost_s,
                                       name="queries", obs=obs)
-        self.updates = ConnectionPool(database, update_size, open_cost_s,
+        self.updates = ConnectionPool(database, self.UPDATE_SIZE, open_cost_s,
                                       name="updates", obs=obs)
-        self.auth = ConnectionPool(database, auth_size, open_cost_s,
+        self.auth = ConnectionPool(database, self.AUTH_SIZE, open_cost_s,
                                    name="auth", obs=obs)
 
     def close(self) -> None:

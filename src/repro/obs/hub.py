@@ -79,12 +79,11 @@ class Observability:
     until started; owns no thread while stopped).
     """
 
-    def __init__(self, enabled: bool = False, max_finished_spans: int = 256,
-                 name: str = "obs"):
+    def __init__(self, enabled: bool = False, name: str = "obs"):
         self.name = name
         self.enabled = enabled
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(max_finished=max_finished_spans, name=name)
+        self.tracer = Tracer(name=name)
         self.events = EventLog()
         self.slowlog = SlowLog()
         self.profiler = SamplingProfiler()

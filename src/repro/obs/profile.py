@@ -33,13 +33,14 @@ def _frame_label(frame) -> str:
 class SamplingProfiler:
     """Aggregating ``sys._current_frames()`` sampler (default off)."""
 
-    def __init__(self, hz: float = 97.0, max_stacks: int = 10_000,
-                 max_depth: int = 128):
+    #: Bounds on what one run retains: distinct stacks, frames a stack.
+    max_stacks = 10_000
+    max_depth = 128
+
+    def __init__(self, hz: float = 97.0):
         if hz <= 0:
             raise ValueError("sampling rate must be positive")
         self.hz = hz
-        self.max_stacks = max_stacks
-        self.max_depth = max_depth
         self.samples = 0
         self._stacks: Counter[tuple[str, ...]] = Counter()
         self._lock = threading.Lock()

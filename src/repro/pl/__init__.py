@@ -12,13 +12,11 @@ from .requests import (
     AnalysisRequest,
     AnalysisStrategy,
     ExecutionPlan,
-    HistogramStrategy,
-    ImagingStrategy,
-    LightcurveStrategy,
+    ParameterError,
     Phase,
     RequestCancelled,
     RequestFailed,
-    SpectrogramStrategy,
+    RoutineStrategy,
     StrategyContext,
 )
 
@@ -33,20 +31,18 @@ __all__ = [
     "ExecutionPlan",
     "Frontend",
     "GlobalDirectory",
-    "HistogramStrategy",
     "IdlServerManager",
-    "ImagingStrategy",
-    "LightcurveStrategy",
     "NoServerAvailable",
+    "ParameterError",
     "Phase",
     "RequestCancelled",
     "RequestFailed",
     "Routine",
     "RoutineLibrary",
     "RoutineRejected",
+    "RoutineStrategy",
     "ServiceRecord",
     "UserRoutineStrategy",
-    "SpectrogramStrategy",
     "StrategyContext",
     "UnknownRequestType",
 ]

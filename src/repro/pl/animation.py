@@ -14,7 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis import AnalysisProduct, back_projection, render_pgm
+from ..analysis import IMAGING, AnalysisProduct, back_projection, render_pgm
+from ..analysis.routine_table import Parameter
 from .requests import AnalysisRequest, AnalysisStrategy, RequestFailed, StrategyContext
 
 
@@ -22,16 +23,21 @@ class AnimationStrategy(AnalysisStrategy):
     """Back-projection movie: one frame per time slice of the event."""
 
     algorithm = "animation"
+    parameters = (
+        Parameter("n_frames", int, 6, minimum=2, maximum=32, degrade_cap=2),
+        Parameter("n_pixels", int, 16, minimum=4, maximum=128, degrade_cap=16),
+    )
+    #: The frames share the event's photons: one imaging run's worth.
+    cost = IMAGING
 
     def execute(self, request: AnalysisRequest, context: StrategyContext) -> list[np.ndarray]:
         hle = context.fetch_hle(request.user, request.hle_id)
         request.hle_row = hle
+        request.arguments = self.resolve(request.parameters, hle)
+        n_frames = request.arguments["n_frames"]
+        n_pixels = request.arguments["n_pixels"]
         photons = context.load_photons_for(hle)
         context.check_existing(request.user, request.hle_id, self.algorithm)
-        n_frames = int(request.parameters.get("n_frames", 6))
-        n_pixels = int(request.parameters.get("n_pixels", 16))
-        if n_frames < 2:
-            raise RequestFailed("an animation needs at least 2 frames")
         if len(photons) == 0:
             raise RequestFailed("no photons in the event window")
         center = (

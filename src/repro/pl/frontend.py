@@ -47,13 +47,9 @@ class Frontend:
     #: approximation instead of blowing the budget mid-computation.
     degrade_fraction = 0.5
 
-    #: Resolution caps applied to a degraded request's parameters.
-    degraded_parameters = {
-        "n_pixels": 16,
-        "n_bins": 16,
-        "n_energy_bins": 8,
-        "n_frames": 1,
-    }
+    #: The paper's processing tests keep "no more than 20 requests in the
+    #: system at any given time".
+    max_in_flight = 20
 
     def __init__(
         self,
@@ -61,10 +57,8 @@ class Frontend:
         idl_manager: IdlServerManager,
         directory: Optional[GlobalDirectory] = None,
         node_name: str = "server",
-        max_in_flight: int = 20,
         n_workers: int = 0,
         obs: Optional[Observability] = None,
-        product_cache: Optional[ProductCache] = None,
         cache_products: bool = True,
     ):
         self.dm = dm
@@ -73,19 +67,14 @@ class Frontend:
         #: served in O(lookup) with zero IDL invocations (§3.5, §5.3).
         #: ``cache_products=False`` gives an uncached frontend (workload
         #: characterization runs that must exercise the full pipeline).
-        if cache_products:
-            self.product_cache: Optional[ProductCache] = (
-                product_cache if product_cache is not None
-                else ProductCache(dm, obs=self.obs)
-            )
-        else:
-            self.product_cache = None
+        self.product_cache: Optional[ProductCache] = (
+            ProductCache(dm, obs=self.obs) if cache_products else None
+        )
         self.context = StrategyContext(dm, idl_manager, node_name=node_name)
         self.directory = directory or GlobalDirectory()
         self.directory.register(f"frontend:{node_name}", "frontend", node_name)
         self.strategies: dict[str, AnalysisStrategy] = dict(DEFAULT_STRATEGIES)
         self.strategies[AnimationStrategy.algorithm] = AnimationStrategy()
-        self.max_in_flight = max_in_flight
         self._queue: list[
             tuple[int, int, AnalysisRequest, Optional[contextvars.Context]]
         ] = []
@@ -110,17 +99,17 @@ class Frontend:
         §5.1: "defining the strategy that extends the existing framework")."""
         self.strategies[strategy.algorithm] = strategy
 
-    def _strategy_for(self, request: AnalysisRequest) -> AnalysisStrategy:
-        strategy = self.strategies.get(request.algorithm)
+    def strategy_for(self, algorithm: str) -> AnalysisStrategy:
+        strategy = self.strategies.get(algorithm)
         if strategy is None:
-            raise UnknownRequestType(request.algorithm)
+            raise UnknownRequestType(algorithm)
         return strategy
 
     # -- synchronous path ---------------------------------------------------------
 
     def estimate(self, request: AnalysisRequest) -> AnalysisRequest:
         """Run only the estimation phase; returns immediately."""
-        strategy = self._strategy_for(request)
+        strategy = self.strategy_for(request.algorithm)
         request.plan = strategy.estimate(request, self.context)
         request.phase = Phase.ESTIMATED
         return request
@@ -206,7 +195,7 @@ class Frontend:
         return request
 
     def _run_phases(self, request: AnalysisRequest, estimate: bool) -> AnalysisRequest:
-        strategy = self._strategy_for(request)
+        strategy = self.strategy_for(request.algorithm)
         try:
             if estimate:
                 request.check_cancelled()
@@ -215,7 +204,7 @@ class Frontend:
                 if not request.plan.feasible:
                     raise RequestFailed(f"infeasible: {request.plan.reason}")
             request.check_cancelled()
-            self._maybe_degrade(request)
+            self._maybe_degrade(request, strategy)
             request.raw_result = strategy.execute(request, self.context)
             request.phase = Phase.EXECUTED
             request.check_cancelled()
@@ -235,13 +224,15 @@ class Frontend:
         self.completed.append(request)
         return request
 
-    def _maybe_degrade(self, request: AnalysisRequest) -> None:
+    def _maybe_degrade(self, request: AnalysisRequest,
+                       strategy: AnalysisStrategy) -> None:
         """Graceful degradation against the ambient :class:`Deadline`.
 
         A blown budget fails fast (the raise is caught by the phase
         runner, producing a FAILED request).  A nearly-spent budget caps
-        the resolution parameters to a cheap approximation and marks the
-        result ``degraded`` so the client can see it got the fallback.
+        the strategy's declared parameters at their degrade caps, a
+        cheap approximation, and marks the result ``degraded`` so the
+        client can see it got the fallback.
         """
         deadline = Deadline.current()
         if deadline is None:
@@ -249,10 +240,11 @@ class Frontend:
         deadline.check(f"pl.execute({request.algorithm})")
         if deadline.fraction_remaining() >= self.degrade_fraction:
             return
-        for parameter, cap in self.degraded_parameters.items():
-            value = request.parameters.get(parameter)
-            if isinstance(value, int) and value > cap:
-                request.parameters[parameter] = cap
+        for parameter in strategy.parameters:
+            cap = parameter.degrade_cap
+            value = request.parameters.get(parameter.name)
+            if cap is not None and isinstance(value, int) and value > cap:
+                request.parameters[parameter.name] = cap
         request.parameters["degraded"] = True
         self.obs.count("pl.degraded", algorithm=request.algorithm)
 

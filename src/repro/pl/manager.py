@@ -41,11 +41,9 @@ class IdlServerManager:
         node_name: str = "server",
         n_servers: int = 1,
         directory: Optional[GlobalDirectory] = None,
-        default_timeout_s: Optional[float] = None,
         fault_hook: Optional[Callable[[], None]] = None,
         routine_library=None,
         obs: Optional[Observability] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
     ):
         if n_servers < 1:
@@ -54,7 +52,7 @@ class IdlServerManager:
         self.obs = resolve_obs(obs)
         #: Backoff/classification for crash-retried invocations; the
         #: per-call ``retries`` argument overrides ``max_attempts``.
-        self.retry_policy = retry_policy or RetryPolicy(
+        self.retry_policy = RetryPolicy(
             max_attempts=2,
             base_delay_s=0.0,
             jitter=0.0,
@@ -83,7 +81,6 @@ class IdlServerManager:
         self._servers = [
             IdlServer(
                 name=f"{node_name}/idl{index}",
-                default_timeout_s=default_timeout_s,
                 fault_hook=fault_hook,
                 on_start=on_start,
                 obs=self.obs,

@@ -29,17 +29,14 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from ..analysis import (
-    AnalysisProduct,
-    predict as predict_cost,
-    render_pgm,
-    render_series_pgm,
-)
-from ..metadb import Comparison, Insert, Select
+from ..analysis import SERVER_SPEED_FACTOR, AnalysisProduct, CostModel
+from ..analysis.routine_table import ROUTINES, Parameter, Routine
+from ..analysis.routine_table import ParameterError as ParameterError  # what parse() raises
+from ..metadb import Insert
 from ..rhessi import PhotonList
 from ..security import User
 from .manager import IdlServerManager
@@ -91,6 +88,9 @@ class AnalysisRequest:
     phase: Phase = Phase.CREATED
     plan: Optional[ExecutionPlan] = None
     hle_row: Optional[dict] = None
+    #: The strategy's declared parameters as it ran them: given values
+    #: checked and typed, defaults filled in.
+    arguments: dict[str, Any] = field(default_factory=dict, init=False)
     raw_result: Any = None
     product: Optional[AnalysisProduct] = None
     ana_id: Optional[int] = None
@@ -191,23 +191,44 @@ class AnalysisStrategy:
 
     algorithm = "abstract"
 
-    #: IDL source template run in the execution phase; strategies fill in
-    #: parameters.  The PL ships source to the IDL server — the server
-    #: knows nothing about request types.
-    idl_template = ""
+    #: The parameters a request may carry: what ``/hedc/analyze`` parses,
+    #: what the execution phase runs with, where the degrade caps live.
+    parameters: tuple[Parameter, ...] = ()
+
+    #: The estimation phase's predictor; a strategy without one cannot
+    #: be estimated.
+    cost: Optional[CostModel] = None
 
     #: Requests predicted to run longer than this are declared infeasible
     #: at estimation time (the §5.1 feasibility check); interactive users
     #: should use an approximated view instead (§6.3).
     max_predicted_seconds: float = 3600.0
 
+    def parse(self, given: Mapping[str, Any]) -> dict[str, Any]:
+        """The declared parameters among ``given`` (URL text or Python
+        values), checked and typed; raises :class:`ParameterError`."""
+        values = {}
+        for parameter in self.parameters:
+            if parameter.name in given:
+                values[parameter.name] = parameter.check(given[parameter.name])
+        return values
+
+    def resolve(self, given: Mapping[str, Any], hle: dict) -> dict[str, Any]:
+        """Every declared parameter: :meth:`parse` plus the defaults."""
+        values = self.parse(given)
+        for parameter in self.parameters:
+            values.setdefault(parameter.name, parameter.default_for(hle))
+        return values
+
     def estimate(self, request: AnalysisRequest, context: StrategyContext) -> ExecutionPlan:
+        if self.cost is None:
+            raise RequestFailed(f"no cost model for algorithm {self.algorithm!r}")
         hle = context.fetch_hle(request.user, request.hle_id)
         # Rough input size: photon records are 14 bytes (8 time + 4 energy
         # + 2 detector).
         n_photons = hle.get("total_counts") or 10_000
         input_mb = n_photons * 14 / 1e6
-        predicted = predict_cost(self.algorithm, input_mb, on_server=True)
+        predicted = self.cost.predict(input_mb, speed_factor=SERVER_SPEED_FACTOR)
         feasible = True
         reason = ""
         if context.idl.n_available == 0 and context.idl.n_servers == 0:
@@ -262,183 +283,59 @@ class AnalysisStrategy:
         request.product = None
 
 
-class ImagingStrategy(AnalysisStrategy):
-    """Back-projection imaging via the IDL server's ``hsi_image``."""
+def idl_literal(value: Any) -> str:
+    """IDL source for one checked parameter value."""
+    return f"'{value}'" if isinstance(value, str) else repr(value)
 
-    algorithm = "imaging"
+
+class RoutineStrategy(AnalysisStrategy):
+    """The strategy of one row of the analysis routine table: the row
+    says what is called and what becomes of the result, this class how a
+    request travels through the phases."""
+
+    def __init__(self, routine: Routine):
+        self.routine = routine
+        self.algorithm = routine.name
+        self.label = routine.label or routine.name
+        self.parameters = routine.parameters
+        self.cost = routine.cost
 
     def execute(self, request: AnalysisRequest, context: StrategyContext) -> np.ndarray:
+        routine = self.routine
         hle = context.fetch_hle(request.user, request.hle_id)
         request.hle_row = hle
+        request.arguments = self.resolve(request.parameters, hle)
         photons = context.load_photons_for(hle)
         existing = context.check_existing(request.user, request.hle_id, self.algorithm)
-        if existing is not None and not request.parameters.get("force", False):
+        if (routine.reuse_hint and existing is not None
+                and not request.parameters.get("force", False)):
             request.parameters["reused_ana_id"] = existing["ana_id"]
-        n_pixels = int(request.parameters.get("n_pixels", 32))
-        extent = float(request.parameters.get("extent_arcsec", 2048.0))
-        center_x = float(request.parameters.get("center_x", hle.get("position_x_arcsec") or 0.0))
-        center_y = float(request.parameters.get("center_y", hle.get("position_y_arcsec") or 0.0))
-        source = (
-            f"img = hsi_image({n_pixels}, {extent}, {center_x}, {center_y})\n"
-            "img"
+        arguments = routine.bound + tuple(
+            idl_literal(request.arguments[parameter.name])
+            for parameter in routine.parameters
         )
-        result = context.idl.invoke(source, photons=photons)
-        if not result.ok:
-            raise RequestFailed(f"imaging failed: {result.error}")
-        request.parameters["n_photons_used"] = len(photons)
-        return result.value
-
-    def deliver(self, request: AnalysisRequest, context: StrategyContext) -> AnalysisProduct:
-        image = request.raw_result
-        product = AnalysisProduct(self.algorithm, dict(request.parameters))
-        product.add_image(render_pgm(image))
-        product.summary = {
-            "peak_value": float(image.max()),
-            "n_pixels": int(image.shape[0]),
-        }
-        product.log(f"imaging {request.request_id}: {image.shape} image")
-        return product
-
-    def commit_fields(self, request: AnalysisRequest, hle: dict) -> dict:
-        fields = super().commit_fields(request, hle)
-        image = request.raw_result
-        fields.update(
-            {
-                "n_pixels": int(image.shape[0]),
-                "extent_arcsec": float(request.parameters.get("extent_arcsec", 2048.0)),
-                "peak_value": float(image.max()),
-                "n_photons_used": request.parameters.get("n_photons_used"),
-            }
-        )
-        return fields
-
-
-class LightcurveStrategy(AnalysisStrategy):
-    algorithm = "lightcurve"
-
-    def execute(self, request: AnalysisRequest, context: StrategyContext) -> np.ndarray:
-        hle = context.fetch_hle(request.user, request.hle_id)
-        request.hle_row = hle
-        photons = context.load_photons_for(hle)
-        context.check_existing(request.user, request.hle_id, self.algorithm)
-        bin_width = float(request.parameters.get("bin_width_s", 4.0))
         result = context.idl.invoke(
-            f"rates = hsi_lightcurve({bin_width})\nrates", photons=photons
+            f"result = {routine.function}({', '.join(arguments)})\nresult",
+            photons=photons,
         )
         if not result.ok:
-            raise RequestFailed(f"lightcurve failed: {result.error}")
+            raise RequestFailed(f"{self.label} failed: {result.error}")
         request.parameters["n_photons_used"] = len(photons)
-        return result.value
+        return np.asarray(result.value, dtype=float)
 
     def deliver(self, request: AnalysisRequest, context: StrategyContext) -> AnalysisProduct:
-        rates = np.asarray(request.raw_result, dtype=float)
+        routine, result = self.routine, request.raw_result
         product = AnalysisProduct(self.algorithm, dict(request.parameters))
-        product.add_image(render_series_pgm(rates))
-        product.summary = {"peak_rate": float(rates.max()) if len(rates) else 0.0,
-                           "n_bins": int(len(rates))}
-        product.log(f"lightcurve {request.request_id}: {len(rates)} bins")
+        product.add_image(routine.render(result))
+        product.summary = routine.summary(result)
+        product.log(f"{self.label} {request.request_id}: {routine.describe(result)}")
         return product
 
     def commit_fields(self, request: AnalysisRequest, hle: dict) -> dict:
         fields = super().commit_fields(request, hle)
-        rates = np.asarray(request.raw_result, dtype=float)
-        fields.update(
-            {
-                "time_bin_s": float(request.parameters.get("bin_width_s", 4.0)),
-                "peak_value": float(rates.max()) if len(rates) else 0.0,
-                "n_bins": int(len(rates)),
-                "n_photons_used": request.parameters.get("n_photons_used"),
-            }
-        )
+        fields.update(self.routine.fields(request.raw_result, request.arguments))
+        fields["n_photons_used"] = request.parameters.get("n_photons_used")
         return fields
 
 
-class SpectrogramStrategy(AnalysisStrategy):
-    algorithm = "spectroscopy"
-
-    def execute(self, request: AnalysisRequest, context: StrategyContext) -> np.ndarray:
-        hle = context.fetch_hle(request.user, request.hle_id)
-        request.hle_row = hle
-        photons = context.load_photons_for(hle)
-        context.check_existing(request.user, request.hle_id, self.algorithm)
-        time_bin = float(request.parameters.get("time_bin_s", 4.0))
-        n_energy = int(request.parameters.get("n_energy_bins", 32))
-        result = context.idl.invoke(
-            f"sg = hsi_spectrogram({time_bin}, {n_energy})\nsg", photons=photons
-        )
-        if not result.ok:
-            raise RequestFailed(f"spectrogram failed: {result.error}")
-        request.parameters["n_photons_used"] = len(photons)
-        return result.value
-
-    def deliver(self, request: AnalysisRequest, context: StrategyContext) -> AnalysisProduct:
-        counts = np.asarray(request.raw_result, dtype=float)
-        product = AnalysisProduct(self.algorithm, dict(request.parameters))
-        product.add_image(render_pgm(np.log1p(counts)))
-        product.summary = {"total_counts": int(counts.sum()), "shape": list(counts.shape)}
-        product.log(f"spectrogram {request.request_id}: shape {counts.shape}")
-        return product
-
-    def commit_fields(self, request: AnalysisRequest, hle: dict) -> dict:
-        fields = super().commit_fields(request, hle)
-        counts = np.asarray(request.raw_result, dtype=float)
-        fields.update(
-            {
-                "time_bin_s": float(request.parameters.get("time_bin_s", 4.0)),
-                "n_energy_bins": int(request.parameters.get("n_energy_bins", 32)),
-                "total_counts": int(counts.sum()),
-                "n_photons_used": request.parameters.get("n_photons_used"),
-            }
-        )
-        return fields
-
-
-class HistogramStrategy(AnalysisStrategy):
-    algorithm = "histogram"
-
-    def execute(self, request: AnalysisRequest, context: StrategyContext) -> np.ndarray:
-        hle = context.fetch_hle(request.user, request.hle_id)
-        request.hle_row = hle
-        photons = context.load_photons_for(hle)
-        context.check_existing(request.user, request.hle_id, self.algorithm)
-        attribute = request.parameters.get("attribute", "energy")
-        n_bins = int(request.parameters.get("n_bins", 64))
-        result = context.idl.invoke(
-            f"h = hsi_histogram('{attribute}', {n_bins})\nh", photons=photons
-        )
-        if not result.ok:
-            raise RequestFailed(f"histogram failed: {result.error}")
-        request.parameters["n_photons_used"] = len(photons)
-        return result.value
-
-    def deliver(self, request: AnalysisRequest, context: StrategyContext) -> AnalysisProduct:
-        counts = np.asarray(request.raw_result, dtype=float)
-        product = AnalysisProduct(self.algorithm, dict(request.parameters))
-        product.add_image(render_series_pgm(counts))
-        product.summary = {"total": int(counts.sum()), "n_bins": int(len(counts))}
-        product.log(f"histogram {request.request_id}: {len(counts)} bins")
-        return product
-
-    def commit_fields(self, request: AnalysisRequest, hle: dict) -> dict:
-        fields = super().commit_fields(request, hle)
-        counts = np.asarray(request.raw_result, dtype=float)
-        fields.update(
-            {
-                "attribute": request.parameters.get("attribute", "energy"),
-                "n_bins": int(len(counts)),
-                "total_counts": int(counts.sum()),
-                "n_photons_used": request.parameters.get("n_photons_used"),
-            }
-        )
-        return fields
-
-
-DEFAULT_STRATEGIES = {
-    strategy.algorithm: strategy
-    for strategy in (
-        ImagingStrategy(),
-        LightcurveStrategy(),
-        SpectrogramStrategy(),
-        HistogramStrategy(),
-    )
-}
+DEFAULT_STRATEGIES = {routine.name: RoutineStrategy(routine) for routine in ROUTINES}

@@ -14,17 +14,23 @@ halting anything.
 
 from __future__ import annotations
 
-import time
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ..analysis import HISTOGRAM, AnalysisProduct, render_series_pgm
+from ..analysis.routine_table import ParameterError
 from ..idl import IdlResourceError, IdlRuntimeError, IdlSyntaxError, Interpreter
 from ..idl.ast_nodes import ProcedureDef
 from ..idl.parser import parse as parse_idl
 from ..metadb import Aggregate, Comparison, Insert, Select, Update
 from ..security import User, check_right
+from .requests import AnalysisStrategy, RequestFailed
+
+#: What the IDL lexer takes as a name.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9$]*")
 
 #: Step budget for validation runs: user code must terminate quickly on
 #: the smoke input or it is rejected outright.
@@ -183,7 +189,7 @@ class RoutineLibrary:
         return count
 
 
-class UserRoutineStrategy:
+class UserRoutineStrategy(AnalysisStrategy):
     """Runs a published user routine over an event's photons.
 
     A thin strategy (§5.1) so user-submitted routines slot into the same
@@ -193,23 +199,25 @@ class UserRoutineStrategy:
     """
 
     algorithm = "user_routine"
+    #: Unknown code over one photon column: priced like the histogram,
+    #: the built-in of that shape.
+    cost = HISTOGRAM
 
-    def estimate(self, request, context):
-        from .requests import AnalysisStrategy
-
-        return AnalysisStrategy.estimate(self, request, context)
+    def parse(self, given):
+        """``routine`` names code, not a value: it must be an IDL
+        identifier, since it is written into the source that runs."""
+        name = given.get("routine")
+        if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
+            raise ParameterError("parameter 'routine' must be the name of a routine")
+        return {"routine": name.lower()}
 
     def execute(self, request, context):
-        from .requests import RequestFailed
-
-        routine_name = request.parameters.get("routine")
-        if not routine_name:
-            raise RequestFailed("parameter 'routine' is required")
+        routine_name = self.parse(request.parameters)["routine"]
         hle = context.fetch_hle(request.user, request.hle_id)
         request.hle_row = hle
         photons = context.load_photons_for(hle)
         context.check_existing(request.user, request.hle_id, self.algorithm)
-        source = f"result = {routine_name.lower()}(ph_energies)\nresult"
+        source = f"result = {routine_name}(ph_energies)\nresult"
         outcome = context.idl.invoke(source, photons=photons)
         if not outcome.ok:
             raise RequestFailed(f"user routine failed: {outcome.error}")
@@ -217,8 +225,6 @@ class UserRoutineStrategy:
         return outcome.value
 
     def deliver(self, request, context):
-        from ..analysis import AnalysisProduct, render_series_pgm
-
         value = request.raw_result
         product = AnalysisProduct(self.algorithm, dict(request.parameters))
         series = np.atleast_1d(np.asarray(value, dtype=float))
@@ -228,19 +234,8 @@ class UserRoutineStrategy:
         product.log(f"user routine {request.parameters.get('routine')!r}")
         return product
 
-    def commit(self, request, context):
-        from .requests import AnalysisStrategy
-
-        return AnalysisStrategy.commit(self, request, context)
-
     def commit_fields(self, request, hle):
-        from .requests import AnalysisStrategy
-
-        fields = AnalysisStrategy.commit_fields(self, request, hle)
+        fields = super().commit_fields(request, hle)
         fields["notes"] = f"user routine: {request.parameters.get('routine')}"
         fields["n_photons_used"] = request.parameters.get("n_photons_used")
         return fields
-
-    def cleanup(self, request, context):
-        request.raw_result = None
-        request.product = None

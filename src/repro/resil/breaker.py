@@ -8,9 +8,8 @@ Classic three-state machine over a sliding outcome window:
 * **open** — calls are rejected immediately with :class:`BreakerOpen`
   (callers shed load / fail over instead of queueing on a dead
   dependency).  After ``cooldown_s`` the breaker moves to half-open.
-* **half-open** — up to ``half_open_probes`` trial calls are admitted;
-  one success closes the breaker, one failure re-opens it for another
-  cooldown.
+* **half-open** — one trial call at a time is admitted; one success
+  closes the breaker, one failure re-opens it for another cooldown.
 
 State is exported to ``repro.obs`` as a gauge (0 closed, 1 open, 2
 half-open) plus a ``resil.breaker.trips`` counter, and every breaker
@@ -76,7 +75,6 @@ class CircuitBreaker:
         min_calls: int = 5,
         failure_rate: float = 0.5,
         cooldown_s: float = 5.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
         obs: Optional[Observability] = None,
     ):
@@ -89,7 +87,6 @@ class CircuitBreaker:
         self.min_calls = min_calls
         self.failure_rate = failure_rate
         self.cooldown_s = cooldown_s
-        self.half_open_probes = half_open_probes
         self.obs = resolve_obs(obs)
         self._clock = clock
         self._lock = threading.Lock()
@@ -173,7 +170,7 @@ class CircuitBreaker:
             if self._state is BreakerState.OPEN:
                 self._reject_counter.inc()
                 return False
-            if self._probes_in_flight < self.half_open_probes:
+            if self._probes_in_flight < 1:
                 self._probes_in_flight += 1
                 return True
             self._reject_counter.inc()

@@ -3,8 +3,8 @@
 The paper's frontend already bounds the number of in-flight analysis
 requests ("no more than 20 requests in the system at any given time",
 §7.1); a :class:`Bulkhead` generalises that idea so any component can cap
-the concurrency it admits and shed the excess immediately (or after a
-bounded wait) instead of queueing without limit.
+the concurrency it admits and shed the excess immediately instead of
+queueing without limit.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ class Bulkhead:
         self,
         name: str = "bulkhead",
         max_concurrent: int = 8,
-        max_wait_s: float = 0.0,
         obs: Optional[Observability] = None,
     ):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.name = name
         self.max_concurrent = max_concurrent
-        self.max_wait_s = max_wait_s
         self.obs = resolve_obs(obs)
         self._semaphore = threading.BoundedSemaphore(max_concurrent)
         self._in_use = 0
@@ -55,11 +53,7 @@ class Bulkhead:
             return self._in_use
 
     def acquire(self) -> None:
-        if self.max_wait_s > 0:
-            acquired = self._semaphore.acquire(timeout=self.max_wait_s)
-        else:
-            acquired = self._semaphore.acquire(blocking=False)
-        if not acquired:
+        if not self._semaphore.acquire(blocking=False):
             self._shed_counter.inc()
             raise BulkheadFull(self.name, self.max_concurrent)
         with self._lock:

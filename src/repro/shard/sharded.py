@@ -141,6 +141,10 @@ class _ShardedTransaction:
 class ShardedDatabase:
     """Time-partitioned shards behind the standard database interface."""
 
+    #: Staleness contract of every shard's replica group, in committed
+    #: transactions: 0 is read-your-writes from whichever copy answers.
+    REPLICA_MAX_LAG = 0
+
     def __init__(
         self,
         boundaries: Sequence[float] = (),
@@ -151,7 +155,6 @@ class ShardedDatabase:
         breaker_cooldown_s: float = 5.0,
         degraded_reads: bool = True,
         replicas_per_shard: int = 1,
-        replica_max_lag: int = 0,
     ):
         self.name = name
         self.obs = resolve_obs(obs)
@@ -162,7 +165,6 @@ class ShardedDatabase:
         if replicas_per_shard < 1:
             raise ShardError("replicas_per_shard must be >= 1")
         self.replicas_per_shard = replicas_per_shard
-        self.replica_max_lag = replica_max_lag
         self.stats = DatabaseStats()
         self.breakers: dict[int, CircuitBreaker] = {}
         # Write/begin gate an online split closes briefly during cutover.
@@ -219,7 +221,7 @@ class ShardedDatabase:
                 name=f"{self.name}-s{shard_id}",
                 n_replicas=self.replicas_per_shard - 1,
                 obs=self.obs,
-                max_lag=self.replica_max_lag,
+                max_lag=self.REPLICA_MAX_LAG,
                 breaker_cooldown_s=self.breaker_cooldown_s,
                 fault_scope=f"metadb.shard.{shard_id}",
             )
@@ -876,7 +878,7 @@ class ShardedDatabase:
             return None
         return {
             "replicas_per_shard": self.replicas_per_shard,
-            "max_lag": self.replica_max_lag,
+            "max_lag": self.REPLICA_MAX_LAG,
             "per_shard": {
                 entry["shard_id"]: entry["replicas"] for entry in shard["shards"]
             },

@@ -52,7 +52,6 @@ class StreamCorder:
         user: User,
         workdir: Union[str, Path],
         cache_strategy: str = "static",
-        n_job_workers: int = 1,
         obs: Optional[Observability] = None,
     ):
         if cache_strategy not in ("static", "clone"):
@@ -79,10 +78,8 @@ class StreamCorder:
         self._fetch_flight = SingleFlight(obs=self.obs)
         self.downloads = 0
         self.bytes_downloaded = 0
-        for worker_index in range(n_job_workers):
-            threading.Thread(
-                target=self._job_loop, name=f"sc-job-{worker_index}", daemon=True
-            ).start()
+        # One background job at a time: the client is one user's desktop.
+        threading.Thread(target=self._job_loop, name="sc-job-0", daemon=True).start()
 
     # -- data access with caching -----------------------------------------------
 

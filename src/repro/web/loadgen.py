@@ -310,7 +310,7 @@ class LoadResult:
     def timeline(self, bucket_s: float = 0.25) -> dict[str, list[dict[str, Any]]]:
         """Per-class behavior over time: completions bucketed into
         ``bucket_s`` slices, each with goodput and latency quantiles —
-        what BENCH_serving.json plots and the TSDB tests feed on."""
+        what the TSDB tests feed on."""
         per_class: dict[str, list[dict[str, Any]]] = {}
         for cls in CLASS_ORDER:
             stats = self.classes.get(cls)
@@ -392,8 +392,7 @@ def run_closed_loop(
         run_started = time.perf_counter()
         while not stop.is_set():
             request = make_request(rng)
-            cls = classify_route(stack.web._route_of(request.path),
-                                 stack.web._route_classes)
+            cls = classify_route(stack.web._route_of(request.path))
             started = time.perf_counter()
             response = stack.web.handle(request)
             finished = time.perf_counter()

@@ -367,6 +367,9 @@ class WorkerPoolExecutor:
 
     mode = "pool"
     needs_context = True
+    #: How long an idle worker waits on the queue before it looks at the
+    #: stop flag again.
+    POLL_S = 0.1
 
     def __init__(
         self,
@@ -375,7 +378,6 @@ class WorkerPoolExecutor:
         admission: Optional[AdmissionController] = None,
         obs: Optional[Observability] = None,
         server: str = "web0",
-        poll_s: float = 0.1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -387,7 +389,6 @@ class WorkerPoolExecutor:
             obs=self.obs, server=server
         )
         self.admission.n_workers = n_workers
-        self._poll_s = poll_s
         self._stop = False
         self._threads = [
             threading.Thread(target=self._run, name=f"{server}-worker{i}",
@@ -402,7 +403,7 @@ class WorkerPoolExecutor:
 
     def _run(self) -> None:
         while not self._stop:
-            task = self.admission.take(timeout=self._poll_s)
+            task = self.admission.take(timeout=self.POLL_S)
             if task is None:
                 continue
             if task.response is not None:

@@ -79,8 +79,7 @@ class WebServer:
                  n_workers: int = 8,
                  max_queue_depth: int = 64,
                  admission_control: bool = True,
-                 route_limits: Optional[dict[str, int]] = None,
-                 route_classes: Optional[dict[str, str]] = None):
+                 route_limits: Optional[dict[str, int]] = None):
         self.request_budget_s = request_budget_s
         self.name = name
         self.dm = dm
@@ -114,7 +113,6 @@ class WebServer:
         # Per-route metric handles, resolved lazily once per (route, status).
         self._route_hists: dict[str, object] = {}
         self._response_counters: dict[tuple[str, int], object] = {}
-        self._route_classes = dict(route_classes or {})
         limits = DEFAULT_ROUTE_LIMITS if route_limits is None else route_limits
         self._route_bulkheads = {
             route: Bulkhead(f"web.route{route}", max_concurrent=limit,
@@ -166,7 +164,7 @@ class WebServer:
                    if self.executor.needs_context else None)
         task = ScheduledRequest(
             request, route,
-            request_class=classify_route(route, self._route_classes),
+            request_class=classify_route(route),
             deadline=deadline, context=context, on_resolve=self._account,
         )
         self.executor.submit(task)

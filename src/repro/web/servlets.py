@@ -278,17 +278,15 @@ class Servlets:
         except ValueError:
             return HttpResponse.error(400, "missing hle id")
         algorithm = request.params.get("algorithm", "lightcurve")
-        from ..pl import AnalysisRequest
+        from ..pl import AnalysisRequest, ParameterError, UnknownRequestType
 
-        parameters: dict[str, Any] = {}
-        for key in ("n_pixels", "n_bins", "n_energy_bins"):
-            if key in request.params:
-                parameters[key] = int(request.params[key])
-        for key in ("bin_width_s", "time_bin_s", "extent_arcsec"):
-            if key in request.params:
-                parameters[key] = float(request.params[key])
-        if "attribute" in request.params:
-            parameters["attribute"] = request.params["attribute"]
+        try:
+            strategy = self.frontend.strategy_for(algorithm)
+            parameters = strategy.parse(request.params)
+        except UnknownRequestType:
+            return HttpResponse.error(400, "unknown algorithm")
+        except ParameterError as exc:
+            return HttpResponse.error(400, str(exc))
         analysis_request = AnalysisRequest(user, hle_id, algorithm, parameters)
         self.frontend.run(analysis_request)
         if analysis_request.ana_id is None:

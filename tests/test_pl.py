@@ -123,6 +123,22 @@ class TestFourPhases:
         assert request.plan.input_mb > 0
         assert request.ana_id is None  # nothing executed yet
 
+    def test_every_registered_strategy_can_be_estimated(self, stack):
+        """The cost model rides on the strategy, so the paper's own
+        absorbed change (animation, §3.1) passes the estimation phase."""
+        _dm, frontend, _mgr, _dir, alice, hle = stack
+        for algorithm in frontend.strategies:
+            plan = frontend.estimate(
+                AnalysisRequest(alice, hle["hle_id"], algorithm, {})).plan
+            assert plan.algorithm == algorithm
+            assert plan.feasible and plan.predicted_seconds > 0
+        request = frontend.run(
+            AnalysisRequest(alice, hle["hle_id"], "animation",
+                            {"n_frames": 3, "n_pixels": 8}),
+            estimate=True)
+        assert request.phase is Phase.COMMITTED, request.error
+        assert request.plan is not None
+
     def test_estimation_flags_oversized_requests_infeasible(self, stack):
         """§5.1: estimation determines feasibility; §6.3 points at views."""
         dm, frontend, _mgr, _dir, alice, _hle = stack

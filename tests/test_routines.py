@@ -122,6 +122,32 @@ class TestPublishAndUse:
         result = hedc.idl.invoke("total(double_rate([1.0, 2.0]))")
         assert result.ok and result.value == 6.0
 
+    def test_user_routine_passes_the_estimation_phase(self, hedc):
+        other = hedc.dm.users.find("other")
+        event = hedc.events()[0]
+        request = hedc.analyze(other, event["hle_id"], "user_routine",
+                               {"routine": "Spectral_Index", "force": True},
+                               estimate=True)
+        assert request.phase is Phase.COMMITTED, request.error
+        assert request.plan.feasible and request.plan.predicted_seconds > 0
+
+    @pytest.mark.parametrize("name", [
+        "spectral_index(ph_energies)\nprint, 1\n; ",
+        "spectral_index\n",
+        "1abc", "", None, 7, ["spectral_index"],
+    ])
+    def test_routine_must_be_an_identifier(self, hedc, name):
+        """``routine`` is written into the source that runs: anything
+        but a name is refused before the interpreter sees it."""
+        other = hedc.dm.users.find("other")
+        event = hedc.events()[0]
+        invoked = hedc.idl.stats()["invocations"]
+        request = hedc.analyze(other, event["hle_id"], "user_routine",
+                               {"routine": name})
+        assert request.phase is Phase.FAILED
+        assert "'routine'" in request.error
+        assert hedc.idl.stats()["invocations"] == invoked
+
     def test_missing_routine_parameter_fails_request(self, hedc):
         other = hedc.dm.users.find("other")
         event = hedc.events()[0]
