@@ -11,6 +11,10 @@ guard — this one measures the added work directly, the stable way:
   ``_columnar_plan`` call per SELECT, which bails on integer checks for
   any selective probe.  Its per-call cost is timed in a tight loop and
   bounded against the measured point-lookup cost.
+* the payoff the copy exists for: ``ORDER BY … DESC LIMIT`` over a scan
+  orders the selection vector on the arrays and gathers only the rows it
+  returns.  The gather is asserted by count; the clock only has to show
+  the columnar table ahead of its row twin, which it is several times over.
 * write side: the storage tax is the per-mutation epoch bump (one
   integer increment); everything else is deferred to the next columnar
   scan.  The guard times the bump against the measured insert cost and
@@ -84,6 +88,42 @@ def test_point_lookup_overhead_within_budget():
     assert consider_s < lookup_s * MAX_OVERHEAD, (
         f"columnar plan consideration {consider_s / lookup_s:.2%} of a "
         f"point lookup (budget {MAX_OVERHEAD:.0%})"
+    )
+
+
+def test_bounded_descending_order_gathers_the_page_and_beats_the_row_twin():
+    n_rows, page = 10_000, 100
+    twins = []
+    for columnar in (True, False):
+        db = Database(name=f"ord-{columnar}")
+        db.create_table(TableSchema(
+            "ev",
+            [Column("ev_id", ColumnType.INTEGER, nullable=False),
+             Column("kind", ColumnType.TEXT),
+             Column("rate", ColumnType.REAL)],
+            primary_key="ev_id",
+            columnar=columnar,
+        ))
+        for index in range(n_rows):
+            db.execute(Insert("ev", {
+                "ev_id": index, "kind": "flare",
+                "rate": float(index * 7919 % 1009),     # ~10 rows a value
+            }))
+        twins.append(db)
+    vector_db, row_db = twins
+    select = Select("ev", where=Comparison("kind", "=", "flare"),
+                    order_by=[("rate", "desc")], limit=page)
+    assert vector_db.explain_plan(select)["array_order"] is True
+    assert row_db.explain_plan(select)["access"] == "full_scan"
+    assert vector_db.execute(select) == row_db.execute(select)
+    last = vector_db.table("ev")._columnar_store.last_scan
+    assert last["rows_matched"] == n_rows
+    assert last["rows_gathered"] <= page
+    vector_s = _min_per_call(lambda: vector_db.execute(select), 10)
+    row_s = _min_per_call(lambda: row_db.execute(select), 10)
+    assert vector_s < row_s, (
+        f"columnar ORDER BY DESC LIMIT {vector_s * 1e3:.2f} ms, "
+        f"row twin {row_s * 1e3:.2f} ms"
     )
 
 

@@ -389,10 +389,12 @@ class ColumnarStore:
         self._columns: dict[str, _ColumnData] = {}
         self._segments: list[tuple[int, int]] = []
         self._zones: dict[str, list[tuple]] = {}
+        self._survivors: Optional[tuple] = None  # (where, epoch, segments)
         self.rebuilds = 0
         #: Statistics of the most recent scan (segments scanned/pruned,
-        #: rows matched, whether the scan triggered a rebuild) — read by
-        #: the database layer for ``metadb.columnar.*`` metrics.
+        #: rows matched and gathered, whether the scan triggered a
+        #: rebuild) — read by the database layer for ``metadb.columnar.*``
+        #: metrics.
         self.last_scan: Optional[dict[str, Any]] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -440,26 +442,33 @@ class ColumnarStore:
             return (None, None, segment_rows)  # absent column: all NULL
         return zones[segment]
 
-    def prune_counts(self, where: Optional[Predicate]) -> tuple[int, int]:
-        """(segments_pruned, segments_total) the zone maps would give for
-        ``where`` — the EXPLAIN view of pruning, no data touched."""
-        rebuilt = self.ensure_fresh()
-        if rebuilt:
-            pass  # freshness is a side effect EXPLAIN is allowed to have
+    def _surviving_segments(self, where: Optional[Predicate]) -> list[int]:
+        """Indexes of the segments the zone maps cannot rule out for
+        ``where`` (the store must be fresh).  The planner's estimate and
+        the scan it leads to ask about the same predicate object back to
+        back, so the last answer is kept and serves both."""
+        memo = self._survivors
+        if memo is not None and memo[0] is where and memo[1] == self._built_epoch:
+            return memo[2]
         trivial = where is None or isinstance(where, TruePredicate)
-        total = len(self._segments)
-        if trivial or total == 0:
-            return (0, total)
-        checks = _prune_checks(where)
-        if not checks:
-            return (0, total)
-        pruned = 0
+        checks = () if trivial else _prune_checks(where)
+        surviving = []
         for segment, (start, stop) in enumerate(self._segments):
             rows = stop - start
-            if any(check(self._zone(name, segment, rows), rows)
-                   for name, check in checks):
-                pruned += 1
-        return (pruned, total)
+            if checks and any(check(self._zone(name, segment, rows), rows)
+                              for name, check in checks):
+                continue
+            surviving.append(segment)
+        self._survivors = (where, self._built_epoch, surviving)
+        return surviving
+
+    def prune_counts(self, where: Optional[Predicate]) -> tuple[int, int]:
+        """(segments_pruned, segments_total) the zone maps give for
+        ``where`` — the EXPLAIN view of pruning, no data touched (bringing
+        the copy up to date is a side effect EXPLAIN is allowed to have)."""
+        self.ensure_fresh()
+        total = len(self._segments)
+        return (total - len(self._surviving_segments(where)), total)
 
     def scan_positions(self, where: Optional[Predicate]):
         """Positions (into the store's build order) of rows matching
@@ -467,17 +476,11 @@ class ColumnarStore:
         mask-evaluated with the compiled vector predicate."""
         rebuilt = self.ensure_fresh()
         trivial = where is None or isinstance(where, TruePredicate)
-        checks = () if trivial else _prune_checks(where)
         vector = None if trivial else where.compile_vector()
+        surviving = self._surviving_segments(where)
         parts = []
-        scanned = pruned = 0
-        for segment, (start, stop) in enumerate(self._segments):
-            rows = stop - start
-            if checks and any(check(self._zone(name, segment, rows), rows)
-                              for name, check in checks):
-                pruned += 1
-                continue
-            scanned += 1
+        for segment in surviving:
+            start, stop = self._segments[segment]
             if vector is None:
                 parts.append(np.arange(start, stop, dtype=np.int64))
             else:
@@ -491,19 +494,83 @@ class ColumnarStore:
             positions = np.empty(0, np.int64)
         self.last_scan = {
             "segments": len(self._segments),
-            "segments_scanned": scanned,
-            "segments_pruned": pruned,
+            "segments_scanned": len(surviving),
+            "segments_pruned": len(self._segments) - len(surviving),
             "rows_matched": int(len(positions)),
+            "rows_gathered": 0,
             "rebuilt": rebuilt,
         }
         return positions
 
+    def orders_on_arrays(self, order_by: Sequence[tuple[str, str]]) -> bool:
+        """True when every ORDER BY column is typed, dictionary-coded or
+        absent — what :meth:`ordered_positions` orders (the store must be
+        fresh); NaN keys can still send one statement to the row sort."""
+        columns = self._columns
+        return all(columns[name].kind != "obj"
+                   for name, _direction in order_by if name in columns)
+
+    def ordered_positions(self, positions, order_by: Sequence[tuple[str, str]],
+                          stop: Optional[int] = None):
+        """``positions`` in ORDER BY order, cut to the first ``stop``: the
+        row path's stable NULLS-LAST sort, done on the column arrays.
+
+        Returns None when the arrays cannot order exactly as python
+        orders the row values (object columns; NaN among the selected
+        keys, which python's sort places by comparison history) — the
+        caller then sorts gathered rows as before.  Keys are the typed
+        values and the null bitmap of the selected rows only; DESC
+        negates in code space (``-x`` for floats, ``~x`` for integers,
+        booleans and dictionary codes, which cannot overflow), and every
+        NULL row of a column holds the same sentinel, so NULLs tie.
+        """
+        if not self.orders_on_arrays(order_by):
+            return None
+        if stop == 0:
+            return positions[:0]
+        keys = []  # (nulls or None, values) per ORDER BY column, major first
+        for name, direction in order_by:
+            column = self._columns.get(name)
+            if column is None:
+                continue  # absent column: NULL in every row, orders nothing
+            values = column.values[positions]
+            if column.kind == "f8" and np.isnan(values).any():
+                return None
+            if direction == "desc":
+                values = -values if column.kind == "f8" else ~values
+            nulls = column.nulls[positions]
+            keys.append((nulls if nulls.any() else None, values))
+        if not keys:
+            return positions[:stop]
+        if stop is not None and stop < len(positions):
+            # Only rows up to the stop-th smallest leading key (ties
+            # included) can be returned: partition for that key, sort
+            # the candidates.  When NULLs reach into the cut, everything
+            # ties with the boundary and the whole selection is sorted.
+            lead_nulls, lead = keys[0]
+            valid = None if lead_nulls is None else np.flatnonzero(~lead_nulls)
+            if valid is not None:
+                lead = lead[valid]
+            if stop <= len(lead):
+                bound = np.partition(lead, stop - 1)[stop - 1]
+                keep = np.flatnonzero(lead <= bound)
+                if valid is not None:
+                    keep = valid[keep]
+                positions = positions[keep]
+                keys = [(None if nulls is None else nulls[keep], values[keep])
+                        for nulls, values in keys]
+        sort_keys = []  # np.lexsort takes the minor key first
+        for nulls, values in reversed(keys):
+            sort_keys.append(values)
+            if nulls is not None:
+                sort_keys.append(nulls)
+        return positions[np.lexsort(sort_keys)[:stop]]
+
     def gathered_rows(self, positions) -> Iterator[dict[str, Any]]:
-        """Stream the matching row dicts from the row store, in scan
-        (= row-store iteration) order."""
-        row = self._table.row
-        for rowid in self._rowids[positions].tolist():
-            yield row(rowid)
+        """The row dicts at ``positions`` from the row store, in the
+        order given."""
+        self.last_scan["rows_gathered"] = len(positions)
+        return map(self._table.row, self._rowids[positions].tolist())
 
     # -- vectorized aggregation -------------------------------------------
 

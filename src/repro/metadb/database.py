@@ -92,7 +92,7 @@ class Database:
         # one dict lookup instead of a registry lookup with fresh labels.
         self._plan_counters: dict[str, Any] = {}
         # metadb.columnar.* counters (segments scanned/pruned, rows
-        # matched, rebuilds), same caching rationale.
+        # matched/gathered, rebuilds), same caching rationale.
         self._columnar_counters: dict[str, Any] = {}
         # Replication: listeners fired after each durable commit (the
         # log-shipping hook) and the highest LSN this copy has applied as
@@ -494,6 +494,7 @@ class Database:
             "metadb.columnar.segments_scanned": last["segments_scanned"],
             "metadb.columnar.segments_pruned": last["segments_pruned"],
             "metadb.columnar.rows_matched": last["rows_matched"],
+            "metadb.columnar.rows_gathered": last["rows_gathered"],
             "metadb.columnar.rebuilds": 1 if last["rebuilt"] else 0,
         }
         for name, amount in amounts.items():

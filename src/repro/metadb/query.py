@@ -8,13 +8,12 @@ classes are those collection objects.  The planner picks an access path
 or full scan) by costing every sargable conjunct against live table
 statistics, and the executor *streams*: the WHERE clause is compiled into
 a fused closure, LIMIT/OFFSET are pushed into index scans that stop
-early, and ORDER BY + LIMIT on an unordered stream uses a bounded Top-N
-heap instead of sorting everything.
+early, and a columnar scan orders its selection vector on the column
+arrays, so only the rows a statement returns are ever gathered.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -124,16 +123,18 @@ class Plan:
     estimated_rows: int = 0             # planner cardinality estimate
     table_rows: int = 0                 # statistics snapshot the estimate used
     limit_pushdown: bool = False        # executor stops the scan at OFFSET+LIMIT
-    topn: bool = False                  # bounded heap instead of full sort
+    topn: bool = False                  # unordered stream, ORDER BY cut to OFFSET+LIMIT
     segments: int = 0                   # columnar only: total segments
     segments_pruned: int = 0            # columnar only: skipped via zone maps
+    array_order: bool = False           # columnar only: ORDER BY on the column arrays
 
     def describe(self) -> str:
         if self.access == "full_scan":
             return "FULL SCAN"
         if self.access == "columnar_scan":
             scanned = self.segments - self.segments_pruned
-            return f"COLUMNAR SCAN ({scanned}/{self.segments} segments)"
+            order = ", ORDER BY on column arrays" if self.array_order else ""
+            return f"COLUMNAR SCAN ({scanned}/{self.segments} segments){order}"
         return f"{self.access.upper()} on {self.index_column}"
 
     def to_dict(self) -> dict[str, Any]:
@@ -149,6 +150,7 @@ class Plan:
             "topn": self.topn,
             "segments_total": self.segments,
             "segments_pruned": self.segments_pruned,
+            "array_order": self.array_order,
             "description": self.describe(),
         }
 
@@ -272,6 +274,8 @@ def _columnar_plan(
         table_rows=n_rows,
         segments=total,
         segments_pruned=pruned,
+        array_order=bool(select.order_by) and not select.aggregates
+        and store.orders_on_arrays(select.order_by),
     )
 
 
@@ -289,6 +293,7 @@ def _finalize(plan: Plan, select: Select) -> Plan:
         estimated_rows=plan.estimated_rows, table_rows=plan.table_rows,
         limit_pushdown=limit_pushdown, topn=topn,
         segments=plan.segments, segments_pruned=plan.segments_pruned,
+        array_order=plan.array_order,
     )
 
 
@@ -347,53 +352,25 @@ def _project(row: dict[str, Any], columns: Optional[Sequence[str]]) -> dict[str,
         raise QueryError(f"unknown output column {exc.args[0]!r}") from exc
 
 
-class _Desc:
-    """Inverts comparisons so a single ascending sort yields DESC order."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __eq__(self, other: "_Desc") -> bool:
-        return self.value == other.value
-
-    def __lt__(self, other: "_Desc") -> bool:
-        return other.value < self.value
-
-
-def _order_key(order_by: Sequence[tuple[str, str]]):
-    """Tuple sort key with explicit NULLS-LAST semantics per column.
-
-    Each component is ``(is_null, value)`` so NULL never masquerades as a
-    literal (the old key substituted 0, interleaving NULLs with numeric
-    columns on DESC); NULLs sort last for both directions.
-    """
-    specs = tuple((column, direction == "desc") for column, direction in order_by)
-
-    def key(row: dict[str, Any]) -> tuple:
-        parts = []
-        for column, descending in specs:
-            value = row.get(column)
-            if value is None:
-                parts.append((True, None))
-            else:
-                parts.append((False, _Desc(value) if descending else value))
-        return tuple(parts)
-    return key
-
-
 def _apply_order(rows: list[dict[str, Any]], order_by: Sequence[tuple[str, str]]):
-    rows.sort(key=_order_key(order_by))
+    """Sort ``rows`` in place by ORDER BY: NULLS LAST in both directions,
+    ties in input order.
+
+    One stable pass per column, minor column first, so every pass
+    compares native ``(flag, value)`` pairs and no pass compares a value
+    with NULL.  A DESC pass sorts reversed on ``(not_null, value)``:
+    NULLs still come last and, a reversed sort being stable too, ties
+    keep their input order.
+    """
+    for column, direction in reversed(order_by):
+        if direction == "desc":
+            rows.sort(
+                key=lambda row, c=column: ((v := row.get(c)) is not None, v),
+                reverse=True,
+            )
+        else:
+            rows.sort(key=lambda row, c=column: ((v := row.get(c)) is None, v))
     return rows
-
-
-def _top_n(
-    rows: Iterator[dict[str, Any]], order_by: Sequence[tuple[str, str]], n: int
-) -> list[dict[str, Any]]:
-    """Smallest ``n`` rows under the ORDER BY key, streamed through a
-    bounded heap — O(rows · log n) time, O(n) space."""
-    return heapq.nsmallest(n, rows, key=_order_key(order_by))
 
 
 def _aggregate(rows: list[dict[str, Any]], aggregates: Sequence[Aggregate]) -> dict[str, Any]:
@@ -428,10 +405,13 @@ def execute_select(
 
     The matched stream stays lazy end to end on the common paths: a
     compiled WHERE closure filters candidates as the index scan produces
-    them, ``islice`` implements LIMIT/OFFSET pushdown (the scan stops at
-    OFFSET+LIMIT matches), and ORDER BY + LIMIT on an unordered stream
-    keeps only OFFSET+LIMIT rows in a heap.  Joins and aggregates still
-    materialise, as they must.
+    them and ``islice`` implements LIMIT/OFFSET pushdown (the scan stops
+    at OFFSET+LIMIT matches).  A columnar scan filters, orders and cuts
+    positions on the column arrays and gathers only the rows it returns;
+    an ORDER BY the arrays cannot reproduce exactly (see
+    :meth:`ColumnarStore.ordered_positions`) sorts the gathered rows like
+    any other unordered stream.  Joins and aggregates still materialise,
+    as they must.
     """
     if select.table not in tables:
         raise SchemaError(f"unknown table {select.table!r}")
@@ -439,6 +419,7 @@ def execute_select(
     if plan is None:
         plan = plan_select(table, select)
     where = select.where
+    stop = None if select.limit is None else select.offset + select.limit
     if plan.access == "columnar_scan":
         store = table.columnar_store()
         positions = store.scan_positions(where)
@@ -446,6 +427,14 @@ def execute_select(
             vectorized = store.vector_aggregates(select, positions)
             if vectorized is not None:
                 return vectorized
+        elif select.join is None:
+            if select.order_by:
+                ordered = store.ordered_positions(positions, select.order_by, stop)
+            else:
+                ordered = positions[:stop]
+            if ordered is not None:
+                rows = store.gathered_rows(ordered[select.offset:])
+                return [_project(row, select.columns) for row in rows]
         # The mask already applied WHERE; gather survivors in scan order.
         matched_stream: Iterator[dict[str, Any]] = store.gathered_rows(positions)
     else:
@@ -471,17 +460,10 @@ def execute_select(
     if select.aggregates:
         return _execute_aggregates(list(matched_stream), select)
 
-    if plan.topn:
-        bounded = _top_n(matched_stream, select.order_by, select.offset + select.limit)
-        rows = bounded[select.offset:]
-    elif select.order_by and not plan.ordered:
-        matched = list(matched_stream)
-        _apply_order(matched, select.order_by)
-        stop = None if select.limit is None else select.offset + select.limit
-        rows = matched[select.offset:stop]
+    if select.order_by and not plan.ordered:
+        rows = _apply_order(list(matched_stream), select.order_by)[select.offset:stop]
     else:
         # Scan order is the output order: push LIMIT/OFFSET into the scan.
-        stop = None if select.limit is None else select.offset + select.limit
         rows = list(islice(matched_stream, select.offset, stop))
     return [_project(row, select.columns) for row in rows]
 

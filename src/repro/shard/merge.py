@@ -5,10 +5,10 @@ the per-shard result lists so the merged output is exactly what a
 single-node :func:`repro.metadb.query.execute_select` would return:
 
 * **ORDER BY** — each shard returns its rows already ordered (with
-  LIMIT pushed down as ``offset + limit`` per shard, offset zero), and
-  the merge is a k-way ``heapq.merge`` over the shard streams under the
-  engine's own NULLS-LAST order key, re-using the bounded Top-N idea:
-  no shard ships more than ``offset + limit`` rows.
+  LIMIT pushed down as ``offset + limit`` per shard, offset zero), so
+  no shard ships more than ``offset + limit`` rows, and the merge is the
+  engine's own stable NULLS-LAST sort over the shard lists laid end to
+  end: each list is already a sorted run, and ties fall in shard order.
 * **Aggregates** — rewritten into decomposable partials (``avg`` becomes
   a shard-local ``sum`` + ``count`` pair) and recombined; GROUP BY
   groups merge by key and are emitted in the single-node engine's
@@ -19,12 +19,11 @@ single-node :func:`repro.metadb.query.execute_select` would return:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import replace
 from itertools import chain, islice
 from typing import Any, Optional, Sequence
 
-from ..metadb.query import Aggregate, Select, _order_key, _project
+from ..metadb.query import Aggregate, Select, _apply_order, _project
 
 Rows = list  # list[dict[str, Any]]
 
@@ -67,15 +66,15 @@ class _ConcatMerge(Merge):
 
 class _OrderedMerge(Merge):
     def __init__(self, select: Select):
-        self._key = _order_key(select.order_by)
+        self._order_by = select.order_by
         self._offset = select.offset
         self._stop = None if select.limit is None else select.offset + select.limit
         self._columns = select.columns
 
     def __call__(self, shard_results: Sequence[Rows]) -> Rows:
-        merged = heapq.merge(*shard_results, key=self._key)
-        rows = islice(merged, self._offset, self._stop)
-        return [_project(row, self._columns) for row in rows]
+        rows = _apply_order(list(chain.from_iterable(shard_results)), self._order_by)
+        return [_project(row, self._columns)
+                for row in rows[self._offset:self._stop]]
 
 
 def _rewrite_aggregates(

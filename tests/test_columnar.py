@@ -12,10 +12,14 @@ regression.
 
 from __future__ import annotations
 
+import math
 import random
 import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metadb import (
     Aggregate,
@@ -36,8 +40,12 @@ from repro.metadb import (
     TableSchema,
     Update,
 )
+from repro.metadb import query as query_module
 from repro.metadb.columnar import SEGMENT_ROWS
 from repro.metadb.query import COLUMNAR_MIN_ROWS
+from repro.metadb.storage import Table
+
+from .oracle_ordering import ordered
 
 N_ROWS = SEGMENT_ROWS + 2000  # two segments, second partial
 KINDS = ["flare", "quiet", "storm", "abc\n", "ab%c"]
@@ -484,3 +492,224 @@ class TestShardedColumnar:
             Select("hle", where=Comparison("peak_rate", ">=", 0.0))
         )
         assert plan["access"] == "columnar_scan"
+
+
+# -- ORDER BY on the selection vector ----------------------------------------
+#
+# Twin tables again, but every value comes from a small pool, so ties are
+# the rule: the vector order has to leave them exactly where the stable
+# row sort does.  Three answers are compared as lists: the columnar
+# table's, the row twin's, and the pre-PR-18 sort key's (oracle_ordering).
+
+FLOATS = [0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, 5e-324, None]
+INTS = [0, 1, -1, 2**63 - 1, -2**63, None]
+BOOLS = [True, False, None]
+CODES = ["a", "ab", "b", "", None]          # few values -> dictionary
+ORDER_COLUMNS = ["f", "i8", "b", "code", "note", "at", "id", "ghost"]
+
+
+def order_schema(columnar: bool) -> TableSchema:
+    """No secondary index: nothing competes with the scan."""
+    return TableSchema(
+        "ev",
+        [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("at", ColumnType.TIMESTAMP, nullable=False),
+            Column("f", ColumnType.REAL),
+            Column("i8", ColumnType.INTEGER),
+            Column("b", ColumnType.BOOLEAN),
+            Column("code", ColumnType.TEXT),
+            Column("note", ColumnType.TEXT),
+        ],
+        primary_key="id",
+        columnar=columnar,
+    )
+
+
+def twin_databases(rows: list[dict]) -> tuple[Database, Database]:
+    pair = []
+    for columnar in (True, False):
+        db = Database(name=f"ord-{columnar}")
+        db.create_table(order_schema(columnar))
+        for row in rows:
+            db.execute(Insert("ev", dict(row)))
+        pair.append(db)
+    return tuple(pair)
+
+
+def oracle_answer(db: Database, select: Select) -> list[dict]:
+    """The statement answered with the old sort key over the row store."""
+    matches = (lambda row: True) if select.where is None else select.where.compile()
+    rows = ordered([row for row in db.table("ev").rows() if matches(row)],
+                   select.order_by)
+    stop = None if select.limit is None else select.offset + select.limit
+    columns = select.columns
+    return [dict(row) if columns is None else {c: row[c] for c in columns}
+            for row in rows[select.offset:stop]]
+
+
+order_rows = st.lists(
+    st.fixed_dictionaries({
+        "f": st.sampled_from(FLOATS),
+        "i8": st.sampled_from(INTS),
+        "b": st.sampled_from(BOOLS),
+        "code": st.sampled_from(CODES),
+        # wide pool: past 16 rows this column is too distinct for a dictionary
+        "note": st.one_of(st.none(), st.integers(0, 500).map("n{}".format)),
+    }),
+    max_size=48,
+).map(lambda rows: [{"id": i, "at": float(i), **row} for i, row in enumerate(rows)])
+
+order_statements = st.builds(
+    Select,
+    table=st.just("ev"),
+    columns=st.sampled_from([None, ["id"], ["id", "code"]]),
+    where=st.sampled_from([
+        None, Comparison("id", ">=", 0), Comparison("id", "<", 0),
+        IsNull("f"), Comparison("code", "=", "a"), Comparison("f", "<=", 0.0),
+    ]),
+    order_by=st.lists(
+        st.tuples(st.sampled_from(ORDER_COLUMNS), st.sampled_from(["asc", "desc"])),
+        min_size=1, max_size=3,
+    ),
+    limit=st.sampled_from([None, 0, 1, 7, 100, 5000]),
+    offset=st.sampled_from([0, 1, 13, 5000]),
+)
+
+
+@pytest.fixture(scope="module")
+def tied_rows() -> list[dict]:
+    """1200 rows in ``at`` order (so four time shards hold them in the
+    plain database's iteration order), every other column tie-heavy."""
+    rng = random.Random(18)
+    return [{
+        "id": i, "at": float(i),
+        "f": rng.choice(FLOATS), "i8": rng.choice(INTS), "b": rng.choice(BOOLS),
+        "code": rng.choice(CODES),
+        "note": f"n{rng.randrange(900)}" if rng.random() > 0.1 else None,
+    } for i in range(1200)]
+
+
+@pytest.fixture(scope="module")
+def tied_twins(tied_rows):
+    return twin_databases(tied_rows)
+
+
+@pytest.fixture(scope="module")
+def tied_shards(tied_rows):
+    from repro.shard import ShardConfig, ShardedDatabase
+
+    sharded = ShardedDatabase(
+        boundaries=(300.0, 600.0, 900.0), name="ord-4x2", replicas_per_shard=2,
+        config=ShardConfig(partitioned={"ev": "at"}),
+    )
+    sharded.create_table(order_schema(columnar=True))
+    for row in tied_rows:
+        sharded.execute(Insert("ev", dict(row)))
+    yield sharded
+    sharded.close()
+
+
+class TestVectorOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(rows=order_rows, select=order_statements)
+    def test_random_tables_match_row_path_as_lists(self, rows, select):
+        with mock.patch.object(query_module, "COLUMNAR_MIN_ROWS", 0):
+            vector_db, row_db = twin_databases(rows)
+            assert vector_db.explain_plan(select)["access"] == "columnar_scan"
+            assert row_db.explain_plan(select)["access"] != "columnar_scan"
+            answer = vector_db.execute(select)
+            assert answer == row_db.execute(select)
+        assert answer == oracle_answer(row_db, select)
+
+    @settings(max_examples=150, deadline=None)
+    @given(select=order_statements)
+    def test_tied_table_matches_row_path_and_shards(self, tied_twins,
+                                                    tied_shards, select):
+        vector_db, row_db = tied_twins
+        assert vector_db.explain_plan(select)["access"] == "columnar_scan"
+        answer = vector_db.execute(select)
+        assert answer == row_db.execute(select)
+        assert answer == oracle_answer(row_db, select)
+        assert tied_shards.execute(select) == answer
+
+    def test_bounded_order_gathers_only_the_rows_returned(self, tied_twins,
+                                                          monkeypatch):
+        vector_db, row_db = tied_twins
+        calls = []
+        real_row = Table.row
+        monkeypatch.setattr(
+            Table, "row", lambda self, rowid: calls.append(rowid) or real_row(self, rowid))
+        for order_by in ([("f", "desc")], [("code", "asc"), ("i8", "desc")],
+                         [("ghost", "asc"), ("b", "desc")]):
+            select = Select("ev", where=Comparison("id", ">=", 0),
+                            order_by=order_by, limit=7, offset=3)
+            calls.clear()
+            answer = vector_db.execute(select)
+            assert len(calls) <= 10
+            last = vector_db.table("ev")._columnar_store.last_scan
+            assert (last["rows_matched"], last["rows_gathered"]) == (1200, 7)
+            assert answer == row_db.execute(select)
+        plan = vector_db.explain_plan(select)
+        assert plan["array_order"] is True
+        assert "ORDER BY on column arrays" in plan["description"]
+        gathered = vector_db.obs.counter("metadb.columnar.rows_gathered",
+                                         db=vector_db.name)
+        assert 0 < gathered.value < vector_db.obs.counter(
+            "metadb.columnar.rows_matched", db=vector_db.name).value
+
+    def test_object_column_orders_on_gathered_rows(self, tied_twins):
+        vector_db, row_db = tied_twins
+        select = Select("ev", order_by=[("note", "desc"), ("f", "asc")], limit=5)
+        plan = vector_db.explain_plan(select)
+        assert plan["access"] == "columnar_scan" and plan["array_order"] is False
+        assert vector_db.execute(select) == row_db.execute(select)
+        last = vector_db.table("ev")._columnar_store.last_scan
+        assert last["rows_gathered"] == last["rows_matched"] == 1200
+
+    def test_nan_key_takes_the_row_sort(self):
+        rng = random.Random(5)
+        rows = [{"id": i, "at": float(i),
+                 "f": rng.choice([math.nan, 1.0, 2.0, -3.0, None]),
+                 "i8": rng.choice([0, 1, 2])} for i in range(300)]
+        vector_db, row_db = twin_databases(rows)
+        store = vector_db.table("ev").columnar_store()
+        for direction in ("asc", "desc"):
+            for order_by in ([("f", direction)], [("i8", "asc"), ("f", direction)]):
+                # NaN among the selected keys: python's sort places it by
+                # comparison history, which no array sort reproduces.
+                select = Select("ev", columns=["id"], order_by=order_by,
+                                limit=20, offset=2)
+                assert vector_db.explain_plan(select)["access"] == "columnar_scan"
+                assert vector_db.execute(select) == row_db.execute(select)
+                assert store.last_scan["rows_gathered"] == 300
+                # NaN fails every comparison, so this WHERE selects none
+                # of them and the arrays order what is left.
+                select = Select("ev", columns=["id"], where=Comparison("f", ">", -10.0),
+                                order_by=order_by, limit=20, offset=2)
+                assert vector_db.execute(select) == row_db.execute(select)
+                assert store.last_scan["rows_gathered"] == 20
+
+    def test_unordered_limit_gathers_only_the_rows_returned(self, tied_twins):
+        vector_db, row_db = tied_twins
+        select = Select("ev", where=Comparison("id", ">=", 0), limit=9, offset=4)
+        assert vector_db.execute(select) == row_db.execute(select)
+        assert vector_db.table("ev")._columnar_store.last_scan["rows_gathered"] == 9
+
+    def test_scan_reuses_the_planner_pruning_pass(self, big_db, monkeypatch):
+        from repro.metadb import columnar
+
+        passes = []
+        real_checks = columnar._prune_checks
+        monkeypatch.setattr(
+            columnar, "_prune_checks",
+            lambda where: passes.append(where) or real_checks(where))
+        select = Select("ev", where=Comparison("id", ">", SEGMENT_ROWS + 100))
+        rows = big_db.execute(select)
+        assert len(passes) == 1
+        last = big_db.table("ev")._columnar_store.last_scan
+        assert (last["segments_pruned"], last["segments_scanned"]) == (1, 1)
+        # A write moves the epoch: the kept answer is for the old copy.
+        big_db.execute(Update("ev", {"n": 5}, where=Comparison("id", "=", 0)))
+        assert big_db.execute(select) == rows
+        assert len(passes) == 2

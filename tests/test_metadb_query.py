@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metadb import (
     Aggregate,
@@ -27,6 +29,9 @@ from repro.metadb import (
 )
 from repro.metadb.index import HashIndex, OrderedIndex
 from repro.metadb.predicate import conjuncts, equality_on, range_on
+from repro.metadb.query import _apply_order
+
+from .oracle_ordering import ordered
 
 
 class TestPredicates:
@@ -406,6 +411,31 @@ class TestNullOrdering:
     def test_nulls_last_with_limit_topn(self, nullable_db):
         rows = nullable_db.execute(Select("m", order_by=[("score", "desc")], limit=3))
         assert [row["id"] for row in rows] == [1, 5, 3]
+
+
+class TestRowSortAgainstOldKey:
+    """The row path sorts one column a pass with native keys; the tuple
+    key it replaced (``oracle_ordering``) is the reference, ties and all."""
+
+    VALUES = {
+        "a": [None, 0.0, -0.0, 1.5, -2.5, float("inf"), float("-inf")],
+        "b": [None, 0, 1, -1, 2**70, -(2**63)],
+        "c": [None, "", "x", "xy", "y"],
+        "d": [None, True, False],
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_apply_order_matches_old_key_as_lists(self, data):
+        rows = data.draw(st.lists(st.fixed_dictionaries(
+            {name: st.sampled_from(pool) for name, pool in self.VALUES.items()}
+        ), max_size=30))
+        for index, row in enumerate(rows):
+            row["n"] = index            # tells tied rows apart in the answer
+        order_by = data.draw(st.lists(st.tuples(
+            st.sampled_from(["a", "b", "c", "d", "ghost"]),
+            st.sampled_from(["asc", "desc"])), min_size=1, max_size=4))
+        assert _apply_order(list(rows), order_by) == ordered(rows, order_by)
 
 
 class TestPlannerAndExplain:

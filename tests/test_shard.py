@@ -793,6 +793,42 @@ class TestDifferential:
         assert sharded.allocate_id("hle", "hle_id") == 22
 
 
+class TestOrderedMergeAgainstOldKey:
+    """The ordered scatter merge is one stable sort over the shard lists
+    laid end to end; the ``heapq.merge`` under the old tuple key
+    (``oracle_ordering``) is the reference: ties fall in shard order."""
+
+    def test_merge_matches_heapq_merge_as_lists(self):
+        import heapq
+
+        from repro.shard.merge import prepare_scatter
+
+        from .oracle_ordering import _order_key, ordered
+
+        rng = random.Random(1818)
+        for _round in range(200):
+            order_by = [(rng.choice(["a", "b", "ghost"]), rng.choice(["asc", "desc"]))
+                        for _ in range(rng.randint(1, 3))]
+            select = Select("hle", columns=rng.choice([None, ["n"]]),
+                            order_by=order_by,
+                            limit=rng.choice([None, 0, 3, 50]),
+                            offset=rng.choice([0, 2, 50]))
+            shard_lists, n = [], 0
+            for _shard in range(rng.randint(0, 4)):
+                rows = []
+                for _row in range(rng.randint(0, 12)):
+                    rows.append({"n": n, "a": rng.choice([None, 0.0, -0.0, 1.0, -1.0]),
+                                 "b": rng.choice([None, "x", "y", ""])})
+                    n += 1
+                shard_lists.append(ordered(rows, order_by))   # as a shard ships them
+            stop = None if select.limit is None else select.offset + select.limit
+            expected = list(heapq.merge(*shard_lists, key=_order_key(order_by)))
+            expected = [dict(row) if select.columns is None else {"n": row["n"]}
+                        for row in expected[select.offset:stop]]
+            _shard_select, merge = prepare_scatter(select)
+            assert merge(shard_lists) == expected
+
+
 class TestDegradation:
     def _dead_shard(self, **kwargs):
         kwargs.setdefault("breaker_cooldown_s", 0.05)
