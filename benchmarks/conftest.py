@@ -2,14 +2,30 @@
 
 Benches that exercise the real stack (Tables 2-3, §7.2 page characteristics)
 share one loaded repository; the figure/table models run on the calibrated
-discrete-event simulator.
+discrete-event simulator.  The overhead guards (``test_*_overhead.py``,
+``test_template_render.py``) share one timing loop, :func:`min_per_call`.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import Hedc
+
+
+def min_per_call(fn, *args, calls: int, repeats: int = 9) -> float:
+    """Min-of-repeats per-call seconds for ``fn(*args)`` in a tight loop:
+    the minimum converges to the quiet-window time on a shared runner."""
+    fn(*args)  # warm (bytecode, metric handles, plan caches)
+    best = float("inf")
+    for _repeat in range(repeats):
+        started = time.perf_counter()
+        for _call in range(calls):
+            fn(*args)
+        best = min(best, time.perf_counter() - started)
+    return best / calls
 
 
 @pytest.fixture(scope="session")

@@ -18,23 +18,12 @@ from __future__ import annotations
 import time
 from types import SimpleNamespace
 
+from conftest import min_per_call
 from repro.analysis import AnalysisProduct
 from repro.pl import AnalysisRequest, Phase, ProductCache, fingerprint
 
-REPEATS = 9
 MAX_MISS_OVERHEAD = 0.05
 MAX_WARM_FRACTION = 0.01
-
-
-def _min_per_call(fn, calls: int, repeats: int = REPEATS) -> float:
-    fn()  # warm (bytecode, metric handles)
-    best = float("inf")
-    for _repeat in range(repeats):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - started)
-    return best / calls
 
 
 def _run_once(frontend, user, hle_id, params) -> float:
@@ -64,14 +53,10 @@ def test_miss_path_machinery_under_five_percent(bench_hedc, bench_user):
     product.add_image(b"x" * 4096)
     key = fingerprint("histogram", event["hle_id"], params)
 
-    fp_s = _min_per_call(
-        lambda: fingerprint("histogram", event["hle_id"], params), 2000)
-    miss_s = _min_per_call(
-        lambda: cache.lookup(bench_user, "absent-key"), 2000)
-    flight_s = _min_per_call(
-        lambda: cache.flight.do(key, lambda: None), 2000)
-    store_s = _min_per_call(
-        lambda: cache.store(key, "histogram", product, 1), 2000)
+    fp_s = min_per_call(lambda: fingerprint("histogram", event["hle_id"], params), calls=2000)
+    miss_s = min_per_call(lambda: cache.lookup(bench_user, "absent-key"), calls=2000)
+    flight_s = min_per_call(lambda: cache.flight.do(key, lambda: None), calls=2000)
+    store_s = min_per_call(lambda: cache.store(key, "histogram", product, 1), calls=2000)
 
     machinery_s = fp_s + miss_s + flight_s + store_s
     overhead = machinery_s / analysis_s

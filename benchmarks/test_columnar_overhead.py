@@ -24,8 +24,7 @@ guard — this one measures the added work directly, the stable way:
 
 from __future__ import annotations
 
-import time
-
+from conftest import min_per_call
 from repro.metadb import (
     Column,
     ColumnType,
@@ -39,7 +38,6 @@ from repro.metadb.query import _columnar_plan, plan_select
 
 N_ROWS = 2_000
 LOOKUP_CALLS = 2_000
-REPEATS = 9
 MAX_OVERHEAD = 0.05
 
 
@@ -60,30 +58,18 @@ def _loaded() -> Database:
     return db
 
 
-def _min_per_call(fn, calls: int) -> float:
-    fn()  # warm (bytecode, plan caches, counters)
-    best = float("inf")
-    for _repeat in range(REPEATS):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - started)
-    return best / calls
-
-
 def test_point_lookup_overhead_within_budget():
     db = _loaded()
     select = Select("ev", where=Comparison("ev_id", "=", N_ROWS // 2))
     table = db.table("ev")
     # Columnar is never considered for a selective pk equality...
     assert db.explain_plan(select)["access"] == "pk_probe"
-    lookup_s = _min_per_call(lambda: db.execute(select), LOOKUP_CALLS)
+    lookup_s = min_per_call(lambda: db.execute(select), calls=LOOKUP_CALLS)
     # ...and the consideration itself — the only read-path work the
     # columnar option adds — must be a rounding error next to the probe.
     n_rows = len(table)
-    consider_s = _min_per_call(
-        lambda: _columnar_plan(table, select, n_rows, 1), LOOKUP_CALLS * 5
-    )
+    consider_s = min_per_call(
+        lambda: _columnar_plan(table, select, n_rows, 1), calls=LOOKUP_CALLS * 5)
     assert _columnar_plan(table, select, n_rows, 1) is None
     assert consider_s < lookup_s * MAX_OVERHEAD, (
         f"columnar plan consideration {consider_s / lookup_s:.2%} of a "
@@ -119,8 +105,8 @@ def test_bounded_descending_order_gathers_the_page_and_beats_the_row_twin():
     last = vector_db.table("ev")._columnar_store.last_scan
     assert last["rows_matched"] == n_rows
     assert last["rows_gathered"] <= page
-    vector_s = _min_per_call(lambda: vector_db.execute(select), 10)
-    row_s = _min_per_call(lambda: row_db.execute(select), 10)
+    vector_s = min_per_call(lambda: vector_db.execute(select), calls=10)
+    row_s = min_per_call(lambda: row_db.execute(select), calls=10)
     assert vector_s < row_s, (
         f"columnar ORDER BY DESC LIMIT {vector_s * 1e3:.2f} ms, "
         f"row twin {row_s * 1e3:.2f} ms"
@@ -153,7 +139,7 @@ def test_small_write_overhead_within_budget():
         }))
         next_id[0] += 1
 
-    insert_s = _min_per_call(one_insert, 500)
+    insert_s = min_per_call(one_insert, calls=500)
     assert store.rebuilds == rebuilds, "a write triggered a columnar rebuild"
 
     # The entire per-write storage tax is the mutation-epoch bump.
@@ -162,7 +148,7 @@ def test_small_write_overhead_within_budget():
     def epoch_bump():
         counter[0] += 1
 
-    bump_s = _min_per_call(epoch_bump, 50_000)
+    bump_s = min_per_call(epoch_bump, calls=50_000)
     assert bump_s < insert_s * MAX_OVERHEAD, (
         f"epoch bump {bump_s / insert_s:.2%} of an insert "
         f"(budget {MAX_OVERHEAD:.0%})"

@@ -21,10 +21,9 @@ The assertion is ``diagnostic_cost / scan_cost < 5%``.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
+from conftest import min_per_call
 from repro.metadb import (
     Column,
     ColumnType,
@@ -39,7 +38,6 @@ from repro.obs import Observability
 N_ROWS = 300
 SCAN_CALLS = 100
 CHECK_CALLS = 50_000
-REPEATS = 9
 MAX_OVERHEAD = 0.05
 
 
@@ -59,21 +57,9 @@ def scan_db():
     return database
 
 
-def _min_per_call(fn, arg, calls: int) -> float:
-    """Min-of-repeats per-call seconds for ``fn(arg)`` in a tight loop."""
-    fn(arg)  # warm (bytecode, metric handles)
-    best = float("inf")
-    for _repeat in range(REPEATS):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn(arg)
-        best = min(best, time.perf_counter() - started)
-    return best / calls
-
-
 def test_default_off_diagnostics_overhead_under_five_percent(scan_db):
     select = Select("t", where=Comparison("b", ">=", 0.0))
-    scan_s = _min_per_call(scan_db.execute, select, SCAN_CALLS)
+    scan_s = min_per_call(scan_db.execute, select, calls=SCAN_CALLS)
 
     obs = scan_db.obs
     assert obs.slowlog.threshold_for("metadb.execute") is None
@@ -88,8 +74,8 @@ def test_default_off_diagnostics_overhead_under_five_percent(scan_db):
         if not obs.enabled and obs.slowlog.threshold_for("metadb.execute") is None:
             return None
 
-    bare_s = _min_per_call(bare, 1, CHECK_CALLS)
-    checking_s = _min_per_call(checking, 1, CHECK_CALLS)
+    bare_s = min_per_call(bare, 1, calls=CHECK_CALLS)
+    checking_s = min_per_call(checking, 1, calls=CHECK_CALLS)
     check_s = checking_s - bare_s
 
     overhead = check_s / scan_s
@@ -112,8 +98,8 @@ def test_disabled_event_log_emit_is_cheap():
     def emitting(_x):
         log.emit("info", "bench", "noop", "disabled emit")
 
-    bare_s = _min_per_call(bare, 1, 100_000)
-    emitting_s = _min_per_call(emitting, 1, 100_000)
+    bare_s = min_per_call(bare, 1, calls=100_000)
+    emitting_s = min_per_call(emitting, 1, calls=100_000)
     # Sub-microsecond per call: bounds it from becoming accidentally
     # expensive (lock acquisition, field dict builds) when switched off.
     per_call_us = (emitting_s - bare_s) * 1e6

@@ -14,22 +14,11 @@ from __future__ import annotations
 
 import time
 
+from conftest import min_per_call
 from repro.metadb import Column, ColumnType, Database, Insert, TableSchema
 
 REPEATS = 9
 MAX_OVERHEAD = 0.05
-
-
-def _min_per_call(fn, arg, calls: int) -> float:
-    """Min-of-repeats per-call seconds for ``fn(arg)`` in a tight loop."""
-    fn(arg)  # warm (bytecode, metric handles)
-    best = float("inf")
-    for _repeat in range(REPEATS):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn(arg)
-        best = min(best, time.perf_counter() - started)
-    return best / calls
 
 
 def test_log_shipping_hook_overhead_under_five_percent(tmp_path):
@@ -54,7 +43,7 @@ def test_log_shipping_hook_overhead_under_five_percent(tmp_path):
         key = next_key()
         writer.execute(Insert("t", {"a": key, "b": float(key)}))
 
-    write_s = _min_per_call(hot_write, 1, 2_000)
+    write_s = min_per_call(hot_write, 1, calls=2_000)
 
     group = ReplicaGroup(name="bench-hook", auto_ship=False)
     redo = [{"op": "insert", "table": "t", "rowid": 1,
@@ -87,8 +76,8 @@ def test_fire_is_noop_with_no_points_armed():
     def firing(_x):
         fire("metadb.statement")
 
-    bare_s = _min_per_call(bare, 1, 100_000)
-    firing_s = _min_per_call(firing, 1, 100_000)
+    bare_s = min_per_call(bare, 1, calls=100_000)
+    firing_s = min_per_call(firing, 1, calls=100_000)
     # Sub-microsecond per call: just bounds it from becoming accidentally
     # expensive (an RNG draw, a lock) rather than asserting exact cost.
     per_call_us = (firing_s - bare_s) * 1e6

@@ -24,15 +24,13 @@ The assertion is ``wrapper_cost / page_cost < 5%``.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
+from conftest import min_per_call
 from repro.web import HttpResponse, build_serving_stack
 
 PAGE_CALLS = 50
 NOOP_CALLS = 5_000
-REPEATS = 9
 MAX_OVERHEAD = 0.05
 
 _NOOP_BODY = HttpResponse.html("ok")
@@ -51,25 +49,13 @@ def stack(tmp_path_factory):
     built.shutdown()
 
 
-def _min_per_call(fn, arg, calls: int) -> float:
-    """Min-of-repeats per-call seconds for ``fn(arg)`` in a tight loop."""
-    fn(arg)  # warm (bytecode, metric handles, router sort)
-    best = float("inf")
-    for _repeat in range(REPEATS):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn(arg)
-        best = min(best, time.perf_counter() - started)
-    return best / calls
-
-
 def test_sync_scheduler_overhead_under_five_percent(stack):
     page_request = stack.request(f"/hedc/hle?id={stack.hle_ids[0]}")
-    page_s = _min_per_call(stack.web.handle, page_request, PAGE_CALLS)
+    page_s = min_per_call(stack.web.handle, page_request, calls=PAGE_CALLS)
 
     noop_request = stack.request("/noop")
-    bare_s = _min_per_call(_noop, noop_request, NOOP_CALLS)
-    handled_s = _min_per_call(stack.web.handle, noop_request, NOOP_CALLS)
+    bare_s = min_per_call(_noop, noop_request, calls=NOOP_CALLS)
+    handled_s = min_per_call(stack.web.handle, noop_request, calls=NOOP_CALLS)
     wrapper_s = handled_s - bare_s
 
     overhead = wrapper_s / page_s

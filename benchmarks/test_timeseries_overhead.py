@@ -16,10 +16,9 @@ tick shows the true per-call cost.  The budget is <5%.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
+from conftest import min_per_call
 from repro.metadb import (
     Column,
     ColumnType,
@@ -33,7 +32,6 @@ from repro.obs import Observability
 
 N_ROWS = 300
 SCAN_CALLS = 100
-REPEATS = 9
 MAX_OVERHEAD = 0.05
 COLLECTOR_INTERVAL_S = 0.05
 
@@ -52,26 +50,15 @@ def scan_db():
     return database
 
 
-def _min_per_call(fn, arg, calls: int) -> float:
-    fn(arg)  # warm (bytecode, metric handles)
-    best = float("inf")
-    for _repeat in range(REPEATS):
-        started = time.perf_counter()
-        for _call in range(calls):
-            fn(arg)
-        best = min(best, time.perf_counter() - started)
-    return best / calls
-
-
 def test_collector_on_execute_overhead_under_five_percent(scan_db):
     select = Select("t", where=Comparison("b", ">=", 0.0))
     collector = scan_db.obs.collector
     assert not collector.running
 
-    off_s = _min_per_call(scan_db.execute, select, SCAN_CALLS)
+    off_s = min_per_call(scan_db.execute, select, calls=SCAN_CALLS)
     collector.start(interval_s=COLLECTOR_INTERVAL_S)
     try:
-        on_s = _min_per_call(scan_db.execute, select, SCAN_CALLS)
+        on_s = min_per_call(scan_db.execute, select, calls=SCAN_CALLS)
     finally:
         collector.stop()
     assert collector.samples > 0, "collector never ticked during the run"
@@ -111,7 +98,7 @@ def test_one_tick_is_a_tiny_fraction_of_the_interval(scan_db):
         clock["now"] += 1.0
         collector.sample_once(now=clock["now"])
 
-    tick_s = _min_per_call(tick, None, 50)
+    tick_s = min_per_call(tick, None, calls=50)
     print(f"\ncollector tick {tick_s * 1e3:.3f}ms "
           f"({tick_s / 1.0 * 100:.3f}% of a 1 s interval)")
     assert tick_s < 0.010

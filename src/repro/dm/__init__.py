@@ -7,7 +7,7 @@ from .maintenance import MaintenanceService, PurgeReport, PurgeRule
 from .naming import NameMapper, NameMappingError, ResolvedName
 from .process import LoadReport, ProcessLayer, WorkflowError
 from .redirect import DmRouter, NodeStats
-from .reports import PredefinedQueries, Reports
+from .reports import PredefinedQueries, Reports, UnknownQuery
 from .semantic import EntityNotFound, SemanticLayer
 from .sessions import SESSION_KINDS, Session, SessionCache
 
@@ -33,5 +33,6 @@ __all__ = [
     "SemanticLayer",
     "Session",
     "SessionCache",
+    "UnknownQuery",
     "WorkflowError",
 ]

@@ -19,6 +19,10 @@ from .io_layer import IoLayer
 QUERYABLE_TABLES = ("hle", "ana", "catalogs")
 
 
+class UnknownQuery(KeyError):
+    """No predefined query is stored under that name."""
+
+
 class PredefinedQueries:
     """Named, stored SELECTs over the domain tables (§4.1).
 
@@ -73,7 +77,7 @@ class PredefinedQueries:
             )
         )
         if not rows:
-            raise KeyError(f"no predefined query named {name!r}")
+            raise UnknownQuery(f"no predefined query named {name!r}")
         return {"name": name, "sql": rows[0]["value"],
                 "description": rows[0]["description"]}
 
@@ -99,7 +103,7 @@ class PredefinedQueries:
             )
         )
         if not updated:
-            raise KeyError(f"no predefined query named {name!r}")
+            raise UnknownQuery(f"no predefined query named {name!r}")
 
 
 class Reports:

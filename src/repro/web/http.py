@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import urllib.parse
 from dataclasses import dataclass, field
+from html import escape
 from typing import Callable, Optional
 
 
@@ -64,7 +65,10 @@ class HttpResponse:
 
     @classmethod
     def error(cls, status: int, message: str) -> "HttpResponse":
-        return cls.html(f"<html><body><h1>{status}</h1><p>{message}</p></body></html>", status)
+        """An error page.  Messages quote request text and exception text:
+        escaped here, once, so no caller can forget."""
+        return cls.html(
+            f"<html><body><h1>{status}</h1><p>{escape(message)}</p></body></html>", status)
 
     @classmethod
     def redirect(cls, location: str) -> "HttpResponse":

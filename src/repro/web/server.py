@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+from ..dm import EntityNotFound
 from ..obs import Observability, resolve as resolve_obs
 from ..resil import (
     BreakerOpen,
@@ -218,6 +219,8 @@ class WebServer:
                 response = HttpResponse.error(504, f"deadline exceeded: {exc}")
                 self.obs.count("web.deadline_exceeded", server=self.name,
                                route=route)
+            except EntityNotFound as exc:
+                response = HttpResponse.error(404, str(exc))
             except Exception as exc:
                 response = HttpResponse.error(500, f"{type(exc).__name__}: {exc}")
             span.set_tag("status", response.status)

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Optional
 
 import numpy as np
 
 from ..analysis import render_pgm
-from ..metadb import And, Comparison, Select
+from ..dm import UnknownQuery
+from ..metadb import And, Comparison, QueryError, Select, parse as parse_sql
 from ..obs import resolve as resolve_obs, sparkline, to_line_protocol
 from ..security import AuthError, User, scoped_where
 from .http import HttpRequest, HttpResponse
 from .pages import build_registry
 
 SESSION_COOKIE = "hedc_session"
+#: What a row of the search page's result table reads (``SEARCH_PAGE``).
+_RESULT_COLUMNS = frozenset(("hle_id", "title", "kind", "peak_rate"))
 
 
 def _logo() -> bytes:
@@ -182,10 +186,14 @@ class Servlets:
         except ValueError:
             index = 0
         if item_id.startswith("ana:"):
+            try:
+                ana_id = int(item_id[4:])
+            except ValueError:
+                return HttpResponse.error(400, "bad analysis item id")
             # Visibility check through the semantic layer.
-            self.dm.semantic.get_analysis(user, int(item_id.split(":", 1)[1]))
+            self.dm.semantic.get_analysis(user, ana_id)
         names = self.dm.io.names.resolve_files(item_id, role="image")
-        if index >= len(names):
+        if not 0 <= index < len(names):
             return HttpResponse.error(404, f"no image {index} for {item_id}")
         etag = f'"{names[index].checksum}"' if names[index].checksum else None
         if etag is not None:
@@ -234,9 +242,17 @@ class Servlets:
         preset = request.params.get("preset")
         if preset:
             # A predefined query (§4.1) — visibility applies inside.
-            results = self.dm.queries.run(preset, user)
+            try:
+                results = self.dm.queries.run(preset, user)
+            except UnknownQuery:
+                return HttpResponse.error(400, "unknown preset")
         elif sql and context["sql_allowed"]:
-            results = self._run_user_sql(user, sql)
+            try:
+                results = self._run_user_sql(user, sql)
+            except QueryError as exc:
+                return HttpResponse.error(400, f"bad SQL: {exc}")
+            except AuthError as exc:
+                return HttpResponse.error(403, str(exc))
         else:
             conjuncts = []
             kind = request.params.get("kind")
@@ -244,19 +260,29 @@ class Servlets:
                 conjuncts.append(Comparison("kind", "=", kind))
             min_rate = request.params.get("min_rate")
             if min_rate:
-                conjuncts.append(Comparison("peak_rate", ">=", float(min_rate)))
+                try:
+                    rate = float(min_rate)
+                except ValueError:
+                    rate = math.nan
+                if not math.isfinite(rate):
+                    return HttpResponse.error(400, "min_rate must be a finite number")
+                conjuncts.append(Comparison("peak_rate", ">=", rate))
             where = And(conjuncts) if conjuncts else None
             results = self.dm.semantic.find_hles(
                 user, where=where, order_by=[("peak_rate", "desc")], limit=100
             )
+        # A stored or user SELECT may name another table or project other
+        # columns than the result table reads.
+        if (preset or sql) and results and not _RESULT_COLUMNS <= results[0].keys():
+            return HttpResponse.error(
+                400, "the result table shows " + ", ".join(sorted(_RESULT_COLUMNS))
+                + ": select them")
         context["results"] = results
         return HttpResponse.html(self.registry.render("search_page", context))
 
     def _run_user_sql(self, user: User, sql: str) -> list[dict]:
         """Advanced users may run their own SQL (paper §1) — restricted to
         SELECT over the domain tables, with visibility enforced."""
-        from ..metadb import parse as parse_sql
-
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise AuthError("only SELECT statements are allowed")

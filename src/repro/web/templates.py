@@ -6,13 +6,22 @@ templates plus one analysis template per ANA tuple.  The engine supports
 ``{{ expr }}`` substitution (dot access into dicts/attributes, with HTML
 escaping), ``{% for x in expr %}``, ``{% if expr %}/{% else %}`` and
 ``{% include name %}`` over a template registry.
+
+A template is compiled when it is constructed (for the servlets: at
+``TemplateRegistry.register``) into closures ``emit(context, registry,
+append)`` that write to one output list.  What an expression *is* —
+literal, integer, or dotted path — is decided then; what it resolves to,
+and which template an include names, at each render.
 """
 
 from __future__ import annotations
 
-import html
 import re
-from typing import Any, Optional
+from html import escape
+from typing import Any, Callable, Optional
+
+Getter = Callable[[dict[str, Any]], Any]
+Emit = Callable[[dict[str, Any], "TemplateRegistry", Callable[[str], None]], None]
 
 
 class TemplateError(Exception):
@@ -20,145 +29,178 @@ class TemplateError(Exception):
 
 
 _TAG_RE = re.compile(r"({{.*?}}|{%.*?%})", re.DOTALL)
+_MISSING = object()
 
 
-def _resolve(expression: str, context: dict[str, Any]) -> Any:
-    """Resolve dotted ``a.b.c`` paths through dicts and attributes."""
-    expression = expression.strip()
-    if expression.startswith(("'", '"')) and expression.endswith(expression[0]):
-        return expression[1:-1]
-    try:
-        return int(expression)
-    except ValueError:
-        pass
-    parts = expression.split(".")
-    if parts[0] not in context:
-        raise TemplateError(f"unknown template variable {parts[0]!r}")
-    value = context[parts[0]]
-    for part in parts[1:]:
-        if isinstance(value, dict):
-            if part not in value:
-                raise TemplateError(f"no key {part!r} in {parts[0]!r}")
-            value = value[part]
-        else:
-            if not hasattr(value, part):
-                raise TemplateError(f"no attribute {part!r} on {parts[0]!r}")
-            value = getattr(value, part)
+def _step(value: Any, part: str, head: str) -> Any:
+    """One ``.part`` of a path: a key of a dict, an attribute of the rest."""
+    if isinstance(value, dict):
+        if part not in value:
+            raise TemplateError(f"no key {part!r} in {head!r}")
+        return value[part]
+    value = getattr(value, part, _MISSING)
+    if value is _MISSING:
+        raise TemplateError(f"no attribute {part!r} on {head!r}")
     return value
 
 
-class _Node:
-    def render(self, context: dict[str, Any], registry: "TemplateRegistry") -> str:
-        raise NotImplementedError
+def _getter(expression: str) -> Getter:
+    """``context -> value`` for a literal or a dotted ``a.b.c`` path."""
+    expression = expression.strip()
+    if expression.startswith(("'", '"')) and expression.endswith(expression[0]):
+        literal: Any = expression[1:-1]
+        return lambda context: literal
+    try:
+        literal = int(expression)
+        return lambda context: literal
+    except ValueError:
+        pass
+    head, *rest = expression.split(".")
+
+    def get_name(context):
+        if head not in context:
+            raise TemplateError(f"unknown template variable {head!r}")
+        return context[head]
+
+    if not rest:
+        return get_name
+    if len(rest) == 1:
+        part = rest[0]
+
+        def get_member(context):
+            if head not in context:
+                raise TemplateError(f"unknown template variable {head!r}")
+            value = context[head]
+            if type(value) is dict and part in value:
+                return value[part]
+            return _step(value, part, head)
+
+        return get_member
+
+    def get_path(context):
+        value = get_name(context)
+        for part in rest:
+            value = _step(value, part, head)
+        return value
+
+    return get_path
 
 
-class _Text(_Node):
-    def __init__(self, text: str):
-        self.text = text
-
-    def render(self, context, registry) -> str:
-        return self.text
+def _text(text: str) -> Emit:
+    return lambda context, registry, append: append(text)
 
 
-class _Expr(_Node):
-    def __init__(self, expression: str, escape: bool = True):
-        self.expression = expression
-        self.escape = escape
+def _expr(get: Getter, escaped: bool) -> Emit:
+    """Emit one value: ``None`` as nothing, floats as ``.6g``, the rest
+    through ``str``; escaped unless ``|safe``.  Exact ``int`` and ``float``
+    print no character that escaping would change."""
 
-    def render(self, context, registry) -> str:
-        value = _resolve(self.expression, context)
-        if value is None:
-            return ""
-        text = f"{value:.6g}" if isinstance(value, float) else str(value)
-        return html.escape(text) if self.escape else text
+    def emit(context, registry, append):
+        value = get(context)
+        kind = type(value)
+        if kind is str:
+            append(escape(value) if escaped else value)
+        elif kind is int:
+            append(str(value))
+        elif kind is float:
+            append(f"{value:.6g}")
+        elif value is not None:
+            text = f"{value:.6g}" if isinstance(value, float) else str(value)
+            append(escape(text) if escaped else text)
+
+    return emit
 
 
-class _For(_Node):
-    def __init__(self, variable: str, expression: str, body: list[_Node]):
-        self.variable = variable
-        self.expression = expression
-        self.body = body
-
-    def render(self, context, registry) -> str:
-        items = _resolve(self.expression, context)
-        rendered = []
+def _for(variable: str, get: Getter, body: Emit) -> Emit:
+    def emit(context, registry, append):
+        items = get(context)
+        # One scope per loop, not per row: nothing in a body can write to
+        # it but an inner loop, which copies it again.
+        scope = dict(context)
         for item in items:
-            inner = dict(context)
-            inner[self.variable] = item
-            rendered.append("".join(node.render(inner, registry) for node in self.body))
-        return "".join(rendered)
+            scope[variable] = item
+            body(scope, registry, append)
+
+    return emit
 
 
-class _If(_Node):
-    def __init__(self, expression: str, then_body: list[_Node], else_body: list[_Node]):
-        self.expression = expression
-        self.then_body = then_body
-        self.else_body = else_body
-
-    def render(self, context, registry) -> str:
+def _if(get: Getter, then_body: Emit, else_body: Emit) -> Emit:
+    def emit(context, registry, append):
         try:
-            truthy = bool(_resolve(self.expression, context))
+            branch = then_body if get(context) else else_body
         except TemplateError:
-            truthy = False
-        branch = self.then_body if truthy else self.else_body
-        return "".join(node.render(context, registry) for node in branch)
+            branch = else_body
+        branch(context, registry, append)
+
+    return emit
 
 
-class _Include(_Node):
-    def __init__(self, name: str):
-        self.name = name
+def _include(name: str) -> Emit:
+    # The name is looked up at render time: an include may be registered
+    # after its includer, and re-registered.
+    return lambda context, registry, append: append(registry.render(name, context))
 
-    def render(self, context, registry) -> str:
-        return registry.render(self.name, context)
+
+def _block(nodes: list[Emit]) -> Emit:
+    if len(nodes) == 1:
+        return nodes[0]
+    body = tuple(nodes)
+
+    def emit(context, registry, append):
+        for node in body:
+            node(context, registry, append)
+
+    return emit
 
 
 class Template:
-    """A parsed template."""
+    """A compiled template."""
 
     def __init__(self, source: str):
-        self.nodes = self._parse(iter(_TAG_RE.split(source)), terminators=())[0]
+        self._emit = self._parse(iter(_TAG_RE.split(source)), terminators=())[0]
 
-    def _parse(self, pieces, terminators) -> tuple[list[_Node], Optional[str]]:
-        nodes: list[_Node] = []
+    def _parse(self, pieces, terminators) -> tuple[Emit, Optional[str]]:
+        nodes: list[Emit] = []
         for piece in pieces:
             if not piece:
                 continue
             if piece.startswith("{{"):
                 inner = piece[2:-2].strip()
-                escape = True
+                escaped = True
                 if inner.endswith("|safe"):
                     inner = inner[:-5].strip()
-                    escape = False
-                nodes.append(_Expr(inner, escape=escape))
+                    escaped = False
+                nodes.append(_expr(_getter(inner), escaped))
             elif piece.startswith("{%"):
                 tag = piece[2:-2].strip()
                 if tag in terminators:
-                    return nodes, tag
+                    return _block(nodes), tag
                 if tag.startswith("for "):
                     match = re.match(r"for\s+(\w+)\s+in\s+(.+)", tag)
                     if not match:
                         raise TemplateError(f"bad for tag: {tag!r}")
                     body, terminator = self._parse(pieces, ("endfor",))
-                    nodes.append(_For(match.group(1), match.group(2), body))
+                    nodes.append(_for(match.group(1), _getter(match.group(2)), body))
                 elif tag.startswith("if "):
                     then_body, terminator = self._parse(pieces, ("else", "endif"))
-                    else_body: list[_Node] = []
+                    else_body = _block([])
                     if terminator == "else":
                         else_body, _terminator = self._parse(pieces, ("endif",))
-                    nodes.append(_If(tag[3:].strip(), then_body, else_body))
+                    nodes.append(_if(_getter(tag[3:]), then_body, else_body))
                 elif tag.startswith("include "):
-                    nodes.append(_Include(tag[8:].strip()))
+                    nodes.append(_include(tag[8:].strip()))
                 else:
                     raise TemplateError(f"unknown tag {tag!r}")
             else:
-                nodes.append(_Text(piece))
+                nodes.append(_text(piece))
         if terminators:
             raise TemplateError(f"missing {'/'.join(terminators)}")
-        return nodes, None
+        return _block(nodes), None
 
     def render(self, context: dict[str, Any], registry: Optional["TemplateRegistry"] = None) -> str:
-        registry = registry or TemplateRegistry()
-        return "".join(node.render(context, registry) for node in self.nodes)
+        out: list[str] = []
+        self._emit(context, registry or TemplateRegistry(), out.append)
+        return "".join(out)
 
 
 class TemplateRegistry:

@@ -244,12 +244,18 @@ class TestMultiNodeIdAllocation:
 
 
 class TestWebDegradation:
-    def test_internal_errors_become_500_pages(self, dm):
+    def test_internal_errors_become_500_pages(self, dm, monkeypatch):
         from repro.web import HttpRequest, WebServer
 
         server = WebServer(dm)
-        response = server.handle(HttpRequest.get("/hedc/hle?id=424242"))
+        monkeypatch.setattr(dm, "fetch_page", lambda user, hle_id: 1 / 0)
+        response = server.handle(HttpRequest.get("/hedc/hle?id=1"))
         assert response.status == 500
+        assert "ZeroDivisionError" in response.text
+        monkeypatch.undo()
+        # An unknown entity is the client's mistake: typed, not internal.
+        response = server.handle(HttpRequest.get("/hedc/hle?id=424242"))
+        assert response.status == 404
         assert "not found" in response.text
         # The server keeps serving afterwards.
         assert server.handle(HttpRequest.get("/hedc/catalogs")).status == 200

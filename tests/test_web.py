@@ -14,6 +14,7 @@ from repro.web import (
     TemplateError,
     TemplateRegistry,
     ThinClient,
+    pages,
 )
 
 
@@ -151,7 +152,11 @@ class TestServlets:
         assert logged_in_client.get("/hedc/hle?id=abc").status == 400
 
     def test_unknown_hle_is_500_entity_error(self, logged_in_client):
-        assert logged_in_client.get("/hedc/hle?id=99999").status == 500
+        """Named for what it pinned until ``EntityNotFound`` was mapped
+        beside the other typed errors: the entity error is a 404."""
+        response = logged_in_client.get("/hedc/hle?id=99999")
+        assert response.status == 404
+        assert "not found" in response.text
 
     def test_search_by_kind_and_rate(self, web_stack, logged_in_client):
         _hedc, _server, events = web_stack
@@ -180,7 +185,8 @@ class TestServlets:
         response = logged_in_client.get(
             "/hedc/search?sql=select+login+from+admin_users"
         )
-        assert response.status == 500  # rejected
+        assert response.status == 403  # rejected
+        assert "admin_users" in response.text and "reader" not in response.text
 
     def test_anonymous_gets_no_sql_form(self, web_stack):
         _hedc, server, _events = web_stack
@@ -541,3 +547,162 @@ class TestAnalyzeEdges:
         assert response.status == 302
         assert [source for source, _result in calls] == \
             ["result = peak_rate(ph_energies)\nresult"]
+
+
+# -- the read servlets' edges: typed failures, nothing echoed as markup -----------------
+
+_FRAGMENT = re.compile(r"<[^<>]*>")
+#: Tags the pages themselves are written in: a request that spells one of
+#: these cannot be told from the page.
+_OUR_TAGS = set(_FRAGMENT.findall(
+    "".join(source for name, source in vars(pages).items() if name.isupper())
+    + HttpResponse.error(0, "").text))
+
+_MARKUP = [
+    "<b>x</b>", "<script>x</script>", "<i>zz</i>", "<u>x</u>", "\"><img src=x>",
+    "ana:<script>x</script>", "ana:<u>1</u>", "hle:<b>1</b>", "<svg/onload=alert(1)>",
+    "'<x y='z'>", "<>", "< a >",
+]
+_hostile_text = st.one_of(
+    st.sampled_from(_MARKUP), st.sampled_from(_MARKUP), st.sampled_from(_HOSTILE),
+    st.text(max_size=12), st.text(alphabet="<>&\"'/ab1:", max_size=10),
+    st.integers().map(str), st.floats().map(repr),
+)
+_SQL = [
+    "select * from hle", "select hle_id, title, kind, peak_rate from hle where peak_rate > 0",
+    "select * from hle where kind = '<b>x</b>'", "select * from hle where title like '%<i>%'",
+    "select * from hle order by peak_rate desc limit 3", "select * from hle where nope = 1",
+    "select * from hle where title > 5", "select * from hle where hle_id in (1, 2)",
+    "select nope from hle", "select title from hle", "select count(*) from hle",
+    "select kind, count(*) as n from hle group by kind", "select * from ana",
+    "select * from catalogs", "select * from hle limit -1", "select * from hle where",
+    "delete from hle", "update hle set title = '<b>'", "insert into hle (hle_id) values (1)",
+    "select login from admin_users", "select * from <b>", "selec",
+    "select * from hle; drop table hle", "create table t (a int)",
+]
+
+
+@pytest.fixture(scope="module")
+def edge_probe(web_stack):
+    """The server, a logged-in cookie jar and the identifiers the seeded
+    repository really holds (one analysis is made if there is none)."""
+    from repro.metadb import Select
+
+    hedc, server, events = web_stack
+    client = ThinClient(server)
+    assert client.login("reader", "reader-pw")
+    hle_id = events[0]["hle_id"]
+    if not hedc.dm.io.execute(Select("ana")):
+        assert client.post("/hedc/analyze", {
+            "hle": str(hle_id), "algorithm": "histogram", "n_bins": "16"}).status == 302
+    hedc.dm.queries.register("bright", "select * from hle where peak_rate > 1")
+    hedc.dm.queries.register("per_kind", "select kind, count(*) as n from hle group by kind")
+    known = {
+        "hle": [event["hle_id"] for event in events],
+        "ana": [row["ana_id"] for row in hedc.dm.io.execute(Select("ana"))],
+        "catalog": [hedc.standard_catalog_id],
+        "kind": sorted({event["kind"] for event in events}),
+        "preset": hedc.dm.queries.names(),
+        "unit": [row["item_id"] for row in hedc.dm.io.execute(Select("raw_units"))][:3],
+    }
+    known["path"] = [name.path for item_id in known["unit"]
+                     for name in hedc.dm.io.names.resolve_files(item_id)]
+    return server, dict(client.cookies), known
+
+
+def _edge_request(draw, route, known):
+    """``(path, params)`` for one request to ``route``: each parameter
+    absent, a value the repository holds, or hostile text."""
+    def held(name):
+        return st.sampled_from([str(value) for value in known[name]])
+
+    in_range = {
+        "/hedc/search": {"kind": held("kind"), "min_rate": st.floats(0, 1e6).map(repr),
+                         "preset": held("preset"), "sql": st.sampled_from(_SQL)},
+        "/hedc/hle": {"id": held("hle")},
+        "/hedc/catalog": {"id": held("catalog")},
+        "/hedc/ana": {"id": held("ana")},
+        "/hedc/image": {"item": st.one_of(held("ana").map("ana:{}".format), held("unit")),
+                        "index": st.integers(-2, 3).map(str)},
+        "/hedc/download": {"item": st.one_of(held("ana").map("ana:{}".format), held("unit")),
+                           "path": held("path")},
+        "/static": {},
+    }[route]
+    params = {}
+    for name, values in in_range.items():
+        kind = draw(st.sampled_from(["absent", "in range", "in range", "hostile"]))
+        if kind != "absent":
+            params[name] = draw(values if kind == "in range" else _hostile_text)
+    path = route
+    if route == "/static":
+        path += "/" + draw(st.one_of(st.sampled_from(["logo.pgm", "nav.pgm"]), _hostile_text))
+    return path, params
+
+
+def _assert_typed_and_escaped(response, sent):
+    assert response.status in (200, 304, 400, 403, 404), response.text
+    for text in sent:
+        for fragment in set(_FRAGMENT.findall(text)) - _OUR_TAGS:
+            assert fragment.encode("utf-8") not in response.body, (fragment, response.text)
+
+
+class TestReadEdges:
+    @pytest.mark.parametrize("route", [
+        "/hedc/search", "/hedc/hle", "/hedc/catalog", "/hedc/ana", "/hedc/image",
+        "/hedc/download", "/static"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_never_500_and_no_request_markup_in_the_body(self, edge_probe, route, data):
+        server, cookies, known = edge_probe
+        path, params = _edge_request(data.draw, route, known)
+        logged_in = data.draw(st.booleans())
+        request = HttpRequest("GET", path, params, dict(cookies) if logged_in else {})
+        _assert_typed_and_escaped(server.handle(request), [path, *params.values()])
+
+    @pytest.mark.parametrize("url, status", [
+        # Error pages echoed request text as markup.
+        ("/nowhere/<b>x</b>", 404),
+        ("/hedc/image?item=<i>zz</i>&index=3", 404),
+        ("/hedc/download?item=<u>x</u>", 404),
+        ("/hedc/image?item=ana:<script>x</script>", 400),
+        ("/static/<b>x</b>", 404),
+        # EntityNotFound was a 500.
+        ("/hedc/hle?id=999999", 404),
+        ("/hedc/catalog?id=99999", 404),
+        ("/hedc/ana?id=99999", 404),
+        ("/hedc/image?item=ana:99999", 404),
+        # Parameter text that reached float(), int() and the preset table.
+        ("/hedc/search?min_rate=abc", 400),
+        ("/hedc/search?min_rate=nan", 400),
+        ("/hedc/search?min_rate=inf", 400),
+        ("/hedc/image?item=ana:xyz", 400),
+        ("/hedc/image?item=nothing&index=-1", 404),
+        ("/hedc/search?preset=nope", 400),
+        # User SQL: unparseable, unrenderable, not allowed.
+        ("/hedc/search?sql=selec+<b>", 400),
+        ("/hedc/search?sql=select+nope+from+hle", 400),
+        ("/hedc/search?sql=select+count(*)+from+hle", 400),
+        ("/hedc/search?preset=per_kind", 400),
+        ("/hedc/search?sql=delete+from+hle", 403),
+        ("/hedc/search?sql=select+login+from+admin_users", 403),
+    ])
+    def test_the_probes_that_sized_the_issue(self, edge_probe, url, status):
+        """Each was a 500, or a page with the client's own tags in it."""
+        server, cookies, _known = edge_probe
+        request = HttpRequest.get(url, cookies)
+        response = server.handle(request)
+        assert response.status == status, response.text
+        _assert_typed_and_escaped(response, [request.path, *request.params.values()])
+        assert response.text.startswith(f"<html><body><h1>{status}</h1><p>")
+
+    def test_error_pages_escape_their_message_once(self):
+        response = HttpResponse.error(404, "no file for <u>x</u> & 'co'")
+        assert response.text == ("<html><body><h1>404</h1><p>no file for "
+                                 "&lt;u&gt;x&lt;/u&gt; &amp; &#x27;co&#x27;</p></body></html>")
+
+    def test_a_preset_and_user_sql_still_answer(self, edge_probe):
+        server, cookies, known = edge_probe
+        for url in ("/hedc/search?preset=bright", "/hedc/search?sql=select+*+from+hle"):
+            response = server.handle(HttpRequest.get(url, cookies))
+            assert response.status == 200
+            assert f"/hedc/hle?id={known['hle'][0]}" in response.text
