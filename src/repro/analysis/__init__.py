@@ -21,7 +21,6 @@ from .imaging import (
     DEFAULT_PHASE_BINS,
     ImageResult,
     back_projection,
-    back_projection_dense,
     clean_iterations,
 )
 from .lightcurve import Lightcurve, lightcurve
@@ -51,7 +50,6 @@ __all__ = [
     "Spectrogram",
     "approximation_speedup",
     "back_projection",
-    "back_projection_dense",
     "clean_iterations",
     "histogram",
     "lightcurve",

@@ -14,18 +14,21 @@ through its *spin-phase angle* (arrival time modulo the spacecraft spin):
 photons are binned into ``n_phase_bins`` rotation-phase bins, one
 modulation pattern is computed per **occupied** bin at the bin's circular
 mean angle, and the weighted patterns are streamed into the output image
-in bounded chunks.  That replaces the naive per-photon evaluation — an
-``(n_photons, n_pixels, n_pixels)`` temporary with redundant trig — with
-O(K·P²) work and an O(chunk·P²) working set, K ≪ N.  The phase grid
-(pixel offsets from the assumed source) is built once and shared by all
-detectors; only the pitch-dependent wavenumber differs per collimator.
+in bounded steps.  A pattern is a cosine of a sum of one term per image
+axis, so it separates (``cos(a+b) = cos a·cos b − sin a·sin b``): K
+patterns cost 4·K·P trig evaluations and two (P×K)·(K×P) matrix
+products, 4·K·P² multiply-adds, where the naive per-photon evaluation —
+an ``(n_photons, n_pixels, n_pixels)`` temporary — takes N·P² cosines,
+K ≪ N.  The working set is O(step·P).  The phase grid (pixel offsets
+from the assumed source) is built once and shared by all detectors; only
+the pitch-dependent wavenumber differs per collimator.
 
 Accuracy bound of the binning approximation: within a bin the angle is
 off by at most Δθ/2 = π/K, so a pattern value is off by at most
 ``2π·r/pitch · π/K`` radians of phase at sky distance ``r`` from the
 source — second-order near the source peak (r → 0), which is why peak
 position and dynamic range are preserved.  ``n_phase_bins=None`` disables
-binning and evaluates per photon (exact, still streamed in chunks).
+binning and evaluates per photon (exact, still streamed in steps).
 """
 
 from __future__ import annotations
@@ -43,9 +46,14 @@ from ..rhessi.photons import PhotonList
 #: evaluations.
 DEFAULT_PHASE_BINS = 256
 
-#: Rows of (chunk, n_pixels, n_pixels) temporaries the streaming
-#: accumulator allows itself — the bounded working set.
-_CHUNK_ANGLES = 64
+#: Angles per step of the streaming accumulator.  It bounds the working
+#: set of exact mode, where every photon is an angle, and it keeps each
+#: matrix product small enough (n_pixels² · 64 multiply-adds, up to the
+#: default 64-pixel image) that OpenBLAS runs it on the calling thread:
+#: measured, its worker threads gain nothing at these sizes and now and
+#: then stall a product for ~25 ms.  Larger steps are no faster (the
+#: trig dominates): 64, 256, 1024, 4096 angles read the same within 15 %.
+_ANGLES_PER_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -86,19 +94,22 @@ def _accumulate_patterns(
 ) -> None:
     """Stream ``weights[i] * cos(kx·cosθᵢ + ky·sinθᵢ)`` into ``image``.
 
-    Works on angle chunks so the live temporary stays at
-    ``(_CHUNK_ANGLES, n_pixels, n_pixels)`` regardless of how many
-    angles (photons or phase bins) are being accumulated.
+    The pattern separates along the image axes,
+    ``cos(a + b) = cos a · cos b − sin a · sin b`` with ``a = kx·cosθᵢ``
+    (columns) and ``b = ky·sinθᵢ`` (rows), so a step of angles costs
+    four ``(step, n_pixels)`` trig arrays and two
+    ``(n_pixels, step)·(step, n_pixels)`` products: no
+    ``(step, n_pixels, n_pixels)`` temporary is ever built, and the
+    working set stays at ``_ANGLES_PER_STEP`` rows however many angles
+    (photons or phase bins) are accumulated.
     """
-    for start in range(0, len(cos_angles), _CHUNK_ANGLES):
-        cos_chunk = cos_angles[start:start + _CHUNK_ANGLES]
-        sin_chunk = sin_angles[start:start + _CHUNK_ANGLES]
-        phase = (
-            cos_chunk[:, None, None] * kx[None, None, :]
-            + sin_chunk[:, None, None] * ky[None, :, None]
-        )
-        np.cos(phase, out=phase)
-        image += np.tensordot(weights[start:start + _CHUNK_ANGLES], phase, axes=1)
+    for start in range(0, len(cos_angles), _ANGLES_PER_STEP):
+        step = slice(start, start + _ANGLES_PER_STEP)
+        along_x = cos_angles[step, None] * kx[None, :]
+        along_y = sin_angles[step, None] * ky[None, :]
+        weighted = weights[step, None]
+        image += (weighted * np.cos(along_y)).T @ np.cos(along_x)
+        image -= (weighted * np.sin(along_y)).T @ np.sin(along_x)
 
 
 def back_projection(
@@ -181,57 +192,6 @@ def back_projection(
                 counts[occupied].astype(np.float64),
             )
         used += n_subset
-    if used:
-        image /= used
-    return ImageResult(image, extent_arcsec, center_arcsec, used)
-
-
-def back_projection_dense(
-    photons: PhotonList,
-    n_pixels: int = 64,
-    extent_arcsec: float = 2048.0,
-    center_arcsec: tuple[float, float] = (0.0, 0.0),
-    detectors: Optional[list[int]] = None,
-    source_position: Optional[tuple[float, float]] = None,
-) -> ImageResult:
-    """The pre-optimisation kernel: one dense ``(n_photons, P, P)``
-    temporary per detector and per-photon trig.
-
-    Kept as the numerical reference for the angle-binning tolerance tests
-    and as the baseline the ``backprojection`` benchmark measures the
-    streamed kernel against.  Do not use on large photon lists.
-    """
-    if n_pixels < 4:
-        raise ValueError("n_pixels must be >= 4")
-    if len(photons) == 0:
-        return ImageResult(
-            np.zeros((n_pixels, n_pixels)), extent_arcsec, center_arcsec, 0
-        )
-    chosen = detectors if detectors is not None else list(range(1, 10))
-    half = extent_arcsec / 2.0
-    axis = np.linspace(-half, half, n_pixels) + 0.0
-    grid_x = center_arcsec[0] + axis[None, :]
-    grid_y = center_arcsec[1] + axis[:, None]
-    image = np.zeros((n_pixels, n_pixels))
-    used = 0
-    source = source_position if source_position is not None else center_arcsec
-    for detector_index in chosen:
-        subset = photons.select_detector(detector_index)
-        if len(subset) == 0:
-            continue
-        pitch = COLLIMATOR_PITCHES_ARCSEC[detector_index - 1]
-        # Grid orientation at each photon's arrival time.
-        angles = 2.0 * np.pi * (subset.times % SPIN_PERIOD_S) / SPIN_PERIOD_S
-        # Projected sky coordinate along the grid normal, per photon/pixel.
-        cos_a = np.cos(angles)[:, None, None]
-        sin_a = np.sin(angles)[:, None, None]
-        projected = grid_x[None, :, :] * cos_a + grid_y[None, :, :] * sin_a
-        source_projected = source[0] * cos_a[:, 0, 0] + source[1] * sin_a[:, 0, 0]
-        # Modulation pattern: photons arrive preferentially when the source
-        # sits on a grid-transmission maximum; back-project that phase.
-        phase = 2.0 * np.pi * (projected - source_projected[:, None, None]) / pitch
-        image += np.cos(phase).sum(axis=0)
-        used += len(subset)
     if used:
         image /= used
     return ImageResult(image, extent_arcsec, center_arcsec, used)

@@ -113,7 +113,7 @@ class Hedc:
         self.idl.start_all()
         self.frontend = Frontend(self.dm, self.idl, directory=self.directory,
                                  obs=self.obs)
-        self.frontend.register_strategy(UserRoutineStrategy())
+        self.frontend.register_strategy(UserRoutineStrategy(self.idl))
         self.web = WebServer(self.dm, frontend=self.frontend, obs=self.obs)
         self.router = DmRouter()
         self.router.add_node(self.dm)

@@ -230,6 +230,14 @@ class DataManager:
                 "lookups": registry.family_total("dm.name_mapping.lookups"),
             },
             "io": self.io.stats.snapshot(),
+            # Raw units kept unpacked on the scratch disk (load_photons).
+            "unpacked": {
+                **{
+                    what: registry.value(f"dm.process.unpacked.{what}")
+                    for what in ("hits", "inflations", "evictions", "fallbacks")
+                },
+                "bytes": self.io.storage.unpacked_bytes,
+            },
         }
 
     def describe_data(self) -> dict:

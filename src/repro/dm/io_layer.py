@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..cache import Cache
-from ..filestore import ChecksumError, StorageManager
+from ..filestore import ChecksumError, StorageManager, UnpackedCopy
 from ..obs import Observability, resolve as resolve_obs
 from ..metadb import (
     DatabaseApi,
@@ -280,6 +280,22 @@ class IoLayer:
         """Direct path for external programs (the §4.2 'copy files' path)."""
         archive_id = self._archive_for_root(resolved.root)
         return self.storage.local_path(archive_id, resolved.path)
+
+    def unpacked_copy(
+        self, resolved: ResolvedName, budget_bytes: int
+    ) -> Optional[UnpackedCopy]:
+        """A gzip item's inflated copy on the HSM's scratch disk, or
+        ``None`` when it cannot be staged (read :meth:`local_path`)."""
+        archive_id = self._archive_for_root(resolved.root)
+        # Retried like read_item: the first access reads the archive.
+        return self.read_retry.call(
+            self.storage.unpacked_copy, archive_id, resolved.path, budget_bytes
+        )
+
+    def drop_unpacked(self, resolved: ResolvedName) -> None:
+        self.storage.drop_unpacked(
+            self._archive_for_root(resolved.root), resolved.path
+        )
 
     def _archive_for_root(self, root: str) -> str:
         for archive_id in self.storage.archive_ids():

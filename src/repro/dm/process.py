@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..fits import read as read_fits
+from ..fits import FitsError, read as read_fits
 from ..metadb import Aggregate, Comparison, Insert, Select, Update
 from ..rhessi import (
     CalibrationHistory,
@@ -51,6 +51,9 @@ class ProcessLayer:
     #: into runs of this many bins (§6.3).
     view_bin_s = 4.0
     view_partition_length = 512
+    #: Raw units read by analyses are kept unpacked on the HSM's scratch
+    #: disk up to this many bytes, least recently used evicted first.
+    unpacked_budget_bytes = 256 * 2**20
 
     def __init__(
         self,
@@ -211,12 +214,37 @@ class ProcessLayer:
     # -- raw data access ------------------------------------------------------------
 
     def load_photons(self, unit_id: str) -> PhotonList:
-        """Fetch and decode the photon list of a loaded unit."""
+        """Fetch and decode the photon list of a loaded unit.
+
+        The gnu-zipped unit is inflated once onto the scratch disk
+        (:meth:`StorageManager.unpacked_copy` checks source and copy on
+        every access) and parsed from there; where that cannot be staged
+        the archive's file is read directly.
+        """
         names = self.io.names.resolve_files(f"unit:{unit_id}", role="data")
         if not names:
             raise WorkflowError(f"unit {unit_id!r} has no data file")
-        path = self.io.local_path(names[0])
-        return PhotonList.from_fits(read_fits(path))
+        obs = self.io.obs
+        # A copy that does not parse, or was evicted before it could be
+        # opened, is discarded and unpacked once more.
+        for _attempt in range(2):
+            copy = self.io.unpacked_copy(names[0], self.unpacked_budget_bytes)
+            if copy is None:
+                break
+            obs.count("dm.process.unpacked.inflations" if copy.inflated
+                      else "dm.process.unpacked.hits")
+            if copy.evicted:
+                obs.count("dm.process.unpacked.evictions", copy.evicted)
+            obs.set_gauge("dm.process.unpacked.bytes", self.io.storage.unpacked_bytes)
+            try:
+                return PhotonList.from_fits(read_fits(copy.path))
+            except (FitsError, OSError):
+                self.io.drop_unpacked(names[0])
+        obs.count("dm.process.unpacked.fallbacks")
+        try:
+            return PhotonList.from_fits(read_fits(self.io.local_path(names[0])))
+        except FitsError as exc:
+            raise WorkflowError(f"unit {unit_id!r} is not readable: {exc}") from exc
 
     def units_covering(self, start: float, end: float) -> list[dict]:
         """Raw units overlapping a time window."""

@@ -14,7 +14,7 @@ from .archive import (
     TapeArchive,
 )
 from .checksums import checksum_bytes, checksum_file, verify_file
-from .hsm import MigrationResult, StorageManager
+from .hsm import MigrationResult, StorageManager, UnpackedCopy
 
 __all__ = [
     "Archive",
@@ -29,6 +29,7 @@ __all__ = [
     "StorageManager",
     "StoredItem",
     "TapeArchive",
+    "UnpackedCopy",
     "checksum_bytes",
     "checksum_file",
     "verify_file",

@@ -63,6 +63,8 @@ class Archive:
         self.archive_id = archive_id
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Resolved once: every operation checks its candidate against it.
+        self._resolved_root = self.root.resolve()
         self.capacity_bytes = capacity_bytes
         self.online = True
         self.bytes_stored = 0
@@ -76,8 +78,8 @@ class Archive:
             raise ArchiveOffline(f"archive {self.archive_id!r} is offline")
 
     def _full_path(self, rel_path: str) -> Path:
-        path = (self.root / rel_path).resolve()
-        if self.root.resolve() not in path.parents and path != self.root.resolve():
+        path = (self._resolved_root / rel_path).resolve()
+        if not path.is_relative_to(self._resolved_root):
             raise ArchiveError(f"path escapes archive root: {rel_path!r}")
         return path
 

@@ -9,7 +9,7 @@ card, and fixed-format value layout (value right-justified in columns
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator
 
 CARD_LENGTH = 80
 BLOCK_LENGTH = 2880
@@ -152,6 +152,14 @@ class Header:
             raise KeyError(keyword)
         return value
 
+    def require(self, keyword: str, kind: type) -> Any:
+        """The value of a card the structure cannot be read without;
+        :class:`FitsError` when it is missing or not of ``kind``."""
+        value = self.get(keyword)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise FitsError(f"missing or malformed {keyword.upper()} card: {value!r}")
+        return value
+
     def __contains__(self, keyword: str) -> bool:
         sentinel = object()
         return self.get(keyword, sentinel) is not sentinel
@@ -185,7 +193,10 @@ class Header:
         while True:
             if position + BLOCK_LENGTH > len(data):
                 raise FitsError("truncated header: no END card")
-            block = data[position:position + BLOCK_LENGTH].decode("ascii")
+            try:
+                block = data[position:position + BLOCK_LENGTH].decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FitsError(f"non-ASCII byte in header block at {position}") from exc
             position += BLOCK_LENGTH
             done = False
             for card_index in range(CARDS_PER_BLOCK):

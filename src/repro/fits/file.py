@@ -7,6 +7,7 @@ RHESSI raw-data units are FITS files compressed with gnu-zip (paper §2.1);
 from __future__ import annotations
 
 import gzip
+import zlib
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -83,5 +84,8 @@ def read(path: Union[str, Path]) -> FitsFile:
     path = Path(path)
     payload = path.read_bytes()
     if path.suffix == ".gz" or payload[:2] == b"\x1f\x8b":
-        payload = gzip.decompress(payload)
+        try:
+            payload = gzip.decompress(payload)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FitsError(f"{path} is not a readable gzip stream: {exc}") from exc
     return FitsFile.from_bytes(payload)

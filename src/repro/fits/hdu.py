@@ -11,6 +11,7 @@ Implements the parts of the FITS standard RHESSI data needs:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,14 @@ _DTYPE_TO_BITPIX = {
     np.dtype("float32"): -32,
     np.dtype("float64"): -64,
 }
+
+
+def _size_card(header: Header, keyword: str) -> int:
+    """A count or length card: a non-negative integer."""
+    value = header.require(keyword, int)
+    if value < 0:
+        raise FitsError(f"negative {keyword}: {value}")
+    return value
 
 
 def _pad(data: bytes) -> bytes:
@@ -77,18 +86,19 @@ class PrimaryHDU:
         header, position = Header.from_bytes(data, offset)
         if header.get("SIMPLE") is not True:
             raise FitsError("primary HDU must begin with SIMPLE = T")
-        naxis = header.get("NAXIS", 0)
+        naxis = _size_card(header, "NAXIS")
         array: Optional[np.ndarray] = None
         if naxis:
-            bitpix = header["BITPIX"]
+            bitpix = header.require("BITPIX", int)
             dtype = _BITPIX_TO_DTYPE.get(bitpix)
             if dtype is None:
                 raise FitsError(f"unsupported BITPIX {bitpix}")
+            if naxis > 999:
+                raise FitsError(f"NAXIS out of range: {naxis}")
             shape = tuple(
-                int(header[f"NAXIS{axis_index}"]) for axis_index in range(naxis, 0, -1)
+                _size_card(header, f"NAXIS{axis_index}") for axis_index in range(naxis, 0, -1)
             )
-            count = int(np.prod(shape))
-            nbytes = count * dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             raw = data[position:position + nbytes]
             if len(raw) < nbytes:
                 raise FitsError("truncated primary data")
@@ -192,23 +202,32 @@ class BinTableHDU:
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BinTableHDU", int]:
         header, position = Header.from_bytes(data, offset)
-        if header.get("XTENSION", "").strip() != "BINTABLE":
+        if str(header.get("XTENSION", "")).strip() != "BINTABLE":
             raise FitsError("not a BINTABLE extension")
-        row_width = int(header["NAXIS1"])
-        nrows = int(header["NAXIS2"])
-        nfields = int(header["TFIELDS"])
+        row_width = _size_card(header, "NAXIS1")
+        nrows = _size_card(header, "NAXIS2")
+        nfields = _size_card(header, "TFIELDS")
+        if nfields > 999:
+            raise FitsError(f"TFIELDS out of range: {nfields}")
         fields: list[tuple[str, np.dtype]] = []
         for column_index in range(1, nfields + 1):
-            column_name = str(header[f"TTYPE{column_index}"]).strip()
-            tform = str(header[f"TFORM{column_index}"]).strip()
+            column_name = header.require(f"TTYPE{column_index}", str).strip()
+            if not column_name:
+                raise FitsError(f"TTYPE{column_index} names no column")
+            tform = header.require(f"TFORM{column_index}", str).strip()
             if tform.endswith("A"):
-                width = int(tform[:-1] or 1)
-                fields.append((column_name, np.dtype(f"S{width}")))
+                width = tform[:-1] or "1"
+                if not (width.isascii() and width.isdigit() and 0 < int(width) <= row_width):
+                    raise FitsError(f"unsupported TFORM {tform!r}")
+                fields.append((column_name, np.dtype(f"S{int(width)}")))
             elif tform in _TFORM_DTYPES:
                 fields.append((column_name, _TFORM_DTYPES[tform]))
             else:
                 raise FitsError(f"unsupported TFORM {tform!r}")
-        record_dtype = np.dtype(fields)
+        try:
+            record_dtype = np.dtype(fields)
+        except ValueError as exc:  # a repeated column name
+            raise FitsError(f"unusable column names: {exc}") from exc
         if record_dtype.itemsize != row_width:
             raise FitsError(
                 f"row width mismatch: NAXIS1={row_width}, fields={record_dtype.itemsize}"
@@ -224,7 +243,10 @@ class BinTableHDU:
         for field_name, dtype in fields:
             column = records[field_name]
             if dtype.kind == "S":
-                columns.append(np.char.decode(column, "ascii"))
+                try:
+                    columns.append(np.char.decode(column, "ascii"))
+                except UnicodeDecodeError as exc:
+                    raise FitsError(f"non-ASCII text in column {field_name!r}") from exc
             else:
                 columns.append(column.astype(dtype.newbyteorder("=")))
         table = cls(names, columns, name=str(header.get("EXTNAME", "")).strip())

@@ -108,6 +108,18 @@ class IdlServer:
     def available(self) -> bool:
         return self.state is ServerState.READY
 
+    def defines_function(self, name: str) -> Optional[bool]:
+        """Whether the session can call ``name`` as a function (its own
+        definitions, loaded routines, builtins); ``None`` when there is
+        no session to ask."""
+        interpreter = self._interpreter
+        if interpreter is None:
+            return None
+        definition = interpreter.procedures.get(name.lower())
+        if definition is not None:
+            return definition.is_function
+        return name.lower() in interpreter.builtins
+
     # -- data binding -----------------------------------------------------------
 
     def bind_photons(self, photons: PhotonList) -> None:

@@ -82,7 +82,13 @@ class Frontend:
         self._queue_lock = threading.Lock()
         self._queue_ready = threading.Condition(self._queue_lock)
         self._in_flight = 0
-        self.completed: list[AnalysisRequest] = []
+        #: Finished requests by final phase, and the committed ones'
+        #: sojourn total: what :meth:`stats` reports.  The requests
+        #: themselves (raw result and product attached) go back to their
+        #: callers and are not kept.
+        self._finished = {Phase.COMMITTED: 0, Phase.FAILED: 0, Phase.CANCELLED: 0}
+        self._committed_sojourn_s = 0.0
+        self._stats_lock = threading.Lock()
         self._workers: list[threading.Thread] = []
         self._shutdown = False
         for worker_index in range(n_workers):
@@ -190,9 +196,7 @@ class Frontend:
         if degraded:
             request.parameters["degraded"] = True
         request.phase = Phase.COMMITTED
-        request.completed_at = time.monotonic()
-        self.completed.append(request)
-        return request
+        return self._finish(request)
 
     def _run_phases(self, request: AnalysisRequest, estimate: bool) -> AnalysisRequest:
         strategy = self.strategy_for(request.algorithm)
@@ -220,8 +224,14 @@ class Frontend:
             strategy.cleanup(request, self.context)
             request.phase = Phase.FAILED
             request.error = str(exc)
+        return self._finish(request)
+
+    def _finish(self, request: AnalysisRequest) -> AnalysisRequest:
         request.completed_at = time.monotonic()
-        self.completed.append(request)
+        with self._stats_lock:
+            self._finished[request.phase] += 1
+            if request.phase is Phase.COMMITTED:
+                self._committed_sojourn_s += request.sojourn_s
         return request
 
     def _maybe_degrade(self, request: AnalysisRequest,
@@ -311,14 +321,16 @@ class Frontend:
     # -- statistics ---------------------------------------------------------------------
 
     def stats(self) -> dict:
-        committed = [r for r in self.completed if r.phase is Phase.COMMITTED]
-        sojourns = [r.sojourn_s for r in committed if r.sojourn_s is not None]
+        with self._stats_lock:
+            finished = dict(self._finished)
+            sojourn_s = self._committed_sojourn_s
+        committed = finished[Phase.COMMITTED]
         return {
-            "completed": len(self.completed),
-            "committed": len(committed),
-            "failed": sum(1 for r in self.completed if r.phase is Phase.FAILED),
-            "cancelled": sum(1 for r in self.completed if r.phase is Phase.CANCELLED),
+            "completed": sum(finished.values()),
+            "committed": committed,
+            "failed": finished[Phase.FAILED],
+            "cancelled": finished[Phase.CANCELLED],
             "queries": self.context.queries,
             "edits": self.context.edits,
-            "avg_sojourn_s": sum(sojourns) / len(sojourns) if sojourns else 0.0,
+            "avg_sojourn_s": sojourn_s / committed if committed else 0.0,
         }

@@ -160,6 +160,15 @@ class IdlServerManager:
                     loaded += 1
         return loaded
 
+    def defines_function(self, name: str) -> bool:
+        """Whether a server's session can call ``name`` as a function.
+        With no session running there is nothing to ask and the answer
+        is yes: the invocation itself will report what it finds."""
+        with self._lock:
+            servers = list(self._servers)
+        answers = [server.defines_function(name) for server in servers]
+        return any(answers) or all(answer is None for answer in answers)
+
     def _heartbeat(self) -> None:
         if self.directory is not None:
             self.directory.heartbeat(f"idl_manager:{self.node_name}")

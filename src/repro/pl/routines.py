@@ -203,12 +203,22 @@ class UserRoutineStrategy(AnalysisStrategy):
     #: the built-in of that shape.
     cost = HISTOGRAM
 
+    def __init__(self, idl):
+        #: The :class:`IdlServerManager` whose sessions run the routines.
+        self.idl = idl
+
     def parse(self, given):
         """``routine`` names code, not a value: it must be an IDL
-        identifier, since it is written into the source that runs."""
+        identifier, since it is written into the source that runs, and
+        a function the servers' sessions define (shipped with them, or
+        published and loaded)."""
         name = given.get("routine")
         if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
             raise ParameterError("parameter 'routine' must be the name of a routine")
+        if not self.idl.defines_function(name):
+            raise ParameterError(
+                f"parameter 'routine' names no routine the servers have: {name.lower()!r}"
+            )
         return {"routine": name.lower()}
 
     def execute(self, request, context):

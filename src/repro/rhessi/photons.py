@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fits import BinTableHDU, FitsFile, Header, PrimaryHDU
+from ..fits import BinTableHDU, FitsError, FitsFile, Header, PrimaryHDU
 from .instrument import ENERGY_MAX_KEV, ENERGY_MIN_KEV, N_COLLIMATORS
 
 
@@ -56,8 +56,15 @@ class PhotonList:
 
     def select_time(self, start: float, end: float) -> "PhotonList":
         """Photons with start <= t < end."""
-        mask = (self.times >= start) & (self.times < end)
-        return PhotonList(self.times[mask], self.energies[mask], self.detectors[mask])
+        # Times are sorted (``__post_init__``): two bisections, and copies
+        # so the window does not keep the whole list's arrays alive.
+        first, last = np.searchsorted(self.times, (start, end), side="left")
+        window = slice(first, max(first, last))
+        return PhotonList(
+            self.times[window].copy(),
+            self.energies[window].copy(),
+            self.detectors[window].copy(),
+        )
 
     def select_energy(self, low_kev: float, high_kev: float) -> "PhotonList":
         """Photons with low <= E < high."""
@@ -122,11 +129,12 @@ class PhotonList:
     @classmethod
     def from_fits(cls, fits_file: FitsFile) -> "PhotonList":
         table = fits_file.table(cls.EXTENSION_NAME)
-        return cls(
-            table.column("time"),
-            table.column("energy"),
-            table.column("detector").astype(np.int16),
-        )
+        columns = {name: table.column(name) for name in ("time", "energy", "detector")}
+        for name, column in columns.items():
+            if column.dtype.kind not in "if":
+                raise FitsError(f"photon column {name!r} is not numeric")
+        return cls(columns["time"], columns["energy"],
+                   columns["detector"].astype(np.int16))
 
     def validate(self) -> None:
         """Raise ValueError if any record is physically impossible."""

@@ -1,9 +1,11 @@
 """Tests for the analysis kernels and products."""
 
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     DEFAULT_PHASE_BINS,
@@ -11,7 +13,6 @@ from repro.analysis import (
     CostModel,
     approximation_speedup,
     back_projection,
-    back_projection_dense,
     clean_iterations,
     histogram,
     lightcurve,
@@ -23,6 +24,8 @@ from repro.analysis import (
 )
 from repro.rhessi import PhotonList, SolarFlare, TelemetryGenerator
 from repro.rhessi.telemetry import ObservationPlan
+
+from .oracle_imaging import back_projection_chunked, back_projection_dense
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,79 @@ class TestImaging:
         # the same pixel and the dynamic range stays in the same regime.
         assert binned.peak_position() == dense.peak_position()
         assert binned.dynamic_range() > 0.7 * dense.dynamic_range()
+
+
+def _drawn_photons(seed: int, n_photons: int) -> PhotonList:
+    rng = np.random.default_rng(seed)
+    return PhotonList(
+        np.sort(rng.uniform(0.0, 12.0, n_photons)),
+        rng.uniform(3.0, 100.0, n_photons),
+        rng.integers(1, 10, n_photons),
+    )
+
+
+class TestSeparableKernel:
+    """The kernel evaluates ``cos(a + b)`` as ``cos a·cos b − sin a·sin b``
+    along the image axes; the chunked kernel it replaced (one K×P×P
+    cosine) is the reference, binned and exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_photons=st.integers(1, 400),
+        n_pixels=st.integers(4, 64),
+        extent=st.floats(16.0, 8192.0),
+        center=st.tuples(st.floats(-900.0, 900.0), st.floats(-900.0, 900.0)),
+        source=st.none() | st.tuples(st.floats(-900.0, 900.0), st.floats(-900.0, 900.0)),
+        detectors=st.none() | st.lists(st.integers(1, 9), min_size=1, max_size=9,
+                                       unique=True),
+        n_phase_bins=st.none() | st.sampled_from([1, 7, 64, DEFAULT_PHASE_BINS, 1000]),
+    )
+    def test_agrees_with_the_chunked_kernel(self, seed, n_photons, n_pixels, extent,
+                                            center, source, detectors, n_phase_bins):
+        photons = _drawn_photons(seed, n_photons)
+        parameters = dict(
+            n_pixels=n_pixels, extent_arcsec=extent, center_arcsec=center,
+            source_position=source, detectors=detectors, n_phase_bins=n_phase_bins,
+        )
+        separable = back_projection(photons, **parameters)
+        chunked = back_projection_chunked(photons, **parameters)
+        assert separable.n_photons_used == chunked.n_photons_used
+        # Patterns are cosines averaged over the photons: the peak is
+        # at most 1, and it is 1 at the source, so this is 1e-12 of peak.
+        assert np.abs(separable.image - chunked.image).max() <= 1e-12
+
+    def test_more_angles_than_one_step_and_a_ragged_last_step(self):
+        photons = _drawn_photons(3, 64 * 5 + 17)
+        separable = back_projection(photons, n_pixels=20, n_phase_bins=None)
+        chunked = back_projection_chunked(photons, n_pixels=20, n_phase_bins=None)
+        np.testing.assert_allclose(separable.image, chunked.image, rtol=0, atol=1e-12)
+
+    def test_rendered_images_match_on_the_bench_ranges(self, flare_photons):
+        """200 seeded draws of ``bench/datagen.py``'s imaging parameters
+        over 12-second windows: the PGM the archive stores is the same
+        file whichever kernel made it, up to one thing.  An image about
+        its own source is point-symmetric, so its brightest pixel has a
+        twin that ties with it exactly; ``render_pgm`` truncates, so the
+        twin a kernel's last rounding makes larger reads 255 and the
+        other 254.  Nothing else may differ."""
+        rng = random.Random(2003)
+        identical = 0
+        for _draw in range(200):
+            start = rng.uniform(40.0, 148.0)
+            window = flare_photons.select_time(start, start + 12.0)
+            parameters = dict(n_pixels=rng.randint(12, 40),
+                              extent_arcsec=rng.uniform(1024.0, 4096.0))
+            reference = back_projection_chunked(window, **parameters).image
+            separable = parse_pgm(render_pgm(back_projection(window, **parameters).image))
+            chunked = parse_pgm(render_pgm(reference))
+            differing = separable != chunked
+            if not differing.any():
+                identical += 1
+                continue
+            assert np.all(reference[differing] >= reference.max() - 1e-12)
+            assert set(separable[differing]) | set(chunked[differing]) == {254, 255}
+        assert identical >= 180
 
 
 class TestSpectrogram:

@@ -1,6 +1,7 @@
 """Tests for the DM component: name mapping, I/O layer, semantic layer,
 process layer, sessions and call redirection."""
 
+import gzip
 import sys
 import threading
 
@@ -9,9 +10,12 @@ import pytest
 from repro.analysis import AnalysisProduct, render_pgm
 from repro.dm import DataManager, DmRouter, NameMappingError, SessionCache, WorkflowError
 from repro.dm.semantic import EntityNotFound
-from repro.filestore import DiskArchive
+from repro.dm.process import ProcessLayer
+from repro.filestore import ArchiveError, ArchiveOffline, DiskArchive, checksum_bytes
+from repro.fits import FitsError, read as read_fits_file
+from repro.obs import Observability
 from repro.metadb import Between, Comparison, In, Insert, QueryError, Select, Update
-from repro.rhessi import TelemetryGenerator, package_units, standard_day_plan
+from repro.rhessi import PhotonList, TelemetryGenerator, package_units, standard_day_plan
 from repro.security import AuthError, ConstraintViolation
 
 import numpy as np
@@ -505,6 +509,325 @@ class TestProcessLayer:
         assert {row["archive_id"] for row in rows} >= {"main"}
         main = next(row for row in rows if row["archive_id"] == "main")
         assert main["bytes_stored"] > 0
+
+
+@pytest.fixture()
+def three_units(tmp_path):
+    """A DM (on a hub of its own: its counters start at zero) with three
+    loaded raw units of a few thousand photons each."""
+    dm = DataManager.standalone(tmp_path / "dm", obs=Observability(name="unpacked"))
+    plan = standard_day_plan(duration=60.0, seed=23, n_flares=1, n_bursts=0, n_saa=0)
+    photons = TelemetryGenerator(plan, seed=23).generate()
+    units = package_units(photons, tmp_path / "incoming",
+                          unit_target_photons=len(photons) // 3 + 1)
+    assert len(units) == 3
+    for unit in units:
+        dm.process.load_raw_unit(unit, "main", build_views=False)
+    return dm, units
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts of ``gzip.decompress`` and ``repro.dm.process.read_fits`` calls."""
+    calls = {"gzip": 0, "read_fits": []}
+    inflate = gzip.decompress
+
+    def counting_inflate(data):
+        calls["gzip"] += 1
+        return inflate(data)
+
+    def counting_read(path):
+        calls["read_fits"].append(str(path))
+        return read_fits_file(path)
+
+    monkeypatch.setattr(gzip, "decompress", counting_inflate)
+    monkeypatch.setattr("repro.dm.process.read_fits", counting_read)
+    return calls
+
+
+def _direct(unit) -> PhotonList:
+    """The unit's photons read from the file it was packaged into."""
+    return PhotonList.from_fits(read_fits_file(unit.path))
+
+
+def _same_photons(left: PhotonList, right: PhotonList) -> bool:
+    return (left.times.tobytes() == right.times.tobytes()
+            and left.energies.tobytes() == right.energies.tobytes()
+            and left.detectors.tobytes() == right.detectors.tobytes())
+
+
+def _copies(dm) -> dict[str, int]:
+    """Files under the scratch disk's unpacked area: relative name -> size."""
+    root = dm.io.storage.scratch_path("unpacked")
+    return {str(path.relative_to(root)): path.stat().st_size
+            for path in root.rglob("*") if path.is_file()}
+
+
+def _unpacked(dm) -> dict:
+    return dm.describe()["unpacked"]
+
+
+class TestUnpackedUnits:
+    """``load_photons`` inflates a unit once onto the scratch disk and
+    parses the unpacked file from then on, re-checking source and copy
+    on every access."""
+
+    def test_unpacked_read_equals_direct_read(self, three_units):
+        dm, units = three_units
+        for unit in units:
+            expected = _direct(unit)
+            assert _same_photons(dm.process.load_photons(unit.unit_id), expected)  # cold
+            assert _same_photons(dm.process.load_photons(unit.unit_id), expected)  # warm
+        assert set(_copies(dm)) == {f"main/raw/{unit.unit_id}.fits" for unit in units}
+
+    def test_second_read_inflates_nothing_and_still_reads_a_file(self, three_units, counted):
+        dm, units = three_units
+        dm.process.load_photons(units[0].unit_id)
+        assert counted["gzip"] == 1
+        dm.process.load_photons(units[0].unit_id)
+        dm.process.load_photons(units[0].unit_id)
+        assert counted["gzip"] == 1
+        assert len(counted["read_fits"]) == 3
+        assert all(path.endswith(f"unpacked/main/raw/{units[0].unit_id}.fits")
+                   for path in counted["read_fits"])
+        assert _unpacked(dm) == {
+            "hits": 2, "inflations": 1, "evictions": 0, "fallbacks": 0,
+            "bytes": sum(_copies(dm).values()),
+        }
+        assert dm.obs.registry.value("dm.process.unpacked.bytes") == _unpacked(dm)["bytes"]
+
+    def test_name_resolution_stays_one_counted_lookup(self, three_units):
+        dm, units = three_units
+        dm.process.load_photons(units[0].unit_id)
+        lookups = dm.obs.registry.family_total("dm.name_mapping.lookups")
+        dm.process.load_photons(units[0].unit_id)
+        assert dm.obs.registry.family_total("dm.name_mapping.lookups") == lookups + 1
+
+    def test_offline_source_is_refused_although_a_copy_exists(self, three_units):
+        dm, units = three_units
+        dm.process.load_photons(units[0].unit_id)
+        dm.io.storage.archive("main").online = False
+        with pytest.raises(ArchiveOffline):
+            dm.process.load_photons(units[0].unit_id)
+        dm.io.storage.archive("main").online = True
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert _unpacked(dm)["inflations"] == 1     # the copy survived the outage
+
+    def test_relocation_leaves_no_stale_copy(self, three_units, tmp_path):
+        dm, units = three_units
+        for unit in units:
+            dm.process.load_photons(unit.unit_id)
+        cold = DiskArchive("cold", tmp_path / "cold")
+        dm.io.storage.register(cold)
+        dm.io.names.register_archive("cold", str(cold.root))
+        dm.process.relocate_archive("main", "cold")
+        assert _copies(dm) == {}
+        assert _unpacked(dm)["bytes"] == 0
+        assert _same_photons(dm.process.load_photons(units[1].unit_id), _direct(units[1]))
+        assert set(_copies(dm)) == {f"cold/raw/{units[1].unit_id}.fits"}
+
+    def test_recalibration_reads_the_new_unit_not_the_old_copy(self, three_units):
+        dm, units = three_units
+        before = dm.process.load_photons(units[0].unit_id)
+        dm.process.publish_calibration((1.05,) * 9, (0.2,) * 9, note="test")
+        new_unit_id = dm.process.recalibrate_unit(units[0].unit_id, "main")
+        after = dm.process.load_photons(new_unit_id)
+        assert after.times.tobytes() == before.times.tobytes()
+        assert not np.array_equal(after.energies, before.energies)
+        assert _same_photons(dm.process.load_photons(new_unit_id), after)
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), before)
+
+    def test_removed_source_drops_the_copy_and_a_new_file_is_read_afresh(self, three_units):
+        dm, units = three_units
+        rel_path = f"raw/{units[0].unit_id}.fits.gz"
+        dm.process.load_photons(units[0].unit_id)
+        dm.io.storage.archive("main").remove(rel_path)
+        with pytest.raises(ArchiveError, match="not found"):
+            dm.process.load_photons(units[0].unit_id)
+        assert _copies(dm) == {}
+        # Another file under the old name: its photons, not the old copy's.
+        dm.io.storage.place(rel_path, units[1].path.read_bytes(), prefer="main")
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[1]))
+
+    def test_replaced_source_is_noticed_by_size_and_mtime(self, three_units):
+        dm, units = three_units
+        dm.process.load_photons(units[0].unit_id)
+        source = dm.io.storage.archive("main").local_path(f"raw/{units[0].unit_id}.fits.gz")
+        replacement = units[2].path.read_bytes()
+        source.write_bytes(replacement)
+        dm.io.storage.record_checksum(
+            "main", f"raw/{units[0].unit_id}.fits.gz", checksum_bytes(replacement))
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[2]))
+        assert _unpacked(dm)["inflations"] == 2
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_damaged_copy_is_replaced_not_read(self, three_units, damage):
+        dm, units = three_units
+        expected = _direct(units[0])
+        dm.process.load_photons(units[0].unit_id)
+        copy = dm.io.storage.scratch_path("unpacked") / f"main/raw/{units[0].unit_id}.fits"
+        intact = copy.read_bytes()
+        if damage == "flip":
+            # A data byte: the file still parses, only the CRC can tell.
+            damaged = bytearray(intact)
+            damaged[-2880 - 5] ^= 0x10
+            copy.write_bytes(bytes(damaged))
+            assert not _same_photons(PhotonList.from_fits(read_fits_file(copy)), expected)
+        else:
+            copy.write_bytes(intact[:len(intact) // 2])
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), expected)
+        assert copy.read_bytes() == intact
+        assert _unpacked(dm)["inflations"] == 2
+
+    def test_copy_that_does_not_parse_is_discarded_and_unpacked_again(
+            self, three_units, monkeypatch):
+        dm, units = three_units
+        seen = []
+
+        def failing_once(path):
+            seen.append(str(path))
+            if len(seen) == 1:
+                raise FitsError("unreadable copy")
+            return read_fits_file(path)
+
+        monkeypatch.setattr("repro.dm.process.read_fits", failing_once)
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert len(seen) == 2 and "unpacked" in seen[1]
+        assert _unpacked(dm)["inflations"] == 2
+
+    def test_unreadable_source_is_a_workflow_error(self, three_units, monkeypatch):
+        dm, units = three_units
+
+        def unreadable(path):
+            raise FitsError("no END card")
+
+        monkeypatch.setattr("repro.dm.process.read_fits", unreadable)
+        with pytest.raises(WorkflowError, match="not readable"):
+            dm.process.load_photons(units[0].unit_id)
+
+    def test_leftover_temporary_file_is_replaced(self, three_units):
+        dm, units = three_units
+        part = (dm.io.storage.scratch_path("unpacked")
+                / f"main/raw/{units[0].unit_id}.fits.part")
+        part.parent.mkdir(parents=True)
+        part.write_bytes(b"torn")
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert set(_copies(dm)) == {f"main/raw/{units[0].unit_id}.fits"}
+        assert _unpacked(dm)["inflations"] == 1
+
+    def test_torn_write_never_gets_the_real_name(self, three_units, monkeypatch):
+        dm, units = three_units
+        scratch = dm.io.storage._scratch
+        store = scratch.store
+
+        def torn(rel_path, payload):
+            target = scratch.root / rel_path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(payload[:len(payload) // 2])
+            raise OSError("disk pulled")
+
+        monkeypatch.setattr(scratch, "store", torn)
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert _copies(dm) == {}
+        assert _unpacked(dm)["fallbacks"] == 1
+        monkeypatch.setattr(scratch, "store", store)
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert set(_copies(dm)) == {f"main/raw/{units[0].unit_id}.fits"}
+
+    def test_budget_of_one_unit_is_never_exceeded(self, three_units, monkeypatch):
+        dm, units = three_units
+        sizes = [len(read_fits_file(unit.path).to_bytes()) for unit in units]
+        budget = max(sizes)
+        monkeypatch.setattr(ProcessLayer, "unpacked_budget_bytes", budget)
+        for _round in range(2):
+            for unit in units:
+                assert _same_photons(dm.process.load_photons(unit.unit_id), _direct(unit))
+                assert sum(_copies(dm).values()) <= budget
+                assert dm.io.storage.unpacked_bytes == sum(_copies(dm).values())
+        assert _unpacked(dm)["inflations"] == 6
+        assert _unpacked(dm)["evictions"] == 5
+
+    def test_least_recently_used_copy_goes_first(self, three_units, monkeypatch):
+        dm, units = three_units
+        sizes = [len(read_fits_file(unit.path).to_bytes()) for unit in units]
+        monkeypatch.setattr(ProcessLayer, "unpacked_budget_bytes", sum(sizes) - 1)
+        dm.process.load_photons(units[0].unit_id)
+        dm.process.load_photons(units[1].unit_id)
+        dm.process.load_photons(units[0].unit_id)       # 1 is now the older
+        dm.process.load_photons(units[2].unit_id)
+        assert set(_copies(dm)) == {f"main/raw/{units[index].unit_id}.fits"
+                                    for index in (0, 2)}
+
+    def test_unit_larger_than_the_budget_is_read_directly(self, three_units, monkeypatch, counted):
+        dm, units = three_units
+        monkeypatch.setattr(ProcessLayer, "unpacked_budget_bytes", 1000)
+        assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert _copies(dm) == {}
+        assert counted["read_fits"][-1].endswith(".fits.gz")
+
+    @pytest.mark.parametrize("trouble", ["offline", "full"])
+    def test_scratch_trouble_means_a_direct_read(self, three_units, trouble, counted):
+        dm, units = three_units
+        scratch = dm.io.storage._scratch
+        if trouble == "offline":
+            scratch.online = False
+        else:
+            scratch.capacity_bytes = 10
+        for _ in range(2):
+            assert _same_photons(dm.process.load_photons(units[0].unit_id), _direct(units[0]))
+        assert all(path.endswith(".fits.gz") for path in counted["read_fits"])
+        assert _unpacked(dm)["fallbacks"] == 2
+        assert _unpacked(dm)["bytes"] == 0
+        scratch.online, scratch.capacity_bytes = True, None
+        assert _copies(dm) == {}
+
+    def test_eight_threads_inflate_one_cold_unit_once(self, three_units, counted):
+        dm, units = three_units
+        expected = _direct(units[0])
+        gzip_before = counted["gzip"]
+        barrier = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10)
+                results.append(dm.process.load_photons(units[0].unit_id))
+            except Exception as exc:       # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert counted["gzip"] - gzip_before == 1
+        assert len(results) == 8 and all(_same_photons(got, expected) for got in results)
+        assert _unpacked(dm)["inflations"] == 1 and _unpacked(dm)["hits"] == 7
+
+    def test_copy_found_at_start_up_is_purged_not_trusted(self, tmp_path):
+        plan = standard_day_plan(duration=30.0, seed=29, n_flares=1, n_bursts=0, n_saa=0)
+        photons = TelemetryGenerator(plan, seed=29).generate()
+        first, second = package_units(photons, tmp_path / "incoming",
+                                      unit_target_photons=len(photons) // 2 + 1)
+        # An earlier process left a well-formed copy of *another* unit under
+        # this unit's name, and a torn temporary.
+        stale = tmp_path / "dm" / "scratch" / "unpacked" / "main" / "raw"
+        stale.mkdir(parents=True)
+        (stale / f"{first.unit_id}.fits").write_bytes(read_fits_file(second.path).to_bytes())
+        (stale / f"{first.unit_id}.fits.part").write_bytes(b"torn")
+        dm = DataManager.standalone(tmp_path / "dm", obs=Observability(name="start-up"))
+        assert _copies(dm) == {}
+        dm.process.load_raw_unit(first, "main", build_views=False)
+        assert _same_photons(dm.process.load_photons(first.unit_id), _direct(first))
+        assert _unpacked(dm) == {"hits": 0, "inflations": 1, "evictions": 0,
+                                 "fallbacks": 0, "bytes": sum(_copies(dm).values())}
 
 
 class TestSessions:

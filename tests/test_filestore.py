@@ -1,5 +1,9 @@
 """Tests for archives, checksums and hierarchical storage management."""
 
+import gzip
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.filestore import (
@@ -51,6 +55,46 @@ class TestDiskArchive:
         archive = DiskArchive("a", tmp_path / "a")
         with pytest.raises(ArchiveError):
             archive.store("../../etc/passwd", b"nope")
+
+    @pytest.mark.parametrize("operation", ["store", "retrieve", "exists", "local_path"])
+    def test_every_operation_refuses_the_three_escapes(self, tmp_path, operation):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "x").write_bytes(b"secret")
+        (tmp_path / "x").write_bytes(b"secret")
+        archive = DiskArchive("a", tmp_path / "a")
+        (archive.root / "link").symlink_to(outside)
+        for rel_path in ("../x", str(outside / "x"), "link/x"):
+            with pytest.raises(ArchiveError, match="escapes"):
+                if operation == "store":
+                    archive.store(rel_path, b"nope")
+                else:
+                    getattr(archive, operation)(rel_path)
+        assert (outside / "x").read_bytes() == b"secret"
+
+    def test_root_reached_through_a_symlink_still_serves_its_items(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "alias").symlink_to(tmp_path / "real")
+        archive = DiskArchive("a", tmp_path / "alias" / "a")
+        archive.store("raw/x", b"1")
+        assert archive.retrieve("raw/x") == b"1"
+        assert archive.local_path("raw/x") == (tmp_path / "real" / "a" / "raw" / "x")
+
+    def test_one_resolve_call_per_operation(self, tmp_path, monkeypatch):
+        archive = DiskArchive("a", tmp_path / "a")
+        calls = []
+        resolve = Path.resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            calls.append(self)
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        archive.store("raw/x", b"1")
+        archive.retrieve("raw/x")
+        archive.exists("raw/x")
+        archive.local_path("raw/x")
+        assert len(calls) == 4
 
     def test_offline_archive_refuses_access(self, tmp_path):
         archive = DiskArchive("a", tmp_path / "a")
@@ -199,6 +243,50 @@ class TestStorageManager:
         manager = self._manager(tmp_path)
         with pytest.raises(ArchiveError):
             manager.archive("nope")
+
+    def test_scratch_path_without_a_scratch_disk_reuses_one_directory(self, monkeypatch):
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def counting_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
+        manager = StorageManager()
+        paths = {manager.scratch_path(f"job{index % 4}") for index in range(100)}
+        assert len(made) == 1
+        assert len(paths) == 4 and all(path.is_dir() for path in paths)
+        assert {path.parent for path in paths} == {Path(made[0])}
+        del manager     # the directory goes with the manager
+        assert not Path(made[0]).exists()
+
+    def test_unpacked_copy_of_a_tape_item(self, tmp_path):
+        manager = self._manager(tmp_path)
+        payload = b"photons " * 500
+        item = manager.archive("tape").store("raw/u.fits.gz", gzip.compress(payload))
+        manager.record_checksum("tape", "raw/u.fits.gz", item.checksum)
+        cold = manager.unpacked_copy("tape", "raw/u.fits.gz", budget_bytes=10**6)
+        warm = manager.unpacked_copy("tape", "raw/u.fits.gz", budget_bytes=10**6)
+        assert (cold.inflated, warm.inflated) == (True, False)
+        assert cold.path == warm.path and warm.path.read_bytes() == payload
+        assert manager.unpacked_bytes == len(payload)
+        manager.migrate("raw/u.fits.gz", "tape", "big")
+        assert not cold.path.exists() and manager.unpacked_bytes == 0
+
+    def test_no_scratch_disk_means_no_unpacking(self, tmp_path):
+        manager = StorageManager()
+        manager.register(DiskArchive("big", tmp_path / "big"))
+        manager.place("raw/u.fits.gz", gzip.compress(b"photons"), prefer="big")
+        assert manager.unpacked_copy("big", "raw/u.fits.gz", budget_bytes=10**6) is None
+        with pytest.raises(ArchiveError, match="not found"):
+            manager.unpacked_copy("big", "raw/missing.fits.gz", budget_bytes=10**6)
+
+    def test_item_that_is_not_gzip_is_not_staged(self, tmp_path):
+        manager = self._manager(tmp_path)
+        manager.place("raw/plain.fits", b"SIMPLE  =                    T", prefer="big")
+        assert manager.unpacked_copy("big", "raw/plain.fits", budget_bytes=10**6) is None
+        assert manager.unpacked_bytes == 0
 
     def test_total_status_lists_all(self, tmp_path):
         manager = self._manager(tmp_path)

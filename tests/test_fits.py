@@ -17,6 +17,7 @@ from repro.fits import (
     read,
     write,
 )
+from repro.rhessi import PhotonList
 
 
 class TestCards:
@@ -212,3 +213,77 @@ class TestFitsProperties:
         restored, _offset = PrimaryHDU.from_bytes(PrimaryHDU(array).to_bytes())
         assert restored.data.shape == (rows, columns)
         assert np.array_equal(restored.data, array)
+
+
+def _photon_file() -> bytes:
+    rng = np.random.default_rng(5)
+    photons = PhotonList(np.sort(rng.uniform(0.0, 100.0, 850)),
+                         rng.uniform(3.0, 100.0, 850), rng.integers(1, 10, 850))
+    return photons.to_fits().to_bytes()
+
+
+PHOTON_FILE = _photon_file()                       # 14 KB of data after two header blocks
+N_HEADER_CARDS = 2 * BLOCK_LENGTH // CARD_LENGTH   # primary header, table header
+
+truncations = st.builds(lambda cut: PHOTON_FILE[:cut], st.integers(0, len(PHOTON_FILE) - 1))
+
+
+@st.composite
+def flipped_header_bytes(draw):
+    damaged = bytearray(PHOTON_FILE)
+    for _flip in range(draw(st.integers(1, 5))):
+        damaged[draw(st.integers(0, 2 * BLOCK_LENGTH - 1))] = draw(st.integers(0, 255))
+    return bytes(damaged)
+
+
+@st.composite
+def blanked_card(draw):
+    card = draw(st.integers(0, N_HEADER_CARDS - 1)) * CARD_LENGTH
+    return PHOTON_FILE[:card] + b" " * CARD_LENGTH + PHOTON_FILE[card + CARD_LENGTH:]
+
+
+@st.composite
+def rewritten_value(draw):
+    """One card's value field holding something else: a number of the
+    wrong sign or size, a string where a count belongs, noise."""
+    card = draw(st.integers(0, N_HEADER_CARDS - 1)) * CARD_LENGTH
+    value = draw(st.one_of(
+        st.integers(-10**12, 10**12).map(str),
+        st.sampled_from(["T", "F", "1E99", "-1.5", "NAN", "INF", "'J'", "'0A'", "'99999A'",
+                         "'time'", "'BINTABLE'", "''", "'"]),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+    ))
+    field = value.rjust(20)[:70].ljust(70).encode("ascii")
+    return PHOTON_FILE[:card + 10] + field + PHOTON_FILE[card + CARD_LENGTH:]
+
+
+class TestReaderFailsTyped:
+    """Whatever arrives, ``FitsFile.from_bytes`` and
+    ``PhotonList.from_fits`` parse it or raise :class:`FitsError`."""
+
+    @given(st.one_of(truncations, flipped_header_bytes(), blanked_card(), rewritten_value()))
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_photon_file_parses_or_raises_fits_error(self, data):
+        try:
+            photons = PhotonList.from_fits(FitsFile.from_bytes(data))
+        except FitsError:
+            return
+        assert len(photons.times) == len(photons.energies) == len(photons.detectors)
+
+    def test_the_intact_file_parses(self):
+        assert len(PhotonList.from_fits(FitsFile.from_bytes(PHOTON_FILE))) == 850
+
+    @pytest.mark.parametrize("damage", ["truncated", "not gzip", "flipped"])
+    def test_bad_gzip_stream_is_a_fits_error(self, tmp_path, damage):
+        path = tmp_path / "unit.fits.gz"
+        write(path, FitsFile.from_bytes(PHOTON_FILE))
+        packed = bytearray(path.read_bytes())
+        if damage == "truncated":
+            packed = packed[:len(packed) // 2]
+        elif damage == "not gzip":
+            packed = bytearray(b"plainly not a gzip stream")
+        else:
+            packed[len(packed) // 2] ^= 0xFF
+        path.write_bytes(bytes(packed))
+        with pytest.raises(FitsError):
+            read(path)

@@ -55,6 +55,29 @@ class TestPhotonList:
         window = photons.select_time(2.0, 5.0)
         assert list(window.times) == [2.0, 3.0, 4.0]
 
+    @given(
+        times=st.lists(st.integers(0, 12).map(float), max_size=40),
+        start=st.integers(-1, 13).map(float) | st.floats(-1.0, 13.0),
+        end=st.integers(-1, 13).map(float) | st.floats(-1.0, 13.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_time_selection_by_bisection_equals_the_mask(self, times, start, end):
+        """Whole-second times repeat, at both edges too; whole-second
+        edges hit them, and the window may be empty, inverted or all."""
+        photons = PhotonList(np.array(times), np.arange(len(times)) + 3.0,
+                             np.arange(len(times)) % 9 + 1)
+        mask = (photons.times >= start) & (photons.times < end)
+        window = photons.select_time(start, end)
+        assert window.times.tolist() == photons.times[mask].tolist()
+        assert window.energies.tolist() == photons.energies[mask].tolist()
+        assert window.detectors.tolist() == photons.detectors[mask].tolist()
+
+    def test_time_selection_does_not_alias_the_list(self):
+        photons = PhotonList(np.arange(10.0), np.ones(10), np.ones(10))
+        window = photons.select_time(0.0, 10.0)
+        window.energies[:] = 7.0
+        assert photons.energies.tolist() == [1.0] * 10
+
     def test_energy_selection(self):
         photons = PhotonList(np.arange(5.0), np.array([3.0, 10.0, 30.0, 100.0, 5000.0]),
                              np.ones(5))

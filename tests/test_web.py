@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.web import (
     HttpRequest,
@@ -497,10 +497,6 @@ class TestAnalyzeEdges:
     def test_status_is_302_or_400_whatever_the_parameters(self, analyze_probe, post):
         hedc, client, hle_id, calls = analyze_probe
         algorithm, parameters = post
-        # ``user_routine`` names code: an unpublished name fails in the
-        # interpreter, as it always did; its cases are named below and in
-        # tests/test_routines.py.
-        assume(algorithm != "user_routine")
         del calls[:]
         rows = len(hedc.dm.semantic.analyses_for_hle(None, hle_id))
         response = client.post(
@@ -523,10 +519,15 @@ class TestAnalyzeEdges:
         "algorithm=imaging&n_pixels=100000000",
         "algorithm=user_routine",
         "algorithm=user_routine&routine=flare_hardness(ph_energies)%0Aprint,%201%0A;",
+        "algorithm=user_routine&routine=no_such_routine",
+        "algorithm=user_routine&routine=summarize_counts",      # a PRO, not a function
+        "algorithm=user_routine&routine=ph_energies",           # a variable
     ])
     def test_the_probes_that_sized_the_issue(self, analyze_probe, monkeypatch, query):
-        """Seven URLs that were one committed injection and six 500s, and
-        ``user_routine``'s two: 400, and nothing ran."""
+        """Seven URLs that were one committed injection and six 500s,
+        ``user_routine``'s two, and three names that pass for identifiers
+        and are no function the servers have (500s until the name was
+        checked where it enters): 400, and nothing ran."""
         hedc, client, hle_id, calls = analyze_probe
         del calls[:]
         loads = []
@@ -538,6 +539,19 @@ class TestAnalyzeEdges:
         assert calls == [] and loads == []
         assert len(hedc.dm.semantic.analyses_for_hle(None, hle_id)) == rows
         assert "print" not in response.text
+
+    def test_submitted_routine_is_a_400_until_it_is_published(self, analyze_probe):
+        hedc, client, hle_id, calls = analyze_probe
+        author = hedc.register_user("routine-author", "pw", group="scientist")
+        source = "function twice_mean, x\n  return, 2.0 * mean(x)\nend"
+        hedc.routines.submit(author, "twice_mean", source)
+        url = f"/hedc/analyze?hle={hle_id}&algorithm=user_routine&routine=twice_mean"
+        del calls[:]
+        assert client.get(url).status == 400
+        assert calls == []
+        hedc.routines.publish(author, "twice_mean")
+        hedc.idl.broadcast_source(source)
+        assert client.get(url).status == 302
 
     def test_web_reaches_a_published_routine(self, analyze_probe):
         hedc, client, hle_id, calls = analyze_probe
