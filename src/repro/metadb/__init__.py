@@ -31,13 +31,25 @@ from .predicate import (
     Predicate,
 )
 from .query import Aggregate, Delete, Explain, Insert, Join, Plan, Select, Update
-from .schema import Column, ForeignKey, TableSchema
+from .schema import (
+    BROADCAST,
+    LOCAL,
+    Column,
+    ForeignKey,
+    Placement,
+    TableSchema,
+    follows,
+    follows_item,
+    partitioned,
+)
 from .storage import TableStats
 from .sql import PreparedStatement, parse, prepare, to_sql
 from .types import ColumnType, coerce
 
 __all__ = [
     "ALWAYS",
+    "BROADCAST",
+    "LOCAL",
     "Aggregate",
     "And",
     "Between",
@@ -65,6 +77,7 @@ __all__ = [
     "LockTimeout",
     "Not",
     "Or",
+    "Placement",
     "Plan",
     "PoolSet",
     "Predicate",
@@ -77,7 +90,10 @@ __all__ = [
     "TransactionError",
     "Update",
     "coerce",
+    "follows",
+    "follows_item",
     "parse",
+    "partitioned",
     "prepare",
     "to_sql",
 ]

@@ -36,6 +36,17 @@ class DatabaseApi(Protocol):
     A transaction handle is opaque: it comes from :meth:`begin` and goes
     back only to the ``execute``/``commit``/``rollback`` of the database
     that issued it.
+
+    **Uniqueness rule.**  A primary key or unique constraint is checked
+    by each copy a row is written to.  On a sharded catalog that is every
+    shard for a broadcast table and one shard for any other placement
+    (:class:`~repro.metadb.schema.Placement`), so the keys of a
+    partitioned, following or local table are unique per shard, not
+    across shards.  Since the per-item location rows follow their items
+    that now includes ``loc_tuples.tuple_ref`` and ``loc_files
+    (archive_id, rel_path)``, which a broadcast copy used to check
+    globally.  The program draws such keys from :meth:`allocate_id`,
+    which is global, or derives them from one.
     """
 
     @property
@@ -78,6 +89,14 @@ class DatabaseApi(Protocol):
     # -- DDL -----------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> None: ...
+
+    def declare_table(self, schema: TableSchema) -> None:
+        """Create the table unless it exists; what a schema installer
+        calls on every open.  A table that exists keeps its stored
+        columns, keys and ``columnar`` flag; one stored before placement
+        was recorded takes the declared placement, which is how a
+        sharded catalog of that age learns where its rows belong."""
+        ...
 
     def drop_table(self, name: str) -> None: ...
 

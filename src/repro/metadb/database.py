@@ -193,6 +193,14 @@ class Database:
                     {"kind": "create_table", "schema": schema.to_dict()}
                 )
 
+    def declare_table(self, schema: TableSchema) -> None:
+        with self._lock:
+            table = self._tables.get(schema.name)
+            if table is None:
+                self.create_table(schema)
+            else:
+                table.schema.adopt_placement(schema)
+
     def drop_table(self, name: str) -> None:
         with self._lock:
             self._require_open()

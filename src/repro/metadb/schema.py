@@ -1,8 +1,10 @@
 """Table schema definitions.
 
 A :class:`TableSchema` declares columns, the primary key, unique and
-non-null constraints, defaults, foreign keys and secondary indexes.  The
-storage layer validates every row against its schema on insert/update.
+non-null constraints, defaults, foreign keys, secondary indexes and —
+for a catalog spread over shards — where the table's rows are placed
+(:class:`Placement`).  The storage layer validates every row against its
+schema on insert/update.
 """
 
 from __future__ import annotations
@@ -43,6 +45,58 @@ class ForeignKey:
     ref_column: str
 
 
+@dataclass(frozen=True)
+class Placement:
+    """Where a sharded catalog keeps a table's rows.
+
+    One plain database ignores it; :class:`~repro.shard.ShardedDatabase`
+    routes by it.  Build one with :func:`partitioned`, :func:`follows` or
+    :func:`follows_item`, or use :data:`LOCAL` / :data:`BROADCAST`.
+    """
+
+    kind: str
+    column: Optional[str] = None
+    parent_table: Optional[str] = None
+    parent_column: Optional[str] = None
+
+    def describe(self) -> str:
+        if self.parent_table is not None:
+            return (f"follows({self.column} -> "
+                    f"{self.parent_table}.{self.parent_column})")
+        return self.kind if self.column is None else f"{self.kind}({self.column})"
+
+    def to_dict(self) -> dict:
+        return {key: value for key, value in vars(self).items()
+                if value is not None}
+
+
+#: Every shard holds every row: small tables read everywhere, so a
+#: reference to one holds on whichever shard the referring row lives.
+BROADCAST = Placement("broadcast")
+#: An append-only log nobody joins across shards: a row is written to
+#: one shard (the one its transaction already writes) and read from all.
+LOCAL = Placement("local")
+
+
+def partitioned(column: str) -> Placement:
+    """Rows are placed by the shard range their ``column`` value falls in."""
+    return Placement("partitioned", column)
+
+
+def follows(fk_column: str, parent_table: str, parent_column: str) -> Placement:
+    """A row lives on the shard of the parent row its ``fk_column`` names,
+    so the per-shard foreign-key check keeps working."""
+    return Placement("follows", fk_column, parent_table, parent_column)
+
+
+def follows_item(column: str) -> Placement:
+    """A row lives with its item: on the shard of whichever row, of any
+    table that declares an ``item_key``, carries the same value.  It
+    names no table, which is how a generic location table follows domain
+    tuples it has never heard of."""
+    return Placement("follows_item", column)
+
+
 class TableSchema:
     """Schema of one table.
 
@@ -64,6 +118,8 @@ class TableSchema:
         foreign_keys: Iterable[ForeignKey] = (),
         indexes: Iterable[Sequence[str]] = (),
         columnar: bool = False,
+        placement: Placement = BROADCAST,
+        item_key: Optional[str] = None,
     ):
         if not name or not name.replace("_", "").isalnum():
             raise SchemaError(f"invalid table name {name!r}")
@@ -101,6 +157,21 @@ class TableSchema:
         # scans (see repro.metadb.columnar).  Purely an access-path hint;
         # the row store stays the source of truth.
         self.columnar = bool(columnar)
+        # Where a sharded catalog keeps the rows, and the column (if any)
+        # whose values name the items this table owns: rows of a
+        # follows_item table with the same value live on the same shard.
+        for column in (placement.column, item_key):
+            if column is not None and column not in self.columns:
+                raise SchemaError(f"placement references unknown column {column!r}")
+        self.placement = placement
+        self.item_key = item_key
+
+    def adopt_placement(self, declared: "TableSchema") -> None:
+        """A schema stored before placement was recorded takes the
+        declared one (the stored columns, keys and indexes stay)."""
+        if self.placement == BROADCAST and self.item_key is None:
+            self.placement = declared.placement
+            self.item_key = declared.item_key
 
     def has_column(self, name: str) -> bool:
         return name in self.columns
@@ -151,6 +222,11 @@ class TableSchema:
                 return "__now__" if column.type is ColumnType.TIMESTAMP else None
             return column.default
 
+        placed = {}
+        if self.placement != BROADCAST:
+            placed["placement"] = self.placement.to_dict()
+        if self.item_key is not None:
+            placed["item_key"] = self.item_key
         return {
             "name": self.name,
             "columns": [
@@ -170,6 +246,7 @@ class TableSchema:
             ],
             "indexes": [list(i) for i in self.indexes],
             "columnar": self.columnar,
+            **placed,
         }
 
     @classmethod
@@ -202,4 +279,7 @@ class TableSchema:
             foreign_keys=foreign_keys,
             indexes=data.get("indexes", ()),
             columnar=data.get("columnar", False),
+            placement=Placement(**data["placement"]) if "placement" in data
+            else BROADCAST,
+            item_key=data.get("item_key"),
         )

@@ -264,5 +264,5 @@ class Table:
             return bool(index.probe(value))
         ordered = self.ordered_index_on(column)
         if ordered is not None:
-            return any(True for _ in ordered.range(value, value))
+            return ordered.count_range(value, value) > 0
         return any(row.get(column) == value for row in self._rows.values())

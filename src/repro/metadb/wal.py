@@ -13,8 +13,9 @@ import base64
 import json
 import os
 import threading
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..obs import Observability, resolve as resolve_obs
 from ..resil.faults import fire as fire_fault
@@ -51,6 +52,57 @@ def _decode_row(row: dict[str, Any]) -> dict[str, Any]:
     return {key: _decode_value(value) for key, value in row.items()}
 
 
+def counted_fsync(handle, obs: Observability,
+                  scoped_fault: Optional[str] = None) -> None:
+    """Force ``handle`` to disk: every durable write of the data tier
+    passes here, so ``metadb.wal.fsyncs`` counts them all and the
+    ``metadb.wal.fsync`` fault point can fail any of them."""
+    fire_fault("metadb.wal.fsync")
+    if scoped_fault is not None:
+        fire_fault(scoped_fault)
+    os.fsync(handle.fileno())
+    obs.count("metadb.wal.fsyncs")
+
+
+def replace_durably(path: Path, chunks: Iterable[str],
+                    fsync: Callable[[Any], None]) -> None:
+    """Write ``chunks`` to ``path`` so that a crash leaves the old file or
+    the new one, never a part of either: a temporary file beside it,
+    flushed and fsynced, then renamed into place."""
+    tmp_path = path.with_suffix(".tmp")
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        handle.flush()
+        fsync(handle)
+    os.replace(tmp_path, path)
+
+
+#: Rows encoded per ``json.dumps`` call while writing a snapshot: large
+#: enough that the C encoder does the work, small enough that no string
+#: near the size of the database is ever held.
+SNAPSHOT_CHUNK_ROWS = 2000
+
+
+def _snapshot_chunks(tables: dict[str, dict[str, Any]]) -> Iterator[str]:
+    """The snapshot document, piece by piece: byte for byte what
+    ``json.dump({"tables": {name: {"schema": ..., "rows": {...}}}})``
+    writes, produced by ``json.dumps`` (one call into the C encoder per
+    chunk of rows) where ``json.dump`` walks a pure-Python generator."""
+    yield '{"tables": {'
+    for index, (name, table_data) in enumerate(tables.items()):
+        yield (", " if index else "") + json.dumps(name) + ': {"schema": ' \
+            + json.dumps(table_data["schema"]) + ', "rows": {'
+        rows = iter(table_data["rows"].items())
+        separator = ""
+        while chunk := {str(rowid): _encode_row(row)
+                        for rowid, row in islice(rows, SNAPSHOT_CHUNK_ROWS)}:
+            yield separator + json.dumps(chunk)[1:-1]
+            separator = ", "
+        yield "}}"
+    yield "}}"
+
+
 class Journal:
     """Append-only journal of committed transactions."""
 
@@ -67,11 +119,7 @@ class Journal:
         self._fsync_fault = f"{fault_scope}.wal.fsync" if fault_scope else None
 
     def _fsync(self, handle) -> None:
-        fire_fault("metadb.wal.fsync")
-        if self._fsync_fault is not None:
-            fire_fault(self._fsync_fault)
-        os.fsync(handle.fileno())
-        self.obs.count("metadb.wal.fsyncs")
+        counted_fsync(handle, self.obs, self._fsync_fault)
 
     # -- writing -------------------------------------------------------------
 
@@ -110,22 +158,8 @@ class Journal:
 
     def checkpoint(self, snapshot: dict[str, Any]) -> None:
         """Write a snapshot atomically, then truncate the journal."""
-        encoded_tables = {}
-        for table_name, table_data in snapshot["tables"].items():
-            encoded_tables[table_name] = {
-                "schema": table_data["schema"],
-                "rows": {
-                    str(rowid): _encode_row(row)
-                    for rowid, row in table_data["rows"].items()
-                },
-            }
-        payload = {"tables": encoded_tables}
-        tmp_path = self.snapshot_path.with_suffix(".tmp")
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            self._fsync(handle)
-        os.replace(tmp_path, self.snapshot_path)
+        replace_durably(self.snapshot_path,
+                        _snapshot_chunks(snapshot["tables"]), self._fsync)
         self.close()
         with open(self.journal_path, "w", encoding="utf-8") as handle:
             handle.flush()

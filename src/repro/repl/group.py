@@ -521,6 +521,15 @@ class ReplicaGroup:
             "op": "__ddl__", "kind": "create_table", "schema": schema.to_dict(),
         })
 
+    def declare_table(self, schema: TableSchema) -> None:
+        if not self.primary.has_table(schema.name):
+            self.create_table(schema)      # shipped to the followers
+            return
+        self.primary.declare_table(schema)
+        for replica in self.replicas:
+            if not replica.crashed:
+                replica.db.declare_table(schema)
+
     def drop_table(self, name: str) -> None:
         self.primary.drop_table(name)
         self._replicate_ddl({"op": "__ddl__", "kind": "drop_table", "table": name})

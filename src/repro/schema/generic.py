@@ -11,13 +11,22 @@ Three sections, independent of any instrument:
 
 The generic part never references the domain part, so the RHESSI schema
 can change (and has changed, per §3.1) without touching these tables.
+
+Placement on a sharded catalog is declared here too, table by table.
+The per-item location tables follow their item: a row lives on the shard
+of whichever domain tuple carries its ``item_id``, without this module
+naming a domain table.  The two logs are local.  Everything else is
+small, read everywhere and broadcast, so relocating an archive stays an
+edit of one row.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..metadb import Column, ColumnType, ForeignKey, TableSchema
+from ..metadb import (
+    LOCAL, Column, ColumnType, ForeignKey, TableSchema, follows_item,
+)
 
 I = ColumnType.INTEGER
 R = ColumnType.REAL
@@ -111,6 +120,7 @@ def ops_log() -> TableSchema:
         # §7-style analytics aggregate over the whole log; the columnar
         # copy feeds the vectorized path.
         columnar=True,
+        placement=LOCAL,
     )
 
 
@@ -162,6 +172,7 @@ def ops_usage() -> TableSchema:
         primary_key="usage_id",
         indexes=[("at",), ("operation",)],
         columnar=True,
+        placement=LOCAL,
     )
 
 
@@ -204,6 +215,7 @@ def loc_files() -> TableSchema:
         unique=[("archive_id", "rel_path")],
         indexes=[("item_id",)],
         foreign_keys=[ForeignKey("archive_id", "loc_archives", "archive_id")],
+        placement=follows_item("item_id"),
     )
 
 
@@ -219,6 +231,7 @@ def loc_tuples() -> TableSchema:
         ],
         primary_key="tuple_ref",
         indexes=[("item_id",)],
+        placement=follows_item("item_id"),
     )
 
 
@@ -234,6 +247,7 @@ def loc_urls() -> TableSchema:
         ],
         primary_key="url_id",
         indexes=[("item_id",)],
+        placement=follows_item("item_id"),
     )
 
 
@@ -255,6 +269,4 @@ GENERIC_SCHEMAS = (
 def install_generic(database) -> None:
     """Create all generic tables (idempotent)."""
     for schema_factory in GENERIC_SCHEMAS:
-        schema = schema_factory()
-        if not database.has_table(schema.name):
-            database.create_table(schema)
+        database.declare_table(schema_factory())

@@ -5,13 +5,22 @@ domain tuple references the location tables through its ``item_id`` and
 the user table through ``owner_id`` so access rights are enforceable.
 This half may be replaced wholesale for another instrument without
 touching the generic half.
+
+On a sharded catalog events and raw units are placed by observation
+time, the axis the archive grows along; analyses and memberships follow
+their event, views their raw unit.  A table that declares ``item_key``
+owns the items its ``item_id`` values name, and the generic location
+rows of an item live beside it.  Catalogs and calibrations are small and
+broadcast.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..metadb import Column, ColumnType, ForeignKey, TableSchema
+from ..metadb import (
+    Column, ColumnType, ForeignKey, TableSchema, follows, partitioned,
+)
 
 I = ColumnType.INTEGER
 R = ColumnType.REAL
@@ -63,6 +72,8 @@ def hle() -> TableSchema:
         # Synoptic-catalog sweeps scan this table whole; keep a columnar
         # copy for the vectorized path.
         columnar=True,
+        placement=partitioned("start_time"),
+        item_key="item_id",
     )
 
 
@@ -132,6 +143,8 @@ def ana() -> TableSchema:
             ForeignKey("hle_id", "hle", "hle_id"),
             ForeignKey("owner_id", "admin_users", "user_id"),
         ],
+        placement=follows("hle_id", "hle", "hle_id"),
+        item_key="item_id",
     )
 
 
@@ -173,6 +186,7 @@ def catalog_members() -> TableSchema:
             ForeignKey("catalog_id", "catalogs", "catalog_id"),
             ForeignKey("hle_id", "hle", "hle_id"),
         ],
+        placement=follows("hle_id", "hle", "hle_id"),
     )
 
 
@@ -195,6 +209,8 @@ def raw_units() -> TableSchema:
         unique=[("item_id",)],
         indexes=[("start_time",)],
         columnar=True,
+        placement=partitioned("start_time"),
+        item_key="item_id",
     )
 
 
@@ -231,8 +247,10 @@ def views() -> TableSchema:
         ],
         primary_key="view_id",
         unique=[("unit_id", "signal")],
-        indexes=[("unit_id",)],
+        indexes=[("unit_id",), ("item_id",)],
         foreign_keys=[ForeignKey("unit_id", "raw_units", "unit_id")],
+        placement=follows("unit_id", "raw_units", "unit_id"),
+        item_key="item_id",
     )
 
 
@@ -242,6 +260,4 @@ RHESSI_SCHEMAS = (hle, ana, catalogs, catalog_members, raw_units, calibrations, 
 def install_rhessi(database) -> None:
     """Create the seven domain tables (requires the generic part first)."""
     for schema_factory in RHESSI_SCHEMAS:
-        schema = schema_factory()
-        if not database.has_table(schema.name):
-            database.create_table(schema)
+        database.declare_table(schema_factory())

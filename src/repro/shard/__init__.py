@@ -8,9 +8,6 @@ touch, and a dead shard costs one time range instead of the archive.
 
 from .merge import prepare_scatter
 from .partition import (
-    HEDC_SHARD_CONFIG,
-    CoPartition,
-    ShardConfig,
     ShardError,
     ShardMap,
     ShardSpec,
@@ -21,11 +18,8 @@ from .sharded import PartialResult, ShardedDatabase
 from .split import rebalance, split_shard
 
 __all__ = [
-    "HEDC_SHARD_CONFIG",
-    "CoPartition",
     "PartialResult",
     "RouteDecision",
-    "ShardConfig",
     "ShardError",
     "ShardMap",
     "ShardSpec",

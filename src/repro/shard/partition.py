@@ -9,16 +9,19 @@ bound and the last shard's upper bound are open, so any start_time
 always lands on exactly one shard and "open-ended" predicates still
 prune.
 
-Tables fall into three placement classes (:class:`ShardConfig`):
+Where a table's rows go is declared on its schema
+(:class:`~repro.metadb.schema.Placement`) and read from the schemas
+``create_table`` is handed; this package names no table:
 
-* **partitioned** — rows are placed by a time column (``hle`` and
-  ``raw_units`` by ``start_time``);
-* **co-partitioned** — rows follow a foreign-key parent so per-shard
-  foreign-key checks keep working (``ana`` and ``catalog_members``
-  follow their ``hle``; ``views`` follow their ``raw_units``);
-* **broadcast** — everything else (users, catalogs, location/ops
-  tables) is replicated on every shard, eagerly written and read
-  round-robin, so cross-table references hold on any shard.
+* **partitioned** — rows are placed by a column the shard ranges order;
+* **follows** — rows follow a foreign-key parent, so per-shard
+  foreign-key checks keep working;
+* **follows its item** — rows live with whichever row of an item-owning
+  table carries the same item value (per-item location rows);
+* **local** — append-only logs: a row is written to one shard and read
+  from all of them;
+* **broadcast** — the default: replicated on every shard, eagerly
+  written and read round-robin, so references to it hold on any shard.
 
 Maps are immutable: a split builds a new map and the router swaps one
 reference, which is what lets readers run unstalled through a split.
@@ -26,8 +29,10 @@ reference, which is what lets readers run unstalled through a split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
+
+from ..metadb.schema import TableSchema
 
 
 class ShardError(Exception):
@@ -165,62 +170,19 @@ class ShardMap:
         return [spec.describe() for spec in self.specs]
 
 
-@dataclass(frozen=True)
-class CoPartition:
-    """A child table routed to its FK parent's shard."""
+def joinable(left: TableSchema, right: TableSchema) -> bool:
+    """True when a join's right side is co-located with every left row.
 
-    fk_column: str
-    parent_table: str
-    parent_column: str
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Placement classes for every table; unnamed tables are broadcast."""
-
-    partitioned: dict[str, str] = field(default_factory=dict)
-    co_partitioned: dict[str, CoPartition] = field(default_factory=dict)
-
-    def kind(self, table: str) -> str:
-        if table in self.partitioned:
-            return "partitioned"
-        if table in self.co_partitioned:
-            return "co_partitioned"
-        return "broadcast"
-
-    def partition_column(self, table: str) -> str:
-        return self.partitioned[table]
-
-    def joinable(self, left: str, right: str) -> bool:
-        """True when a join's right side is co-located with every left row.
-
-        Broadcast tables join with anything; a co-partitioned child joins
-        its parent (either direction) and its co-partitioned siblings.
-        """
-        if self.kind(right) == "broadcast" or self.kind(left) == "broadcast":
-            # A broadcast *left* still scatters; each shard holds the full
-            # broadcast table, so the join is correct on whichever shard
-            # the partitioned side's rows live.
-            return True
-        left_co = self.co_partitioned.get(left)
-        right_co = self.co_partitioned.get(right)
-        if left_co is not None and left_co.parent_table == right:
-            return True
-        if right_co is not None and right_co.parent_table == left:
-            return True
-        if left_co is not None and right_co is not None:
-            return left_co.parent_table == right_co.parent_table
-        return False
-
-
-#: Placement of the HEDC schema: events and raw units partition by
-#: observation time; their dependents follow; admin/location/ops tables
-#: broadcast so auth and FK checks work on every shard.
-HEDC_SHARD_CONFIG = ShardConfig(
-    partitioned={"hle": "start_time", "raw_units": "start_time"},
-    co_partitioned={
-        "ana": CoPartition("hle_id", "hle", "hle_id"),
-        "catalog_members": CoPartition("hle_id", "hle", "hle_id"),
-        "views": CoPartition("unit_id", "raw_units", "unit_id"),
-    },
-)
+    Broadcast tables join with anything (a broadcast *left* still
+    scatters: each shard holds the full broadcast table, so the join is
+    correct on whichever shard the other side's rows live); a table that
+    follows a parent joins that parent (either direction) and the
+    parent's other followers.
+    """
+    left_at, right_at = left.placement, right.placement
+    if "broadcast" in (left_at.kind, right_at.kind):
+        return True
+    if right.name == left_at.parent_table or left.name == right_at.parent_table:
+        return True
+    return left_at.parent_table is not None \
+        and left_at.parent_table == right_at.parent_table

@@ -9,8 +9,8 @@ access paths also decide which shards a query can possibly touch.
   open-ended ``>=`` / ``<`` bounds) selects every overlapping shard.
 * **By key** (:func:`route_keyed`): an equality or IN over a key the
   shard map does not order (a partitioned table's primary key, a
-  co-partitioned child's parent key) is located by asking the shards'
-  own primary-key indexes which of them holds each value.  The router
+  following child's parent key, an item column) is located by asking
+  the shards' own indexes which of them holds each value.  The router
   keeps no copy of that mapping and no per-row state.
 
 Disjunctions and predicates that mention neither scatter to all shards:
@@ -31,9 +31,12 @@ SCATTER = "scatter"      # every shard
 BROADCAST = "broadcast"  # table replicated everywhere: reads ask any one
                          # shard, writes go to all of them
 
-#: What a pruned decision pruned on (``RouteDecision.by``).
-BY_PARTITION = "partition"
-BY_KEY = "key"
+#: The rule a decision was made by (``RouteDecision.by``).
+BY_PARTITION = "partition"  # the partition column against the shard ranges
+BY_KEY = "key"              # the one shard holding a primary or parent key
+BY_ITEM = "item"            # every shard holding rows of the item
+BY_OWNER = "owner"          # placing a row: the shard of its item's owner
+BY_LOCAL = "local"          # a local table: one shard written, all read
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,24 @@ def key_values(where: Conjunction, column: str) -> Optional[Iterable[Any]]:
 
 def route_keyed(values: Iterable[Any], shard_map: ShardMap,
                 holds: Callable[[ShardSpec, Any], bool],
-                unreachable: Collection[int] = ()) -> RouteDecision:
+                unreachable: Collection[int] = (), by: str = BY_KEY,
+                every_holder: bool = False,
+                first: Optional[int] = None) -> RouteDecision:
     """Shard subset for a statement that pins a key to ``values``.
 
-    ``holds(spec, value)`` asks one shard whether it holds the key.
-    Shards in ``unreachable`` are not asked: a value no reachable shard
-    holds may live on any of them, so they all become targets (the read
-    then degrades by name instead of coming back silently empty).  A
-    value nobody holds, with every shard asked, routes to the first
-    shard, so the statement keeps its single-node answer (no rows, a
-    zero count, the foreign-key error of an insert).
+    ``holds(spec, value)`` asks one shard whether it holds the key;
+    ``first`` names the shard to ask first.  A key has one holder and the
+    asking stops there, unless ``every_holder``: rows of one item may sit
+    on several shards (one written before its owner existed stays where
+    it was put), and the statement must reach them all.
+
+    Shards in ``unreachable`` are not asked: a value that may live on
+    one of them (no reachable shard holds it, or every holder counts)
+    makes them all targets, so the read degrades by name instead of
+    coming back silently empty.  A value nobody holds, with every shard
+    asked, routes to the first shard, so the statement keeps its
+    single-node answer (no rows, a zero count, the foreign-key error of
+    an insert).
     """
     specs = shard_map.specs
     asked: Sequence[ShardSpec] = specs
@@ -96,20 +107,25 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
         asked = [spec for spec in specs if spec.shard_id not in unreachable]
         unasked = [spec.shard_id for spec in specs
                    if spec.shard_id in unreachable]
+    if first is not None:
+        asked = sorted(asked, key=lambda spec: spec.shard_id != first)
     targets: set[int] = set()
     for value in values:
+        found = False
         for spec in asked:
             if holds(spec, value):
                 targets.add(spec.shard_id)
-                break
-        else:
+                found = True
+                if not every_holder:
+                    break
+        if every_holder or not found:
             targets.update(unasked)
         if len(targets) == len(specs):
             break
     if not targets:
         targets.add(specs[0].shard_id)
     return _decide(tuple(spec for spec in specs if spec.shard_id in targets),
-                   shard_map, BY_KEY)
+                   shard_map, by)
 
 
 def scatter_all(shard_map: ShardMap) -> RouteDecision:

@@ -10,11 +10,16 @@ whole catalog.  Because it satisfies
 :class:`~repro.metadb.api.DatabaseApi`, the DM's I/O layer, pools and
 semantic layers sit on top of it unchanged.
 
+Placement: where a table's rows go is declared on its
+:class:`~repro.metadb.schema.TableSchema` and read from the schemas
+``create_table`` is handed, which every shard stores; a directory
+reopened with no schema handed over routes from those.
+
 Routing: one function (:meth:`ShardedDatabase._route`) names the shards
-a statement touches, by partition column or by key, and reads, writes
-and EXPLAIN all act on its decision.  A statement that names one shard
-is handed to it as written; a transaction opens a shard's part when it
-first runs a statement there.
+a statement touches, by partition column, by key or by item, and reads,
+writes and EXPLAIN all act on its decision.  A statement that names one
+shard is handed to it as written; a transaction opens a shard's part
+when it first runs a statement there.
 
 Degradation semantics: reads over a dead shard's range return a
 :class:`PartialResult` (a ``list`` subclass carrying the missing ranges)
@@ -30,7 +35,6 @@ atomically, so in-flight readers keep a consistent view throughout.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -46,20 +50,26 @@ from ..metadb.predicate import Comparison, Predicate, conjuncts
 from ..metadb.query import (
     Aggregate, Delete, Explain, Insert, Join, Select, Update,
 )
-from ..metadb.schema import TableSchema
+from ..metadb.schema import BROADCAST as EVERYWHERE, TableSchema
 from ..metadb.sql import Statement, parse
 from ..metadb.transactions import Transaction, TxState
+from ..metadb.wal import counted_fsync, replace_durably
 from .merge import prepare_scatter
 from .partition import (
-    HEDC_SHARD_CONFIG, ShardConfig, ShardError, ShardMap, ShardSpec,
-    ShardUnavailable,
+    ShardError, ShardMap, ShardSpec, ShardUnavailable, joinable,
 )
 from .router import (
-    BROADCAST, PRUNED, RouteDecision, key_values, route_keyed,
-    route_partitioned, scatter_all,
+    BROADCAST, BY_ITEM, BY_KEY, BY_LOCAL, BY_OWNER, PRUNED, RouteDecision,
+    key_values, route_keyed, route_partitioned, scatter_all,
 )
 
 TOPOLOGY_FILE = "topology.json"
+
+#: What ``topology.json`` says about where rows are: 1 when every table's
+#: rows sit where its stored placement puts them.  A directory without it
+#: was written when placement was compiled in and every table it did not
+#: name was broadcast; see :meth:`ShardedDatabase._upgrade_placement`.
+PLACEMENT_VERSION = 1
 
 
 class PartialResult(list):
@@ -103,15 +113,18 @@ class _ShardedTransaction:
     A shard's part opens when a statement first runs there, so commit
     and rollback walk only the shards the transaction used.  The state
     is the transaction's own: with no part open there is nowhere else
-    to read it from.
+    to read it from.  ``last_written`` is the shard its latest write
+    went to: where a row that may live anywhere is put, and the first
+    shard asked when a row's item is looked for.
     """
 
-    __slots__ = ("topology", "parts", "state")
+    __slots__ = ("topology", "parts", "state", "last_written")
 
     def __init__(self, topology: _Topology):
         self.topology = topology
         self.parts: dict[int, tuple[Database, Transaction]] = {}
         self.state = TxState.ACTIVE
+        self.last_written: Optional[int] = None
 
     def part(self, shard_id: int) -> tuple[Database, Transaction]:
         """The shard's database and this transaction's part on it."""
@@ -151,14 +164,12 @@ class ShardedDatabase:
         path: Optional[Union[str, Path]] = None,
         name: str = "metadb",
         obs: Optional[Observability] = None,
-        config: Optional[ShardConfig] = None,
         breaker_cooldown_s: float = 5.0,
         degraded_reads: bool = True,
         replicas_per_shard: int = 1,
     ):
         self.name = name
         self.obs = resolve_obs(obs)
-        self._config = config if config is not None else HEDC_SHARD_CONFIG
         self._path = Path(path) if path is not None else None
         self.breaker_cooldown_s = breaker_cooldown_s
         self.degraded_reads = degraded_reads
@@ -183,9 +194,12 @@ class ShardedDatabase:
         self.degraded_count = 0
         self.splits = 0
         self._route_counters: dict[str, Any] = {}
+        self._placement_version = PLACEMENT_VERSION
+        self._upgrade_due = False
         specs = self._load_or_create_specs(boundaries)
         dbs = {spec.shard_id: self._new_shard_db(spec.shard_id) for spec in specs}
         self._topology = _Topology(ShardMap(specs), dbs)
+        self._read_schemas()
         self._persist_topology()
         self.obs.set_gauge("metadb.shard.count", len(specs), db=self.name)
 
@@ -202,6 +216,7 @@ class ShardedDatabase:
                 self.replicas_per_shard = payload.get(
                     "replicas_per_shard", self.replicas_per_shard
                 )
+                self._placement_version = payload.get("placement_version", 0)
                 return [
                     ShardSpec(entry["id"], entry["low"], entry["high"])
                     for entry in payload["shards"]
@@ -243,11 +258,26 @@ class ShardedDatabase:
                 for spec in self._topology.shard_map
             ],
             "replicas_per_shard": self.replicas_per_shard,
+            "placement_version": self._placement_version,
         }
-        tmp_path = self._path / (TOPOLOGY_FILE + ".tmp")
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_path, self._path / TOPOLOGY_FILE)
+        replace_durably(self._path / TOPOLOGY_FILE, [json.dumps(payload)],
+                        lambda handle: counted_fsync(handle, self.obs))
+
+    def _read_schemas(self) -> None:
+        """Placement is read from the schemas the shards hold (every
+        shard holds them all): what ``create_table`` was handed, or what
+        a reopened directory persisted."""
+        first = self._topology.first_db()
+        self._schemas: dict[str, TableSchema] = {
+            name: first.table(name).schema for name in first.table_names()}
+        #: (table, column) of every table that declares the items it owns.
+        self._item_owners = tuple(
+            (name, schema.item_key) for name, schema in self._schemas.items()
+            if schema.item_key is not None)
+
+    def _placement(self, table: str):
+        schema = self._schemas.get(table)
+        return EVERYWHERE if schema is None else schema.placement
 
     @property
     def n_shards(self) -> int:
@@ -290,6 +320,22 @@ class ShardedDatabase:
                 self._autocommit_writes -= 1
                 self._gate.notify_all()
 
+    @contextmanager
+    def _writes_stalled(self):
+        """Close the gate and wait for in-flight writes and open
+        transactions to drain: what a topology change holds while it
+        moves rows.  Reads keep flowing."""
+        with self._gate:
+            self._stalled = True
+            while self._open_txs or self._autocommit_writes:
+                self._gate.wait()
+        try:
+            yield
+        finally:
+            with self._gate:
+                self._stalled = False
+                self._gate.notify_all()
+
     # -- the DatabaseApi surface ---------------------------------------------------
 
     def has_table(self, name: str) -> bool:
@@ -301,27 +347,42 @@ class ShardedDatabase:
     def table(self, name: str):
         """Direct table access — broadcast tables only.
 
-        Partitioned/co-partitioned tables have no single local ``Table``;
-        query them through ``execute()``.
+        No one shard holds any other table whole; query those through
+        ``execute()``.
         """
-        if self._config.kind(name) != "broadcast":
+        placement = self._placement(name)
+        if placement != EVERYWHERE:
             raise ShardError(
-                f"table {name!r} is {self._config.kind(name)}; "
+                f"table {name!r} is {placement.describe()}; "
                 "query it through execute()"
             )
         return self._topology.first_db().table(name)
 
     def create_table(self, schema: TableSchema) -> None:
-        with self._write_permit():
-            for spec in self._topology.shard_map:
-                self._topology.db(spec.shard_id).create_table(
-                    TableSchema.from_dict(schema.to_dict())
-                )
+        self._ddl(lambda db: db.create_table(
+            TableSchema.from_dict(schema.to_dict())))
+
+    def declare_table(self, schema: TableSchema) -> None:
+        """Create the table unless it exists.  In a directory written
+        before placement was stored, a table that exists takes the
+        declared placement on every copy, and the rows the old layout
+        put on every shard are thinned out before the next statement
+        (:meth:`_upgrade_placement`)."""
+        if not self.has_table(schema.name):
+            self.create_table(schema)
+        elif self._placement_version < PLACEMENT_VERSION:
+            self._ddl(lambda db: db.declare_table(schema))
+            self._upgrade_due = True
 
     def drop_table(self, name: str) -> None:
+        self._ddl(lambda db: db.drop_table(name))
+
+    def _ddl(self, change) -> None:
+        """One schema change on every shard, then placement re-read."""
         with self._write_permit():
             for spec in self._topology.shard_map:
-                self._topology.db(spec.shard_id).drop_table(name)
+                change(self._topology.db(spec.shard_id))
+            self._read_schemas()
 
     def allocate_id(self, table: str, column: str) -> int:
         """Globally unique ids: the counter seeds from the maximum across
@@ -353,6 +414,8 @@ class ShardedDatabase:
     # -- transactions -------------------------------------------------------------
 
     def begin(self) -> _ShardedTransaction:
+        if self._upgrade_due:
+            self._upgrade_placement()
         with self._gate:
             while self._stalled:
                 self._gate.wait()
@@ -398,6 +461,8 @@ class ShardedDatabase:
             statement = parse(statement)
         if isinstance(statement, Explain):
             return [self.explain_plan(statement.select)]
+        if self._upgrade_due and tx is None:
+            self._upgrade_placement()
         if tx is not None:
             if not isinstance(tx, _ShardedTransaction):
                 raise TransactionError(
@@ -432,50 +497,73 @@ class ShardedDatabase:
 
     def _route(self, topology: _Topology, table: str,
                where: Optional[Predicate], join: Optional[Join] = None,
-               writing: bool = False) -> RouteDecision:
+               writing: bool = False,
+               placing: Optional[_ShardedTransaction] = None) -> RouteDecision:
         """The shards a statement over ``table`` must touch: the one
-        decision SELECT, UPDATE, DELETE, the co-partitioned INSERT and
-        EXPLAIN all act on.
+        decision SELECT, UPDATE, DELETE, INSERT and EXPLAIN all act on.
+        ``placing`` is the transaction of an INSERT (or of an UPDATE that
+        rewrites the placing column), whose ``where`` pins that column to
+        the row's value: the decision then names the one shard the row
+        belongs on.
 
         A partitioned table prunes on its partition column, else on an
-        equality or IN over its primary key; a co-partitioned child on
-        its parent key.  Keys are located by probing the shards' own
-        primary-key indexes, against the topology snapshot the statement
-        holds.  A read does not probe a shard whose breaker is open; a
-        write probes them all, because it must name the one owner.
+        equality or IN over its primary key; a table that follows a
+        parent on the parent's key.  A table that follows its item is
+        asked for on its own item column, on every shard that holds rows
+        of the item, and placed where an item-owning table holds the
+        item, the shard the transaction last wrote being asked first.
+        Keys are located by probing the shards' own indexes, against the
+        topology snapshot the statement holds.  A read does not probe a
+        shard whose breaker is open; a write probes them all, because it
+        must name every holder.
         """
-        config = self._config
         shard_map = topology.shard_map
-        kind = config.kind(table)
-        if join is not None and not config.joinable(table, join.table):
+        schema = self._schemas.get(table)
+        placement = EVERYWHERE if schema is None else schema.placement
+        kind = placement.kind
+        other = self._schemas.get(join.table) if join is not None else None
+        if other is not None and schema is not None \
+                and not joinable(schema, other):
             raise ShardError(
                 f"cannot join {table!r} with {join.table!r}: "
-                "tables are not co-located under the shard config"
+                "tables are not co-located under their placements"
             )
         if kind == "broadcast":
-            if join is not None and config.kind(join.table) != "broadcast":
+            if other is not None and other.placement != EVERYWHERE:
                 # Every shard holds the full broadcast side; the join's
-                # partitioned side is disjoint across shards, so a scatter
+                # other side is disjoint across shards, so a scatter
                 # concatenation is exactly the single-node join.
                 return scatter_all(shard_map)
             return RouteDecision(BROADCAST, shard_map.specs)
+        first = placing.last_written if placing is not None else None
+        if kind == "local":
+            if placing is None:
+                return scatter_all(shard_map)
+            return RouteDecision(
+                PRUNED, (shard_map.specs[0] if first is None
+                         else shard_map.spec(first),), BY_LOCAL)
         if len(shard_map) == 1:
             return scatter_all(shard_map)
         parts = conjuncts(where)
+        by, every_holder = BY_KEY, False
         if kind == "partitioned":
-            decision = route_partitioned(
-                parts, config.partition_column(table), shard_map)
+            decision = route_partitioned(parts, placement.column, shard_map)
             if decision.kind == PRUNED:
                 return decision
             # A partitioned table holds its own keys ...
-            holder = table
-            holder_key = column = \
-                topology.first_db().table(table).schema.primary_key
+            column = schema.primary_key
+            holders = ((table, column),)
+        elif kind == "follows":
+            # ... a child lives where its parent's key does ...
+            column = placement.column
+            holders = ((placement.parent_table, placement.parent_column),)
+        elif placing is not None:
+            # ... a row of an item is put where the item's owner is ...
+            column, holders, by = placement.column, self._item_owners, BY_OWNER
         else:
-            # ... a co-partitioned child lives where its parent's key does.
-            co = config.co_partitioned[table]
-            holder, holder_key, column = \
-                co.parent_table, co.parent_column, co.fk_column
+            # ... and looked for wherever rows of the item are.
+            column = placement.column
+            holders, by, every_holder = ((table, column),), BY_ITEM, True
         values = key_values(parts, column) if column is not None else None
         if values is None:
             return scatter_all(shard_map)
@@ -483,10 +571,12 @@ class ShardedDatabase:
         dbs = topology.dbs
 
         def holds(spec: ShardSpec, value: Any) -> bool:
-            return dbs[spec.shard_id].holds(holder, holder_key, value)
+            db = dbs[spec.shard_id]
+            return any(db.holds(holder, key, value) for holder, key in holders)
 
         return route_keyed(values, shard_map, holds,
-                           () if writing else self._open_shards())
+                           () if writing else self._open_shards(),
+                           by, every_holder, first)
 
     def _open_shards(self) -> list[int]:
         """Shards whose breaker rejects calls right now.  Reading the
@@ -639,55 +729,49 @@ class ShardedDatabase:
         db, part = tx.part(shard_id)
         fire_fault(f"metadb.shard.{shard_id}.statement")
         result = db.execute(statement, tx=part)
+        tx.last_written = shard_id
         with self._report_lock:
             self.writes_by_shard[shard_id] = (
                 self.writes_by_shard.get(shard_id, 0) + 1
             )
         return result
 
-    def _normalized_row(self, tx: _ShardedTransaction, table: str,
-                        values: dict[str, Any]) -> dict[str, Any]:
-        # Materialise callable defaults (e.g. created_at) ONCE so broadcast
-        # copies store identical rows and routing sees the final values.
-        schema = tx.topology.first_db().table(table).schema
-        return schema.normalize_row(values)
-
-    def _home(self, tx: _ShardedTransaction, table: str, parent_key: Any) -> int:
-        """The one shard a co-partitioned row with this parent key lives
-        on.  A NULL key has no parent, like an unknown one: both land on
-        the first shard, whose own foreign-key check answers as a single
+    def _home(self, tx: _ShardedTransaction, table: str, value: Any) -> int:
+        """The one shard a row of a table that is not placed by a shard
+        range lives on, given the value of its placing column (a local
+        table has none).  A NULL or unknown parent or item lands on the
+        first shard, whose own foreign-key check answers as a single
         node would."""
-        co = self._config.co_partitioned[table]
-        decision = self._route(
-            tx.topology, table, Comparison(co.fk_column, "=", parent_key),
-            writing=True)
-        return decision.specs[0].shard_id
+        column = self._placement(table).column
+        where = None if column is None else Comparison(column, "=", value)
+        return self._route(tx.topology, table, where, writing=True,
+                           placing=tx).specs[0].shard_id
 
     def _execute_insert(self, statement: Insert, tx: _ShardedTransaction) -> int:
         table = statement.table
-        kind = self._config.kind(table)
-        row = self._normalized_row(tx, table, statement.values)
+        shard_map = tx.topology.shard_map
+        placement = self._placement(table)
+        # Materialise callable defaults (e.g. created_at) ONCE so broadcast
+        # copies store identical rows and routing sees the final values.
+        schema = self._schemas.get(table)
+        row = statement.values if schema is None \
+            else schema.normalize_row(statement.values)
         routed = Insert(table, row)
-        if kind == "broadcast":
+        if placement.kind == "broadcast":
             result = None
-            for spec in tx.topology.shard_map:
+            for spec in shard_map:
                 rowid = self._exec_on_shard(tx, spec.shard_id, routed)
                 result = rowid if result is None else result
-            self.stats.inserts += 1
-            self.stats.rows_written += 1
-            return result
-        if kind == "partitioned":
-            column = self._config.partition_column(table)
-            value = row.get(column)
-            if value is None:
-                # NOT NULL will reject it with the proper IntegrityError.
-                shard_id = tx.topology.shard_map.specs[0].shard_id
-            else:
-                shard_id = tx.topology.shard_map.spec_for_value(value).shard_id
         else:
-            co = self._config.co_partitioned[table]
-            shard_id = self._home(tx, table, row.get(co.fk_column))
-        result = self._exec_on_shard(tx, shard_id, routed)
+            value = row.get(placement.column)
+            if placement.kind != "partitioned":
+                shard_id = self._home(tx, table, value)
+            elif value is None:
+                # NOT NULL will reject it with the proper IntegrityError.
+                shard_id = shard_map.specs[0].shard_id
+            else:
+                shard_id = shard_map.spec_for_value(value).shard_id
+            result = self._exec_on_shard(tx, shard_id, routed)
         self.stats.inserts += 1
         self.stats.rows_written += 1
         return result
@@ -703,26 +787,23 @@ class ShardedDatabase:
     def _execute_update(self, statement: Update, tx: _ShardedTransaction) -> int:
         table = statement.table
         changes = statement.changes
-        config = self._config
         topology = tx.topology
         decision = self._route(topology, table, statement.where, writing=True)
         # An update may not carry rows to another shard: when it rewrites
         # the column that places them, only the shard the new value
         # belongs on (``home``) may run it.
         home = refusal = None
-        kind = config.kind(table)
-        if kind == "partitioned":
-            column = config.partition_column(table)
-            if column in changes:
+        placement = self._placement(table)
+        if placement.column in changes:
+            value = changes[placement.column]
+            if placement.kind == "partitioned":
                 home = next((spec.shard_id for spec in topology.shard_map
-                             if spec.covers(changes[column])), None)
+                             if spec.covers(value)), None)
                 refusal = ("update would move {table!r} rows out of {shard}; "
                            "cross-shard row migration requires a "
                            "split/rebalance")
-        elif kind == "co_partitioned":
-            column = config.co_partitioned[table].fk_column
-            if column in changes:
-                home = self._home(tx, table, changes[column])
+            else:
+                home = self._home(tx, table, value)
                 refusal = "update would re-parent {table!r} rows across shards"
         counts = []
         for spec in decision.specs:
@@ -810,6 +891,13 @@ class ShardedDatabase:
 
         return rebalance(self, table)
 
+    def _upgrade_placement(self) -> None:
+        """Thin out what the pre-placement layout wrote to every shard:
+        see :func:`repro.shard.split.upgrade_placement`."""
+        from .split import upgrade_placement
+
+        upgrade_placement(self)
+
     # -- reporting -----------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
@@ -823,12 +911,14 @@ class ShardedDatabase:
         }
 
     def shard_report(self) -> dict[str, Any]:
-        """Topology, placement config, routing and per-shard health —
-        the ``shard`` section of :meth:`describe`."""
+        """Topology, each table's placement, routing and per-shard
+        health with the rows of every non-broadcast table a shard holds
+        — the ``shard`` section of :meth:`describe`."""
         topology = self._topology
-        data_tables = sorted(
-            list(self._config.partitioned) + list(self._config.co_partitioned)
-        )
+        placements = {name: schema.placement
+                      for name, schema in sorted(self._schemas.items())}
+        data_tables = [name for name, placement in placements.items()
+                       if placement != EVERYWHERE]
         shards = []
         for spec in topology.shard_map:
             db = topology.db(spec.shard_id)
@@ -855,11 +945,9 @@ class ShardedDatabase:
         return {
             "n_shards": len(topology.shard_map),
             "replicas_per_shard": self.replicas_per_shard,
-            "partitioned": dict(self._config.partitioned),
-            "co_partitioned": {
-                child: co.parent_table
-                for child, co in self._config.co_partitioned.items()
-            },
+            "placement": {name: placement.describe()
+                          for name, placement in placements.items()},
+            "placement_version": self._placement_version,
             "routes": dict(self.route_counts),
             "degraded_reads": self.degraded_count,
             "splits": self.splits,

@@ -25,8 +25,12 @@ Placement within the split range:
 
 * partitioned rows go low/high by their partition value vs ``at``;
 * broadcast rows go to **both** halves;
-* co-partitioned rows follow their parent (parents are reconciled
-  first, so the lookup is against settled data).
+* rows that follow a parent or their item go where it went (parents and
+  item owners are reconciled first, so the lookup is against settled
+  data); rows with neither, and the rows of local tables, stay low.
+
+:func:`upgrade_placement` is the other topology change: it brings a
+directory written before placement was stored to the layout above.
 """
 
 from __future__ import annotations
@@ -36,26 +40,37 @@ from typing import Any, Optional
 
 from ..metadb.database import Database
 from ..metadb.errors import SchemaError
+from ..metadb.predicate import In
+from ..metadb.query import Delete
 from ..metadb.schema import TableSchema
 from .partition import ShardError, ShardSpec
-from .sharded import ShardedDatabase, _Topology
+from .sharded import PLACEMENT_VERSION, ShardedDatabase, _Topology
 
 
-def _dependency_order(db: Database) -> list[str]:
-    """Table names ordered so FK parents precede their children."""
+def _dependency_order(sharded: ShardedDatabase) -> list[str]:
+    """Table names ordered so that foreign-key parents, the parent a
+    table follows and (for a table that follows its item) every
+    item-owning table precede the tables that are placed by them."""
     ordered: list[str] = []
-    pending = list(db.table_names())
+    schemas = sharded._schemas
+    owners = {owner for owner, _column in sharded._item_owners}
+    pending = sorted(schemas)
     while pending:
         progressed = False
         for name in list(pending):
-            schema = db.table(name).schema
-            targets = {fk.ref_table for fk in schema.foreign_keys} - {name}
+            schema = schemas[name]
+            targets = {fk.ref_table for fk in schema.foreign_keys}
+            if schema.placement.kind == "follows":
+                targets.add(schema.placement.parent_table)
+            elif schema.placement.kind == "follows_item":
+                targets |= owners
+            targets.discard(name)
             if all(target in ordered for target in targets):
                 ordered.append(name)
                 pending.remove(name)
                 progressed = True
         if not progressed:
-            raise SchemaError(f"circular foreign keys among {pending}")
+            raise SchemaError(f"circular placement or foreign keys among {pending}")
     return ordered
 
 
@@ -69,21 +84,25 @@ def _create_schema(source: Database, targets: list[Database],
 
 def _sides_for(sharded: ShardedDatabase, table: str, row: dict[str, Any],
                at: float, low_db: Database, high_db: Database) -> tuple:
-    config = sharded._config
-    kind = config.kind(table)
+    placement = sharded._placement(table)
+    kind = placement.kind
     if kind == "broadcast":
         return (low_db, high_db)
+    if kind == "local":
+        return (low_db,)
+    value = row.get(placement.column)
     if kind == "partitioned":
-        value = row.get(config.partition_column(table))
         if value is not None and value < at:
             return (low_db,)
         return (high_db,)
-    co = config.co_partitioned[table]
-    value = row.get(co.fk_column)
-    if low_db.table(co.parent_table).exists_value(co.parent_column, value):
-        return (low_db,)
-    if high_db.table(co.parent_table).exists_value(co.parent_column, value):
-        return (high_db,)
+    # The row goes where its parent, or the owner of its item, went;
+    # one that has neither stays on the low side, which comes first.
+    holders = sharded._item_owners if kind == "follows_item" \
+        else ((placement.parent_table, placement.parent_column),)
+    for side in (low_db, high_db):
+        if any(side.table(holder).exists_value(key, value)
+               for holder, key in holders):
+            return (side,)
     return (low_db,)
 
 
@@ -112,7 +131,7 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         if replicated:
             for new_db in (low_db, high_db):
                 new_db.pause_followers()
-        tables = _dependency_order(old_db)
+        tables = _dependency_order(sharded)
         _create_schema(old_db, [low_db, high_db], tables)
 
         # Warm copy: reads and writes keep flowing to the old shard.
@@ -134,11 +153,7 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         # Cutover: close the write gate, drain in-flight writes and open
         # transactions, reconcile the delta, swap the topology reference.
         stall_started = time.perf_counter()
-        with sharded._gate:
-            sharded._stalled = True
-            while sharded._open_txs or sharded._autocommit_writes:
-                sharded._gate.wait()
-        try:
+        with sharded._writes_stalled():
             for name in tables:
                 table = old_db.table(name)
                 snapshot = copied[name]
@@ -177,10 +192,6 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
             new_dbs[low_id] = low_db
             new_dbs[high_id] = high_db
             sharded._topology = _Topology(new_map, new_dbs)
-        finally:
-            with sharded._gate:
-                sharded._stalled = False
-                sharded._gate.notify_all()
         stall_s = time.perf_counter() - stall_started
 
         sharded.splits += 1
@@ -215,12 +226,14 @@ def rebalance(sharded: ShardedDatabase,
     """Split the shard holding the most rows of ``table`` at its median
     partition value; returns the new shard ids, or None when no shard
     has enough value spread to split."""
-    config = sharded._config
     if table is None:
-        if not config.partitioned:
+        partitioned = sorted(
+            name for name, schema in sharded._schemas.items()
+            if schema.placement.kind == "partitioned")
+        if not partitioned:
             return None
-        table = sorted(config.partitioned)[0]
-    column = config.partition_column(table)
+        table = partitioned[0]
+    column = sharded._placement(table).column
     topology = sharded._topology
     heaviest = None
     heaviest_rows = 0
@@ -248,3 +261,67 @@ def rebalance(sharded: ShardedDatabase,
     ):
         return None
     return split_shard(sharded, heaviest.shard_id, at)
+
+
+def upgrade_placement(sharded: ShardedDatabase) -> None:
+    """Bring a directory written before placement was stored, where
+    every shard holds every per-item row and every log row, to the
+    layout its declared placements describe.
+
+    Under the write gate each shard drops, in one ordinary journaled
+    transaction that ships to its followers, the following rows whose
+    item's owner it does not hold; the first shard alone keeps the rows
+    nobody owns and the rows of local tables.  Every copy then
+    checkpoints, so its stored schemas carry the placements, and the
+    topology is stamped.  A shard's rule does not depend on what another
+    has dropped: a crash anywhere leaves a directory the next open
+    upgrades again, and a finished one is left alone.
+    """
+    with sharded._split_lock:
+        if not sharded._upgrade_due:
+            return
+        with sharded._writes_stalled():
+            topology = sharded._topology
+            owners = sharded._item_owners
+            dbs = [topology.db(spec.shard_id) for spec in topology.shard_map]
+
+            def owned_on(db: Database, item: Any) -> bool:
+                return any(db.holds(owner, key, item) for owner, key in owners)
+
+            dropped = 0
+            for db in dbs:
+                first = db is dbs[0]
+                tx = db.begin()
+                try:
+                    for name, schema in sharded._schemas.items():
+                        placement = schema.placement
+                        if placement.kind == "local" and not first:
+                            dropped += db.execute(Delete(name), tx=tx)
+                        if placement.kind != "follows_item":
+                            continue
+                        column = placement.column
+                        # An item owned elsewhere goes; nobody's item
+                        # stays on the first shard alone.
+                        strangers = [
+                            item for item in
+                            {row[column] for row in db.table(name).rows()}
+                            if not owned_on(db, item) and (
+                                not first or any(owned_on(other, item)
+                                                 for other in dbs[1:]))]
+                        if strangers:
+                            dropped += db.execute(
+                                Delete(name, In(column, strangers)), tx=tx)
+                except Exception:
+                    db.rollback(tx)
+                    raise
+                db.commit(tx)
+            for db in dbs:
+                db.checkpoint()
+            sharded._placement_version = PLACEMENT_VERSION
+            sharded._upgrade_due = False
+            sharded._persist_topology()
+        sharded.obs.event(
+            "info", "shard", "placement.upgraded",
+            "pre-placement directory brought to its declared placements",
+            db=sharded.name, rows_dropped=dropped,
+        )

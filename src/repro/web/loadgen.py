@@ -102,6 +102,9 @@ class RemoteDatabase:
     def create_table(self, schema) -> None:
         self._inner.create_table(schema)
 
+    def declare_table(self, schema) -> None:
+        self._inner.declare_table(schema)
+
     def drop_table(self, name: str) -> None:
         self._inner.drop_table(name)
 

@@ -39,6 +39,7 @@ from repro.metadb import (
     Select,
     TableSchema,
     Update,
+    partitioned,
 )
 from repro.metadb import query as query_module
 from repro.metadb.columnar import SEGMENT_ROWS
@@ -523,6 +524,7 @@ def order_schema(columnar: bool) -> TableSchema:
         ],
         primary_key="id",
         columnar=columnar,
+        placement=partitioned("at"),      # read by the sharded build only
     )
 
 
@@ -597,11 +599,10 @@ def tied_twins(tied_rows):
 
 @pytest.fixture(scope="module")
 def tied_shards(tied_rows):
-    from repro.shard import ShardConfig, ShardedDatabase
+    from repro.shard import ShardedDatabase
 
     sharded = ShardedDatabase(
         boundaries=(300.0, 600.0, 900.0), name="ord-4x2", replicas_per_shard=2,
-        config=ShardConfig(partitioned={"ev": "at"}),
     )
     sharded.create_table(order_schema(columnar=True))
     for row in tied_rows:

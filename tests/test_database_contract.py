@@ -8,9 +8,10 @@ interleaving of inserts, updates, deletes, batches, queries,
 transactions (with rollbacks) and, on the persistent builds,
 close/reopen must always agree with a plain Python-dict model,
 regardless of which index, shard or copy served each statement: on a
-table the sharded builds place by its key, and on a parent/child pair
-they place by a column that is not the key, where a statement selected
-by key has to find its shard first.
+table the sharded builds place by its key, on a parent/child pair they
+place by a column that is not the key, where a statement selected by
+key has to find its shard first, and on a table whose rows follow
+their item, wherever and whenever the item's owner turns up.
 
 A new implementation joins by satisfying the protocol and adding one
 line to :data:`BUILDS`.
@@ -50,22 +51,23 @@ from repro.metadb import (
     TableSchema,
     TransactionError,
     Update,
+    follows,
+    follows_item,
+    partitioned,
 )
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
-from repro.shard import CoPartition, ShardConfig, ShardedDatabase
+from repro.shard import ShardedDatabase
 from repro.web.loadgen import RemoteDatabase
 
-#: The sharded builds place ``t`` by its key, so an update of ``v``
-#: never moves a row between shards; ``notes`` is broadcast.  ``e`` is
-#: placed by ``at``, which is not its key, and ``c`` follows its ``e``:
-#: the shape of every table an HLE page reads (``hle`` by ``start_time``,
-#: ``ana`` by its ``hle``), where a statement selected by key has to
-#: find the shard first.
-PLACEMENT = ShardConfig(
-    partitioned={"t": "k", "e": "at"},
-    co_partitioned={"c": CoPartition("e_id", "e", "id")},
-)
+#: Placement is declared on the schemas below.  The sharded builds place
+#: ``t`` by its key, so an update of ``v`` never moves a row between
+#: shards; ``notes`` is broadcast.  ``e`` is placed by ``at``, which is
+#: not its key, and ``c`` follows its ``e``: the shape of every table an
+#: HLE page reads (``hle`` by ``start_time``, ``ana`` by its ``hle``),
+#: where a statement selected by key has to find the shard first.  ``e``
+#: and ``c`` own the items their ``item`` column names and ``loc``
+#: follows its item: the shape of the location tables.
 FOUR_SHARDS = (8, 16, 24)
 
 
@@ -90,14 +92,14 @@ BUILDS = [
           replication=True),
     Build("replica-group-x3", lambda path: ReplicaGroup(name="c", n_replicas=2),
           replication=True),
-    Build("sharded-x1", lambda path: ShardedDatabase(config=PLACEMENT, name="c"),
+    Build("sharded-x1", lambda path: ShardedDatabase(name="c"),
           shard=True),
     Build("sharded-x4",
-          lambda path: ShardedDatabase(FOUR_SHARDS, config=PLACEMENT, name="c"),
+          lambda path: ShardedDatabase(FOUR_SHARDS, name="c"),
           shard=True),
     Build("sharded-x4-copies-x2-persistent",
-          lambda path: ShardedDatabase(FOUR_SHARDS, path=path, config=PLACEMENT,
-                                       name="c", replicas_per_shard=2),
+          lambda path: ShardedDatabase(FOUR_SHARDS, path=path, name="c",
+                                       replicas_per_shard=2),
           persistent=True, shard=True, replication=True),
     Build("remote", lambda path: RemoteDatabase(Database(name="c"))),
 ]
@@ -116,6 +118,7 @@ def _t_schema() -> TableSchema:
         ],
         primary_key="k",
         indexes=[("v",)],
+        placement=partitioned("k"),
     )
 
 
@@ -133,9 +136,13 @@ def _e_schema() -> TableSchema:
         "e",
         [Column("id", ColumnType.INTEGER, nullable=False),
          Column("at", ColumnType.INTEGER, nullable=False),
-         Column("label", ColumnType.TEXT)],
+         Column("label", ColumnType.TEXT),
+         Column("item", ColumnType.TEXT, nullable=False)],
         primary_key="id",
+        unique=[("item",)],
         indexes=[("at",)],
+        placement=partitioned("at"),
+        item_key="item",
     )
 
 
@@ -144,15 +151,31 @@ def _c_schema() -> TableSchema:
         "c",
         [Column("cid", ColumnType.INTEGER, nullable=False),
          Column("e_id", ColumnType.INTEGER, nullable=False),
-         Column("note", ColumnType.TEXT)],
+         Column("note", ColumnType.TEXT),
+         Column("item", ColumnType.TEXT, nullable=False)],
         primary_key="cid",
+        unique=[("item",)],
         indexes=[("e_id",)],
         foreign_keys=[ForeignKey("e_id", "e", "id")],
+        placement=follows("e_id", "e", "id"),
+        item_key="item",
+    )
+
+
+def _loc_schema() -> TableSchema:
+    return TableSchema(
+        "loc",
+        [Column("ref", ColumnType.INTEGER, nullable=False),
+         Column("item", ColumnType.TEXT, nullable=False),
+         Column("note", ColumnType.TEXT)],
+        primary_key="ref",
+        indexes=[("item",)],
+        placement=follows_item("item"),
     )
 
 
 def _fresh(build: Build, root: Path):
-    """A new instance of ``build`` with its four tables; returns (db, path)."""
+    """A new instance of ``build`` with its five tables; returns (db, path)."""
     path = Path(tempfile.mkdtemp(dir=root)) / "db" if build.persistent else None
     db = build.open(path)
     _create_tables(db)
@@ -160,7 +183,8 @@ def _fresh(build: Build, root: Path):
 
 
 def _create_tables(db) -> None:
-    for schema in (_t_schema(), _notes_schema(), _e_schema(), _c_schema()):
+    for schema in (_t_schema(), _notes_schema(), _e_schema(), _c_schema(),
+                   _loc_schema()):
         db.create_table(schema)
 
 
@@ -170,6 +194,10 @@ KEYS = st.integers(min_value=0, max_value=30)
 VALUES = st.integers(min_value=-50, max_value=50)
 EVENT_IDS = st.integers(min_value=0, max_value=11)
 CHILD_IDS = st.integers(min_value=0, max_value=23)
+LOC_REFS = st.integers(min_value=0, max_value=47)
+ITEMS = st.sampled_from([f"e:{n}" for n in range(12)]
+                        + [f"c:{n}" for n in range(24)]
+                        + ["x:0", "x:1"])
 
 
 def _at(event_id: int) -> int:
@@ -185,6 +213,15 @@ def _parent_of(child_id: int) -> int:
     return child_id % 8
 
 
+def _item_of(ref: int) -> str:
+    """A ``loc`` row's item, fixed by its ref: the item of an ``e`` row,
+    of a ``c`` row (whose shard is its parent's: a chain of two), or of
+    nothing at all."""
+    if ref % 4 == 3:
+        return f"x:{ref % 2}"
+    return f"c:{ref // 2}" if ref % 2 else f"e:{ref // 4}"
+
+
 class ContractMachine(RuleBasedStateMachine):
     """Every statement carries ``tx=self.tx``: inside a transaction that
     is the contract's read-your-own-writes rule, outside one (``None``)
@@ -197,8 +234,12 @@ class ContractMachine(RuleBasedStateMachine):
         self.model: dict[int, dict] = {}
         self.events: dict[int, dict] = {}
         self.children: dict[int, dict] = {}
+        self.locs: dict[int, dict] = {}
+        #: ref -> the shard its item's owner was on when the row went in
+        #: (None: no owner then).  Sharded builds only.
+        self.loc_home: dict[int, Optional[int]] = {}
         self.tx = None
-        self.tx_shadow: tuple[dict, dict, dict] = ({}, {}, {})
+        self.tx_shadow: tuple[dict, ...] = ({}, {}, {}, {}, {})
         self.last_id = 0
 
     def teardown(self):
@@ -264,7 +305,8 @@ class ContractMachine(RuleBasedStateMachine):
 
     @rule(event_id=EVENT_IDS, label=st.sampled_from(["x", "y"]))
     def insert_event(self, event_id, label):
-        row = {"id": event_id, "at": _at(event_id), "label": label}
+        row = {"id": event_id, "at": _at(event_id), "label": label,
+               "item": f"e:{event_id}"}
         if event_id in self.events:
             with pytest.raises(IntegrityError):
                 self.db.execute(Insert("e", row), tx=self.tx)
@@ -276,7 +318,8 @@ class ContractMachine(RuleBasedStateMachine):
     def insert_child(self, child_id, note):
         """Lands on its parent's shard, found by key; an orphan or a
         repeated key is refused as one node would refuse it."""
-        row = {"cid": child_id, "e_id": _parent_of(child_id), "note": note}
+        row = {"cid": child_id, "e_id": _parent_of(child_id), "note": note,
+               "item": f"c:{child_id}"}
         if child_id in self.children or row["e_id"] not in self.events:
             with pytest.raises(IntegrityError):
                 self.db.execute(Insert("c", row), tx=self.tx)
@@ -348,11 +391,84 @@ class ContractMachine(RuleBasedStateMachine):
                    aggregates=[Aggregate("count", "*", "n")]),
             tx=self.tx) == [{"n": len(children)}]
 
+    # -- a table whose rows follow their item -------------------------------
+
+    def _locs_of(self, items) -> list[dict]:
+        return sorted((row for row in self.locs.values()
+                       if row["item"] in items), key=lambda row: row["ref"])
+
+    def _owner_shard(self, item: str) -> Optional[int]:
+        """The shard holding the item's owner now, if it has one."""
+        kind, number = item.split(":")
+        if kind == "c" and int(number) in self.children:
+            kind, number = "e", _parent_of(int(number))
+        if kind == "e" and int(number) in self.events:
+            return self.db.shard_map.spec_for_value(_at(int(number))).shard_id
+        return None
+
+    @rule(ref=LOC_REFS, note=st.sampled_from(["m", "n"]))
+    def insert_loc(self, ref, note):
+        """Goes to its item's owner: present, absent (then, and whenever
+        the owner is created later, in this transaction or another, the
+        row is still found), or never there.  Keys are unique per shard,
+        so a ref in use is left alone."""
+        if ref in self.locs:
+            return
+        row = {"ref": ref, "item": _item_of(ref), "note": note}
+        if self.build.shard:
+            self.loc_home[ref] = self._owner_shard(row["item"])
+        self.db.execute(Insert("loc", row), tx=self.tx)
+        self.locs[ref] = row
+
+    @rule(item=ITEMS, note=st.sampled_from(["m", "n", "o"]))
+    def update_locs_by_item(self, item, note):
+        affected = self.db.execute(
+            Update("loc", {"note": note}, Comparison("item", "=", item)),
+            tx=self.tx)
+        hit = self._locs_of({item})
+        assert affected == len(hit)
+        for row in hit:
+            self.locs[row["ref"]] = {**row, "note": note}
+
+    @rule(item=ITEMS)
+    def delete_locs_by_item(self, item):
+        gone = self._locs_of({item})
+        affected = self.db.execute(
+            Delete("loc", Comparison("item", "=", item)), tx=self.tx)
+        assert affected == len(gone)
+        for row in gone:
+            del self.locs[row["ref"]]
+            self.loc_home.pop(row["ref"], None)
+
+    @rule(items=st.lists(ITEMS, min_size=0, max_size=4))
+    def reads_by_item(self, items):
+        """By one item, by an IN list, and with no filter at all: each
+        row once, whichever shard holds it."""
+        by_ref = [("ref", "asc")]
+        count = [Aggregate("count", "*", "n")]
+        statements = [Select("loc", where=In("item", items), order_by=by_ref),
+                      Select("loc", where=In("item", items), aggregates=count),
+                      Select("loc", order_by=by_ref, limit=5),
+                      Select("loc", aggregates=count)]
+        expected = [self._locs_of(set(items)),
+                    [{"n": len(self._locs_of(set(items)))}],
+                    sorted(self.locs.values(), key=lambda row: row["ref"])[:5],
+                    [{"n": len(self.locs)}]]
+        for item in items[:2]:
+            where = Comparison("item", "=", item)
+            statements += [Select("loc", where=where, order_by=by_ref),
+                           Select("loc", where=where, aggregates=count)]
+            expected += [self._locs_of({item}),
+                         [{"n": len(self._locs_of({item}))}]]
+        assert self.db.execute_batch(statements, tx=self.tx) == expected
+
     # -- transactions ---------------------------------------------------------
 
-    def _snapshot(self) -> tuple[dict, dict, dict]:
-        return tuple({key: dict(row) for key, row in table.items()}
-                     for table in (self.model, self.events, self.children))
+    def _snapshot(self) -> tuple[dict, ...]:
+        return (*({key: dict(row) for key, row in table.items()}
+                  for table in (self.model, self.events, self.children,
+                                self.locs)),
+                dict(self.loc_home))
 
     @precondition(lambda self: self.tx is None)
     @rule()
@@ -370,7 +486,8 @@ class ContractMachine(RuleBasedStateMachine):
     @rule()
     def rollback(self):
         self.db.rollback(self.tx)
-        self.model, self.events, self.children = self.tx_shadow
+        (self.model, self.events, self.children, self.locs,
+         self.loc_home) = self.tx_shadow
         self.tx = None
 
     @rule()
@@ -432,6 +549,21 @@ class ContractMachine(RuleBasedStateMachine):
             [Select("e", aggregates=count), Select("c", aggregates=count)],
             tx=self.tx,
         ) == [[{"n": len(self.events)}], [{"n": len(self.children)}]]
+
+    @invariant()
+    def a_following_row_is_held_once_and_with_its_owner(self):
+        """Each ``loc`` row on exactly one shard, and that shard its
+        owner's when the owner was there first."""
+        rows = self.db.execute(Select("loc"), tx=self.tx)
+        assert sorted(row["ref"] for row in rows) == sorted(self.locs)
+        if not self.build.shard:
+            return
+        for ref in self.locs:
+            holders = [spec.shard_id for spec in self.db.shard_map
+                       if self.db.shard_db(spec.shard_id).holds("loc", "ref", ref)]
+            assert len(holders) == 1, (ref, holders)
+            if self.loc_home[ref] is not None:
+                assert holders == [self.loc_home[ref]], ref
 
 
 @every_build
@@ -508,13 +640,13 @@ def test_ddl_round_trip(build, opened):
         "scratch", [Column("id", ColumnType.INTEGER, nullable=False)],
         primary_key="id"))
     assert opened.has_table("scratch")
-    assert opened.table_names() == ["c", "e", "notes", "scratch", "t"]
+    assert opened.table_names() == ["c", "e", "loc", "notes", "scratch", "t"]
     assert opened.table("scratch").schema.primary_key == "id"
     opened.execute(Insert("scratch", {"id": 1}))
     assert opened.execute(Select("scratch")) == [{"id": 1}]
     opened.drop_table("scratch")
     assert not opened.has_table("scratch")
-    assert opened.table_names() == ["c", "e", "notes", "t"]
+    assert opened.table_names() == ["c", "e", "loc", "notes", "t"]
 
 
 @every_build
@@ -540,7 +672,7 @@ def test_describe_reports_exactly_the_layers_present(build, opened):
 # -- a sharded transaction opens a shard's part when it first touches it -------
 
 def _four_shards(**kwargs) -> ShardedDatabase:
-    db = ShardedDatabase(FOUR_SHARDS, config=PLACEMENT, name="c", **kwargs)
+    db = ShardedDatabase(FOUR_SHARDS, name="c", **kwargs)
     _create_tables(db)
     return db
 
@@ -595,8 +727,8 @@ def test_a_transaction_commits_only_on_the_shards_it_touched(copies):
     # row with id 3 is placed by at=21, on shard 2), a broadcast write four.
     begins.clear()
     before = _shard_transactions(db)
-    db.execute(Insert("e", {"id": 3, "at": _at(3), "label": "x"}))
-    db.execute(Insert("c", {"cid": 3, "e_id": 3, "note": "p"}))
+    db.execute(Insert("e", {"id": 3, "at": _at(3), "label": "x", "item": "e:3"}))
+    db.execute(Insert("c", {"cid": 3, "e_id": 3, "note": "p", "item": "c:3"}))
     assert db.execute(Update("e", {"label": "y"}, Comparison("id", "=", 3))) == 1
     assert db.execute(Delete("c", Comparison("e_id", "=", 3))) == 1
     assert begins == [2, 2, 2, 2]

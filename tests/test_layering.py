@@ -128,3 +128,30 @@ def test_obs_imports_no_tier_at_module_scope():
         if top and target.split(".")[0] != "obs"
     ]
     assert offenders == []
+
+
+def string_constants(path: Path) -> set[str]:
+    return {node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_the_data_tier_and_the_generic_schema_name_no_domain_table():
+    """What the import check cannot see: a table named in a string.  The
+    shard, replication and database packages and the generic schema learn
+    a project's tables, and where their rows go, from the schemas they
+    are handed; the domain schema in turn names no location table."""
+    from repro.schema import GENERIC_SCHEMAS, RHESSI_SCHEMAS
+
+    domain_tables = {factory().name for factory in RHESSI_SCHEMAS}
+    location_tables = {factory().name for factory in GENERIC_SCHEMAS
+                       if factory().name.startswith("loc_")}
+    generic = [path for package in ("shard", "repl", "metadb")
+               for path in sorted((ROOT / package).rglob("*.py"))]
+    generic.append(ROOT / "schema" / "generic.py")
+    assert len(generic) > 20 and len(domain_tables) == 7
+    named = {(path.relative_to(ROOT).as_posix(), name)
+             for path in generic
+             for name in string_constants(path) & domain_tables}
+    assert named == set()
+    assert string_constants(ROOT / "schema" / "rhessi_schema.py") \
+        & location_tables == set()

@@ -9,6 +9,7 @@ prove pruned queries really skipped the non-matching shards.
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 
@@ -35,7 +36,6 @@ from repro.security import User
 from repro.security.constraints import scoped_where
 from repro.schema import install_all
 from repro.shard import (
-    HEDC_SHARD_CONFIG,
     PartialResult,
     ShardedDatabase,
     ShardError,
@@ -147,12 +147,17 @@ def _seed_family(dbs, events: list[dict], seed: int = 5) -> dict:
             "units": [unit_id for unit_id, _start in units]}
 
 
-def _owner(sharded: ShardedDatabase, table: str, column: str, value) -> int:
-    """The shard whose own table holds ``column == value``."""
-    owners = [
+def _holders(sharded: ShardedDatabase, table: str, column: str, value) -> list[int]:
+    """Every shard whose own table holds ``column == value``."""
+    return [
         spec.shard_id for spec in sharded.shard_map
         if sharded.shard_db(spec.shard_id).table(table).exists_value(column, value)
     ]
+
+
+def _owner(sharded: ShardedDatabase, table: str, column: str, value) -> int:
+    """The one shard whose own table holds ``column == value``."""
+    owners = _holders(sharded, table, column, value)
     assert len(owners) == 1, (table, column, value, owners)
     return owners[0]
 
@@ -1183,6 +1188,41 @@ class TestOnlineSplit:
         assert heavy_after < heavy_before
         assert len(sharded.execute(Select("hle"))) == len(rows)
 
+    def test_topology_is_flushed_to_disk_before_it_replaces_the_old_one(
+            self, tmp_path):
+        """The fsync goes through the journal's counted path, so the
+        fault point sees it: when it fails the old file stays whole and
+        the split says so."""
+        from repro.obs import Observability
+
+        obs = Observability(name="topo")
+        sharded = ShardedDatabase(boundaries=BOUNDS, path=tmp_path / "db",
+                                  name="topo", obs=obs)
+        install_all(sharded)
+        _seed_users(sharded)
+        _seed_events([sharded], n=40)
+        topology = tmp_path / "db" / "topology.json"
+        before = topology.read_bytes()
+        fsyncs = obs.registry.family_total("metadb.wal.fsyncs")
+        sharded._persist_topology()
+        assert obs.registry.family_total("metadb.wal.fsyncs") == fsyncs + 1
+        assert topology.read_bytes() == before
+        assert json.loads(before)["placement_version"] == 1
+
+        injector = FaultInjector(seed=1)
+        injector.inject("metadb.wal.fsync", error=OSError("no space"))
+        persist = sharded._persist_topology
+
+        def persist_on_a_full_disk():
+            with use_injector(injector):
+                persist()
+
+        sharded._persist_topology = persist_on_a_full_disk
+        with pytest.raises(OSError, match="no space"):
+            sharded.split(1, 1.5 * DAY)
+        assert topology.read_bytes() == before
+        sharded.close()
+
     def test_topology_survives_reopen(self, tmp_path):
         sharded = ShardedDatabase(boundaries=(DAY,), path=tmp_path / "db",
                                   name="persist")
@@ -1199,6 +1239,255 @@ class TestOnlineSplit:
         assert [spec.high for spec in reopened.shard_map] == \
             [DAY, 2 * DAY, None]
         assert len(reopened.execute(Select("hle"))) == total
+
+
+def _tuple_row(item_id: str, suffix: str = "") -> dict:
+    return {"tuple_ref": f"tuple:{item_id}{suffix}", "item_id": item_id,
+            "table_name": item_id.split(":")[0]}
+
+
+def _file_row(file_id: int, item_id: str) -> dict:
+    return {"file_id": file_id, "item_id": item_id, "archive_id": "main",
+            "rel_path": f"{item_id}/{file_id}.pgm"}
+
+
+def _assert_followers_with_their_owners(sharded: ShardedDatabase) -> None:
+    """Every location row on exactly one shard, and on the shard of the
+    event or analysis that carries its item."""
+    for table, key in (("loc_tuples", "tuple_ref"), ("loc_files", "file_id")):
+        for row in sharded.execute(Select(table)):
+            held = _holders(sharded, table, key, row[key])
+            assert len(held) == 1, (table, row, held)
+            owner_table = row["item_id"].split(":")[0]
+            if owner_table in ("hle", "ana"):
+                assert held == _holders(
+                    sharded, owner_table, "item_id", row["item_id"]), row
+
+
+class TestFollowingTables:
+    """Rows that follow their item (the location tables) and local logs."""
+
+    def _seeded(self, **kwargs):
+        single = Database(name="single")
+        install_all(single)
+        sharded = ShardedDatabase(boundaries=BOUNDS, name="follow", **kwargs)
+        install_all(sharded)
+        both = (single, sharded)
+        _seed_users(*both)
+        events = _seed_events(both, n=60)
+        family = _seed_family(both, events)
+        for db in both:
+            db.execute(Insert("loc_archives", {
+                "archive_id": "main", "root_path": "/archive"}))
+        return single, sharded, events, family
+
+    def test_a_row_is_placed_with_its_item_two_levels_deep(self):
+        single, sharded, events, family = self._seeded()
+        both = (single, sharded)
+        for db in both:
+            for row in events[:12]:
+                db.execute(Insert("loc_tuples", _tuple_row(row["item_id"])))
+            for ana_id in range(1, 11):      # loc_files -> ana -> hle
+                db.execute(Insert("loc_files", _file_row(ana_id, f"ana:{ana_id}")))
+            db.execute(Insert("loc_tuples", _tuple_row("cat:1")))
+        for row in events[:12]:
+            assert _holders(sharded, "loc_tuples", "item_id", row["item_id"]) \
+                == [_owner(sharded, "hle", "hle_id", row["hle_id"])]
+        for ana_id, parent in enumerate(family["ana_parents"], start=1):
+            assert _holders(sharded, "loc_files", "item_id", f"ana:{ana_id}") \
+                == [_owner(sharded, "hle", "hle_id", parent)]
+        # Nobody owns a catalogue's item: the first shard keeps its row.
+        assert _holders(sharded, "loc_tuples", "item_id", "cat:1") == [0]
+        _assert_followers_with_their_owners(sharded)
+
+        # Read by item, by IN list and unfiltered: each row once.
+        item = events[3]["item_id"]
+        owner = _owner(sharded, "hle", "hle_id", events[3]["hle_id"])
+        by_item = Select("loc_tuples", where=Comparison("item_id", "=", item))
+        touched, rows = _reads(sharded, by_item)
+        assert rows == single.execute(by_item) and touched == {owner: 1}
+        route = sharded.explain_plan(by_item)["shard_route"]
+        assert (route["kind"], route["by"], route["shards"]) == (
+            "pruned", "item", [owner])
+        items = [row["item_id"] for row in events[:12:3]] + ["cat:1", "hle:none"]
+        for select in (
+            Select("loc_tuples", where=In("item_id", items),
+                   order_by=[("tuple_ref", "asc")]),
+            Select("loc_tuples", order_by=[("tuple_ref", "desc")], limit=5),
+            Select("loc_tuples", aggregates=[Aggregate("count", "*", "n")]),
+            Select("loc_files", where=Comparison("archive_id", "=", "main"),
+                   order_by=[("file_id", "asc")]),
+        ):
+            _assert_same(single, sharded, select, ordered=True)
+        assert len(sharded.execute(Select("loc_tuples"))) == 13
+        assert sharded.explain_plan(Select("loc_tuples"))["shard_route"][
+            "kind"] == "scatter"
+
+        # An unknown item keeps the single-node answer from one shard.
+        nobody = Select("loc_files", where=Comparison("item_id", "=", "hle:7"))
+        touched, rows = _reads(sharded, nobody)
+        assert rows == [] and touched == {0: 1}
+
+    def test_rows_written_before_their_owner_are_still_reached(self):
+        """The probe is of the table's own index and does not stop at the
+        first holder: an item's rows may sit on two shards."""
+        single, sharded, _events, _family = self._seeded()
+        both = (single, sharded)
+        late = {"hle_id": 900, "item_id": "hle:900", "owner_id": 1,
+                "start_time": 3.5 * DAY, "end_time": 3.5 * DAY + 1,
+                "created_at": 1000.0}
+        for db in both:
+            db.execute(Insert("loc_tuples", _tuple_row("hle:900")))
+            db.execute(Insert("hle", dict(late)))
+            db.execute(Insert("loc_tuples", _tuple_row("hle:900", "#2")))
+        assert _holders(sharded, "loc_tuples", "item_id", "hle:900") == [0, 3]
+        by_item = Select("loc_tuples", where=Comparison("item_id", "=", "hle:900"),
+                         order_by=[("tuple_ref", "asc")])
+        touched, rows = _reads(sharded, by_item)
+        assert rows == single.execute(by_item) and len(rows) == 2
+        assert touched == {0: 1, 3: 1}
+        update = Update("loc_tuples", {"database_name": "moved"},
+                        Comparison("item_id", "=", "hle:900"))
+        assert sharded.execute(update) == single.execute(update) == 2
+        delete = Delete("loc_tuples", In("item_id", ["hle:900", "hle:1"]))
+        assert sharded.execute(delete) == single.execute(delete) == 2
+        assert sharded.execute(by_item) == []
+
+    def test_the_owner_is_asked_for_on_the_shard_last_written_first(self):
+        """``insert_hle`` then ``register_tuple``: one probe finds it."""
+        _single, sharded, _events, _family = self._seeded()
+        probes = []
+        for spec in sharded.shard_map:
+            shard = sharded.shard_db(spec.shard_id)
+            shard.holds = (lambda *args, inner=shard.holds, sid=spec.shard_id:
+                           probes.append((sid, args[0])) or inner(*args))
+        tx = sharded.begin()
+        sharded.execute(Insert("hle", {
+            "hle_id": 901, "item_id": "hle:901", "owner_id": 1,
+            "start_time": 2.5 * DAY, "end_time": 2.5 * DAY + 1}), tx=tx)
+        assert probes == []
+        sharded.execute(Insert("loc_tuples", _tuple_row("hle:901")), tx=tx)
+        sharded.commit(tx)
+        assert {shard for shard, _table in probes} == {2}
+        assert set(tx.parts) == {2}
+        route = sharded._route(sharded._topology, "loc_tuples",
+                               Comparison("item_id", "=", "hle:901"),
+                               writing=True, placing=tx)
+        assert (route.by, route.shard_ids) == ("owner", (2,))
+
+    def test_update_of_an_item_column_across_shards_is_refused(self):
+        _single, sharded, events, _family = self._seeded()
+        here, there = events[0], next(
+            row for row in events
+            if _owner(sharded, "hle", "hle_id", row["hle_id"])
+            != _owner(sharded, "hle", "hle_id", events[0]["hle_id"]))
+        sharded.execute(Insert("loc_tuples", _tuple_row(here["item_id"])))
+        where = Comparison("tuple_ref", "=", f"tuple:{here['item_id']}")
+        with pytest.raises(ShardError, match="re-parent"):
+            sharded.execute(Update(
+                "loc_tuples", {"item_id": there["item_id"]}, where))
+        # Onto an item of the same shard (or nobody's, from the first
+        # shard) the row need not move.
+        same = next(
+            row for row in events[1:]
+            if _owner(sharded, "hle", "hle_id", row["hle_id"])
+            == _owner(sharded, "hle", "hle_id", here["hle_id"]))
+        assert sharded.execute(Update(
+            "loc_tuples", {"item_id": same["item_id"]}, where)) == 1
+        _assert_followers_with_their_owners(sharded)
+
+    def test_local_tables_write_one_shard_and_read_them_all(self):
+        single, sharded, _events, _family = self._seeded()
+        log = {"component": "test", "message": "m", "at": 1.0}
+        for db in (single, sharded):
+            db.execute(Insert("ops_log", {"log_id": 1, **log}))
+        tx = sharded.begin()
+        sharded.execute(Insert("hle", {
+            "hle_id": 902, "item_id": "hle:902", "owner_id": 1,
+            "start_time": 3.5 * DAY, "end_time": 3.5 * DAY + 1}), tx=tx)
+        sharded.execute(Insert("ops_log", {"log_id": 2, **log}), tx=tx)
+        assert set(tx.parts) == {3}      # the shard the transaction writes
+        sharded.commit(tx)
+        single.execute(Insert("ops_log", {"log_id": 2, **log}))
+        assert _holders(sharded, "ops_log", "log_id", 1) == [0]
+        assert _holders(sharded, "ops_log", "log_id", 2) == [3]
+        for select in (
+            Select("ops_log", order_by=[("log_id", "asc")]),
+            Select("ops_log", aggregates=[Aggregate("count", "*", "n"),
+                                          Aggregate("max", "log_id", "top")]),
+        ):
+            _assert_same(single, sharded, select, ordered=True)
+        assert sharded.explain_plan(Select("ops_log"))["shard_route"][
+            "kind"] == "scatter"
+        assert sharded.execute(Delete("ops_log", Comparison("log_id", "=", 2))) == 1
+        assert sharded.allocate_id("ops_log", "log_id") == 2
+
+    def test_report_lists_every_placement_and_rows_held(self):
+        _single, sharded, events, _family = self._seeded()
+        for row in events[:8]:
+            sharded.execute(Insert("loc_tuples", _tuple_row(row["item_id"])))
+        report = sharded.shard_report()
+        assert report["placement"]["hle"] == "partitioned(start_time)"
+        assert report["placement"]["ana"] == "follows(hle_id -> hle.hle_id)"
+        assert report["placement"]["loc_tuples"] == "follows_item(item_id)"
+        assert report["placement"]["ops_log"] == "local"
+        assert report["placement"]["loc_archives"] == "broadcast"
+        assert set(report["routes"]) == {"pruned", "scatter", "broadcast"}
+        assert sum(entry["rows"]["loc_tuples"] for entry in report["shards"]) == 8
+        assert "loc_archives" not in report["shards"][0]["rows"]
+
+    def test_split_and_rebalance_carry_following_rows(self):
+        """Followers on both sides of the cut, inserts in flight: every
+        row ends beside its owner, once, and every follower copy agrees."""
+        _single, sharded, events, _family = self._seeded(replicas_per_shard=2)
+        for index, row in enumerate(events):
+            sharded.execute(Insert("loc_tuples", _tuple_row(row["item_id"])))
+            sharded.execute(Insert("loc_files", _file_row(
+                1000 + index, row["item_id"])))
+        for ana_id in range(1, 11):
+            sharded.execute(Insert("loc_files", _file_row(ana_id, f"ana:{ana_id}")))
+        sharded.execute(Insert("loc_tuples", _tuple_row("cat:1")))
+        stop = threading.Event()
+        errors: list[Exception] = []
+        written: list[int] = []
+
+        def writer():
+            try:
+                for index in range(80):
+                    if stop.is_set():
+                        break
+                    hle_id = 5_000 + index
+                    tx = sharded.begin()
+                    sharded.execute(Insert("hle", {
+                        "hle_id": hle_id, "item_id": f"hle:{hle_id}",
+                        "owner_id": 1, "start_time": index * 4_000.0,
+                        "end_time": index * 4_000.0 + 1}), tx=tx)
+                    sharded.execute(Insert(
+                        "loc_tuples", _tuple_row(f"hle:{hle_id}")), tx=tx)
+                    sharded.commit(tx)
+                    written.append(hle_id)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            sharded.split(1, 1.5 * DAY)
+            assert sharded.rebalance("hle") is not None
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive() and not errors
+        assert len(sharded.shard_map) == 6
+        n_events = len(events) + len(written)
+        assert len(sharded.execute(Select("loc_tuples"))) == n_events + 1
+        assert len(sharded.execute(Select("loc_files"))) == len(events) + 10
+        _assert_followers_with_their_owners(sharded)
+        first = sharded.shard_map.specs[0].shard_id
+        assert _holders(sharded, "loc_tuples", "item_id", "cat:1") == [first]
+        for spec in sharded.shard_map:
+            group = sharded.shard_db(spec.shard_id)
+            assert all(not ranges for ranges in group.verify().values())
 
 
 class TestConcurrentRouting:
@@ -1439,9 +1728,19 @@ class TestScalingModel:
         assert finished["at"] == pytest.approx(0.6)
 
     def test_config_placement_classes(self):
-        assert HEDC_SHARD_CONFIG.kind("hle") == "partitioned"
-        assert HEDC_SHARD_CONFIG.kind("ana") == "co_partitioned"
-        assert HEDC_SHARD_CONFIG.kind("admin_users") == "broadcast"
-        assert HEDC_SHARD_CONFIG.joinable("ana", "hle")
-        assert HEDC_SHARD_CONFIG.joinable("catalog_members", "catalogs")
-        assert not HEDC_SHARD_CONFIG.joinable("hle", "raw_units")
+        from repro.schema import GENERIC_SCHEMAS, RHESSI_SCHEMAS
+        from repro.shard.partition import joinable
+
+        schemas = {schema.name: schema for schema in
+                   (factory() for factory in GENERIC_SCHEMAS + RHESSI_SCHEMAS)}
+        kinds = {name: schema.placement.kind for name, schema in schemas.items()}
+        assert kinds["hle"] == "partitioned"
+        assert kinds["ana"] == "follows"
+        assert kinds["admin_users"] == "broadcast"
+        assert kinds["loc_files"] == "follows_item"
+        assert kinds["ops_log"] == "local"
+        assert joinable(schemas["ana"], schemas["hle"])
+        assert joinable(schemas["catalog_members"], schemas["catalogs"])
+        assert joinable(schemas["ana"], schemas["catalog_members"])
+        assert not joinable(schemas["hle"], schemas["raw_units"])
+        assert not joinable(schemas["loc_files"], schemas["ana"])

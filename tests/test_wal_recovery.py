@@ -9,8 +9,16 @@ tests cut the last record at every byte boundary and prove all of it.
 
 import json
 
-from repro.metadb import Column, ColumnType, Database, Insert, Select, TableSchema
+import pytest
+
+from repro.metadb import (
+    Column, ColumnType, Database, Insert, Select, TableSchema, partitioned, wal,
+)
+from repro.metadb.wal import Journal
 from repro.obs import Observability
+from repro.resil import FaultInjector, use_injector
+
+from .oracle_snapshot import checkpoint_with_json_dump
 
 
 def _schema():
@@ -150,3 +158,119 @@ class TestReplicationOffsetRecovery:
         recovered = Database(path=tmp_path / "f", name="follower")
         assert recovered.replication_offset == 1
         assert len(recovered.execute(Select("samples"))) == 1
+
+
+# -- the snapshot writer -------------------------------------------------------
+
+def _mixed_schema(name="mixed"):
+    return TableSchema(name, [
+        Column("id", ColumnType.INTEGER, nullable=False),
+        Column("note", ColumnType.TEXT),
+        Column("payload", ColumnType.BLOB),
+        Column("rate", ColumnType.REAL),
+        Column("flag", ColumnType.BOOLEAN),
+        Column("at", ColumnType.TIMESTAMP),
+    ], primary_key="id", indexes=[("rate",)], columnar=True,
+        placement=partitioned("at"), item_key="note")
+
+
+def _mixed_rows(n):
+    notes = ["plain", "Zürich – ☀ flare", 'quote " and \\ backslash', "", None]
+    rates = [0.1, 1e-9, -2.5e300, 3.0, float("inf"), None]
+    return [{
+        "id": index, "note": notes[index % len(notes)],
+        "payload": None if index % 4 == 0 else bytes(range(index % 7)),
+        "rate": rates[index % len(rates)],
+        "flag": [True, False, None][index % 3],
+        "at": 1_000_000.0 + index / 3,
+    } for index in range(n)]
+
+
+def _json_dump_snapshot(db, directory) -> str:
+    """The document the ``json.dump`` writer leaves for ``db``'s tables."""
+    journal = Journal(directory)
+    checkpoint_with_json_dump(journal, {"tables": {
+        name: {"schema": table.schema.to_dict(),
+               "rows": {rowid: table.row(rowid) for rowid in table.rowids()}}
+        for name, table in db._tables.items()}})
+    return journal.snapshot_path.read_text(encoding="utf-8")
+
+
+class TestSnapshotWriter:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 2000])
+    def test_snapshot_is_byte_identical_to_json_dump(
+            self, tmp_path, monkeypatch, chunk_rows):
+        """BLOB, NULL, non-ASCII, float and bool values, an empty table,
+        rows deleted out of the middle, chunk edges on and off a table's
+        last row: the file is what ``json.dump`` would have written."""
+        monkeypatch.setattr(wal, "SNAPSHOT_CHUNK_ROWS", chunk_rows)
+        db = Database(path=tmp_path / "db", name="snap")
+        db.create_table(_mixed_schema())
+        db.create_table(_schema())                      # stays empty
+        db.create_table(_mixed_schema("second"))
+        for row in _mixed_rows(21):
+            db.execute(Insert("mixed", dict(row)))
+        for row in _mixed_rows(7):
+            db.execute(Insert("second", dict(row)))
+        db.execute("DELETE FROM mixed WHERE id = 10")
+        expected = _json_dump_snapshot(db, tmp_path / "oracle")
+        db.checkpoint()
+        written = (tmp_path / "db" / "snapshot.json").read_bytes()
+        assert written == expected.encode("utf-8")
+        assert (tmp_path / "db" / "journal.jsonl").read_bytes() == b""
+        rows = db.execute(Select("mixed", order_by=[("id", "asc")]))
+        db.close()
+        reopened = Database(path=tmp_path / "db", name="snap")
+        assert reopened.execute(Select("mixed", order_by=[("id", "asc")])) == rows
+        assert [row["id"] for row in rows] == [n for n in range(21) if n != 10]
+        schema = reopened.table("mixed").schema
+        assert schema.to_dict() == _mixed_schema().to_dict()
+        assert (schema.placement, schema.item_key, schema.columnar) \
+            == (partitioned("at"), "note", True)
+        assert reopened.table("samples").schema.placement.kind == "broadcast"
+        reopened.close()
+
+    def test_a_database_with_no_table_snapshots_as_json_dump_would(self, tmp_path):
+        db = Database(path=tmp_path / "db", name="empty")
+        db.checkpoint()
+        assert (tmp_path / "db" / "snapshot.json").read_text() \
+            == _json_dump_snapshot(db, tmp_path / "oracle") == '{"tables": {}}'
+        db.close()
+
+    def test_a_torn_temporary_snapshot_is_ignored_and_replaced(self, tmp_path):
+        """A crash inside a checkpoint leaves ``snapshot.tmp`` half
+        written beside the last good snapshot and the journal."""
+        db = Database(path=tmp_path / "db", name="torn")
+        db.create_table(_mixed_schema())
+        for row in _mixed_rows(6):
+            db.execute(Insert("mixed", dict(row)))
+        db.checkpoint()
+        db.execute(Insert("mixed", _mixed_rows(7)[6]))     # journal only
+        rows = db.execute(Select("mixed", order_by=[("id", "asc")]))
+        good = (tmp_path / "db" / "snapshot.json").read_bytes()
+        db.close()
+        (tmp_path / "db" / "snapshot.tmp").write_bytes(good[: len(good) // 2])
+        reopened = Database(path=tmp_path / "db", name="torn")
+        assert reopened.execute(Select("mixed", order_by=[("id", "asc")])) == rows
+        reopened.checkpoint()
+        assert not (tmp_path / "db" / "snapshot.tmp").exists()
+        assert (tmp_path / "db" / "snapshot.json").read_text() \
+            == _json_dump_snapshot(reopened, tmp_path / "oracle")
+        reopened.close()
+
+    def test_a_failed_snapshot_fsync_keeps_the_old_snapshot_and_journal(
+            self, tmp_path):
+        db = Database(path=tmp_path / "db", name="fsync")
+        db.create_table(_mixed_schema())
+        db.execute(Insert("mixed", _mixed_rows(1)[0]))
+        db.checkpoint()
+        db.execute(Insert("mixed", _mixed_rows(2)[1]))
+        before = {name: (tmp_path / "db" / name).read_bytes()
+                  for name in ("snapshot.json", "journal.jsonl")}
+        injector = FaultInjector(seed=1)
+        injector.inject("metadb.wal.fsync", error=OSError("no space"))
+        with use_injector(injector), pytest.raises(OSError, match="no space"):
+            db.checkpoint()
+        assert {name: (tmp_path / "db" / name).read_bytes()
+                for name in before} == before
+        db.close()
