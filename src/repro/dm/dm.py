@@ -15,7 +15,7 @@ from typing import Any, Optional, Union
 
 from ..filestore import DiskArchive, StorageManager
 from ..metadb import (
-    Aggregate, Between, Comparison, Database, DatabaseApi, In, Select,
+    Aggregate, Between, Comparison, Database, DatabaseApi, Select,
 )
 from ..obs import Observability
 from ..schema import install_all
@@ -40,8 +40,6 @@ class HlePage:
     similar: list[dict[str, Any]]
     neighbours: list[dict[str, Any]]
     files: list[ResolvedName] = field(default_factory=list)
-    #: Whether the grouped-round-trip path produced this page.
-    batched: bool = True
 
 
 class DataManager:
@@ -53,7 +51,6 @@ class DataManager:
         storage: StorageManager,
         node_name: str = "dm0",
         install_schema: bool = True,
-        batched_pages: bool = True,
         obs: Optional[Observability] = None,
     ):
         self.node_name = node_name
@@ -69,10 +66,6 @@ class DataManager:
         self.queries = PredefinedQueries(self.io)
         self.reports = Reports(self.io)
         self.maintenance = MaintenanceService(self.io, self.semantic)
-        #: When True, :meth:`fetch_page` groups the page's seven logical
-        #: queries into three DM↔DBMS round trips; False replays the
-        #: historical one-query-per-trip sequence.
-        self.batched_pages = batched_pages
 
     # -- construction helpers ------------------------------------------------
 
@@ -111,78 +104,46 @@ class DataManager:
 
     # -- page multi-get -------------------------------------------------------
 
-    def fetch_page(self, user: Optional[User], hle_id: int,
-                   batched: Optional[bool] = None) -> HlePage:
-        """Fetch the §7.2 HLE detail page's seven logical queries.
-
-        Batched (the default), the sequence collapses into three round
-        trips: the HLE tuple itself (PK probe — also the visibility
-        gate), then every point lookup keyed by ids already in hand
-        (analyses, both counts, file references), then the secondary
-        index sweeps plus one ``IN``-probe resolving every referenced
-        archive at once.  Unbatched replays the historical
-        one-query-per-trip order, so the two paths are differentially
-        testable — identical rows, identical page bytes.
+    def fetch_page(self, user: Optional[User], hle_id: int) -> HlePage:
+        """Fetch the §7.2 HLE detail page's seven logical queries in two
+        round trips: the HLE tuple itself (PK probe, also the visibility
+        gate), then one batch of everything that tuple determines (its
+        analyses, both counts, its file entries joined to their archives,
+        and the two secondary-index sweeps around its rate and time).
+        ``tests/oracle_pages.py`` keeps the one-query-per-trip sequence
+        this is compared against: identical rows, identical page bytes.
         """
-        if batched is None:
-            batched = self.batched_pages
-        io = self.io
-        # Round trip 1 — the HLE tuple.
+        # Round trip 1: the HLE tuple.
         hle = self.semantic.get_hle(user, hle_id)
         rate = hle.get("peak_rate") or 0.0
-        analyses_q = Select(
-            "ana", where=scoped_where(user, Comparison("hle_id", "=", hle_id)),
-            order_by=[("ana_id", "asc")],
-        )
-        n_analyses_q = Select(
-            "ana", where=Comparison("hle_id", "=", hle_id),
-            aggregates=[Aggregate("count", "*", "n")],
-        )
-        n_catalogs_q = Select(
-            "catalog_members", where=Comparison("hle_id", "=", hle_id),
-            aggregates=[Aggregate("count", "*", "n")],
-        )
-        similar_q = Select(
-            "hle",
-            where=scoped_where(user, Between("peak_rate", rate * 0.5, rate * 1.5)),
-            order_by=[("peak_rate", "desc")], limit=40,
-        )
-        neighbours_q = Select(
-            "hle",
-            where=scoped_where(
-                user,
-                Between("start_time", hle["start_time"] - 3600,
-                        hle["start_time"] + 3600)),
-            order_by=[("start_time", "asc")], limit=40,
-        )
-        if not batched:
-            analyses = io.execute(analyses_q)
-            n_analyses = io.execute(n_analyses_q)[0]["n"]
-            n_catalogs = io.execute(n_catalogs_q)[0]["n"]
-            similar = io.execute(similar_q)
-            files = io.names.resolve_files(hle["item_id"])
-            neighbours = io.execute(neighbours_q)
-            return HlePage(hle, analyses, n_analyses, n_catalogs, similar,
-                           neighbours, files, batched=False)
-        # Round trip 2 — point lookups, batched.
-        files_q = Select("loc_files",
-                         where=Comparison("item_id", "=", hle["item_id"]))
-        analyses, n_ana_rows, n_cat_rows, file_rows = io.execute_batch(
-            [analyses_q, n_analyses_q, n_catalogs_q, files_q]
-        )
-        # Round trip 3 — index sweeps plus the archive IN-probe.
-        secondary = [similar_q, neighbours_q]
-        archive_ids = sorted({row["archive_id"] for row in file_rows})
-        if archive_ids:
-            secondary.append(
-                Select("loc_archives", where=In("archive_id", archive_ids))
-            )
-        results = io.execute_batch(secondary)
-        similar, neighbours = results[0], results[1]
-        archive_rows = results[2] if archive_ids else []
-        files = io.names.resolve_from_rows(hle["item_id"], file_rows, archive_rows)
+        by_hle = Comparison("hle_id", "=", hle_id)
+        count = [Aggregate("count", "*", "n")]
+        # Round trip 2: the six statements it determines.
+        analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
+            self.io.execute_batch([
+                Select("ana", where=scoped_where(user, by_hle),
+                       order_by=[("ana_id", "asc")]),
+                Select("ana", where=by_hle, aggregates=count),
+                Select("catalog_members", where=by_hle, aggregates=count),
+                self.io.names.files_statement(hle["item_id"]),
+                Select(
+                    "hle",
+                    where=scoped_where(
+                        user, Between("peak_rate", rate * 0.5, rate * 1.5)),
+                    order_by=[("peak_rate", "desc")], limit=40,
+                ),
+                Select(
+                    "hle",
+                    where=scoped_where(
+                        user,
+                        Between("start_time", hle["start_time"] - 3600,
+                                hle["start_time"] + 3600)),
+                    order_by=[("start_time", "asc")], limit=40,
+                ),
+            ])
+        files = self.io.names.resolve_from_rows(hle["item_id"], file_rows)
         return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],
-                       similar, neighbours, files, batched=True)
+                       similar, neighbours, files)
 
     # -- statistics --------------------------------------------------------------
 
@@ -215,7 +176,6 @@ class DataManager:
             }
         return {
             "node": self.node_name,
-            "batched_pages": self.batched_pages,
             "db": {
                 "queries": database.stats.queries,
                 "latency": quantiles,

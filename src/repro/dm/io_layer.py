@@ -57,7 +57,8 @@ class IoStats:
         self.files_written = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # DM↔DBMS round trips: one per execute(), one per executed batch.
+        # DM↔DBMS round trips: one per execute(), one per database a
+        # batch reaches.
         # ``queries`` keeps counting logical statements (the paper's
         # "seven DM queries" stays seven); this measures what batching
         # actually saves — trips over the wire.
@@ -171,10 +172,11 @@ class IoLayer:
         """Run several autocommit SELECTs in grouped round trips.
 
         The multi-get behind :meth:`~repro.dm.dm.DataManager.fetch_page`:
-        statements destined for the same database travel together through
-        its ``execute_batch`` entry point (one round trip, one retry
-        scope).  Results come back in statement order.  Reads only —
-        writes keep their exactly-once path through :meth:`execute`.
+        consecutive statements destined for the same database travel
+        together through its ``execute_batch`` entry point (one round
+        trip each group, one retry scope).  Results come back in
+        statement order.  Reads only — writes keep their exactly-once
+        path through :meth:`execute`.
         """
         if not statements:
             return []
@@ -187,9 +189,9 @@ class IoLayer:
         Deadline.check_current("dm.execute_batch")
         prepared = [self._through_sql(statement) for statement in statements]
         self.stats.queries += len(prepared)
-        self.stats.round_trips += 1
         # Group consecutive statements sharing a database so routed
-        # (vertically partitioned) tables still batch with their kin.
+        # (vertically partitioned) tables still batch with their kin;
+        # each group is one trip to its database.
         runs: list[tuple[DatabaseApi, list[Select]]] = []
         for statement in prepared:
             database = self.database_for(statement.table)
@@ -197,6 +199,7 @@ class IoLayer:
                 runs[-1][1].append(statement)
             else:
                 runs.append((database, [statement]))
+        self.stats.round_trips += len(runs)
 
         def run() -> list[Any]:
             results: list[Any] = []

@@ -4,15 +4,17 @@ Every data item is located by *constructing* a name of the form
 ``[type][root][path][item_id]`` at request time:
 
 1. the domain tuple carries an ``item_id``;
-2. querying the location tables with it (one indexed query) yields the
+2. looking the location tables up by it (an indexed lookup) yields the
    entries — name type plus archive id — associated with the tuple;
-3. querying the archive table with the archive id (second indexed query)
-   yields the current archive kind and root path.
+3. looking the archive table up by the archive id (a second indexed
+   lookup) yields the current archive kind and root path.
 
 "The cost of this dynamic name construction is two extra database
-queries on an indexed field"; the payoff is that administrators relocate
-files by updating location tuples only, at run time, without touching
-the domain schema — which :meth:`NameMapper.relocate_archive` does.
+queries on an indexed field"; here the two lookups travel as one joined
+statement (:meth:`NameMapper.files_statement`), one trip to the
+database.  The payoff is unchanged: administrators relocate files by
+updating location tuples only, at run time, without touching the domain
+schema — which :meth:`NameMapper.relocate_archive` does.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..metadb import Comparison, Insert, Select, Update
+from ..metadb import Comparison, Insert, Join, Select, Update
 from ..obs import Observability, resolve as resolve_obs
 
 
@@ -56,9 +58,9 @@ class ResolvedName:
 class NameMapper:
     """Name construction and location-table maintenance.
 
-    ``executor`` is the DM's I/O layer, so that name-construction
-    queries are counted as DM queries (they are the "two extra database
-    queries" of §4.3).
+    ``executor`` is the DM's I/O layer, so that a name construction is
+    counted as a DM query (§4.3's "two extra database queries", sent
+    as one statement).
     """
 
     def __init__(self, executor, obs: Optional[Observability] = None):
@@ -149,27 +151,35 @@ class NameMapper:
 
     # -- name construction --------------------------------------------------
 
+    @staticmethod
+    def files_statement(item_id: str) -> Select:
+        """Both indexed lookups as one statement: the item's file entries,
+        each joined to its archive's current kind and root path.
+        Left-outer, so an entry whose archive is gone still comes back
+        (without a root) and name construction can say so."""
+        return Select(
+            "loc_files", where=Comparison("item_id", "=", item_id),
+            join=Join("loc_archives", "archive_id", "archive_id", outer=True),
+        )
+
     def resolve_files(self, item_id: str, role: Optional[str] = None) -> list[ResolvedName]:
-        """Construct filenames for an item — the two indexed queries."""
-        self._lookup_counters["file"].inc()
+        """Construct filenames for an item: one trip to the database."""
         obs = self.obs
         threshold = obs.slowlog.threshold_for("dm.name_mapping")
-        if threshold is None:
-            with obs.span("dm.name_mapping", item=item_id):
-                return self._resolve_files(item_id, role)
         started = time.perf_counter()
         with obs.span("dm.name_mapping", item=item_id):
             try:
-                resolved = self._resolve_files(item_id, role)
+                resolved = self._names(
+                    item_id, self._db.execute(self.files_statement(item_id)), role)
             except NameMappingError as exc:
                 elapsed = time.perf_counter() - started
-                if elapsed >= threshold:
+                if threshold is not None and elapsed >= threshold:
                     obs.slow_op("dm.name_mapping", elapsed, threshold,
                                 item_id=item_id, role=role, resolved=0,
                                 miss=str(exc))
                 raise
             elapsed = time.perf_counter() - started
-            if elapsed >= threshold:
+            if threshold is not None and elapsed >= threshold:
                 detail: dict = {"item_id": item_id, "role": role,
                                 "resolved": len(resolved)}
                 if not resolved:
@@ -177,67 +187,36 @@ class NameMapper:
                 obs.slow_op("dm.name_mapping", elapsed, threshold, **detail)
             return resolved
 
-    def _resolve_files(self, item_id: str, role: Optional[str]) -> list[ResolvedName]:
-        entries = self._db.execute(
-            Select("loc_files", where=Comparison("item_id", "=", item_id))
-        )
-        if role is not None:
-            entries = [entry for entry in entries if entry["role"] == role]
-        resolved: list[ResolvedName] = []
-        for entry in entries:
-            archives = self._db.execute(
-                Select("loc_archives", where=Comparison("archive_id", "=", entry["archive_id"]))
-            )
-            if not archives:
-                raise NameMappingError(f"unknown archive {entry['archive_id']!r}")
-            archive = archives[0]
-            resolved.append(
-                ResolvedName(
-                    name_type="filename",
-                    root=archive["root_path"],
-                    path=entry["rel_path"],
-                    item_id=item_id,
-                    role=entry["role"],
-                    compressed=bool(entry["compressed"]),
-                    checksum=entry.get("checksum"),
-                )
-            )
-        return resolved
-
     def resolve_from_rows(
-        self,
-        item_id: str,
-        file_rows: list[dict],
-        archive_rows: list[dict],
-        role: Optional[str] = None,
+        self, item_id: str, rows: list[dict], role: Optional[str] = None,
     ) -> list[ResolvedName]:
-        """Construct names from pre-fetched location rows.
+        """Construct names from the rows of :meth:`files_statement`,
+        wherever they were fetched: the page fetch sends the statement
+        inside its own batch.  One name construction for the §7 usage
+        analytics either way."""
+        return self._names(item_id, rows, role)
 
-        The batched page fetch retrieves ``loc_files`` and
-        ``loc_archives`` rows inside its grouped round trips; this builds
-        the same :class:`ResolvedName` list :meth:`resolve_files` would,
-        without issuing the two extra queries again.  Counted as a file
-        lookup so the §7 usage analytics see one name construction either
-        way.
-        """
+    def _names(self, item_id: str, rows: list[dict],
+               role: Optional[str]) -> list[ResolvedName]:
+        # Under both entry points rather than one calling the other:
+        # ``bench/trace.py`` times each as a ``dm.naming`` call.
         self._lookup_counters["file"].inc()
-        archives = {row["archive_id"]: row for row in archive_rows}
         resolved: list[ResolvedName] = []
-        for entry in file_rows:
-            if role is not None and entry["role"] != role:
+        for row in rows:
+            if role is not None and row["role"] != role:
                 continue
-            archive = archives.get(entry["archive_id"])
-            if archive is None:
-                raise NameMappingError(f"unknown archive {entry['archive_id']!r}")
+            root = row.get("root_path")
+            if root is None:
+                raise NameMappingError(f"unknown archive {row['archive_id']!r}")
             resolved.append(
                 ResolvedName(
                     name_type="filename",
-                    root=archive["root_path"],
-                    path=entry["rel_path"],
+                    root=root,
+                    path=row["rel_path"],
                     item_id=item_id,
-                    role=entry["role"],
-                    compressed=bool(entry["compressed"]),
-                    checksum=entry.get("checksum"),
+                    role=row["role"],
+                    compressed=bool(row["compressed"]),
+                    checksum=row.get("checksum"),
                 )
             )
         return resolved

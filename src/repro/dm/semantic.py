@@ -293,7 +293,7 @@ class SemanticLayer:
         return catalog_id
 
     def add_to_catalog(self, user: User, catalog_id: int, hle_id: int) -> None:
-        catalog = self._get_catalog(user, catalog_id)
+        catalog = self.get_catalog(user, catalog_id)
         check_can_edit(user, catalog)
         self.get_hle(user, hle_id)  # visibility check
         member_id = self._next_id("catalog_members", "member_id")
@@ -319,31 +319,38 @@ class SemanticLayer:
             raise
         self.io.commit(tx)
 
-    def _get_catalog(self, user: Optional[User], catalog_id: int) -> dict[str, Any]:
-        rows = self.io.execute(
-            Select("catalogs",
-                   where=scoped_where(user, Comparison("catalog_id", "=", catalog_id)))
-        )
+    @staticmethod
+    def _catalog_select(user: Optional[User], catalog_id: int) -> Select:
+        return Select(
+            "catalogs",
+            where=scoped_where(user, Comparison("catalog_id", "=", catalog_id)))
+
+    def get_catalog(self, user: Optional[User], catalog_id: int) -> dict[str, Any]:
+        rows = self.io.execute(self._catalog_select(user, catalog_id))
         if not rows:
             raise EntityNotFound(f"catalog {catalog_id} not found or not visible")
         return rows[0]
-
-    def get_catalog(self, user: Optional[User], catalog_id: int) -> dict[str, Any]:
-        return self._get_catalog(user, catalog_id)
 
     def list_catalogs(self, user: Optional[User]) -> list[dict[str, Any]]:
         return self.io.execute(
             Select("catalogs", where=scoped_where(user, None), order_by=[("catalog_id", "asc")])
         )
 
-    def catalog_hles(self, user: Optional[User], catalog_id: int) -> list[dict[str, Any]]:
-        """The catalogue's events the user may see, in member order."""
-        self._get_catalog(user, catalog_id)
-        members = self.io.execute(
-            Select("catalog_members", where=Comparison("catalog_id", "=", catalog_id))
-        )
+    def catalog_page(
+        self, user: Optional[User], catalog_id: int,
+    ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+        """A catalogue and its events the user may see, in member order,
+        in two round trips: the scoped catalogue row (the gate) and the
+        member list, both keyed by ``catalog_id``, then the events."""
+        catalogs, members = self.io.execute_batch([
+            self._catalog_select(user, catalog_id),
+            Select("catalog_members", where=Comparison("catalog_id", "=", catalog_id)),
+        ])
+        if not catalogs:
+            # The members of a catalogue the user may not see are dropped.
+            raise EntityNotFound(f"catalog {catalog_id} not found or not visible")
         if not members:
-            return []
+            return catalogs[0], []
         member_ids = [member["hle_id"] for member in members]
         visible = {
             row["hle_id"]: row
@@ -352,4 +359,9 @@ class SemanticLayer:
             )
         }
         # A private member of a shared catalog is not in ``visible``.
-        return [visible[hle_id] for hle_id in member_ids if hle_id in visible]
+        return catalogs[0], [visible[hle_id] for hle_id in member_ids
+                             if hle_id in visible]
+
+    def catalog_hles(self, user: Optional[User], catalog_id: int) -> list[dict[str, Any]]:
+        """The catalogue's events the user may see, in member order."""
+        return self.catalog_page(user, catalog_id)[1]

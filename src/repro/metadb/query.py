@@ -47,11 +47,14 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class Join:
-    """Inner equi-join with another table on left.column = right.column."""
+    """Equi-join with another table on left.column = right.column: inner,
+    or left-outer (``outer``), where a left row without a match comes
+    back alone, the right table's columns absent."""
 
     table: str
     left_column: str
     right_column: str
+    outer: bool = False
 
 
 @dataclass
@@ -487,8 +490,8 @@ def _execute_join(
     for left_row in left_rows:
         key = left_row.get(join.left_column)
         if key is None:
-            continue
-        if right_index is not None:
+            matches = ()
+        elif right_index is not None:
             matches = [right.row(rowid) for rowid in right_index.probe(key)]
         else:
             matches = build.get(key, ())
@@ -496,6 +499,8 @@ def _execute_join(
             merged = dict(right_row)
             merged.update(left_row)  # left wins on collisions
             joined.append(merged)
+        if join.outer and not matches:
+            joined.append(dict(left_row))
     return joined
 
 

@@ -605,6 +605,8 @@ def _statement_sql(statement: Statement, literal: _Literal) -> str:
     if isinstance(statement, Explain):
         return "EXPLAIN " + _statement_sql(statement.select, literal)
     if isinstance(statement, Select):
+        if statement.join is not None:
+            raise QueryError("the SQL dialect has no JOIN; a joined Select runs natively")
         parts = []
         if statement.aggregates or statement.group_by:
             items = list(statement.group_by)

@@ -179,13 +179,8 @@ def calibration_drift(
     # (and counted), so batched deployments don't falsely trip this.
     compare("dm_queries_per_page", float(QUERIES_PER_REQUEST),
             pages.get("dm_queries_per_page"))
-    # Round trips per page is the batching contract itself: 3 with the
-    # grouped fetch, the historical one-per-query otherwise.
-    node = obs.describe("dm")["dm"]
-    predicted_trips = (PAGE_ROUND_TRIPS_BATCHED
-                       if node is not None and node["batched_pages"]
-                       else QUERIES_PER_REQUEST)
-    compare("dm_round_trips_per_page", float(predicted_trips),
+    # Round trips per page is the batching contract itself.
+    compare("dm_round_trips_per_page", float(PAGE_ROUND_TRIPS_BATCHED),
             pages.get("dm_round_trips_per_page"))
     compare("html_bytes_per_request", HTML_RESPONSE_KB * 1024.0,
             pages["bytes_per_request"] or None)

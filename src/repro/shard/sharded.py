@@ -532,7 +532,14 @@ class ShardedDatabase:
             if other is not None and other.placement != EVERYWHERE:
                 # Every shard holds the full broadcast side; the join's
                 # other side is disjoint across shards, so a scatter
-                # concatenation is exactly the single-node join.
+                # concatenation is exactly the single-node join.  Not
+                # the outer one: every shard would add the left rows
+                # that have no match *there*.
+                if join.outer:
+                    raise ShardError(
+                        f"cannot left-outer join broadcast {table!r} "
+                        f"with {join.table!r}, which is spread over shards"
+                    )
                 return scatter_all(shard_map)
             return RouteDecision(BROADCAST, shard_map.specs)
         first = placing.last_written if placing is not None else None

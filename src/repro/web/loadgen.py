@@ -51,7 +51,7 @@ class RemoteDatabase:
 
     One sleep per :meth:`execute` and one per :meth:`execute_batch` —
     that asymmetry is the whole point: a batched page fetch crossing the
-    wire three times beats seven single-statement trips by construction,
+    wire twice beats seven single-statement trips by construction,
     and a worker sleeping on the "network" yields the GIL to its peers.
     ``rtt_s`` is mutable so a stack can be seeded at zero latency and
     measured at full latency.

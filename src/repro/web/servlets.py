@@ -109,8 +109,7 @@ class Servlets:
             catalog_id = int(request.params.get("id", ""))
         except ValueError:
             return HttpResponse.error(400, "missing catalog id")
-        catalog = self.dm.semantic.get_catalog(user, catalog_id)
-        hles = self.dm.semantic.catalog_hles(user, catalog_id)
+        catalog, hles = self.dm.semantic.catalog_page(user, catalog_id)
         context = self._base_context(request, f"catalog {catalog['name']}")
         context.update({"catalog": catalog, "hles": hles})
         return HttpResponse.html(self.registry.render("catalog_page", context))
@@ -124,7 +123,7 @@ class Servlets:
         except ValueError:
             return HttpResponse.error(400, "missing hle id")
         # The seven logical queries of §7.2, fetched through the DM's
-        # page multi-get — three round trips batched, seven unbatched.
+        # page multi-get in two round trips.
         page = self.dm.fetch_page(user, hle_id)
         hle = page.hle
         context = self._base_context(request, hle["title"] or f"HLE {hle_id}")
@@ -176,7 +175,27 @@ class Servlets:
         response.headers["ETag"] = etag
         return response
 
-    # -- dynamic images ----------------------------------------------------------------------
+    # -- files of an item: images and downloads -------------------------------------------------
+
+    #: Item-id prefix -> the semantic-layer read that scopes it to a user.
+    _ITEM_GATES = {"ana": "get_analysis", "hle": "get_hle", "cat": "get_catalog"}
+
+    def _gate_item(self, user: Optional[User], item_id: str) -> Optional[HttpResponse]:
+        """The visibility gate in front of an item's files: one scoped
+        read through the semantic layer, chosen by the id's prefix.  A
+        hidden item raises :class:`~repro.dm.EntityNotFound` exactly like
+        a missing one (404); an id that does not parse is a 400.  Ids of
+        other kinds (raw units, routines) have no owner to check."""
+        prefix, _, key = item_id.partition(":")
+        gate = self._ITEM_GATES.get(prefix)
+        if gate is None:
+            return None
+        try:
+            entity_id = int(key)
+        except ValueError:
+            return HttpResponse.error(400, f"bad {prefix} item id")
+        getattr(self.dm.semantic, gate)(user, entity_id)
+        return None
 
     def image(self, request: HttpRequest) -> HttpResponse:
         user = self._user_for(request)
@@ -185,13 +204,9 @@ class Servlets:
             index = int(request.params.get("index", "0"))
         except ValueError:
             index = 0
-        if item_id.startswith("ana:"):
-            try:
-                ana_id = int(item_id[4:])
-            except ValueError:
-                return HttpResponse.error(400, "bad analysis item id")
-            # Visibility check through the semantic layer.
-            self.dm.semantic.get_analysis(user, ana_id)
+        refused = self._gate_item(user, item_id)
+        if refused is not None:
+            return refused
         names = self.dm.io.names.resolve_files(item_id, role="image")
         if not 0 <= index < len(names):
             return HttpResponse.error(404, f"no image {index} for {item_id}")
@@ -206,13 +221,14 @@ class Servlets:
             response.headers["ETag"] = etag
         return response
 
-    # -- download -------------------------------------------------------------------------------
-
     def download(self, request: HttpRequest) -> HttpResponse:
         user = self._user_for(request)
         if user is None or not user.has_right("download"):
             return HttpResponse.error(403, "download requires an account with the right")
         item_id = request.params.get("item", "")
+        refused = self._gate_item(user, item_id)
+        if refused is not None:
+            return refused
         names = self.dm.io.names.resolve_files(item_id)
         wanted = request.params.get("path")
         for name in names:
@@ -283,6 +299,9 @@ class Servlets:
     def _run_user_sql(self, user: User, sql: str) -> list[dict]:
         """Advanced users may run their own SQL (paper §1) — restricted to
         SELECT over the domain tables, with visibility enforced."""
+        # The dialect has no JOIN, and must not gain one while this is the
+        # guard: a merged row would carry the joined table's columns, and
+        # ``scoped_where`` scopes only the table the statement names.
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise AuthError("only SELECT statements are allowed")

@@ -47,6 +47,7 @@ from repro.metadb import (
     In,
     Insert,
     IntegrityError,
+    Join,
     Select,
     TableSchema,
     TransactionError,
@@ -631,6 +632,62 @@ def test_a_committed_transaction_is_read_from_every_copy(build, opened):
     assert opened.stats.selects == selects + 6
     assert opened.stats.rows_read == rows_read + 6
     assert opened.execute_batch([]) == []
+
+
+@every_build
+def test_a_left_outer_join_reads_like_the_plain_database(build, opened):
+    """A broadcast right side under a partitioned and under a following
+    left side, the shape of name construction (``loc_files`` to
+    ``loc_archives``): every left row comes back, alone where nothing
+    matches, with ORDER BY/LIMIT and aggregates computed on top."""
+    model = Database(name="model")
+    _create_tables(model)
+    rows = [Insert("notes", {"note_id": n, "text": f"note {n}"}) for n in (1, 2, 3)]
+    # v: a match, a miss, NULL; k spread over all four shards.
+    rows += [Insert("t", {"k": k, "v": v, "tag": "a" if k % 2 else "b"})
+             for k, v in ((0, 1), (5, 9), (9, None), (13, 2), (18, 1),
+                          (22, None), (27, 3), (30, 7))]
+    rows += [Insert("e", {"id": n, "at": _at(n), "label": None, "item": f"e:{n}"})
+             for n in range(4)]
+    rows += [Insert("loc", {"ref": ref, "item": _item_of(ref), "note": None})
+             for ref in (0, 1, 2, 3, 4, 8, 12, 40)]
+    for database in (model, opened):
+        for statement in rows:
+            database.execute(statement)
+
+    to_notes = Join("notes", "v", "note_id", outer=True)
+    from_loc = Join("notes", "ref", "note_id", outer=True)
+    count = [Aggregate("count", "*", "n"), Aggregate("count", "text", "matched")]
+    ordered = [
+        Select("t", join=to_notes, order_by=[("k", "asc")]),
+        Select("t", join=to_notes, order_by=[("text", "desc"), ("k", "asc")],
+               limit=5, offset=1),
+        Select("t", join=to_notes, where=Comparison("k", ">=", 9),
+               columns=["k", "tag"], order_by=[("k", "desc")], limit=3),
+        Select("t", join=to_notes, aggregates=count),
+        Select("t", join=to_notes, aggregates=count, group_by=["tag"]),
+        Select("t", join=to_notes, where=Comparison("v", "=", 9), aggregates=count),
+        Select("loc", join=from_loc, order_by=[("ref", "asc")]),
+        Select("loc", join=from_loc, where=Comparison("item", "=", "e:0"),
+               order_by=[("ref", "asc")]),
+        Select("loc", join=from_loc, where=In("item", ["e:1", "e:3", "x:0"]),
+               aggregates=count),
+        Select("loc", join=from_loc, where=Comparison("item", "=", "e:9")),
+    ]
+    for select in ordered:
+        assert opened.execute(select) == model.execute(select), select
+    # Without an ORDER BY the rows are the model's in some order.
+    for select in (Select("t", join=to_notes),
+                   Select("loc", join=from_loc, where=In("item", ["e:0", "e:2"]))):
+        key = "k" if select.table == "t" else "ref"
+        assert sorted(opened.execute(select), key=lambda row: row[key]) == \
+            sorted(model.execute(select), key=lambda row: row[key])
+    everything = model.execute(ordered[0])
+    assert len(everything) == 8 and sum("text" in row for row in everything) == 4
+    # What the inner form of the same statement drops.
+    inner = model.execute(Select("t", join=Join("notes", "v", "note_id")))
+    assert len(inner) == 4
+    model.close()
 
 
 @every_build

@@ -19,6 +19,7 @@ from repro.metadb import (
     Comparison,
     Database,
     Insert,
+    Join,
     Select,
     TableSchema,
 )
@@ -176,6 +177,18 @@ class TestDatabaseSlowLog:
         assert "SELECT" in detail["statement"].upper()
         assert "plan" in detail and "access" in detail["plan"]
         assert "predicate" in detail
+
+    def test_a_slow_join_is_logged_as_the_statement_that_ran(self):
+        """The dialect has no JOIN: the entry carries the collection
+        object, not the SQL of the same statement without its join."""
+        database = _scan_db()
+        database.obs.slowlog.configure("metadb.execute", 0.0)
+        database.execute(Select("t", where=Comparison("a", "<", 3),
+                                join=Join("t", "a", "a", outer=True)))
+        detail = database.obs.slowlog.records("metadb.execute")[-1].detail
+        assert "Join(table='t'" in detail["statement"]
+        assert "outer=True" in detail["statement"]
+        assert detail["plan"]["access"]
 
     def test_fast_path_untouched_when_unconfigured(self):
         database = _scan_db()

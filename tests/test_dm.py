@@ -50,12 +50,42 @@ class TestNameMapping:
         assert names[0].path == "raw/file.fits"
         assert names[0].full.endswith("archive/raw/file.fits")
 
-    def test_resolution_costs_two_indexed_queries(self, dm):
-        """The paper's §4.3 claim: two extra queries on indexed fields."""
+    def test_resolution_costs_two_indexed_lookups_in_one_statement(self, dm, monkeypatch):
+        """The paper's §4.3 claim, "two extra queries on an indexed
+        field", sent as one joined statement: an equality lookup in the
+        ordered index on ``loc_files.item_id``, then a hash probe on
+        ``loc_archives``' key per entry.  Neither table is scanned."""
+        from repro.metadb.index import HashIndex
+        from repro.metadb.storage import Table
+
         dm.io.names.register_file("item:1", "main", "raw/file.fits")
-        before = dm.io.default_database.stats.selects
-        dm.io.names.resolve_files("item:1")
-        assert dm.io.default_database.stats.selects - before == 2
+        database = dm.io.default_database
+        statement = dm.io.names.files_statement("item:1")
+        plan = database.explain_plan(statement)
+        assert (plan["access"], plan["index_column"]) == ("range_scan", "item_id")
+        probes, probe = [], HashIndex.probe
+        monkeypatch.setattr(
+            HashIndex, "probe",
+            lambda index, key: probes.append((index.columns, key)) or probe(index, key))
+        monkeypatch.setattr(
+            Table, "rows", lambda table: pytest.fail(f"scanned {table.name}"))
+        before = (database.stats.selects, dm.io.stats.round_trips)
+        assert len(dm.io.names.resolve_files("item:1")) == 1
+        assert (database.stats.selects, dm.io.stats.round_trips) == \
+            (before[0] + 1, before[1] + 1)
+        assert probes == [(("archive_id",), "main")]
+
+    def test_entry_of_a_vanished_archive_is_an_error_not_a_gap(self, dm):
+        dm.io.names.register_archive("tape", "/mnt/tape")
+        dm.io.names.register_file("item:1", "main", "a.pgm", role="image")
+        dm.io.names.register_file("item:1", "tape", "a.log", role="log")
+        # The foreign key refuses this DELETE; lose the row beneath it.
+        archives = dm.io.default_database.table("loc_archives")
+        archives.delete(archives.lookup_pk("tape"))
+        with pytest.raises(NameMappingError, match="unknown archive 'tape'"):
+            dm.io.names.resolve_files("item:1")
+        # Only an entry that is asked for can fail.
+        assert len(dm.io.names.resolve_files("item:1", role="image")) == 1
 
     def test_relocate_archive_changes_constructed_names(self, dm):
         dm.io.names.register_file("item:1", "main", "raw/file.fits")
@@ -116,6 +146,44 @@ class TestIoLayer:
         assert len(other.execute(Select("ops_log"))) == 1
         assert len(dm.io.default_database.execute(Select("ops_log"))) == 0
 
+    def test_a_batch_counts_one_trip_per_database_it_reaches(self, dm):
+        """A vertically partitioned table in the middle of a batch splits
+        it into three calls; results still come in statement order."""
+        from repro.metadb import Database
+        from repro.schema import install_generic
+
+        other = Database(name="browse-db")
+        install_generic(other)
+        dm.io.attach_database("browse", other)
+        dm.io.route_table("ops_log", "browse")
+        dm.io.log("test", "routed message")
+        calls, nested = [], []
+        for key, database in (("default", dm.io.default_database), ("browse", other)):
+            for name in ("execute", "execute_batch"):
+                def spy(*args, _inner=getattr(database, name), _key=key, **kwargs):
+                    if not nested:      # execute_batch calls execute itself
+                        calls.append(_key)
+                    nested.append(_key)
+                    try:
+                        return _inner(*args, **kwargs)
+                    finally:
+                        nested.pop()
+                setattr(database, name, spy)
+        stats = dm.io.stats
+        queries, trips = stats.queries, stats.round_trips
+        results = dm.io.execute_batch([
+            Select("loc_archives"), Select("admin_users", columns=["login"]),
+            Select("ops_log"),
+            Select("hle"),
+        ])
+        assert calls == ["default", "browse", "default"]
+        assert (stats.queries - queries, stats.round_trips - trips) == (4, 3)
+        assert [len(rows) for rows in results] == [1, 1, 1, 0]
+        assert results[2][0]["message"] == "routed message"
+        calls.clear()
+        dm.io.execute_batch([Select("loc_archives"), Select("hle")])
+        assert calls == ["default"] and stats.round_trips - trips == 4
+
     def test_unknown_route_target_rejected(self, dm):
         with pytest.raises(ValueError):
             dm.io.route_table("hle", "nowhere")
@@ -175,7 +243,15 @@ class TestStatementCache:
                 dm.io.execute(Select("admin_config", where=Comparison("key", "=", value)))
         assert dm.io.execute(select) == []
 
-    def test_blobs_joins_and_transactions_execute_natively(self, dm):
+    def test_blobs_joins_and_transactions_execute_natively(self, dm, monkeypatch):
+        from repro.dm import io_layer
+
+        joined = dm.io.names.files_statement("item:1")
+        with monkeypatch.context() as patched:
+            patched.setattr(io_layer, "to_sql",
+                            lambda *args: pytest.fail("rendered a join"))
+            assert dm.io.execute(joined) == []
+            assert dm.io.execute_batch([joined]) == [[]]
         before = dm.io.statements.stats.snapshot()
         tx = dm.io.begin()
         dm.io.execute(Insert("admin_config", _config_row(1)), tx=tx)
@@ -398,7 +474,7 @@ class TestSemanticLayer:
 
         def per_member(semantic, user, catalog_id):
             """The path this replaced: one get_hle round trip per member."""
-            semantic.get_catalog(user, catalog_id)
+            catalog = semantic.get_catalog(user, catalog_id)
             hles = []
             for member in semantic.io.execute(Select(
                     "catalog_members", where=Comparison("catalog_id", "=", catalog_id))):
@@ -406,14 +482,14 @@ class TestSemanticLayer:
                     hles.append(semantic.get_hle(user, member["hle_id"]))
                 except EntityNotFound:
                     continue
-            return hles
+            return catalog, hles
 
         from repro.web import HttpRequest, WebServer
 
         server = WebServer(dm)
         pages = [server.handle(HttpRequest.get(f"/hedc/catalog?id={catalog_id}"))
                  for catalog_id in (small, large)]
-        monkeypatch.setattr(type(dm.semantic), "catalog_hles", per_member)
+        monkeypatch.setattr(type(dm.semantic), "catalog_page", per_member)
         for catalog_id, page in zip((small, large), pages):
             reference = server.handle(HttpRequest.get(f"/hedc/catalog?id={catalog_id}"))
             assert page.status == reference.status == 200

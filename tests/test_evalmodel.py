@@ -210,3 +210,17 @@ class TestModelInvariants:
             assert row.overall_duration_s > 0
         for row in histogram_rows:
             assert row.overall_duration_s > 0
+
+    def test_a_browse_page_is_two_trips_batched_and_the_papers_seven_unbatched(self):
+        """The serving model's browse demand follows the page's trips
+        (`DataManager.fetch_page` makes two); unbatched stays the paper's
+        one trip per query."""
+        from repro.evalmodel import calibration
+        from repro.evalmodel.serving import _service_demands
+
+        trip = 1.0 / calibration.DB_QUERIES_PER_SECOND
+        assert calibration.PAGE_ROUND_TRIPS_BATCHED == 2
+        assert _service_demands(True)["browse"] == \
+            pytest.approx(2 * trip + calibration.CPU_BASE_S)
+        assert _service_demands(False)["browse"] == \
+            pytest.approx(calibration.QUERIES_PER_REQUEST * trip + calibration.CPU_BASE_S)

@@ -14,6 +14,7 @@ from repro.metadb import (
     In,
     Insert,
     IsNull,
+    Join,
     Like,
     QueryError,
     Select,
@@ -204,6 +205,16 @@ class TestGeneration:
     def test_blob_literal_rejected(self):
         with pytest.raises(QueryError):
             to_sql(Insert("t", {"payload": b"\x00"}))
+
+    def test_a_join_has_no_sql_text(self):
+        """It rendered as the same statement without its join."""
+        for outer in (False, True):
+            joined = Select("t", where=Comparison("a", "=", 1),
+                            join=Join("u", "a", "a", outer=outer))
+            with pytest.raises(QueryError, match="no JOIN"):
+                to_sql(joined)
+            with pytest.raises(QueryError, match="no JOIN"):
+                to_sql(Explain(joined), [])
 
 
 _names = st.sampled_from(["alpha", "beta", "gamma", "delta"])

@@ -523,6 +523,16 @@ class TestPruningThroughExecute:
                 "hle", join=Join("raw_units", "source_unit", "unit_id"),
             ))
 
+    def test_outer_join_from_a_broadcast_table_to_a_spread_one_is_rejected(self):
+        """Every shard would add the archives none of *its* files name."""
+        _single, sharded = _fresh_pair()
+        files = Join("loc_files", "archive_id", "archive_id")
+        assert sharded.execute(Select("loc_archives", join=files)) == []
+        with pytest.raises(ShardError, match="left-outer"):
+            sharded.execute(Select(
+                "loc_archives",
+                join=Join("loc_files", "archive_id", "archive_id", outer=True)))
+
 
 class TestDifferential:
     """Randomized differential: the sharded answer must equal the

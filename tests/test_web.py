@@ -596,6 +596,75 @@ _SQL = [
 ]
 
 
+class TestItemGate:
+    """``/hedc/image`` and ``/hedc/download`` serve an item's files only
+    to a user its tuple is visible to; a hidden item answers exactly like
+    a missing one."""
+
+    @pytest.fixture(params=["plain", "sharded"])
+    def gated(self, request, tmp_path):
+        import numpy as np
+
+        from repro.analysis import AnalysisProduct, render_pgm
+        from repro.core import Hedc
+
+        sharding = {} if request.param == "plain" else \
+            {"shard_boundaries": (100.0, 200.0, 300.0)}
+        hedc = Hedc.create(tmp_path / "hedc", **sharding)
+        try:
+            alice = hedc.register_user("alice", "pw")
+            hedc.register_user("bob", "pw")
+            semantic, names = hedc.dm.semantic, hedc.dm.io.names
+            hle_id = semantic.insert_hle(alice, {"start_time": 150.0, "end_time": 160.0})
+            product = AnalysisProduct("imaging", {"n_pixels": 8})
+            product.add_image(render_pgm(np.eye(8)))
+            ana_id = semantic.import_analysis(alice, hle_id, product, {})
+            catalog_id = semantic.create_catalog(alice, "mine")
+            for item_id in (f"hle:{hle_id}", f"cat:{catalog_id}"):
+                stored = hedc.dm.io.store_payload(f"extra/{item_id}.pgm", b"P5 1 1 255 x")
+                names.register_file(item_id, stored.archive_id, stored.rel_path,
+                                    role="image", checksum=stored.checksum)
+            clients = {"anonymous": ThinClient(hedc.web)}
+            for login in ("alice", "bob"):
+                clients[login] = ThinClient(hedc.web)
+                assert clients[login].login(login, "pw")
+            yield hedc, clients, alice, (hle_id, ana_id, catalog_id)
+        finally:
+            hedc.idl.stop_all()
+            hedc.frontend.close()
+
+    def test_private_items_answer_their_owner_only(self, gated):
+        hedc, clients, alice, (hle_id, ana_id, catalog_id) = gated
+        items = (f"ana:{ana_id}", f"hle:{hle_id}", f"cat:{catalog_id}")
+        urls = [f"/hedc/ana?id={ana_id}"]
+        urls += [f"/hedc/image?item={item}" for item in items]
+        urls += [f"/hedc/download?item={item}" for item in items]
+        missing = [url.replace(f":{ana_id}", ":99999") for url in urls if "item=ana" in url]
+
+        def statuses(who, paths):
+            return [clients[who].get(url).status for url in paths]
+
+        assert statuses("alice", urls) == [200] * 7
+        assert statuses("bob", urls) == [404] * 7
+        assert statuses("bob", missing) == [404] * 2       # hidden reads as missing
+        # Anonymous visitors cannot download at all.
+        assert statuses("anonymous", urls) == [404] * 4 + [403] * 3
+
+        hedc.dm.semantic.publish_analysis(alice, ana_id)
+        hedc.dm.semantic.publish_hle(alice, hle_id)
+        assert statuses("bob", urls[:3] + urls[4:6]) == [200] * 5
+        assert statuses("anonymous", urls[:3]) == [200] * 3
+        assert statuses("bob", [urls[3], urls[6]]) == [404] * 2     # the catalogue is not
+
+    def test_item_ids_that_do_not_parse_are_400s(self, gated):
+        _hedc, clients, _alice, _ids = gated
+        for servlet in ("image", "download"):
+            for item in ("ana:x", "hle:", "cat:1.5"):
+                assert clients["alice"].get(f"/hedc/{servlet}?item={item}").status == 400
+            # Kinds nobody owns are looked up as before: no files, 404.
+            assert clients["alice"].get(f"/hedc/{servlet}?item=unit:nope").status == 404
+
+
 @pytest.fixture(scope="module")
 def edge_probe(web_stack):
     """The server, a logged-in cookie jar and the identifiers the seeded

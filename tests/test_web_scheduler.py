@@ -32,6 +32,8 @@ from repro.web import (
 )
 from repro.web.scheduler import DEFAULT_ROUTE_CLASSES
 
+from . import oracle_pages
+
 
 @pytest.fixture()
 def stack(tmp_path):
@@ -344,33 +346,34 @@ class TestFairnessUnderOverload:
 
 
 class TestBatchedPageFetch:
-    def test_batched_and_unbatched_pages_are_byte_identical(self, stack):
+    """The two-trip page against ``tests/oracle_pages.py``, the
+    one-query-per-trip sequence it replaced."""
+
+    def test_batched_and_unbatched_pages_are_byte_identical(self, stack, monkeypatch):
         request = stack.request(f"/hedc/hle?id={stack.hle_ids[0]}")
-        stack.dm.batched_pages = True
         batched = stack.web.handle(request)
-        stack.dm.batched_pages = False
+        monkeypatch.setattr(type(stack.dm), "fetch_page", oracle_pages.fetch_page)
         unbatched = stack.web.handle(request)
         assert batched.status == unbatched.status == 200
         assert batched.body == unbatched.body
 
-    def test_page_round_trips_collapse_seven_to_three(self, stack):
+    def test_page_round_trips_collapse_seven_to_two(self, stack, monkeypatch):
         io_stats = stack.dm.io.stats
         request = stack.request(f"/hedc/hle?id={stack.hle_ids[0]}")
-        deltas = {}
-        for batched in (True, False):
-            stack.dm.batched_pages = batched
+
+        def cost():
             queries, trips = io_stats.queries, io_stats.round_trips
             assert stack.web.handle(request).status == 200
-            deltas[batched] = (io_stats.queries - queries,
-                               io_stats.round_trips - trips)
-        assert deltas[False] == (7, 7)
-        assert deltas[True][0] == 7          # logical queries unchanged
-        assert deltas[True][1] <= 3
+            return io_stats.queries - queries, io_stats.round_trips - trips
+
+        assert cost() == (7, 2)              # logical queries unchanged
+        monkeypatch.setattr(type(stack.dm), "fetch_page", oracle_pages.fetch_page)
+        assert cost() == (7, 7)
 
     def test_fetch_page_results_match_across_paths(self, stack):
         user = stack.dm.authenticate("loadgen", "loadgen-pw")
-        batched = stack.dm.fetch_page(user, stack.hle_ids[0], batched=True)
-        unbatched = stack.dm.fetch_page(user, stack.hle_ids[0], batched=False)
+        batched = stack.dm.fetch_page(user, stack.hle_ids[0])
+        unbatched = oracle_pages.fetch_page(stack.dm, user, stack.hle_ids[0])
         assert batched.hle == unbatched.hle
         assert batched.analyses == unbatched.analyses
         assert batched.n_analyses == unbatched.n_analyses
@@ -378,7 +381,6 @@ class TestBatchedPageFetch:
         assert batched.similar == unbatched.similar
         assert batched.neighbours == unbatched.neighbours
         assert batched.files == unbatched.files
-        assert batched.batched and not unbatched.batched
 
 
 class TestThinClientRetryAfter:
@@ -449,15 +451,15 @@ class TestLoadHarness:
         try:
             user = stack.dm.authenticate("loadgen", "loadgen-pw")
             started = time.perf_counter()
-            stack.dm.fetch_page(user, stack.hle_ids[0], batched=True)
+            stack.dm.fetch_page(user, stack.hle_ids[0])
             batched_s = time.perf_counter() - started
             started = time.perf_counter()
-            stack.dm.fetch_page(user, stack.hle_ids[0], batched=False)
+            oracle_pages.fetch_page(stack.dm, user, stack.hle_ids[0])
             unbatched_s = time.perf_counter() - started
         finally:
             stack.shutdown()
-        # 3 sleeps vs 7 sleeps of 20ms: the batched page is decisively
+        # 2 sleeps vs 7 sleeps of 20ms: the batched page is decisively
         # cheaper in wall-clock, with generous slack for scheduler noise.
-        assert batched_s < 0.02 * 5
+        assert batched_s < 0.02 * 4
         assert unbatched_s > 0.02 * 6
         assert unbatched_s > batched_s
