@@ -47,6 +47,13 @@ class DatabaseApi(Protocol):
     (archive_id, rel_path)``, which a broadcast copy used to check
     globally.  The program draws such keys from :meth:`allocate_id`,
     which is global, or derives them from one.
+
+    **Validation rule.**  A row is validated once, by the
+    :class:`~repro.metadb.Database` that owns it: an INSERT's values and
+    an UPDATE's changes are normalised against the table's schema there
+    (types, defaults, NOT NULL) and checked against its keys, and what
+    is stored, journaled and shipped is that one result.  Followers,
+    recovery, a shard split and a re-sync apply final images.
     """
 
     @property

@@ -147,6 +147,8 @@ class Database:
             if operation == "insert":
                 table.restore(record["rowid"], record["row"])
             elif operation == "update":
+                # Normalising: a journal written before changes were logged
+                # normalised carries the statement's raw ones.
                 table.update(record["rowid"], record["changes"])
             elif operation == "delete":
                 table.delete(record["rowid"])
@@ -301,11 +303,12 @@ class Database:
                    lsn: Optional[int] = None) -> bool:
         """Apply shipped redo records — a replication follower's write path.
 
-        Rows arrive as final images carrying their primary-side rowids, so
-        application bypasses normalization and FK checks (the primary
-        already enforced both).  With ``lsn`` the batch is idempotent: a
-        batch at or below :attr:`replication_offset` is a duplicate ship
-        (a lost ack) and is skipped, and the offset advance is journaled
+        Rows and changes arrive as final images carrying their
+        primary-side rowids, so application bypasses normalization and FK
+        checks (the primary already enforced both).  With ``lsn`` the
+        batch is idempotent: a batch at or below
+        :attr:`replication_offset` is a duplicate ship (a lost ack) and is
+        skipped, and the offset advance is journaled
         in the same WAL line as the batch, so a crash can never leave the
         ack ahead of the data or the data ahead of the ack.  Returns
         ``True`` if the batch was applied, ``False`` if deduplicated.
@@ -351,7 +354,7 @@ class Database:
             table.restore(record["rowid"], dict(record["row"]))
             self.stats.rows_written += 1
         elif operation == "update":
-            table.update(record["rowid"], record["changes"])
+            table.update_row(record["rowid"], record["changes"])
             self.stats.rows_written += 1
         elif operation == "delete":
             table.delete(record["rowid"])
@@ -572,20 +575,20 @@ class Database:
             table = self.table(statement.table)
             row = table.schema.normalize_row(statement.values)
             self._check_fk_on_write(table, row)
-            rowid = table.insert(statement.values)
-            tx.log_insert(table.name, rowid, table.row(rowid))
+            rowid = table.insert_row(row)
+            tx.log_insert(table.name, rowid, row)
             self.stats.inserts += 1
             self.stats.rows_written += 1
             return rowid
         if isinstance(statement, Update):
             table = self.table(statement.table)
             target_rowids = self._target_rowids(table, statement.where)
-            preview = table.schema.normalize_row(statement.changes, for_update=True)
+            changes = table.schema.normalize_row(statement.changes, for_update=True)
             for rowid in target_rowids:
-                merged = {**table.row(rowid), **preview}
+                merged = {**table.row(rowid), **changes}
                 self._check_fk_on_write(table, merged)
-                old_row = table.update(rowid, statement.changes)
-                tx.log_update(table.name, rowid, old_row, statement.changes)
+                old_row = table.update_row(rowid, changes)
+                tx.log_update(table.name, rowid, old_row, changes)
             self.stats.updates += 1
             self.stats.rows_written += len(target_rowids)
             return len(target_rowids)

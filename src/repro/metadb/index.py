@@ -15,9 +15,23 @@ nulls (SQL semantics).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IntegrityError
+
+
+def _key_extractor(columns: tuple[str, ...]) -> Callable[[dict[str, Any]], Optional[Hashable]]:
+    """``row -> index key`` (``None`` when any part is NULL), decided once
+    per index: a single-column key is one ``row.get``."""
+    if len(columns) == 1:
+        column, = columns
+        return lambda row: row.get(column)
+
+    def key_of(row: dict[str, Any]) -> Optional[Hashable]:
+        values = tuple(row.get(column) for column in columns)
+        return None if any(value is None for value in values) else values
+
+    return key_of
 
 
 class HashIndex:
@@ -27,14 +41,9 @@ class HashIndex:
         self.columns = tuple(columns)
         self.unique = unique
         self.name = name or ("uq_" if unique else "ix_") + "_".join(columns)
+        self.key_of = _key_extractor(self.columns)
         self._map: dict[Hashable, set[int]] = {}
         self._nulls: set[int] = set()
-
-    def key_of(self, row: dict[str, Any]) -> Optional[Hashable]:
-        values = tuple(row.get(column) for column in self.columns)
-        if any(value is None for value in values):
-            return None
-        return values if len(values) > 1 else values[0]
 
     def insert(self, rowid: int, row: dict[str, Any]) -> None:
         key = self.key_of(row)

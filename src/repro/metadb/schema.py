@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import IntegrityError, SchemaError
-from .types import ColumnType, coerce
+from .types import STORED_TYPE, ColumnType, coerce
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,13 @@ class TableSchema:
                 raise SchemaError(f"duplicate column {column.name!r} in table {name!r}")
             self.columns[column.name] = column
         self.column_order = [column.name for column in columns]
+        # The insert plan normalize_row walks, in column order: name, the
+        # exact Python type a stored value has, and what else it needs.
+        self._plan = {
+            column.name: (column.name, STORED_TYPE.get(column.type), column.type,
+                          column.nullable, column.default, callable(column.default))
+            for column in columns
+        }
         self.primary_key = primary_key
         if primary_key is not None:
             if primary_key not in self.columns:
@@ -183,29 +190,32 @@ class TableSchema:
         defaults and NOT NULL is enforced.  On update only the provided
         columns are checked.
         """
+        plan = self._plan
+        if not values.keys() <= plan.keys():
+            key = next(key for key in values if key not in plan)
+            raise SchemaError(f"table {self.name!r} has no column {key!r}")
         row: dict[str, Any] = {}
-        for key in values:
-            if key not in self.columns:
-                raise SchemaError(f"table {self.name!r} has no column {key!r}")
-        source = values if for_update else {**{c: None for c in self.column_order}, **values}
-        for name_, raw in source.items():
-            column = self.columns[name_]
-            if raw is None and not for_update and name_ not in values:
-                default = column.default
-                raw = default() if callable(default) else default
+        entries = [plan[key] for key in values] if for_update else plan.values()
+        for name_, stored, column_type, nullable, default, supplied in entries:
+            if for_update or name_ in values:
+                raw = values[name_]
+            else:
+                raw = default() if supplied else default
             if raw is None:
-                if not column.nullable:
+                if not nullable:
                     raise IntegrityError(
                         f"NOT NULL violation: {self.name}.{name_}"
                     )
                 row[name_] = None
-                continue
-            try:
-                row[name_] = coerce(raw, column.type)
-            except (TypeError, ValueError) as exc:
-                raise IntegrityError(
-                    f"type violation on {self.name}.{name_}: {exc}"
-                ) from exc
+            elif type(raw) is stored:
+                row[name_] = raw
+            else:
+                try:
+                    row[name_] = coerce(raw, column_type)
+                except (TypeError, ValueError) as exc:
+                    raise IntegrityError(
+                        f"type violation on {self.name}.{name_}: {exc}"
+                    ) from exc
         return row
 
     def to_dict(self) -> dict:

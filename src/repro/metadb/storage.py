@@ -163,7 +163,11 @@ class Table:
 
     def insert(self, values: dict[str, Any]) -> int:
         """Insert a row; returns the internal rowid."""
-        row = self.schema.normalize_row(values)
+        return self.insert_row(self.schema.normalize_row(values))
+
+    def insert_row(self, row: dict[str, Any]) -> int:
+        """Store ``row`` as it is: the caller normalised it (the owning
+        :class:`Database` does, once per statement)."""
         if self.schema.primary_key and row.get(self.schema.primary_key) is None:
             raise IntegrityError(
                 f"primary key {self.schema.primary_key!r} of {self.name!r} may not be NULL"
@@ -190,15 +194,22 @@ class Table:
         """Apply ``changes`` to one row; returns the previous row image."""
         if rowid not in self._rows:
             raise SchemaError(f"rowid {rowid} not present in {self.name!r}")
+        return self.update_row(
+            rowid, self.schema.normalize_row(changes, for_update=True))
+
+    def update_row(self, rowid: int, changes: dict[str, Any]) -> dict[str, Any]:
+        """Apply already normalised ``changes`` (see :meth:`insert_row`)."""
+        if rowid not in self._rows:
+            raise SchemaError(f"rowid {rowid} not present in {self.name!r}")
         old_row = self._rows[rowid]
-        normalized = self.schema.normalize_row(changes, for_update=True)
-        new_row = {**old_row, **normalized}
+        new_row = {**old_row, **changes}
         if self.schema.primary_key and new_row.get(self.schema.primary_key) is None:
             raise IntegrityError(
                 f"primary key {self.schema.primary_key!r} of {self.name!r} may not be NULL"
             )
-        for column in self.schema.column_order:
-            if new_row.get(column) is None and not self.schema.columns[column].nullable:
+        # Only a changed column can have become NULL.
+        for column, value in changes.items():
+            if value is None and not self.schema.columns[column].nullable:
                 raise IntegrityError(f"NOT NULL violation: {self.name}.{column}")
         for index in self._hash_indexes:
             index.remove(rowid, old_row)

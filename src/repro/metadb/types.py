@@ -26,6 +26,14 @@ class ColumnType(enum.Enum):
         return self.value
 
 
+#: The exact Python type a stored value of each column type has:
+#: :func:`coerce` returns a value of exactly that type unchanged, which is
+#: what lets a row normaliser take it as is.
+STORED_TYPE = {
+    ColumnType.INTEGER: int, ColumnType.REAL: float, ColumnType.TEXT: str,
+    ColumnType.BOOLEAN: bool, ColumnType.TIMESTAMP: float, ColumnType.BLOB: bytes,
+}
+
 _EPOCH = _dt.datetime(1970, 1, 1, tzinfo=_dt.timezone.utc)
 
 

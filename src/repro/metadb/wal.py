@@ -32,20 +32,19 @@ def open_wal_handles() -> int:
     return _OPEN_HANDLES
 
 
-def _encode_value(value: Any) -> Any:
+def encode_blob(value: Any) -> dict[str, str]:
+    """``json.dumps(default=...)`` hook: the C encoder walks records and
+    rows and calls back only for what JSON cannot say; a BLOB is the one
+    such value a normalised row holds."""
     if isinstance(value, bytes):
         return {"__blob__": base64.b64encode(value).decode("ascii")}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _decode_value(value: Any) -> Any:
     if isinstance(value, dict) and "__blob__" in value:
         return base64.b64decode(value["__blob__"])
     return value
-
-
-def _encode_row(row: dict[str, Any]) -> dict[str, Any]:
-    return {key: _encode_value(value) for key, value in row.items()}
 
 
 def _decode_row(row: dict[str, Any]) -> dict[str, Any]:
@@ -95,9 +94,8 @@ def _snapshot_chunks(tables: dict[str, dict[str, Any]]) -> Iterator[str]:
             + json.dumps(table_data["schema"]) + ', "rows": {'
         rows = iter(table_data["rows"].items())
         separator = ""
-        while chunk := {str(rowid): _encode_row(row)
-                        for rowid, row in islice(rows, SNAPSHOT_CHUNK_ROWS)}:
-            yield separator + json.dumps(chunk)[1:-1]
+        while chunk := dict(islice(rows, SNAPSHOT_CHUNK_ROWS)):
+            yield separator + json.dumps(chunk, default=encode_blob)[1:-1]
             separator = ", "
         yield "}}"
     yield "}}"
@@ -134,18 +132,11 @@ class Journal:
     def append_transaction(self, tx_id: int, records: list[dict[str, Any]]) -> None:
         """Durably record one committed transaction."""
         handle = self._open_handle()
-        encoded = []
-        for record in records:
-            record = dict(record)
-            if "row" in record:
-                record["row"] = _encode_row(record["row"])
-            if "changes" in record:
-                record["changes"] = _encode_row(record["changes"])
-            encoded.append(record)
-        handle.write(json.dumps({"tx": tx_id, "records": encoded}) + "\n")
+        handle.write(json.dumps({"tx": tx_id, "records": records},
+                                default=encode_blob) + "\n")
         handle.flush()
         self._fsync(handle)
-        self.obs.count("metadb.wal.records", len(encoded))
+        self.obs.count("metadb.wal.records", len(records))
 
     def append_ddl(self, record: dict[str, Any]) -> None:
         """Record a schema change (CREATE/DROP TABLE)."""

@@ -21,7 +21,7 @@ from typing import Any, Optional
 from ..filestore.checksums import checksum_bytes
 from ..metadb.database import Database
 from ..metadb.storage import Table
-from ..metadb.wal import _encode_row
+from ..metadb.wal import encode_blob
 
 Range = tuple[int, Optional[int]]
 
@@ -48,11 +48,12 @@ def rowid_ranges(table: Table, n_ranges: int = 8) -> list[Range]:
 
 def _range_payload(table: Table, lo: int, hi: Optional[int]) -> bytes:
     rows = sorted(
-        (rowid, _encode_row(table.row(rowid)))
+        (rowid, table.row(rowid))
         for rowid in table.rowids()
         if rowid >= lo and (hi is None or rowid < hi)
     )
-    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(rows, sort_keys=True, separators=(",", ":"),
+                      default=encode_blob).encode("utf-8")
 
 
 def range_checksums(db: Database, table_name: str,

@@ -758,8 +758,10 @@ class ShardedDatabase:
         table = statement.table
         shard_map = tx.topology.shard_map
         placement = self._placement(table)
-        # Materialise callable defaults (e.g. created_at) ONCE so broadcast
-        # copies store identical rows and routing sees the final values.
+        # Normalised here, before the shard that owns the row does it again
+        # (a walk over values already of their stored types): routing needs
+        # the placing column's final value, and the copies of a broadcast
+        # row must share what a callable default (created_at) returned.
         schema = self._schemas.get(table)
         row = statement.values if schema is None \
             else schema.normalize_row(statement.values)

@@ -14,7 +14,9 @@ import json
 import os
 from typing import Any
 
-from repro.metadb.wal import Journal, _encode_row
+from repro.metadb.wal import Journal
+
+from .oracle_normalize import _encode_row
 
 
 def checkpoint_with_json_dump(journal: Journal, snapshot: dict[str, Any]) -> None:
