@@ -76,7 +76,21 @@ class DatabaseApi(Protocol):
     def execute_batch(self, statements: Sequence[Union[Statement, str]],
                       tx: Any = None) -> list[Any]:
         """One round trip: the results, in statement order, each exactly
-        what :meth:`execute` would have returned."""
+        what :meth:`execute` would have returned.
+
+        What the statements of one batch share depends on who answers.
+        A :class:`~repro.metadb.Database` runs the batch under one lock,
+        so its results are one snapshot.  A
+        :class:`~repro.repl.ReplicaGroup` answers an autocommit batch of
+        reads from one copy (one rotation step, one failover scope), so
+        they are one snapshot of that copy, at most ``max_lag`` behind.
+        A :class:`~repro.shard.ShardedDatabase` routes a batch of reads
+        against one topology and sends each shard it targets one
+        sub-batch: the statements agree per shard, and there is no
+        snapshot across shards (two shards may answer either side of a
+        concurrent commit, as two single reads always could).  A batch
+        with a mutation in it runs in statement order on every
+        implementation."""
         ...
 
     # -- transactions --------------------------------------------------------

@@ -439,15 +439,19 @@ class ReplicaGroup:
 
     # -- reads ---------------------------------------------------------------
 
-    def _read_with_failover(self, statement: Select) -> list[dict[str, Any]]:
-        """Serve a read from the next healthy, fresh-enough copy.
+    def _read_with_failover(
+            self, statements: Sequence[Select]) -> list[list[dict[str, Any]]]:
+        """Serve a batch of reads (``execute``: a batch of one) from the
+        next healthy, fresh-enough copy: all of it from that one copy,
+        as one snapshot of it, so the statements agree with each other.
 
         Candidates are filtered *before* any attempt: crashed/rejoining
         copies, open breakers, and followers trailing by more than
         ``max_lag`` never see the read (stale skips are counted).  The
         survivors are rotated round-robin; a transient failure records
-        against the copy's breaker and fails over to the next candidate,
-        landing on the primary if every follower is out."""
+        against the copy's breaker and fails the whole batch over to the
+        next candidate, landing on the primary if every follower is out.
+        The counters move by the number of statements."""
         head = self.log.head_lsn
         with self._lock:
             replicas = list(self.replicas)
@@ -474,7 +478,8 @@ class ReplicaGroup:
                 continue
             try:
                 fire_fault(f"repl.replica.{name}.crash")
-                rows = db.execute(statement)
+                results = [db.execute(statements[0])] if len(statements) == 1 \
+                    else db.execute_batch(statements)
             except TRANSIENT_ERRORS as exc:
                 breaker.record_failure()
                 last_transient = exc
@@ -488,12 +493,12 @@ class ReplicaGroup:
             if replica is not None:
                 self._update_health(replica)
             with self._lock:
-                self.stats.selects += 1
-                self.stats.rows_read += len(rows)
-                self.reads_by_copy[name] += 1
+                self.stats.selects += len(statements)
+                self.stats.rows_read += sum(map(len, results))
+                self.reads_by_copy[name] += len(statements)
                 if replica is not None:
-                    replica.reads += 1
-            return rows
+                    replica.reads += len(statements)
+            return results
         if last_transient is not None:
             raise last_transient
         raise BreakerOpen(
@@ -570,7 +575,7 @@ class ReplicaGroup:
         if isinstance(statement, Explain):
             return self.primary.execute(statement, tx=tx)
         if isinstance(statement, Select) and tx is None:
-            return self._read_with_failover(statement)
+            return self._read_with_failover((statement,))[0]
         # Writes go to the primary, and so does a read inside a
         # transaction: only the primary holds its uncommitted rows.
         result = self.primary.execute(statement, tx=tx)
@@ -595,8 +600,14 @@ class ReplicaGroup:
         statements: Sequence[Union[Statement, str]],
         tx: Optional[Transaction] = None,
     ) -> list[Any]:
-        """Statement by statement through :meth:`execute`, so every read
-        of the batch rotates and fails over on its own."""
+        """An autocommit batch of reads is one copy's to answer
+        (:meth:`_read_with_failover`); anything else runs in statement
+        order, on the primary where :meth:`execute` sends it."""
+        statements = [parse(statement) if isinstance(statement, str)
+                      else statement for statement in statements]
+        if tx is None and statements and all(
+                isinstance(statement, Select) for statement in statements):
+            return self._read_with_failover(statements)
         return [self.execute(statement, tx=tx) for statement in statements]
 
     def checkpoint(self) -> None:

@@ -108,6 +108,8 @@ class ShardMap:
                 )
         self.specs: tuple[ShardSpec, ...] = tuple(ordered)
         self._by_id = {spec.shard_id: spec for spec in self.specs}
+        #: The router's decisions that name every shard, by kind.
+        self.whole: dict = {}
         if len(self._by_id) != len(self.specs):
             raise ShardError("duplicate shard ids in map")
 

@@ -128,8 +128,14 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
                    shard_map, by)
 
 
-def scatter_all(shard_map: ShardMap) -> RouteDecision:
-    return RouteDecision(SCATTER, shard_map.specs)
+def scatter_all(shard_map: ShardMap, kind: str = SCATTER) -> RouteDecision:
+    """Every shard of the map; the map is immutable, so it keeps the one
+    decision of each kind (SCATTER, or BROADCAST for a read any one of
+    them answers) instead of building it per statement."""
+    decision = shard_map.whole.get(kind)
+    if decision is None:
+        decision = shard_map.whole[kind] = RouteDecision(kind, shard_map.specs)
+    return decision
 
 
 def _decide(specs: tuple[ShardSpec, ...], shard_map: ShardMap,

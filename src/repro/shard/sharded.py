@@ -151,6 +151,23 @@ class _ShardedTransaction:
             db.rollback(part)
 
 
+class _Read:
+    """One statement of a read batch: the shards it targets (a broadcast
+    read: the shards in the order it would try them) and, per shard read
+    that answered, the rows and the shard."""
+
+    __slots__ = ("select", "kind", "specs", "shard_select", "merge", "runs",
+                 "answered", "missing")
+
+    def __init__(self, select: Select, kind: str,
+                 specs: tuple[ShardSpec, ...], shard_select: Select, merge):
+        self.select, self.kind, self.specs = select, kind, specs
+        self.shard_select, self.merge = shard_select, merge
+        self.runs: list[list[dict]] = []
+        self.answered: list[int] = []
+        self.missing: list[ShardSpec] = []
+
+
 class ShardedDatabase:
     """Time-partitioned shards behind the standard database interface."""
 
@@ -188,6 +205,7 @@ class ShardedDatabase:
         self._sequences: dict[tuple[str, str], int] = {}
         self._report_lock = threading.Lock()
         self._read_cursor = 0
+        self._held_last: Optional[int] = None
         self.route_counts = {"pruned": 0, "scatter": 0, "broadcast": 0}
         self.reads_by_shard: dict[int, int] = {}
         self.writes_by_shard: dict[int, int] = {}
@@ -459,19 +477,13 @@ class ShardedDatabase:
     ) -> Any:
         if isinstance(statement, str):
             statement = parse(statement)
+        if isinstance(statement, Select):
+            if tx is not None or self._upgrade_due:     # else nothing to check
+                self._admit(tx)
+            return self._read_batch((statement,), tx)[0]
         if isinstance(statement, Explain):
             return [self.explain_plan(statement.select)]
-        if self._upgrade_due and tx is None:
-            self._upgrade_placement()
-        if tx is not None:
-            if not isinstance(tx, _ShardedTransaction):
-                raise TransactionError(
-                    "a sharded database needs transactions from its own begin()"
-                )
-            # No shard would notice: a part opens on demand.
-            tx.require_active()
-        if isinstance(statement, Select):
-            return self._execute_select(statement, tx)
+        self._admit(tx)
         if tx is not None:
             return self._execute_mutation(statement, tx)
         with self._write_permit():
@@ -484,21 +496,40 @@ class ShardedDatabase:
             self._commit_parts(local_tx)
             return result
 
+    def _admit(self, tx: Optional[_ShardedTransaction]) -> None:
+        if self._upgrade_due and tx is None:
+            self._upgrade_placement()
+        if tx is not None:
+            if not isinstance(tx, _ShardedTransaction):
+                raise TransactionError(
+                    "a sharded database needs transactions from its own begin()"
+                )
+            # No shard would notice: a part opens on demand.
+            tx.require_active()
+
     def execute_batch(
         self,
         statements: Sequence[Union[Statement, str]],
         tx: Optional[_ShardedTransaction] = None,
     ) -> list[Any]:
-        """Statement by statement through :meth:`execute`: each one is
-        routed, pruned and merged on its own."""
-        return [self.execute(statement, tx=tx) for statement in statements]
+        """A batch of reads is routed against one topology and reaches
+        each shard it targets as one sub-batch (:meth:`_read_batch`).  A
+        batch with a mutation in it runs in statement order, because
+        order is what it means."""
+        statements = [parse(statement) if isinstance(statement, str)
+                      else statement for statement in statements]
+        if not all(isinstance(statement, Select) for statement in statements):
+            return [self.execute(statement, tx=tx) for statement in statements]
+        self._admit(tx)
+        return self._read_batch(statements, tx)
 
     # -- routing -------------------------------------------------------------------
 
     def _route(self, topology: _Topology, table: str,
                where: Optional[Predicate], join: Optional[Join] = None,
                writing: bool = False,
-               placing: Optional[_ShardedTransaction] = None) -> RouteDecision:
+               placing: Optional[_ShardedTransaction] = None,
+               probes: Optional[dict] = None) -> RouteDecision:
         """The shards a statement over ``table`` must touch: the one
         decision SELECT, UPDATE, DELETE, INSERT and EXPLAIN all act on.
         ``placing`` is the transaction of an INSERT (or of an UPDATE that
@@ -515,7 +546,10 @@ class ShardedDatabase:
         Keys are located by probing the shards' own indexes, against the
         topology snapshot the statement holds.  A read does not probe a
         shard whose breaker is open; a write probes them all, because it
-        must name every holder.
+        must name every holder.  ``probes`` is what a batch of reads has
+        been answered so far (same holder, same key: one answer); a read
+        asks first the shard that held the key found last, a hint that
+        is wrong at the cost of one more probe.
         """
         shard_map = topology.shard_map
         schema = self._schemas.get(table)
@@ -541,8 +575,9 @@ class ShardedDatabase:
                         f"with {join.table!r}, which is spread over shards"
                     )
                 return scatter_all(shard_map)
-            return RouteDecision(BROADCAST, shard_map.specs)
-        first = placing.last_written if placing is not None else None
+            return scatter_all(shard_map, BROADCAST)
+        first = placing.last_written if placing is not None \
+            else None if writing else self._held_last
         if kind == "local":
             if placing is None:
                 return scatter_all(shard_map)
@@ -581,6 +616,18 @@ class ShardedDatabase:
             db = dbs[spec.shard_id]
             return any(db.holds(holder, key, value) for holder, key in holders)
 
+        if probes is not None:
+            probe = holds
+
+            def holds(spec: ShardSpec, value: Any) -> bool:
+                asked = (holders, spec.shard_id, value)
+                answer = probes.get(asked)
+                if answer is None:
+                    answer = probes[asked] = probe(spec, value)
+                if answer:
+                    self._held_last = spec.shard_id
+                return answer
+
         return route_keyed(values, shard_map, holds,
                            () if writing else self._open_shards(),
                            by, every_holder, first)
@@ -593,120 +640,149 @@ class ShardedDatabase:
 
     # -- reads ---------------------------------------------------------------------
 
-    def _execute_select(self, select: Select,
-                        tx: Optional[_ShardedTransaction]) -> list[dict[str, Any]]:
-        """Route one read.  Inside a transaction each shard asked runs it
-        under its own part of ``tx``, so the read sees the transaction's
-        uncommitted writes wherever they landed."""
+    def _read_batch(self, selects: Sequence[Select],
+                    tx: Optional[_ShardedTransaction]) -> list[list[dict]]:
+        """Every read's path, the single ``execute`` as a batch of one.
+
+        The batch is routed against one topology snapshot (inside a
+        transaction, the transaction's), each shard it targets is sent
+        its statements as one sub-batch, under its own part of ``tx`` if
+        there is one, and each statement is then merged and accounted as
+        if it had travelled alone.  A shard that cannot answer is missing
+        from every statement that targeted it and from no other.  A
+        broadcast read is any one shard's to answer: it joins the
+        sub-batch of the shard the round-robin picks and moves on to the
+        next if that one cannot.  There is no snapshot across shards.
+        """
         topology = tx.topology if tx is not None else self._topology
-        decision = self._route(topology, select.table, select.where, select.join)
-        if decision.kind == BROADCAST:
-            return self._broadcast_read(select, topology, tx)
-        return self._scatter_read(select, decision, topology, tx)
-
-    def _read_shard(self, topology: _Topology, shard_id: int, select: Select,
-                    tx: Optional[_ShardedTransaction]) -> list[dict]:
-        fire_fault(f"metadb.shard.{shard_id}.statement")
-        if tx is None:
-            return topology.db(shard_id).execute(select)
-        db, part = tx.part(shard_id)
-        return db.execute(select, tx=part)
-
-    def _broadcast_read(self, select: Select, topology: _Topology,
-                        tx: Optional[_ShardedTransaction]) -> list[dict]:
-        """Round-robin a broadcast-table read across shards with failover
-        — broadcast tables multiply read capacity like replicas do."""
-        specs = topology.shard_map.specs
-        with self._report_lock:
-            start = self._read_cursor
-            self._read_cursor += 1
-            self.route_counts[BROADCAST] += 1
-        self._count_route(BROADCAST, 1)
-        last_transient: Optional[BaseException] = None
-        for offset in range(len(specs)):
-            spec = specs[(start + offset) % len(specs)]
-            breaker = self._breaker_for(spec.shard_id)
-            if not breaker.allow():
+        shard_map = topology.shard_map
+        transient: list[BaseException] = []
+        probes: dict = {}
+        reads: list[_Read] = []
+        asked: dict[int, list[_Read]] = {}
+        for select in selects:
+            decision = self._route(topology, select.table, select.where,
+                                   select.join, probes=probes)
+            kind, specs = decision.kind, decision.specs
+            shard_select, merge, targets = select, None, specs
+            if kind == BROADCAST:
+                with self._report_lock:
+                    start = self._read_cursor % len(specs)
+                    self._read_cursor += 1
+                specs = specs[start:] + specs[:start]
+                targets = specs[:1]
+            elif len(specs) > 1:
+                shard_select, merge = prepare_scatter(select, len(specs))
+            read = _Read(select, kind, specs, shard_select, merge)
+            reads.append(read)
+            for spec in targets:
+                asked.setdefault(spec.shard_id, []).append(read)
+        for spec in shard_map.specs:    # a statement's runs arrive in shard order
+            group = asked.get(spec.shard_id)
+            if group is None:
                 continue
-            try:
-                rows = self._read_shard(topology, spec.shard_id, select, tx)
-            except TRANSIENT_ERRORS as exc:
-                breaker.record_failure()
-                last_transient = exc
-                self.obs.count("metadb.shard.failovers", db=self.name,
-                               shard=str(spec.shard_id))
-                continue
-            breaker.record_success()
+            runs = self._ask(topology, tx, spec, [
+                read.shard_select for read in group], transient)
+            if runs is None:
+                for read in group:
+                    read.missing.append(spec)
+            else:
+                for read, rows in zip(group, runs):
+                    read.runs.append(rows)
+                    read.answered.append(spec.shard_id)
+
+        results = []
+        shard_reads = self.reads_by_shard
+        for read in reads:
+            kind, runs, touched = read.kind, read.runs, len(read.specs)
+            if kind == BROADCAST:
+                for spec in read.specs[1:]:
+                    if runs:
+                        break
+                    self.obs.count("metadb.shard.failovers", db=self.name,
+                                   shard=str(spec.shard_id))
+                    runs = self._ask(topology, tx, spec, [read.select], transient)
+                    read.answered = [spec.shard_id]
+                if not runs:
+                    raise transient[-1] if transient else BreakerOpen(
+                        f"metadb.shard.{self.name}.reads",
+                        min(breaker.retry_after_s()
+                            for breaker in self.breakers.values()))
+                read.missing = ()
+                rows, touched = runs[0], 1
+            elif read.merge is None and runs:
+                # One target that answers is the answer: the caller's
+                # statement went to it as written and its rows come back
+                # as they are.
+                rows = runs[0]
+            else:
+
+                def ask_rest(index: int, rest: Select, read=read) -> list[dict]:
+                    """A top-up is one more read of its shard; one that
+                    fails leaves the shard missing from this statement."""
+                    spec = shard_map.spec(read.answered[index])
+                    more = self._ask(topology, tx, spec, [rest], transient)
+                    if more is None:
+                        read.missing.append(spec)
+                        return []
+                    read.answered.append(spec.shard_id)
+                    return more[0]
+
+                # The merge of nothing keeps the statement's shape (an
+                # aggregate is one row).
+                merge = read.merge or prepare_scatter(read.select)[1]
+                rows = merge(runs, ask_rest)
             with self._report_lock:
+                self.route_counts[kind] += 1
+                for shard_id in read.answered:
+                    shard_reads[shard_id] = shard_reads.get(shard_id, 0) + 1
                 self.stats.selects += 1
                 self.stats.rows_read += len(rows)
-                self.reads_by_shard[spec.shard_id] = (
-                    self.reads_by_shard.get(spec.shard_id, 0) + 1
-                )
-            return rows
-        if last_transient is not None:
-            raise last_transient
-        raise BreakerOpen(
-            f"metadb.shard.{self.name}.reads",
-            min(b.retry_after_s() for b in self.breakers.values()),
-        )
+            self._count_route(kind, touched)
+            missing = read.missing
+            if missing:
+                if not self.degraded_reads:
+                    raise ShardUnavailable(
+                        f"{len(missing)} of {len(read.specs)} targeted shards "
+                        f"unavailable for {read.select.table!r}",
+                        shard_ids=[spec.shard_id for spec in missing],
+                    )
+                with self._report_lock:
+                    self.degraded_count += 1
+                self.obs.count("metadb.shard.degraded", db=self.name)
+                rows = PartialResult(rows, missing)
+            results.append(rows)
+        return results
 
-    def _scatter_read(self, select: Select, decision: RouteDecision,
-                      topology: _Topology,
-                      tx: Optional[_ShardedTransaction]) -> list[dict]:
-        specs = decision.specs
-        # One target that answers is the answer: the caller's statement
-        # goes to it as written and its rows come back as they are.
-        shard_select, merge = \
-            (select, None) if len(specs) == 1 else prepare_scatter(select)
-        gathered: list[list[dict]] = []
-        answered: list[int] = []
-        missing: list[ShardSpec] = []
-        for spec in specs:
-            shard_id = spec.shard_id
-            breaker = self._breaker_for(shard_id)
-            if not breaker.allow():
-                missing.append(spec)
-                continue
-            try:
-                rows = self._read_shard(topology, shard_id, shard_select, tx)
-            except TRANSIENT_ERRORS:
-                breaker.record_failure()
-                missing.append(spec)
-                self.obs.count("metadb.shard.failures", db=self.name,
-                               shard=str(shard_id))
-                continue
-            breaker.record_success()
-            gathered.append(rows)
-            answered.append(shard_id)
-        if merge is None and gathered:
-            rows = gathered[0]
-        else:
-            if merge is None:
-                # The one target did not answer: the merge of nothing
-                # keeps the statement's shape (an aggregate is one row).
-                merge = prepare_scatter(select)[1]
-            rows = merge(gathered)
-        reads = self.reads_by_shard
-        with self._report_lock:
-            self.route_counts[decision.kind] += 1
-            for shard_id in answered:
-                reads[shard_id] = reads.get(shard_id, 0) + 1
-            self.stats.selects += 1
-            self.stats.rows_read += len(rows)
-        self._count_route(decision.kind, len(specs))
-        if not missing:
-            return rows
-        if not self.degraded_reads:
-            raise ShardUnavailable(
-                f"{len(missing)} of {len(specs)} targeted shards "
-                f"unavailable for {select.table!r}",
-                shard_ids=[spec.shard_id for spec in missing],
-            )
-        with self._report_lock:
-            self.degraded_count += 1
-        self.obs.count("metadb.shard.degraded", db=self.name)
-        return PartialResult(rows, missing)
+    def _ask(self, topology: _Topology, tx: Optional[_ShardedTransaction],
+             spec: ShardSpec, statements: list[Select],
+             transient: list[BaseException]) -> Optional[list[list[dict]]]:
+        """One sub-batch to one shard, behind its breaker: its result
+        lists, or None when the shard cannot answer (a transient error
+        is kept in ``transient``)."""
+        shard_id = spec.shard_id
+        breaker = self._breaker_for(shard_id)
+        if not breaker.allow():
+            return None
+        try:
+            for _statement in statements:
+                fire_fault(f"metadb.shard.{shard_id}.statement")
+            if tx is None:
+                db, part = topology.dbs[shard_id], None
+            else:
+                db, part = tx.part(shard_id)
+            if len(statements) == 1:
+                runs = [db.execute(statements[0], part)]
+            else:
+                runs = db.execute_batch(statements, part)
+        except TRANSIENT_ERRORS as exc:
+            breaker.record_failure()
+            transient.append(exc)
+            self.obs.count("metadb.shard.failures", len(statements),
+                           db=self.name, shard=str(shard_id))
+            return None
+        breaker.record_success()
+        return runs
 
     def _count_route(self, kind: str, n_touched: int) -> None:
         """The obs side of one routed read (``route_counts`` moves under
@@ -873,7 +949,8 @@ class ShardedDatabase:
             specs = specs[:1]
         # What a shard is handed: the statement as written when one shard
         # is asked, its scatter rewrite when several are.
-        shard_select = select if len(specs) == 1 else prepare_scatter(select)[0]
+        shard_select = select if len(specs) == 1 \
+            else prepare_scatter(select, len(specs))[0]
         representative = topology.db(specs[0].shard_id) if specs \
             else topology.first_db()
         plan = representative.explain_plan(shard_select)

@@ -392,6 +392,46 @@ class ContractMachine(RuleBasedStateMachine):
                    aggregates=[Aggregate("count", "*", "n")]),
             tx=self.tx) == [{"n": len(children)}]
 
+    @rule(key=KEYS, event_id=EVENT_IDS,
+          event_ids=st.lists(EVENT_IDS, min_size=0, max_size=4),
+          low=st.integers(min_value=0, max_value=31),
+          span=st.integers(min_value=0, max_value=20),
+          limit=st.sampled_from([None, 1, 3]))
+    def execute_batch_of_reads(self, key, event_id, event_ids, low, span,
+                               limit):
+        """A point, a parent-key, an IN-list and a range read in one
+        batch, inside a transaction and outside: each what ``execute``
+        returns.  The sharded builds send each shard its share of the
+        batch at once, the replicated ones answer it from one copy."""
+        in_range = sorted(
+            (row for row in self.events.values()
+             if low <= row["at"] <= low + span),
+            key=lambda row: (-row["at"], row["id"]))
+        stop = None if limit is None else 1 + limit
+        statements = [
+            Select("t", where=Comparison("k", "=", key)),
+            Select("c", where=Comparison("e_id", "=", event_id),
+                   order_by=[("cid", "asc")]),
+            Select("e", where=In("id", event_ids), order_by=[("id", "asc")]),
+            Select("e", where=Between("at", low, low + span),
+                   order_by=[("at", "desc"), ("id", "asc")],
+                   limit=limit, offset=1),
+            Select("t", order_by=[("k", "desc")], limit=limit),
+        ]
+        expected = [
+            self._expected_point(key),
+            self._children_of({event_id}),
+            sorted((self.events[key] for key in set(event_ids)
+                    if key in self.events), key=lambda row: row["id"]),
+            in_range[1:stop],
+            sorted(self.model.values(),
+                   key=lambda row: -row["k"])[:limit],
+        ]
+        results = self.db.execute_batch(statements, tx=self.tx)
+        assert results == expected
+        assert results == [self.db.execute(statement, tx=self.tx)
+                           for statement in statements]
+
     # -- a table whose rows follow their item -------------------------------
 
     def _locs_of(self, items) -> list[dict]:

@@ -1594,29 +1594,36 @@ class TestPageRouting:
         }))
         owner = _owner(sharded, "hle", "hle_id", hle_id)
 
-        statements = []
-        execute = sharded.execute
+        # What each shard is handed, singly or as a sub-batch.
+        received = {spec.shard_id: [] for spec in sharded.shard_map}
+        for shard_id, log in received.items():
+            group = sharded.shard_db(shard_id)
 
-        def spy(statement, tx=None):
-            before = dict(sharded.reads_by_shard)
-            result = execute(statement, tx=tx)
-            touched = {shard for shard, n in sharded.reads_by_shard.items()
-                       if n != before.get(shard, 0)}
-            statements.append((statement, touched))
-            return result
+            def execute(statement, tx=None, log=log, inner=group.execute):
+                log.append(statement)
+                return inner(statement, tx=tx)
 
-        sharded.execute = spy
+            def execute_batch(statements, tx=None, log=log,
+                              inner=group.execute_batch):
+                log.extend(statements)
+                return inner(statements, tx=tx)
+
+            group.execute, group.execute_batch = execute, execute_batch
         routes = dict(sharded.route_counts)
         page = dm.fetch_page(user, hle_id)
         assert page.hle["hle_id"] == hle_id and page.n_analyses == 1
-        assert len(statements) == 7
+        assert sum(sharded.route_counts.values()) == sum(routes.values()) + 7
         assert sharded.route_counts["scatter"] == routes["scatter"] + 1
-        by_key = [touched for statement, touched in statements
-                  if "hle_id" in statement.where.columns()]
-        assert by_key == [{owner}] * 4    # hle, analyses, and the two counts
-        sweep = [touched for statement, touched in statements
-                 if "peak_rate" in statement.where.columns()]
-        assert sweep == [{0, 1, 2, 3}]
+        by_key = {shard_id: sum("hle_id" in statement.where.columns()
+                                for statement in log)
+                  for shard_id, log in received.items()}
+        # hle, analyses, and the two counts: all from the owner.
+        assert by_key == {shard_id: 4 if shard_id == owner else 0
+                          for shard_id in received}
+        sweep = {shard_id: sum("peak_rate" in statement.where.columns()
+                               for statement in log)
+                 for shard_id, log in received.items()}
+        assert sweep == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestShardedHedc:
