@@ -1,25 +1,28 @@
-"""Trip budget: no read servlet makes more than two DM<->DBMS round trips.
+"""Trip budget: one DM<->DBMS round trip per read servlet, two for the
+catalogue page.
 
 Counts only (they repeat exactly), taken by a ``RemoteDatabase`` in front
 of the database that counts the ``execute``/``execute_batch`` calls
 reaching it and the statements they carry: what ``bench/deploy.py``'s
-``WireProxy`` charges 1/120 s for on ``serve_wire``.  Not ``IoStats``: a trip the DM miscounts is still a call
-here.  Every read servlet, on a plain ``Database`` and on a 4 x 2 stack:
+``WireProxy`` charges 1/120 s for on ``serve_wire``.  Not ``IoStats``: a
+trip the DM miscounts is still a call here.  Every read servlet, on a
+plain ``Database`` and on a 4 x 2 stack:
 
 =================  ==========  =====
 servlet            statements  trips
 =================  ==========  =====
-``/hedc/hle``      7           2      (with and without file rows)
-``/hedc/catalog``  3           2
-``/hedc/image``    2           2      (the item gate, the joined lookup)
-``/hedc/download`` 2           2
+``/hedc/hle``      7           1      (with and without file rows)
+``/hedc/catalog``  3           2      (the events are an IN list)
+``/hedc/image``    2           1      (the item gate, the joined lookup)
+``/hedc/download`` 2           1
 ``/hedc/catalogs`` 1           1
 ``/hedc/search``   1           1
 ``/hedc/ana``      1           1
 =================  ==========  =====
 
-and one timing: with 1/120 s charged per trip, an HLE page costs two
-trips and under 3 ms of computing.
+A page nobody may see is one trip of seven statements, of which the
+database runs one: the gate.  And one timing: with 1/120 s charged per
+trip, an HLE page costs one trip and under 3 ms of computing.
 """
 
 from __future__ import annotations
@@ -103,14 +106,14 @@ def served(request, tmp_path):
     database.close()
 
 
-def test_every_read_servlet_is_within_two_trips(served):
+def test_every_read_servlet_is_within_its_trips(served):
     proxy, get, ids = served
     budget = {
-        f"/hedc/hle?id={ids['files']}": (7, 2),
-        f"/hedc/hle?id={ids['bare']}": (7, 2),
+        f"/hedc/hle?id={ids['files']}": (7, 1),
+        f"/hedc/hle?id={ids['bare']}": (7, 1),
         f"/hedc/catalog?id={ids['catalog']}": (3, 2),
-        f"/hedc/image?item=ana:{ids['ana']}&index=0": (2, 2),
-        f"/hedc/download?item=ana:{ids['ana']}": (2, 2),
+        f"/hedc/image?item=ana:{ids['ana']}&index=0": (2, 1),
+        f"/hedc/download?item=ana:{ids['ana']}": (2, 1),
         "/hedc/catalogs": (1, 1),
         "/hedc/search?kind=flare": (1, 1),
         f"/hedc/ana?id={ids['ana']}": (1, 1),
@@ -122,13 +125,16 @@ def test_every_read_servlet_is_within_two_trips(served):
         assert response.status == 200, (url, response.text)
         measured[url] = (proxy.statements - statements, proxy.trips - trips)
     assert measured == budget
-    # A page nobody may see stops at the gate.
-    trips = proxy.trips
+    # A page nobody may see stops at the gate: seven statements sent in
+    # one trip, one of them run, by the database behind the proxy.
+    statements, trips = proxy.statements, proxy.trips
+    executed = proxy.stats.selects
     assert get("/hedc/hle?id=99999").status == 404
-    assert proxy.trips == trips + 1
+    assert (proxy.statements - statements, proxy.trips - trips) == (7, 1)
+    assert proxy.stats.selects == executed + 1
 
 
-def test_an_hle_page_on_the_wire_costs_two_trips_and_little_else(served):
+def test_an_hle_page_on_the_wire_costs_one_trip_and_little_else(served):
     proxy, get, ids = served
     url = f"/hedc/hle?id={ids['files']}"
     proxy.rtt_s = RTT_S
@@ -136,4 +142,4 @@ def test_an_hle_page_on_the_wire_costs_two_trips_and_little_else(served):
         per_page = min_per_call(get, url, calls=5, repeats=5)
     finally:
         proxy.rtt_s = 0.0
-    assert 2 * RTT_S <= per_page < 2 * RTT_S + PAGE_COMPUTE_BUDGET_S, per_page
+    assert RTT_S <= per_page < RTT_S + PAGE_COMPUTE_BUDGET_S, per_page

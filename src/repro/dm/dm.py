@@ -15,7 +15,7 @@ from typing import Any, Optional, Union
 
 from ..filestore import DiskArchive, StorageManager
 from ..metadb import (
-    Aggregate, Between, Comparison, Database, DatabaseApi, Select,
+    Aggregate, Between, Comparison, Database, DatabaseApi, Ref, Select,
 )
 from ..obs import Observability
 from ..schema import install_all
@@ -25,8 +25,16 @@ from .naming import ResolvedName
 from .maintenance import MaintenanceService
 from .process import ProcessLayer
 from .reports import PredefinedQueries, Reports
-from .semantic import SemanticLayer
+from .semantic import SemanticLayer, found, scoped_select
 from .sessions import SessionCache
+
+
+#: What the page's statements take from its tuple, statement 0 of its
+#: batch: the event's key and item, half to one and a half times its peak
+#: rate (0 without one), an hour either side of its start.
+_TUPLE_ID, _TUPLE_ITEM = Ref(0, "hle_id"), Ref(0, "item_id")
+_RATES = tuple(Ref(0, "peak_rate", scale=scale, if_null=0.0) for scale in (0.5, 1.5))
+_TIMES = tuple(Ref(0, "start_time", shift=shift) for shift in (-3600, 3600))
 
 
 @dataclass
@@ -105,42 +113,32 @@ class DataManager:
     # -- page multi-get -------------------------------------------------------
 
     def fetch_page(self, user: Optional[User], hle_id: int) -> HlePage:
-        """Fetch the §7.2 HLE detail page's seven logical queries in two
-        round trips: the HLE tuple itself (PK probe, also the visibility
-        gate), then one batch of everything that tuple determines (its
-        analyses, both counts, its file entries joined to their archives,
-        and the two secondary-index sweeps around its rate and time).
-        ``tests/oracle_pages.py`` keeps the one-query-per-trip sequence
-        this is compared against: identical rows, identical page bytes.
+        """Fetch the §7.2 HLE detail page's seven logical queries in one
+        round trip: the HLE tuple itself (PK probe, also the visibility
+        gate) and everything it determines (its analyses, both counts,
+        its file entries joined to their archives, and the two
+        secondary-index sweeps around its rate and time), each bound on
+        the database side to the tuple's row and not run when the gate
+        finds nothing.  ``tests/oracle_pages.py`` keeps the seven-trip
+        and the two-trip sequences this is compared against: identical
+        rows, identical page bytes.
         """
-        # Round trip 1: the HLE tuple.
-        hle = self.semantic.get_hle(user, hle_id)
-        rate = hle.get("peak_rate") or 0.0
-        by_hle = Comparison("hle_id", "=", hle_id)
+        by_hle = Comparison("hle_id", "=", _TUPLE_ID)
         count = [Aggregate("count", "*", "n")]
-        # Round trip 2: the six statements it determines.
-        analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
+        rows, analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
             self.io.execute_batch([
+                scoped_select(user, "hle", hle_id),
                 Select("ana", where=scoped_where(user, by_hle),
                        order_by=[("ana_id", "asc")]),
                 Select("ana", where=by_hle, aggregates=count),
                 Select("catalog_members", where=by_hle, aggregates=count),
-                self.io.names.files_statement(hle["item_id"]),
-                Select(
-                    "hle",
-                    where=scoped_where(
-                        user, Between("peak_rate", rate * 0.5, rate * 1.5)),
-                    order_by=[("peak_rate", "desc")], limit=40,
-                ),
-                Select(
-                    "hle",
-                    where=scoped_where(
-                        user,
-                        Between("start_time", hle["start_time"] - 3600,
-                                hle["start_time"] + 3600)),
-                    order_by=[("start_time", "asc")], limit=40,
-                ),
+                self.io.names.files_statement(_TUPLE_ITEM),
+                Select("hle", where=scoped_where(user, Between("peak_rate", *_RATES)),
+                       order_by=[("peak_rate", "desc")], limit=40),
+                Select("hle", where=scoped_where(user, Between("start_time", *_TIMES)),
+                       order_by=[("start_time", "asc")], limit=40),
             ])
+        hle = found(rows, "hle", hle_id)
         files = self.io.names.resolve_from_rows(hle["item_id"], file_rows)
         return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],
                        similar, neighbours, files)

@@ -22,6 +22,7 @@ from ..metadb import (
     Delete,
     In,
     Insert,
+    Ref,
     Select,
     Update,
 )
@@ -34,10 +35,33 @@ from ..security import (
     scoped_where,
 )
 from .io_layer import IoLayer
+from .naming import ResolvedName
 
 
 class EntityNotFound(Exception):
     """Lookup for a missing HLE/ANA/catalog."""
+
+
+#: The entities that own items, by the prefix of their item ids: table,
+#: key column, and what a miss calls them.
+ENTITIES = {"hle": ("hle", "hle_id", "HLE"), "ana": ("ana", "ana_id", "analysis"),
+            "cat": ("catalogs", "catalog_id", "catalog")}
+
+
+def scoped_select(user: Optional[User], kind: str, entity_id: int) -> Select:
+    """One entity by key, as far as ``user`` may see it: the gate in front
+    of everything read about it."""
+    table, key, _what = ENTITIES[kind]
+    return Select(table, where=scoped_where(user, Comparison(key, "=", entity_id)))
+
+
+def found(rows: list[dict[str, Any]], kind: str, entity_id: int) -> dict[str, Any]:
+    """The row a :func:`scoped_select` returned; a hidden entity is as
+    missing as one that is not there."""
+    if not rows:
+        raise EntityNotFound(
+            f"{ENTITIES[kind][2]} {entity_id} not found or not visible")
+    return rows[0]
 
 
 class SemanticLayer:
@@ -80,12 +104,8 @@ class SemanticLayer:
         return hle_id
 
     def get_hle(self, user: Optional[User], hle_id: int) -> dict[str, Any]:
-        rows = self.io.execute(
-            Select("hle", where=scoped_where(user, Comparison("hle_id", "=", hle_id)))
-        )
-        if not rows:
-            raise EntityNotFound(f"HLE {hle_id} not found or not visible")
-        return rows[0]
+        return found(self.io.execute(scoped_select(user, "hle", hle_id)),
+                     "hle", hle_id)
 
     def find_hles(
         self,
@@ -208,12 +228,8 @@ class SemanticLayer:
         return ana_id
 
     def get_analysis(self, user: Optional[User], ana_id: int) -> dict[str, Any]:
-        rows = self.io.execute(
-            Select("ana", where=scoped_where(user, Comparison("ana_id", "=", ana_id)))
-        )
-        if not rows:
-            raise EntityNotFound(f"analysis {ana_id} not found or not visible")
-        return rows[0]
+        return found(self.io.execute(scoped_select(user, "ana", ana_id)),
+                     "ana", ana_id)
 
     def analyses_for_hle(self, user: Optional[User], hle_id: int) -> list[dict[str, Any]]:
         return self.io.execute(
@@ -319,17 +335,9 @@ class SemanticLayer:
             raise
         self.io.commit(tx)
 
-    @staticmethod
-    def _catalog_select(user: Optional[User], catalog_id: int) -> Select:
-        return Select(
-            "catalogs",
-            where=scoped_where(user, Comparison("catalog_id", "=", catalog_id)))
-
     def get_catalog(self, user: Optional[User], catalog_id: int) -> dict[str, Any]:
-        rows = self.io.execute(self._catalog_select(user, catalog_id))
-        if not rows:
-            raise EntityNotFound(f"catalog {catalog_id} not found or not visible")
-        return rows[0]
+        return found(self.io.execute(scoped_select(user, "cat", catalog_id)),
+                     "cat", catalog_id)
 
     def list_catalogs(self, user: Optional[User]) -> list[dict[str, Any]]:
         return self.io.execute(
@@ -341,16 +349,17 @@ class SemanticLayer:
     ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         """A catalogue and its events the user may see, in member order,
         in two round trips: the scoped catalogue row (the gate) and the
-        member list, both keyed by ``catalog_id``, then the events."""
+        member list bound to it, which is not read when the gate finds
+        nothing, then the events (an ``IN`` list bound on the database
+        side is a reference this does not have)."""
         catalogs, members = self.io.execute_batch([
-            self._catalog_select(user, catalog_id),
-            Select("catalog_members", where=Comparison("catalog_id", "=", catalog_id)),
+            scoped_select(user, "cat", catalog_id),
+            Select("catalog_members",
+                   where=Comparison("catalog_id", "=", Ref(0, "catalog_id"))),
         ])
-        if not catalogs:
-            # The members of a catalogue the user may not see are dropped.
-            raise EntityNotFound(f"catalog {catalog_id} not found or not visible")
+        catalog = found(catalogs, "cat", catalog_id)
         if not members:
-            return catalogs[0], []
+            return catalog, []
         member_ids = [member["hle_id"] for member in members]
         visible = {
             row["hle_id"]: row
@@ -359,9 +368,24 @@ class SemanticLayer:
             )
         }
         # A private member of a shared catalog is not in ``visible``.
-        return catalogs[0], [visible[hle_id] for hle_id in member_ids
-                             if hle_id in visible]
+        return catalog, [visible[hle_id] for hle_id in member_ids
+                         if hle_id in visible]
 
     def catalog_hles(self, user: Optional[User], catalog_id: int) -> list[dict[str, Any]]:
         """The catalogue's events the user may see, in member order."""
         return self.catalog_page(user, catalog_id)[1]
+
+    # -- files of an item ----------------------------------------------------------------
+
+    def item_files(self, user: Optional[User], kind: str, entity_id: int,
+                   role: Optional[str] = None) -> list[ResolvedName]:
+        """The files of an entity's item, behind the entity's visibility
+        gate, in one round trip: the scoped row and the joined name
+        lookup bound to the item id it carries, which is not read when
+        the gate finds nothing."""
+        rows, files = self.io.execute_batch([
+            scoped_select(user, kind, entity_id),
+            self.io.names.files_statement(Ref(0, "item_id")),
+        ])
+        return self.io.names.resolve_from_rows(
+            found(rows, kind, entity_id)["item_id"], files, role)

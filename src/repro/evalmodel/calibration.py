@@ -18,9 +18,9 @@ DB_QUERIES_PER_SECOND = 120.0
 QUERIES_PER_REQUEST = 7
 
 #: With the batched page fetch the seven logical queries of an HLE page
-#: ride in two DM<->DBMS round trips: the primary-key probe, then one
-#: batch of the six statements that tuple determines.
-PAGE_ROUND_TRIPS_BATCHED = 2
+#: ride in one DM<->DBMS round trip: the primary-key probe and the six
+#: statements bound, on the database side, to the tuple it returns.
+PAGE_ROUND_TRIPS_BATCHED = 1
 
 #: DB service time for one web request's worth of queries.
 DB_SERVICE_PER_REQUEST_S = QUERIES_PER_REQUEST / DB_QUERIES_PER_SECOND

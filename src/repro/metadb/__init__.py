@@ -29,6 +29,7 @@ from .predicate import (
     Not,
     Or,
     Predicate,
+    Ref,
 )
 from .query import Aggregate, Delete, Explain, Insert, Join, Plan, Select, Update
 from .schema import (
@@ -83,6 +84,7 @@ __all__ = [
     "Predicate",
     "PreparedStatement",
     "QueryError",
+    "Ref",
     "SchemaError",
     "Select",
     "TableSchema",

@@ -78,18 +78,34 @@ class DatabaseApi(Protocol):
         """One round trip: the results, in statement order, each exactly
         what :meth:`execute` would have returned.
 
+        **Reference rule.**  A literal of a WHERE may be a
+        :class:`~repro.metadb.Ref`: ``value * scale + shift`` of a column
+        of the first row an *earlier* SELECT of the batch returned.  It
+        is bound on the database side, checked as a bound literal would
+        be, and the statement holding it runs only if that row is there;
+        otherwise it is not executed and its result is ``[]``.  A
+        reference to the statement itself, to a later one, out of range
+        or to anything but a SELECT is a ``QueryError`` before anything
+        runs; so is one handed to :meth:`execute`, where it has nothing
+        to name.  A batch that answers leaves each statement it bound
+        holding the WHERE it ran with, so a recorded batch replays
+        statement by statement.  This is what makes an HLE page one
+        round trip: its tuple, and six statements bound to it.
+
         What the statements of one batch share depends on who answers.
         A :class:`~repro.metadb.Database` runs the batch under one lock,
-        so its results are one snapshot.  A
-        :class:`~repro.repl.ReplicaGroup` answers an autocommit batch of
-        reads from one copy (one rotation step, one failover scope), so
-        they are one snapshot of that copy, at most ``max_lag`` behind.
+        so its results, references bound, are one snapshot: a page is
+        one snapshot.  A :class:`~repro.repl.ReplicaGroup` answers an
+        autocommit batch of reads from one copy (one rotation step, one
+        failover scope), so they are one snapshot of that copy, at most
+        ``max_lag`` behind, the tuple and what is bound to it included.
         A :class:`~repro.shard.ShardedDatabase` routes a batch of reads
         against one topology and sends each shard it targets one
-        sub-batch: the statements agree per shard, and there is no
-        snapshot across shards (two shards may answer either side of a
-        concurrent commit, as two single reads always could).  A batch
-        with a mutation in it runs in statement order on every
+        sub-batch, in waves where statements reference others (those
+        named first): the statements agree per shard and wave, and there
+        is no snapshot across shards (two shards may answer either side
+        of a concurrent commit, as two single reads always could).  A
+        batch with a mutation in it runs in statement order on every
         implementation."""
         ...
 

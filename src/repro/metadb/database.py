@@ -28,6 +28,8 @@ from .query import (
     execute_select,
     index_rowids,
     plan_select,
+    references,
+    run_in_order,
 )
 from .schema import TableSchema
 from .sql import Statement, parse, to_sql
@@ -449,17 +451,23 @@ class Database:
         """Execute several statements in one client round trip.
 
         The batch entry point the DM's page fetch uses (paper §7.2's
-        seven-query page collapsed into grouped round trips): one lock
-        acquisition covers the whole batch, so the results are a
-        consistent snapshot, and a remote deployment pays one network
-        round trip instead of ``len(statements)``.  Results come back in
-        statement order, with each entry exactly what :meth:`execute`
-        would have returned.
+        seven-query page as one round trip): one lock acquisition covers
+        the whole batch, so the results are a consistent snapshot, and a
+        remote deployment pays one network round trip instead of
+        ``len(statements)``.  Results come back in statement order, with
+        each entry exactly what :meth:`execute` would have returned; a
+        statement holding a :class:`~repro.metadb.predicate.Ref` is bound
+        under that lock, in statement order, and is ``[]`` unexecuted
+        when the row it names is not there.
         """
         if not statements:
             return []
+        statements = [parse(statement) if isinstance(statement, str)
+                      else statement for statement in statements]
+        needs = references(statements)
         with self._lock:
-            results = [self.execute(statement, tx=tx) for statement in statements]
+            results = run_in_order(
+                statements, needs, lambda statement: self.execute(statement, tx=tx))
         obs = self.obs
         if obs.enabled:
             obs.count("metadb.batch.round_trips", db=self.name)

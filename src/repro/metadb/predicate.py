@@ -5,24 +5,30 @@ planner to recognise *sargable* shapes (equality and range constraints on
 indexed columns).  SQL three-valued logic is approximated: any comparison
 with NULL is false, IS NULL / IS NOT NULL are explicit nodes.
 
-Three evaluation paths exist: :meth:`Predicate.matches` walks the tree per
-row (virtual dispatch per node), :meth:`Predicate.compile` returns a
-fused closure the executor calls once per candidate row — And/Or collapse
-their operands into a single function, so the hot filter loop pays no
-isinstance checks or method lookups — and :meth:`Predicate.compile_vector`
-returns a closure evaluating the whole tree over a *column segment* at
-once: leaves ask the segment view for a boolean mask (numpy ufuncs,
-dictionary-code probes), And/Or/Not combine masks with ``&``/``|``/``~``.
-The vector path reproduces the row path's NULL semantics exactly: a NULL
-never satisfies a comparison, so ``Not`` over a comparison is true on
-NULL rows in both paths.
+Two evaluation paths exist: :meth:`Predicate.compile` returns a fused
+closure the executor calls once per candidate row — And/Or collapse their
+operands into a single function, so the hot filter loop pays no isinstance
+checks or method lookups — and :meth:`Predicate.compile_vector` returns a
+closure evaluating the whole tree over a *column segment* at once: leaves
+ask the segment view for a boolean mask (numpy ufuncs, dictionary-code
+probes), And/Or/Not combine masks with ``&``/``|``/``~``.  The vector
+path reproduces the row path's NULL semantics exactly: a NULL never
+satisfies a comparison, so ``Not`` over a comparison is true on NULL rows
+in both paths.  (``tests/oracle_predicate.py`` keeps the per-node tree
+walk both are tested against.)
+
+A comparison's literal may be a :class:`Ref`: a value of an earlier
+statement's row, bound on the database side inside one batch.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
+
+from .errors import QueryError
 
 RowMatcher = Callable[[dict], bool]
 
@@ -32,19 +38,64 @@ RowMatcher = Callable[[dict], bool]
 VectorMatcher = Callable[[Any], Any]
 
 
-class Predicate:
-    """Base class; subclasses implement :meth:`matches` and :meth:`compile`."""
+def check_literal(value: Any) -> Any:
+    """``value``, when a ``?`` may stand for it: NULL, an int (bool
+    included), a str or a finite float.  Anything else is a
+    :class:`QueryError`."""
+    if value is None or isinstance(value, (int, str)) \
+            or (isinstance(value, float) and isfinite(value)):
+        return value
+    raise QueryError(f"cannot bind {value!r} as a SQL literal")
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        raise NotImplementedError
+
+@dataclass(frozen=True, eq=False)
+class Ref:
+    """A literal standing for ``value * scale + shift`` of ``column`` in the
+    first row of the ``statement``-th SELECT of the same batch, an earlier
+    one (``if_null`` stands in for NULL): see the reference rule of
+    :meth:`~repro.metadb.DatabaseApi.execute_batch`.  Outside a batch it
+    is no value: comparing, hashing or compiling one raises
+    :class:`QueryError`, so one handed to ``execute`` fails typed where it
+    is first used (routing, planning, an index probe, the filter), before
+    any row is read."""
+
+    statement: int
+    column: str
+    scale: float = 1.0
+    shift: float = 0.0
+    if_null: Any = None
+
+    def value_in(self, row: dict[str, Any]) -> Any:
+        """The value this stands for in the referenced row, checked like
+        a bound literal."""
+        try:
+            value = row[self.column]
+        except KeyError:
+            raise QueryError(f"statement {self.statement} returns no "
+                             f"{self.column!r} to reference") from None
+        value = self.if_null if value is None else value
+        if value is not None and (self.scale != 1.0 or self.shift):
+            value = value * self.scale + self.shift
+        return check_literal(value)
+
+    def unresolved(self, *_args: Any) -> Any:
+        raise QueryError(f"unresolved {self!r}: a reference has a value "
+                         "only inside the batch that holds its statement")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = unresolved
+
+
+class Predicate:
+    """Base class; subclasses implement :meth:`compile`,
+    :meth:`compile_vector` and :meth:`columns`."""
 
     def compile(self) -> RowMatcher:
-        """Return a ``row -> bool`` closure equivalent to :meth:`matches`."""
+        """Return a ``row -> bool`` closure: whether the row matches."""
         raise NotImplementedError
 
     def compile_vector(self) -> VectorMatcher:
         """Return a ``segment_view -> bool_mask`` closure equivalent to
-        calling :meth:`matches` on every row of the segment."""
+        calling :meth:`compile`'s closure on every row of the segment."""
         raise NotImplementedError
 
     def __and__(self, other: "Predicate") -> "And":
@@ -83,19 +134,12 @@ class Comparison(Predicate):
         if self.op not in _OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        actual = row.get(self.column)
-        if actual is None or self.value is None:
-            return False
-        try:
-            return _OPS[self.op](actual, self.value)
-        except TypeError:
-            return False
-
     def compile(self) -> RowMatcher:
         column, value = self.column, self.value
         if value is None:
             return lambda row: False
+        if type(value) is Ref:
+            value.unresolved()
         if self.op == "=":
             def match_eq(row: dict) -> bool:
                 actual = row.get(column)
@@ -120,6 +164,8 @@ class Comparison(Predicate):
 
     def compile_vector(self) -> VectorMatcher:
         column, op, value = self.column, self.op, self.value
+        if type(value) is Ref:
+            value.unresolved()
         return lambda view: view.compare(column, op, value)
 
     def columns(self) -> set[str]:
@@ -134,17 +180,9 @@ class Between(Predicate):
     low: Any
     high: Any
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        try:
-            return self.low <= actual <= self.high
-        except TypeError:
-            return False
-
     def compile(self) -> RowMatcher:
         column, low, high = self.column, self.low, self.high
+        self._check_bound()
 
         def match(row: dict) -> bool:
             actual = row.get(column)
@@ -158,9 +196,15 @@ class Between(Predicate):
 
     def compile_vector(self) -> VectorMatcher:
         column, low, high = self.column, self.low, self.high
+        self._check_bound()
         return lambda view: view.compare(column, ">=", low) & view.compare(
             column, "<=", high
         )
+
+    def _check_bound(self) -> None:
+        for bound in (self.low, self.high):
+            if type(bound) is Ref:
+                bound.unresolved()
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -172,10 +216,6 @@ class In(Predicate):
     def __init__(self, column: str, values: Iterable[Any]):
         self.column = column
         self.values = frozenset(values)
-
-    def matches(self, row: dict[str, Any]) -> bool:
-        actual = row.get(self.column)
-        return actual is not None and actual in self.values
 
     def compile(self) -> RowMatcher:
         column, values = self.column, self.values
@@ -214,10 +254,6 @@ class Like(Predicate):
         # ("abc\n" would match LIKE 'abc'), which SQL LIKE does not.
         self._regex = re.compile("".join(parts), re.DOTALL)
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        actual = row.get(self.column)
-        return isinstance(actual, str) and bool(self._regex.fullmatch(actual))
-
     def compile(self) -> RowMatcher:
         column, fullmatch = self.column, self._regex.fullmatch
 
@@ -239,10 +275,6 @@ class IsNull(Predicate):
     column: str
     negated: bool = False
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        is_null = row.get(self.column) is None
-        return not is_null if self.negated else is_null
-
     def compile(self) -> RowMatcher:
         column = self.column
         if self.negated:
@@ -260,9 +292,6 @@ class IsNull(Predicate):
 class And(Predicate):
     def __init__(self, operands: Sequence[Predicate]):
         self.operands = list(operands)
-
-    def matches(self, row: dict[str, Any]) -> bool:
-        return all(operand.matches(row) for operand in self.operands)
 
     def compile(self) -> RowMatcher:
         parts = tuple(operand.compile() for operand in self.operands)
@@ -306,9 +335,6 @@ class Or(Predicate):
     def __init__(self, operands: Sequence[Predicate]):
         self.operands = list(operands)
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        return any(operand.matches(row) for operand in self.operands)
-
     def compile(self) -> RowMatcher:
         parts = tuple(operand.compile() for operand in self.operands)
         if not parts:
@@ -351,9 +377,6 @@ class Not(Predicate):
     def __init__(self, operand: Predicate):
         self.operand = operand
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        return not self.operand.matches(row)
-
     def compile(self) -> RowMatcher:
         inner = self.operand.compile()
         return lambda row: not inner(row)
@@ -368,9 +391,6 @@ class Not(Predicate):
 
 class TruePredicate(Predicate):
     """Matches every row; the implicit WHERE of an unfiltered scan."""
-
-    def matches(self, row: dict[str, Any]) -> bool:
-        return True
 
     def compile(self) -> RowMatcher:
         return lambda row: True
@@ -451,3 +471,56 @@ def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
     if not found:
         return None
     return (low, high, low_inclusive, high_inclusive)
+
+
+def collect_refs(node: Optional[Predicate], found: list[Ref]) -> None:
+    """Append the :class:`Ref` literals of ``node`` to ``found``, in tree
+    order.  Runs on every statement of every batch: exact types, no
+    allocation."""
+    kind = type(node)
+    if kind is Comparison:
+        if type(node.value) is Ref:
+            found.append(node.value)
+    elif kind is And or kind is Or:
+        for operand in node.operands:
+            if type(operand) is not Comparison:
+                collect_refs(operand, found)
+            elif type(operand.value) is Ref:
+                found.append(operand.value)
+    elif kind is Between:
+        if type(node.low) is Ref:
+            found.append(node.low)
+        if type(node.high) is Ref:
+            found.append(node.high)
+    elif kind is Not:
+        collect_refs(node.operand, found)
+
+
+def map_refs(node: Optional[Predicate], bind: Callable[[Ref], Any]) -> Optional[Predicate]:
+    """``node`` with each :class:`Ref` literal replaced by ``bind(ref)``;
+    a subtree without one is kept as it is."""
+    kind = type(node)
+    if kind is Comparison:
+        if type(node.value) is Ref:
+            return Comparison(node.column, node.op, bind(node.value))
+    elif kind is And or kind is Or:
+        operands = None
+        for position, operand in enumerate(node.operands):
+            if type(operand) is Comparison and type(operand.value) is not Ref:
+                continue        # the common leaf, skipped without a call
+            mapped = map_refs(operand, bind)
+            if mapped is not operand:
+                operands = operands or list(node.operands)
+                operands[position] = mapped
+        if operands is not None:
+            return kind(operands)
+    elif kind is Between:
+        low, high = node.low, node.high
+        if type(low) is Ref or type(high) is Ref:
+            return Between(node.column, bind(low) if type(low) is Ref else low,
+                           bind(high) if type(high) is Ref else high)
+    elif kind is Not:
+        operand = map_refs(node.operand, bind)
+        if operand is not node.operand:
+            return Not(operand)
+    return node

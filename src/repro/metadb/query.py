@@ -16,15 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
     Predicate,
+    Ref,
+    collect_refs,
     TruePredicate,
     conjuncts,
     equality_on,
     in_list_on,
+    map_refs,
     range_on,
 )
 from .storage import Table, TableStats
@@ -111,6 +114,77 @@ class Explain:
     @property
     def table(self) -> str:
         return self.select.table
+
+
+# -- references between the statements of one batch --------------------------
+
+def references(statements: Sequence[Any]) -> Optional[list[tuple[int, ...]]]:
+    """Per statement of a batch, the earlier statements its
+    :class:`Ref` literals name (``()``: none); None when no statement of
+    the batch holds one.  A reference to the statement itself, to a later
+    one, past either end of the batch, or to anything but a SELECT is a
+    :class:`QueryError`, raised here, before anything runs."""
+    found: Optional[list[tuple[int, ...]]] = None
+    for index, statement in enumerate(statements):
+        refs: list[Ref] = []
+        collect_refs(getattr(statement, "where", None), refs)
+        if not refs:
+            continue
+        for ref in refs:
+            target = ref.statement
+            if not 0 <= target < index or not isinstance(statements[target], Select):
+                raise QueryError(f"statement {index} references statement {target}: "
+                                 "a reference names an earlier SELECT of its batch")
+        if found is None:
+            found = [()] * len(statements)
+        found[index] = tuple([ref.statement for ref in refs])
+    return found
+
+
+def bind(statement: Any, needs: tuple[int, ...], results: Sequence[Any],
+         bound: list[tuple[Any, Any]]) -> bool:
+    """Bind ``statement``'s references, in place, to the first rows of the
+    ``results`` they name, noting its WHERE as it was in ``bound``; False,
+    the statement untouched, when one of those returned no row: a
+    statement that holds a reference runs only then.  A batch that
+    answers leaves each statement holding the WHERE it ran with, so
+    that ``execute`` replays it; one that fails calls :func:`unbind`."""
+    for index in needs:
+        if not results[index]:
+            return False
+    bound.append((statement, statement.where))
+    statement.where = map_refs(statement.where,
+                               lambda ref: ref.value_in(results[ref.statement][0]))
+    return True
+
+
+def unbind(bound: list[tuple[Any, Any]]) -> None:
+    """Give the statements of a failed batch their references back, for
+    a retry to bind afresh."""
+    for statement, where in bound:
+        statement.where = where
+
+
+def run_in_order(statements: Sequence[Any],
+                 needs: Optional[list[tuple[int, ...]]],
+                 execute: Callable[[Any], Any]) -> list[Any]:
+    """Each statement through ``execute`` in statement order, bound to
+    the results before it (``needs`` from :func:`references`); a
+    statement whose reference found no row is not executed and its
+    result is ``[]``."""
+    if needs is None:
+        return [execute(statement) for statement in statements]
+    results: list[Any] = []
+    bound: list[tuple[Any, Any]] = []
+    try:
+        for statement, wanted in zip(statements, needs):
+            results.append(execute(statement)
+                           if not wanted or bind(statement, wanted, results, bound)
+                           else [])
+    except BaseException:
+        unbind(bound)
+        raise
+    return results
 
 
 @dataclass(frozen=True)

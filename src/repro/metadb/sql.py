@@ -33,7 +33,6 @@ Supported grammar (case-insensitive keywords)::
 from __future__ import annotations
 
 import re
-from math import isfinite
 from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -48,6 +47,8 @@ from .predicate import (
     Not,
     Or,
     Predicate,
+    Ref,
+    check_literal,
 )
 from .query import Aggregate, Delete, Explain, Insert, Select, Update
 
@@ -519,7 +520,9 @@ class PreparedStatement:
 
     def bind(self, params: Sequence[Any]) -> Statement:
         """A fresh statement, equal to parsing ``sql`` with each ``?``
-        written out as the literal :func:`to_sql` renders for its value."""
+        written out as the literal :func:`to_sql` renders for its value.
+        A :class:`~repro.metadb.predicate.Ref` is bound as it is: the
+        database checks the value it resolves to the same way."""
         if len(params) != self.arity:
             raise QueryError(
                 f"statement takes {self.arity} parameters, got {len(params)}: {self.sql}"
@@ -527,9 +530,8 @@ class PreparedStatement:
         for value in params:
             if value is None or isinstance(value, (int, str)):  # bool is an int
                 continue
-            if isinstance(value, float) and isfinite(value):
-                continue
-            raise QueryError(f"cannot bind {value!r} as a SQL literal")
+            if type(value) is not Ref:
+                check_literal(value)
         return self._build(params)
 
 

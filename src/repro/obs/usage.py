@@ -175,8 +175,8 @@ def calibration_drift(
 
     pages = page_characteristics(obs)
     # Logical queries per page is batching-invariant: the seven §7.2
-    # statements ride in fewer round trips, but they are still issued
-    # (and counted), so batched deployments don't falsely trip this.
+    # statements ride in one round trip, but they are still sent (and
+    # counted), so batched deployments don't falsely trip this.
     compare("dm_queries_per_page", float(QUERIES_PER_REQUEST),
             pages.get("dm_queries_per_page"))
     # Round trips per page is the batching contract itself.

@@ -34,7 +34,9 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..metadb.database import Database, DatabaseStats
-from ..metadb.query import Delete, Explain, Insert, Select, Update
+from ..metadb.query import (
+    Delete, Explain, Insert, Select, Update, references, run_in_order,
+)
 from ..metadb.schema import TableSchema
 from ..metadb.sql import Statement, parse
 from ..metadb.transactions import Transaction
@@ -451,7 +453,8 @@ class ReplicaGroup:
         survivors are rotated round-robin; a transient failure records
         against the copy's breaker and fails the whole batch over to the
         next candidate, landing on the primary if every follower is out.
-        The counters move by the number of statements."""
+        The counters move by the number of statements answered, a
+        statement whose reference found no row (its ``[]``) included."""
         head = self.log.head_lsn
         with self._lock:
             replicas = list(self.replicas)
@@ -601,14 +604,16 @@ class ReplicaGroup:
         tx: Optional[Transaction] = None,
     ) -> list[Any]:
         """An autocommit batch of reads is one copy's to answer
-        (:meth:`_read_with_failover`); anything else runs in statement
-        order, on the primary where :meth:`execute` sends it."""
+        (:meth:`_read_with_failover`), references and all; anything else
+        runs in statement order, on the primary where :meth:`execute`
+        sends it."""
         statements = [parse(statement) if isinstance(statement, str)
                       else statement for statement in statements]
         if tx is None and statements and all(
                 isinstance(statement, Select) for statement in statements):
             return self._read_with_failover(statements)
-        return [self.execute(statement, tx=tx) for statement in statements]
+        return run_in_order(statements, references(statements),
+                            lambda statement: self.execute(statement, tx=tx))
 
     def checkpoint(self) -> None:
         self.primary.checkpoint()

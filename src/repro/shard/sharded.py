@@ -49,6 +49,7 @@ from ..metadb.errors import TransactionError
 from ..metadb.predicate import Comparison, Predicate, conjuncts
 from ..metadb.query import (
     Aggregate, Delete, Explain, Insert, Join, Select, Update,
+    bind, references, run_in_order, unbind,
 )
 from ..metadb.schema import BROADCAST as EVERYWHERE, TableSchema
 from ..metadb.sql import Statement, parse
@@ -513,15 +514,45 @@ class ShardedDatabase:
         tx: Optional[_ShardedTransaction] = None,
     ) -> list[Any]:
         """A batch of reads is routed against one topology and reaches
-        each shard it targets as one sub-batch (:meth:`_read_batch`).  A
+        each shard it targets as one sub-batch (:meth:`_read_batch`).
+        With references in it, it goes in waves against that topology:
+        first the statements that hold none, then each statement once
+        the statements it names have answered, bound to their rows.  A
         batch with a mutation in it runs in statement order, because
         order is what it means."""
         statements = [parse(statement) if isinstance(statement, str)
                       else statement for statement in statements]
+        needs = references(statements)
         if not all(isinstance(statement, Select) for statement in statements):
-            return [self.execute(statement, tx=tx) for statement in statements]
+            return run_in_order(statements, needs,
+                                lambda statement: self.execute(statement, tx=tx))
         self._admit(tx)
-        return self._read_batch(statements, tx)
+        if needs is None:
+            return self._read_batch(statements, tx)
+        topology = tx.topology if tx is not None else self._topology
+        probes: dict = {}
+        depth: list[int] = []      # one more than the deepest it names
+        for wanted in needs:
+            depth.append(1 + max(depth[index] for index in wanted) if wanted else 0)
+        results: list[Any] = [None] * len(statements)
+        bound: list[tuple[Select, Any]] = []
+        try:
+            for wave in range(max(depth) + 1):
+                ready = []
+                for index in (index for index, at in enumerate(depth) if at == wave):
+                    if not needs[index] or bind(statements[index], needs[index],
+                                                results, bound):
+                        ready.append(index)
+                    else:
+                        results[index] = []
+                answers = self._read_batch([statements[index] for index in ready],
+                                           tx, topology, probes)
+                for index, rows in zip(ready, answers):
+                    results[index] = rows
+        except BaseException:
+            unbind(bound)
+            raise
+        return results
 
     # -- routing -------------------------------------------------------------------
 
@@ -641,11 +672,15 @@ class ShardedDatabase:
     # -- reads ---------------------------------------------------------------------
 
     def _read_batch(self, selects: Sequence[Select],
-                    tx: Optional[_ShardedTransaction]) -> list[list[dict]]:
+                    tx: Optional[_ShardedTransaction],
+                    topology: Optional[_Topology] = None,
+                    probes: Optional[dict] = None) -> list[list[dict]]:
         """Every read's path, the single ``execute`` as a batch of one.
 
         The batch is routed against one topology snapshot (inside a
-        transaction, the transaction's), each shard it targets is sent
+        transaction, the transaction's; each wave of a batch with
+        references is handed the batch's, and the owner probes answered
+        so far), each shard it targets is sent
         its statements as one sub-batch, under its own part of ``tx`` if
         there is one, and each statement is then merged and accounted as
         if it had travelled alone.  A shard that cannot answer is missing
@@ -654,10 +689,11 @@ class ShardedDatabase:
         sub-batch of the shard the round-robin picks and moves on to the
         next if that one cannot.  There is no snapshot across shards.
         """
-        topology = tx.topology if tx is not None else self._topology
+        if topology is None:
+            topology = tx.topology if tx is not None else self._topology
         shard_map = topology.shard_map
         transient: list[BaseException] = []
-        probes: dict = {}
+        probes = {} if probes is None else probes
         reads: list[_Read] = []
         asked: dict[int, list[_Read]] = {}
         for select in selects:

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..analysis import render_pgm
 from ..dm import UnknownQuery
+from ..dm.semantic import ENTITIES
 from ..metadb import And, Comparison, QueryError, Select, parse as parse_sql
 from ..obs import resolve as resolve_obs, sparkline, to_line_protocol
 from ..security import AuthError, User, scoped_where
@@ -123,7 +124,7 @@ class Servlets:
         except ValueError:
             return HttpResponse.error(400, "missing hle id")
         # The seven logical queries of §7.2, fetched through the DM's
-        # page multi-get in two round trips.
+        # page multi-get in one round trip.
         page = self.dm.fetch_page(user, hle_id)
         hle = page.hle
         context = self._base_context(request, hle["title"] or f"HLE {hle_id}")
@@ -177,25 +178,22 @@ class Servlets:
 
     # -- files of an item: images and downloads -------------------------------------------------
 
-    #: Item-id prefix -> the semantic-layer read that scopes it to a user.
-    _ITEM_GATES = {"ana": "get_analysis", "hle": "get_hle", "cat": "get_catalog"}
-
-    def _gate_item(self, user: Optional[User], item_id: str) -> Optional[HttpResponse]:
-        """The visibility gate in front of an item's files: one scoped
-        read through the semantic layer, chosen by the id's prefix.  A
-        hidden item raises :class:`~repro.dm.EntityNotFound` exactly like
-        a missing one (404); an id that does not parse is a 400.  Ids of
-        other kinds (raw units, routines) have no owner to check."""
-        prefix, _, key = item_id.partition(":")
-        gate = self._ITEM_GATES.get(prefix)
-        if gate is None:
-            return None
+    def _item_files(self, user: Optional[User], item_id: str,
+                    role: Optional[str] = None):
+        """An item's files behind the visibility gate of the entity its id
+        names by prefix (:meth:`~repro.dm.SemanticLayer.item_files`, one
+        round trip).  A hidden item raises
+        :class:`~repro.dm.EntityNotFound` exactly like a missing one
+        (404); an entity id that does not parse is a 400 response.  Ids
+        of other kinds (raw units, routines) have no owner to check."""
+        kind, _, key = item_id.partition(":")
+        if kind not in ENTITIES:
+            return self.dm.io.names.resolve_files(item_id, role=role)
         try:
             entity_id = int(key)
         except ValueError:
-            return HttpResponse.error(400, f"bad {prefix} item id")
-        getattr(self.dm.semantic, gate)(user, entity_id)
-        return None
+            return HttpResponse.error(400, f"bad {kind} item id")
+        return self.dm.semantic.item_files(user, kind, entity_id, role)
 
     def image(self, request: HttpRequest) -> HttpResponse:
         user = self._user_for(request)
@@ -204,10 +202,9 @@ class Servlets:
             index = int(request.params.get("index", "0"))
         except ValueError:
             index = 0
-        refused = self._gate_item(user, item_id)
-        if refused is not None:
-            return refused
-        names = self.dm.io.names.resolve_files(item_id, role="image")
+        names = self._item_files(user, item_id, role="image")
+        if isinstance(names, HttpResponse):
+            return names
         if not 0 <= index < len(names):
             return HttpResponse.error(404, f"no image {index} for {item_id}")
         etag = f'"{names[index].checksum}"' if names[index].checksum else None
@@ -226,10 +223,9 @@ class Servlets:
         if user is None or not user.has_right("download"):
             return HttpResponse.error(403, "download requires an account with the right")
         item_id = request.params.get("item", "")
-        refused = self._gate_item(user, item_id)
-        if refused is not None:
-            return refused
-        names = self.dm.io.names.resolve_files(item_id)
+        names = self._item_files(user, item_id)
+        if isinstance(names, HttpResponse):
+            return names
         wanted = request.params.get("path")
         for name in names:
             if wanted is None or name.path == wanted:

@@ -1,13 +1,17 @@
 """Page oracle: the HLE page and name construction as they were before
-they were batched.
+they were batched, and the page as it was before its batch carried
+references.
 
-:func:`fetch_page` is ``DataManager.fetch_page(batched=False)`` of the
-parent commit, the paper's one-query-per-trip sequence (seven trips
-without file rows, more with); :func:`resolve_files` is
-``NameMapper._resolve_files``, one ``loc_files`` query and then one
-``loc_archives`` query per file row.  ``tests/test_pages.py`` and
-``tests/test_web_scheduler.py`` require the two-trip page and the joined
-statement to return the same rows and bytes.  Not imported by ``src``.
+:func:`fetch_page` is ``DataManager.fetch_page(batched=False)`` as it
+was, the paper's one-query-per-trip sequence (seven trips without file
+rows, more with); :func:`fetch_page_in_two_trips` is the
+``DataManager.fetch_page`` the one-trip page replaced (the scoped tuple,
+then one batch of the six statements its values determine, bound in the
+DM); :func:`resolve_files` is ``NameMapper._resolve_files``, one
+``loc_files`` query and then one ``loc_archives`` query per file row.
+``tests/test_pages.py`` and ``tests/test_web_scheduler.py`` require the
+one-trip page and the joined statement to return the same rows and
+bytes.  Not imported by ``src``.
 """
 
 from __future__ import annotations
@@ -86,3 +90,36 @@ def fetch_page(dm: DataManager, user: Optional[User], hle_id: int) -> HlePage:
     neighbours = io.execute(neighbours_q)
     return HlePage(hle, analyses, n_analyses, n_catalogs, similar,
                    neighbours, files)
+
+
+def fetch_page_in_two_trips(dm: DataManager, user: Optional[User],
+                            hle_id: int) -> HlePage:
+    hle = dm.semantic.get_hle(user, hle_id)
+    rate = hle.get("peak_rate") or 0.0
+    by_hle = Comparison("hle_id", "=", hle_id)
+    count = [Aggregate("count", "*", "n")]
+    analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
+        dm.io.execute_batch([
+            Select("ana", where=scoped_where(user, by_hle),
+                   order_by=[("ana_id", "asc")]),
+            Select("ana", where=by_hle, aggregates=count),
+            Select("catalog_members", where=by_hle, aggregates=count),
+            dm.io.names.files_statement(hle["item_id"]),
+            Select(
+                "hle",
+                where=scoped_where(
+                    user, Between("peak_rate", rate * 0.5, rate * 1.5)),
+                order_by=[("peak_rate", "desc")], limit=40,
+            ),
+            Select(
+                "hle",
+                where=scoped_where(
+                    user,
+                    Between("start_time", hle["start_time"] - 3600,
+                            hle["start_time"] + 3600)),
+                order_by=[("start_time", "asc")], limit=40,
+            ),
+        ])
+    files = dm.io.names.resolve_from_rows(hle["item_id"], file_rows)
+    return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],
+                   similar, neighbours, files)

@@ -234,7 +234,10 @@ def read_with_failover(self: ReplicaGroup, statement: Select) -> list[dict]:
 
 # -- running a stack on the retired bodies -------------------------------------
 
-def _read_batch(self: ShardedDatabase, selects: Sequence[Select], tx):
+def _read_batch(self: ShardedDatabase, selects: Sequence[Select], tx,
+                topology=None, probes=None):
+    """A wave of a batch with references is handed the batch's topology
+    and probes; statement by statement, each read takes its own."""
     return [execute_select(self, select, tx) for select in selects]
 
 

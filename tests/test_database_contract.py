@@ -4,8 +4,9 @@ Every class the tiers above the data tier can be handed — a plain
 ``Database``, a ``ReplicaGroup``, a ``ShardedDatabase``, their
 composition, and the load harness's ``RemoteDatabase`` — is held to the
 same behaviour here.  The core is a stateful property test: a random
-interleaving of inserts, updates, deletes, batches, queries,
-transactions (with rollbacks) and, on the persistent builds,
+interleaving of inserts, updates, deletes, batches (reads bound to an
+earlier statement's row among them), queries, transactions (with
+rollbacks) and, on the persistent builds,
 close/reopen must always agree with a plain Python-dict model,
 regardless of which index, shard or copy served each statement: on a
 table the sharded builds place by its key, on a parent/child pair they
@@ -48,6 +49,8 @@ from repro.metadb import (
     Insert,
     IntegrityError,
     Join,
+    QueryError,
+    Ref,
     Select,
     TableSchema,
     TransactionError,
@@ -55,6 +58,7 @@ from repro.metadb import (
     follows,
     follows_item,
     partitioned,
+    prepare,
 )
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
@@ -221,6 +225,15 @@ def _item_of(ref: int) -> str:
     if ref % 4 == 3:
         return f"x:{ref % 2}"
     return f"c:{ref // 2}" if ref % 2 else f"e:{ref // 4}"
+
+
+def _executed(db) -> int:
+    """SELECTs run where rows live: a replica group counts every
+    statement its copy answered, its copies the ones they ran."""
+    if isinstance(db, ReplicaGroup):
+        return sum(copy.stats.selects for copy in
+                   [db.primary, *(replica.db for replica in db.replicas)])
+    return db.stats.selects
 
 
 class ContractMachine(RuleBasedStateMachine):
@@ -431,6 +444,51 @@ class ContractMachine(RuleBasedStateMachine):
         assert results == expected
         assert results == [self.db.execute(statement, tx=self.tx)
                            for statement in statements]
+
+    @rule(event_id=EVENT_IDS, span=st.integers(min_value=0, max_value=8))
+    def reads_bound_to_an_earlier_row(self, event_id, span):
+        """Reads bound on the database side to the row of the batch's
+        first statement (by parent key, by key, by a range around it)
+        and to an aggregate's NULL, with and without ``if_null``; all of
+        them ``[]``, unexecuted, when the first statement finds nothing.
+        Afterwards each statement that ran holds what it ran with."""
+        by_event = Comparison("e_id", "=", Ref(0, "id"))
+        statements = [
+            Select("e", where=Comparison("id", "=", event_id)),
+            Select("c", where=by_event, order_by=[("cid", "asc")]),
+            Select("e", where=Comparison("id", "=", Ref(0, "id"))),
+            Select("e", where=Between("at", Ref(0, "at", shift=-span),
+                                      Ref(0, "at", shift=span)),
+                   order_by=[("at", "asc"), ("id", "asc")]),
+            Select("c", where=by_event, aggregates=[Aggregate("max", "cid", "top")]),
+            Select("c", where=Comparison("cid", "=", Ref(4, "top"))),
+            Select("c", where=Comparison("cid", ">=", Ref(4, "top", if_null=0)),
+                   order_by=[("cid", "asc")]),
+        ]
+        executed = _executed(self.db)
+        results = self.db.execute_batch(statements, tx=self.tx)
+        event = self.events.get(event_id)
+        if event is None:
+            assert results == [[]] * len(statements)
+            assert _executed(self.db) == executed + 1
+            with pytest.raises(QueryError):     # still holds its reference
+                self.db.execute(statements[1], tx=self.tx)
+            return
+        # Each statement is left as it ran: replayed alone, the same rows.
+        assert results == [self.db.execute(statement, tx=self.tx)
+                           for statement in statements]
+        children = self._children_of({event_id})
+        top = children[-1]["cid"] if children else None
+        assert results == [
+            [event], children, [event],
+            sorted((row for row in self.events.values()
+                    if abs(row["at"] - event["at"]) <= span),
+                   key=lambda row: (row["at"], row["id"])),
+            [{"top": top}],
+            children[-1:],
+            [row for row in sorted(self.children.values(), key=lambda row: row["cid"])
+             if row["cid"] >= (top or 0)],
+        ]
 
     # -- a table whose rows follow their item -------------------------------
 
@@ -728,6 +786,61 @@ def test_a_left_outer_join_reads_like_the_plain_database(build, opened):
     inner = model.execute(Select("t", join=Join("notes", "v", "note_id")))
     assert len(inner) == 4
     model.close()
+
+
+@every_build
+def test_a_malformed_reference_is_refused_before_anything_runs(build, opened):
+    """A reference to itself, to a later statement, past either end of
+    the batch or to a statement that is not a SELECT, and one handed to
+    plain ``execute``: a ``QueryError``, with nothing run."""
+    event = {"id": 1, "at": 3, "label": "x", "item": "e:1"}
+    opened.execute(Insert("e", event))
+    point = Select("e", where=Comparison("id", "=", 1))
+
+    def bound_to(index: int) -> Select:
+        return Select("c", where=Comparison("e_id", "=", Ref(index, "id")))
+
+    insert = Insert("notes", {"note_id": 1, "text": "never"})
+    for batch in ([point, bound_to(2), point], [bound_to(0)],
+                  [point, bound_to(-1)], [point, bound_to(7)],
+                  [insert, bound_to(0)]):
+        selects = opened.stats.selects
+        with pytest.raises(QueryError):
+            opened.execute_batch(batch)
+        assert opened.stats.selects == selects
+    for statement in (bound_to(0), Select("e", where=Comparison("id", "=", Ref(0, "id"))),
+                      Select("e", where=Between("at", Ref(0, "at"), 9)),
+                      Select("notes", where=Comparison("note_id", ">", Ref(0, "id"))),
+                      Select("t", where=Comparison("tag", "=", Ref(0, "item")))):
+        selects = opened.stats.selects
+        with pytest.raises(QueryError, match="unresolved"):
+            opened.execute(statement)
+        assert opened.stats.selects == selects
+    assert opened.execute(Select("notes")) == []
+    assert opened.execute_batch([point, bound_to(0)]) == [[event], []]
+
+
+@every_build
+def test_a_bound_value_is_checked_like_a_literal(build, opened):
+    """NaN and bytes may be stored but not bound: a reference that
+    resolves to one fails as the literal fails in ``bind``."""
+    opened.create_table(TableSchema(
+        "blobs", [Column("id", ColumnType.INTEGER, nullable=False),
+                  Column("data", ColumnType.BLOB), Column("x", ColumnType.REAL)],
+        primary_key="id"))
+    opened.execute(Insert("blobs", {"id": 1, "data": b"\x00", "x": float("nan")}))
+    template = prepare("SELECT * FROM t WHERE v = ?")
+    for column, value in (("data", b"\x00"), ("x", float("nan"))):
+        with pytest.raises(QueryError) as literal:
+            template.bind([value])
+        by_id = Select("t", where=Comparison("k", "=", Ref(0, "id")))
+        with pytest.raises(QueryError) as bound:
+            opened.execute_batch([
+                Select("blobs"), by_id,
+                Select("t", where=Comparison("v", "=", Ref(0, column)))])
+        assert str(bound.value) == str(literal.value)
+        # The batch failed: what it had bound holds its reference again.
+        assert type(by_id.where.value) is Ref
 
 
 @every_build

@@ -184,6 +184,43 @@ class TestIoLayer:
         dm.io.execute_batch([Select("loc_archives"), Select("hle")])
         assert calls == ["default"] and stats.round_trips - trips == 4
 
+    def test_a_reference_across_databases_is_bound_between_the_trips(self, dm):
+        """A reference into an earlier group is bound by the DM between
+        the calls, one inside a group is renumbered for the call it
+        travels in, and a statement whose referenced row is missing is
+        not sent: a group left empty is no trip."""
+        from repro.metadb import Database, Ref
+        from repro.schema import install_generic
+
+        other = Database(name="browse-db")
+        install_generic(other)
+        dm.io.attach_database("browse", other)
+        dm.io.route_table("ops_log", "browse")
+        alice = dm.users.create_user("alice", "pw", group="scientist")
+        dm.io.log("test", "routed message", user_id=alice.user_id)
+        (logged,) = other.execute(Select("ops_log"))
+
+        def batch(login: str) -> list:
+            return [
+                Select("admin_users", where=Comparison("login", "=", login)),
+                Select("ops_log", where=Comparison("user_id", "=", Ref(0, "user_id"))),
+                Select("ops_log", where=Comparison("log_id", "=", Ref(1, "log_id"))),
+                Select("admin_users", columns=["login"],
+                       where=Comparison("user_id", "=", Ref(2, "user_id"))),
+            ]
+
+        stats = dm.io.stats
+        queries, trips, ran = stats.queries, stats.round_trips, other.stats.selects
+        user, *rest = dm.io.execute_batch(batch("alice"))
+        assert user[0]["user_id"] == alice.user_id
+        assert rest == [[logged], [logged], [{"login": "alice"}]]
+        assert (stats.queries - queries, stats.round_trips - trips) == (4, 3)
+        assert other.stats.selects - ran == 2
+        queries, trips, ran = stats.queries, stats.round_trips, other.stats.selects
+        assert dm.io.execute_batch(batch("nobody")) == [[], [], [], []]
+        assert (stats.queries - queries, stats.round_trips - trips) == (4, 1)
+        assert other.stats.selects == ran
+
     def test_unknown_route_target_rejected(self, dm):
         with pytest.raises(ValueError):
             dm.io.route_table("hle", "nowhere")
@@ -500,8 +537,12 @@ class TestSemanticLayer:
         empty = dm.semantic.create_catalog(alice, "empty", public=True)
         assert dm.semantic.catalog_hles(bob, empty) == []
         hidden = dm.semantic.create_catalog(alice, "hidden", public=False)
+        dm.semantic.add_to_catalog(alice, hidden, hle_ids[0])
+        ran = dm.io.default_database.stats.selects
         with pytest.raises(EntityNotFound):
             dm.semantic.catalog_hles(bob, hidden)
+        # The member list is bound to the gate: a hidden catalogue's is not read.
+        assert dm.io.default_database.stats.selects == ran + 1
 
 
 class TestProcessLayer:

@@ -32,20 +32,21 @@ from repro.metadb.predicate import conjuncts, equality_on, range_on
 from repro.metadb.query import _apply_order
 
 from .oracle_ordering import ordered
+from .oracle_predicate import matches
 
 
 class TestPredicates:
     def test_comparison_operators(self):
         row = {"x": 5}
-        assert Comparison("x", "=", 5).matches(row)
-        assert Comparison("x", "!=", 4).matches(row)
-        assert Comparison("x", "<", 6).matches(row)
-        assert Comparison("x", ">=", 5).matches(row)
-        assert not Comparison("x", ">", 5).matches(row)
+        assert matches(Comparison("x", "=", 5), row)
+        assert matches(Comparison("x", "!=", 4), row)
+        assert matches(Comparison("x", "<", 6), row)
+        assert matches(Comparison("x", ">=", 5), row)
+        assert not matches(Comparison("x", ">", 5), row)
 
     def test_comparison_with_null_is_false(self):
-        assert not Comparison("x", "=", 5).matches({"x": None})
-        assert not Comparison("x", "=", None).matches({"x": 5})
+        assert not matches(Comparison("x", "=", 5), {"x": None})
+        assert not matches(Comparison("x", "=", None), {"x": 5})
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
@@ -53,38 +54,38 @@ class TestPredicates:
 
     def test_between_inclusive(self):
         predicate = Between("x", 1, 3)
-        assert predicate.matches({"x": 1})
-        assert predicate.matches({"x": 3})
-        assert not predicate.matches({"x": 4})
+        assert matches(predicate, {"x": 1})
+        assert matches(predicate, {"x": 3})
+        assert not matches(predicate, {"x": 4})
 
     def test_in_and_like(self):
-        assert In("k", ["a", "b"]).matches({"k": "a"})
-        assert not In("k", ["a", "b"]).matches({"k": "c"})
-        assert Like("s", "fla%").matches({"s": "flare"})
-        assert Like("s", "f_are").matches({"s": "flare"})
-        assert not Like("s", "fla%").matches({"s": "burst"})
+        assert matches(In("k", ["a", "b"]), {"k": "a"})
+        assert not matches(In("k", ["a", "b"]), {"k": "c"})
+        assert matches(Like("s", "fla%"), {"s": "flare"})
+        assert matches(Like("s", "f_are"), {"s": "flare"})
+        assert not matches(Like("s", "fla%"), {"s": "burst"})
 
     def test_like_non_string_is_false(self):
-        assert not Like("s", "%").matches({"s": 5})
+        assert not matches(Like("s", "%"), {"s": 5})
 
     def test_like_rejects_trailing_newline(self):
         # Regression: a $-anchored re.match accepted "abc\n" for LIKE 'abc'.
-        assert not Like("s", "abc").matches({"s": "abc\n"})
-        assert not Like("s", "ab_").matches({"s": "abc\n"})
-        assert Like("s", "abc").matches({"s": "abc"})
-        assert Like("s", "abc%").matches({"s": "abc\n"})  # % may span newlines
-        assert Like("s", "ab_").matches({"s": "ab\n"})    # _ is any single char
+        assert not matches(Like("s", "abc"), {"s": "abc\n"})
+        assert not matches(Like("s", "ab_"), {"s": "abc\n"})
+        assert matches(Like("s", "abc"), {"s": "abc"})
+        assert matches(Like("s", "abc%"), {"s": "abc\n"})  # % may span newlines
+        assert matches(Like("s", "ab_"), {"s": "ab\n"})    # _ is any single char
 
     def test_is_null(self):
-        assert IsNull("x").matches({"x": None})
-        assert IsNull("x", negated=True).matches({"x": 1})
+        assert matches(IsNull("x"), {"x": None})
+        assert matches(IsNull("x", negated=True), {"x": 1})
 
     def test_boolean_combinators(self):
         predicate = (Comparison("a", ">", 1) & Comparison("a", "<", 5)) | Comparison("b", "=", 0)
-        assert predicate.matches({"a": 3, "b": 9})
-        assert predicate.matches({"a": 99, "b": 0})
-        assert not predicate.matches({"a": 99, "b": 9})
-        assert (~Comparison("a", "=", 1)).matches({"a": 2})
+        assert matches(predicate, {"a": 3, "b": 9})
+        assert matches(predicate, {"a": 99, "b": 0})
+        assert not matches(predicate, {"a": 99, "b": 9})
+        assert matches(~Comparison("a", "=", 1), {"a": 2})
 
     def test_conjunct_flattening(self):
         nested = And([Comparison("a", "=", 1), And([Comparison("b", "=", 2), Comparison("c", "=", 3)])])
@@ -360,14 +361,15 @@ def _random_row(rng: random.Random) -> dict:
 
 class TestPredicateCompilation:
     def test_differential_compile_vs_matches(self):
-        """compile()(row) must agree with matches(row) for every node type."""
+        """compile()(row) must agree with the oracle's tree walk for every
+        node type."""
         rng = random.Random(1234)
         for _trial in range(300):
             predicate = _random_predicate(rng)
             compiled = predicate.compile()
             for _row in range(20):
                 row = _random_row(rng)
-                assert compiled(row) == predicate.matches(row), (predicate, row)
+                assert compiled(row) == matches(predicate, row), (predicate, row)
 
     def test_fused_and_or_closures(self):
         predicate = And([Comparison("a", ">", 1), Comparison("a", "<", 5),

@@ -1,7 +1,8 @@
-"""The two-trip HLE page and the joined name construction against their
-oracle (``tests/oracle_pages.py``: one query per trip, one archive query
-per file row), on a plain ``Database``, a 4-shard ``ShardedDatabase``
-and a 4 x 2 replicated one."""
+"""The one-trip HLE page and the joined name construction against their
+oracles (``tests/oracle_pages.py``: one query per trip with one archive
+query per file row, and the two-trip page whose second batch the DM
+bound to the tuple), on a plain ``Database``, a 4-shard
+``ShardedDatabase`` and a 4 x 2 replicated one."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from repro.filestore import DiskArchive, StorageManager
 from repro.metadb import Database, Insert
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
-from repro.shard import ShardedDatabase
+from repro.resil.breaker import BreakerState
+from repro.shard import ShardedDatabase, ShardUnavailable
 from repro.web import HttpRequest, WebServer
 from repro.web.servlets import SESSION_COOKIE
 
@@ -28,11 +30,15 @@ ARCHIVES = ("main", "tape")
 ROLES = ("data", "image", "log")
 
 
-def _database(build: str):
+ORACLES = (oracle_pages.fetch_page, oracle_pages.fetch_page_in_two_trips)
+
+
+def _database(build: str, degraded_reads: bool = True):
     obs = Observability(name=build)
     if build == "plain":
         return Database(name=build, obs=obs)
     return ShardedDatabase(boundaries=BOUNDS, name=build, obs=obs,
+                           degraded_reads=degraded_reads,
                            replicas_per_shard=2 if build == "replicated" else 1)
 
 
@@ -58,7 +64,8 @@ def _lose_archive(database, archive_id: str) -> None:
 
 
 #: One event: (day, public, owned by bob, file rows as (archive, role),
-#: analyses as (public, owned by bob), catalogues it is filed in).
+#: analyses as (public, owned by bob), catalogues it is filed in, a NULL
+#: peak rate, an item id of its own rather than ``hle:<id>``).
 _events = st.lists(
     st.tuples(
         st.integers(0, 3), st.booleans(), st.booleans(),
@@ -66,16 +73,23 @@ _events = st.lists(
                  max_size=3),
         st.lists(st.tuples(st.booleans(), st.booleans()), max_size=2),
         st.sets(st.integers(0, 1)),
+        st.booleans(), st.booleans(),
     ),
     min_size=1, max_size=6,
 )
 
 
+def _event(day, public=True, bobs=False, files=(), analyses=(), filed=(),
+           no_rate=False, own_item=False):
+    return (day, public, bobs, list(files), list(analyses), set(filed),
+            no_rate, own_item)
+
+
 class _Stack:
     """One small catalogue loaded through a DataManager on ``build``."""
 
-    def __init__(self, build: str, events, tmp_path):
-        self.database = _database(build)
+    def __init__(self, build: str, events, tmp_path, degraded_reads=True):
+        self.database = _database(build, degraded_reads)
         storage = StorageManager(scratch_dir=tmp_path / "scratch")
         for archive_id in ARCHIVES:
             storage.register(DiskArchive(archive_id, tmp_path / archive_id))
@@ -87,19 +101,23 @@ class _Stack:
         self.users = (alice, bob, None)
         catalogs = [dm.semantic.create_catalog(alice, f"c{n}", public=True)
                     for n in range(2)]
-        self.hle_ids, ana_id = [], 0
-        for index, (day, public, bobs, files, analyses, filed) in enumerate(events):
+        self.hle_ids, self.items, ana_id = [], [], 0
+        for index, (day, public, bobs, files, analyses, filed, no_rate,
+                    own_item) in enumerate(events):
             owner = bob if bobs else alice
             # Distinct times and rates: no ORDER BY ties between builds.
             hle_id = dm.semantic.insert_hle(owner, {
                 "start_time": day * DAY + 100.0 * index, "end_time": day * DAY + 160.0,
-                "peak_rate": 40.0 + index, "public": public,
+                "peak_rate": None if no_rate else 40.0 + index, "public": public,
                 "title": f"event {index}", "created_at": 1000.0,
+                "item_id": f"flare-{index}" if own_item else None,
             })
+            item = f"flare-{index}" if own_item else f"hle:{hle_id}"
             self.hle_ids.append(hle_id)
+            self.items.append(item)
             for n, (archive_id, role) in enumerate(files):
                 dm.io.names.register_file(
-                    f"hle:{hle_id}", archive_id, f"hle/{hle_id}/{n}.bin",
+                    item, archive_id, f"hle/{hle_id}/{n}.bin",
                     role=role, checksum=f"sum-{hle_id}-{n}")
             for ana_public, ana_bobs in analyses:
                 ana_id += 1
@@ -122,18 +140,26 @@ class _Stack:
             HttpRequest("GET", "/hedc/hle", {"id": str(hle_id)}, cookies))
         return response.status, response.body
 
-    def oracle_page_bytes(self, user, hle_id: int):
-        self.dm.fetch_page = functools.partial(oracle_pages.fetch_page, self.dm)
+    def oracle_page_bytes(self, oracle, user, hle_id: int):
+        self.dm.fetch_page = functools.partial(oracle, self.dm)
         try:
             return self.page_bytes(user, hle_id)
         finally:
             del self.dm.fetch_page
+
+    def executed(self) -> int:
+        """Statements the database has answered so far."""
+        return self.database.stats.selects
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(events=_events)
 def test_page_and_names_equal_the_oracle_on_every_build(events, tmp_path_factory):
+    """Rows and bytes equal to both oracles, with a NULL rate (the rate
+    sweep then looks around 0.0), an item id of the event's own, no file
+    rows; a hidden or missing event is one trip in which the database
+    answers the gate and nothing else."""
     plain_bytes = {}
     for build in BUILDS:
         stack = _Stack(build, events, tmp_path_factory.mktemp(build))
@@ -141,42 +167,83 @@ def test_page_and_names_equal_the_oracle_on_every_build(events, tmp_path_factory
         for user in stack.users:
             for hle_id in stack.hle_ids + [max(stack.hle_ids) + 1]:
                 try:
-                    expected = oracle_pages.fetch_page(dm, user, hle_id)
+                    expected = [oracle(dm, user, hle_id) for oracle in ORACLES]
                 except EntityNotFound:
-                    trips = io.stats.round_trips
+                    for oracle in ORACLES:
+                        with pytest.raises(EntityNotFound):
+                            oracle(dm, user, hle_id)
+                    queries, trips = io.stats.queries, io.stats.round_trips
+                    executed = stack.executed()
                     with pytest.raises(EntityNotFound):
                         dm.fetch_page(user, hle_id)
-                    # Hidden or missing: the gate, and nothing after it.
-                    assert io.stats.round_trips == trips + 1
+                    # Sent seven, one trip; the gate alone ran.
+                    assert (io.stats.queries - queries,
+                            io.stats.round_trips - trips) == (7, 1)
+                    assert stack.executed() == executed + 1
                     assert stack.page_bytes(user, hle_id)[0] == 404
                     continue
                 queries, trips = io.stats.queries, io.stats.round_trips
                 page = dm.fetch_page(user, hle_id)
                 assert (io.stats.queries - queries,
-                        io.stats.round_trips - trips) == (7, 2)
-                assert page.hle == expected.hle
-                assert page.analyses == expected.analyses
-                assert page.n_analyses == expected.n_analyses
-                assert page.n_catalogs == expected.n_catalogs
-                assert page.similar == expected.similar
-                assert page.neighbours == expected.neighbours
-                assert page.files == expected.files
+                        io.stats.round_trips - trips) == (7, 1)
+                assert expected == [page, page]
                 served = stack.page_bytes(user, hle_id)
-                assert served == stack.oracle_page_bytes(user, hle_id)
+                for oracle in ORACLES:
+                    assert served == stack.oracle_page_bytes(oracle, user, hle_id)
                 # And every build serves what the plain database does.
                 who = user and user.login
                 assert plain_bytes.setdefault((who, hle_id), served) == served
-        for hle_id in stack.hle_ids:
+        for item in stack.items:
             for role in (None,) + ROLES:
-                assert io.names.resolve_files(f"hle:{hle_id}", role) == \
-                    oracle_pages.resolve_files(io, f"hle:{hle_id}", role)
+                assert io.names.resolve_files(item, role) == \
+                    oracle_pages.resolve_files(io, item, role)
+
+
+def _outcome(fetch):
+    """What a page fetch comes to: its rows and which of them are
+    partial, or the typed failure."""
+    try:
+        page = fetch()
+    except EntityNotFound:
+        return ("404",)
+    except ShardUnavailable as exc:
+        return ("unavailable", exc.shard_ids)
+    missing = [getattr(rows, "missing_shards", None)
+               for rows in (page.analyses, page.similar, page.neighbours)]
+    return ("partial" if any(missing) else "whole", page, missing)
+
+
+@pytest.mark.parametrize("degraded_reads", [True, False],
+                         ids=["degraded", "strict"])
+@pytest.mark.parametrize("build", ["sharded", "replicated"])
+def test_an_open_breaker_fails_the_page_as_it_failed_the_oracles(
+        build, degraded_reads, tmp_path):
+    """Events on every shard, shard 2's breaker open: an event there is
+    a 404 (its tuple cannot be found) and the others' sweeps over shard
+    2 come back partial, or fail typed without degraded reads, exactly
+    as on both oracles."""
+    events = [_event(day, files=[("main", "data")], analyses=[(True, False)],
+                     no_rate=day == 1) for day in (0, 1, 2, 3, 2)]
+    stack = _Stack(build, events, tmp_path, degraded_reads)
+    breaker = stack.database._breaker_for(2)
+    while breaker.state is not BreakerState.OPEN:
+        breaker.record_failure()
+    outcomes = set()
+    for user in stack.users:
+        for hle_id in stack.hle_ids:
+            fetched = _outcome(lambda: stack.dm.fetch_page(user, hle_id))
+            for oracle in ORACLES:
+                assert _outcome(lambda: oracle(stack.dm, user, hle_id)) == fetched
+            outcomes.add(fetched[:2] if fetched[0] == "unavailable" else fetched[0])
+    assert outcomes == ({"404", "partial"} if degraded_reads
+                        else {("unavailable", (2,))})
 
 
 @pytest.mark.parametrize("build", BUILDS)
 def test_file_row_of_a_lost_archive_fails_the_page(build, tmp_path):
     """An inner join would drop the row and serve a page without it."""
-    events = [(1, True, False, [("main", "data"), ("tape", "image")], [], set()),
-              (2, True, False, [("main", "data")], [], set())]
+    events = [_event(1, files=[("main", "data"), ("tape", "image")]),
+              _event(2, files=[("main", "data")])]
     stack = _Stack(build, events, tmp_path)
     dm, (alice, _bob, _anonymous) = stack.dm, stack.users
     broken, intact = stack.hle_ids
@@ -195,12 +262,13 @@ def test_file_row_of_a_lost_archive_fails_the_page(build, tmp_path):
 
 
 def test_what_an_operator_sees_of_one_page(tmp_path):
-    """One ``dm.batch`` span of six statements under the request, one
-    name construction per page, and no drift against the model's two
-    trips (the only constant ``calibration_drift`` compares them with)."""
+    """One ``dm.batch`` span of seven statements under the request, one
+    name construction per page, and no drift against the model's one
+    trip (the only constant ``calibration_drift`` compares them with)."""
     from repro.obs import calibration_drift
 
-    events = [(1, True, False, [("main", "data")], [(True, False)], {0})]
+    events = [_event(1, files=[("main", "data")], analyses=[(True, False)],
+                     filed={0})]
     stack = _Stack("plain", events, tmp_path)
     obs, (hle_id,) = stack.database.obs, stack.hle_ids
     lookups = stack.dm.describe()["name_mapping"]["lookups"]
@@ -213,8 +281,8 @@ def test_what_an_operator_sees_of_one_page(tmp_path):
     assert "batched_pages" not in stack.dm.describe()
     batches = [span for root in obs.tracer.finished_spans()
                for span in root.walk() if span.name == "dm.batch"]
-    assert [span.tags["statements"] for span in batches] == [6, 6, 6]
+    assert [span.tags["statements"] for span in batches] == [7, 7, 7]
     drift = {entry["metric"]: entry for entry in calibration_drift(obs)}
     assert drift["dm_queries_per_page"]["measured"] == 7
     trips = drift["dm_round_trips_per_page"]
-    assert (trips["predicted"], trips["measured"], trips["drifted"]) == (2.0, 2.0, False)
+    assert (trips["predicted"], trips["measured"], trips["drifted"]) == (1.0, 1.0, False)

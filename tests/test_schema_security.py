@@ -20,6 +20,8 @@ from repro.security import (
     visibility_predicate,
 )
 
+from .oracle_predicate import matches
+
 
 class TestSchemaInstallation:
     def test_generic_part_installs_alone(self):
@@ -159,23 +161,23 @@ def _user(user_id=1, rights=("browse", "download", "analyze", "upload"), group="
 class TestVisibility:
     def test_anonymous_sees_only_public(self):
         predicate = visibility_predicate(None)
-        assert predicate.matches({"public": True, "owner_id": 5})
-        assert not predicate.matches({"public": False, "owner_id": 5})
+        assert matches(predicate, {"public": True, "owner_id": 5})
+        assert not matches(predicate, {"public": False, "owner_id": 5})
 
     def test_owner_sees_own_private(self):
         predicate = visibility_predicate(_user(5))
-        assert predicate.matches({"public": False, "owner_id": 5})
-        assert not predicate.matches({"public": False, "owner_id": 6})
+        assert matches(predicate, {"public": False, "owner_id": 5})
+        assert not matches(predicate, {"public": False, "owner_id": 6})
 
     def test_admin_sees_everything(self):
         predicate = visibility_predicate(_user(1, rights=("admin",), group="admin"))
-        assert predicate.matches({"public": False, "owner_id": 99})
+        assert matches(predicate, {"public": False, "owner_id": 99})
 
     def test_scoped_where_combines(self):
         scoped = scoped_where(_user(5), Comparison("kind", "=", "flare"))
-        assert scoped.matches({"kind": "flare", "public": True, "owner_id": 9})
-        assert not scoped.matches({"kind": "grb", "public": True, "owner_id": 9})
-        assert not scoped.matches({"kind": "flare", "public": False, "owner_id": 9})
+        assert matches(scoped, {"kind": "flare", "public": True, "owner_id": 9})
+        assert not matches(scoped, {"kind": "grb", "public": True, "owner_id": 9})
+        assert not matches(scoped, {"kind": "flare", "public": False, "owner_id": 9})
 
 
 class TestConstraints:

@@ -283,10 +283,11 @@ class TestObservabilityIntegration:
         hle_handle = next(span for span in handles
                           if span.tags.get("route") == "/hedc/hle")
         assert hle_handle.tags.get("status") == 200
-        dm_spans = hle_handle.find("dm.query")
-        assert dm_spans, "web.handle must contain dm.query spans"
-        assert dm_spans[0].find("metadb.execute"), \
-            "dm.query must contain metadb.execute spans"
+        # The page is one batch (dm.batch), its statements beneath it.
+        dm_spans = hle_handle.find("dm.batch")
+        assert dm_spans, "web.handle must contain a dm.batch span"
+        assert len(dm_spans[0].find("metadb.execute")) == 7, \
+            "dm.batch must contain the page's metadb.execute spans"
         # Every span in the tree belongs to the same trace.
         assert {span.trace_id for span in roots[0].walk()} == {roots[0].span_id}
 

@@ -346,7 +346,7 @@ class TestFairnessUnderOverload:
 
 
 class TestBatchedPageFetch:
-    """The two-trip page against ``tests/oracle_pages.py``, the
+    """The one-trip page against ``tests/oracle_pages.py``, the
     one-query-per-trip sequence it replaced."""
 
     def test_batched_and_unbatched_pages_are_byte_identical(self, stack, monkeypatch):
@@ -357,7 +357,7 @@ class TestBatchedPageFetch:
         assert batched.status == unbatched.status == 200
         assert batched.body == unbatched.body
 
-    def test_page_round_trips_collapse_seven_to_two(self, stack, monkeypatch):
+    def test_page_round_trips_collapse_seven_to_one(self, stack, monkeypatch):
         io_stats = stack.dm.io.stats
         request = stack.request(f"/hedc/hle?id={stack.hle_ids[0]}")
 
@@ -366,7 +366,7 @@ class TestBatchedPageFetch:
             assert stack.web.handle(request).status == 200
             return io_stats.queries - queries, io_stats.round_trips - trips
 
-        assert cost() == (7, 2)              # logical queries unchanged
+        assert cost() == (7, 1)              # logical queries unchanged
         monkeypatch.setattr(type(stack.dm), "fetch_page", oracle_pages.fetch_page)
         assert cost() == (7, 7)
 
@@ -458,7 +458,7 @@ class TestLoadHarness:
             unbatched_s = time.perf_counter() - started
         finally:
             stack.shutdown()
-        # 2 sleeps vs 7 sleeps of 20ms: the batched page is decisively
+        # 1 sleep vs 7 sleeps of 20ms: the batched page is decisively
         # cheaper in wall-clock, with generous slack for scheduler noise.
         assert batched_s < 0.02 * 4
         assert unbatched_s > 0.02 * 6
