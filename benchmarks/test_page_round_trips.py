@@ -134,6 +134,34 @@ def test_every_read_servlet_is_within_its_trips(served):
     assert proxy.stats.selects == executed + 1
 
 
+def test_a_warm_hle_page_translates_nothing_and_plans_its_sweeps_only(
+        served, request, monkeypatch):
+    """The page is a prepared batch: once its shape is warm, a page
+    renders no SQL text, tokenizes nothing and scans no statement for
+    references, on either build.  On one ``Database`` the planner runs
+    for the two sweeps alone (``hle`` keeps a columnar copy, so their
+    plans depend on the bound rate and time); the five other shapes
+    reuse their plans."""
+    from repro.metadb import database, sql
+
+    _proxy, get, ids = served
+    url = f"/hedc/hle?id={ids['files']}"
+    assert get(url).status == 200       # warm: shapes prepared, plans kept
+    calls = {}
+    for module, name in ((sql, "_statement_sql"), (sql, "_tokenize"),
+                         (sql, "references"), (database, "plan_select")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    for _page in range(3):
+        assert get(url).status == 200
+    planned = calls.pop("plan_select", 0)
+    assert calls == {}
+    if request.node.callspec.params["served"] == "plain":
+        assert planned == 3 * 2
+
+
 def test_an_hle_page_on_the_wire_costs_one_trip_and_little_else(served):
     proxy, get, ids = served
     url = f"/hedc/hle?id={ids['files']}"

@@ -25,7 +25,7 @@ from .naming import ResolvedName
 from .maintenance import MaintenanceService
 from .process import ProcessLayer
 from .reports import PredefinedQueries, Reports
-from .semantic import SemanticLayer, found, scoped_select
+from .semantic import ENTITY, SemanticLayer, bind_scoped, found, scoped_select
 from .sessions import SessionCache
 
 
@@ -35,6 +35,7 @@ from .sessions import SessionCache
 _TUPLE_ID, _TUPLE_ITEM = Ref(0, "hle_id"), Ref(0, "item_id")
 _RATES = tuple(Ref(0, "peak_rate", scale=scale, if_null=0.0) for scale in (0.5, 1.5))
 _TIMES = tuple(Ref(0, "start_time", shift=shift) for shift in (-3600, 3600))
+_BY_HLE, _COUNT = Comparison("hle_id", "=", _TUPLE_ID), [Aggregate("count", "*", "n")]
 
 
 @dataclass
@@ -119,25 +120,22 @@ class DataManager:
         its file entries joined to their archives, and the two
         secondary-index sweeps around its rate and time), each bound on
         the database side to the tuple's row and not run when the gate
-        finds nothing.  ``tests/oracle_pages.py`` keeps the seven-trip
-        and the two-trip sequences this is compared against: identical
-        rows, identical page bytes.
+        finds nothing, as one batch prepared per visibility scope.  The
+        seven- and two-trip sequences of ``tests/oracle_pages.py`` agree
+        with it: identical rows, identical page bytes.
         """
-        by_hle = Comparison("hle_id", "=", _TUPLE_ID)
-        count = [Aggregate("count", "*", "n")]
         rows, analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
-            self.io.execute_batch([
-                scoped_select(user, "hle", hle_id),
-                Select("ana", where=scoped_where(user, by_hle),
-                       order_by=[("ana_id", "asc")]),
-                Select("ana", where=by_hle, aggregates=count),
-                Select("catalog_members", where=by_hle, aggregates=count),
+            self.io.execute_batch(bind_scoped(self.io, user, "page", lambda user: [
+                scoped_select(user, "hle", ENTITY),
+                Select("ana", where=scoped_where(user, _BY_HLE), order_by=[("ana_id", "asc")]),
+                Select("ana", where=_BY_HLE, aggregates=_COUNT),
+                Select("catalog_members", where=_BY_HLE, aggregates=_COUNT),
                 self.io.names.files_statement(_TUPLE_ITEM),
                 Select("hle", where=scoped_where(user, Between("peak_rate", *_RATES)),
                        order_by=[("peak_rate", "desc")], limit=40),
                 Select("hle", where=scoped_where(user, Between("start_time", *_TIMES)),
                        order_by=[("start_time", "asc")], limit=40),
-            ])
+            ], hle_id))
         hle = found(rows, "hle", hle_id)
         files = self.io.names.resolve_from_rows(hle["item_id"], file_rows)
         return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],

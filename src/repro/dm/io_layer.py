@@ -17,7 +17,6 @@ data accesses happen through this layer."  It owns:
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -25,18 +24,17 @@ from ..cache import Cache
 from ..filestore import ChecksumError, StorageManager, UnpackedCopy
 from ..obs import Observability, resolve as resolve_obs
 from ..metadb import (
+    Batch,
     DatabaseApi,
     Delete,
     Insert,
     LockTimeout,
-    Ref,
+    PreparedBatch,
     Select,
     Update,
     prepare as parse_sql,   # bench/trace.py times parse_sql and to_sql by these names
     to_sql,
 )
-from ..metadb.predicate import map_refs
-from ..metadb.query import references
 from ..resil import Deadline, InjectedFault, RetryPolicy
 from .naming import NameMapper, ResolvedName
 
@@ -99,6 +97,8 @@ class IoLayer:
         self.statements = Cache(
             "dm.statements", max_entries=STATEMENT_CACHE_SHAPES, obs=self.obs
         )
+        #: Batches prepared once per shape (``semantic.bind_scoped``).
+        self.batches: dict[Any, PreparedBatch] = {}
         #: Idempotent reads (autocommit SELECTs, archive retrievals) are
         #: retried through this policy; writes are never retried here.
         self.read_retry = RetryPolicy(
@@ -172,13 +172,14 @@ class IoLayer:
         obs.observe("dm.query_s", time.perf_counter() - started, kind=kind)
         return result
 
-    def execute_batch(self, statements: list[Select]) -> list[Any]:
+    def execute_batch(self, statements: Union[Batch, list[Select]]) -> list[Any]:
         """Run several autocommit SELECTs in grouped round trips.
 
         The multi-get behind :meth:`~repro.dm.dm.DataManager.fetch_page`:
         consecutive statements destined for the same database travel
         together through its ``execute_batch`` entry point (one round
-        trip each group, one retry scope).  A
+        trip each group, one retry scope).  A list is translated here, a
+        :class:`~repro.metadb.Batch` when its shape was prepared.  A
         :class:`~repro.metadb.Ref` to a statement of the same group is
         the database's to bind; one to an earlier group is bound here,
         between the trips.  Results come back in statement order.  Reads
@@ -194,19 +195,19 @@ class IoLayer:
                     f"got {type(statement).__name__}"
                 )
         Deadline.check_current("dm.execute_batch")
-        prepared = [self._through_sql(statement) for statement in statements]
-        self.stats.queries += len(prepared)
+        batch = statements if isinstance(statements, Batch) else Batch.of(
+            [self._through_sql(statement) for statement in statements])
+        self.stats.queries += len(batch)
         # Group consecutive statements sharing a database so routed
         # (vertically partitioned) tables still batch with their kin;
         # each group is one trip to its database.
         runs: list[tuple[DatabaseApi, int]] = []    # database, first statement
-        for index, statement in enumerate(prepared):
+        for index, statement in enumerate(batch):
             database = self.database_for(statement.table)
             if not runs or runs[-1][0] is not database:
                 runs.append((database, index))
-        needs = references(prepared) if len(runs) > 1 else None
 
-        def send(database: DatabaseApi, group: list[Select]) -> list[Any]:
+        def send(database: DatabaseApi, group: Batch) -> list[Any]:
             self.stats.round_trips += 1
             if len(group) > 1:
                 return database.execute_batch(group)
@@ -214,56 +215,24 @@ class IoLayer:
 
         def run() -> list[Any]:
             if len(runs) == 1:
-                return send(runs[0][0], prepared)
+                return send(runs[0][0], batch)
             results: list[Any] = []
             for number, (database, start) in enumerate(runs):
-                stop = runs[number + 1][1] if number + 1 < len(runs) else len(prepared)
-                bound: list[Optional[Select]] = prepared[start:stop]
-                if start and needs is not None:
-                    bound = self._bind_earlier(prepared, needs, results, start, stop)
-                group = [statement for statement in bound if statement is not None]
-                answers = iter(send(database, group) if group else ())
-                results.extend([] if statement is None else next(answers)
-                               for statement in bound)
+                stop = runs[number + 1][1] if number + 1 < len(runs) else len(batch)
+                group, sent = batch.part(start, stop, results)
+                answers = send(database, group) if group else []
+                results.extend(answers[sent[index]] if index in sent else []
+                               for index in range(start, stop))
             return results
 
         obs = self.obs
         if not obs.enabled:
             return self.read_retry.call(run)
         started = time.perf_counter()
-        with obs.span("dm.batch", statements=len(prepared)):
+        with obs.span("dm.batch", statements=len(batch)):
             result = self.read_retry.call(run)
         obs.observe("dm.batch_s", time.perf_counter() - started)
         return result
-
-    @staticmethod
-    def _bind_earlier(prepared: list[Select], needs: list[tuple[int, ...]],
-                      results: list[Any], start: int,
-                      stop: int) -> list[Optional[Select]]:
-        """``prepared[start:stop]`` as its database is sent it: references
-        to earlier groups bound to their rows, references inside the
-        group renumbered to the statements sent, and None for a statement
-        whose referenced row is not there (or whose referenced statement
-        is not sent)."""
-        bound: list[Optional[Select]] = []
-        sent: dict[int, int] = {}       # statement -> its place among those sent
-
-        def bind(ref: Ref) -> Any:
-            if ref.statement < start:
-                return ref.value_in(results[ref.statement][0])
-            return replace(ref, statement=sent[ref.statement])
-
-        for index in range(start, stop):
-            wanted, statement = needs[index], prepared[index]
-            if any(not results[need] if need < start else need not in sent
-                   for need in wanted):
-                statement = None
-            elif wanted:
-                statement = replace(statement, where=map_refs(statement.where, bind))
-            if statement is not None:
-                sent[index] = len(sent)
-            bound.append(statement)
-        return bound
 
     def _through_sql(self, statement: Statement) -> Statement:
         """The §5.4 translation: render ``statement`` to bind-variable SQL

@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Optional, Sequence
 
 from ..analysis import AnalysisProduct
 from ..metadb import (
     Aggregate,
     And,
+    Batch,
     Comparison,
     Delete,
     In,
     Insert,
+    Param,
+    PreparedBatch,
     Ref,
     Select,
     Update,
@@ -48,11 +52,31 @@ ENTITIES = {"hle": ("hle", "hle_id", "HLE"), "ana": ("ana", "ana_id", "analysis"
             "cat": ("catalogs", "catalog_id", "catalog")}
 
 
-def scoped_select(user: Optional[User], kind: str, entity_id: int) -> Select:
+def scoped_select(user: Optional[User], kind: str, entity_id: Any) -> Select:
     """One entity by key, as far as ``user`` may see it: the gate in front
     of everything read about it."""
     table, key, _what = ENTITIES[kind]
     return Select(table, where=scoped_where(user, Comparison(key, "=", entity_id)))
+
+
+#: What the DM's prepared batches bind: the entity's key and, in the
+#: "owner" visibility scope, the caller's id.
+ENTITY, OWNER = Param(0), Param(1)
+
+
+def bind_scoped(io: IoLayer, user: Optional[User], name: Any,
+                statements: Callable[[Optional[User]], list], entity_id: Any) -> Batch:
+    """The batch ``name`` about ``entity_id``, as ``user`` may see it:
+    ``statements(template)``, ``template`` being ``user`` with ``OWNER``
+    for an id, prepared once per shape of the visibility predicate and
+    kept by ``io``."""
+    scope = "public" if user is None else "all" if user.is_admin else "owner"
+    values = (user.user_id,) if scope == "owner" else ()
+    prepared = io.batches.get((name, scope))
+    if prepared is None:
+        prepared = io.batches[(name, scope)] = PreparedBatch(
+            statements(user and replace(user, user_id=OWNER)))
+    return prepared.bind((entity_id, *values))
 
 
 def found(rows: list[dict[str, Any]], kind: str, entity_id: int) -> dict[str, Any]:
@@ -352,11 +376,11 @@ class SemanticLayer:
         member list bound to it, which is not read when the gate finds
         nothing, then the events (an ``IN`` list bound on the database
         side is a reference this does not have)."""
-        catalogs, members = self.io.execute_batch([
-            scoped_select(user, "cat", catalog_id),
+        catalogs, members = self.io.execute_batch(bind_scoped(self.io, user, "catalog", lambda user: [
+            scoped_select(user, "cat", ENTITY),
             Select("catalog_members",
                    where=Comparison("catalog_id", "=", Ref(0, "catalog_id"))),
-        ])
+        ], catalog_id))
         catalog = found(catalogs, "cat", catalog_id)
         if not members:
             return catalog, []
@@ -383,9 +407,9 @@ class SemanticLayer:
         gate, in one round trip: the scoped row and the joined name
         lookup bound to the item id it carries, which is not read when
         the gate finds nothing."""
-        rows, files = self.io.execute_batch([
-            scoped_select(user, kind, entity_id),
+        rows, files = self.io.execute_batch(bind_scoped(self.io, user, ("files", kind), lambda user: [
+            scoped_select(user, kind, ENTITY),
             self.io.names.files_statement(Ref(0, "item_id")),
-        ])
+        ], entity_id))
         return self.io.names.resolve_from_rows(
             found(rows, kind, entity_id)["item_id"], files, role)

@@ -44,7 +44,7 @@ from .schema import (
     partitioned,
 )
 from .storage import TableStats
-from .sql import PreparedStatement, parse, prepare, to_sql
+from .sql import Batch, Param, PreparedBatch, PreparedStatement, parse, prepare, to_sql
 from .types import ColumnType, coerce
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "LOCAL",
     "Aggregate",
     "And",
+    "Batch",
     "Between",
     "ClosedError",
     "Column",
@@ -78,10 +79,12 @@ __all__ = [
     "LockTimeout",
     "Not",
     "Or",
+    "Param",
     "Placement",
     "Plan",
     "PoolSet",
     "Predicate",
+    "PreparedBatch",
     "PreparedStatement",
     "QueryError",
     "Ref",

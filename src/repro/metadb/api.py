@@ -89,8 +89,11 @@ class DatabaseApi(Protocol):
         runs; so is one handed to :meth:`execute`, where it has nothing
         to name.  A batch that answers leaves each statement it bound
         holding the WHERE it ran with, so a recorded batch replays
-        statement by statement.  This is what makes an HLE page one
-        round trip: its tuple, and six statements bound to it.
+        statement by statement.  ``statements`` may be a
+        :class:`~repro.metadb.Batch` that recorded its references when
+        it was bound (:class:`~repro.metadb.PreparedBatch`): each layer
+        reads that record, where a list is scanned once on entry.  This
+        is what makes an HLE page one round trip, prepared once.
 
         What the statements of one batch share depends on who answers.
         A :class:`~repro.metadb.Database` runs the batch under one lock,

@@ -67,10 +67,6 @@ def available() -> bool:
     return np is not None
 
 
-_NULL_REJECTING = (Comparison, Between, In, Like)
-_NUMERIC_KINDS = ("f8", "i8", "bool")
-
-
 class _ColumnData:
     """One column's typed array, null bitmap and optional dictionary.
 
@@ -429,10 +425,6 @@ class ColumnarStore:
             self._zones[name] = [
                 _zone_of(column, start, stop) for start, stop in self._segments
             ]
-
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)
 
     # -- scanning ----------------------------------------------------------
 

@@ -28,14 +28,16 @@ from .query import (
     execute_select,
     index_rowids,
     plan_select,
-    references,
-    run_in_order,
+    reusable_plan,
 )
 from .schema import TableSchema
-from .sql import Statement, parse, to_sql
+from .sql import Batch, Statement, parse, to_sql
 from .storage import Table
 from .transactions import Transaction, TxState
 from .wal import Journal
+
+#: Plans kept by statement shape; past this many the cache starts over.
+PLAN_CACHE_SHAPES = 512
 
 
 class DatabaseStats:
@@ -96,6 +98,9 @@ class Database:
         # metadb.columnar.* counters (segments scanned/pruned, rows
         # matched/gathered, rebuilds), same caching rationale.
         self._columnar_counters: dict[str, Any] = {}
+        #: Select shape -> (table statistics, plan), for the plans no
+        #: binding of the shape could change (``query.reusable_plan``).
+        self._plans: dict[Any, tuple[Any, Plan]] = {}
         # Replication: listeners fired after each durable commit (the
         # log-shipping hook) and the highest LSN this copy has applied as
         # a follower.  The offset is recovered from ``__repl_ack__``
@@ -462,16 +467,13 @@ class Database:
         """
         if not statements:
             return []
-        statements = [parse(statement) if isinstance(statement, str)
-                      else statement for statement in statements]
-        needs = references(statements)
+        batch = Batch.of(statements)
         with self._lock:
-            results = run_in_order(
-                statements, needs, lambda statement: self.execute(statement, tx=tx))
+            results = batch.run(lambda statement: self.execute(statement, tx=tx))
         obs = self.obs
         if obs.enabled:
             obs.count("metadb.batch.round_trips", db=self.name)
-            obs.count("metadb.batch.statements", len(statements), db=self.name)
+            obs.count("metadb.batch.statements", len(batch), db=self.name)
         return results
 
     def _record_slow(self, statement: Statement, op: str, elapsed_s: float,
@@ -540,7 +542,13 @@ class Database:
                 table = self._tables.get(statement.table)
                 if table is None:
                     raise SchemaError(f"unknown table {statement.table!r}")
-                plan = plan_select(table, statement)
+                plan = self._cached_plan(table, statement)
+                if plan is None:
+                    plan = plan_select(table, statement)
+                    if statement.shape is not None and reusable_plan(table, statement, plan):
+                        if len(self._plans) >= PLAN_CACHE_SHAPES:
+                            self._plans.clear()
+                        self._plans[statement.shape] = (table.stats(), plan)
                 self._count_access_path(plan)
                 rows = execute_select(self._tables, statement, plan=plan)
                 if plan.access == "columnar_scan":
@@ -612,14 +620,22 @@ class Database:
             return len(target_rowids)
         raise SchemaError(f"cannot execute {statement!r}")
 
+    def _cached_plan(self, table: Table, select: Select) -> Optional[Plan]:
+        """The plan kept for ``select``'s shape while the table's statistics
+        are the ones it was costed with (they refresh after ``max(1,
+        rows/20)`` mutations; a table created again has new ones)."""
+        cached = None if select.shape is None else self._plans.get(select.shape)
+        return cached[1] if cached is not None and cached[0] is table.stats() else None
+
     def explain(self, select: Union[Select, str]) -> str:
         """EXPLAIN: describe the access path the planner would choose."""
         return self.explain_plan(select)["description"]
 
     def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]:
         """Full EXPLAIN output: access path, cardinality estimate against
-        current table statistics, and executor strategy flags
-        (``limit_pushdown``, ``topn``)."""
+        current table statistics, executor strategy flags
+        (``limit_pushdown``, ``topn``), and whether the plan is one kept
+        for the statement's shape (``cached_plan``)."""
         if isinstance(select, str):
             select = parse(select)
         if isinstance(select, Explain):
@@ -628,7 +644,10 @@ class Database:
             raise SchemaError("explain only applies to SELECT")
         with self._lock:
             table = self.table(select.table)
-            return {"table": select.table, **plan_select(table, select).to_dict()}
+            plan = self._cached_plan(table, select)
+            return {"table": select.table,
+                    **(plan or plan_select(table, select)).to_dict(),
+                    "cached_plan": plan is not None}
 
     def describe(self) -> dict[str, Any]:
         """The data tier's report (see :class:`~repro.metadb.api.DatabaseApi`):

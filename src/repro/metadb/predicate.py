@@ -473,32 +473,9 @@ def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
     return (low, high, low_inclusive, high_inclusive)
 
 
-def collect_refs(node: Optional[Predicate], found: list[Ref]) -> None:
-    """Append the :class:`Ref` literals of ``node`` to ``found``, in tree
-    order.  Runs on every statement of every batch: exact types, no
-    allocation."""
-    kind = type(node)
-    if kind is Comparison:
-        if type(node.value) is Ref:
-            found.append(node.value)
-    elif kind is And or kind is Or:
-        for operand in node.operands:
-            if type(operand) is not Comparison:
-                collect_refs(operand, found)
-            elif type(operand.value) is Ref:
-                found.append(operand.value)
-    elif kind is Between:
-        if type(node.low) is Ref:
-            found.append(node.low)
-        if type(node.high) is Ref:
-            found.append(node.high)
-    elif kind is Not:
-        collect_refs(node.operand, found)
-
-
 def map_refs(node: Optional[Predicate], bind: Callable[[Ref], Any]) -> Optional[Predicate]:
-    """``node`` with each :class:`Ref` literal replaced by ``bind(ref)``;
-    a subtree without one is kept as it is."""
+    """``node`` with each :class:`Ref` literal replaced by ``bind(ref)``,
+    in tree order; a subtree without one is kept as it is."""
     kind = type(node)
     if kind is Comparison:
         if type(node.value) is Ref:

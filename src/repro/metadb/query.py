@@ -14,20 +14,17 @@ arrays, so only the rows a statement returns are ever gathered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
     Predicate,
-    Ref,
-    collect_refs,
     TruePredicate,
     conjuncts,
     equality_on,
     in_list_on,
-    map_refs,
     range_on,
 )
 from .storage import Table, TableStats
@@ -73,6 +70,9 @@ class Select:
     group_by: Sequence[str] = ()
     aggregates: Sequence[Aggregate] = ()
     join: Optional[Join] = None
+    #: The prepared text this statement was bound from (:mod:`.sql`), what a
+    #: database keeps its plan under: not part of its value, not replaced.
+    shape: Any = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for _column, direction in self.order_by:
@@ -114,77 +114,6 @@ class Explain:
     @property
     def table(self) -> str:
         return self.select.table
-
-
-# -- references between the statements of one batch --------------------------
-
-def references(statements: Sequence[Any]) -> Optional[list[tuple[int, ...]]]:
-    """Per statement of a batch, the earlier statements its
-    :class:`Ref` literals name (``()``: none); None when no statement of
-    the batch holds one.  A reference to the statement itself, to a later
-    one, past either end of the batch, or to anything but a SELECT is a
-    :class:`QueryError`, raised here, before anything runs."""
-    found: Optional[list[tuple[int, ...]]] = None
-    for index, statement in enumerate(statements):
-        refs: list[Ref] = []
-        collect_refs(getattr(statement, "where", None), refs)
-        if not refs:
-            continue
-        for ref in refs:
-            target = ref.statement
-            if not 0 <= target < index or not isinstance(statements[target], Select):
-                raise QueryError(f"statement {index} references statement {target}: "
-                                 "a reference names an earlier SELECT of its batch")
-        if found is None:
-            found = [()] * len(statements)
-        found[index] = tuple([ref.statement for ref in refs])
-    return found
-
-
-def bind(statement: Any, needs: tuple[int, ...], results: Sequence[Any],
-         bound: list[tuple[Any, Any]]) -> bool:
-    """Bind ``statement``'s references, in place, to the first rows of the
-    ``results`` they name, noting its WHERE as it was in ``bound``; False,
-    the statement untouched, when one of those returned no row: a
-    statement that holds a reference runs only then.  A batch that
-    answers leaves each statement holding the WHERE it ran with, so
-    that ``execute`` replays it; one that fails calls :func:`unbind`."""
-    for index in needs:
-        if not results[index]:
-            return False
-    bound.append((statement, statement.where))
-    statement.where = map_refs(statement.where,
-                               lambda ref: ref.value_in(results[ref.statement][0]))
-    return True
-
-
-def unbind(bound: list[tuple[Any, Any]]) -> None:
-    """Give the statements of a failed batch their references back, for
-    a retry to bind afresh."""
-    for statement, where in bound:
-        statement.where = where
-
-
-def run_in_order(statements: Sequence[Any],
-                 needs: Optional[list[tuple[int, ...]]],
-                 execute: Callable[[Any], Any]) -> list[Any]:
-    """Each statement through ``execute`` in statement order, bound to
-    the results before it (``needs`` from :func:`references`); a
-    statement whose reference found no row is not executed and its
-    result is ``[]``."""
-    if needs is None:
-        return [execute(statement) for statement in statements]
-    results: list[Any] = []
-    bound: list[tuple[Any, Any]] = []
-    try:
-        for statement, wanted in zip(statements, needs):
-            results.append(execute(statement)
-                           if not wanted or bind(statement, wanted, results, bound)
-                           else [])
-    except BaseException:
-        unbind(bound)
-        raise
-    return results
 
 
 @dataclass(frozen=True)
@@ -312,6 +241,21 @@ def plan_select(table: Table, select: Select) -> Plan:
                         estimated_rows=n_rows, table_rows=n_rows)
             return _finalize(plan, select)
     return _finalize(Plan("full_scan", estimated_rows=n_rows, table_rows=n_rows), select)
+
+
+def reusable_plan(table: Table, select: Select, plan: Plan) -> bool:
+    """True when every binding of ``select``'s shape would be planned so
+    under the same statistics: a key probe (one row at most, whichever
+    path finds it), or, on a table without a columnar copy, the only
+    index the shape's conjuncts offer, or none.  A range's estimate goes
+    stale until the statistics move; its path does not."""
+    if plan.access in ("pk_probe", "hash_probe"):    # every hash index is unique
+        return True
+    if table.columnar_eligible or plan.access == "in_probe":
+        return False
+    columns = {getattr(conjunct, "column", None) for conjunct in conjuncts(select.where)}
+    sargable = {column for column in columns if column and table.has_index_on(column)}
+    return not sargable or sargable == {plan.index_column}
 
 
 #: Below this row count a columnar rebuild + mask evaluation cannot beat

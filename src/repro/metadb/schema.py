@@ -180,9 +180,6 @@ class TableSchema:
             self.placement = declared.placement
             self.item_key = declared.item_key
 
-    def has_column(self, name: str) -> bool:
-        return name in self.columns
-
     def normalize_row(self, values: dict[str, Any], *, for_update: bool = False) -> dict[str, Any]:
         """Validate and coerce ``values`` into a complete (or partial) row.
 

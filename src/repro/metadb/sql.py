@@ -13,7 +13,8 @@ The DM's own statements travel as *prepared statements*:
 the values, so the text is the statement's shape; :func:`prepare` parses
 such a text once into a :class:`PreparedStatement` whose ``bind(params)``
 builds what ``parse(to_sql(statement))`` would, without tokenizing or
-parsing again.  Plain :func:`parse` rejects an unbound ``?``.
+parsing again; so is a whole batch (:class:`PreparedBatch`, bound as a
+:class:`Batch`).  Plain :func:`parse` rejects an unbound ``?``.
 
 Supported grammar (case-insensitive keywords)::
 
@@ -33,6 +34,8 @@ Supported grammar (case-insensitive keywords)::
 from __future__ import annotations
 
 import re
+from copy import copy
+from dataclasses import replace
 from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -49,6 +52,7 @@ from .predicate import (
     Predicate,
     Ref,
     check_literal,
+    map_refs,
 )
 from .query import Aggregate, Delete, Explain, Insert, Select, Update
 
@@ -121,9 +125,9 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Param:
-    """Stands in a template for the literal ``bind`` takes from
-    ``params[index]``."""
+class Param:
+    """Stands in a template (a ``?`` or a :class:`PreparedBatch`'s
+    literal) for the literal ``bind`` takes from ``params[index]``."""
 
     __slots__ = ("index",)
 
@@ -137,7 +141,7 @@ class _LikeParam:
 
     __slots__ = ("column", "pattern")
 
-    def __init__(self, column: str, pattern: _Param):
+    def __init__(self, column: str, pattern: Param):
         self.column = column
         self.pattern = pattern
 
@@ -397,10 +401,10 @@ class _Parser:
             return token.value == "true"
         raise QueryError(f"expected literal, got {token!r}")
 
-    def _param(self) -> _Param:
+    def _param(self) -> Param:
         if not self._template:
             raise QueryError("unbound parameter '?': only prepare() takes placeholders")
-        param = _Param(self.arity)
+        param = Param(self.arity)
         self.arity += 1
         return param
 
@@ -417,14 +421,14 @@ _Builder = Callable[[Sequence[Any]], Any]
 
 
 def _value_builder(literal: Any) -> _Builder:
-    if isinstance(literal, _Param):
+    if isinstance(literal, Param):
         return itemgetter(literal.index)
     return lambda params: literal
 
 
 def _values_builder(literals: Sequence[Any]) -> _Builder:
     """``params -> values`` for a literal list given in text order."""
-    if all(isinstance(literal, _Param) for literal in literals):
+    if all(isinstance(literal, Param) for literal in literals):
         # Placeholders are numbered as they are read, so a list made of
         # nothing else is one contiguous run of ``params``.
         low = literals[0].index
@@ -450,7 +454,7 @@ def _predicate_builder(node: Any) -> _Builder:
         # placeholders by number, gives a run of them back its order.
         values = _values_builder(sorted(
             node.values,
-            key=lambda value: value.index if isinstance(value, _Param) else -1,
+            key=lambda value: value.index if isinstance(value, Param) else -1,
         ))
         return lambda params: In(column, values(params))
     if isinstance(node, _LikeParam):
@@ -520,8 +524,9 @@ class PreparedStatement:
 
     def bind(self, params: Sequence[Any]) -> Statement:
         """A fresh statement, equal to parsing ``sql`` with each ``?``
-        written out as the literal :func:`to_sql` renders for its value.
-        A :class:`~repro.metadb.predicate.Ref` is bound as it is: the
+        written out as the literal :func:`to_sql` renders for its value
+        (a SELECT carries ``sql`` as its shape).  A
+        :class:`~repro.metadb.predicate.Ref` is bound as it is: the
         database checks the value it resolves to the same way."""
         if len(params) != self.arity:
             raise QueryError(
@@ -532,7 +537,10 @@ class PreparedStatement:
                 continue
             if type(value) is not Ref:
                 check_literal(value)
-        return self._build(params)
+        statement = self._build(params)
+        if type(statement) is Select:
+            statement.shape = self.sql
+        return statement
 
 
 def prepare(sql: str) -> PreparedStatement:
@@ -540,6 +548,195 @@ def prepare(sql: str) -> PreparedStatement:
     parser = _Parser(_tokenize(sql), template=True)
     template = parser.statement()
     return PreparedStatement(sql, parser.arity, _statement_builder(template))
+
+
+# -- batches -------------------------------------------------------------------
+
+#: How a statement of a batch is bound: its WHERE's slot values, the
+#: ``(slot, Ref)`` pairs a reference fills, the WHERE's builder.
+_Bind = tuple[list, tuple[tuple[int, Ref], ...], _Builder]
+
+
+def references(statements: Sequence[Any]) -> Optional[list[Optional[_Bind]]]:
+    """How each statement of a batch is bound (None: it holds no
+    :class:`Ref`); None when none does.  A reference to anything but an
+    earlier SELECT of the batch is a :class:`QueryError`, raised here."""
+    found: Optional[list[Optional[_Bind]]] = None
+    for index, statement in enumerate(statements):
+        refs: list[Ref] = []
+        template = map_refs(getattr(statement, "where", None),
+                            lambda ref: refs.append(ref) or Param(len(refs) - 1))
+        for ref in refs:
+            target = ref.statement
+            if not 0 <= target < index or not isinstance(statements[target], Select):
+                raise QueryError(f"statement {index} references statement {target}: "
+                                 "a reference names an earlier SELECT of its batch")
+        if refs:
+            found = found or [None] * len(statements)
+            found[index] = (refs, tuple(enumerate(refs)), _predicate_builder(template))
+    return found
+
+
+def _waves(refs: Sequence[Sequence[tuple[int, Ref]]]) -> list[list[int]]:
+    """Statement indexes by wave: each after every statement it names."""
+    depth: list[int] = []
+    for named in refs:
+        depth.append(1 + max(depth[ref.statement] for _slot, ref in named) if named else 0)
+    return [[index for index, at in enumerate(depth) if at == wave]
+            for wave in range(max(depth) + 1)]
+
+
+class Batch(list):
+    """The statements of one ``execute_batch``, with how each is bound
+    (``binds``, None without a :class:`Ref`) and the ``waves`` that order
+    allows, recorded once for every layer the batch crosses.
+
+    A batch owns each statement it binds (:meth:`PreparedBatch.bind`
+    builds them, :meth:`of` copies them): :meth:`bound` sets its WHERE
+    from the record, nothing shared changes, and a retry binds afresh.
+    A batch that answered leaves each statement the caller handed in
+    holding the WHERE it ran with, so a recorded batch replays."""
+
+    __slots__ = ("binds", "waves", "_handed")
+
+    def __init__(self, statements: Sequence[Any] = (),
+                 binds: Optional[list[Optional[_Bind]]] = None, waves: Any = None):
+        super().__init__(statements)
+        self.binds = binds
+        if binds is not None and waves is None:
+            waves = _waves([bind[1] if bind else () for bind in binds])
+        self.waves = waves
+        self._handed: list[tuple[Any, Any]] = []
+
+    @classmethod
+    def of(cls, statements: Sequence[Union[Statement, str]]) -> "Batch":
+        """A batch as it is; a list (SQL text parsed) scanned once."""
+        if isinstance(statements, Batch):
+            return statements
+        statements = [parse(statement) if isinstance(statement, str) else statement
+                      for statement in statements]
+        batch = cls(statements, references(statements))
+        for index, bind in enumerate(batch.binds or ()):
+            if bind is not None:
+                batch[index] = copy(statements[index])
+                batch._handed.append((statements[index], batch[index]))
+        return batch
+
+    def bound(self, index: int, results: Sequence[Any]) -> Optional[Any]:
+        """Statement ``index`` bound to the first rows of the ``results``
+        it names; None, not to run, when one of those has none."""
+        bind = self.binds[index] if self.binds is not None else None
+        if bind is None:
+            return self[index]
+        values, refs, build = bind
+        for _slot, ref in refs:
+            if not results[ref.statement]:
+                return None
+        values = list(values)
+        for slot, ref in refs:
+            values[slot] = ref.value_in(results[ref.statement][0])
+        statement = self[index]
+        statement.where = build(values)
+        return statement
+
+    def run(self, execute: Callable[[Any], Any]) -> list[Any]:
+        """Each statement through ``execute``, in order, bound first."""
+        results: list[Any] = []
+        for index in range(len(self)):
+            statement = self.bound(index, results)
+            results.append([] if statement is None else execute(statement))
+        self.settle()
+        return results
+
+    def settle(self) -> None:
+        """Give the statements handed to :meth:`of` the WHERE they ran with."""
+        for handed, item in self._handed:
+            handed.where = item.where
+
+    def part(self, start: int, stop: int,
+             results: Sequence[Any]) -> tuple["Batch", dict[int, int]]:
+        """Statements ``start`` to ``stop`` as another database is sent
+        them, and each one's place there: references to earlier ones
+        bound, references among them renumbered, and a statement whose
+        referenced row is not there (or not sent) left out."""
+        sent: dict[int, int] = {}
+        items, binds = [], []
+        for index in range(start, stop):
+            bind = self.binds[index] if self.binds is not None else None
+            refs = bind[1] if bind else ()
+            if any(not results[ref.statement] if ref.statement < start
+                   else ref.statement not in sent for _slot, ref in refs):
+                continue
+            sent[index] = len(items)
+            statement, inner = self[index], []
+            if refs:
+                values, build = list(bind[0]), bind[2]
+                for slot, ref in refs:
+                    if ref.statement < start:
+                        values[slot] = ref.value_in(results[ref.statement][0])
+                    else:
+                        values[slot] = replace(ref, statement=sent[ref.statement])
+                        inner.append((slot, values[slot]))
+                statement = copy(statement)
+                statement.where = build(values)
+            items.append(statement)
+            binds.append((values, tuple(inner), build) if inner else None)
+        return Batch(items, binds if any(binds) else None), sent
+
+
+class PreparedBatch:
+    """A batch of SELECTs translated once per shape (paper §5.4): each
+    statement, holding ``Param(i)`` for a request's value and a
+    :class:`Ref` for an earlier row, is rendered to ``?`` text and parsed
+    once (a join travels beside its text), its references checked once.
+    Never changed after construction, so threads share one."""
+
+    def __init__(self, statements: Sequence[Select]):
+        self.statements = tuple(statements)
+        if not all(isinstance(statement, Select) for statement in self.statements):
+            raise QueryError("a prepared batch holds SELECTs only")
+        references(self.statements)
+        self.arity = 0
+        self._parts = []
+        for statement in self.statements:
+            slots: list[Any] = []
+            text = to_sql(replace(statement, join=None), slots)
+            parsed = _Parser(_tokenize(text), template=True).statement()
+            build = _predicate_builder(parsed.where)
+            # What a request's statement starts as.  Unbound, one holding
+            # a reference keeps the template's WHERE: its Ref fails typed.
+            parsed.where, parsed.join = statement.where, statement.join
+            parsed.shape = text if statement.join is None else (text, statement.join)
+            params = tuple([(slot, value.index) for slot, value in enumerate(slots)
+                            if type(value) is Param])
+            refs = tuple([(slot, value) for slot, value in enumerate(slots)
+                          if type(value) is Ref])
+            self.arity = max([self.arity, *(index + 1 for _slot, index in params)])
+            self._parts.append((parsed, tuple(slots), params, refs, build))
+        named = [part[3] for part in self._parts]
+        self.waves = _waves(named) if any(named) else None
+
+    def bind(self, params: Sequence[Any] = ()) -> Batch:
+        """One request's batch: fresh statements, ``Param(i)`` bound to
+        ``params[i]``, each checked as a literal."""
+        if len(params) != self.arity:
+            raise QueryError(f"batch takes {self.arity} parameters, got {len(params)}")
+        for value in params:
+            check_literal(value)
+        statements, binds = [], []
+        for parsed, slots, at, refs, build in self._parts:
+            values = list(slots)
+            for slot, index in at:
+                values[slot] = params[index]
+            # The parsed fields in a new object (the lists shared: nothing
+            # changes a statement's lists in place).
+            statement = Select.__new__(Select)
+            statement.__dict__.update(parsed.__dict__)
+            if not refs:
+                statement.where = build(values)
+            statements.append(statement)
+            binds.append((values, refs, build) if refs else None)
+        return Batch(statements, binds if self.waves else None, self.waves)
 
 
 # -- SQL generation ----------------------------------------------------------

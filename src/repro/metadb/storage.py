@@ -56,10 +56,8 @@ class Table:
         self._stats_mutations = 0
         self._hash_indexes: list[HashIndex] = []
         self._ordered_indexes: dict[str, OrderedIndex] = {}
-        self._pk_index: Optional[HashIndex] = None
         if schema.primary_key:
-            self._pk_index = HashIndex([schema.primary_key], unique=True, name="pk")
-            self._hash_indexes.append(self._pk_index)
+            self._hash_indexes.append(HashIndex([schema.primary_key], unique=True, name="pk"))
         for unique_cols in schema.unique:
             self._hash_indexes.append(HashIndex(unique_cols, unique=True))
         for index_cols in schema.indexes:
@@ -260,13 +258,6 @@ class Table:
         self._mutations += 1
 
     # -- lookups ------------------------------------------------------------
-
-    def lookup_pk(self, key: Any) -> Optional[int]:
-        """Rowid of the row whose primary key equals ``key``, if any."""
-        if self._pk_index is None:
-            raise SchemaError(f"table {self.name!r} has no primary key")
-        rowids = self._pk_index.probe(key)
-        return next(iter(rowids), None)
 
     def exists_value(self, column: str, value: Any) -> bool:
         """True when some row has ``column == value`` (FK checks)."""

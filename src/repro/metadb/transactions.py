@@ -67,7 +67,3 @@ class Transaction:
     def mark_rolled_back(self) -> None:
         self._require_active()
         self.state = TxState.ROLLED_BACK
-
-    @property
-    def mutation_count(self) -> int:
-        return len(self._undo)

@@ -98,25 +98,3 @@ def coerce(value: Any, column_type: ColumnType) -> Any:
             return bytes(value)
         raise TypeError(f"cannot store {value!r} in BLOB column")
     raise SchemaError(f"unknown column type {column_type!r}")
-
-
-def type_from_name(name: str) -> ColumnType:
-    """Parse a type name as it appears in SQL DDL."""
-    normalized = name.strip().upper()
-    aliases = {
-        "INT": ColumnType.INTEGER,
-        "BIGINT": ColumnType.INTEGER,
-        "FLOAT": ColumnType.REAL,
-        "DOUBLE": ColumnType.REAL,
-        "VARCHAR": ColumnType.TEXT,
-        "STRING": ColumnType.TEXT,
-        "BOOL": ColumnType.BOOLEAN,
-        "DATETIME": ColumnType.TIMESTAMP,
-        "BYTES": ColumnType.BLOB,
-    }
-    if normalized in aliases:
-        return aliases[normalized]
-    try:
-        return ColumnType(normalized)
-    except ValueError as exc:
-        raise SchemaError(f"unknown column type name {name!r}") from exc

@@ -217,7 +217,7 @@ class Histogram(Metric):
     def bucket_counts(self) -> tuple[int, ...]:
         """Cumulative-free per-bucket counts (inner buckets + overflow),
         snapshotted under the lock — what the time-series collector
-        samples to answer windowed-quantile queries later."""
+        samples to answer windowed queries later."""
         with self._lock:
             return tuple(self._counts)
 

@@ -7,7 +7,7 @@ hot path:
 
 * :class:`TimeSeriesStore` — per-metric ring buffers in resolution/
   retention **tiers** (default 1 s × 5 min fine, 15 s × 1 h coarse), with
-  ``delta()``, ``rate()`` and windowed-quantile queries that answer
+  ``delta()``, ``rate()`` and windowed-threshold queries that answer
   :data:`~repro.obs.metrics.NO_DATA` instead of fabricating zeros;
 * :class:`TelemetryCollector` — a background thread that *reads* the
   :class:`~repro.obs.metrics.MetricsRegistry` every ``interval_s`` and
@@ -141,7 +141,7 @@ class TimeSeriesStore:
         self.tiers = tuple(tiers)
         self._series: dict[_SeriesKey, Series] = {}
         #: Histogram bucket bounds per (name, labels) — recorded once so
-        #: windowed quantiles can interpolate.
+        #: windowed threshold fractions can interpolate.
         self._bounds: dict[tuple[str, _LabelsKey], tuple[float, ...]] = {}
         self._lock = threading.Lock()
 
@@ -292,39 +292,6 @@ class TimeSeriesStore:
         else:
             return None
         return bounds, [max(0, b - a) for a, b in zip(first, last)]
-
-    def window_quantile(
-        self,
-        name: str,
-        q: float,
-        window_s: float,
-        now: Optional[float] = None,
-        **labels: str,
-    ) -> float:
-        """The q-quantile of observations made *inside* the window,
-        estimated from bucket-count deltas (linear interpolation inside
-        the covering bucket, like :meth:`Histogram.quantile`)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be within [0, 1]")
-        delta = self.bucket_delta(name, window_s, now=now, **labels)
-        if delta is None:
-            return NO_DATA
-        bounds, counts = delta
-        total = sum(counts)
-        if total == 0:
-            return NO_DATA
-        target = q * total
-        cumulative = 0.0
-        for index, count in enumerate(counts):
-            if count == 0:
-                continue
-            lower = bounds[index - 1] if index > 0 else 0.0
-            upper = bounds[index] if index < len(bounds) else bounds[-1]
-            if cumulative + count >= target:
-                fraction = (target - cumulative) / count
-                return lower + fraction * (upper - lower)
-            cumulative += count
-        return bounds[-1]
 
     def window_under(
         self,

@@ -156,16 +156,6 @@ class Tracer:
                 with self._lock:
                     self._finished.append(span)
 
-    @contextmanager
-    def attach(self, span: Optional[Span]) -> Iterator[Optional[Span]]:
-        """Adopt ``span`` as the current parent — manual cross-thread
-        propagation when copying the whole context is not convenient."""
-        token = self._current.set(span)
-        try:
-            yield span
-        finally:
-            self._current.reset(token)
-
     def wrap(self, fn, *args, **kwargs):
         """Bind ``fn(*args, **kwargs)`` to the *calling* thread's context
         so spans opened inside a worker thread nest under the caller."""

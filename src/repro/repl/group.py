@@ -34,11 +34,9 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..metadb.database import Database, DatabaseStats
-from ..metadb.query import (
-    Delete, Explain, Insert, Select, Update, references, run_in_order,
-)
+from ..metadb.query import Delete, Explain, Insert, Select, Update
 from ..metadb.schema import TableSchema
-from ..metadb.sql import Statement, parse
+from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction
 from ..obs import Observability, resolve as resolve_obs
 from ..resil.breaker import BreakerOpen, BreakerState, CircuitBreaker
@@ -607,13 +605,11 @@ class ReplicaGroup:
         (:meth:`_read_with_failover`), references and all; anything else
         runs in statement order, on the primary where :meth:`execute`
         sends it."""
-        statements = [parse(statement) if isinstance(statement, str)
-                      else statement for statement in statements]
-        if tx is None and statements and all(
-                isinstance(statement, Select) for statement in statements):
-            return self._read_with_failover(statements)
-        return run_in_order(statements, references(statements),
-                            lambda statement: self.execute(statement, tx=tx))
+        batch = Batch.of(statements)
+        if tx is None and batch and all(
+                isinstance(statement, Select) for statement in batch):
+            return self._read_with_failover(batch)
+        return batch.run(lambda statement: self.execute(statement, tx=tx))
 
     def checkpoint(self) -> None:
         self.primary.checkpoint()

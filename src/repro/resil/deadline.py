@@ -86,9 +86,3 @@ class Deadline:
         deadline = _CURRENT.get()
         if deadline is not None:
             deadline.check(what)
-
-    @staticmethod
-    def remaining_or(default: float) -> float:
-        """The ambient deadline's remaining time, or ``default``."""
-        deadline = _CURRENT.get()
-        return default if deadline is None else deadline.remaining()

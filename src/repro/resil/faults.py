@@ -133,11 +133,6 @@ class FaultInjector:
             else:
                 self._points.pop(name, None)
 
-    def reseed(self, seed: int) -> None:
-        with self._lock:
-            self.seed = seed
-            self._rng = random.Random(seed)
-
     @property
     def active(self) -> bool:
         return bool(self._points)

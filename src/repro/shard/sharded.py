@@ -47,12 +47,9 @@ from ..resil.policies import TRANSIENT_ERRORS
 from ..metadb.database import Database, DatabaseStats
 from ..metadb.errors import TransactionError
 from ..metadb.predicate import Comparison, Predicate, conjuncts
-from ..metadb.query import (
-    Aggregate, Delete, Explain, Insert, Join, Select, Update,
-    bind, references, run_in_order, unbind,
-)
+from ..metadb.query import Aggregate, Delete, Explain, Insert, Join, Select, Update
 from ..metadb.schema import BROADCAST as EVERYWHERE, TableSchema
-from ..metadb.sql import Statement, parse
+from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction, TxState
 from ..metadb.wal import counted_fsync, replace_durably
 from .merge import prepare_scatter
@@ -520,38 +517,22 @@ class ShardedDatabase:
         the statements it names have answered, bound to their rows.  A
         batch with a mutation in it runs in statement order, because
         order is what it means."""
-        statements = [parse(statement) if isinstance(statement, str)
-                      else statement for statement in statements]
-        needs = references(statements)
-        if not all(isinstance(statement, Select) for statement in statements):
-            return run_in_order(statements, needs,
-                                lambda statement: self.execute(statement, tx=tx))
+        batch = Batch.of(statements)
+        if not all(isinstance(statement, Select) for statement in batch):
+            return batch.run(lambda statement: self.execute(statement, tx=tx))
         self._admit(tx)
-        if needs is None:
-            return self._read_batch(statements, tx)
+        if batch.binds is None:
+            return self._read_batch(batch, tx)
         topology = tx.topology if tx is not None else self._topology
         probes: dict = {}
-        depth: list[int] = []      # one more than the deepest it names
-        for wanted in needs:
-            depth.append(1 + max(depth[index] for index in wanted) if wanted else 0)
-        results: list[Any] = [None] * len(statements)
-        bound: list[tuple[Select, Any]] = []
-        try:
-            for wave in range(max(depth) + 1):
-                ready = []
-                for index in (index for index, at in enumerate(depth) if at == wave):
-                    if not needs[index] or bind(statements[index], needs[index],
-                                                results, bound):
-                        ready.append(index)
-                    else:
-                        results[index] = []
-                answers = self._read_batch([statements[index] for index in ready],
-                                           tx, topology, probes)
-                for index, rows in zip(ready, answers):
-                    results[index] = rows
-        except BaseException:
-            unbind(bound)
-            raise
+        results: list[Any] = [[] for _statement in batch]
+        for wave in batch.waves:
+            ready = [index for index in wave if batch.bound(index, results) is not None]
+            answers = self._read_batch([batch[index] for index in ready],
+                                       tx, topology, probes)
+            for index, rows in zip(ready, answers):
+                results[index] = rows
+        batch.settle()
         return results
 
     # -- routing -------------------------------------------------------------------
@@ -809,8 +790,8 @@ class ShardedDatabase:
                 db, part = tx.part(shard_id)
             if len(statements) == 1:
                 runs = [db.execute(statements[0], part)]
-            else:
-                runs = db.execute_batch(statements, part)
+            else:       # bound already: a batch without references
+                runs = db.execute_batch(Batch(statements), part)
         except TRANSIENT_ERRORS as exc:
             breaker.record_failure()
             transient.append(exc)

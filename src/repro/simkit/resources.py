@@ -99,10 +99,6 @@ class ProcessorSharing:
         self._reschedule()
         return future
 
-    @property
-    def in_service(self) -> int:
-        return len(self._jobs)
-
 
 class FcfsServer:
     """A ``k``-server FCFS station.

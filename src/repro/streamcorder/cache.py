@@ -84,9 +84,6 @@ class StaticPathCache:
             self._index.put(str(path), path, size=len(payload))
         return path
 
-    def contains(self, object_type: str, item_id: str, created_at: float = 0.0) -> bool:
-        return self.path_for(object_type, item_id, created_at).exists()
-
 
 class LocalCloneCache:
     """Version 2: a local DM (with its own DBMS and archive) as the cache.

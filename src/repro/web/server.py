@@ -356,10 +356,6 @@ class ThinClient:
             obs=self.obs,
         )
 
-    @property
-    def requests_sent(self) -> int:
-        return int(self._requests_sent.value)
-
     def get(self, url: str) -> HttpResponse:
         if url.startswith("/static"):
             if url in self._static_cache:

@@ -1,6 +1,7 @@
 """Page oracle: the HLE page and name construction as they were before
-they were batched, and the page as it was before its batch carried
-references.
+they were batched, the page as it was before its batch carried
+references, and the gated batches as they were before they were
+prepared.
 
 :func:`fetch_page` is ``DataManager.fetch_page(batched=False)`` as it
 was, the paper's one-query-per-trip sequence (seven trips without file
@@ -9,18 +10,24 @@ rows, more with); :func:`fetch_page_in_two_trips` is the
 then one batch of the six statements its values determine, bound in the
 DM); :func:`resolve_files` is ``NameMapper._resolve_files``, one
 ``loc_files`` query and then one ``loc_archives`` query per file row.
-``tests/test_pages.py`` and ``tests/test_web_scheduler.py`` require the
-one-trip page and the joined statement to return the same rows and
-bytes.  Not imported by ``src``.
+:func:`fetch_page_unprepared`, :func:`item_files_unprepared` and
+:func:`catalog_page_unprepared` are the one-trip batches as plain lists
+built per call with the request's values, each statement translated
+on its own and every reference scanned for by each layer.
+``tests/test_pages.py``, ``tests/test_prepared_batch.py`` and
+``tests/test_web_scheduler.py`` require the one-trip page and the
+joined statement to return the same rows and bytes.  Not imported by
+``src``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.dm import DataManager, NameMappingError, ResolvedName
 from repro.dm.dm import HlePage
-from repro.metadb import Aggregate, Between, Comparison, Select
+from repro.dm.semantic import found, scoped_select
+from repro.metadb import Aggregate, Between, Comparison, In, Ref, Select
 from repro.security import User, scoped_where
 
 
@@ -123,3 +130,54 @@ def fetch_page_in_two_trips(dm: DataManager, user: Optional[User],
     files = dm.io.names.resolve_from_rows(hle["item_id"], file_rows)
     return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],
                    similar, neighbours, files)
+
+
+def fetch_page_unprepared(dm: DataManager, user: Optional[User], hle_id: int) -> HlePage:
+    tuple_id, tuple_item = Ref(0, "hle_id"), Ref(0, "item_id")
+    rates = [Ref(0, "peak_rate", scale=scale, if_null=0.0) for scale in (0.5, 1.5)]
+    times = [Ref(0, "start_time", shift=shift) for shift in (-3600, 3600)]
+    by_hle = Comparison("hle_id", "=", tuple_id)
+    count = [Aggregate("count", "*", "n")]
+    rows, analyses, n_ana_rows, n_cat_rows, file_rows, similar, neighbours = \
+        dm.io.execute_batch([
+            scoped_select(user, "hle", hle_id),
+            Select("ana", where=scoped_where(user, by_hle),
+                   order_by=[("ana_id", "asc")]),
+            Select("ana", where=by_hle, aggregates=count),
+            Select("catalog_members", where=by_hle, aggregates=count),
+            dm.io.names.files_statement(tuple_item),
+            Select("hle", where=scoped_where(user, Between("peak_rate", *rates)),
+                   order_by=[("peak_rate", "desc")], limit=40),
+            Select("hle", where=scoped_where(user, Between("start_time", *times)),
+                   order_by=[("start_time", "asc")], limit=40),
+        ])
+    hle = found(rows, "hle", hle_id)
+    files = dm.io.names.resolve_from_rows(hle["item_id"], file_rows)
+    return HlePage(hle, analyses, n_ana_rows[0]["n"], n_cat_rows[0]["n"],
+                   similar, neighbours, files)
+
+
+def item_files_unprepared(dm: DataManager, user: Optional[User], kind: str,
+                          entity_id: int, role: Optional[str] = None) -> list[ResolvedName]:
+    rows, files = dm.io.execute_batch([
+        scoped_select(user, kind, entity_id),
+        dm.io.names.files_statement(Ref(0, "item_id")),
+    ])
+    return dm.io.names.resolve_from_rows(
+        found(rows, kind, entity_id)["item_id"], files, role)
+
+
+def catalog_page_unprepared(dm: DataManager, user: Optional[User],
+                            catalog_id: int) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    catalogs, members = dm.io.execute_batch([
+        scoped_select(user, "cat", catalog_id),
+        Select("catalog_members",
+               where=Comparison("catalog_id", "=", Ref(0, "catalog_id"))),
+    ])
+    catalog = found(catalogs, "cat", catalog_id)
+    if not members:
+        return catalog, []
+    member_ids = [member["hle_id"] for member in members]
+    visible = {row["hle_id"]: row for row in dm.io.execute(
+        Select("hle", where=scoped_where(user, In("hle_id", member_ids))))}
+    return catalog, [visible[hle_id] for hle_id in member_ids if hle_id in visible]

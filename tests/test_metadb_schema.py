@@ -5,7 +5,6 @@ import datetime as dt
 import pytest
 
 from repro.metadb import Column, ColumnType, ForeignKey, IntegrityError, SchemaError, TableSchema, coerce
-from repro.metadb.types import type_from_name
 
 
 class TestCoercion:
@@ -54,14 +53,6 @@ class TestCoercion:
     def test_none_passes_through_all_types(self):
         for column_type in ColumnType:
             assert coerce(None, column_type) is None
-
-    def test_type_names_and_aliases(self):
-        assert type_from_name("INT") is ColumnType.INTEGER
-        assert type_from_name("varchar") is ColumnType.TEXT
-        assert type_from_name("DOUBLE") is ColumnType.REAL
-        assert type_from_name("TIMESTAMP") is ColumnType.TIMESTAMP
-        with pytest.raises(SchemaError):
-            type_from_name("GEOMETRY")
 
 
 def _user_schema() -> TableSchema:

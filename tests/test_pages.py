@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dm import DataManager, EntityNotFound, NameMappingError
 from repro.filestore import DiskArchive, StorageManager
-from repro.metadb import Database, Insert
+from repro.metadb import Comparison, Database, Delete, Insert
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.resil.breaker import BreakerState
@@ -57,10 +57,15 @@ def _copies(database):
 
 def _lose_archive(database, archive_id: str) -> None:
     """Drop an archive row beneath the foreign key that refuses its
-    DELETE while file rows name it, on every copy."""
+    DELETE while file rows name it, on every copy: a keyed DELETE with
+    that key lifted for the statement."""
     for copy in _copies(database):
-        archives = copy.table("loc_archives")
-        archives.delete(archives.lookup_pk(archive_id))
+        files = copy.table("loc_files").schema
+        kept, files.foreign_keys = files.foreign_keys, []
+        try:
+            copy.execute(Delete("loc_archives", Comparison("archive_id", "=", archive_id)))
+        finally:
+            files.foreign_keys = kept
 
 
 #: One event: (day, public, owned by bob, file rows as (archive, role),

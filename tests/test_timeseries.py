@@ -46,7 +46,6 @@ class TestTimeSeriesStore:
         assert store.delta("missing", 10.0) is NO_DATA
         assert store.rate("missing", 10.0) is NO_DATA
         assert store.latest("missing") is NO_DATA
-        assert store.window_quantile("missing", 0.5, 10.0) is NO_DATA
         assert store.family_delta("missing", 10.0) is NO_DATA
 
     def test_tier_retention_and_coarse_fallback(self):
@@ -75,25 +74,6 @@ class TestTimeSeriesStore:
 
 
 class TestWindowedQuantiles:
-    def test_windowed_quantile_sees_only_window_observations(self):
-        obs, collector = obs_with_samples()
-        # Old regime: fast (1 ms) observations before the window.
-        for _ in range(50):
-            obs.observe("lat_s", 0.001)
-        collector.sample_once(now=0.0)
-        collector.sample_once(now=100.0)
-        # New regime: slow (100 ms) observations inside the window.
-        for _ in range(50):
-            obs.observe("lat_s", 0.1)
-        collector.sample_once(now=101.0)
-        store = collector.store
-        cumulative = obs.registry.get("lat_s").quantile(0.5)
-        windowed = store.window_quantile("lat_s", 0.5, 5.0, now=101.0)
-        assert windowed == pytest.approx(0.1, rel=0.5)
-        assert windowed > cumulative  # cumulative is dragged down by history
-        # An empty window answers NO_DATA, never 0.0.
-        assert store.window_quantile("lat_s", 0.5, 5.0, now=50.0) is NO_DATA
-
     def test_window_under_threshold_fractions(self):
         obs, collector = obs_with_samples()
         collector.sample_once(now=0.0)
