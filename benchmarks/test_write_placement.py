@@ -7,8 +7,8 @@ WAL with an fsync per commit), which repeat exactly, and one timing:
   (the primary's journal and its follower's).  When every ``loc_*`` row
   was broadcast it was 4 parts and 8 fsyncs.  ``delete_hle`` likewise
   writes one shard and costs 2 fsyncs; its ``DELETE FROM loc_files``
-  finds no row of an event without files and is answered by the first
-  shard, which commits nothing.
+  names an item no shard holds a file of (an event without files), so
+  it is sent nowhere and opens no part.
 * ``import_analysis`` (the ``ana`` row, its file references, the
   parent's counter) opens one part.
 * a seeded event (``hle`` + ``loc_tuples`` in one transaction, what
@@ -106,8 +106,8 @@ def test_semantic_writes_commit_on_the_shard_of_their_event(tmp_path):
     with _Cost(database, obs) as delete:
         dm.semantic.delete_hle(user, hle_id)
     assert delete.fsyncs == 2
-    assert delete.statements == {0: 1, 2: 2}    # no files: asked of shard 0
-    assert set(delete.parts) == {0, 2}
+    assert delete.statements == {2: 2}          # no files: sent nowhere
+    assert set(delete.parts) == {2}
     assert dm.io.names.resolve_tuple(f"hle:{hle_id}") == []
     database.close()
 

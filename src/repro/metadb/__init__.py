@@ -17,7 +17,7 @@ from .errors import (
     SchemaError,
     TransactionError,
 )
-from .pool import Connection, ConnectionPool, PoolSet
+from .pool import Connection, ConnectionPool
 from .predicate import (
     ALWAYS,
     And,
@@ -82,7 +82,6 @@ __all__ = [
     "Param",
     "Placement",
     "Plan",
-    "PoolSet",
     "Predicate",
     "PreparedBatch",
     "PreparedStatement",

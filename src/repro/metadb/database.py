@@ -154,9 +154,10 @@ class Database:
             if operation == "insert":
                 table.restore(record["rowid"], record["row"])
             elif operation == "update":
-                # Normalising: a journal written before changes were logged
-                # normalised carries the statement's raw ones.
-                table.update(record["rowid"], record["changes"])
+                # A journal written before changes were logged normalised
+                # carries the statement's raw ones.
+                table.update_row(record["rowid"], table.schema.normalize_row(
+                    record["changes"], for_update=True))
             elif operation == "delete":
                 table.delete(record["rowid"])
         if snapshot is not None or replayed:
@@ -626,10 +627,6 @@ class Database:
         rows/20)`` mutations; a table created again has new ones)."""
         cached = None if select.shape is None else self._plans.get(select.shape)
         return cached[1] if cached is not None and cached[0] is table.stats() else None
-
-    def explain(self, select: Union[Select, str]) -> str:
-        """EXPLAIN: describe the access path the planner would choose."""
-        return self.explain_plan(select)["description"]
 
     def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]:
         """Full EXPLAIN output: access path, cardinality estimate against

@@ -169,27 +169,3 @@ class ConnectionPool:
         with self._lock:
             return len(self._idle)
 
-
-class PoolSet:
-    """The DM's three-way pool split (queries / updates / authentication)."""
-
-    QUERY_SIZE, UPDATE_SIZE, AUTH_SIZE = 16, 4, 2
-
-    def __init__(
-        self,
-        database: Database,
-        open_cost_s: float = 0.0,
-        obs: Optional[Observability] = None,
-    ):
-        obs = resolve_obs(obs)
-        self.queries = ConnectionPool(database, self.QUERY_SIZE, open_cost_s,
-                                      name="queries", obs=obs)
-        self.updates = ConnectionPool(database, self.UPDATE_SIZE, open_cost_s,
-                                      name="updates", obs=obs)
-        self.auth = ConnectionPool(database, self.AUTH_SIZE, open_cost_s,
-                                   name="auth", obs=obs)
-
-    def close(self) -> None:
-        self.queries.close()
-        self.updates.close()
-        self.auth.close()

@@ -159,10 +159,6 @@ class Table:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, values: dict[str, Any]) -> int:
-        """Insert a row; returns the internal rowid."""
-        return self.insert_row(self.schema.normalize_row(values))
-
     def insert_row(self, row: dict[str, Any]) -> int:
         """Store ``row`` as it is: the caller normalised it (the owning
         :class:`Database` does, once per statement)."""
@@ -188,15 +184,9 @@ class Table:
         self._mutations += 1
         return rowid
 
-    def update(self, rowid: int, changes: dict[str, Any]) -> dict[str, Any]:
-        """Apply ``changes`` to one row; returns the previous row image."""
-        if rowid not in self._rows:
-            raise SchemaError(f"rowid {rowid} not present in {self.name!r}")
-        return self.update_row(
-            rowid, self.schema.normalize_row(changes, for_update=True))
-
     def update_row(self, rowid: int, changes: dict[str, Any]) -> dict[str, Any]:
-        """Apply already normalised ``changes`` (see :meth:`insert_row`)."""
+        """Apply already normalised ``changes`` to one row (see
+        :meth:`insert_row`); returns the previous row image."""
         if rowid not in self._rows:
             raise SchemaError(f"rowid {rowid} not present in {self.name!r}")
         old_row = self._rows[rowid]

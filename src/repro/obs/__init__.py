@@ -8,10 +8,10 @@ tier of the reproduction measurable the same way:
   :class:`Histogram` (streaming p50/p95/p99);
 * :class:`Tracer` producing nested per-request span trees with
   contextvars propagation across threads;
-* renderers (line protocol, JSON snapshot);
-* the :func:`instrument` decorator and :class:`Observability` hub that
-  components thread through the tiers (``web`` → ``dm`` → ``metadb``,
-  ``pl`` → ``idl``, ``streamcorder``).
+* the line-protocol renderer;
+* the :class:`Observability` hub that components thread through the
+  tiers (``web`` → ``dm`` → ``metadb``, ``pl`` → ``idl``,
+  ``streamcorder``).
 
 Tracing is off by default (``Observability.enabled``); metrics always
 collect, cheaply.  Every operator surface (``/hedc/metrics``,
@@ -21,9 +21,9 @@ selection of sections of one report tree,
 :meth:`Observability.describe`.
 """
 
-from .events import SEVERITIES, Event, EventLog
+from .events import SEVERITIES, Event, EventLog, SlowLog, SlowOp
 from .health import DEGRADED, GREEN, RED, CanaryProbe, HealthMonitor
-from .export import to_json_snapshot, to_line_protocol
+from .export import to_line_protocol
 from .hub import (
     DEFAULT,
     Observability,
@@ -33,7 +33,6 @@ from .hub import (
     get_default,
     resolve,
 )
-from .instrument import instrument, timed
 from .metrics import (
     NO_DATA,
     Counter,
@@ -46,7 +45,6 @@ from .metrics import (
 )
 from .profile import SamplingProfiler, critical_path, span_self_times, trace_profile
 from .slo import Slo, SloManager, default_slos
-from .slowlog import SlowLog, SlowOp
 from .timeseries import (
     DEFAULT_TIERS,
     TelemetryCollector,
@@ -109,9 +107,6 @@ __all__ = [
     "disable",
     "enable",
     "get_default",
-    "instrument",
     "resolve",
-    "timed",
-    "to_json_snapshot",
     "to_line_protocol",
 ]

@@ -1,17 +1,9 @@
-"""Renderers over the registry (and optionally the tracer).
-
-* :func:`to_line_protocol` — an influx-style text dump, which is what
-  the ``/hedc/metrics`` servlet serves;
-* :func:`to_json_snapshot` — a JSON-ready snapshot including recent span
-  trees, for machine consumption.
-"""
+"""The registry as an influx-style text dump: what the ``/hedc/metrics``
+servlet serves (its JSON form is ``Observability.describe("metrics")``)."""
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 from .metrics import Histogram, MetricsRegistry
-from .trace import Tracer
 
 
 def _escape(value: str) -> str:
@@ -64,13 +56,3 @@ def to_line_protocol(registry: MetricsRegistry) -> str:
             fields = f"value={value}i" if isinstance(value, int) else f"value={value}"
         lines.append(f"{series} {fields}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def to_json_snapshot(
-    registry: MetricsRegistry, tracer: Optional[Tracer] = None, max_traces: int = 32
-) -> dict[str, Any]:
-    """A JSON-ready snapshot of every metric plus recent span trees."""
-    snapshot: dict[str, Any] = {"metrics": registry.snapshot()}
-    if tracer is not None:
-        snapshot["traces"] = tracer.snapshot(max_traces)
-    return snapshot

@@ -18,14 +18,13 @@ import time
 import weakref
 from typing import Any, Callable, Optional, Sequence
 
-from .events import EventLog
+from .events import EventLog, SlowLog
 from .health import HealthMonitor
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import SamplingProfiler
 from .slo import SloManager
-from .slowlog import SlowLog
 from .timeseries import TelemetryCollector, sample_runtime
-from .trace import NULL_SPAN_CONTEXT, Span, Tracer
+from .trace import NULL_SPAN_CONTEXT, Tracer
 from .usage import usage_report
 
 
@@ -73,8 +72,8 @@ class Observability:
 
     The deep-diagnostics layer rides on the same hub: a bounded
     :class:`~repro.obs.events.EventLog` (always available — emissions
-    only happen at rare state transitions), a
-    :class:`~repro.obs.slowlog.SlowLog` (off until a threshold is
+    only happen at rare state transitions), a bounded
+    :class:`~repro.obs.events.SlowLog` (off until a threshold is
     configured) and a :class:`~repro.obs.profile.SamplingProfiler` (off
     until started; owns no thread while stopped).
     """
@@ -110,8 +109,8 @@ class Observability:
                 "hot_stacks": self.profiler.snapshot(limit=10),
             },
             "diagnostics": lambda: {
-                "events": self.events.total_emitted,
-                "slow_ops": self.slowlog.total_recorded,
+                "events": self.events.total,
+                "slow_ops": self.slowlog.total,
                 "profiler_running": self.profiler.running,
             },
             "runtime": lambda: sample_runtime(self),
@@ -218,13 +217,9 @@ class Observability:
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Feed a histogram; when tracing is on and a span is current the
         observation carries an exemplar linking bucket → trace."""
-        histogram = self.registry.histogram(name, **labels)
-        if self.enabled:
-            span = self.tracer.current()
-            if span is not None:
-                histogram.observe(value, exemplar=(span.trace_id, span.span_id))
-                return
-        histogram.observe(value)
+        trace_id, span_id = self._correlation()
+        self.registry.histogram(name, **labels).observe(
+            value, exemplar=None if trace_id is None else (trace_id, span_id))
 
     def set_gauge(self, name: str, value: float, **labels: str) -> None:
         self.registry.gauge(name, **labels).set(value)
@@ -237,35 +232,29 @@ class Observability:
             return NULL_SPAN_CONTEXT
         return self.tracer.span(name, **tags)
 
-    def current_span(self) -> Optional[Span]:
-        return self.tracer.current() if self.enabled else None
-
     def timed(self, name: str, **labels: str) -> Timed:
         """Histogram timing (always) plus a span (when enabled)."""
         return Timed(self, name, labels)
 
     # -- diagnostics -----------------------------------------------------------
 
+    def _correlation(self) -> tuple[Optional[int], Optional[int]]:
+        """The current trace and span ids, when tracing is enabled and a
+        span is open."""
+        span = self.tracer.current() if self.enabled else None
+        return (None, None) if span is None else (span.trace_id, span.span_id)
+
     def event(self, severity: str, component: str, kind: str,
               message: str = "", **fields: Any):
-        """Emit a structured event, correlated to the current trace/span
-        when tracing is enabled."""
-        trace_id = span_id = None
-        if self.enabled:
-            span = self.tracer.current()
-            if span is not None:
-                trace_id, span_id = span.trace_id, span.span_id
+        """Emit a structured event, correlated to the current trace/span."""
+        trace_id, span_id = self._correlation()
         return self.events.emit(severity, component, kind, message,
                                 trace_id=trace_id, span_id=span_id, **fields)
 
     def slow_op(self, name: str, duration_s: float, threshold_s: float,
                 **detail: Any):
         """Record a slow operation, correlated like :meth:`event`."""
-        trace_id = span_id = None
-        if self.enabled:
-            span = self.tracer.current()
-            if span is not None:
-                trace_id, span_id = span.trace_id, span.span_id
+        trace_id, span_id = self._correlation()
         return self.slowlog.record(name, duration_s, threshold_s,
                                    trace_id=trace_id, span_id=span_id, **detail)
 

@@ -129,10 +129,6 @@ class Gauge(Metric):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -203,15 +199,18 @@ class Histogram(Metric):
         """Per-bucket exemplars: bucket upper bound, max value seen with a
         trace attached, and the trace/span IDs to resolve it."""
         with self._lock:
-            slots = sorted(self._exemplars.items())
+            return self._exemplar_slots()
+
+    def _exemplar_slots(self) -> list[dict]:
+        bounds = self.bounds
         return [
             {
-                "le": self.bounds[index] if index < len(self.bounds) else None,
+                "le": bounds[index] if index < len(bounds) else None,
                 "value": value,
                 "trace_id": trace_id,
                 "span_id": span_id,
             }
-            for index, (value, trace_id, span_id) in slots
+            for index, (value, trace_id, span_id) in sorted(self._exemplars.items())
         ]
 
     def bucket_counts(self) -> tuple[int, ...]:
@@ -266,15 +265,7 @@ class Histogram(Metric):
                 "p99": _q(0.99),
             }
             if self._exemplars:
-                snapshot["exemplars"] = [
-                    {
-                        "le": self.bounds[i] if i < len(self.bounds) else None,
-                        "value": value,
-                        "trace_id": trace_id,
-                        "span_id": span_id,
-                    }
-                    for i, (value, trace_id, span_id) in sorted(self._exemplars.items())
-                ]
+                snapshot["exemplars"] = self._exemplar_slots()
             return snapshot
 
     def _quantile_unlocked(self, q: float) -> float:

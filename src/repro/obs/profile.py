@@ -111,10 +111,6 @@ class SamplingProfiler:
 
     # -- reading ---------------------------------------------------------------
 
-    def stacks(self) -> dict[tuple[str, ...], int]:
-        with self._lock:
-            return dict(self._stacks)
-
     def collapsed(self, limit: Optional[int] = None) -> str:
         """Collapsed-stack flamegraph text: ``a;b;c <count>`` per line,
         heaviest stacks first."""

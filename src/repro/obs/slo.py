@@ -347,10 +347,6 @@ class SloManager:
             if alert.state == "firing"
         ]
 
-    def alerts(self) -> list[dict[str, Any]]:
-        return [alert.to_dict() for alert in
-                sorted(self._alerts.values(), key=lambda a: (a.slo, a.window))]
-
     def report(self) -> dict[str, Any]:
         def _clean(value: Any) -> Any:
             return None if value is NO_DATA else value

@@ -65,9 +65,6 @@ class Span:
         for child in list(self.children):
             yield from child.walk()
 
-    def tree_names(self) -> list[str]:
-        return [span.name for span in self.walk()]
-
     def find(self, name: str) -> list["Span"]:
         return [span for span in self.walk() if span.name == name]
 

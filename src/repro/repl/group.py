@@ -145,15 +145,8 @@ class ReplicaGroup:
     def _breaker_for(self, copy_name: str) -> CircuitBreaker:
         breaker = self.breakers.get(copy_name)
         if breaker is None:
-            breaker = CircuitBreaker(
-                name=f"repl.copy.{copy_name}",
-                window=10,
-                min_calls=3,
-                failure_rate=0.5,
-                cooldown_s=self.breaker_cooldown_s,
-                obs=self.obs,
-            )
-            self.breakers[copy_name] = breaker
+            breaker = self.breakers[copy_name] = CircuitBreaker.for_copy(
+                f"repl.copy.{copy_name}", self.breaker_cooldown_s, self.obs)
         return breaker
 
     def add_replica(self, db: Optional[Database] = None,
@@ -545,9 +538,6 @@ class ReplicaGroup:
         self._head_gauge.set(self.log.head_lsn)
         if self.auto_ship and self.replicas:
             self.ship()
-
-    def explain(self, select) -> str:
-        return self.primary.explain(select)
 
     def explain_plan(self, select) -> dict[str, Any]:
         return self.primary.explain_plan(select)

@@ -101,6 +101,15 @@ class CircuitBreaker:
                                                 breaker=name)
         self.obs.contribute("breakers", breaker_report, self)
 
+    @classmethod
+    def for_copy(cls, name: str, cooldown_s: float,
+                 obs: Optional[Observability]) -> "CircuitBreaker":
+        """The breaker in front of one copy of the data, a shard or a
+        replica: over its last 10 calls, tripping when half of at least 3
+        failed."""
+        return cls(name, window=10, min_calls=3, failure_rate=0.5,
+                   cooldown_s=cooldown_s, obs=obs)
+
     # -- state machine (all transitions hold the lock) --------------------------
 
     def _set_state(self, state: BreakerState) -> None:

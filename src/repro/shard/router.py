@@ -96,9 +96,8 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
     one of them (no reachable shard holds it, or every holder counts)
     makes them all targets, so the read degrades by name instead of
     coming back silently empty.  A value nobody holds, with every shard
-    asked, routes to the first shard, so the statement keeps its
-    single-node answer (no rows, a zero count, the foreign-key error of
-    an insert).
+    asked, adds no target: a decision with no shard says that no shard
+    holds any of ``values``.
     """
     specs = shard_map.specs
     asked: Sequence[ShardSpec] = specs
@@ -122,8 +121,6 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
             targets.update(unasked)
         if len(targets) == len(specs):
             break
-    if not targets:
-        targets.add(specs[0].shard_id)
     return _decide(tuple(spec for spec in specs if spec.shard_id in targets),
                    shard_map, by)
 

@@ -136,17 +136,19 @@ class _ShardedTransaction:
         if self.state is not TxState.ACTIVE:
             raise TransactionError(f"transaction is {self.state.value}")
 
-    def commit(self) -> None:
+    def commit(self, stats: DatabaseStats) -> None:
         self.require_active()
         self.state = TxState.COMMITTED
         for db, part in self.parts.values():
             db.commit(part)
+        stats.transactions_committed += 1
 
-    def rollback(self) -> None:
+    def rollback(self, stats: DatabaseStats) -> None:
         self.require_active()
         self.state = TxState.ROLLED_BACK
         for db, part in self.parts.values():
             db.rollback(part)
+        stats.transactions_rolled_back += 1
 
 
 class _Read:
@@ -310,15 +312,8 @@ class ShardedDatabase:
     def _breaker_for(self, shard_id: int) -> CircuitBreaker:
         breaker = self.breakers.get(shard_id)
         if breaker is None:
-            breaker = CircuitBreaker(
-                name=f"metadb.shard.{self.name}-s{shard_id}",
-                window=10,
-                min_calls=3,
-                failure_rate=0.5,
-                cooldown_s=self.breaker_cooldown_s,
-                obs=self.obs,
-            )
-            self.breakers[shard_id] = breaker
+            breaker = self.breakers[shard_id] = CircuitBreaker.for_copy(
+                f"metadb.shard.{self.name}-s{shard_id}", self.breaker_cooldown_s, self.obs)
         return breaker
 
     # -- write/begin gate (closed briefly by an online split) -------------------
@@ -442,14 +437,14 @@ class ShardedDatabase:
         # Checked before the gate: a finished transaction has left it.
         tx.require_active()
         try:
-            self._commit_parts(tx)
+            tx.commit(self.stats)
         finally:
             self._leave_gate()
 
     def rollback(self, tx: _ShardedTransaction) -> None:
         tx.require_active()
         try:
-            self._rollback_parts(tx)
+            tx.rollback(self.stats)
         finally:
             self._leave_gate()
 
@@ -457,14 +452,6 @@ class ShardedDatabase:
         with self._gate:
             self._open_txs -= 1
             self._gate.notify_all()
-
-    def _commit_parts(self, tx: _ShardedTransaction) -> None:
-        tx.commit()
-        self.stats.transactions_committed += 1
-
-    def _rollback_parts(self, tx: _ShardedTransaction) -> None:
-        tx.rollback()
-        self.stats.transactions_rolled_back += 1
 
     # -- execution -----------------------------------------------------------------
 
@@ -483,15 +470,15 @@ class ShardedDatabase:
             return [self.explain_plan(statement.select)]
         self._admit(tx)
         if tx is not None:
-            return self._execute_mutation(statement, tx)
+            return self._write(statement, tx)
         with self._write_permit():
             local_tx = _ShardedTransaction(self._topology)
             try:
-                result = self._execute_mutation(statement, local_tx)
+                result = self._write(statement, local_tx)
             except Exception:
-                self._rollback_parts(local_tx)
+                local_tx.rollback(self.stats)
                 raise
-            self._commit_parts(local_tx)
+            local_tx.commit(self.stats)
             return result
 
     def _admit(self, tx: Optional[_ShardedTransaction]) -> None:
@@ -558,7 +545,8 @@ class ShardedDatabase:
         Keys are located by probing the shards' own indexes, against the
         topology snapshot the statement holds.  A read does not probe a
         shard whose breaker is open; a write probes them all, because it
-        must name every holder.  ``probes`` is what a batch of reads has
+        must name every holder (an UPDATE or DELETE whose key no shard
+        holds names none).  ``probes`` is what a batch of reads has
         been answered so far (same holder, same key: one answer); a read
         asks first the shard that held the key found last, a hint that
         is wrong at the cost of one more probe.
@@ -640,9 +628,15 @@ class ShardedDatabase:
                     self._held_last = spec.shard_id
                 return answer
 
-        return route_keyed(values, shard_map, holds,
-                           () if writing else self._open_shards(),
-                           by, every_holder, first)
+        decision = route_keyed(values, shard_map, holds,
+                               () if writing else self._open_shards(),
+                               by, every_holder, first)
+        if decision.specs or (writing and placing is None):
+            return decision
+        # Nobody holds the key: the first shard gives a read or an insert
+        # its single-node answer (no rows, a zero count, the foreign-key
+        # error); an UPDATE or DELETE has nothing to change anywhere.
+        return RouteDecision(PRUNED, shard_map.specs[:1], by)
 
     def _open_shards(self) -> list[int]:
         """Shards whose breaker rejects calls right now.  Reading the
@@ -815,141 +809,82 @@ class ShardedDatabase:
 
     # -- writes --------------------------------------------------------------------
 
-    def _execute_mutation(self, statement: Statement, tx: _ShardedTransaction) -> Any:
-        if isinstance(statement, Insert):
-            return self._execute_insert(statement, tx)
-        if isinstance(statement, Update):
-            return self._execute_update(statement, tx)
-        if isinstance(statement, Delete):
-            return self._execute_delete(statement, tx)
-        raise ShardError(f"cannot execute {statement!r}")
+    def _write(self, statement: Statement, tx: _ShardedTransaction) -> Any:
+        """Every INSERT, UPDATE and DELETE: routed by :meth:`_route`, run on
+        each shard the decision names, accounted once.
 
-    def _exec_on_shard(self, tx: _ShardedTransaction, shard_id: int,
-                       statement: Statement) -> Any:
-        db, part = tx.part(shard_id)
-        fire_fault(f"metadb.shard.{shard_id}.statement")
-        result = db.execute(statement, tx=part)
-        tx.last_written = shard_id
-        with self._report_lock:
-            self.writes_by_shard[shard_id] = (
-                self.writes_by_shard.get(shard_id, 0) + 1
-            )
-        return result
-
-    def _home(self, tx: _ShardedTransaction, table: str, value: Any) -> int:
-        """The one shard a row of a table that is not placed by a shard
-        range lives on, given the value of its placing column (a local
-        table has none).  A NULL or unknown parent or item lands on the
-        first shard, whose own foreign-key check answers as a single
-        node would."""
-        column = self._placement(table).column
-        where = None if column is None else Comparison(column, "=", value)
-        return self._route(tx.topology, table, where, writing=True,
-                           placing=tx).specs[0].shard_id
-
-    def _execute_insert(self, statement: Insert, tx: _ShardedTransaction) -> int:
+        Values are normalised here, before the shard that owns the row does
+        it again (a walk over values already of their stored types):
+        routing needs the placing column's final value, the copies of a
+        broadcast row must share what a callable default (created_at)
+        returned, and an UPDATE no shard runs still raises what a single
+        database raises for a bad column or type.  An INSERT goes to the
+        one shard its row belongs on (every shard, broadcast); an UPDATE or
+        DELETE to every shard that may hold rows it matches, and to none
+        when no shard holds its key.  An update may not carry rows to
+        another shard: when it rewrites the column that places them, only
+        the shard the new value belongs on (``home``) may run it.
+        """
         table = statement.table
-        shard_map = tx.topology.shard_map
-        placement = self._placement(table)
-        # Normalised here, before the shard that owns the row does it again
-        # (a walk over values already of their stored types): routing needs
-        # the placing column's final value, and the copies of a broadcast
-        # row must share what a callable default (created_at) returned.
-        schema = self._schemas.get(table)
-        row = statement.values if schema is None \
-            else schema.normalize_row(statement.values)
-        routed = Insert(table, row)
-        if placement.kind == "broadcast":
-            result = None
-            for spec in shard_map:
-                rowid = self._exec_on_shard(tx, spec.shard_id, routed)
-                result = rowid if result is None else result
-        else:
-            value = row.get(placement.column)
-            if placement.kind != "partitioned":
-                shard_id = self._home(tx, table, value)
-            elif value is None:
-                # NOT NULL will reject it with the proper IntegrityError.
-                shard_id = shard_map.specs[0].shard_id
-            else:
-                shard_id = shard_map.spec_for_value(value).shard_id
-            result = self._exec_on_shard(tx, shard_id, routed)
-        self.stats.inserts += 1
-        self.stats.rows_written += 1
-        return result
-
-    def _count_matching(self, tx: _ShardedTransaction, shard_id: int,
-                        table: str, where) -> int:
-        db, part = tx.part(shard_id)
-        rows = db.execute(Select(table, where=where,
-                                 aggregates=[Aggregate("count", "*", "n")]),
-                          tx=part)
-        return rows[0]["n"]
-
-    def _execute_update(self, statement: Update, tx: _ShardedTransaction) -> int:
-        table = statement.table
-        changes = statement.changes
         topology = tx.topology
-        decision = self._route(topology, table, statement.where, writing=True)
-        # An update may not carry rows to another shard: when it rewrites
-        # the column that places them, only the shard the new value
-        # belongs on (``home``) may run it.
+        schema = self._schemas.get(table)
+        column = None if schema is None else schema.placement.column
         home = refusal = None
-        placement = self._placement(table)
-        if placement.column in changes:
-            value = changes[placement.column]
-            if placement.kind == "partitioned":
-                home = next((spec.shard_id for spec in topology.shard_map
-                             if spec.covers(value)), None)
-                refusal = ("update would move {table!r} rows out of {shard}; "
-                           "cross-shard row migration requires a "
-                           "split/rebalance")
-            else:
-                home = self._home(tx, table, value)
-                refusal = "update would re-parent {table!r} rows across shards"
-        counts = []
-        for spec in decision.specs:
-            if refusal is not None and spec.shard_id != home:
-                if self._count_matching(tx, spec.shard_id, table,
-                                        statement.where):
-                    raise ShardError(
-                        refusal.format(table=table, shard=spec.describe()))
+        if isinstance(statement, Insert):
+            if schema is not None:
+                statement = Insert(table, schema.normalize_row(statement.values))
+            where = None if column is None \
+                else Comparison(column, "=", statement.values.get(column))
+            decision = self._route(topology, table, where, writing=True, placing=tx)
+            specs = decision.specs if decision.kind == BROADCAST else decision.specs[:1]
+        elif isinstance(statement, (Update, Delete)):
+            where = statement.where
+            decision = self._route(topology, table, where, writing=True)
+            specs = decision.specs
+            if isinstance(statement, Update) and schema is not None:
+                changes = schema.normalize_row(statement.changes, for_update=True)
+                statement = Update(table, changes, where)
+                if column in changes:
+                    home = self._route(topology, table,
+                                       Comparison(column, "=", changes[column]),
+                                       writing=True, placing=tx).specs[0].shard_id
+                    refusal = (
+                        "update would move {table!r} rows out of {shard}; "
+                        "cross-shard row migration requires a split/rebalance"
+                        if schema.placement.kind == "partitioned"
+                        else "update would re-parent {table!r} rows across shards")
+        else:
+            raise ShardError(f"cannot execute {statement!r}")
+        results = []
+        for spec in specs:
+            shard_id = spec.shard_id
+            db, part = tx.part(shard_id)
+            if refusal is not None and shard_id != home:
+                if db.execute(Select(table, where=where, aggregates=[
+                        Aggregate("count", "*", "n")]), tx=part)[0]["n"]:
+                    raise ShardError(refusal.format(table=table, shard=spec.describe()))
                 continue
-            counts.append(self._exec_on_shard(tx, spec.shard_id, statement))
-        total = self._rows_affected(decision, counts)
-        self.stats.updates += 1
-        self.stats.rows_written += total
+            fire_fault(f"metadb.shard.{shard_id}.statement")
+            results.append(db.execute(statement, tx=part))
+            tx.last_written = shard_id
+            with self._report_lock:
+                self.writes_by_shard[shard_id] = self.writes_by_shard.get(shard_id, 0) + 1
+        stats = self.stats
+        if isinstance(statement, Insert):
+            stats.inserts += 1
+            stats.rows_written += 1
+            return results[0]
+        # Every copy of a broadcast table changes the same rows, so one
+        # copy's count is the statement's; disjoint shards add up.
+        total = results[0] if decision.kind == BROADCAST else sum(results)
+        if isinstance(statement, Update):
+            stats.updates += 1
+        else:
+            stats.deletes += 1
+        stats.rows_written += total
         return total
-
-    def _execute_delete(self, statement: Delete, tx: _ShardedTransaction) -> int:
-        decision = self._route(tx.topology, statement.table, statement.where,
-                               writing=True)
-        total = self._rows_affected(decision, [
-            self._exec_on_shard(tx, spec.shard_id, statement)
-            for spec in decision.specs
-        ])
-        self.stats.deletes += 1
-        self.stats.rows_written += total
-        return total
-
-    @staticmethod
-    def _rows_affected(decision: RouteDecision, counts: list[int]) -> int:
-        """Every copy of a broadcast table changes the same rows, so one
-        copy's count is the statement's; disjoint shards add up."""
-        if decision.kind == BROADCAST:
-            return int(counts[0] or 0)
-        return sum(counts)
 
     # -- EXPLAIN -------------------------------------------------------------------
-
-    def explain(self, select) -> str:
-        plan = self.explain_plan(select)
-        route = plan["shard_route"]
-        by = f" by {route['by']}" if route["by"] else ""
-        return (
-            f"{plan['description']} over {len(route['shards'])}/"
-            f"{route['n_shards']} shards ({route['kind']}){by}"
-        )
 
     def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]:
         """Single-node EXPLAIN of the per-shard plan plus a ``shard_route``
@@ -1056,11 +991,6 @@ class ShardedDatabase:
             "splits": self.splits,
             "shards": shards,
         }
-
-    def repl_report(self) -> Optional[dict[str, Any]]:
-        """Per-shard replica topology when ``replicas_per_shard > 1`` —
-        the ``replication`` section of :meth:`describe`."""
-        return self._replication_of(self.shard_report())
 
     def _replication_of(self, shard: dict[str, Any]) -> Optional[dict[str, Any]]:
         """The ``replication`` section, placed from the replica reports a

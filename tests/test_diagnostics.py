@@ -57,7 +57,7 @@ class TestEventLog:
         for index in range(10):
             log.emit("info", "test", "tick", index=index)
         assert len(log) == 4
-        assert log.total_emitted == 10
+        assert log.total == 10
         assert [e.fields["index"] for e in log.records()] == [6, 7, 8, 9]
 
     def test_sequence_is_monotonic_and_jsonl_parses(self):
@@ -92,7 +92,7 @@ class TestEventLog:
             thread.start()
         for thread in threads:
             thread.join()
-        assert log.total_emitted == 800
+        assert log.total == 800
         assert len({event.seq for event in log.records()}) == 800
 
     def test_hub_event_correlates_to_current_span(self):
@@ -137,7 +137,7 @@ class TestSlowLog:
             log.record("op", 0.1 + index, 0.05, index=index)
         snapshot = log.snapshot()
         assert len(snapshot) == 3
-        assert log.total_recorded == 5
+        assert log.total == 5
         assert snapshot[-1]["detail"]["index"] == 4
 
     def test_hub_slow_op_correlates_to_span(self):

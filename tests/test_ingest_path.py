@@ -203,27 +203,14 @@ class TestOneRowObject:
         with pytest.raises(IntegrityError, match=r"^NOT NULL violation: events\.label$"):
             db.execute(Update("events", {"label": None}))
         table = db.table("events")
-        for update in (table.update, table.update_row):
-            with pytest.raises(IntegrityError,
-                               match=r"^NOT NULL violation: events\.label$"):
-                update(1, {"value": 1.0, "label": None})
+        with pytest.raises(IntegrityError,
+                           match=r"^NOT NULL violation: events\.label$"):
+            table.update_row(1, {"value": 1.0, "label": None})
         with pytest.raises(IntegrityError, match="primary key 'id'"):
             table.update_row(1, {"id": None})
         assert table.row(1)["label"] == "a"
         # The key's index still finds the row.
         assert db.execute(Select("events", where=Comparison("id", "=", 1))) == [table.row(1)]
-
-    def test_direct_table_callers_are_still_normalised(self):
-        db = Database(name="one")
-        db.create_table(_events_schema())
-        table = db.table("events")
-        rowid = table.insert({"id": "4", "label": "a", "value": 2, "flag": 1})
-        assert table.row(rowid) == {"id": 4, "label": "a", "value": 2.0, "ts": None,
-                                    "payload": None, "flag": True, "parent": None}
-        table.update(rowid, {"ts": dt.datetime(1970, 1, 2)})
-        assert table.row(rowid)["ts"] == 86_400.0
-        with pytest.raises(IntegrityError, match="type violation on events.value"):
-            table.update(rowid, {"value": "fast"})
 
 
 # -- what reaches the journal, the snapshot and the followers ---------------------------

@@ -19,7 +19,6 @@ from repro.metadb import (
     Insert,
     IntegrityError,
     LockTimeout,
-    PoolSet,
     Predicate,
     SchemaError,
     Select,
@@ -420,14 +419,6 @@ class TestConnectionPool:
         pool.close()
         with pytest.raises(ClosedError):
             pool.acquire()
-
-    def test_poolset_has_three_pools(self):
-        database = Database()
-        pools = PoolSet(database)
-        assert pools.queries.name == "queries"
-        assert pools.updates.name == "updates"
-        assert pools.auth.name == "auth"
-        pools.close()
 
     def test_concurrent_executions_are_safe(self):
         database = Database()

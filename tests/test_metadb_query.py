@@ -204,13 +204,13 @@ class TestSelectExecution:
 
     def test_pk_probe_plan_and_result(self, events_db):
         select = Select("events", where=Comparison("event_id", "=", 7))
-        assert events_db.explain(select) == "PK_PROBE on event_id"
+        assert events_db.explain_plan(select)["description"] == "PK_PROBE on event_id"
         rows = events_db.execute(select)
         assert len(rows) == 1 and rows[0]["event_id"] == 7
 
     def test_range_scan_plan_and_result(self, events_db):
         select = Select("events", where=Between("start_time", 100.0, 150.0))
-        assert events_db.explain(select) == "RANGE_SCAN on start_time"
+        assert events_db.explain_plan(select)["description"] == "RANGE_SCAN on start_time"
         rows = events_db.execute(select)
         assert sorted(row["event_id"] for row in rows) == [10, 11, 12, 13, 14, 15]
 
@@ -222,7 +222,7 @@ class TestSelectExecution:
 
     def test_order_by_uses_ordered_index_when_available(self, events_db):
         select = Select("events", order_by=[("start_time", "desc")], limit=5)
-        assert "RANGE_SCAN" in events_db.explain(select)
+        assert "RANGE_SCAN" in events_db.explain_plan(select)["description"]
         rows = events_db.execute(select)
         assert [row["event_id"] for row in rows] == [39, 38, 37, 36, 35]
 

@@ -1,4 +1,4 @@
-"""Tests for repro.obs: metrics, tracing, exporters, instrumentation."""
+"""Tests for repro.obs: metrics, tracing, exporters, the hub's timers."""
 
 import contextvars
 import json
@@ -13,8 +13,6 @@ from repro.obs import (
     NoData,
     Observability,
     Tracer,
-    instrument,
-    to_json_snapshot,
     to_line_protocol,
 )
 
@@ -43,7 +41,7 @@ class TestCountersAndGauges:
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
         gauge.set(10)
-        gauge.dec(3)
+        gauge.inc(-3)
         gauge.inc()
         assert gauge.value == 8
 
@@ -124,7 +122,7 @@ class TestHistogram:
         text = to_line_protocol(registry)
         assert "nan" not in text.lower()
         assert "count=0i" in text
-        json.loads(json.dumps(to_json_snapshot(registry)))  # strict-parsable
+        json.loads(json.dumps(registry.snapshot()))  # strict-parsable
 
     def test_snapshot_fields(self):
         histogram = MetricsRegistry().histogram("lat", route="/x")
@@ -182,7 +180,7 @@ class TestTracer:
                 pass
         roots = tracer.finished_spans()
         assert len(roots) == 1
-        assert roots[0].tree_names() == [
+        assert [span.name for span in roots[0].walk()] == [
             "web.handle", "dm.query", "metadb.execute", "dm.query",
         ]
         assert all(span.trace_id == roots[0].span_id for span in roots[0].walk())
@@ -200,7 +198,7 @@ class TestTracer:
             thread.start()
             thread.join()
         root = tracer.finished_spans()[0]
-        assert root.tree_names() == ["parent", "child"]
+        assert [span.name for span in root.walk()] == ["parent", "child"]
         assert root.children[0].thread_name != root.thread_name
 
     def test_exception_marks_span_as_error(self):
@@ -229,7 +227,7 @@ class TestObservabilityHub:
             assert span is NULL_SPAN
             span.set_tag("ignored", 1)  # absorbed, no error
         assert obs.tracer.finished_spans() == []
-        assert obs.current_span() is None
+        assert obs.tracer.current() is None
 
     def test_metrics_collect_even_when_tracing_is_off(self):
         obs = Observability()
@@ -245,20 +243,6 @@ class TestObservabilityHub:
         root = obs.tracer.finished_spans()[0]
         assert root.name == "op_s"
         assert obs.registry.get("op_s", kind="test").count == 1
-
-    def test_instrument_decorator_uses_instance_hub(self):
-        class Component:
-            def __init__(self):
-                self.obs = Observability(enabled=True)
-
-            @instrument("component.work_s")
-            def work(self, x):
-                return x * 2
-
-        component = Component()
-        assert component.work(21) == 42
-        assert component.obs.registry.get("component.work_s").count == 1
-        assert component.obs.tracer.finished_spans()[0].name == "component.work_s"
 
 
 class TestExporters:
@@ -283,7 +267,7 @@ class TestExporters:
 
     def test_json_snapshot_includes_traces(self):
         obs = self._populated()
-        snapshot = to_json_snapshot(obs.registry, tracer=obs.tracer)
+        snapshot = obs.describe("metrics", "traces")
         assert snapshot["metrics"]["reqs"][0]["value"] == 3
         assert snapshot["traces"][0]["name"] == "root"
         assert snapshot["traces"][0]["children"][0]["name"] == "leaf"

@@ -363,7 +363,7 @@ class TestAntiEntropy:
         _fill(group, 16)
         follower = group.replicas[0].db
         # Bit rot / operator error: a direct write bypassing the log.
-        follower.table("events").update(3, {"label": "corrupted"})
+        follower.table("events").update_row(3, {"label": "corrupted"})
         divergent = group.verify()["g-r1"]
         assert "events" in divergent and len(divergent["events"]) == 1
 
@@ -373,7 +373,7 @@ class TestAntiEntropy:
         _fill(group, 64)
         follower = group.replicas[0].db
         follower.table("events").delete(5)
-        follower.table("events").update(40, {"value": -1.0})
+        follower.table("events").update_row(40, {"value": -1.0})
         report = group.repair()["g-r1"]
         assert report["ranges_repaired"] == 2
         assert report["rows_cloned"] < 64  # not a full re-clone
@@ -549,7 +549,7 @@ class TestShardedReplication:
         assert report["replicas_per_shard"] == 2
         for entry in report["shards"]:
             assert entry["replicas"]["replicas"][0]["state"] == "in_sync"
-        repl = sharded.repl_report()
+        repl = sharded.describe()["replication"]
         assert repl["replicas_per_shard"] == 2
         assert set(repl["per_shard"]) == {0, 1}
 
