@@ -90,9 +90,10 @@ def simulate_sharded_browsing(
 ) -> ShardedBrowsingResult:
     """Simulate one (clients, nodes, shards) configuration.
 
-    With ``n_shards=1`` every query is a single full-cost visit, so the
-    model degenerates to :func:`~repro.evalmodel.browsing.simulate_browsing`
-    (the tests assert the throughputs agree).
+    With ``n_shards=1`` every query is a single full-cost visit to the
+    one shared DBMS: that is the paper's testbed, and
+    :func:`~repro.evalmodel.browsing.simulate_browsing` is this model
+    with one shard.
     """
     if n_clients < 1 or n_middle_tier < 1 or n_shards < 1:
         raise ValueError("need at least one client, node and shard")

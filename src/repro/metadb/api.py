@@ -69,7 +69,8 @@ class DatabaseApi(Protocol):
 
     def execute(self, statement: Union[Statement, str], tx: Any = None) -> Any:
         """SELECT returns a list of row dicts, INSERT the new rowid,
-        UPDATE/DELETE the affected row count.  Without ``tx`` the
+        UPDATE/DELETE the affected row count, EXPLAIN a one-element list
+        holding :meth:`explain_plan`'s answer.  Without ``tx`` the
         statement autocommits."""
         ...
 
@@ -128,14 +129,9 @@ class DatabaseApi(Protocol):
 
     # -- DDL -----------------------------------------------------------------
 
-    def create_table(self, schema: TableSchema) -> None: ...
-
-    def declare_table(self, schema: TableSchema) -> None:
-        """Create the table unless it exists; what a schema installer
-        calls on every open.  A table that exists keeps its stored
-        columns, keys and ``columnar`` flag; one stored before placement
-        was recorded takes the declared placement, which is how a
-        sharded catalog of that age learns where its rows belong."""
+    def create_table(self, schema: TableSchema) -> None:
+        """A schema installer creates what :meth:`has_table` reports
+        missing; a table that exists keeps what was stored."""
         ...
 
     def drop_table(self, name: str) -> None: ...
@@ -162,6 +158,11 @@ class DatabaseApi(Protocol):
 
     # -- lifecycle -----------------------------------------------------------
 
-    def checkpoint(self) -> None: ...
+    def checkpoint(self) -> None:
+        """Snapshot every copy and truncate its journal.  A snapshot
+        records what it covers: the journal generation it starts and a
+        follower's acked offset, so a reopened copy replays only what
+        came after it and a follower resumes shipping where it was."""
+        ...
 
     def close(self) -> None: ...

@@ -103,8 +103,9 @@ class Database:
         self._plans: dict[Any, tuple[Any, Plan]] = {}
         # Replication: listeners fired after each durable commit (the
         # log-shipping hook) and the highest LSN this copy has applied as
-        # a follower.  The offset is recovered from ``__repl_ack__``
-        # journal records so a crashed follower knows where to resume.
+        # a follower.  The offset is recovered from the snapshot and the
+        # ``__repl_ack__`` journal records so a crashed follower knows
+        # where to resume.
         self._commit_listeners: list[Any] = []
         self.replication_offset = 0
         self._journal: Optional[Journal] = None
@@ -125,6 +126,8 @@ class Database:
             raise ClosedError(f"database {self.name!r} is closed")
 
     def _recover(self) -> None:
+        """The snapshot, then the journal's records through the applier
+        a follower uses (a superseded journal yields none)."""
         snapshot = self._journal.load_snapshot()
         if snapshot is not None:
             for table_data in snapshot["tables"].values():
@@ -133,33 +136,13 @@ class Database:
                 for rowid, row in sorted(table_data["rows"].items()):
                     table.restore(rowid, row)
                 self._tables[schema.name] = table
+            self.replication_offset = snapshot["replication_offset"]
         replayed = 0
         for record in self._journal.replay():
             replayed += 1
-            operation = record["op"]
-            if operation == "__ddl__":
-                if record["kind"] == "create_table":
-                    schema = TableSchema.from_dict(record["schema"])
-                    self._tables[schema.name] = Table(schema)
-                elif record["kind"] == "drop_table":
-                    self._tables.pop(record["table"], None)
-                continue
-            if operation == "__repl_ack__":
-                # Follower bookkeeping: the batch journaled on this line
-                # was shipped replication traffic; the ack is atomic with
-                # the data it acknowledges.
-                self.replication_offset = int(record.get("lsn", 0))
-                continue
-            table = self._tables[record["table"]]
-            if operation == "insert":
-                table.restore(record["rowid"], record["row"])
-            elif operation == "update":
-                # A journal written before changes were logged normalised
-                # carries the statement's raw ones.
-                table.update_row(record["rowid"], table.schema.normalize_row(
-                    record["changes"], for_update=True))
-            elif operation == "delete":
-                table.delete(record["rowid"])
+            self._apply_redo_record(record)
+        # Recovery is not traffic: the counters start at zero.
+        self.stats.reset()
         if snapshot is not None or replayed:
             self.obs.event(
                 "info", "metadb", "wal.recovered",
@@ -169,7 +152,8 @@ class Database:
             )
 
     def checkpoint(self) -> None:
-        """Write a snapshot and truncate the journal."""
+        """Write a snapshot, with the follower offset and the journal
+        generation it starts, and truncate the journal."""
         with self._lock:
             self._require_open()
             if self._journal is None:
@@ -181,7 +165,9 @@ class Database:
                         "rows": {rowid: table.row(rowid) for rowid in table.rowids()},
                     }
                     for name, table in self._tables.items()
-                }
+                },
+                "generation": self._journal.generation + 1,
+                "replication_offset": self.replication_offset,
             }
             self._journal.checkpoint(snapshot)
 
@@ -202,14 +188,6 @@ class Database:
                 self._journal.append_ddl(
                     {"kind": "create_table", "schema": schema.to_dict()}
                 )
-
-    def declare_table(self, schema: TableSchema) -> None:
-        with self._lock:
-            table = self._tables.get(schema.name)
-            if table is None:
-                self.create_table(schema)
-            else:
-                table.schema.adopt_placement(schema)
 
     def drop_table(self, name: str) -> None:
         with self._lock:
@@ -316,39 +294,32 @@ class Database:
         checks (the primary already enforced both).  With ``lsn`` the
         batch is idempotent: a batch at or below
         :attr:`replication_offset` is a duplicate ship (a lost ack) and is
-        skipped, and the offset advance is journaled
-        in the same WAL line as the batch, so a crash can never leave the
-        ack ahead of the data or the data ahead of the ack.  Returns
-        ``True`` if the batch was applied, ``False`` if deduplicated.
+        skipped, and the offset advance is an ``__repl_ack__`` record
+        journaled in the same WAL line as the batch, so a crash can never
+        leave the ack ahead of the data or the data ahead of the ack.
+        Returns ``True`` if the batch was applied, ``False`` if
+        deduplicated.  An ``__repl_ack__`` record applied without ``lsn``
+        forces the offset: a re-synced copy's is the log head.
         """
         with self._lock:
             self._require_open()
-            if lsn is not None and lsn <= self.replication_offset:
-                return False
+            if lsn is not None:
+                if lsn <= self.replication_offset:
+                    return False
+                records = [*records, {"op": "__repl_ack__", "lsn": lsn}]
             for record in records:
                 self._apply_redo_record(record)
-            if lsn is not None:
-                self.replication_offset = lsn
-            if self._journal is not None:
-                journaled = list(records)
-                if lsn is not None:
-                    journaled.append({"op": "__repl_ack__", "lsn": lsn})
-                if journaled:
-                    self._journal.append_transaction(tx_id, journaled)
+            if self._journal is not None and records:
+                self._journal.append_transaction(tx_id, records)
             return True
 
-    def set_replication_offset(self, lsn: int) -> None:
-        """Force the follower offset (used when a copy is re-synced out of
-        band, e.g. after anti-entropy repair or a cross-restart bootstrap,
-        where the shipped-log LSNs restart)."""
-        with self._lock:
-            self._require_open()
-            self.replication_offset = lsn
-            if self._journal is not None:
-                self._journal.append_transaction(0, [{"op": "__repl_ack__", "lsn": lsn}])
-
     def _apply_redo_record(self, record: dict[str, Any]) -> None:
+        """Apply one committed record: what recovery replays, a follower
+        is shipped and a repair clones all pass here."""
         operation = record["op"]
+        if operation == "__repl_ack__":
+            self.replication_offset = record["lsn"]
+            return
         if operation == "__ddl__":
             if record["kind"] == "create_table":
                 schema = TableSchema.from_dict(record["schema"])
@@ -425,23 +396,25 @@ class Database:
         """Execute a collection-object statement or SQL text.
 
         SELECT returns a list of row dicts.  INSERT returns the new rowid.
-        UPDATE/DELETE return the affected row count.  Without ``tx`` the
-        statement autocommits.
+        UPDATE/DELETE return the affected row count, EXPLAIN
+        ``[explain_plan(...)]``.  Without ``tx`` the statement
+        autocommits.
         """
         if isinstance(statement, str):
             statement = parse(statement)
+        run = self._explain if isinstance(statement, Explain) else self._execute_statement
         obs = self.obs
         slow_threshold = obs.slowlog.threshold_for("metadb.execute")
         if not obs.enabled and slow_threshold is None:
             fire_fault("metadb.statement")
-            return self._execute_statement(statement, tx)
+            return run(statement, tx)
         op = type(statement).__name__.lower()
         # The clock starts before fire_fault so injected stalls show up in
         # the slow log like any other slow statement would.
         started = time.perf_counter()
         with obs.span("metadb.execute", db=self.name, op=op, table=statement.table):
             fire_fault("metadb.statement")
-            result = self._execute_statement(statement, tx)
+            result = run(statement, tx)
             elapsed = time.perf_counter() - started
             if obs.enabled:
                 obs.observe("metadb.query_s", elapsed, db=self.name, op=op)
@@ -533,12 +506,6 @@ class Database:
             self._require_open()
             if tx is not None and tx.state is not TxState.ACTIVE:
                 raise TransactionError("transaction is not active")
-            if isinstance(statement, Explain):
-                select = statement.select
-                if select.table not in self._tables:
-                    raise SchemaError(f"unknown table {select.table!r}")
-                plan = plan_select(self._tables[select.table], select)
-                return [{"table": select.table, **plan.to_dict()}]
             if isinstance(statement, Select):
                 table = self._tables.get(statement.table)
                 if table is None:
@@ -568,6 +535,9 @@ class Database:
             if autocommit:
                 self.commit(local_tx)
             return result
+
+    def _explain(self, statement: Explain, tx: Optional[Transaction]) -> list[dict[str, Any]]:
+        return [self.explain_plan(statement)]
 
     @staticmethod
     def _target_rowids(table: Table, where: Optional[Predicate]) -> list[int]:

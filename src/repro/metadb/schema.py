@@ -173,13 +173,6 @@ class TableSchema:
         self.placement = placement
         self.item_key = item_key
 
-    def adopt_placement(self, declared: "TableSchema") -> None:
-        """A schema stored before placement was recorded takes the
-        declared one (the stored columns, keys and indexes stay)."""
-        if self.placement == BROADCAST and self.item_key is None:
-            self.placement = declared.placement
-            self.item_key = declared.item_key
-
     def normalize_row(self, values: dict[str, Any], *, for_update: bool = False) -> dict[str, Any]:
         """Validate and coerce ``values`` into a complete (or partial) row.
 

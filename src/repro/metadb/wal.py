@@ -5,6 +5,10 @@ redo logs ... is stored on the A1000 with tape backup"): committed
 transactions are appended to a JSON-lines journal; a checkpoint writes a
 full snapshot and truncates the journal; opening a database restores the
 snapshot and replays the journal.
+Each checkpoint starts a journal *generation*, named by the snapshot and
+by the journal's first line: a crash between the snapshot's rename and
+the truncate leaves an older journal, which recovery discards.  A file
+without a generation is generation 0.
 """
 
 from __future__ import annotations
@@ -83,13 +87,13 @@ def replace_durably(path: Path, chunks: Iterable[str],
 SNAPSHOT_CHUNK_ROWS = 2000
 
 
-def _snapshot_chunks(tables: dict[str, dict[str, Any]]) -> Iterator[str]:
+def _snapshot_chunks(snapshot: dict[str, Any]) -> Iterator[str]:
     """The snapshot document, piece by piece: byte for byte what
-    ``json.dump({"tables": {name: {"schema": ..., "rows": {...}}}})``
+    ``json.dump({"tables": {name: {"schema": ..., "rows": {...}}}, ...})``
     writes, produced by ``json.dumps`` (one call into the C encoder per
     chunk of rows) where ``json.dump`` walks a pure-Python generator."""
     yield '{"tables": {'
-    for index, (name, table_data) in enumerate(tables.items()):
+    for index, (name, table_data) in enumerate(snapshot["tables"].items()):
         yield (", " if index else "") + json.dumps(name) + ': {"schema": ' \
             + json.dumps(table_data["schema"]) + ', "rows": {'
         rows = iter(table_data["rows"].items())
@@ -98,7 +102,11 @@ def _snapshot_chunks(tables: dict[str, dict[str, Any]]) -> Iterator[str]:
             yield separator + json.dumps(chunk, default=encode_blob)[1:-1]
             separator = ", "
         yield "}}"
-    yield "}}"
+    yield "}"
+    for key, value in snapshot.items():
+        if key != "tables":
+            yield f", {json.dumps(key)}: {json.dumps(value)}"
+    yield "}"
 
 
 class Journal:
@@ -111,6 +119,8 @@ class Journal:
         self.journal_path = self.directory / "journal.jsonl"
         self.snapshot_path = self.directory / "snapshot.json"
         self._handle = None
+        #: The generation of this journal's records: its snapshot's.
+        self.generation = 0
         self.obs = resolve_obs(obs)
         # Scoped fault point (e.g. "metadb.shard.3") so chaos tests can
         # fail one shard's fsyncs without touching every journal.
@@ -124,6 +134,9 @@ class Journal:
     def _open_handle(self):
         if self._handle is None:
             self._handle = open(self.journal_path, "a", encoding="utf-8")
+            if self.generation and not self._handle.tell():
+                # Flushed and fsynced with the record that follows.
+                self._handle.write(json.dumps({"generation": self.generation}) + "\n")
             global _OPEN_HANDLES
             with _HANDLE_LOCK:
                 _OPEN_HANDLES += 1
@@ -148,18 +161,24 @@ class Journal:
     # -- checkpointing ---------------------------------------------------------
 
     def checkpoint(self, snapshot: dict[str, Any]) -> None:
-        """Write a snapshot atomically, then truncate the journal."""
-        replace_durably(self.snapshot_path,
-                        _snapshot_chunks(snapshot["tables"]), self._fsync)
+        """Write a snapshot atomically, then truncate the journal, whose
+        records are of the snapshot's ``generation`` from here on."""
+        replace_durably(self.snapshot_path, _snapshot_chunks(snapshot), self._fsync)
+        self.generation = snapshot.get("generation", 0)
+        self._truncate()
+        self.obs.count("metadb.wal.checkpoints")
+
+    def _truncate(self) -> None:
         self.close()
         with open(self.journal_path, "w", encoding="utf-8") as handle:
             handle.flush()
             self._fsync(handle)
-        self.obs.count("metadb.wal.checkpoints")
 
     # -- recovery ------------------------------------------------------------
 
     def load_snapshot(self) -> Optional[dict[str, Any]]:
+        """The snapshot's tables and the follower offset it holds; sets
+        the generation a journal must be of to be replayed over it."""
         if not self.snapshot_path.exists():
             return None
         with open(self.snapshot_path, encoding="utf-8") as handle:
@@ -173,7 +192,9 @@ class Journal:
                     for rowid, row in table_data["rows"].items()
                 },
             }
-        return {"tables": tables}
+        self.generation = payload.get("generation", 0)
+        return {"tables": tables,
+                "replication_offset": payload.get("replication_offset", 0)}
 
     def _scan_entries(self) -> list[dict[str, Any]]:
         """Read all decodable journal entries, healing a torn tail.
@@ -235,8 +256,14 @@ class Journal:
         )
 
     def replay(self) -> Iterator[dict[str, Any]]:
-        """Yield journal entries in commit order, discarding a torn tail."""
-        for entry in self._scan_entries():
+        """Yield journal entries in commit order, discarding a torn tail
+        and, before anything is appended to it, a journal the snapshot
+        supersedes."""
+        entries = self._scan_entries()
+        if entries and entries[0].get("generation", 0) < self.generation:
+            self._truncate()
+            return
+        for entry in entries:
             if "records" in entry:
                 for record in entry["records"]:
                     record = dict(record)

@@ -95,36 +95,33 @@ def repair_replica(primary: Database, replica: Database,
     """Make ``replica`` byte-identical to ``primary`` and report the work.
 
     Runs under the primary's lock so the repair sees one consistent
-    primary state; divergent ranges are re-cloned as delete-then-restore
-    redo batches through ``replica.apply_redo`` (journaled on the
-    follower, so a crash mid-repair recovers cleanly).
+    primary state.  The replica's table set is made the primary's
+    first; then each range :func:`verify_replica` finds divergent is
+    re-cloned as a delete-then-restore redo batch through
+    ``replica.apply_redo`` (journaled on the follower, so a crash
+    mid-repair recovers cleanly).
     """
     with primary._lock:
         report: dict[str, Any] = {
             "tables": {}, "ranges_checked": 0, "ranges_repaired": 0,
             "rows_cloned": 0,
         }
-        primary_tables = set(primary.table_names())
+        primary_tables = primary.table_names()
         for name in replica.table_names():
             if name not in primary_tables:
                 replica.apply_redo([{"op": "__ddl__", "kind": "drop_table",
                                      "table": name}])
                 report["tables"][name] = "dropped"
-        for name in sorted(primary_tables):
+        for name in primary_tables:
             ptable = primary.table(name)
             if not replica.has_table(name):
                 replica.apply_redo([{
                     "op": "__ddl__", "kind": "create_table",
                     "schema": ptable.schema.to_dict(),
                 }])
-            boundaries = rowid_ranges(ptable, n_ranges)
-            ours = range_checksums(primary, name, boundaries)
-            theirs = range_checksums(replica, name, boundaries)
-            report["ranges_checked"] += len(boundaries)
-            bad = [b for b, lhs, rhs in zip(boundaries, ours, theirs) if lhs != rhs]
-            if not bad:
-                continue
-            rtable = replica.table(name)
+            report["ranges_checked"] += len(rowid_ranges(ptable, n_ranges))
+        for name, bad in verify_replica(primary, replica, n_ranges).items():
+            ptable, rtable = primary.table(name), replica.table(name)
             rows_cloned = 0
             for lo, hi in bad:
                 records: list[dict[str, Any]] = [

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..metadb.database import Database, DatabaseStats
-from ..metadb.query import Delete, Explain, Insert, Select, Update
+from ..metadb.query import Delete, Insert, Select, Update
 from ..metadb.schema import TableSchema
 from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction
@@ -387,7 +387,9 @@ class ReplicaGroup:
         with self.primary._lock:
             report = repair_replica(self.primary, replica.db, self.n_ranges)
             head = self.log.head_lsn
-            replica.db.set_replication_offset(head)
+            # Forced, not deduplicated: the shipped-log LSNs restart
+            # across a primary's restart.
+            replica.db.apply_redo([{"op": "__repl_ack__", "lsn": head}])
             replica.acked_lsn = head
         if not bootstrap:
             self.repairs += 1
@@ -520,15 +522,6 @@ class ReplicaGroup:
             "op": "__ddl__", "kind": "create_table", "schema": schema.to_dict(),
         })
 
-    def declare_table(self, schema: TableSchema) -> None:
-        if not self.primary.has_table(schema.name):
-            self.create_table(schema)      # shipped to the followers
-            return
-        self.primary.declare_table(schema)
-        for replica in self.replicas:
-            if not replica.crashed:
-                replica.db.declare_table(schema)
-
     def drop_table(self, name: str) -> None:
         self.primary.drop_table(name)
         self._replicate_ddl({"op": "__ddl__", "kind": "drop_table", "table": name})
@@ -563,12 +556,10 @@ class ReplicaGroup:
     ) -> Any:
         if isinstance(statement, str):
             statement = parse(statement)
-        if isinstance(statement, Explain):
-            return self.primary.execute(statement, tx=tx)
         if isinstance(statement, Select) and tx is None:
             return self._read_with_failover((statement,))[0]
-        # Writes go to the primary, and so does a read inside a
-        # transaction: only the primary holds its uncommitted rows.
+        # Writes and EXPLAIN go to the primary, and so does a read inside
+        # a transaction: only the primary holds its uncommitted rows.
         result = self.primary.execute(statement, tx=tx)
         with self._lock:
             if isinstance(statement, Select):

@@ -267,6 +267,8 @@ GENERIC_SCHEMAS = (
 
 
 def install_generic(database) -> None:
-    """Create all generic tables (idempotent)."""
+    """Create the generic tables the database lacks (idempotent)."""
     for schema_factory in GENERIC_SCHEMAS:
-        database.declare_table(schema_factory())
+        schema = schema_factory()
+        if not database.has_table(schema.name):
+            database.create_table(schema)

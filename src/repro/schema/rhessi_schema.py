@@ -258,6 +258,9 @@ RHESSI_SCHEMAS = (hle, ana, catalogs, catalog_members, raw_units, calibrations, 
 
 
 def install_rhessi(database) -> None:
-    """Create the seven domain tables (requires the generic part first)."""
+    """Create the domain tables the database lacks (requires the generic
+    part first)."""
     for schema_factory in RHESSI_SCHEMAS:
-        database.declare_table(schema_factory())
+        schema = schema_factory()
+        if not database.has_table(schema.name):
+            database.create_table(schema)

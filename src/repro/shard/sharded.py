@@ -65,8 +65,7 @@ TOPOLOGY_FILE = "topology.json"
 
 #: What ``topology.json`` says about where rows are: 1 when every table's
 #: rows sit where its stored placement puts them.  A directory without it
-#: was written when placement was compiled in and every table it did not
-#: name was broadcast; see :meth:`ShardedDatabase._upgrade_placement`.
+#: was written when placement was compiled in, and is not opened.
 PLACEMENT_VERSION = 1
 
 
@@ -212,8 +211,6 @@ class ShardedDatabase:
         self.degraded_count = 0
         self.splits = 0
         self._route_counters: dict[str, Any] = {}
-        self._placement_version = PLACEMENT_VERSION
-        self._upgrade_due = False
         specs = self._load_or_create_specs(boundaries)
         dbs = {spec.shard_id: self._new_shard_db(spec.shard_id) for spec in specs}
         self._topology = _Topology(ShardMap(specs), dbs)
@@ -229,12 +226,15 @@ class ShardedDatabase:
             if topo_path.exists():
                 with open(topo_path, encoding="utf-8") as handle:
                     payload = json.load(handle)
+                if payload.get("placement_version") != PLACEMENT_VERSION:
+                    raise ShardError(
+                        f"{self._path} predates stored placement ({TOPOLOGY_FILE} "
+                        "has no placement_version); this version cannot open it")
                 # The replica count is part of the persisted topology, so a
                 # reopened catalog rebuilds the same replica groups.
                 self.replicas_per_shard = payload.get(
                     "replicas_per_shard", self.replicas_per_shard
                 )
-                self._placement_version = payload.get("placement_version", 0)
                 return [
                     ShardSpec(entry["id"], entry["low"], entry["high"])
                     for entry in payload["shards"]
@@ -276,7 +276,7 @@ class ShardedDatabase:
                 for spec in self._topology.shard_map
             ],
             "replicas_per_shard": self.replicas_per_shard,
-            "placement_version": self._placement_version,
+            "placement_version": PLACEMENT_VERSION,
         }
         replace_durably(self._path / TOPOLOGY_FILE, [json.dumps(payload)],
                         lambda handle: counted_fsync(handle, self.obs))
@@ -373,18 +373,6 @@ class ShardedDatabase:
         self._ddl(lambda db: db.create_table(
             TableSchema.from_dict(schema.to_dict())))
 
-    def declare_table(self, schema: TableSchema) -> None:
-        """Create the table unless it exists.  In a directory written
-        before placement was stored, a table that exists takes the
-        declared placement on every copy, and the rows the old layout
-        put on every shard are thinned out before the next statement
-        (:meth:`_upgrade_placement`)."""
-        if not self.has_table(schema.name):
-            self.create_table(schema)
-        elif self._placement_version < PLACEMENT_VERSION:
-            self._ddl(lambda db: db.declare_table(schema))
-            self._upgrade_due = True
-
     def drop_table(self, name: str) -> None:
         self._ddl(lambda db: db.drop_table(name))
 
@@ -425,8 +413,6 @@ class ShardedDatabase:
     # -- transactions -------------------------------------------------------------
 
     def begin(self) -> _ShardedTransaction:
-        if self._upgrade_due:
-            self._upgrade_placement()
         with self._gate:
             while self._stalled:
                 self._gate.wait()
@@ -463,7 +449,7 @@ class ShardedDatabase:
         if isinstance(statement, str):
             statement = parse(statement)
         if isinstance(statement, Select):
-            if tx is not None or self._upgrade_due:     # else nothing to check
+            if tx is not None:
                 self._admit(tx)
             return self._read_batch((statement,), tx)[0]
         if isinstance(statement, Explain):
@@ -482,8 +468,6 @@ class ShardedDatabase:
             return result
 
     def _admit(self, tx: Optional[_ShardedTransaction]) -> None:
-        if self._upgrade_due and tx is None:
-            self._upgrade_placement()
         if tx is not None:
             if not isinstance(tx, _ShardedTransaction):
                 raise TransactionError(
@@ -929,13 +913,6 @@ class ShardedDatabase:
 
         return rebalance(self, table)
 
-    def _upgrade_placement(self) -> None:
-        """Thin out what the pre-placement layout wrote to every shard:
-        see :func:`repro.shard.split.upgrade_placement`."""
-        from .split import upgrade_placement
-
-        upgrade_placement(self)
-
     # -- reporting -----------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
@@ -985,7 +962,6 @@ class ShardedDatabase:
             "replicas_per_shard": self.replicas_per_shard,
             "placement": {name: placement.describe()
                           for name, placement in placements.items()},
-            "placement_version": self._placement_version,
             "routes": dict(self.route_counts),
             "degraded_reads": self.degraded_count,
             "splits": self.splits,

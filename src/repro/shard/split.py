@@ -28,9 +28,6 @@ Placement within the split range:
 * rows that follow a parent or their item go where it went (parents and
   item owners are reconciled first, so the lookup is against settled
   data); rows with neither, and the rows of local tables, stay low.
-
-:func:`upgrade_placement` is the other topology change: it brings a
-directory written before placement was stored to the layout above.
 """
 
 from __future__ import annotations
@@ -40,11 +37,9 @@ from typing import Any, Optional
 
 from ..metadb.database import Database
 from ..metadb.errors import SchemaError
-from ..metadb.predicate import In
-from ..metadb.query import Delete
 from ..metadb.schema import TableSchema
 from .partition import ShardError, ShardSpec
-from .sharded import PLACEMENT_VERSION, ShardedDatabase, _Topology
+from .sharded import ShardedDatabase, _Topology
 
 
 def _dependency_order(sharded: ShardedDatabase) -> list[str]:
@@ -261,67 +256,3 @@ def rebalance(sharded: ShardedDatabase,
     ):
         return None
     return split_shard(sharded, heaviest.shard_id, at)
-
-
-def upgrade_placement(sharded: ShardedDatabase) -> None:
-    """Bring a directory written before placement was stored, where
-    every shard holds every per-item row and every log row, to the
-    layout its declared placements describe.
-
-    Under the write gate each shard drops, in one ordinary journaled
-    transaction that ships to its followers, the following rows whose
-    item's owner it does not hold; the first shard alone keeps the rows
-    nobody owns and the rows of local tables.  Every copy then
-    checkpoints, so its stored schemas carry the placements, and the
-    topology is stamped.  A shard's rule does not depend on what another
-    has dropped: a crash anywhere leaves a directory the next open
-    upgrades again, and a finished one is left alone.
-    """
-    with sharded._split_lock:
-        if not sharded._upgrade_due:
-            return
-        with sharded._writes_stalled():
-            topology = sharded._topology
-            owners = sharded._item_owners
-            dbs = [topology.db(spec.shard_id) for spec in topology.shard_map]
-
-            def owned_on(db: Database, item: Any) -> bool:
-                return any(db.holds(owner, key, item) for owner, key in owners)
-
-            dropped = 0
-            for db in dbs:
-                first = db is dbs[0]
-                tx = db.begin()
-                try:
-                    for name, schema in sharded._schemas.items():
-                        placement = schema.placement
-                        if placement.kind == "local" and not first:
-                            dropped += db.execute(Delete(name), tx=tx)
-                        if placement.kind != "follows_item":
-                            continue
-                        column = placement.column
-                        # An item owned elsewhere goes; nobody's item
-                        # stays on the first shard alone.
-                        strangers = [
-                            item for item in
-                            {row[column] for row in db.table(name).rows()}
-                            if not owned_on(db, item) and (
-                                not first or any(owned_on(other, item)
-                                                 for other in dbs[1:]))]
-                        if strangers:
-                            dropped += db.execute(
-                                Delete(name, In(column, strangers)), tx=tx)
-                except Exception:
-                    db.rollback(tx)
-                    raise
-                db.commit(tx)
-            for db in dbs:
-                db.checkpoint()
-            sharded._placement_version = PLACEMENT_VERSION
-            sharded._upgrade_due = False
-            sharded._persist_topology()
-        sharded.obs.event(
-            "info", "shard", "placement.upgraded",
-            "pre-placement directory brought to its declared placements",
-            db=sharded.name, rows_dropped=dropped,
-        )

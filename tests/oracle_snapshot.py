@@ -20,7 +20,7 @@ from .oracle_normalize import _encode_row
 
 
 def checkpoint_with_json_dump(journal: Journal, snapshot: dict[str, Any]) -> None:
-    payload = {"tables": {
+    payload = {**snapshot, "tables": {
         name: {"schema": data["schema"],
                "rows": {str(rowid): _encode_row(row)
                         for rowid, row in data["rows"].items()}}

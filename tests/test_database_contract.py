@@ -44,6 +44,7 @@ from repro.metadb import (
     Database,
     DatabaseApi,
     Delete,
+    Explain,
     ForeignKey,
     In,
     Insert,
@@ -865,6 +866,15 @@ def test_explain_plan_names_the_table(build, opened):
     assert isinstance(plan, dict)
     assert plan["table"] == "t"
     assert plan["access"]
+
+
+@every_build
+def test_an_explain_statement_answers_explain_plan(build, opened):
+    """``execute`` of an EXPLAIN is the one-element list of what
+    ``explain_plan`` says, on every implementation."""
+    select = Select("t", where=Comparison("k", "=", 1))
+    assert opened.execute(Explain(select)) == [opened.explain_plan(select)]
+    assert "cached_plan" in opened.execute("EXPLAIN SELECT * FROM t WHERE k = 1")[0]
 
 
 @every_build

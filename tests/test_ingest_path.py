@@ -246,26 +246,6 @@ class TestDurableImages:
         assert reopened.verify() == {"g-r1": {}}
         reopened.close()
 
-    def test_a_journal_that_carries_raw_changes_replays_to_the_same_rows(self, tmp_path):
-        """Journals written before this one logged the statement's raw
-        changes (whatever of them JSON could say): recovery still
-        normalises what it replays."""
-        db = Database(path=tmp_path / "db", name="old")
-        db.create_table(_events_schema())
-        db.execute(Insert("events", {"id": 1, "label": "a", "value": 1.0}))
-        db.close()
-        with open(tmp_path / "db" / "journal.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"tx": 9, "records": [{
-                "op": "update", "table": "events", "rowid": 1,
-                "changes": {"value": 3, "ts": "1970-01-02T00:00:00", "flag": 1,
-                            "parent": "1"}}]}) + "\n")
-        reopened = Database(path=tmp_path / "db", name="old")
-        row = reopened.execute(Select("events"))[0]
-        assert repr(row) == repr({"id": 1, "label": "a", "value": 3.0, "ts": 86_400.0,
-                                  "payload": None, "flag": True, "parent": 1})
-        assert reopened.table("events").ordered_index_on("value").count_range(3.0, 3.0) == 1
-        reopened.close()
-
     def test_apply_redo_takes_final_images_for_inserts_and_updates(self):
         """A follower validates nothing: the owning database did."""
         follower = Database(name="f")

@@ -1,15 +1,10 @@
 """A sharded directory across the change that put placement on the schema.
 
-Two reopen stories.  A directory written *before* the change (the
-compiled-in table named five domain tables and broadcast the rest, so
-every shard holds every ``loc_*`` and ``ops_*`` row, the stored schemas
-say nothing about placement and ``topology.json`` has no placement
-version) is upgraded the next time its schema set is presented: each
-per-item row ends up held once, beside its owner, every name resolves as
-before, a second open finds nothing to do and a crash half way is redone.
-A directory written *by* this commit reopens bare, through
-``ShardedDatabase(path=...)`` with no schema handed over, and routes
-from what it persisted.
+Two reopen stories.  A directory written *before* the change
+(``topology.json`` has no placement version) is refused with a typed
+error before anything under it is written.  A directory written *by*
+this commit reopens bare, through ``ShardedDatabase(path=...)`` with no
+schema handed over, and routes from what it persisted.
 """
 
 import json
@@ -20,17 +15,13 @@ import pytest
 from repro.dm import DataManager
 from repro.filestore import DiskArchive, StorageManager
 from repro.metadb import (
-    BROADCAST,
     Aggregate,
     Comparison,
     In,
     Insert,
     Select,
 )
-from repro.obs import Observability
-from repro.resil import FaultInjector, use_injector
-from repro.schema import GENERIC_SCHEMAS, RHESSI_SCHEMAS
-from repro.shard import ShardedDatabase
+from repro.shard import ShardedDatabase, ShardError
 
 DAY = 86_400.0
 BOUNDS = (DAY, 2 * DAY, 3 * DAY)
@@ -38,9 +29,9 @@ LOC_TABLES = ("loc_files", "loc_tuples", "loc_urls")
 N_EVENTS = 24
 
 
-def _open(root: Path, obs=None) -> ShardedDatabase:
+def _open(root: Path) -> ShardedDatabase:
     return ShardedDatabase(boundaries=BOUNDS, path=root / "db", name="up",
-                           replicas_per_shard=2, obs=obs)
+                           replicas_per_shard=2)
 
 
 def _data_manager(database, root: Path) -> DataManager:
@@ -98,132 +89,25 @@ def _answers(dm: DataManager, seeded: dict) -> dict:
     }
 
 
-def _rows_held(database: ShardedDatabase, table: str) -> list[int]:
-    return [len(database.shard_db(spec.shard_id).table(table))
-            for spec in database.shard_map]
-
-
-def _legacy_directory(root: Path) -> tuple[dict, dict]:
-    """A populated 4 x 2 directory as the parent commit wrote it.
-
-    The parent's compiled-in ``HEDC_SHARD_CONFIG`` placed ``hle`` and
-    ``raw_units`` by ``start_time`` and ``ana``, ``catalog_members`` and
-    ``views`` with their parents, exactly as those schemas declare now,
-    and broadcast every table it did not name.  So: create the
-    ``follows_item`` and ``local`` tables broadcast and the rest as
-    declared, populate through the DM, checkpoint, and then take out of
-    the files what the parent never wrote: the ``placement`` and
-    ``item_key`` entries of every stored schema (and the ``views`` index
-    this commit added), and the topology's placement version.
-    """
-    database = _open(root)
-    for factory in GENERIC_SCHEMAS + RHESSI_SCHEMAS:
-        schema = factory()
-        if schema.placement.kind in ("follows_item", "local"):
-            schema.placement = BROADCAST
-        database.create_table(schema)
-    dm = _data_manager(database, root)
-    seeded = _populate(dm)
-    answers = _answers(dm, seeded)
-    for table in LOC_TABLES + ("ops_log",):
-        held = _rows_held(database, table)
-        assert held == [answers["counts"][table]] * 4      # on every shard
+def test_a_pre_placement_directory_is_refused_before_anything_is_written(tmp_path):
+    """A directory written before placement was stored has no placement
+    version in ``topology.json``: opening it names the directory and
+    changes no byte under it."""
+    database = _open(tmp_path)
+    dm = _data_manager(database, tmp_path)
+    _populate(dm)
     database.checkpoint()
     database.close()
-    for snapshot in (root / "db").rglob("snapshot.json"):
-        payload = json.loads(snapshot.read_text())
-        for table in payload["tables"].values():
-            table["schema"].pop("placement", None)
-            table["schema"].pop("item_key", None)
-            if table["schema"]["name"] == "views":
-                table["schema"]["indexes"] = [["unit_id"]]
-        snapshot.write_text(json.dumps(payload))
-    topology = root / "db" / "topology.json"
+    topology = tmp_path / "db" / "topology.json"
     payload = json.loads(topology.read_text())
     del payload["placement_version"]
     topology.write_text(json.dumps(payload))
-    return seeded, answers
-
-
-def _assert_upgraded(database: ShardedDatabase, answers: dict) -> None:
-    for table in LOC_TABLES + ("ops_log",):
-        assert sum(_rows_held(database, table)) == answers["counts"][table], table
-    # Nobody's rows and the log are on the first shard, the rest spread out.
-    assert _rows_held(database, "ops_log") == [2, 0, 0, 0]
-    assert all(_rows_held(database, "loc_tuples"))
-    for table, key in (("loc_tuples", "tuple_ref"), ("loc_files", "file_id")):
-        for row in database.execute(Select(table)):
-            held = [spec.shard_id for spec in database.shard_map
-                    if database.shard_db(spec.shard_id).holds(table, key, row[key])]
-            owner_table = row["item_id"].split(":")[0]
-            owners = [spec.shard_id for spec in database.shard_map
-                      if owner_table in ("hle", "ana")
-                      and database.shard_db(spec.shard_id).holds(
-                          owner_table, "item_id", row["item_id"])]
-            assert held == (owners or [0]), row
-    for spec in database.shard_map:
-        group = database.shard_db(spec.shard_id)
-        assert all(not ranges for ranges in group.verify().values())
-    topology = json.loads(
-        (database._path / "topology.json").read_text())
-    assert topology["placement_version"] == 1
-
-
-def test_a_pre_placement_directory_is_upgraded_once(tmp_path):
-    seeded, answers = _legacy_directory(tmp_path)
-    obs = Observability(name="upgrade")
-    database = _open(tmp_path, obs)
-    # Bare, the old directory knows no placement at all.
-    assert set(database.shard_report()["placement"].values()) == {"broadcast"}
-    dm = _data_manager(database, tmp_path)      # presents the schema set
-    assert _answers(dm, seeded) == answers
-    _assert_upgraded(database, answers)
-    events = obs.events.find("placement.upgraded")
-    assert len(events) == 1
-    n_events, n_files = N_EVENTS, answers["counts"]["loc_files"]
-    # 3 of 4 copies of every owned row, of the catalogue's tuple and of
-    # the two log rows.
-    assert events[0].to_dict()["fields"]["rows_dropped"] == 3 * (
-        n_events + n_files + 1 + 1 + 2)
-    database.checkpoint()
-    database.close()
-
-    # A second open has nothing to do, with the schema set or without.
-    obs = Observability(name="again")
-    database = _open(tmp_path, obs)
-    assert database.shard_report()["placement"]["loc_files"] \
-        == "follows_item(item_id)"
-    fsyncs = obs.registry.family_total("metadb.wal.fsyncs")
-    dm = _data_manager(database, tmp_path)
-    assert _answers(dm, seeded) == answers
-    assert obs.events.find("placement.upgraded") == []
-    _assert_upgraded(database, answers)
-    # Installing the schema and asking all of that wrote nothing.
-    assert obs.registry.family_total("metadb.wal.fsyncs") == fsyncs
-    database.close()
-
-
-def test_a_crash_between_two_shards_clean_ups_is_redone(tmp_path):
-    seeded, answers = _legacy_directory(tmp_path)
-    database = _open(tmp_path)
-    injector = FaultInjector(seed=1)
-    # Shards 0 and 1 commit their clean-up; shard 2's journal write fails.
-    injector.inject("metadb.shard.2.wal.fsync", error=OSError("disk gone"))
-    with use_injector(injector), pytest.raises(OSError, match="disk gone"):
-        _data_manager(database, tmp_path)
-    held = _rows_held(database, "loc_tuples")
-    assert held[0] < held[3] == answers["counts"]["loc_tuples"]
-    # Killed here: nothing is closed or checkpointed.
-    topology = json.loads((tmp_path / "db" / "topology.json").read_text())
-    assert topology["placement_version"] == 0       # still to do
-
-    obs = Observability(name="redo")
-    database = _open(tmp_path, obs)
-    dm = _data_manager(database, tmp_path)
-    assert _answers(dm, seeded) == answers
-    _assert_upgraded(database, answers)
-    assert len(obs.events.find("placement.upgraded")) == 1
-    database.close()
+    before = {path: path.read_bytes()
+              for path in (tmp_path / "db").rglob("*") if path.is_file()}
+    with pytest.raises(ShardError, match=str(tmp_path / "db")):
+        _open(tmp_path)
+    assert {path: path.read_bytes()
+            for path in (tmp_path / "db").rglob("*") if path.is_file()} == before
 
 
 def test_a_directory_of_this_commit_reopens_bare(tmp_path):

@@ -8,21 +8,29 @@ tests cut the last record at every byte boundary and prove all of it.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metadb import (
-    Column, ColumnType, Database, Insert, Select, TableSchema, partitioned, wal,
+    Column, ColumnType, Comparison, Database, DatabaseStats, Delete,
+    IntegrityError, Insert, SchemaError, Select, TableSchema, Update,
+    partitioned, wal,
 )
 from repro.metadb.wal import Journal
 from repro.obs import Observability
+from repro.repl import ReplicaGroup
 from repro.resil import FaultInjector, use_injector
 
+from . import oracle_recovery
 from .oracle_snapshot import checkpoint_with_json_dump
 
 
-def _schema():
-    return TableSchema("samples", [
+def _schema(name="samples"):
+    return TableSchema(name, [
         Column("id", ColumnType.INTEGER, nullable=False),
         Column("note", ColumnType.TEXT),
         Column("payload", ColumnType.BLOB),
@@ -186,13 +194,15 @@ def _mixed_rows(n):
     } for index in range(n)]
 
 
-def _json_dump_snapshot(db, directory) -> str:
-    """The document the ``json.dump`` writer leaves for ``db``'s tables."""
+def _json_dump_snapshot(db, directory, generation=1) -> str:
+    """The document the ``json.dump`` writer leaves for ``db``'s tables,
+    as the checkpoint that starts journal ``generation``."""
     journal = Journal(directory)
     checkpoint_with_json_dump(journal, {"tables": {
         name: {"schema": table.schema.to_dict(),
                "rows": {rowid: table.row(rowid) for rowid in table.rowids()}}
-        for name, table in db._tables.items()}})
+        for name, table in db._tables.items()},
+        "generation": generation, "replication_offset": db.replication_offset})
     return journal.snapshot_path.read_text(encoding="utf-8")
 
 
@@ -234,7 +244,8 @@ class TestSnapshotWriter:
         db = Database(path=tmp_path / "db", name="empty")
         db.checkpoint()
         assert (tmp_path / "db" / "snapshot.json").read_text() \
-            == _json_dump_snapshot(db, tmp_path / "oracle") == '{"tables": {}}'
+            == _json_dump_snapshot(db, tmp_path / "oracle") \
+            == '{"tables": {}, "generation": 1, "replication_offset": 0}'
         db.close()
 
     def test_a_torn_temporary_snapshot_is_ignored_and_replaced(self, tmp_path):
@@ -255,7 +266,7 @@ class TestSnapshotWriter:
         reopened.checkpoint()
         assert not (tmp_path / "db" / "snapshot.tmp").exists()
         assert (tmp_path / "db" / "snapshot.json").read_text() \
-            == _json_dump_snapshot(reopened, tmp_path / "oracle")
+            == _json_dump_snapshot(reopened, tmp_path / "oracle", generation=2)
         reopened.close()
 
     def test_a_failed_snapshot_fsync_keeps_the_old_snapshot_and_journal(
@@ -274,3 +285,221 @@ class TestSnapshotWriter:
         assert {name: (tmp_path / "db" / name).read_bytes()
                 for name in before} == before
         db.close()
+
+
+# -- what a snapshot covers ----------------------------------------------------
+
+def _sample(index, note=None):
+    return {"id": index, "note": note or f"row {index}", "payload": bytes([index])}
+
+
+def _shipped(index):
+    """The shipped batch inserting sample ``index``, as a follower gets it."""
+    return [{"op": "insert", "table": "samples", "rowid": index + 1,
+             "row": _sample(index)}]
+
+
+class TestCheckpointCrash:
+    """A crash after the checkpoint renamed its snapshot into place and
+    before it truncated the journal leaves the snapshot beside a journal
+    whose records it already holds."""
+
+    @staticmethod
+    def _crash_after_the_rename(db, directory):
+        """Checkpoint, then put back the journal the truncate removed."""
+        journal = directory / "journal.jsonl"
+        stale = journal.read_bytes()
+        db.checkpoint()
+        db.close()
+        journal.write_bytes(stale)
+
+    def test_a_primary_reopens_without_replaying_what_its_snapshot_holds(
+            self, tmp_path):
+        db = Database(path=tmp_path / "db", name="p")
+        db.create_table(_schema())
+        for index in range(5):
+            db.execute(Insert("samples", _sample(index)))
+        db.checkpoint()
+        db.execute(Insert("samples", _sample(5)))
+        db.execute("UPDATE samples SET note = 'changed' WHERE id = 0")
+        db.execute("DELETE FROM samples WHERE id = 1")
+        rows = db.execute(Select("samples", order_by=[("id", "asc")]))
+        self._crash_after_the_rename(db, tmp_path / "db")
+        reopened = Database(path=tmp_path / "db", name="p")
+        assert reopened.execute(Select("samples", order_by=[("id", "asc")])) == rows
+        # The superseded journal is gone before anything is appended to it.
+        assert (tmp_path / "db" / "journal.jsonl").read_bytes() == b""
+        reopened.execute(Insert("samples", _sample(6)))
+        reopened.close()
+        again = Database(path=tmp_path / "db", name="p")
+        assert len(again.execute(Select("samples"))) == len(rows) + 1
+        again.close()
+
+    def test_a_follower_reopens_at_the_offset_its_snapshot_holds(self, tmp_path):
+        db = Database(path=tmp_path / "f", name="f")
+        db.apply_redo([{"op": "__ddl__", "kind": "create_table",
+                        "schema": _schema().to_dict()}], lsn=1)
+        for index in range(5):
+            db.apply_redo(_shipped(index), lsn=index + 2)
+        db.checkpoint()
+        db.apply_redo(_shipped(5), lsn=7)
+        db.apply_redo([{"op": "update", "table": "samples", "rowid": 1,
+                        "changes": {"note": "changed"}}], lsn=8)
+        db.apply_redo([{"op": "delete", "table": "samples", "rowid": 2}], lsn=9)
+        rows = db.execute(Select("samples", order_by=[("id", "asc")]))
+        self._crash_after_the_rename(db, tmp_path / "f")
+        reopened = Database(path=tmp_path / "f", name="f")
+        assert reopened.execute(Select("samples", order_by=[("id", "asc")])) == rows
+        assert reopened.replication_offset == 9
+        reopened.close()
+
+    def test_a_directory_without_generations_replays_its_journal(self, tmp_path):
+        """A snapshot and journal that name no generation are generation
+        0 both: the journal continues the snapshot, as it always did."""
+        db = Database(path=tmp_path / "db", name="old")
+        db.create_table(_schema())
+        db.execute(Insert("samples", _sample(0)))
+        db.checkpoint()
+        db.execute(Insert("samples", _sample(1)))
+        db.close()
+        snapshot = tmp_path / "db" / "snapshot.json"
+        payload = json.loads(snapshot.read_text())
+        del payload["generation"], payload["replication_offset"]
+        snapshot.write_text(json.dumps(payload))
+        journal = tmp_path / "db" / "journal.jsonl"
+        journal.write_text("".join(
+            line + "\n" for line in journal.read_text().splitlines()
+            if "generation" not in json.loads(line)))
+        reopened = Database(path=tmp_path / "db", name="old")
+        assert [row["id"] for row in reopened.execute(
+            Select("samples", order_by=[("id", "asc")]))] == [0, 1]
+        reopened.close()
+
+
+class TestFollowerCheckpoint:
+    def test_a_follower_snapshot_keeps_the_acked_offset(self, tmp_path):
+        db = Database(path=tmp_path / "f", name="f")
+        db.create_table(_schema())
+        for index in range(3):
+            db.apply_redo(_shipped(index), lsn=index + 1)
+        db.checkpoint()
+        db.close()
+        reopened = Database(path=tmp_path / "f", name="f")
+        assert reopened.replication_offset == 3
+        assert reopened.stats.snapshot()["rows_written"] == 0
+        reopened.close()
+
+    @pytest.mark.parametrize("n_replicas", [1, 2])
+    def test_rejoin_after_a_follower_checkpoint_replays_the_log(
+            self, tmp_path, n_replicas):
+        """With a second follower down the log still reaches back to the
+        start, and a follower that forgot its offset would replay what
+        its snapshot holds; alone, it would fall behind the log and be
+        re-cloned."""
+        group = ReplicaGroup(name="g", path=tmp_path / "g", n_replicas=n_replicas)
+        if n_replicas == 2:
+            group.kill_replica("g-r2")
+        group.create_table(_schema())
+        for index in range(5):
+            group.execute(Insert("samples", _sample(index)))
+        group.checkpoint()
+        group.kill_replica("g-r1")
+        group.execute(Insert("samples", _sample(5)))
+        result = group.rejoin_replica("g-r1")
+        assert result == {"mode": "log_replay", "replayed_records": 1,
+                          "from_lsn": 6}
+        assert group.verify() == {"g-r1": {}}
+        group.close()
+
+
+# -- recovery against the retired replay loop ----------------------------------
+
+TABLES = ("left", "right")
+KEYS = st.integers(min_value=0, max_value=5)
+OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(("insert",) * 3 + ("update",) * 2 + ("delete", "create", "drop",
+                                                          "checkpoint", "reopen")),
+    st.sampled_from(TABLES), KEYS), max_size=40)
+
+
+def _statement(operation, table, key):
+    if operation == "insert":
+        return Insert(table, _sample(key))
+    if operation == "update":
+        return Update(table, {"note": f"moved {key}", "payload": None},
+                      where=Comparison("id", "<=", key))
+    return Delete(table, where=Comparison("id", "=", key))
+
+
+def _held(tables) -> str:
+    """Every row of every table with its rowid, types and all."""
+    return repr({name: [(rowid, table.row(rowid)) for rowid in sorted(table.rowids())]
+                 for name, table in sorted(tables.items())})
+
+
+class _Pair:
+    """A persistent primary and a persistent follower fed by
+    ``apply_redo(..., lsn=)``: every committed batch and every DDL is
+    one shipped batch."""
+
+    def __init__(self, root):
+        self.root, self.lsn = root, 0
+        self.primary = Database(path=root / "p", name="p")
+        self.follower = Database(path=root / "f", name="f")
+        self.primary.add_commit_listener(lambda tx_id, redo: self.ship(redo, tx_id))
+        for table in TABLES:
+            self.run("create", table, 0)
+
+    def ship(self, records, tx_id=0):
+        self.lsn += 1
+        assert self.follower.apply_redo(list(records), tx_id=tx_id, lsn=self.lsn)
+
+    def run(self, operation, table, key):
+        if operation == "create":
+            self.primary.create_table(_schema(table))
+            self.ship([{"op": "__ddl__", "kind": "create_table",
+                        "schema": _schema(table).to_dict()}])
+        elif operation == "drop":
+            self.primary.drop_table(table)
+            self.ship([{"op": "__ddl__", "kind": "drop_table", "table": table}])
+        else:
+            self.primary.execute(_statement(operation, table, key))
+
+    def reopen(self):
+        self.primary = self._reopened(self.primary, "p", 0)
+        self.follower = self._reopened(self.follower, "f", self.lsn)
+        self.primary.add_commit_listener(lambda tx_id, redo: self.ship(redo, tx_id))
+
+    def _reopened(self, db, directory, offset):
+        """Close ``db`` and open it again: the rows it held, the oracle's
+        rows and the reopened ones agree, and so do the offsets."""
+        held = _held(db._tables)
+        db.close()
+        tables, oracle_offset = oracle_recovery.recover(self.root / directory)
+        reopened = Database(path=self.root / directory, name=directory)
+        assert _held(reopened._tables) == _held(tables) == held
+        assert reopened.replication_offset == oracle_offset == offset
+        assert reopened.stats.snapshot() == DatabaseStats().snapshot()
+        return reopened
+
+
+@settings(max_examples=40, deadline=None)
+@given(operations=OPERATIONS)
+def test_reopening_recovers_what_the_retired_replay_loop_recovers(operations):
+    with tempfile.TemporaryDirectory() as scratch:
+        pair = _Pair(Path(scratch))
+        for operation, table, key in operations:
+            if operation == "checkpoint":
+                pair.primary.checkpoint()
+                pair.follower.checkpoint()
+            elif operation == "reopen":
+                pair.reopen()
+            else:
+                try:
+                    pair.run(operation, table, key)
+                except (SchemaError, IntegrityError):
+                    pass        # refused by the primary: nothing shipped
+        pair.reopen()
+        assert _held(pair.follower._tables) == _held(pair.primary._tables)
+        pair.primary.close()
+        pair.follower.close()
