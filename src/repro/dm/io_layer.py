@@ -131,6 +131,12 @@ class IoLayer:
     def database_for(self, table: str) -> DatabaseApi:
         return self._databases[self._routes.get(table, "default")]
 
+    def allocate_id(self, table: str, column: str) -> int:
+        """The next id of ``table.column``, from the database that holds
+        the table: atomic there, so DM nodes sharing it (§7.3) never
+        draw the same id."""
+        return self.database_for(table).allocate_id(table, column)
+
     @property
     def default_database(self) -> DatabaseApi:
         return self._databases["default"]
@@ -325,9 +331,8 @@ class IoLayer:
 
     def log(self, component: str, message: str, level: str = "info",
             user_id: Optional[int] = None) -> None:
-        database = self.database_for("ops_log")
-        next_id = database.allocate_id("ops_log", "log_id")
-        database.execute(
+        next_id = self.allocate_id("ops_log", "log_id")
+        self.database_for("ops_log").execute(
             Insert(
                 "ops_log",
                 {"log_id": next_id, "level": level, "component": component,

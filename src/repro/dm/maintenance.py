@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..metadb import Aggregate, And, Comparison, Delete, Insert, Select
+from ..metadb import And, Comparison, Delete, Insert, Select
 from .io_layer import IoLayer
 from .semantic import SemanticLayer
 
@@ -56,14 +56,11 @@ class MaintenanceService:
     # -- rule storage ----------------------------------------------------------
 
     def add_purge_rule(self, rule: PurgeRule) -> None:
-        rows = self.io.execute(
-            Select("admin_config", aggregates=[Aggregate("max", "config_id", "m")])
-        )
         self.io.execute(
             Insert(
                 "admin_config",
                 {
-                    "config_id": (rows[0]["m"] or 0) + 1,
+                    "config_id": self.io.allocate_id("admin_config", "config_id"),
                     "section": "rule",
                     "key": rule.name,
                     "value": rule.to_json(),

@@ -71,9 +71,6 @@ class NameMapper:
             for kind in ("file", "tuple", "url")
         }
 
-    def _allocate(self, table: str, column: str) -> int:
-        return self._db.database_for(table).allocate_id(table, column)
-
     # -- registration -----------------------------------------------------
 
     def register_archive(self, archive_id: str, root_path: str, kind: str = "disk") -> None:
@@ -112,7 +109,7 @@ class NameMapper:
         compressed: bool = False,
         tx=None,
     ) -> int:
-        file_id = self._allocate("loc_files", "file_id")
+        file_id = self._db.allocate_id("loc_files", "file_id")
         self._db.execute(
             Insert(
                 "loc_files",
@@ -141,7 +138,7 @@ class NameMapper:
         )
 
     def register_url(self, item_id: str, url: str, transform: Optional[str] = None, tx=None) -> int:
-        url_id = self._allocate("loc_urls", "url_id")
+        url_id = self._db.allocate_id("loc_urls", "url_id")
         self._db.execute(
             Insert("loc_urls", {"url_id": url_id, "item_id": item_id, "url": url,
                                 "transform": transform}),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..fits import FitsError, read as read_fits
-from ..metadb import Aggregate, Comparison, Insert, Select, Update
+from ..metadb import Comparison, Insert, Select, Update
 from ..rhessi import (
     CalibrationHistory,
     DetectedEvent,
@@ -187,7 +187,7 @@ class ProcessLayer:
         )
         self.views[(unit.unit_id, "counts")] = view
         encoded = view.total_encoded_bytes
-        view_id = self.semantic._next_id("views", "view_id")
+        view_id = self.io.allocate_id("views", "view_id")
         self.io.execute(
             Insert(
                 "views",
@@ -373,14 +373,11 @@ class ProcessLayer:
     # -- lineage --------------------------------------------------------------------------
 
     def _record_lineage(self, kind: str, source: str, target: str, detail: str = "") -> None:
-        rows = self.io.execute(
-            Select("ops_lineage", aggregates=[Aggregate("max", "lineage_id", "m")])
-        )
         self.io.execute(
             Insert(
                 "ops_lineage",
                 {
-                    "lineage_id": (rows[0]["m"] or 0) + 1,
+                    "lineage_id": self.io.allocate_id("ops_lineage", "lineage_id"),
                     "kind": kind,
                     "source_ref": source,
                     "target_ref": target,

@@ -43,12 +43,11 @@ class PredefinedQueries:
             raise QueryError(
                 f"predefined queries may only target {QUERYABLE_TABLES}"
             )
-        next_id = self._next_config_id()
         self.io.execute(
             Insert(
                 "admin_config",
                 {
-                    "config_id": next_id,
+                    "config_id": self.io.allocate_id("admin_config", "config_id"),
                     "section": "query",
                     "key": name,
                     "value": sql,
@@ -56,12 +55,6 @@ class PredefinedQueries:
                 },
             )
         )
-
-    def _next_config_id(self) -> int:
-        rows = self.io.execute(
-            Select("admin_config", aggregates=[Aggregate("max", "config_id", "m")])
-        )
-        return (rows[0]["m"] or 0) + 1
 
     def names(self) -> list[str]:
         rows = self.io.execute(

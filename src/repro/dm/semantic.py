@@ -94,19 +94,12 @@ class SemanticLayer:
     def __init__(self, io: IoLayer):
         self.io = io
 
-    # -- id allocation ------------------------------------------------------
-
-    def _next_id(self, table: str, column: str) -> int:
-        # Atomic in the shared database, so several DM nodes on one
-        # resource tier (§7.3) never allocate colliding ids.
-        return self.io.database_for(table).allocate_id(table, column)
-
     # -- HLE services -----------------------------------------------------------
 
     def insert_hle(self, user: User, fields: dict[str, Any], tx=None) -> int:
         """Create an HLE tuple plus its tuple reference, atomically."""
         check_right(user, "upload")
-        hle_id = self._next_id("hle", "hle_id")
+        hle_id = self.io.allocate_id("hle", "hle_id")
         item_id = fields.get("item_id") or f"hle:{hle_id}"
         row = {
             **fields,
@@ -197,7 +190,7 @@ class SemanticLayer:
         """
         check_right(user, "analyze")
         parent = self.get_hle(user, hle_id)
-        ana_id = self._next_id("ana", "ana_id")
+        ana_id = self.io.allocate_id("ana", "ana_id")
         item_id = f"ana:{ana_id}"
         stem = f"ana/{ana_id:08d}"
         # File writes first: file data is read-only and orphan files are
@@ -315,7 +308,7 @@ class SemanticLayer:
     def create_catalog(self, user: User, name: str, description: str = "",
                        criteria: str = "", public: bool = False) -> int:
         check_right(user, "upload")
-        catalog_id = self._next_id("catalogs", "catalog_id")
+        catalog_id = self.io.allocate_id("catalogs", "catalog_id")
         self.io.execute(
             Insert(
                 "catalogs",
@@ -336,7 +329,7 @@ class SemanticLayer:
         catalog = self.get_catalog(user, catalog_id)
         check_can_edit(user, catalog)
         self.get_hle(user, hle_id)  # visibility check
-        member_id = self._next_id("catalog_members", "member_id")
+        member_id = self.io.allocate_id("catalog_members", "member_id")
         tx = self.io.begin()
         try:
             self.io.execute(

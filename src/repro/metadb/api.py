@@ -124,7 +124,9 @@ class DatabaseApi(Protocol):
     def allocate_id(self, table: str, column: str) -> int:
         """The next integer id for ``table.column``: strictly increasing
         across every caller and transaction sharing this open database
-        (a reopened one re-seeds above the highest stored value)."""
+        (a reopened one re-seeds above the highest stored value).  The
+        program's only id source: reading ``max(column)`` and inserting
+        one more races with a second DM node writing the same table."""
         ...
 
     # -- DDL -----------------------------------------------------------------

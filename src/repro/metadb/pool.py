@@ -29,13 +29,7 @@ class Connection:
     constructor, which is precisely what pooling amortises.
     """
 
-    _next_id = 1
-    _id_lock = threading.Lock()
-
     def __init__(self, database: Database, open_cost_s: float = 0.0):
-        with Connection._id_lock:
-            self.connection_id = Connection._next_id
-            Connection._next_id += 1
         if open_cost_s > 0:
             time.sleep(open_cost_s)
         self._database = database

@@ -30,7 +30,6 @@ from .hub import (
     Timed,
     disable,
     enable,
-    get_default,
     resolve,
 )
 from .metrics import (
@@ -106,7 +105,6 @@ __all__ = [
     "default_latency_buckets",
     "disable",
     "enable",
-    "get_default",
     "resolve",
     "to_line_protocol",
 ]

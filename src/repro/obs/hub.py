@@ -264,10 +264,6 @@ class Observability:
 DEFAULT = Observability(name="default")
 
 
-def get_default() -> Observability:
-    return DEFAULT
-
-
 def resolve(obs: Optional[Observability]) -> Observability:
     """The hub to use: the explicit one, or the process default."""
     return obs if obs is not None else DEFAULT

@@ -402,17 +402,10 @@ class TelemetryCollector:
     starting the thread.
     """
 
-    def __init__(
-        self,
-        obs: "Observability",
-        interval_s: float = 1.0,
-        tiers: Sequence[tuple[float, float]] = DEFAULT_TIERS,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, obs: "Observability"):
         self.obs = obs
-        self.interval_s = interval_s
-        self.clock = clock
-        self.store = TimeSeriesStore(tiers)
+        self.interval_s = 1.0
+        self.store = TimeSeriesStore()
         self.samples = 0
         self.last_sample_s = 0.0
         self._samplers: list[Callable[[float], None]] = [
@@ -434,7 +427,7 @@ class TelemetryCollector:
         """Take one sample (thread-safe); returns the sample timestamp."""
         with self._sample_lock:
             if now is None:
-                now = self.clock()
+                now = time.monotonic()
             started = time.perf_counter()
             for sampler in list(self._samplers):
                 try:

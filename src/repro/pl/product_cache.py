@@ -75,21 +75,17 @@ class CachedProduct:
 class ProductCache:
     """Fingerprint → committed product, epoch-invalidated, coalesced."""
 
-    def __init__(
-        self,
-        dm,
-        max_entries: int = 512,
-        max_bytes: int = 64 * 2**20,
-        ttl_s: Optional[float] = None,
-        obs: Optional[Observability] = None,
-    ):
+    #: Budgets: resident entries, and the bytes of their images.
+    MAX_ENTRIES = 512
+    MAX_BYTES = 64 * 2**20
+
+    def __init__(self, dm, obs: Optional[Observability] = None):
         self.dm = dm
         self.obs = obs if obs is not None else resolve_obs(getattr(dm, "obs", None))
         self._cache: Cache = Cache(
             "pl.products",
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            ttl_s=ttl_s,
+            max_entries=self.MAX_ENTRIES,
+            max_bytes=self.MAX_BYTES,
             size_of=lambda entry: entry.size_bytes,
             obs=self.obs,
         )

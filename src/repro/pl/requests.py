@@ -169,9 +169,7 @@ class StrategyContext:
     def record_usage(self, user: User, operation: str, target: str,
                      duration_ms: float) -> None:
         self.edits += 1
-        usage_id = self.dm.io.database_for("ops_usage").allocate_id(
-            "ops_usage", "usage_id"
-        )
+        usage_id = self.dm.io.allocate_id("ops_usage", "usage_id")
         self.dm.io.execute(
             Insert(
                 "ops_usage",

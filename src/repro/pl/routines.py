@@ -25,7 +25,7 @@ from ..analysis.routine_table import ParameterError
 from ..idl import IdlResourceError, IdlRuntimeError, IdlSyntaxError, Interpreter
 from ..idl.ast_nodes import ProcedureDef
 from ..idl.parser import parse as parse_idl
-from ..metadb import Aggregate, Comparison, Insert, Select, Update
+from ..metadb import Comparison, Insert, Select, Update
 from ..security import User, check_right
 from .requests import AnalysisStrategy, RequestFailed
 
@@ -99,14 +99,11 @@ class RoutineLibrary:
         stored = self.dm.io.store_payload(f"routines/{name}.pro", source.encode())
         tx = self.dm.io.begin()
         try:
-            rows = self.dm.io.execute(
-                Select("admin_config", aggregates=[Aggregate("max", "config_id", "m")]),
-            )
             self.dm.io.execute(
                 Insert(
                     "admin_config",
                     {
-                        "config_id": (rows[0]["m"] or 0) + 1,
+                        "config_id": self.dm.io.allocate_id("admin_config", "config_id"),
                         "section": "routine",
                         "key": name,
                         "value": f"{user.user_id}:0",  # owner:public flag

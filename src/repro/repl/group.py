@@ -161,7 +161,13 @@ class ReplicaGroup:
             db = Database(path=replica_path, name=name, obs=self.obs)
         replica = Replica(name=name, db=db, path=replica_path)
         started_empty = not db.table_names()
-        report = self._resync(replica, bootstrap=True)
+        with self.primary._lock:
+            # Joined under the lock the clone holds: no commit can land
+            # between the clone and the follower's first ship.
+            report = self._resync(replica, bootstrap=True)
+            with self._lock:
+                self.replicas.append(replica)
+                self.reads_by_copy[name] = 0
         if started_empty and report["rows_cloned"]:
             self.full_clones += 1
         if not started_empty or self.primary.table_names():
@@ -172,9 +178,6 @@ class ReplicaGroup:
                 f"replica {name!r} bootstrapped into group {self.name!r}",
                 db=self.name, replica=name,
             )
-        with self._lock:
-            self.replicas.append(replica)
-            self.reads_by_copy[name] = 0
         self.obs.set_gauge("repl.replicas", len(self.replicas), db=self.name)
         return replica
 
@@ -413,24 +416,6 @@ class ReplicaGroup:
         }
         self._update_health(replica)
         return report
-
-    # -- split support -------------------------------------------------------
-
-    def pause_followers(self) -> None:
-        """Take every follower out of the read rotation and the shipping
-        path (state ``rejoining``) while the caller writes to the primary
-        directly — the shard split's warm copy does this."""
-        for replica in self.replicas:
-            if not replica.crashed:
-                self._transition(replica, ReplicaState.REJOINING)
-
-    def resync_followers(self) -> None:
-        """Bring paused followers back via anti-entropy re-sync."""
-        for replica in self.replicas:
-            if not replica.crashed:
-                self._resync(replica)
-                with self._ship_lock:
-                    self._ship_one(replica)
 
     # -- reads ---------------------------------------------------------------
 

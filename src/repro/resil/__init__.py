@@ -34,7 +34,6 @@ from .faults import (
     fire,
     get_default_injector,
     maybe_corrupt,
-    resolve_faults,
     set_default_injector,
     use_injector,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "fire",
     "get_default_injector",
     "maybe_corrupt",
-    "resolve_faults",
     "set_default_injector",
     "use_injector",
 ]

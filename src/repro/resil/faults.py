@@ -242,10 +242,6 @@ def use_injector(injector: FaultInjector) -> Iterator[FaultInjector]:
         set_default_injector(previous)
 
 
-def resolve_faults(injector: Optional[FaultInjector]) -> FaultInjector:
-    return injector if injector is not None else _default
-
-
 def fire(name: str) -> None:
     """Fire a named point on the default injector (hot-path helper)."""
     injector = _default

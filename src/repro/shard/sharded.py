@@ -212,7 +212,9 @@ class ShardedDatabase:
         self.splits = 0
         self._route_counters: dict[str, Any] = {}
         specs = self._load_or_create_specs(boundaries)
-        dbs = {spec.shard_id: self._new_shard_db(spec.shard_id) for spec in specs}
+        dbs = {spec.shard_id: self._new_shard_db(spec.shard_id,
+                                                 self.replicas_per_shard - 1)
+               for spec in specs}
         self._topology = _Topology(ShardMap(specs), dbs)
         self._read_schemas()
         self._persist_topology()
@@ -241,7 +243,7 @@ class ShardedDatabase:
                 ]
         return list(ShardMap.from_boundaries(boundaries).specs)
 
-    def _new_shard_db(self, shard_id: int) -> Database:
+    def _new_shard_db(self, shard_id: int, followers: int) -> Database:
         shard_path = self._path / f"shard-{shard_id}" if self._path else None
         if self.replicas_per_shard > 1:
             # Local import: repro.repl must stay importable without the
@@ -252,7 +254,7 @@ class ShardedDatabase:
             return ReplicaGroup(
                 path=shard_path,
                 name=f"{self.name}-s{shard_id}",
-                n_replicas=self.replicas_per_shard - 1,
+                n_replicas=followers,
                 obs=self.obs,
                 max_lag=self.REPLICA_MAX_LAG,
                 breaker_cooldown_s=self.breaker_cooldown_s,

@@ -21,13 +21,12 @@ readable throughout and loses/duplicates nothing:
 The old database object is left open and unreferenced — a reader that
 snapshotted the old topology mid-scatter may still finish against it.
 
-Placement within the split range:
-
-* partitioned rows go low/high by their partition value vs ``at``;
-* broadcast rows go to **both** halves;
-* rows that follow a parent or their item go where it went (parents and
-  item owners are reconciled first, so the lookup is against settled
-  data); rows with neither, and the rows of local tables, stay low.
+Placement, as an INSERT would place it: :meth:`ShardedDatabase._route`
+decides for every row against a two-shard topology over the new
+databases (parents and item owners are copied first).  A row whose
+placing value is NULL or found on neither side, like a row of a local
+table, goes to the low half.  The new shards start without followers
+and grow them with ``add_replica`` once the cutover has settled.
 """
 
 from __future__ import annotations
@@ -37,9 +36,11 @@ from typing import Any, Optional
 
 from ..metadb.database import Database
 from ..metadb.errors import SchemaError
+from ..metadb.predicate import Comparison
 from ..metadb.schema import TableSchema
-from .partition import ShardError, ShardSpec
-from .sharded import ShardedDatabase, _Topology
+from .partition import ShardError, ShardMap, ShardSpec
+from .router import BROADCAST
+from .sharded import ShardedDatabase, _ShardedTransaction, _Topology
 
 
 def _dependency_order(sharded: ShardedDatabase) -> list[str]:
@@ -77,28 +78,17 @@ def _create_schema(source: Database, targets: list[Database],
             target.create_table(TableSchema.from_dict(schema.to_dict()))
 
 
-def _sides_for(sharded: ShardedDatabase, table: str, row: dict[str, Any],
-               at: float, low_db: Database, high_db: Database) -> tuple:
-    placement = sharded._placement(table)
-    kind = placement.kind
-    if kind == "broadcast":
-        return (low_db, high_db)
-    if kind == "local":
-        return (low_db,)
-    value = row.get(placement.column)
-    if kind == "partitioned":
-        if value is not None and value < at:
-            return (low_db,)
-        return (high_db,)
-    # The row goes where its parent, or the owner of its item, went;
-    # one that has neither stays on the low side, which comes first.
-    holders = sharded._item_owners if kind == "follows_item" \
-        else ((placement.parent_table, placement.parent_column),)
-    for side in (low_db, high_db):
-        if any(side.table(holder).exists_value(key, value)
-               for holder, key in holders):
-            return (side,)
-    return (low_db,)
+def _sides_for(sharded: ShardedDatabase, placing: _ShardedTransaction,
+               table: str, row: dict[str, Any]) -> tuple:
+    """The new databases an INSERT of ``row`` would write, ``placing``
+    being a transaction over the two-shard topology of the split."""
+    column = sharded._placement(table).column
+    where = None if column is None else Comparison(column, "=", row.get(column))
+    topology = placing.topology
+    decision = sharded._route(topology, table, where, writing=True,
+                              placing=placing)
+    specs = decision.specs if decision.kind == BROADCAST else decision.specs[:1]
+    return tuple(topology.db(spec.shard_id) for spec in specs)
 
 
 def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int, int]:
@@ -115,17 +105,13 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         high_id = low_id + 1
         low_spec = ShardSpec(low_id, spec.low, at)
         high_spec = ShardSpec(high_id, at, spec.high)
-        low_db = sharded._new_shard_db(low_id)
-        high_db = sharded._new_shard_db(high_id)
         # The warm copy writes straight into the primary tables below,
-        # bypassing log shipping.  When the new shard dbs are replica
-        # groups, park their followers (out of the read rotation) for the
-        # duration and re-sync them via anti-entropy once the cutover has
-        # settled — otherwise they would silently diverge at lag zero.
-        replicated = sharded.replicas_per_shard > 1
-        if replicated:
-            for new_db in (low_db, high_db):
-                new_db.pause_followers()
+        # bypassing log shipping: followers join after the cutover.
+        low_db = sharded._new_shard_db(low_id, followers=0)
+        high_db = sharded._new_shard_db(high_id, followers=0)
+        placing = _ShardedTransaction(_Topology(
+            ShardMap([ShardSpec(low_id, None, at), ShardSpec(high_id, at, None)]),
+            {low_id: low_db, high_id: high_db}))
         tables = _dependency_order(sharded)
         _create_schema(old_db, [low_db, high_db], tables)
 
@@ -139,7 +125,7 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
                     row = dict(table.row(rowid))
                 except KeyError:
                     continue  # deleted mid-scan; reconcile handles it
-                sides = _sides_for(sharded, name, row, at, low_db, high_db)
+                sides = _sides_for(sharded, placing, name, row)
                 for side in sides:
                     side.table(name).restore(rowid, dict(row))
                 snapshot[rowid] = (sides, row)
@@ -159,7 +145,7 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
                 to_restore: list[tuple[int, dict, tuple]] = []
                 for rowid in current_ids:
                     row = dict(table.row(rowid))
-                    sides = _sides_for(sharded, name, row, at, low_db, high_db)
+                    sides = _sides_for(sharded, placing, name, row)
                     previous = snapshot.get(rowid)
                     if previous is not None and previous[1] == row \
                             and previous[0] == sides:
@@ -192,12 +178,11 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         sharded.splits += 1
         sharded.breakers.pop(shard_id, None)
         sharded._persist_topology()
-        # Reads on the new shards are served by their primaries until the
-        # followers re-sync (anti-entropy clones the warm-copied rows
-        # through the journaled apply path, then shipping resumes).
-        if replicated:
-            for new_db in (low_db, high_db):
-                new_db.resync_followers()
+        # Reads on the new shards are served by their primaries until
+        # each follower has been cloned from its primary.
+        for new_db in (low_db, high_db):
+            for _ in range(sharded.replicas_per_shard - 1):
+                new_db.add_replica()
         if sharded._path is not None:
             low_db.checkpoint()
             high_db.checkpoint()

@@ -8,12 +8,10 @@
   -placement is identical to the way the server DM handles the server-side
   data archives", making every installation a clone of the HEDC server.
 
-Both keep their public API but delegate index bookkeeping, eviction and
-statistics to the unified :class:`repro.cache.Cache` core: the static
-strategy gains an optional byte budget (evicted entries unlink their
-backing file), and both report through the shared
-:class:`repro.cache.CacheStats` — still mirrored to the registry under
-the historical ``streamcorder.cache.*`` names, labelled by strategy.
+Both delegate index bookkeeping and statistics to the unified
+:class:`repro.cache.Cache` core and report through the shared
+:class:`repro.cache.CacheStats`, mirrored to the registry under the
+historical ``streamcorder.cache.*`` names, labelled by strategy.
 """
 
 from __future__ import annotations
@@ -35,27 +33,17 @@ def _strategy_stats(strategy: str, obs: Optional[Observability]) -> CacheStats:
 
 
 class StaticPathCache:
-    """Version 1: deterministic paths from fixed object attributes.
-
-    ``max_bytes`` bounds the resident payload bytes; hitting the budget
-    evicts least-recently-used entries and unlinks their files.
-    """
+    """Version 1: deterministic paths from fixed object attributes."""
 
     def __init__(self, root: Union[str, Path],
-                 obs: Optional[Observability] = None,
-                 max_bytes: Optional[int] = None):
+                 obs: Optional[Observability] = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         resolved = resolve_obs(obs)
         self.stats = _strategy_stats("static", resolved)
         self._index: Cache = Cache(
-            "streamcorder.static", max_bytes=max_bytes,
-            obs=resolved, stats=self.stats, on_evict=self._on_removed,
+            "streamcorder.static", obs=resolved, stats=self.stats,
         )
-
-    def _on_removed(self, key: str, path: Path, reason: str) -> None:
-        if reason == "evicted":
-            Path(path).unlink(missing_ok=True)
 
     def path_for(self, object_type: str, item_id: str, created_at: float = 0.0) -> Path:
         """The predetermined cache location for one data object."""

@@ -53,13 +53,13 @@ class RemoteDatabase:
     that asymmetry is the whole point: a batched page fetch crossing the
     wire twice beats seven single-statement trips by construction,
     and a worker sleeping on the "network" yields the GIL to its peers.
-    ``rtt_s`` is mutable so a stack can be seeded at zero latency and
-    measured at full latency.
+    ``rtt_s`` starts at zero, so a stack is seeded without latency, and
+    is set before it is measured.
     """
 
-    def __init__(self, inner: DatabaseApi, rtt_s: float = 0.0):
+    def __init__(self, inner: DatabaseApi):
         self._inner = inner
-        self.rtt_s = rtt_s
+        self.rtt_s = 0.0
 
     def execute(self, statement, tx=None):
         if self.rtt_s > 0:

@@ -110,6 +110,11 @@ BUILDS = [
     Build("remote", lambda path: RemoteDatabase(Database(name="c"))),
 ]
 
+#: The builds whose shards the contract machine splits and rebalances,
+#: up to this many shards.
+RESHARDABLE = {"sharded-x4", "sharded-x4-copies-x2-persistent"}
+MAX_SHARDS = 8
+
 every_build = pytest.mark.parametrize(
     "build", BUILDS, ids=[build.name for build in BUILDS])
 
@@ -250,12 +255,14 @@ class ContractMachine(RuleBasedStateMachine):
         self.events: dict[int, dict] = {}
         self.children: dict[int, dict] = {}
         self.locs: dict[int, dict] = {}
+        self.notes: dict[int, dict] = {}
         #: ref -> the shard its item's owner was on when the row went in
         #: (None: no owner then).  Sharded builds only.
         self.loc_home: dict[int, Optional[int]] = {}
         self.tx = None
-        self.tx_shadow: tuple[dict, ...] = ({}, {}, {}, {}, {})
+        self.tx_shadow: tuple[dict, ...] = ({}, {}, {}, {}, {}, {})
         self.last_id = 0
+        self.resharded = False
 
     def teardown(self):
         if self.tx is not None:
@@ -562,12 +569,34 @@ class ContractMachine(RuleBasedStateMachine):
                          [{"n": len(self._locs_of({item}))}]]
         assert self.db.execute_batch(statements, tx=self.tx) == expected
 
+    # -- a broadcast table ----------------------------------------------------
+
+    @rule(note_id=st.integers(min_value=0, max_value=5),
+          text=st.sampled_from(["r", "s"]))
+    def insert_note(self, note_id, text):
+        row = {"note_id": note_id, "text": text}
+        if note_id in self.notes:
+            with pytest.raises(IntegrityError):
+                self.db.execute(Insert("notes", row), tx=self.tx)
+        else:
+            self.db.execute(Insert("notes", row), tx=self.tx)
+            self.notes[note_id] = row
+
+    @rule()
+    def notes_from_every_copy(self):
+        """A broadcast read is answered by one shard or copy in turn:
+        asked as often as there can be shards, each copy answers."""
+        expected = sorted(self.notes.values(), key=lambda row: row["note_id"])
+        for _ in range(MAX_SHARDS):
+            assert self.db.execute(Select("notes", order_by=[("note_id", "asc")]),
+                                   tx=self.tx) == expected
+
     # -- transactions ---------------------------------------------------------
 
     def _snapshot(self) -> tuple[dict, ...]:
         return (*({key: dict(row) for key, row in table.items()}
                   for table in (self.model, self.events, self.children,
-                                self.locs)),
+                                self.locs, self.notes)),
                 dict(self.loc_home))
 
     @precondition(lambda self: self.tx is None)
@@ -586,7 +615,7 @@ class ContractMachine(RuleBasedStateMachine):
     @rule()
     def rollback(self):
         self.db.rollback(self.tx)
-        (self.model, self.events, self.children, self.locs,
+        (self.model, self.events, self.children, self.locs, self.notes,
          self.loc_home) = self.tx_shadow
         self.tx = None
 
@@ -596,6 +625,53 @@ class ContractMachine(RuleBasedStateMachine):
         allocated = self.db.allocate_id("t", "k")
         assert allocated > self.last_id
         self.last_id = allocated
+
+    # -- topology changes -----------------------------------------------------
+
+    def _reshard(self, change) -> None:
+        """Run ``change`` (a split or a rebalance).  No row changes; a
+        ``loc`` row of the shard that split is expected where its item's
+        owner is now, or on the low half when the owner is gone."""
+        before = {spec.shard_id for spec in self.db.shard_map}
+        if change() is None:
+            return
+        after = {spec.shard_id for spec in self.db.shard_map}
+        (gone,) = before - after
+        low = min(after - before)
+        for ref, home in self.loc_home.items():
+            if home == gone:
+                owner = self._owner_shard(self.locs[ref]["item"])
+                self.loc_home[ref] = low if owner is None else owner
+        self.resharded = True
+
+    @precondition(lambda self: self.build.name in RESHARDABLE
+                  and self.tx is None and len(self.db.shard_map) < MAX_SHARDS)
+    @rule(data=st.data())
+    def split(self, data):
+        """At a point strictly inside one shard's range."""
+        shard_map = self.db.shard_map
+        points = [half / 2 for half in range(-2, 66)
+                  if shard_map.spec_for_value(half / 2).low != half / 2]
+        at = data.draw(st.sampled_from(points), label="at")
+        shard_id = shard_map.spec_for_value(at).shard_id
+        self._reshard(lambda: self.db.split(shard_id, at))
+
+    @precondition(lambda self: self.build.name in RESHARDABLE
+                  and self.tx is None and len(self.db.shard_map) < MAX_SHARDS)
+    @rule(table=st.sampled_from([None, "t", "e"]))
+    def rebalance(self, table):
+        self._reshard(lambda: self.db.rebalance(table))
+
+    @invariant()
+    def every_copy_agrees_after_a_split(self):
+        if not (self.resharded and self.build.replication):
+            return
+        self.resharded = False
+        for spec in self.db.shard_map:
+            group = self.db.shard_db(spec.shard_id)
+            assert len(group.replicas) == self.db.replicas_per_shard - 1
+            assert group.verify() == {replica.name: {}
+                                      for replica in group.replicas}
 
     # -- durability -----------------------------------------------------------
 

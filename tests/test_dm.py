@@ -1062,3 +1062,76 @@ class TestRedirection:
         router = DmRouter()
         with pytest.raises(RuntimeError):
             router.call(lambda node: None)
+
+
+class TestTwoNodesDrawIds:
+    """Two DM nodes on one database (§7.3): the second registers its row
+    between the first drawing an id and inserting with it, and neither
+    insert collides."""
+
+    GOOD_SOURCE = "function twice, x\n  return, 2 * x\nend\n"
+
+    @staticmethod
+    def _nodes(tmp_path):
+        dm0 = DataManager.standalone(tmp_path / "n0")
+        dm1 = DataManager(dm0.io.default_database, dm0.io.storage,
+                          node_name="dm1", install_schema=False)
+        return dm0, dm1
+
+    @staticmethod
+    def _before_insert_into(dm, table, interleave):
+        """Run ``interleave`` once, just before ``dm`` inserts into ``table``."""
+        execute = dm.io.execute
+
+        def hooked(statement, tx=None):
+            if isinstance(statement, Insert) and statement.table == table:
+                dm.io.execute = execute
+                interleave()
+            return execute(statement, tx=tx)
+
+        dm.io.execute = hooked
+
+    def _config_ids(self, dm, section):
+        rows = dm.io.execute(Select("admin_config",
+                                    where=Comparison("section", "=", section)))
+        return sorted(row["config_id"] for row in rows)
+
+    def test_predefined_queries(self, tmp_path):
+        dm0, dm1 = self._nodes(tmp_path)
+        sql = "SELECT * FROM hle"
+        self._before_insert_into(
+            dm0, "admin_config", lambda: dm1.queries.register("b", sql))
+        dm0.queries.register("a", sql)
+        assert dm0.queries.names() == ["a", "b"]
+        assert len(set(self._config_ids(dm0, "query"))) == 2
+
+    def test_purge_rules(self, tmp_path):
+        from repro.dm.maintenance import PurgeRule
+
+        dm0, dm1 = self._nodes(tmp_path)
+        self._before_insert_into(
+            dm0, "admin_config",
+            lambda: dm1.maintenance.add_purge_rule(PurgeRule("b", max_age_s=1.0)))
+        dm0.maintenance.add_purge_rule(PurgeRule("a", max_age_s=1.0))
+        assert sorted(rule.name for rule in dm0.maintenance.purge_rules()) == ["a", "b"]
+
+    def test_routines(self, tmp_path):
+        from repro.pl import RoutineLibrary
+
+        dm0, dm1 = self._nodes(tmp_path)
+        author = dm0.users.create_user("author", "pw", group="scientist")
+        self._before_insert_into(
+            dm0, "admin_config",
+            lambda: RoutineLibrary(dm1).submit(author, "other", self.GOOD_SOURCE
+                                               .replace("twice", "other")))
+        RoutineLibrary(dm0).submit(author, "twice", self.GOOD_SOURCE)
+        assert len(set(self._config_ids(dm0, "routine"))) == 2
+
+    def test_lineage(self, tmp_path):
+        dm0, dm1 = self._nodes(tmp_path)
+        self._before_insert_into(
+            dm0, "ops_lineage",
+            lambda: dm1.process._record_lineage("migration", "a:y", "b:y"))
+        dm0.process._record_lineage("migration", "a:x", "b:x")
+        rows = dm0.io.execute(Select("ops_lineage"))
+        assert sorted(row["source_ref"] for row in rows) == ["a:x", "a:y"]

@@ -138,6 +138,29 @@ class TestWriteReplication:
         assert group.full_clones == 1
         assert group.verify() == {"p-r1": {}}
 
+    def test_a_commit_racing_a_bootstrap_reaches_the_new_follower(self):
+        """A follower added to a live group (a split's new shard): a
+        commit that tries to land just after the clone waits until the
+        follower is in the rotation, and is shipped to it."""
+        group = ReplicaGroup(name="g")
+        group.create_table(_schema())
+        _fill(group, 4)
+        resync = group._resync
+        writer = threading.Thread(target=_fill, args=(group, 1), kwargs={"start": 4})
+
+        def cloned_then_raced(replica, bootstrap=False):
+            report = resync(replica, bootstrap=bootstrap)
+            writer.start()
+            writer.join(timeout=0.5)
+            return report
+
+        group._resync = cloned_then_raced
+        group.add_replica()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(group.replicas[0].db.table("events")) == 5
+        assert group.verify() == {"g-r1": {}}
+
 
 class TestReadRouting:
     def test_reads_rotate_across_all_copies(self):

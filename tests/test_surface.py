@@ -4,8 +4,9 @@ Every function and class defined under ``src/repro`` (at any depth, so
 methods count) is either used by the program itself or is an entry point
 on purpose.  A name is *used* when it appears anywhere in ``src/repro``
 other than its own ``def``/``class``: as a name, an attribute, an import
-or a string (a route table, ``__all__``, ``getattr``).  Dunder methods
-are the language's to call.  What is left is the API that only tests,
+or a string (a route table, ``getattr``).  A package ``__init__`` that
+imports a name and lists it in ``__all__`` only hands it on: that is
+not a use.  Dunder methods are the language's to call.  What is left is the API that only tests,
 examples, benchmarks and users call; it is listed in :data:`API`, so an
 entry point that only a test uses has to be added here on purpose, and
 a listed name that the program starts to use, or that is deleted, has
@@ -22,30 +23,61 @@ ROOT = Path(repro.__file__).parent
 
 #: Entry points nothing under ``src/repro`` calls: the paper's operations
 #: (ingest, analyse, share, relocate, purge, replicate), the evaluation's
-#: models and printers, operator and client calls, and the few accessors
-#: tests read state through.
+#: models and printers, operator and client calls, the load harness, and
+#: the few accessors tests read state through.
 API = {
     "add_comment", "add_dm_node", "add_history", "add_peer", "add_purge_rule",
-    "add_server", "analyses_for_hle", "apply_purge_rules", "archive_status",
-    "attach_database", "band_profile", "band_series", "browse_hle",
-    "cache_view", "cached_view", "catalog_array", "catalog_events",
-    "coefficient_count", "collapsed", "comments", "configure", "deactivate",
-    "decode_density", "delete_analysis", "delete_hle", "drain",
-    "enable_canary", "enable_synoptic", "encode_density", "fetch_unit",
-    "generate_catalog", "history", "idle_count", "ingest_observation",
-    "inject", "interrupt", "invoke_async", "is_staged", "kill_replica",
-    "lineage_for", "lognormal", "mirror_hles", "mode_bin", "move_file",
-    "n_archives", "n_copies", "normal", "offered_for", "peak_position",
-    "progressive_lightcurve", "prune_expired", "publish_calibration",
-    "publish_hle", "recalibrate_unit", "record_checksum", "register_user",
-    "rejoin_replica", "remove_server", "repair", "repository_totals",
-    "resolve_tuple", "resolve_urls", "route_table", "schedule_at",
-    "scrub_orphan_files", "select_detector", "shard_db", "spectrum",
-    "stop_all", "store_file", "submit_routine", "sync_archive_status",
-    "synoptic_context", "thin_client", "to_jsonl", "top_users",
-    "total_records", "unstage", "upload_analysis", "usage_summary", "verify",
-    "verify_recorded", "wrap", "write_bundle",
+    "add_server", "analyses_for_hle", "apply_purge_rules",
+    "approximation_speedup", "archive_status", "attach_database",
+    "band_profile", "band_series", "browse_hle", "browse_mix",
+    "build_serving_stack", "cache_view", "cached_view", "catalog_array",
+    "catalog_events", "check_can_read", "clean_iterations",
+    "coefficient_count", "collapsed", "comments", "configure",
+    "ConnectionPool", "deactivate", "decode_density", "delete_analysis",
+    "delete_hle", "drain", "enable_canary", "enable_synoptic",
+    "encode_density", "fetch_unit", "figure4_series", "figure5_series",
+    "forward2d", "generate_catalog", "history", "idle_count",
+    "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
+    "is_staged", "kill_replica", "lineage_for", "lognormal", "mirror_hles",
+    "mixed_class_mix", "mode_bin", "move_file", "n_archives", "n_copies",
+    "normal", "offered_for", "parse_pgm", "peak_position", "print_figure4",
+    "print_figure5", "print_table1", "progressive_lightcurve", "prune_expired",
+    "publish_calibration", "publish_hle", "quiet_periods", "recalibrate_unit",
+    "reconstruction_error", "record_checksum", "register_user",
+    "rejoin_replica", "RemoteArchive", "remove_server", "repair",
+    "replica_efficiency", "repository_totals", "resolve_tuple", "resolve_urls",
+    "route_table", "run_closed_loop", "run_open_loop", "scaling_series",
+    "schedule_at", "scrub_orphan_files", "select_detector", "shard_db",
+    "spectrum", "stop_all", "store_file", "submit_routine",
+    "sync_archive_status", "synoptic_context", "table1_histogram",
+    "table1_imaging", "thin_client", "to_jsonl", "top_users", "total_records",
+    "trace_profile", "unstage", "upload_analysis", "usage_summary",
+    "use_injector", "verify", "verify_file", "verify_recorded", "wrap",
+    "write_bundle",
 }
+
+
+#: Evaluation printers and series nothing calls: the digests in
+#: EXPERIMENTS.md were made with them.
+UNCALLED_PRINTERS = {
+    "admission_ab", "figure5_sharded_series", "print_scaling_projection",
+    "print_serving", "print_sharded_figure5", "worker_scaling_series",
+}
+API |= UNCALLED_PRINTERS
+
+
+def _re_exports(tree: ast.Module) -> set[int]:
+    """The nodes of a package ``__init__`` that only hand names on: its
+    imports and the strings of its ``__all__``."""
+    nodes: set[int] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            nodes.update(map(id, node.names))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            nodes.update(map(id, ast.walk(node.value)))
+    return nodes
 
 
 def _unused_definitions() -> dict[str, list[str]]:
@@ -54,7 +86,11 @@ def _unused_definitions() -> dict[str, list[str]]:
     defined: dict[str, list[str]] = {}
     mentioned: Counter = Counter()
     for path in sorted(ROOT.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        skipped = _re_exports(tree) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, []).append(
                     path.relative_to(ROOT).as_posix())
