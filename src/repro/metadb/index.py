@@ -7,15 +7,16 @@ Two flavours back the query planner:
 * :class:`OrderedIndex` — a sorted (key, rowid) list with bisect-based
   range scans; used for range predicates and ORDER BY shortcuts.
 
-Both map index keys to sets of internal rowids.  ``None`` keys are kept in
-a side bucket so that IS NULL probes stay cheap while range scans skip
-nulls (SQL semantics).
+A unique hash index maps each key to its rowid, a non-unique one to a set
+of rowids.  ``None`` keys are kept in a side bucket: IS NULL probes stay
+cheap, range scans skip nulls (SQL semantics), and a whole scan yields
+them last, as ORDER BY puts them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IntegrityError
 
@@ -35,41 +36,50 @@ def _key_extractor(columns: tuple[str, ...]) -> Callable[[dict[str, Any]], Optio
 
 
 class HashIndex:
-    """Equality index over one or more columns."""
+    """Equality index over one or more columns: ``key -> rowid`` when
+    unique, ``key -> set of rowids`` otherwise."""
 
     def __init__(self, columns: Sequence[str], unique: bool = False, name: str = ""):
         self.columns = tuple(columns)
         self.unique = unique
         self.name = name or ("uq_" if unique else "ix_") + "_".join(columns)
         self.key_of = _key_extractor(self.columns)
-        self._map: dict[Hashable, set[int]] = {}
+        self._map: dict[Hashable, Any] = {}
         self._nulls: set[int] = set()
 
     def insert(self, rowid: int, row: dict[str, Any]) -> None:
         key = self.key_of(row)
         if key is None:
             self._nulls.add(rowid)
-            return
-        bucket = self._map.setdefault(key, set())
-        if self.unique and bucket:
+        elif not self.unique:
+            self._map.setdefault(key, set()).add(rowid)
+        elif key in self._map:
             raise IntegrityError(
                 f"unique violation on ({', '.join(self.columns)}) = {key!r}"
             )
-        bucket.add(rowid)
+        else:
+            self._map[key] = rowid
 
     def remove(self, rowid: int, row: dict[str, Any]) -> None:
         key = self.key_of(row)
         if key is None:
             self._nulls.discard(rowid)
             return
-        bucket = self._map.get(key)
-        if bucket is not None:
-            bucket.discard(rowid)
-            if not bucket:
+        entry = self._map.get(key)
+        if self.unique:
+            if entry == rowid:
+                del self._map[key]
+        elif entry is not None:
+            entry.discard(rowid)
+            if not entry:
                 del self._map[key]
 
-    def probe(self, key: Hashable) -> set[int]:
-        return set(self._map.get(key, ()))
+    def probe(self, key: Hashable) -> Collection[int]:
+        """The rowids under ``key``: at most one, as a tuple, when unique."""
+        entry = self._map.get(key)
+        if self.unique:
+            return () if entry is None else (entry,)
+        return set() if entry is None else set(entry)
 
     def probe_many(self, keys: Iterable[Hashable]) -> Iterator[int]:
         """Stream rowids for several keys (IN-list multi-probe).
@@ -77,21 +87,20 @@ class HashIndex:
         A single-column index maps each rowid to exactly one key, so
         chaining buckets never yields duplicates.
         """
-        get = self._map.get
-        for key in keys:
-            bucket = get(key)
-            if bucket:
-                yield from bucket
+        entries = map(self._map.get, keys)
+        if self.unique:
+            return (rowid for rowid in entries if rowid is not None)
+        return (rowid for bucket in entries if bucket for rowid in bucket)
 
-    def distinct_keys(self) -> int:
-        """Number of distinct non-null keys (planner selectivity input)."""
-        return len(self._map)
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._map
 
     def nulls(self) -> set[int]:
         return set(self._nulls)
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._map.values()) + len(self._nulls)
+        keyed = len(self._map) if self.unique else sum(map(len, self._map.values()))
+        return keyed + len(self._nulls)
 
 
 class OrderedIndex:
@@ -175,8 +184,10 @@ class OrderedIndex:
         return max(0, stop - start)
 
     def scan(self, descending: bool = False) -> Iterator[int]:
-        """Yield all non-null rowids in key order."""
-        return reversed(self._rowids) if descending else iter(self._rowids)
+        """Yield every rowid in key order, NULL keys last in both
+        directions (ORDER BY's NULLS LAST), in rowid order."""
+        yield from reversed(self._rowids) if descending else self._rowids
+        yield from sorted(self._nulls)
 
     def nulls(self) -> set[int]:
         return set(self._nulls)

@@ -180,21 +180,17 @@ def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Pla
             seen.add(column)
             index = table.hash_index_on(column)
             if index is not None and equality_on(where, column) is not None:
-                per_key = stats.rows_per_key.get(column, 1.0)
-                estimate = max(1, round(per_key))
                 access = "pk_probe" if index.name == "pk" else "hash_probe"
                 rank = 0 if access == "pk_probe" else 1
                 candidates.append(
-                    (estimate, rank, Plan(access, column, estimated_rows=estimate,
-                                          table_rows=n_rows))
+                    (1, rank, Plan(access, column, estimated_rows=1, table_rows=n_rows))
                 )
                 continue
             if index is not None:
                 in_values = in_list_on(where, column)
                 if in_values is not None:
                     keys = tuple(sorted(in_values, key=repr))
-                    per_key = stats.rows_per_key.get(column, 1.0)
-                    estimate = max(1, round(per_key * len(keys)))
+                    estimate = max(1, len(keys))
                     candidates.append(
                         (estimate, 2, Plan("in_probe", column, keys=keys,
                                            estimated_rows=estimate, table_rows=n_rows))
@@ -223,10 +219,14 @@ def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Pla
 
 def plan_select(table: Table, select: Select) -> Plan:
     """Cost every sargable conjunct against table statistics, pick cheapest;
-    a dominating scan goes columnar where the table allows it."""
+    a top-N may walk its ORDER BY column's index, and a dominating scan
+    goes columnar where the table allows it."""
     stats = table.stats()
     n_rows = stats.row_count
     indexed = _index_plan(table, select, stats)
+    walk = _walk_plan(table, select, n_rows, indexed)
+    if walk is not None:
+        return walk
     best_estimate = None if indexed is None else indexed.estimated_rows
     columnar = _columnar_plan(table, select, n_rows, best_estimate)
     if columnar is not None:
@@ -247,13 +247,16 @@ def reusable_plan(table: Table, select: Select, plan: Plan) -> bool:
     """True when every binding of ``select``'s shape would be planned so
     under the same statistics: a key probe (one row at most, whichever
     path finds it), or, on a table without a columnar copy, the only
-    index the shape's conjuncts offer, or none.  A range's estimate goes
-    stale until the statistics move; its path does not."""
+    index the shape's conjuncts and a top-N's ORDER BY offer, or none.
+    A range's estimate goes stale until the statistics move; its path
+    does not."""
     if plan.access in ("pk_probe", "hash_probe"):    # every hash index is unique
         return True
     if table.columnar_eligible or plan.access == "in_probe":
         return False
     columns = {getattr(conjunct, "column", None) for conjunct in conjuncts(select.where)}
+    if select.limit is not None and len(select.order_by) == 1:     # a top-N may walk
+        columns.add(select.order_by[0][0])
     sargable = {column for column in columns if column and table.has_index_on(column)}
     return not sargable or sargable == {plan.index_column}
 
@@ -261,6 +264,36 @@ def reusable_plan(table: Table, select: Select, plan: Plan) -> bool:
 #: Below this row count a columnar rebuild + mask evaluation cannot beat
 #: the row path, so small tables always keep row-at-a-time plans.
 COLUMNAR_MIN_ROWS = 256
+
+
+def _walk_plan(
+    table: Table, select: Select, n_rows: int, indexed: Optional[Plan]
+) -> Optional[Plan]:
+    """The walk down ``c``'s ordered index for ``ORDER BY c ... LIMIT n``,
+    when it touches fewer rows than the best index path and than the
+    columnar threshold (a quarter of the table).  It stops at the
+    ``offset+limit``-th match: with the best estimate's rows matching
+    evenly over the span it walks (the range on ``c``, or the table),
+    after about ``(offset+limit) × span / matching`` rows."""
+    if (select.limit is None or len(select.order_by) != 1
+            or select.join is not None or select.aggregates):
+        return None
+    column = select.order_by[0][0]
+    index = table.ordered_index_on(column)
+    if index is None:
+        return None
+    best = n_rows if indexed is None else indexed.estimated_rows
+    if indexed is not None and indexed.ordered:     # the best path is the range on c
+        span = best
+    else:
+        bounds = range_on(select.where, column)
+        span = n_rows if bounds is None else index.count_range(
+            bounds[0], bounds[1], low_inclusive=bounds[2], high_inclusive=bounds[3])
+    touched = min(span, -(-(select.offset + select.limit) * span // max(1, best)))
+    if touched >= best or touched * 4 >= n_rows:
+        return None
+    return Plan("range_scan", column, ordered=True, estimated_rows=touched,
+                table_rows=n_rows, limit_pushdown=True)
 
 
 def _columnar_plan(
@@ -271,9 +304,8 @@ def _columnar_plan(
     Chosen for columnar-eligible tables when the query has no join, the
     table is big enough to amortise vectorization, and every index
     candidate is unselective (best estimate within 4x of a full scan) or
-    absent.  Without any candidate, a *bounded* ordered fallback (ORDER
-    BY column with an ordered index plus LIMIT) still wins — it streams
-    in order and stops early, which no mask evaluation can match.
+    absent.  A top-N the ordered walk answers never gets here
+    (:func:`_walk_plan`).
     """
     # Cheap integer disqualifiers first: most OLTP probes stop here.
     if n_rows < COLUMNAR_MIN_ROWS or select.join is not None:
@@ -282,9 +314,6 @@ def _columnar_plan(
         return None
     if not table.columnar_eligible:
         return None
-    if best_estimate is None and select.limit is not None and len(select.order_by) == 1:
-        if table.ordered_index_on(select.order_by[0][0]) is not None:
-            return None
     store = table.columnar_store()
     pruned, total = store.prune_counts(select.where)
     surviving = total - pruned

@@ -22,20 +22,18 @@ from .schema import TableSchema
 class TableStats:
     """Live statistics the planner costs access paths with.
 
-    ``rows_per_key`` maps an indexed column to the average bucket size of
-    its hash index (1.0 for unique indexes) — the per-probe cardinality
-    estimate.  Ordered indexes answer range cardinalities directly via
-    :meth:`OrderedIndex.count_range`, so only their presence is recorded.
+    A hash index on one column is a primary key or a unique constraint,
+    so an equality probe finds one row at most.  Ordered indexes answer
+    range cardinalities directly via :meth:`OrderedIndex.count_range`, so
+    only their presence is recorded.
     """
 
     row_count: int
-    rows_per_key: dict[str, float]
     ordered_columns: tuple[str, ...]
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "row_count": self.row_count,
-            "rows_per_key": dict(self.rows_per_key),
             "ordered_columns": list(self.ordered_columns),
         }
 
@@ -140,22 +138,8 @@ class Table:
 
     def _compute_stats(self) -> TableStats:
         """O(#indexes) statistics snapshot from the live indexes."""
-        rows = len(self._rows)
-        rows_per_key: dict[str, float] = {}
-        for index in self._hash_indexes:
-            if len(index.columns) != 1:
-                continue
-            column = index.columns[0]
-            if index.unique:
-                rows_per_key[column] = 1.0
-            else:
-                distinct = index.distinct_keys()
-                rows_per_key[column] = rows / distinct if distinct else float(rows)
-        return TableStats(
-            row_count=rows,
-            rows_per_key=rows_per_key,
-            ordered_columns=tuple(self._ordered_indexes),
-        )
+        return TableStats(row_count=len(self._rows),
+                          ordered_columns=tuple(self._ordered_indexes))
 
     # -- mutation ----------------------------------------------------------
 
@@ -253,7 +237,7 @@ class Table:
         """True when some row has ``column == value`` (FK checks)."""
         index = self.hash_index_on(column)
         if index is not None:
-            return bool(index.probe(value))
+            return value in index
         ordered = self.ordered_index_on(column)
         if ordered is not None:
             return ordered.count_range(value, value) > 0

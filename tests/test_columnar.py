@@ -12,6 +12,7 @@ regression.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import weakref
@@ -43,7 +44,7 @@ from repro.metadb import (
 )
 from repro.metadb import query as query_module
 from repro.metadb.columnar import SEGMENT_ROWS
-from repro.metadb.query import COLUMNAR_MIN_ROWS
+from repro.metadb.query import COLUMNAR_MIN_ROWS, Plan, execute_select
 from repro.metadb.storage import Table
 
 from .oracle_ordering import ordered
@@ -509,8 +510,8 @@ CODES = ["a", "ab", "b", "", None]          # few values -> dictionary
 ORDER_COLUMNS = ["f", "i8", "b", "code", "note", "at", "id", "ghost"]
 
 
-def order_schema(columnar: bool) -> TableSchema:
-    """No secondary index: nothing competes with the scan."""
+def order_schema(columnar: bool, indexes=()) -> TableSchema:
+    """No secondary index unless asked for: nothing competes with the scan."""
     return TableSchema(
         "ev",
         [
@@ -523,6 +524,7 @@ def order_schema(columnar: bool) -> TableSchema:
             Column("note", ColumnType.TEXT),
         ],
         primary_key="id",
+        indexes=indexes,
         columnar=columnar,
         placement=partitioned("at"),      # read by the sharded build only
     )
@@ -577,6 +579,31 @@ order_statements = st.builds(
     limit=st.sampled_from([None, 0, 1, 7, 100, 5000]),
     offset=st.sampled_from([0, 1, 13, 5000]),
 )
+
+
+top_n_statements = st.builds(
+    Select,
+    table=st.just("ev"),
+    where=st.sampled_from([
+        None, Comparison("id", ">=", 3), Comparison("code", "=", "a"),
+        Comparison("f", "<=", 0.0), Between("f", -1.5, 1.5), IsNull("f", negated=True),
+    ]),
+    order_by=st.sampled_from([[("f", "asc")], [("f", "desc")]]),
+    limit=st.sampled_from([None, 0, 1, 7, 100]),
+    offset=st.sampled_from([0, 1, 13]),
+)
+
+
+def tie_runs(rows: list[dict], cut: bool) -> list[tuple]:
+    """``rows`` as runs of equal ``f``: each run's ids, but only the
+    length of the first and last when OFFSET or LIMIT may cut them (which
+    of several tied rows a cut keeps is each path's own order)."""
+    runs = [(f, frozenset(row["id"] for row in run))
+            for f, run in itertools.groupby(rows, key=lambda row: row["f"])]
+    if cut and runs:
+        for index in {0, len(runs) - 1}:
+            runs[index] = (runs[index][0], len(runs[index][1]))
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -690,6 +717,25 @@ class TestVectorOrder:
                                 order_by=order_by, limit=20, offset=2)
                 assert vector_db.execute(select) == row_db.execute(select)
                 assert store.last_scan["rows_gathered"] == 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=order_rows, select=top_n_statements)
+    def test_walk_columnar_and_row_sort_return_the_same_rows(self, rows, select):
+        """``ORDER BY f ... LIMIT n`` three ways over NULLs and ties: the
+        walk down ``f``'s ordered index, the columnar scan and the row
+        sort give the same ``f`` sequence and the same rows in every run
+        of ties no cut reaches."""
+        table = Table(order_schema(columnar=True, indexes=[("f",)]))
+        for row in rows:
+            table.insert_row(table.schema.normalize_row(row))
+        answers = [execute_select({"ev": table}, select, plan=Plan(*access))
+                   for access in (("range_scan", "f", True), ("columnar_scan",),
+                                  ("full_scan",))]
+        cut = select.limit is not None or select.offset > 0
+        walk, *others = answers
+        for answer in others:
+            assert [row["f"] for row in walk] == [row["f"] for row in answer]
+            assert tie_runs(walk, cut) == tie_runs(answer, cut)
 
     def test_unordered_limit_gathers_only_the_rows_returned(self, tied_twins):
         vector_db, row_db = tied_twins

@@ -274,7 +274,8 @@ class ContractMachine(RuleBasedStateMachine):
 
     # -- mutations ----------------------------------------------------------
 
-    @rule(key=KEYS, value=VALUES, tag=st.sampled_from(["a", "b", "c"]))
+    @rule(key=KEYS, value=st.one_of(st.none(), VALUES),
+          tag=st.sampled_from(["a", "b", "c"]))
     def insert(self, key, value, tag):
         row = {"k": key, "v": value, "tag": tag}
         if key in self.model:
@@ -706,6 +707,26 @@ class ContractMachine(RuleBasedStateMachine):
             key=lambda row: row["k"],
         )
         assert rows == expected
+
+    @rule(direction=st.sampled_from(["asc", "desc"]),
+          limit=st.sampled_from([None, 1, 4]), below=st.one_of(st.none(), KEYS))
+    def ordered_by_v(self, direction, limit, below):
+        """``ORDER BY v``, which ``v``'s ordered index answers: NULLS LAST
+        both ways.  The ``v`` sequence always, and the rows too when no
+        LIMIT cuts a run of ties."""
+        where = None if below is None else Comparison("k", "<", below)
+        rows = self.db.execute(
+            Select("t", where=where, order_by=[("v", direction)], limit=limit),
+            tx=self.tx)
+        expected = [row for row in self.model.values()
+                    if below is None or row["k"] < below]
+        values = sorted((row["v"] for row in expected if row["v"] is not None),
+                        reverse=direction == "desc")
+        values += [None] * (len(expected) - len(values))
+        assert [row["v"] for row in rows] == values[:limit]
+        if limit is None:
+            assert sorted(rows, key=lambda row: row["k"]) == \
+                sorted(expected, key=lambda row: row["k"])
 
     @rule(keys=st.lists(KEYS, min_size=2, max_size=4))
     def batch_of_reads(self, keys):

@@ -414,6 +414,28 @@ class TestNullOrdering:
         rows = nullable_db.execute(Select("m", order_by=[("score", "desc")], limit=3))
         assert [row["id"] for row in rows] == [1, 5, 3]
 
+    @pytest.mark.parametrize("direction", ["asc", "desc"])
+    @pytest.mark.parametrize("limit", [None, 9])
+    def test_an_ordered_index_scan_keeps_null_keys_last(self, direction, limit):
+        """``ORDER BY v`` answered by the ordered index on ``v``: the three
+        rows whose ``v`` is NULL follow the seven others both ways, in
+        rowid order, where the scan used to drop them."""
+        database = Database()
+        database.create_table(TableSchema(
+            "t", [Column("k", ColumnType.INTEGER, nullable=False),
+                  Column("v", ColumnType.REAL)],
+            primary_key="k", indexes=[("v",)]))
+        values = [3.0, None, 1.0, 4.0, None, 5.0, 9.0, 2.0, None, 6.0]
+        for k, v in enumerate(values):
+            database.execute(Insert("t", {"k": k, "v": v}))
+        select = Select("t", order_by=[("v", direction)], limit=limit)
+        plan = database.explain_plan(select)
+        assert (plan["access"], plan["ordered"]) == ("range_scan", True)
+        rows = database.execute(select)
+        rated = sorted((v for v in values if v is not None), reverse=direction == "desc")
+        assert [row["v"] for row in rows] == (rated + [None] * 3)[:limit]
+        assert [row["k"] for row in rows][7:] == [1, 4, 8][:None if limit is None else 2]
+
 
 class TestRowSortAgainstOldKey:
     """The row path sorts one column a pass with native keys; the tuple

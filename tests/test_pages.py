@@ -7,6 +7,7 @@ bound to the tuple), on a plain ``Database``, a 4-shard
 from __future__ import annotations
 
 import functools
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -264,6 +265,21 @@ def test_file_row_of_a_lost_archive_fails_the_page(build, tmp_path):
             dm.io.names.resolve_files(f"hle:{broken}", role="data")] == \
         [f"/mnt/main/hle/{broken}/0.bin"]
     assert len(dm.fetch_page(alice, intact).files) == 1
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_search_lists_events_without_a_rate_last(build, tmp_path):
+    """An unfiltered search lists every event ``ORDER BY peak_rate DESC``,
+    the twelve without a rate after the four with one (NULLS LAST), where
+    the ordered-index scan it runs on used to drop them."""
+    events = [_event(index % 4, no_rate=index % 4 != 0) for index in range(16)]
+    stack = _Stack(build, events, tmp_path)
+    response = stack.web.handle(HttpRequest("GET", "/hedc/search", {}, {}))
+    assert response.status == 200
+    shown = [int(hle_id) for hle_id in re.findall(r"/hedc/hle\?id=(\d+)", response.text)]
+    rated = stack.hle_ids[::4]
+    assert shown[:4] == rated[::-1]
+    assert sorted(shown[4:]) == sorted(set(stack.hle_ids) - set(rated))
 
 
 def test_what_an_operator_sees_of_one_page(tmp_path):

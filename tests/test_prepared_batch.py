@@ -16,6 +16,7 @@ says about it.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -365,14 +366,31 @@ def planned(monkeypatch):
 
 
 def test_a_value_dependent_shape_is_planned_per_bind(planned):
-    """``peak_rate >= ?`` with ``ORDER BY peak_rate DESC LIMIT n`` on a
-    table with a columnar copy: a columnar scan at an unselective
-    threshold, a range scan at a selective one, costed at every bind."""
+    """``peak_rate >= ?`` on a table with a columnar copy: a columnar scan
+    at an unselective threshold, a range scan at a selective one, costed
+    at every bind."""
+    database = _sweeps(2000, columnar=True)
+    sweep = PreparedBatch([Select("events", where=Comparison("peak_rate", ">=", Param(0)))])
+    for threshold, access in ((0.0, "columnar_scan"), (1990.0, "range_scan"),
+                              (10.0, "columnar_scan"), (1996.0, "range_scan")):
+        batch = sweep.bind((threshold,))
+        calls = planned[0]
+        (rows,) = database.execute_batch(batch)
+        assert planned[0] == calls + 1
+        assert sorted(row["event_id"] for row in rows) == \
+            list(range(math.ceil(threshold), 2000))
+        plan = database.explain_plan(batch[0])
+        assert (plan["access"], plan["cached_plan"]) == (access, False)
+
+
+def test_a_top_n_walks_the_ordered_index_at_every_threshold(planned):
+    """``peak_rate >= ? ORDER BY peak_rate DESC LIMIT 5``: the walk down
+    the rate index stops at the fifth row whatever the threshold, so no
+    bind rebuilds the columnar copy, and each is still costed afresh."""
     database = _sweeps(2000, columnar=True)
     sweep = PreparedBatch([Select("events", where=Comparison("peak_rate", ">=", Param(0)),
                                   order_by=[("peak_rate", "desc")], limit=5)])
-    for threshold, access in ((0.0, "columnar_scan"), (1990.0, "range_scan"),
-                              (10.0, "columnar_scan"), (1996.0, "range_scan")):
+    for threshold in (0.0, 1990.0, 10.0, 1996.0):
         batch = sweep.bind((threshold,))
         calls = planned[0]
         (rows,) = database.execute_batch(batch)
@@ -380,7 +398,27 @@ def test_a_value_dependent_shape_is_planned_per_bind(planned):
         assert [row["event_id"] for row in rows] == \
             [n for n in range(1999, 1994, -1) if n >= threshold]
         plan = database.explain_plan(batch[0])
-        assert (plan["access"], plan["cached_plan"]) == (access, False)
+        assert (plan["access"], plan["index_column"], plan["ordered"],
+                plan["limit_pushdown"], plan["cached_plan"]) == \
+            ("range_scan", "peak_rate", True, True, False)
+        assert plan["estimated_rows"] == min(5, 2000 - math.ceil(threshold))
+    assert database.table("events")._columnar_store is None
+
+
+def test_a_top_n_whose_walk_competes_is_planned_per_bind(planned):
+    """``start_time < ? ORDER BY peak_rate DESC LIMIT 5`` without a columnar
+    copy: a narrow time range takes its range scan, a wide one the walk
+    down the rate index, so the shape keeps no plan."""
+    database = _sweeps(100, columnar=False)
+    prepared = PreparedBatch([Select("events", where=Comparison("start_time", "<", Param(0)),
+                                     order_by=[("peak_rate", "desc")], limit=5)])
+    for bound, column in ((30.0, "start_time"), (1000.0, "peak_rate"), (30.0, "start_time")):
+        batch = prepared.bind((bound,))
+        (rows,) = database.execute_batch(batch)
+        assert [row["event_id"] for row in rows] == \
+            [n for n in range(99, -1, -1) if 10 * n < bound][:5]
+        plan = database.explain_plan(batch[0])
+        assert (plan["index_column"], plan["cached_plan"]) == (column, False)
 
 
 @pytest.mark.parametrize("where, binds, kept", [
