@@ -134,14 +134,12 @@ def test_every_read_servlet_is_within_its_trips(served):
     assert proxy.stats.selects == executed + 1
 
 
-def test_a_warm_hle_page_translates_nothing_and_plans_its_sweeps_only(
+def test_a_warm_hle_page_translates_nothing_and_plans_nothing(
         served, request, monkeypatch):
     """The page is a prepared batch: once its shape is warm, a page
     renders no SQL text, tokenizes nothing and scans no statement for
-    references, on either build.  On one ``Database`` the planner runs
-    for the two sweeps alone (``hle`` keeps a columnar copy, so their
-    plans depend on the bound rate and time); the five other shapes
-    reuse their plans."""
+    references, on either build.  On one ``Database`` every one of its
+    seven shapes, the two ``hle`` sweeps among them, reuses its plan."""
     from repro.metadb import database, sql
 
     _proxy, get, ids = served
@@ -159,7 +157,7 @@ def test_a_warm_hle_page_translates_nothing_and_plans_its_sweeps_only(
     planned = calls.pop("plan_select", 0)
     assert calls == {}
     if request.node.callspec.params["served"] == "plain":
-        assert planned == 3 * 2
+        assert planned == 0
 
 
 def test_an_hle_page_on_the_wire_costs_one_trip_and_little_else(served):

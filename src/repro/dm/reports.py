@@ -119,15 +119,15 @@ class Reports:
         )
 
     def top_users(self, limit: int = 10) -> list[dict[str, Any]]:
-        rows = self.io.execute(
+        return self.io.execute(
             Select(
                 "ops_usage",
                 group_by=["user_id"],
                 aggregates=[Aggregate("count", "*", "n")],
+                order_by=[("n", "desc")],
+                limit=limit,
             )
         )
-        rows.sort(key=lambda row: -row["n"])
-        return rows[:limit]
 
     def archive_status(self) -> list[dict[str, Any]]:
         """The §4.1 'status of archives' view."""

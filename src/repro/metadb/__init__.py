@@ -6,7 +6,6 @@ interface, and sits behind the DM's database adapter.
 """
 
 from .api import DatabaseApi
-from .columnar import SEGMENT_ROWS, ColumnarStore
 from .database import Database, DatabaseStats
 from .errors import (
     ClosedError,
@@ -58,8 +57,6 @@ __all__ = [
     "ClosedError",
     "Column",
     "ColumnType",
-    "ColumnarStore",
-    "SEGMENT_ROWS",
     "Comparison",
     "Connection",
     "ConnectionPool",

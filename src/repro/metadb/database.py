@@ -95,9 +95,6 @@ class Database:
         # Per-access-path hit counters, cached so the hot SELECT path pays
         # one dict lookup instead of a registry lookup with fresh labels.
         self._plan_counters: dict[str, Any] = {}
-        # metadb.columnar.* counters (segments scanned/pruned, rows
-        # matched/gathered, rebuilds), same caching rationale.
-        self._columnar_counters: dict[str, Any] = {}
         #: Select shape -> (table statistics, plan), for the plans no
         #: binding of the shape could change (``query.reusable_plan``).
         self._plans: dict[Any, tuple[Any, Plan]] = {}
@@ -478,29 +475,6 @@ class Database:
             self._plan_counters[plan.access] = counter
         counter.inc()
 
-    def _count_columnar_scan(self, table: Table) -> None:
-        """Publish the columnar store's last-scan statistics as
-        ``metadb.columnar.*`` counters."""
-        store = table._columnar_store
-        last = store.last_scan if store is not None else None
-        if last is None:
-            return
-        amounts = {
-            "metadb.columnar.segments_scanned": last["segments_scanned"],
-            "metadb.columnar.segments_pruned": last["segments_pruned"],
-            "metadb.columnar.rows_matched": last["rows_matched"],
-            "metadb.columnar.rows_gathered": last["rows_gathered"],
-            "metadb.columnar.rebuilds": 1 if last["rebuilt"] else 0,
-        }
-        for name, amount in amounts.items():
-            if not amount:
-                continue
-            counter = self._columnar_counters.get(name)
-            if counter is None:
-                counter = self.obs.counter(name, db=self.name)
-                self._columnar_counters[name] = counter
-            counter.inc(amount)
-
     def _execute_statement(self, statement: Statement, tx: Optional[Transaction]) -> Any:
         with self._lock:
             self._require_open()
@@ -519,8 +493,6 @@ class Database:
                         self._plans[statement.shape] = (table.stats(), plan)
                 self._count_access_path(plan)
                 rows = execute_select(self._tables, statement, plan=plan)
-                if plan.access == "columnar_scan":
-                    self._count_columnar_scan(table)
                 self.stats.selects += 1
                 self.stats.rows_read += len(rows)
                 return rows

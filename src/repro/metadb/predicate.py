@@ -5,17 +5,12 @@ planner to recognise *sargable* shapes (equality and range constraints on
 indexed columns).  SQL three-valued logic is approximated: any comparison
 with NULL is false, IS NULL / IS NOT NULL are explicit nodes.
 
-Two evaluation paths exist: :meth:`Predicate.compile` returns a fused
-closure the executor calls once per candidate row — And/Or collapse their
-operands into a single function, so the hot filter loop pays no isinstance
-checks or method lookups — and :meth:`Predicate.compile_vector` returns a
-closure evaluating the whole tree over a *column segment* at once: leaves
-ask the segment view for a boolean mask (numpy ufuncs, dictionary-code
-probes), And/Or/Not combine masks with ``&``/``|``/``~``.  The vector
-path reproduces the row path's NULL semantics exactly: a NULL never
-satisfies a comparison, so ``Not`` over a comparison is true on NULL rows
-in both paths.  (``tests/oracle_predicate.py`` keeps the per-node tree
-walk both are tested against.)
+:meth:`Predicate.compile` returns a fused closure the executor calls once
+per candidate row — And/Or collapse their operands into a single function,
+so the hot filter loop pays no isinstance checks or method lookups.  A
+NULL never satisfies a comparison, so ``Not`` over a comparison is true on
+NULL rows.  (``tests/oracle_predicate.py`` keeps the per-node tree walk it
+is tested against.)
 
 A comparison's literal may be a :class:`Ref`: a value of an earlier
 statement's row, bound on the database side inside one batch.
@@ -31,11 +26,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from .errors import QueryError
 
 RowMatcher = Callable[[dict], bool]
-
-#: A vector matcher takes a segment view (duck-typed: the contract is the
-#: mask-producing methods of :class:`repro.metadb.columnar.SegmentView`)
-#: and returns a boolean mask over the segment's rows.
-VectorMatcher = Callable[[Any], Any]
 
 
 def check_literal(value: Any) -> Any:
@@ -86,16 +76,11 @@ class Ref:
 
 
 class Predicate:
-    """Base class; subclasses implement :meth:`compile`,
-    :meth:`compile_vector` and :meth:`columns`."""
+    """Base class; subclasses implement :meth:`compile` and
+    :meth:`columns`."""
 
     def compile(self) -> RowMatcher:
         """Return a ``row -> bool`` closure: whether the row matches."""
-        raise NotImplementedError
-
-    def compile_vector(self) -> VectorMatcher:
-        """Return a ``segment_view -> bool_mask`` closure equivalent to
-        calling :meth:`compile`'s closure on every row of the segment."""
         raise NotImplementedError
 
     def __and__(self, other: "Predicate") -> "And":
@@ -162,12 +147,6 @@ class Comparison(Predicate):
                 return False
         return match
 
-    def compile_vector(self) -> VectorMatcher:
-        column, op, value = self.column, self.op, self.value
-        if type(value) is Ref:
-            value.unresolved()
-        return lambda view: view.compare(column, op, value)
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -182,7 +161,9 @@ class Between(Predicate):
 
     def compile(self) -> RowMatcher:
         column, low, high = self.column, self.low, self.high
-        self._check_bound()
+        for bound in (low, high):
+            if type(bound) is Ref:
+                bound.unresolved()
 
         def match(row: dict) -> bool:
             actual = row.get(column)
@@ -193,18 +174,6 @@ class Between(Predicate):
             except TypeError:
                 return False
         return match
-
-    def compile_vector(self) -> VectorMatcher:
-        column, low, high = self.column, self.low, self.high
-        self._check_bound()
-        return lambda view: view.compare(column, ">=", low) & view.compare(
-            column, "<=", high
-        )
-
-    def _check_bound(self) -> None:
-        for bound in (self.low, self.high):
-            if type(bound) is Ref:
-                bound.unresolved()
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -224,10 +193,6 @@ class In(Predicate):
             actual = row.get(column)
             return actual is not None and actual in values
         return match
-
-    def compile_vector(self) -> VectorMatcher:
-        column, values = self.column, self.values
-        return lambda view: view.isin(column, values)
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -262,10 +227,6 @@ class Like(Predicate):
             return isinstance(actual, str) and fullmatch(actual) is not None
         return match
 
-    def compile_vector(self) -> VectorMatcher:
-        column, regex = self.column, self._regex
-        return lambda view: view.like(column, regex)
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -280,10 +241,6 @@ class IsNull(Predicate):
         if self.negated:
             return lambda row: row.get(column) is not None
         return lambda row: row.get(column) is None
-
-    def compile_vector(self) -> VectorMatcher:
-        column, negated = self.column, self.negated
-        return lambda view: view.is_null(column, negated)
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -308,20 +265,6 @@ class And(Predicate):
                 if not part(row):
                     return False
             return True
-        return match
-
-    def compile_vector(self) -> VectorMatcher:
-        parts = tuple(operand.compile_vector() for operand in self.operands)
-        if not parts:
-            return lambda view: view.ones()
-        if len(parts) == 1:
-            return parts[0]
-
-        def match(view: Any) -> Any:
-            mask = parts[0](view)
-            for part in parts[1:]:
-                mask = mask & part(view)
-            return mask
         return match
 
     def columns(self) -> set[str]:
@@ -352,20 +295,6 @@ class Or(Predicate):
             return False
         return match
 
-    def compile_vector(self) -> VectorMatcher:
-        parts = tuple(operand.compile_vector() for operand in self.operands)
-        if not parts:
-            return lambda view: view.zeros()
-        if len(parts) == 1:
-            return parts[0]
-
-        def match(view: Any) -> Any:
-            mask = parts[0](view)
-            for part in parts[1:]:
-                mask = mask | part(view)
-            return mask
-        return match
-
     def columns(self) -> set[str]:
         result: set[str] = set()
         for operand in self.operands:
@@ -381,10 +310,6 @@ class Not(Predicate):
         inner = self.operand.compile()
         return lambda row: not inner(row)
 
-    def compile_vector(self) -> VectorMatcher:
-        inner = self.operand.compile_vector()
-        return lambda view: ~inner(view)
-
     def columns(self) -> set[str]:
         return self.operand.columns()
 
@@ -394,9 +319,6 @@ class TruePredicate(Predicate):
 
     def compile(self) -> RowMatcher:
         return lambda row: True
-
-    def compile_vector(self) -> VectorMatcher:
-        return lambda view: view.ones()
 
     def columns(self) -> set[str]:
         return set()

@@ -7,9 +7,8 @@ classes are those collection objects.  The planner picks an access path
 (primary-key probe, hash probe, IN-list multi-probe, ordered range scan,
 or full scan) by costing every sargable conjunct against live table
 statistics, and the executor *streams*: the WHERE clause is compiled into
-a fused closure, LIMIT/OFFSET are pushed into index scans that stop
-early, and a columnar scan orders its selection vector on the column
-arrays, so only the rows a statement returns are ever gathered.
+a fused closure and LIMIT/OFFSET are pushed into index scans that stop
+early.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
+    Conjunction,
     Predicate,
     TruePredicate,
     conjuncts,
@@ -28,6 +28,7 @@ from .predicate import (
     range_on,
 )
 from .storage import Table, TableStats
+from .types import STORED_TYPE, ColumnType
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,12 @@ class Select:
             raise QueryError("offset must be non-negative")
         if self.group_by and not self.aggregates:
             raise QueryError("GROUP BY requires at least one aggregate")
+        if self.aggregates:
+            named = {*self.group_by, *(aggregate.alias for aggregate in self.aggregates)}
+            for column, _direction in self.order_by:
+                if column not in named:
+                    raise QueryError(f"ORDER BY {column!r} names neither a GROUP BY "
+                                     "column nor an aggregate alias")
 
 
 @dataclass
@@ -121,7 +128,6 @@ class Plan:
     """Chosen access path plus executor strategy; also the EXPLAIN output."""
 
     #: "pk_probe" | "hash_probe" | "in_probe" | "range_scan" | "full_scan"
-    #: | "columnar_scan"
     access: str
     index_column: Optional[str] = None
     ordered: bool = False   # True when the scan already satisfies ORDER BY
@@ -130,17 +136,10 @@ class Plan:
     table_rows: int = 0                 # statistics snapshot the estimate used
     limit_pushdown: bool = False        # executor stops the scan at OFFSET+LIMIT
     topn: bool = False                  # unordered stream, ORDER BY cut to OFFSET+LIMIT
-    segments: int = 0                   # columnar only: total segments
-    segments_pruned: int = 0            # columnar only: skipped via zone maps
-    array_order: bool = False           # columnar only: ORDER BY on the column arrays
 
     def describe(self) -> str:
         if self.access == "full_scan":
             return "FULL SCAN"
-        if self.access == "columnar_scan":
-            scanned = self.segments - self.segments_pruned
-            order = ", ORDER BY on column arrays" if self.array_order else ""
-            return f"COLUMNAR SCAN ({scanned}/{self.segments} segments){order}"
         return f"{self.access.upper()} on {self.index_column}"
 
     def to_dict(self) -> dict[str, Any]:
@@ -154,11 +153,25 @@ class Plan:
             "table_rows": self.table_rows,
             "limit_pushdown": self.limit_pushdown,
             "topn": self.topn,
-            "segments_total": self.segments,
-            "segments_pruned": self.segments_pruned,
-            "array_order": self.array_order,
             "description": self.describe(),
         }
+
+
+def _seekable_range(table: Table, where: Conjunction, column: str) -> Optional[tuple]:
+    """``range_on``'s bounds for ``column``, when its ordered index can seek
+    them.  A literal the column's values do not compare with (``peak_rate
+    > 'x'``) leaves the column to the matcher, which holds that comparison
+    false, on every row, as it does on a column without an index."""
+    try:
+        bounds = range_on(where, column)    # compares the bounds on each side
+        if bounds is not None:
+            stored = STORED_TYPE[table.schema.columns[column].type]()
+            for bound in bounds[:2]:
+                if bound is not None:
+                    bound < stored          # what the matcher's comparison raises
+    except TypeError:
+        return None
+    return bounds
 
 
 def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Plan]:
@@ -197,7 +210,7 @@ def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Pla
                     )
             ordered_index = table.ordered_index_on(column)
             if ordered_index is not None:
-                bounds = range_on(where, column)
+                bounds = _seekable_range(table, where, column)
                 if bounds is not None:
                     low, high, low_inclusive, high_inclusive = bounds
                     estimate = ordered_index.count_range(
@@ -219,18 +232,13 @@ def _index_plan(table: Table, select: Select, stats: TableStats) -> Optional[Pla
 
 def plan_select(table: Table, select: Select) -> Plan:
     """Cost every sargable conjunct against table statistics, pick cheapest;
-    a top-N may walk its ORDER BY column's index, and a dominating scan
-    goes columnar where the table allows it."""
+    a top-N may walk its ORDER BY column's index instead."""
     stats = table.stats()
     n_rows = stats.row_count
     indexed = _index_plan(table, select, stats)
     walk = _walk_plan(table, select, n_rows, indexed)
     if walk is not None:
         return walk
-    best_estimate = None if indexed is None else indexed.estimated_rows
-    columnar = _columnar_plan(table, select, n_rows, best_estimate)
-    if columnar is not None:
-        return _finalize(columnar, select)
     if indexed is not None:
         return _finalize(indexed, select)
     # Ordered scan that satisfies ORDER BY even without a range constraint.
@@ -246,13 +254,12 @@ def plan_select(table: Table, select: Select) -> Plan:
 def reusable_plan(table: Table, select: Select, plan: Plan) -> bool:
     """True when every binding of ``select``'s shape would be planned so
     under the same statistics: a key probe (one row at most, whichever
-    path finds it), or, on a table without a columnar copy, the only
-    index the shape's conjuncts and a top-N's ORDER BY offer, or none.
-    A range's estimate goes stale until the statistics move; its path
-    does not."""
+    path finds it), or the only index the shape's conjuncts and a top-N's
+    ORDER BY offer, or none.  A range's estimate goes stale until the
+    statistics move; its path does not."""
     if plan.access in ("pk_probe", "hash_probe"):    # every hash index is unique
         return True
-    if table.columnar_eligible or plan.access == "in_probe":
+    if plan.access == "in_probe":
         return False
     columns = {getattr(conjunct, "column", None) for conjunct in conjuncts(select.where)}
     if select.limit is not None and len(select.order_by) == 1:     # a top-N may walk
@@ -261,20 +268,15 @@ def reusable_plan(table: Table, select: Select, plan: Plan) -> bool:
     return not sargable or sargable == {plan.index_column}
 
 
-#: Below this row count a columnar rebuild + mask evaluation cannot beat
-#: the row path, so small tables always keep row-at-a-time plans.
-COLUMNAR_MIN_ROWS = 256
-
-
 def _walk_plan(
     table: Table, select: Select, n_rows: int, indexed: Optional[Plan]
 ) -> Optional[Plan]:
     """The walk down ``c``'s ordered index for ``ORDER BY c ... LIMIT n``,
-    when it touches fewer rows than the best index path and than the
-    columnar threshold (a quarter of the table).  It stops at the
-    ``offset+limit``-th match: with the best estimate's rows matching
-    evenly over the span it walks (the range on ``c``, or the table),
-    after about ``(offset+limit) × span / matching`` rows."""
+    when it touches fewer rows than the best index path and than a quarter
+    of the table.  It stops at the ``offset+limit``-th match: with the
+    best estimate's rows matching evenly over the span it walks (the range
+    on ``c``, or the table), after about ``(offset+limit) × span /
+    matching`` rows."""
     if (select.limit is None or len(select.order_by) != 1
             or select.join is not None or select.aggregates):
         return None
@@ -286,7 +288,7 @@ def _walk_plan(
     if indexed is not None and indexed.ordered:     # the best path is the range on c
         span = best
     else:
-        bounds = range_on(select.where, column)
+        bounds = _seekable_range(table, select.where, column)
         span = n_rows if bounds is None else index.count_range(
             bounds[0], bounds[1], low_inclusive=bounds[2], high_inclusive=bounds[3])
     touched = min(span, -(-(select.offset + select.limit) * span // max(1, best)))
@@ -294,39 +296,6 @@ def _walk_plan(
         return None
     return Plan("range_scan", column, ordered=True, estimated_rows=touched,
                 table_rows=n_rows, limit_pushdown=True)
-
-
-def _columnar_plan(
-    table: Table, select: Select, n_rows: int, best_estimate: Optional[int]
-) -> Optional[Plan]:
-    """The vectorized access path, when a scan dominates.
-
-    Chosen for columnar-eligible tables when the query has no join, the
-    table is big enough to amortise vectorization, and every index
-    candidate is unselective (best estimate within 4x of a full scan) or
-    absent.  A top-N the ordered walk answers never gets here
-    (:func:`_walk_plan`).
-    """
-    # Cheap integer disqualifiers first: most OLTP probes stop here.
-    if n_rows < COLUMNAR_MIN_ROWS or select.join is not None:
-        return None
-    if best_estimate is not None and best_estimate * 4 < n_rows:
-        return None
-    if not table.columnar_eligible:
-        return None
-    store = table.columnar_store()
-    pruned, total = store.prune_counts(select.where)
-    surviving = total - pruned
-    estimate = n_rows if total == 0 else round(n_rows * surviving / total)
-    return Plan(
-        "columnar_scan",
-        estimated_rows=estimate,
-        table_rows=n_rows,
-        segments=total,
-        segments_pruned=pruned,
-        array_order=bool(select.order_by) and not select.aggregates
-        and store.orders_on_arrays(select.order_by),
-    )
 
 
 def _finalize(plan: Plan, select: Select) -> Plan:
@@ -342,8 +311,6 @@ def _finalize(plan: Plan, select: Select) -> Plan:
         plan.access, plan.index_column, ordered=plan.ordered, keys=plan.keys,
         estimated_rows=plan.estimated_rows, table_rows=plan.table_rows,
         limit_pushdown=limit_pushdown, topn=topn,
-        segments=plan.segments, segments_pruned=plan.segments_pruned,
-        array_order=plan.array_order,
     )
 
 
@@ -357,7 +324,7 @@ def _candidate_rowids(table: Table, select: Select, plan: Plan) -> Optional[Iter
         return table.hash_index_on(plan.index_column).probe_many(plan.keys)
     if plan.access == "range_scan":
         ordered_index = table.ordered_index_on(plan.index_column)
-        bounds = range_on(where, plan.index_column)
+        bounds = _seekable_range(table, where, plan.index_column)
         descending = bool(
             plan.ordered and select.order_by and select.order_by[0][1] == "desc"
         )
@@ -456,66 +423,61 @@ def execute_select(
     The matched stream stays lazy end to end on the common paths: a
     compiled WHERE closure filters candidates as the index scan produces
     them and ``islice`` implements LIMIT/OFFSET pushdown (the scan stops
-    at OFFSET+LIMIT matches).  A columnar scan filters, orders and cuts
-    positions on the column arrays and gathers only the rows it returns;
-    an ORDER BY the arrays cannot reproduce exactly (see
-    :meth:`ColumnarStore.ordered_positions`) sorts the gathered rows like
-    any other unordered stream.  Joins and aggregates still materialise,
+    at OFFSET+LIMIT matches).  Joins and aggregates still materialise,
     as they must.
     """
     if select.table not in tables:
         raise SchemaError(f"unknown table {select.table!r}")
     table = tables[select.table]
+    if select.aggregates:
+        _check_summable(tables, select)
     if plan is None:
         plan = plan_select(table, select)
     where = select.where
-    stop = None if select.limit is None else select.offset + select.limit
-    if plan.access == "columnar_scan":
-        store = table.columnar_store()
-        positions = store.scan_positions(where)
-        if select.aggregates and select.join is None:
-            vectorized = store.vector_aggregates(select, positions)
-            if vectorized is not None:
-                return vectorized
-        elif select.join is None:
-            if select.order_by:
-                ordered = store.ordered_positions(positions, select.order_by, stop)
-            else:
-                ordered = positions[:stop]
-            if ordered is not None:
-                rows = store.gathered_rows(ordered[select.offset:])
-                return [_project(row, select.columns) for row in rows]
-        # The mask already applied WHERE; gather survivors in scan order.
-        matched_stream: Iterator[dict[str, Any]] = store.gathered_rows(positions)
-    else:
-        candidates = _candidate_rows(table, select, plan)
-        if where is None or isinstance(where, TruePredicate):
-            matched_stream = candidates
-        else:
-            matcher = where.compile()
-            matched_stream = (row for row in candidates if matcher(row))
-
+    matched: Iterable[dict[str, Any]] = _candidate_rows(table, select, plan)
+    if where is not None and not isinstance(where, TruePredicate):
+        matcher = where.compile()
+        matched = (row for row in matched if matcher(row))
     if select.join is not None:
-        matched = _execute_join(tables, select, list(matched_stream))
-        if select.aggregates:
-            return _execute_aggregates(matched, select)
-        if select.order_by:
-            _apply_order(matched, select.order_by)
-        if select.offset:
-            matched = matched[select.offset:]
-        if select.limit is not None:
-            matched = matched[: select.limit]
-        return [_project(row, select.columns) for row in matched]
-
+        matched = _execute_join(tables, select, list(matched))
     if select.aggregates:
-        return _execute_aggregates(list(matched_stream), select)
-
-    if select.order_by and not plan.ordered:
-        rows = _apply_order(list(matched_stream), select.order_by)[select.offset:stop]
+        return order_and_cut(_execute_aggregates(list(matched), select), select)
+    if select.join is not None or (select.order_by and not plan.ordered):
+        rows = order_and_cut(list(matched), select)
     else:
         # Scan order is the output order: push LIMIT/OFFSET into the scan.
-        rows = list(islice(matched_stream, select.offset, stop))
+        stop = None if select.limit is None else select.offset + select.limit
+        rows = list(islice(matched, select.offset, stop))
     return [_project(row, select.columns) for row in rows]
+
+
+def order_and_cut(rows: list[dict[str, Any]], select: Select) -> list[dict[str, Any]]:
+    """``rows`` in ``select``'s ORDER BY, cut to its OFFSET and LIMIT: the
+    matches of a join, or the output of an aggregate, on one node or
+    merged from the shards."""
+    if select.order_by:
+        _apply_order(rows, select.order_by)
+    stop = None if select.limit is None else select.offset + select.limit
+    return rows[select.offset:stop]
+
+
+def _check_summable(tables: dict[str, Table], select: Select) -> None:
+    """SUM or AVG over a column declared other than INTEGER, REAL or
+    TIMESTAMP is a :class:`QueryError`, whatever the rows hold (none
+    included).  A joined row's column is the left table's where both
+    have it."""
+    schemas = [tables[select.table].schema]
+    if select.join is not None and select.join.table in tables:
+        schemas.append(tables[select.join.table].schema)
+    for aggregate in select.aggregates:
+        if aggregate.func not in ("sum", "avg"):
+            continue
+        column = next((schema.columns[aggregate.column] for schema in schemas
+                       if aggregate.column in schema.columns), None)
+        if column is not None and column.type not in (
+                ColumnType.INTEGER, ColumnType.REAL, ColumnType.TIMESTAMP):
+            raise QueryError(f"{aggregate.func.upper()}({aggregate.column}) adds up "
+                             f"numbers, not {column.type.value}")
 
 
 def _execute_join(

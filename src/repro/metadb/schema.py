@@ -117,7 +117,6 @@ class TableSchema:
         unique: Iterable[Sequence[str]] = (),
         foreign_keys: Iterable[ForeignKey] = (),
         indexes: Iterable[Sequence[str]] = (),
-        columnar: bool = False,
         placement: Placement = BROADCAST,
         item_key: Optional[str] = None,
     ):
@@ -159,11 +158,6 @@ class TableSchema:
             for col in index_cols:
                 if col not in self.columns:
                     raise SchemaError(f"index references unknown column {col!r}")
-        # Opt-in columnar storage: the table additionally maintains a
-        # lazily rebuilt column-oriented copy the vectorized executor
-        # scans (see repro.metadb.columnar).  Purely an access-path hint;
-        # the row store stays the source of truth.
-        self.columnar = bool(columnar)
         # Where a sharded catalog keeps the rows, and the column (if any)
         # whose values name the items this table owns: rows of a
         # follows_item table with the same value live on the same shard.
@@ -245,7 +239,6 @@ class TableSchema:
                 for fk in self.foreign_keys
             ],
             "indexes": [list(i) for i in self.indexes],
-            "columnar": self.columnar,
             **placed,
         }
 
@@ -278,7 +271,6 @@ class TableSchema:
             unique=data.get("unique", ()),
             foreign_keys=foreign_keys,
             indexes=data.get("indexes", ()),
-            columnar=data.get("columnar", False),
             placement=Placement(**data["placement"]) if "placement" in data
             else BROADCAST,
             item_key=data.get("item_key"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from . import columnar as _columnar
 from .errors import IntegrityError, SchemaError
 from .index import HashIndex, OrderedIndex
 from .schema import TableSchema
@@ -45,11 +44,9 @@ class Table:
         self.schema = schema
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_rowid = 1
-        # Mutation epoch: bumped by every insert/update/delete/restore.
-        # The lazily built columnar copy and the cached planner statistics
-        # both key their freshness off it.
+        # Bumped by every insert/update/delete/restore: the cached planner
+        # statistics key their freshness off it.
         self._mutations = 0
-        self._columnar_store: Optional[_columnar.ColumnarStore] = None
         self._stats_cache: Optional[TableStats] = None
         self._stats_mutations = 0
         self._hash_indexes: list[HashIndex] = []
@@ -97,24 +94,6 @@ class Table:
 
     def has_index_on(self, column: str) -> bool:
         return self.hash_index_on(column) is not None or column in self._ordered_indexes
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotonic count of mutations; freshness token for derived state."""
-        return self._mutations
-
-    @property
-    def columnar_eligible(self) -> bool:
-        """True when this table maintains a columnar copy the vectorized
-        executor may scan (declared in the schema and numpy importable)."""
-        return self.schema.columnar and _columnar.available()
-
-    def columnar_store(self) -> "_columnar.ColumnarStore":
-        """The table's columnar copy, created on first use (freshness is
-        the store's own concern — see :meth:`ColumnarStore.ensure_fresh`)."""
-        if self._columnar_store is None:
-            self._columnar_store = _columnar.ColumnarStore(self)
-        return self._columnar_store
 
     def stats(self) -> TableStats:
         """Planner statistics, cached against the mutation epoch.

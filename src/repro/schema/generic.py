@@ -117,9 +117,6 @@ def ops_log() -> TableSchema:
         ],
         primary_key="log_id",
         indexes=[("at",), ("component",)],
-        # §7-style analytics aggregate over the whole log; the columnar
-        # copy feeds the vectorized path.
-        columnar=True,
         placement=LOCAL,
     )
 
@@ -171,7 +168,6 @@ def ops_usage() -> TableSchema:
         ],
         primary_key="usage_id",
         indexes=[("at",), ("operation",)],
-        columnar=True,
         placement=LOCAL,
     )
 

@@ -69,9 +69,6 @@ def hle() -> TableSchema:
         unique=[("item_id",)],
         indexes=[("start_time",), ("peak_rate",), ("kind",), ("owner_id",)],
         foreign_keys=[ForeignKey("owner_id", "admin_users", "user_id")],
-        # Synoptic-catalog sweeps scan this table whole; keep a columnar
-        # copy for the vectorized path.
-        columnar=True,
         placement=partitioned("start_time"),
         item_key="item_id",
     )
@@ -208,7 +205,6 @@ def raw_units() -> TableSchema:
         primary_key="unit_id",
         unique=[("item_id",)],
         indexes=[("start_time",)],
-        columnar=True,
         placement=partitioned("start_time"),
         item_key="item_id",
     )

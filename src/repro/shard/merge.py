@@ -15,8 +15,9 @@ single-node :func:`repro.metadb.query.execute_select` would return:
   engine's own stable sort over the lists laid end to end.
 * **Aggregates** — rewritten into decomposable partials (``avg`` becomes
   a shard-local ``sum`` + ``count`` pair) and recombined; GROUP BY
-  groups merge by key and are emitted in the single-node engine's
-  deterministic group order.
+  groups merge by key in the single-node engine's deterministic group
+  order, and the statement's ORDER BY, OFFSET and LIMIT then apply to
+  the merged groups as they do on one node.
 * **Plain scans** — concatenated in shard order with the global
   OFFSET/LIMIT applied after the fact.
 """
@@ -28,7 +29,7 @@ from heapq import merge as merge_runs
 from itertools import chain, islice
 from typing import Any, Callable, Optional, Sequence
 
-from ..metadb.query import Aggregate, Select, _apply_order, _project
+from ..metadb.query import Aggregate, Select, _apply_order, _project, order_and_cut
 
 Rows = list  # list[dict[str, Any]]
 
@@ -214,11 +215,15 @@ def _combine(partial_rows: Rows, combiners: Sequence[tuple]) -> dict[str, Any]:
 
 class _AggregateMerge(Merge):
     def __init__(self, select: Select, combiners: Sequence[tuple]):
+        self._select = select
         self._group_by = tuple(select.group_by)
         self._combiners = tuple(combiners)
 
     def __call__(self, shard_results: Sequence[Rows],
                  ask_rest: Optional[AskRest] = None) -> Rows:
+        return order_and_cut(self._merged(shard_results), self._select)
+
+    def _merged(self, shard_results: Sequence[Rows]) -> Rows:
         if not self._group_by:
             # Each shard contributes exactly one partial row.
             partial_rows = [rows[0] for rows in shard_results if rows]

@@ -1,12 +1,11 @@
 """The differential oracle for ORDER BY.
 
 The row sort key ``repro.metadb.query`` ordered with before rows were
-sorted one column a pass and a columnar scan ordered its selection
-vector on the column arrays (commit 1e452f2), copied unchanged: one
-tuple key, NULLS LAST in both directions, DESC through a wrapper that
-inverts ``<``.  Nothing under ``src/`` imports this module; the
-ordering tests in ``test_columnar.py``, ``test_metadb_query.py`` and
-``test_shard.py`` sort with it and compare as lists.
+sorted one column a pass (commit 1e452f2), copied unchanged: one tuple
+key, NULLS LAST in both directions, DESC through a wrapper that inverts
+``<``.  Nothing under ``src/`` imports this module; the ordering tests
+in ``test_metadb_query.py`` and ``test_shard.py`` sort with it and
+compare as lists.
 """
 
 from typing import Any, Sequence

@@ -2,8 +2,8 @@
 
 Every predicate node carried a ``matches(row)`` method that walked the
 tree once per row with virtual dispatch per node; the executor has long
-used the fused closures of ``compile`` and ``compile_vector`` instead, so
-the walk is kept here, as one function, for the differential tests
+used the fused closures of ``compile`` instead, so the walk is kept here,
+as one function, for the differential tests
 (``tests/test_metadb_query.py``, ``tests/test_metadb_sql.py``,
 ``tests/test_schema_security.py``) to hold those closures to.  Not
 imported by ``src``.

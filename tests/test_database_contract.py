@@ -20,6 +20,7 @@ line to :data:`BUILDS`.
 
 import inspect
 import json
+import math
 import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -727,6 +728,55 @@ class ContractMachine(RuleBasedStateMachine):
         if limit is None:
             assert sorted(rows, key=lambda row: row["k"]) == \
                 sorted(expected, key=lambda row: row["k"])
+
+    @rule(grouped=st.booleans(), limit=st.sampled_from([None, 0, 1, 2]),
+          order=st.sampled_from([None, ("n", "desc"), ("s", "asc"), ("a", "desc"),
+                                 ("lo", "asc"), ("tag", "desc")]))
+    def aggregated(self, grouped, limit, order):
+        """COUNT(*), and COUNT, SUM, AVG, MIN and MAX of ``v``, over the
+        table or by ``tag``, ordered by an alias or by ``tag`` (NULLS
+        LAST, ties in group order) and cut: AVG close, the rest equal."""
+        grouped = grouped or (order is not None and order[0] == "tag")
+        aggregates = [Aggregate("count", "*", "n"), Aggregate("count", "v", "c"),
+                      Aggregate("sum", "v", "s"), Aggregate("avg", "v", "a"),
+                      Aggregate("min", "v", "lo"), Aggregate("max", "v", "hi")]
+        rows = self.db.execute(Select(
+            "t", group_by=["tag"] if grouped else [], aggregates=aggregates,
+            order_by=[order] if order else [], limit=limit), tx=self.tx)
+        groups: dict = {} if grouped else {None: []}
+        for row in self.model.values():
+            groups.setdefault(row["tag"] if grouped else None, []).append(row)
+        expected = []
+        for tag in sorted(groups, key=repr):
+            values = [row["v"] for row in groups[tag] if row["v"] is not None]
+            expected.append({
+                **({"tag": tag} if grouped else {}),
+                "n": len(groups[tag]), "c": len(values),
+                "s": sum(values) if values else None,
+                "a": sum(values) / len(values) if values else None,
+                "lo": min(values, default=None), "hi": max(values, default=None)})
+        if order is not None:
+            column, direction = order
+            present = sorted((row for row in expected if row[column] is not None),
+                             key=lambda row: row[column], reverse=direction == "desc")
+            expected = present + [row for row in expected if row[column] is None]
+        expected = expected[:limit]
+        assert [{**row, "a": None} for row in rows] == \
+            [{**row, "a": None} for row in expected]
+        for row, want in zip(rows, expected):
+            assert (row["a"] is None) == (want["a"] is None)
+            assert want["a"] is None or math.isclose(row["a"], want["a"])
+
+    @rule(op=st.sampled_from(["<", "<=", ">", ">=", "="]), between=st.booleans())
+    def mistyped(self, op, between):
+        """A range on ``v`` with a str literal matches nothing, as a
+        comparison between types that do not compare is false; SUM of the
+        TEXT column ``tag`` is a QueryError, rows or no rows."""
+        where = Between("v", "a", "z") if between else Comparison("v", op, "x")
+        assert self.db.execute(Select("t", where=where), tx=self.tx) == []
+        with pytest.raises(QueryError):
+            self.db.execute(Select("t", aggregates=[Aggregate("sum", "tag", "x")]),
+                            tx=self.tx)
 
     @rule(keys=st.lists(KEYS, min_size=2, max_size=4))
     def batch_of_reads(self, keys):

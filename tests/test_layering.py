@@ -10,6 +10,7 @@ pair that no longer exists.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import repro
@@ -155,3 +156,22 @@ def test_the_data_tier_and_the_generic_schema_name_no_domain_table():
     assert named == set()
     assert string_constants(ROOT / "schema" / "rhessi_schema.py") \
         & location_tables == set()
+
+
+def test_the_data_tier_imports_only_the_standard_library_and_repro():
+    """``repro.metadb`` is one row-store executor: every module it holds
+    imports the standard library and ``repro``, no third-party package."""
+    third_party = set()
+    for name, path in modules():
+        if layer_of(name) != "metadb":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            third_party |= {(name, root) for root in roots
+                            if root != "repro" and root not in sys.stdlib_module_names}
+    assert third_party == set()

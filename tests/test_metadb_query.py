@@ -1,5 +1,7 @@
 """Tests for predicates, indexes, planning and query execution."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from repro.metadb import (
     ColumnType,
     Comparison,
     Database,
+    Delete,
     In,
     Insert,
     IsNull,
@@ -21,15 +24,20 @@ from repro.metadb import (
     Like,
     Not,
     Or,
+    Param,
+    PreparedBatch,
     QueryError,
     SchemaError,
     Select,
     TableSchema,
     Update,
+    parse,
+    partitioned,
 )
 from repro.metadb.index import HashIndex, OrderedIndex
 from repro.metadb.predicate import conjuncts, equality_on, range_on
-from repro.metadb.query import _apply_order
+from repro.metadb.query import Plan, _apply_order, execute_select
+from repro.metadb.storage import Table
 
 from .oracle_ordering import ordered
 from .oracle_predicate import matches
@@ -164,8 +172,7 @@ class TestIndexes:
         assert list(index.range(5.0, 5.0)) == [2]
 
 
-@pytest.fixture()
-def events_db() -> Database:
+def _events_database(indexes=(("start_time",),)) -> Database:
     database = Database()
     database.create_table(
         TableSchema(
@@ -175,9 +182,11 @@ def events_db() -> Database:
                 Column("kind", ColumnType.TEXT),
                 Column("start_time", ColumnType.REAL),
                 Column("rate", ColumnType.REAL),
+                Column("flag", ColumnType.BOOLEAN),
+                Column("at", ColumnType.TIMESTAMP),
             ],
             primary_key="event_id",
-            indexes=[("start_time",)],
+            indexes=indexes,
         )
     )
     kinds = ["flare", "flare", "grb", "quiet"]
@@ -190,10 +199,17 @@ def events_db() -> Database:
                     "kind": kinds[index % 4],
                     "start_time": float(index * 10),
                     "rate": float((index * 37) % 100),
+                    "flag": index % 3 == 0,
+                    "at": 1000.0 + index,
                 },
             )
         )
     return database
+
+
+@pytest.fixture()
+def events_db() -> Database:
+    return _events_database()
 
 
 class TestSelectExecution:
@@ -568,8 +584,612 @@ class TestUpdateDelete:
         assert [row["event_id"] for row in rows] == [0]
 
     def test_delete_with_predicate(self, events_db):
-        from repro.metadb import Delete
-
         deleted = events_db.execute(Delete("events", Comparison("kind", "=", "grb")))
         assert deleted == 10
         assert len(events_db.execute(Select("events"))) == 30
+
+
+# -- statements whose literal or column does not fit --------------------------
+
+MISTYPED = [
+    Comparison("rate", ">", "x"),
+    Comparison("start_time", "<=", "x"),
+    Between("start_time", "a", "b"),
+    Comparison("kind", ">", 3),
+    Comparison("kind", "=", 3),
+    And([Comparison("start_time", ">", 5.0), Comparison("start_time", "<", "x")]),
+]
+
+
+class TestMistypedRanges:
+    """A comparison between types that do not compare is false on every
+    row, whether an ordered index could seek the column or not."""
+
+    @pytest.mark.parametrize("where", MISTYPED, ids=[
+        "rate>x", "start_time<=x", "start_time-between-a-b", "kind>3", "kind=3",
+        "start_time>5-and-<x"])
+    @pytest.mark.parametrize("order_by, limit", [((), None), ([("start_time", "desc")], 5)])
+    def test_indexed_and_unindexed_columns_agree(self, where, order_by, limit):
+        indexed = _events_database([("start_time",), ("rate",), ("kind",)])
+        bare = _events_database(())
+        select = Select("events", where=where, order_by=order_by, limit=limit)
+        assert indexed.execute(select) == bare.execute(select) == []
+        assert indexed.execute(Update("events", {"rate": 1.0}, where)) == 0
+        assert indexed.execute(Delete("events", where)) == 0
+
+    def test_a_kept_range_plan_bound_to_a_mistyped_literal_matches_nothing(self):
+        database = _events_database([("rate",)])
+        prepared = PreparedBatch([Select("events", where=Comparison("rate", ">", Param(0)))])
+        (rows,) = database.execute_batch(prepared.bind((90.0,)))
+        assert sorted(row["rate"] for row in rows) == [92.0, 95.0, 96.0, 99.0]
+        batch = prepared.bind(("x",))
+        assert database.explain_plan(batch[0])["cached_plan"] is True
+        assert database.execute_batch(batch) == [[]]
+
+
+class TestSummableColumns:
+    """SUM and AVG add up INTEGER, REAL and TIMESTAMP columns; over any
+    other declared type they are a QueryError, rows or no rows."""
+
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    @pytest.mark.parametrize("column", ["kind", "flag"])
+    @pytest.mark.parametrize("group_by", [(), ("kind",)])
+    def test_a_column_that_is_no_number_is_a_query_error(self, events_db, func, column,
+                                                         group_by):
+        select = Select("events", group_by=group_by,
+                        aggregates=[Aggregate(func, column, "x")])
+        with pytest.raises(QueryError):
+            events_db.execute(select)
+        events_db.execute(Delete("events"))
+        with pytest.raises(QueryError):
+            events_db.execute(select)
+
+    def test_numbers_and_times_add_up(self, events_db):
+        rows = events_db.execute("SELECT SUM(event_id) AS s, AVG(at) AS a, "
+                                 "SUM(rate) AS r FROM events")
+        assert rows == [{"s": 780, "a": 1019.5, "r": sum(float((n * 37) % 100)
+                                                          for n in range(40))}]
+
+
+class TestAggregateOrderAndCut:
+    """ORDER BY, OFFSET and LIMIT apply to an aggregate's output rows."""
+
+    def test_order_by_an_alias_then_limit(self, events_db):
+        assert events_db.execute("SELECT kind, COUNT(*) AS n FROM events GROUP BY kind "
+                                 "ORDER BY n DESC LIMIT 1") == [{"kind": "flare", "n": 20}]
+
+    def test_order_by_a_group_column_with_offset(self, events_db):
+        select = Select("events", group_by=["kind"], order_by=[("kind", "desc")], offset=1,
+                        aggregates=[Aggregate("max", "rate", "top")])
+        assert [row["kind"] for row in events_db.execute(select)] == ["grb", "flare"]
+
+    def test_limit_zero_drops_the_one_row(self, events_db):
+        assert events_db.execute("SELECT COUNT(*) AS n FROM events LIMIT 0") == []
+        assert events_db.execute("SELECT COUNT(*) AS n FROM events LIMIT 1 OFFSET 1") == []
+
+    def test_ties_keep_the_group_order(self, events_db):
+        rows = events_db.execute("SELECT kind, COUNT(*) AS n FROM events GROUP BY kind "
+                                 "ORDER BY n ASC")
+        assert [row["kind"] for row in rows] == ["grb", "quiet", "flare"]
+
+    def test_order_by_what_the_output_lacks_is_a_query_error(self):
+        with pytest.raises(QueryError):
+            Select("events", group_by=["kind"], order_by=[("rate", "asc")],
+                   aggregates=[Aggregate("count", "*", "n")])
+        with pytest.raises(QueryError):
+            parse("SELECT COUNT(*) AS n FROM events ORDER BY kind")
+
+    def test_a_join_is_cut_after_it_is_ordered(self):
+        database = Database()
+        database.create_table(TableSchema(
+            "owners", [Column("owner_id", ColumnType.INTEGER, nullable=False),
+                       Column("name", ColumnType.TEXT)], primary_key="owner_id"))
+        database.create_table(TableSchema(
+            "items", [Column("item_id", ColumnType.INTEGER, nullable=False),
+                      Column("owner_id", ColumnType.INTEGER)], primary_key="item_id"))
+        for owner_id, name in ((1, "b"), (2, "a")):
+            database.execute(Insert("owners", {"owner_id": owner_id, "name": name}))
+        for item_id in range(6):
+            database.execute(Insert("items", {"item_id": item_id, "owner_id": item_id % 2 + 1}))
+        join = Join("owners", "owner_id", "owner_id")
+        rows = database.execute(Select("items", join=join, order_by=[("name", "asc")],
+                                       columns=["item_id"], offset=1, limit=2))
+        assert rows == [{"item_id": 3}, {"item_id": 5}]
+        counted = database.execute(Select("items", join=join, group_by=["name"],
+                                          aggregates=[Aggregate("count", "*", "n")],
+                                          order_by=[("name", "desc")], limit=1))
+        assert counted == [{"name": "b", "n": 3}]
+
+
+# -- the row path on a wide table with NULLs in every column -------------------
+#
+# References: the predicate walk (``oracle_predicate``), the old sort key
+# (``oracle_ordering``) and literal expectations.
+
+KINDS = ["flare", "quiet", "storm", "abc\n", "ab%c"]
+N_WIDE = 3000
+
+
+def wide_schema(indexes=(("val",), ("kind",))) -> TableSchema:
+    return TableSchema(
+        "ev",
+        [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("kind", ColumnType.TEXT),
+            Column("comment", ColumnType.TEXT),
+            Column("val", ColumnType.REAL),
+            Column("n", ColumnType.INTEGER),
+            Column("flag", ColumnType.BOOLEAN),
+            Column("at", ColumnType.TIMESTAMP),
+        ],
+        primary_key="id",
+        indexes=indexes,
+    )
+
+
+def wide_rows(n: int = N_WIDE, seed: int = 11) -> list[dict]:
+    """Deterministic rows: dyadic rationals for REAL (so any summation
+    order gives the same total) and NULLs in every column."""
+    rng = random.Random(seed)
+    return [{
+        "id": i,
+        "kind": rng.choice(KINDS) if rng.random() > 0.1 else None,
+        "comment": f"note-{rng.randrange(10_000)}" if rng.random() > 0.1 else None,
+        "val": rng.randint(0, 4000) / 4 if rng.random() > 0.1 else None,
+        "n": rng.randint(0, 100) if rng.random() > 0.05 else None,
+        "flag": rng.random() > 0.5 if rng.random() > 0.1 else None,
+        "at": float(rng.randrange(0, 1_000_000)) if rng.random() > 0.1 else None,
+    } for i in range(n)]
+
+
+def _filled(schema: TableSchema, rows: list[dict], name: str = "wide") -> Database:
+    database = Database(name=name)
+    database.create_table(schema)
+    for row in rows:
+        database.execute(Insert(schema.name, dict(row)))
+    return database
+
+
+@pytest.fixture(scope="module")
+def wide_db() -> Database:
+    return _filled(wide_schema(), wide_rows())
+
+
+def oracle_answer(db: Database, select: Select) -> list[dict]:
+    """``select`` answered over the row store by the oracles: the
+    predicate walk, the old sort key, then OFFSET, LIMIT and projection."""
+    rows = ordered([row for row in db.table(select.table).rows()
+                    if select.where is None or matches(select.where, row)],
+                   select.order_by)
+    stop = None if select.limit is None else select.offset + select.limit
+    columns = select.columns
+    return [dict(row) if columns is None else {c: row[c] for c in columns}
+            for row in rows[select.offset:stop]]
+
+
+def oracle_aggregates(db: Database, select: Select) -> list[dict]:
+    """An aggregate ``select`` over the oracle's matches: groups in the
+    order of their keys' reprs, a NULL-only input aggregating to NULL."""
+    groups: dict[tuple, list[dict]] = {} if select.group_by else {(): []}
+    for row in oracle_answer(db, Select(select.table, where=select.where)):
+        groups.setdefault(tuple(row[c] for c in select.group_by), []).append(row)
+    reduce = {"sum": sum, "min": min, "max": max,
+              "avg": lambda values: sum(values) / len(values)}
+    answer = []
+    for key in sorted(groups, key=lambda key: tuple(map(repr, key))):
+        out = dict(zip(select.group_by, key))
+        for aggregate in select.aggregates:
+            values = groups[key] if aggregate.column == "*" else \
+                [row[aggregate.column] for row in groups[key]
+                 if row[aggregate.column] is not None]
+            if aggregate.func == "count":
+                out[aggregate.alias] = len(values)
+            else:
+                out[aggregate.alias] = reduce[aggregate.func](values) if values else None
+        answer.append(out)
+    return answer
+
+
+def multiset(rows) -> list[str]:
+    return sorted(repr(sorted(row.items())) for row in rows)
+
+
+def assert_oracle(db: Database, select: Select) -> list[dict]:
+    """The row path equals the oracle: as lists under ORDER BY, as
+    multisets otherwise (an index streams its rows in key order)."""
+    answer = db.execute(select)
+    expected = oracle_answer(db, select)
+    if select.order_by:
+        assert answer == expected
+    else:
+        assert multiset(answer) == multiset(expected)
+    return answer
+
+
+def random_predicate(rng: random.Random, depth: int = 0):
+    choices = ["cmp", "between", "in", "like", "isnull"]
+    if depth < 2:
+        choices += ["and", "or", "not"]
+    pick = rng.choice(choices)
+    if pick == "cmp":
+        column, value = rng.choice([
+            ("kind", rng.choice(KINDS + ["zzz", "abc"])),
+            ("comment", f"note-{rng.randrange(10_000)}"),
+            ("val", rng.randint(0, 4000) / 4),
+            ("n", rng.randint(0, 100)),
+            ("flag", rng.random() > 0.5),
+            ("at", float(rng.randrange(0, 1_000_000))),
+            ("id", rng.randrange(N_WIDE)),
+        ])
+        return Comparison(column, rng.choice(["=", "!=", "<", "<=", ">", ">="]), value)
+    if pick == "between":
+        low = rng.randint(0, 3000) / 4
+        return Between("val", low, low + rng.randint(0, 2000) / 4)
+    if pick == "in":
+        return In("kind", rng.sample(KINDS + ["zzz"], rng.randint(1, 3)))
+    if pick == "like":
+        column = rng.choice(["kind", "comment"])
+        pattern = rng.choice(["fla%", "%c", "abc_", "abc%", "%o%", "note-1%", "q__et"])
+        return Like(column, pattern)
+    if pick == "isnull":
+        return IsNull(rng.choice(["kind", "val", "n", "flag"]),
+                      negated=rng.random() > 0.5)
+    if pick == "not":
+        return Not(random_predicate(rng, depth + 1))
+    parts = [random_predicate(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    return And(parts) if pick == "and" else Or(parts)
+
+
+class TestPlanChoice:
+    def test_selective_index_wins(self, wide_db):
+        plan = wide_db.explain_plan(Select("ev", where=Comparison("id", "=", 17)))
+        assert plan["access"] == "pk_probe"
+        plan = wide_db.explain_plan(Select("ev", where=Between("val", 10.0, 10.5)))
+        assert plan["access"] == "range_scan"
+
+    def test_bounded_order_walks_the_index(self, wide_db):
+        plan = wide_db.explain_plan(Select("ev", order_by=[("val", "asc")], limit=5))
+        assert (plan["access"], plan["index_column"], plan["ordered"],
+                plan["limit_pushdown"]) == ("range_scan", "val", True, True)
+
+
+class TestDifferentialRandomized:
+    def test_random_filters_match_the_oracle(self, wide_db):
+        rng = random.Random(4000)
+        for _ in range(60):
+            assert_oracle(wide_db, Select("ev", where=random_predicate(rng)))
+
+    def test_random_order_limit_offset(self, wide_db):
+        rng = random.Random(4100)
+        for _ in range(25):
+            assert_oracle(wide_db, Select(
+                "ev",
+                where=random_predicate(rng),
+                order_by=[(rng.choice(["val", "n", "id", "kind"]),
+                           rng.choice(["asc", "desc"])), ("id", "asc")],
+                limit=rng.choice([None, 0, 7, 500]),
+                offset=rng.choice([0, 3]),
+            ))
+
+    def test_random_aggregates(self, wide_db):
+        rng = random.Random(4200)
+        for _ in range(30):
+            select = Select(
+                "ev", where=random_predicate(rng),
+                group_by=rng.choice([(), ("kind",), ("n",), ("flag",)]),
+                aggregates=[
+                    Aggregate("count", "*", "c"),
+                    Aggregate(rng.choice(["sum", "avg", "min", "max"]),
+                              rng.choice(["n", "val"]), "x"),
+                    Aggregate(rng.choice(["min", "max"]), "kind", "k"),
+                    Aggregate("count", "comment", "cc"),
+                ],
+            )
+            assert wide_db.execute(select) == oracle_aggregates(wide_db, select)
+
+    def test_projection_applies_on_a_sweep(self, wide_db):
+        rows = assert_oracle(wide_db, Select("ev", columns=["id", "kind"],
+                                             where=Comparison("n", ">", 50)))
+        assert set(rows[0]) == {"id", "kind"}
+
+
+class TestNullAndLikeEdges:
+    def test_nulls_last_both_directions(self, wide_db):
+        for direction in ("asc", "desc"):
+            rows = assert_oracle(wide_db, Select(
+                "ev", where=Comparison("n", ">=", 0),
+                order_by=[("val", direction), ("id", "asc")],
+            ))
+            values = [row["val"] for row in rows]
+            first_null = values.index(None)
+            assert set(values[first_null:]) == {None}
+            assert None not in values[:first_null]
+
+    def test_comparisons_never_match_null(self, wide_db):
+        for op in ("=", "!=", "<", ">="):
+            rows = assert_oracle(wide_db, Select("ev", where=Comparison("kind", op, "flare")))
+            assert rows and all(row["kind"] is not None for row in rows)
+
+    def test_not_over_comparison_excludes_nulls(self, wide_db):
+        # NOT(kind = x) is true on a NULL kind in this engine: the
+        # comparison is false there, and NOT flips it.
+        rows = assert_oracle(wide_db, Select("ev", where=Not(Comparison("kind", "=", "flare"))))
+        assert any(row["kind"] is None for row in rows)
+        assert all(row["kind"] != "flare" for row in rows)
+
+    def test_avg_of_empty_group_is_null(self, wide_db):
+        select = Select(
+            "ev", where=Comparison("n", ">", 100_000),
+            aggregates=[Aggregate("avg", "val", "a"), Aggregate("count", "*", "c")],
+        )
+        assert wide_db.execute(select) == [{"a": None, "c": 0}]
+
+    def test_grouped_aggregate_with_null_group_key(self, wide_db):
+        select = Select(
+            "ev", group_by=["kind"],
+            aggregates=[Aggregate("count", "*", "c"), Aggregate("sum", "n", "s")],
+        )
+        rows = wide_db.execute(select)
+        assert rows == oracle_aggregates(wide_db, select)
+        assert rows[-1]["kind"] is None and rows[-1]["c"] > 0
+
+    def test_like_newline_regression(self, wide_db):
+        # '%' and '_' match a newline, and a pattern without a trailing
+        # wildcard does not accept one.
+        for pattern in ("abc%", "abc_", "abc", "%\n", "ab%"):
+            assert_oracle(wide_db, Select("ev", where=Like("kind", pattern)))
+        rows = wide_db.execute(Select("ev", where=Like("kind", "abc_")))
+        assert {row["kind"] for row in rows} == {"abc\n"}
+        assert wide_db.execute(Select("ev", where=Like("kind", "abc"))) == []
+
+    def test_like_on_numeric_column_matches_nothing(self, wide_db):
+        assert wide_db.execute(Select("ev", where=Like("n", "1%"))) == []
+
+    def test_mixed_type_comparison_is_false_per_row(self, wide_db):
+        assert wide_db.execute(Select("ev", where=Comparison("n", "<", "banana"))) == []
+
+
+class TestConsistencyWithRowStore:
+    def test_a_sweep_sees_insert_update_delete(self):
+        db = _filled(wide_schema(), wide_rows(500, seed=5), name="mut")
+        sweep = Select("ev", where=Comparison("n", ">=", 0))
+        before = assert_oracle(db, sweep)
+        db.execute(Insert("ev", {"id": 10_000, "kind": "flare", "n": 1}))
+        db.execute(Update("ev", {"n": 99}, where=Comparison("id", "=", 10_000)))
+        db.execute(Delete("ev", where=Comparison("id", "=", 0)))
+        after = assert_oracle(db, sweep)
+        assert {"id": 10_000, "kind": "flare", "comment": None, "val": None, "n": 99,
+                "flag": None, "at": None} in after
+        assert [row for row in after if row["id"] != 10_000] == \
+            [row for row in before if row["id"] != 0]
+
+    def test_scan_order_matches_row_store_iteration(self, wide_db):
+        assert wide_db.execute(Select("ev")) == list(wide_db.table("ev").rows())
+
+    def test_rollback_restores_the_sweep(self):
+        db = _filled(wide_schema(), wide_rows(300, seed=9), name="txm")
+        sweep = Select("ev", where=Comparison("n", ">=", 0))
+        baseline = db.execute(sweep)
+        tx = db.begin()
+        db.execute(Insert("ev", {"id": 77_000, "kind": "storm", "n": 3}), tx=tx)
+        assert db.execute(sweep, tx=tx) != baseline
+        db.rollback(tx)
+        assert db.execute(sweep) == baseline
+
+
+class TestStatsStalenessRegression:
+    def test_plan_flips_back_after_bulk_delete(self):
+        """A bulk DELETE refreshes the planner statistics: ``table_rows``
+        reflects the survivors, and a top-N that walked ``val``'s index
+        over 2 000 rows takes the ``kind`` range over 100."""
+        db = _filled(wide_schema(), wide_rows(2000, seed=13), name="bulk")
+        top = Select("ev", where=Comparison("kind", "=", "flare"),
+                     order_by=[("val", "desc")], limit=50)
+        plan = db.explain_plan(top)
+        assert (plan["index_column"], plan["ordered"], plan["table_rows"]) == \
+            ("val", True, 2000)
+        db.execute(Delete("ev", where=Comparison("id", ">=", 100)))
+        plan = db.explain_plan(top)
+        assert (plan["index_column"], plan["ordered"], plan["table_rows"]) == \
+            ("kind", False, 100)
+        assert_oracle(db, top)
+
+    def test_stats_cache_reused_within_threshold(self):
+        db = _filled(wide_schema(), wide_rows(1000, seed=17), name="cache")
+        table = db.table("ev")
+        first = table.stats()
+        assert table.stats() is first          # no mutations: cache hit
+        db.execute(Insert("ev", {"id": 90_001, "kind": "quiet", "n": 2}))
+        assert table.stats() is first          # 1 < 1000/20 mutations
+        for i in range(60):
+            db.execute(Insert("ev", {"id": 90_100 + i, "kind": "quiet", "n": 2}))
+        refreshed = table.stats()
+        assert refreshed is not first          # threshold crossed
+        assert refreshed.row_count == 1061
+
+
+class TestShardedScatter:
+    def test_scatter_gather_is_layout_agnostic(self):
+        from repro.schema import install_all
+        from repro.shard import ShardedDatabase
+
+        day = 86_400.0
+        single = Database(name="single")
+        sharded = ShardedDatabase(boundaries=(day, 2 * day), name="sharded")
+        for db in (single, sharded):
+            install_all(db)
+            db.execute(Insert("admin_users", {
+                "user_id": 1, "login": "alice", "password_hash": "x",
+            }))
+        rng = random.Random(23)
+        times = rng.sample(range(0, int(3 * day)), 1800)
+        for index, t in enumerate(times, start=1):
+            row = {
+                "hle_id": index, "item_id": f"hle-{index}", "owner_id": 1,
+                "start_time": float(t), "end_time": float(t + 60),
+                "kind": rng.choice(["flare", "quiet", "storm"]),
+                "peak_rate": rng.randint(0, 4000) / 4,
+                "created_at": 1000.0,
+            }
+            for db in (single, sharded):
+                db.execute(Insert("hle", row))
+
+        for select in (
+            Select("hle", where=Comparison("peak_rate", ">=", 0.0),
+                   order_by=[("start_time", "asc")]),
+            Select("hle", where=Like("kind", "f%"), order_by=[("hle_id", "asc")]),
+            Select("hle", group_by=["kind"],
+                   aggregates=[Aggregate("count", "*", "c"),
+                               Aggregate("max", "peak_rate", "p")]),
+            Select("hle", group_by=["kind"], order_by=[("c", "desc")], limit=2,
+                   aggregates=[Aggregate("count", "*", "c"),
+                               Aggregate("avg", "peak_rate", "p")]),
+        ):
+            assert sharded.execute(select) == single.execute(select)
+
+
+# -- ORDER BY over ties ----------------------------------------------------------
+#
+# Every value comes from a small pool, so ties are the rule: the row sort,
+# the walk down an ordered index and the sharded merge have to leave them
+# where the old sort key does.
+
+FLOATS = [0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, 5e-324, None]
+INTS = [0, 1, -1, 2**63 - 1, -2**63, None]
+BOOLS = [True, False, None]
+CODES = ["a", "ab", "b", "", None]
+ORDER_COLUMNS = ["f", "i8", "b", "code", "note", "at", "id", "ghost"]
+
+
+def order_schema(indexes=()) -> TableSchema:
+    """No secondary index unless asked for: nothing competes with the scan."""
+    return TableSchema(
+        "ev",
+        [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("at", ColumnType.TIMESTAMP, nullable=False),
+            Column("f", ColumnType.REAL),
+            Column("i8", ColumnType.INTEGER),
+            Column("b", ColumnType.BOOLEAN),
+            Column("code", ColumnType.TEXT),
+            Column("note", ColumnType.TEXT),
+        ],
+        primary_key="id",
+        indexes=indexes,
+        placement=partitioned("at"),      # read by the sharded build only
+    )
+
+
+order_rows = st.lists(
+    st.fixed_dictionaries({
+        "f": st.sampled_from(FLOATS),
+        "i8": st.sampled_from(INTS),
+        "b": st.sampled_from(BOOLS),
+        "code": st.sampled_from(CODES),
+        "note": st.one_of(st.none(), st.integers(0, 500).map("n{}".format)),
+    }),
+    max_size=48,
+).map(lambda rows: [{"id": i, "at": float(i), **row} for i, row in enumerate(rows)])
+
+order_statements = st.builds(
+    Select,
+    table=st.just("ev"),
+    columns=st.sampled_from([None, ["id"], ["id", "code"]]),
+    where=st.sampled_from([
+        None, Comparison("id", ">=", 0), Comparison("id", "<", 0),
+        IsNull("f"), Comparison("code", "=", "a"), Comparison("f", "<=", 0.0),
+    ]),
+    order_by=st.lists(
+        st.tuples(st.sampled_from(ORDER_COLUMNS), st.sampled_from(["asc", "desc"])),
+        min_size=1, max_size=3,
+    ),
+    limit=st.sampled_from([None, 0, 1, 7, 100, 5000]),
+    offset=st.sampled_from([0, 1, 13, 5000]),
+)
+
+top_n_statements = st.builds(
+    Select,
+    table=st.just("ev"),
+    where=st.sampled_from([
+        None, Comparison("id", ">=", 3), Comparison("code", "=", "a"),
+        Comparison("f", "<=", 0.0), Between("f", -1.5, 1.5), IsNull("f", negated=True),
+    ]),
+    order_by=st.sampled_from([[("f", "asc")], [("f", "desc")]]),
+    limit=st.sampled_from([None, 0, 1, 7, 100]),
+    offset=st.sampled_from([0, 1, 13]),
+)
+
+
+def tie_runs(rows: list[dict], cut: bool) -> list[tuple]:
+    """``rows`` as runs of equal ``f``: each run's ids, but only the
+    length of the first and last when OFFSET or LIMIT may cut them (which
+    of several tied rows a cut keeps is each path's own order)."""
+    runs = [(f, frozenset(row["id"] for row in run))
+            for f, run in itertools.groupby(rows, key=lambda row: row["f"])]
+    if cut and runs:
+        for index in {0, len(runs) - 1}:
+            runs[index] = (runs[index][0], len(runs[index][1]))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def tied_rows() -> list[dict]:
+    """1200 rows in ``at`` order (so four time shards hold them in the
+    plain database's iteration order), every other column tie-heavy."""
+    rng = random.Random(18)
+    return [{
+        "id": i, "at": float(i),
+        "f": rng.choice(FLOATS), "i8": rng.choice(INTS), "b": rng.choice(BOOLS),
+        "code": rng.choice(CODES),
+        "note": f"n{rng.randrange(900)}" if rng.random() > 0.1 else None,
+    } for i in range(1200)]
+
+
+@pytest.fixture(scope="module")
+def tied_db(tied_rows) -> Database:
+    return _filled(order_schema(), tied_rows, name="ord")
+
+
+@pytest.fixture(scope="module")
+def tied_shards(tied_rows):
+    from repro.shard import ShardedDatabase
+
+    sharded = ShardedDatabase(
+        boundaries=(300.0, 600.0, 900.0), name="ord-4x2", replicas_per_shard=2,
+    )
+    sharded.create_table(order_schema())
+    for row in tied_rows:
+        sharded.execute(Insert("ev", dict(row)))
+    yield sharded
+    sharded.close()
+
+
+class TestRowOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(rows=order_rows, select=order_statements)
+    def test_random_tables_match_the_oracle_as_lists(self, rows, select):
+        db = _filled(order_schema(), rows, name="ord")
+        assert db.execute(select) == oracle_answer(db, select)
+
+    @settings(max_examples=150, deadline=None)
+    @given(select=order_statements)
+    def test_tied_table_matches_the_oracle_and_shards(self, tied_db, tied_shards, select):
+        answer = tied_db.execute(select)
+        assert answer == oracle_answer(tied_db, select)
+        assert tied_shards.execute(select) == answer
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=order_rows, select=top_n_statements)
+    def test_walk_and_row_sort_return_the_same_rows(self, rows, select):
+        """``ORDER BY f ... LIMIT n`` two ways over NULLs and ties: the
+        walk down ``f``'s ordered index and the row sort give the same
+        ``f`` sequence and the same rows in every run of ties no cut
+        reaches."""
+        table = Table(order_schema(indexes=[("f",)]))
+        for row in rows:
+            table.insert_row(table.schema.normalize_row(row))
+        walk, sort = (execute_select({"ev": table}, select, plan=Plan(*access))
+                      for access in (("range_scan", "f", True), ("full_scan",)))
+        cut = select.limit is not None or select.offset > 0
+        assert [row["f"] for row in walk] == [row["f"] for row in sort]
+        assert tie_runs(walk, cut) == tie_runs(sort, cut)

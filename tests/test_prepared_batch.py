@@ -16,7 +16,6 @@ says about it.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 import threading
 from dataclasses import replace
@@ -336,7 +335,7 @@ def test_eight_threads_share_one_prepared_page(tmp_path):
 
 # -- the plans a database keeps ------------------------------------------------
 
-def _sweeps(n_rows: int, columnar: bool) -> Database:
+def _sweeps(n_rows: int) -> Database:
     """``hle``-shaped rows: a key, an indexed rate and an indexed time."""
     database = Database(name="plans")
     database.create_table(TableSchema(
@@ -344,8 +343,7 @@ def _sweeps(n_rows: int, columnar: bool) -> Database:
         [Column("event_id", ColumnType.INTEGER, nullable=False),
          Column("peak_rate", ColumnType.REAL), Column("start_time", ColumnType.REAL),
          Column("kind", ColumnType.TEXT)],
-        primary_key="event_id", indexes=[("peak_rate",), ("start_time",)],
-        columnar=columnar))
+        primary_key="event_id", indexes=[("peak_rate",), ("start_time",)]))
     for n in range(n_rows):
         database.execute(Insert("events", {"event_id": n, "peak_rate": float(n),
                                            "start_time": 10.0 * n, "kind": "flare"}))
@@ -365,51 +363,30 @@ def planned(monkeypatch):
     return calls
 
 
-def test_a_value_dependent_shape_is_planned_per_bind(planned):
-    """``peak_rate >= ?`` on a table with a columnar copy: a columnar scan
-    at an unselective threshold, a range scan at a selective one, costed
-    at every bind."""
-    database = _sweeps(2000, columnar=True)
-    sweep = PreparedBatch([Select("events", where=Comparison("peak_rate", ">=", Param(0)))])
-    for threshold, access in ((0.0, "columnar_scan"), (1990.0, "range_scan"),
-                              (10.0, "columnar_scan"), (1996.0, "range_scan")):
-        batch = sweep.bind((threshold,))
-        calls = planned[0]
-        (rows,) = database.execute_batch(batch)
-        assert planned[0] == calls + 1
-        assert sorted(row["event_id"] for row in rows) == \
-            list(range(math.ceil(threshold), 2000))
-        plan = database.explain_plan(batch[0])
-        assert (plan["access"], plan["cached_plan"]) == (access, False)
-
-
 def test_a_top_n_walks_the_ordered_index_at_every_threshold(planned):
     """``peak_rate >= ? ORDER BY peak_rate DESC LIMIT 5``: the walk down
-    the rate index stops at the fifth row whatever the threshold, so no
-    bind rebuilds the columnar copy, and each is still costed afresh."""
-    database = _sweeps(2000, columnar=True)
+    the rate index stops at the fifth row whatever the threshold, so the
+    shape keeps the plan its first bind made."""
+    database = _sweeps(2000)
     sweep = PreparedBatch([Select("events", where=Comparison("peak_rate", ">=", Param(0)),
                                   order_by=[("peak_rate", "desc")], limit=5)])
     for threshold in (0.0, 1990.0, 10.0, 1996.0):
         batch = sweep.bind((threshold,))
-        calls = planned[0]
         (rows,) = database.execute_batch(batch)
-        assert planned[0] == calls + 1
         assert [row["event_id"] for row in rows] == \
             [n for n in range(1999, 1994, -1) if n >= threshold]
         plan = database.explain_plan(batch[0])
         assert (plan["access"], plan["index_column"], plan["ordered"],
                 plan["limit_pushdown"], plan["cached_plan"]) == \
-            ("range_scan", "peak_rate", True, True, False)
-        assert plan["estimated_rows"] == min(5, 2000 - math.ceil(threshold))
-    assert database.table("events")._columnar_store is None
+            ("range_scan", "peak_rate", True, True, True)
+    assert planned[0] == 1
 
 
 def test_a_top_n_whose_walk_competes_is_planned_per_bind(planned):
-    """``start_time < ? ORDER BY peak_rate DESC LIMIT 5`` without a columnar
-    copy: a narrow time range takes its range scan, a wide one the walk
-    down the rate index, so the shape keeps no plan."""
-    database = _sweeps(100, columnar=False)
+    """``start_time < ? ORDER BY peak_rate DESC LIMIT 5``: a narrow time
+    range takes its range scan, a wide one the walk down the rate index,
+    so the shape keeps no plan."""
+    database = _sweeps(100)
     prepared = PreparedBatch([Select("events", where=Comparison("start_time", "<", Param(0)),
                                      order_by=[("peak_rate", "desc")], limit=5)])
     for bound, column in ((30.0, "start_time"), (1000.0, "peak_rate"), (30.0, "start_time")):
@@ -437,7 +414,7 @@ def test_what_a_shape_may_keep(where, binds, kept, planned):
     ranges that compete, or an IN-list whose keys are in the plan, are
     costed per bind.  Either way, the rows (and their order) are those of
     the statement planned afresh."""
-    database = _sweeps(100, columnar=False)
+    database = _sweeps(100)
     prepared = PreparedBatch([Select("events", where=where)])
     batches = [prepared.bind(params) for params in binds]
     answers = [database.execute_batch(batch)[0] for batch in batches]
@@ -451,7 +428,7 @@ def test_a_kept_plan_is_recosted_when_the_statistics_move(planned):
     """A key probe keeps its plan until ``max(1, rows/20)`` mutations
     refresh the table's statistics (5 here), and a table dropped and
     created again starts over."""
-    database = _sweeps(100, columnar=False)
+    database = _sweeps(100)
     probe = PreparedBatch([Select("events", where=Comparison("event_id", "=", Param(0)))])
 
     def read(event_id: int) -> list:

@@ -40,7 +40,7 @@ API = {
     "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
     "is_staged", "kill_replica", "lineage_for", "lognormal", "mirror_hles",
     "mixed_class_mix", "mode_bin", "move_file", "n_archives", "n_copies",
-    "normal", "offered_for", "parse_pgm", "peak_position", "print_figure4",
+    "normal", "nulls", "offered_for", "parse_pgm", "peak_position", "print_figure4",
     "print_figure5", "print_table1", "progressive_lightcurve", "prune_expired",
     "publish_calibration", "publish_hle", "quiet_periods", "recalibrate_unit",
     "reconstruction_error", "record_checksum", "register_user",

@@ -178,7 +178,7 @@ def _mixed_schema(name="mixed"):
         Column("rate", ColumnType.REAL),
         Column("flag", ColumnType.BOOLEAN),
         Column("at", ColumnType.TIMESTAMP),
-    ], primary_key="id", indexes=[("rate",)], columnar=True,
+    ], primary_key="id", indexes=[("rate",)],
         placement=partitioned("at"), item_key="note")
 
 
@@ -235,10 +235,50 @@ class TestSnapshotWriter:
         assert [row["id"] for row in rows] == [n for n in range(21) if n != 10]
         schema = reopened.table("mixed").schema
         assert schema.to_dict() == _mixed_schema().to_dict()
-        assert (schema.placement, schema.item_key, schema.columnar) \
-            == (partitioned("at"), "note", True)
+        assert (schema.placement, schema.item_key) == (partitioned("at"), "note")
         assert reopened.table("samples").schema.placement.kind == "broadcast"
         reopened.close()
+
+    @pytest.mark.parametrize("checkpoint", [True, False], ids=["snapshot", "journal"])
+    def test_a_stored_schema_declaring_columnar_still_opens(self, tmp_path, checkpoint):
+        """Schemas were once stored with a ``"columnar"`` flag: a snapshot
+        or journal that has one opens, and equals one written without."""
+        def build(path):
+            db = Database(path=path, name="snap")
+            db.create_table(_mixed_schema())
+            for row in _mixed_rows(9):
+                db.execute(Insert("mixed", dict(row)))
+            db.execute("DELETE FROM mixed WHERE id = 4")
+            if checkpoint:
+                db.checkpoint()
+                db.execute(Insert("mixed", {"id": 50, "at": 7.0}))
+            db.close()
+
+        def flag(node):
+            if isinstance(node, dict):
+                if "primary_key" in node and "columns" in node:
+                    node["columnar"] = True
+                return {key: flag(value) for key, value in node.items()}
+            return [flag(item) for item in node] if isinstance(node, list) else node
+
+        build(tmp_path / "old")
+        build(tmp_path / "fresh")
+        for stored in ("snapshot.json", "journal.jsonl"):
+            path = tmp_path / "old" / stored
+            if path.exists():
+                lines = path.read_text().splitlines()
+                path.write_text("".join(json.dumps(flag(json.loads(line))) + "\n"
+                                        for line in lines if line))
+        assert '"columnar": true' in (tmp_path / "old" / (
+            "snapshot.json" if checkpoint else "journal.jsonl")).read_text()
+        old, fresh = (Database(path=tmp_path / name, name="snap") for name in ("old", "fresh"))
+        select = Select("mixed", order_by=[("id", "asc")])
+        assert old.execute(select) == fresh.execute(select)
+        assert len(old.execute(select)) == (9 if checkpoint else 8)
+        assert old.table("mixed").schema.to_dict() == fresh.table("mixed").schema.to_dict() \
+            == _mixed_schema().to_dict()
+        old.close()
+        fresh.close()
 
     def test_a_database_with_no_table_snapshots_as_json_dump_would(self, tmp_path):
         db = Database(path=tmp_path / "db", name="empty")

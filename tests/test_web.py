@@ -769,6 +769,14 @@ class TestReadEdges:
         ("/hedc/search?preset=per_kind", 400),
         ("/hedc/search?sql=delete+from+hle", 403),
         ("/hedc/search?sql=select+login+from+admin_users", 403),
+        # SUM or AVG over a TEXT column.
+        ("/hedc/search?sql=select+sum(kind)+as+x+from+hle", 400),
+        ("/hedc/search?sql=select+avg(kind)+as+x+from+hle+group+by+kind", 400),
+        # A range whose literal does not compare with an indexed column:
+        # no row matches, as on a column without an index.
+        ("/hedc/search?sql=select+*+from+hle+where+peak_rate+>+'x'", 200),
+        ("/hedc/search?sql=select+*+from+hle+where+start_time+between+'a'+and+'b'", 200),
+        ("/hedc/search?sql=select+*+from+hle+where+kind+>+3", 200),
     ])
     def test_the_probes_that_sized_the_issue(self, edge_probe, url, status):
         """Each was a 500, or a page with the client's own tags in it."""
@@ -777,7 +785,10 @@ class TestReadEdges:
         response = server.handle(request)
         assert response.status == status, response.text
         _assert_typed_and_escaped(response, [request.path, *request.params.values()])
-        assert response.text.startswith(f"<html><body><h1>{status}</h1><p>")
+        if status == 200:
+            assert "/hedc/hle?id=" not in response.text
+        else:
+            assert response.text.startswith(f"<html><body><h1>{status}</h1><p>")
 
     def test_error_pages_escape_their_message_once(self):
         response = HttpResponse.error(404, "no file for <u>x</u> & 'co'")
