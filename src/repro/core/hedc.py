@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from ..dm import DataManager, DmRouter
+from ..dm import DataManager
 from ..filestore import DiskArchive, StorageManager
 from ..metadb import Comparison, Database, DatabaseApi, Select
 from ..obs import Observability
@@ -103,6 +103,8 @@ class Hedc:
         main = DiskArchive("main", self.data_dir / "archive")
         storage.register(main)
         self.dm = DataManager(database, storage, node_name="dm0", obs=self.obs)
+        #: Every DM node of this deployment, ``self.dm`` first (§7.3).
+        self.dm_nodes = [self.dm]
         self.dm.io.names.ensure_archive("main", str(main.root))
         self.directory = GlobalDirectory()
         self.routines = RoutineLibrary(self.dm)
@@ -115,8 +117,6 @@ class Hedc:
                                  obs=self.obs)
         self.frontend.register_strategy(UserRoutineStrategy(self.idl))
         self.web = WebServer(self.dm, frontend=self.frontend, obs=self.obs)
-        self.router = DmRouter()
-        self.router.add_node(self.dm)
         self.synoptic: Optional[SynopticSearch] = None
         self.standard_catalog_id = self._ensure_catalog(
             "standard", "events found at data load"
@@ -272,11 +272,11 @@ class Hedc:
         node = DataManager(
             self.dm.io.default_database,
             self.dm.io.storage,
-            node_name=f"dm{self.router.n_nodes}",
+            node_name=f"dm{len(self.dm_nodes)}",
             install_schema=False,
             obs=self.obs,
         )
-        self.router.add_node(node)
+        self.dm_nodes.append(node)
         return node
 
     def stats(self) -> dict:

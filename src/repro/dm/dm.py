@@ -3,7 +3,7 @@
 One :class:`DataManager` is one DM node (paper §2.3): it binds the I/O,
 semantic and process layers over a database and a storage manager, owns
 the session cache, and authenticates callers.  Several DataManagers can
-share one database through a :class:`~repro.dm.redirect.DmRouter` — the
+share one database and storage (``Hedc.add_dm_node``) — the
 configuration the scalability experiment of §7.3 measures.
 """
 

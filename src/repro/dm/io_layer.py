@@ -7,8 +7,9 @@ data accesses happen through this layer."  It owns:
   API has no provisions for regular SQL calls ... objects are parsed,
   analyzed, verified and transformed into regular SQL queries"), as
   prepared statements: bind-variable text, parsed once per shape;
-* vertical partition routing — "data requests for certain parts of a
-  database schema are routed to a different DBMS";
+* one database — which shard or copy runs a statement is the placement
+  on each table's schema, decided by the database itself (a
+  ``ShardedDatabase`` or a ``ReplicaGroup``);
 * the filesystem adapter over the hierarchical storage manager;
 * dynamic name construction;
 * the query/edit counters the evaluation reports.
@@ -17,6 +18,7 @@ data accesses happen through this layer."  It owns:
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -59,10 +61,10 @@ class IoStats:
         self.files_written = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # DM↔DBMS round trips: one per execute(), one per database call
-        # a batch makes.  ``queries`` counts the statements the DM sends
-        # (the paper's "seven DM queries" stays seven), not the ones the
-        # database executes: a page whose event is hidden or missing is
+        # DM↔DBMS round trips: one per execute(), one per batch.
+        # ``queries`` counts the statements the DM sends (the paper's
+        # "seven DM queries" stays seven), not the ones the database
+        # executes: a page whose event is hidden or missing is
         # seven queries in one trip, of which the database runs one.
         self.round_trips = 0
 
@@ -79,7 +81,7 @@ class IoStats:
 
 
 class IoLayer:
-    """Storage-type-independent access to databases and archives."""
+    """Storage-type-independent access to one database and the archives."""
 
     def __init__(
         self,
@@ -87,8 +89,8 @@ class IoLayer:
         storage: StorageManager,
         obs: Optional[Observability] = None,
     ):
-        self._databases: dict[str, DatabaseApi] = {"default": default_db}
-        self._routes: dict[str, str] = {}  # table name -> database key
+        #: The one database every statement goes to.
+        self.default_database = default_db
         self.storage = storage
         self.obs = resolve_obs(obs)
         self.stats = IoStats()
@@ -115,31 +117,10 @@ class IoLayer:
         self.names = NameMapper(self, obs=self.obs)
         self.stats.reset()
 
-    # -- partitioning ------------------------------------------------------
-
-    def attach_database(self, key: str, database: DatabaseApi) -> None:
-        if key in self._databases:
-            raise ValueError(f"database key {key!r} already attached")
-        self._databases[key] = database
-
-    def route_table(self, table: str, database_key: str) -> None:
-        """Vertical partition: send requests for ``table`` elsewhere."""
-        if database_key not in self._databases:
-            raise ValueError(f"unknown database key {database_key!r}")
-        self._routes[table] = database_key
-
-    def database_for(self, table: str) -> DatabaseApi:
-        return self._databases[self._routes.get(table, "default")]
-
     def allocate_id(self, table: str, column: str) -> int:
-        """The next id of ``table.column``, from the database that holds
-        the table: atomic there, so DM nodes sharing it (§7.3) never
-        draw the same id."""
-        return self.database_for(table).allocate_id(table, column)
-
-    @property
-    def default_database(self) -> DatabaseApi:
-        return self._databases["default"]
+        """The next id of ``table.column``, from the database: atomic
+        there, so DM nodes sharing it (§7.3) never draw the same id."""
+        return self.default_database.allocate_id(table, column)
 
     # -- database adapter -----------------------------------------------------
 
@@ -151,7 +132,7 @@ class IoLayer:
                 "pass a Select/Insert/Update/Delete collection object"
             )
         Deadline.check_current("dm.execute")
-        database = self.database_for(statement.table)
+        database = self.default_database
         if tx is None:
             statement = self._through_sql(statement)
         if isinstance(statement, Select):
@@ -179,16 +160,14 @@ class IoLayer:
         return result
 
     def execute_batch(self, statements: Union[Batch, list[Select]]) -> list[Any]:
-        """Run several autocommit SELECTs in grouped round trips.
+        """Run several autocommit SELECTs in one round trip.
 
         The multi-get behind :meth:`~repro.dm.dm.DataManager.fetch_page`:
-        consecutive statements destined for the same database travel
-        together through its ``execute_batch`` entry point (one round
-        trip each group, one retry scope).  A list is translated here, a
-        :class:`~repro.metadb.Batch` when its shape was prepared.  A
-        :class:`~repro.metadb.Ref` to a statement of the same group is
-        the database's to bind; one to an earlier group is bound here,
-        between the trips.  Results come back in statement order.  Reads
+        the statements travel together through the database's
+        ``execute_batch`` entry point (one round trip, one retry scope).
+        A list is translated here, a :class:`~repro.metadb.Batch` when
+        its shape was prepared; a :class:`~repro.metadb.Ref` is the
+        database's to bind.  Results come back in statement order.  Reads
         only — writes keep their exactly-once path through
         :meth:`execute`.
         """
@@ -204,32 +183,13 @@ class IoLayer:
         batch = statements if isinstance(statements, Batch) else Batch.of(
             [self._through_sql(statement) for statement in statements])
         self.stats.queries += len(batch)
-        # Group consecutive statements sharing a database so routed
-        # (vertically partitioned) tables still batch with their kin;
-        # each group is one trip to its database.
-        runs: list[tuple[DatabaseApi, int]] = []    # database, first statement
-        for index, statement in enumerate(batch):
-            database = self.database_for(statement.table)
-            if not runs or runs[-1][0] is not database:
-                runs.append((database, index))
-
-        def send(database: DatabaseApi, group: Batch) -> list[Any]:
-            self.stats.round_trips += 1
-            if len(group) > 1:
-                return database.execute_batch(group)
-            return [database.execute(group[0])]
+        database = self.default_database
 
         def run() -> list[Any]:
-            if len(runs) == 1:
-                return send(runs[0][0], batch)
-            results: list[Any] = []
-            for number, (database, start) in enumerate(runs):
-                stop = runs[number + 1][1] if number + 1 < len(runs) else len(batch)
-                group, sent = batch.part(start, stop, results)
-                answers = send(database, group) if group else []
-                results.extend(answers[sent[index]] if index in sent else []
-                               for index in range(start, stop))
-            return results
+            self.stats.round_trips += 1
+            if len(batch) > 1:
+                return database.execute_batch(batch)
+            return [database.execute(batch[0])]
 
         obs = self.obs
         if not obs.enabled:
@@ -263,14 +223,27 @@ class IoLayer:
             return all(not isinstance(value, (bytes, bytearray)) for value in values.values())
         return True
 
-    def begin(self, table: str = "hle"):
-        return self.database_for(table).begin()
+    def begin(self):
+        return self.default_database.begin()
 
-    def commit(self, tx, table: str = "hle") -> None:
-        self.database_for(table).commit(tx)
+    def commit(self, tx) -> None:
+        self.default_database.commit(tx)
 
-    def rollback(self, tx, table: str = "hle") -> None:
-        self.database_for(table).rollback(tx)
+    def rollback(self, tx) -> None:
+        self.default_database.rollback(tx)
+
+    @contextmanager
+    def transaction(self):
+        """One DM write's scope: ``with io.transaction() as tx:`` commits
+        when the block returns and rolls back on any exception, which
+        then propagates."""
+        tx = self.begin()
+        try:
+            yield tx
+        except BaseException:
+            self.rollback(tx)
+            raise
+        self.commit(tx)
 
     # -- filesystem adapter ------------------------------------------------------
 
@@ -332,7 +305,7 @@ class IoLayer:
     def log(self, component: str, message: str, level: str = "info",
             user_id: Optional[int] = None) -> None:
         next_id = self.allocate_id("ops_log", "log_id")
-        self.database_for("ops_log").execute(
+        self.default_database.execute(
             Insert(
                 "ops_log",
                 {"log_id": next_id, "level": level, "component": component,

@@ -103,8 +103,7 @@ class MaintenanceService:
             file_refs = self.io.execute(
                 Select("loc_files", where=Comparison("item_id", "=", victim["item_id"]))
             )
-            tx = self.io.begin()
-            try:
+            with self.io.transaction() as tx:
                 self.io.execute(
                     Delete("loc_files", Comparison("item_id", "=", victim["item_id"])),
                     tx=tx,
@@ -112,10 +111,6 @@ class MaintenanceService:
                 self.io.execute(
                     Delete("ana", Comparison("ana_id", "=", victim["ana_id"])), tx=tx
                 )
-            except Exception:
-                self.io.rollback(tx)
-                raise
-            self.io.commit(tx)
             # Files last: a crash here leaves only orphan files, which a
             # scrub reclaims — never dangling metadata (§4.1 invariant).
             for reference in file_refs:

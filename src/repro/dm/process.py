@@ -105,37 +105,38 @@ class ProcessLayer:
         rel_path = f"raw/{unit.unit_id}.fits.gz"
         item_id = f"unit:{unit.unit_id}"
         stored = self.io.store_payload(rel_path, payload, prefer_archive=archive_id)
-        tx = self.io.begin()
-        try:
-            self.io.execute(
-                Insert(
-                    "raw_units",
-                    {
-                        "unit_id": unit.unit_id,
-                        "item_id": item_id,
-                        "start_time": unit.start,
-                        "end_time": unit.end,
-                        "n_photons": unit.n_photons,
-                        "bytes_on_disk": stored.size,
-                        "calibration_version": unit.calibration_version,
-                    },
-                ),
-                tx=tx,
-            )
-            self.io.names.register_file(
-                item_id, stored.archive_id, stored.rel_path, role="data",
-                size_bytes=stored.size, checksum=stored.checksum, compressed=True, tx=tx,
-            )
-            self.io.names.register_url(
-                item_id, f"https://hedc.example/download/{unit.unit_id}.fits.gz",
-                transform="gunzip", tx=tx,
-            )
-        except Exception:
-            self.io.rollback(tx)
-            # Compensation: remove the stored file so no orphan remains.
-            self.io.storage.archive(stored.archive_id).remove(stored.rel_path)
-            raise
-        self.io.commit(tx)
+        with self.io.transaction() as tx:
+            try:
+                self.io.execute(
+                    Insert(
+                        "raw_units",
+                        {
+                            "unit_id": unit.unit_id,
+                            "item_id": item_id,
+                            "start_time": unit.start,
+                            "end_time": unit.end,
+                            "n_photons": unit.n_photons,
+                            "bytes_on_disk": stored.size,
+                            "calibration_version": unit.calibration_version,
+                        },
+                    ),
+                    tx=tx,
+                )
+                self.io.names.register_file(
+                    item_id, stored.archive_id, stored.rel_path, role="data",
+                    size_bytes=stored.size, checksum=stored.checksum, compressed=True,
+                    tx=tx,
+                )
+                self.io.names.register_url(
+                    item_id, f"https://hedc.example/download/{unit.unit_id}.fits.gz",
+                    transform="gunzip", tx=tx,
+                )
+            except Exception:
+                # Compensation: remove the stored file so no orphan
+                # remains.  Not when the commit fails: committed rows
+                # may point at it.
+                self.io.storage.archive(stored.archive_id).remove(stored.rel_path)
+                raise
 
         photons = PhotonList.from_fits(read_fits(unit.path))
         events = self.detector.detect(photons)

@@ -96,7 +96,7 @@ class SemanticLayer:
 
     # -- HLE services -----------------------------------------------------------
 
-    def insert_hle(self, user: User, fields: dict[str, Any], tx=None) -> int:
+    def insert_hle(self, user: User, fields: dict[str, Any]) -> int:
         """Create an HLE tuple plus its tuple reference, atomically."""
         check_right(user, "upload")
         hle_id = self.io.allocate_id("hle", "hle_id")
@@ -107,17 +107,9 @@ class SemanticLayer:
             "item_id": item_id,
             "owner_id": user.user_id,
         }
-        own_tx = tx is None
-        local_tx = tx or self.io.begin()
-        try:
-            self.io.execute(Insert("hle", row), tx=local_tx)
-            self.io.names.register_tuple(f"tuple:hle:{hle_id}", item_id, "hle", tx=local_tx)
-        except Exception:
-            if own_tx:
-                self.io.rollback(local_tx)
-            raise
-        if own_tx:
-            self.io.commit(local_tx)
+        with self.io.transaction() as tx:
+            self.io.execute(Insert("hle", row), tx=tx)
+            self.io.names.register_tuple(f"tuple:hle:{hle_id}", item_id, "hle", tx=tx)
         return hle_id
 
     def get_hle(self, user: Optional[User], hle_id: int) -> dict[str, Any]:
@@ -158,8 +150,7 @@ class SemanticLayer:
                    aggregates=[Aggregate("count", "*", "n")])
         )
         check_no_dependencies(members[0]["n"], f"HLE {hle_id} (catalog membership)")
-        tx = self.io.begin()
-        try:
+        with self.io.transaction() as tx:
             self.io.execute(
                 Delete("loc_files", Comparison("item_id", "=", row["item_id"])), tx=tx
             )
@@ -167,10 +158,6 @@ class SemanticLayer:
                 Delete("loc_tuples", Comparison("item_id", "=", row["item_id"])), tx=tx
             )
             self.io.execute(Delete("hle", Comparison("hle_id", "=", hle_id)), tx=tx)
-        except Exception:
-            self.io.rollback(tx)
-            raise
-        self.io.commit(tx)
 
     # -- analysis services ----------------------------------------------------------
 
@@ -210,8 +197,7 @@ class SemanticLayer:
         )
         for rel_path, payload in payloads:
             stored.append((rel_path, self.io.store_payload(rel_path, payload, archive_hint)))
-        tx = self.io.begin()
-        try:
+        with self.io.transaction() as tx:
             row = {
                 **fields,
                 "ana_id": ana_id,
@@ -238,10 +224,6 @@ class SemanticLayer:
                 ),
                 tx=tx,
             )
-        except Exception:
-            self.io.rollback(tx)
-            raise
-        self.io.commit(tx)
         return ana_id
 
     def get_analysis(self, user: Optional[User], ana_id: int) -> dict[str, Any]:
@@ -280,8 +262,7 @@ class SemanticLayer:
     def delete_analysis(self, user: User, ana_id: int) -> None:
         row = self.get_analysis(user, ana_id)
         check_can_edit(user, row)
-        tx = self.io.begin()
-        try:
+        with self.io.transaction() as tx:
             self.io.execute(
                 Delete("loc_files", Comparison("item_id", "=", row["item_id"])), tx=tx
             )
@@ -298,10 +279,6 @@ class SemanticLayer:
                     ),
                     tx=tx,
                 )
-        except Exception:
-            self.io.rollback(tx)
-            raise
-        self.io.commit(tx)
 
     # -- catalog services --------------------------------------------------------------
 
@@ -330,8 +307,7 @@ class SemanticLayer:
         check_can_edit(user, catalog)
         self.get_hle(user, hle_id)  # visibility check
         member_id = self.io.allocate_id("catalog_members", "member_id")
-        tx = self.io.begin()
-        try:
+        with self.io.transaction() as tx:
             self.io.execute(
                 Insert(
                     "catalog_members",
@@ -347,10 +323,6 @@ class SemanticLayer:
                 ),
                 tx=tx,
             )
-        except Exception:
-            self.io.rollback(tx)
-            raise
-        self.io.commit(tx)
 
     def get_catalog(self, user: Optional[User], catalog_id: int) -> dict[str, Any]:
         return found(self.io.execute(scoped_select(user, "cat", catalog_id)),

@@ -653,36 +653,6 @@ class Batch(list):
         for handed, item in self._handed:
             handed.where = item.where
 
-    def part(self, start: int, stop: int,
-             results: Sequence[Any]) -> tuple["Batch", dict[int, int]]:
-        """Statements ``start`` to ``stop`` as another database is sent
-        them, and each one's place there: references to earlier ones
-        bound, references among them renumbered, and a statement whose
-        referenced row is not there (or not sent) left out."""
-        sent: dict[int, int] = {}
-        items, binds = [], []
-        for index in range(start, stop):
-            bind = self.binds[index] if self.binds is not None else None
-            refs = bind[1] if bind else ()
-            if any(not results[ref.statement] if ref.statement < start
-                   else ref.statement not in sent for _slot, ref in refs):
-                continue
-            sent[index] = len(items)
-            statement, inner = self[index], []
-            if refs:
-                values, build = list(bind[0]), bind[2]
-                for slot, ref in refs:
-                    if ref.statement < start:
-                        values[slot] = ref.value_in(results[ref.statement][0])
-                    else:
-                        values[slot] = replace(ref, statement=sent[ref.statement])
-                        inner.append((slot, values[slot]))
-                statement = copy(statement)
-                statement.where = build(values)
-            items.append(statement)
-            binds.append((values, tuple(inner), build) if inner else None)
-        return Batch(items, binds if any(binds) else None), sent
-
 
 class PreparedBatch:
     """A batch of SELECTs translated once per shape (paper §5.4): each

@@ -96,31 +96,30 @@ class RoutineLibrary:
             raise RoutineRejected(f"a routine named {name!r} already exists")
         self.validate(name, source)
         item_id = f"routine:{name}"
-        stored = self.dm.io.store_payload(f"routines/{name}.pro", source.encode())
-        tx = self.dm.io.begin()
-        try:
-            self.dm.io.execute(
-                Insert(
-                    "admin_config",
-                    {
-                        "config_id": self.dm.io.allocate_id("admin_config", "config_id"),
-                        "section": "routine",
-                        "key": name,
-                        "value": f"{user.user_id}:0",  # owner:public flag
-                        "description": description,
-                    },
-                ),
-                tx=tx,
-            )
-            self.dm.io.names.register_file(
-                item_id, stored.archive_id, stored.rel_path, role="data",
-                size_bytes=stored.size, checksum=stored.checksum, tx=tx,
-            )
-        except Exception:
-            self.dm.io.rollback(tx)
-            self.dm.io.storage.archive(stored.archive_id).remove(stored.rel_path)
-            raise
-        self.dm.io.commit(tx)
+        io = self.dm.io
+        stored = io.store_payload(f"routines/{name}.pro", source.encode())
+        with io.transaction() as tx:
+            try:
+                io.execute(
+                    Insert(
+                        "admin_config",
+                        {
+                            "config_id": io.allocate_id("admin_config", "config_id"),
+                            "section": "routine",
+                            "key": name,
+                            "value": f"{user.user_id}:0",  # owner:public flag
+                            "description": description,
+                        },
+                    ),
+                    tx=tx,
+                )
+                io.names.register_file(
+                    item_id, stored.archive_id, stored.rel_path, role="data",
+                    size_bytes=stored.size, checksum=stored.checksum, tx=tx,
+                )
+            except Exception:
+                io.storage.archive(stored.archive_id).remove(stored.rel_path)
+                raise
         return Routine(name, user.user_id, source, description, public=False)
 
     def publish(self, user: User, name: str) -> None:

@@ -1,5 +1,7 @@
 """Integration tests across tiers, driven through the Hedc facade."""
 
+import threading
+
 import pytest
 
 from repro import Hedc
@@ -92,10 +94,22 @@ class TestScaling:
         hedc = Hedc.create(tmp_path / "h")
         hedc.ingest_observation(duration_s=240.0, seed=17, unit_target_photons=10**6)
         node = hedc.add_dm_node()
-        assert hedc.router.n_nodes == 2
+        assert node.node_name == "dm1"
         # The new node sees the same data through the shared resource tier.
         events_via_node = node.semantic.find_hles(None)
         assert len(events_via_node) == len(hedc.events())
+
+    def test_a_shut_down_hedc_leaves_no_thread_behind(self, tmp_path):
+        before = set(threading.enumerate())
+        hedc = Hedc.create(tmp_path / "h")
+        hedc.add_dm_node()
+        # Shut down as a benchmark deployment closes one.
+        hedc.web.shutdown()
+        hedc.idl.stop_all()
+        hedc.frontend.close()
+        left = [thread.name for thread in threading.enumerate()
+                if thread not in before and thread.is_alive()]
+        assert left == []
 
     def test_stats_aggregates_all_tiers(self, populated_hedc):
         stats = populated_hedc.stats()

@@ -1,5 +1,5 @@
 """Tests for the DM component: name mapping, I/O layer, semantic layer,
-process layer, sessions and call redirection."""
+process layer and sessions."""
 
 import gzip
 import sys
@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.analysis import AnalysisProduct, render_pgm
-from repro.dm import DataManager, DmRouter, NameMappingError, SessionCache, WorkflowError
+from repro.dm import DataManager, NameMappingError, SessionCache, WorkflowError
 from repro.dm.semantic import EntityNotFound
 from repro.dm.process import ProcessLayer
 from repro.filestore import ArchiveError, ArchiveOffline, DiskArchive, checksum_bytes
@@ -134,98 +134,6 @@ class TestIoLayer:
         }))
         rows = dm.io.execute(Select("admin_config", where=Comparison("key", "=", "k")))
         assert rows[0]["value"] == "v"
-
-    def test_partition_routing(self, dm):
-        """§5.2: requests for parts of the schema route to another DBMS."""
-        from repro.metadb import Database
-        from repro.schema import install_generic
-
-        other = Database(name="browse-db")
-        install_generic(other)
-        dm.io.attach_database("browse", other)
-        dm.io.route_table("ops_log", "browse")
-        dm.io.log("test", "routed message")
-        assert len(other.execute(Select("ops_log"))) == 1
-        assert len(dm.io.default_database.execute(Select("ops_log"))) == 0
-
-    def test_a_batch_counts_one_trip_per_database_it_reaches(self, dm):
-        """A vertically partitioned table in the middle of a batch splits
-        it into three calls; results still come in statement order."""
-        from repro.metadb import Database
-        from repro.schema import install_generic
-
-        other = Database(name="browse-db")
-        install_generic(other)
-        dm.io.attach_database("browse", other)
-        dm.io.route_table("ops_log", "browse")
-        dm.io.log("test", "routed message")
-        calls, nested = [], []
-        for key, database in (("default", dm.io.default_database), ("browse", other)):
-            for name in ("execute", "execute_batch"):
-                def spy(*args, _inner=getattr(database, name), _key=key, **kwargs):
-                    if not nested:      # execute_batch calls execute itself
-                        calls.append(_key)
-                    nested.append(_key)
-                    try:
-                        return _inner(*args, **kwargs)
-                    finally:
-                        nested.pop()
-                setattr(database, name, spy)
-        stats = dm.io.stats
-        queries, trips = stats.queries, stats.round_trips
-        results = dm.io.execute_batch([
-            Select("loc_archives"), Select("admin_users", columns=["login"]),
-            Select("ops_log"),
-            Select("hle"),
-        ])
-        assert calls == ["default", "browse", "default"]
-        assert (stats.queries - queries, stats.round_trips - trips) == (4, 3)
-        assert [len(rows) for rows in results] == [1, 1, 1, 0]
-        assert results[2][0]["message"] == "routed message"
-        calls.clear()
-        dm.io.execute_batch([Select("loc_archives"), Select("hle")])
-        assert calls == ["default"] and stats.round_trips - trips == 4
-
-    def test_a_reference_across_databases_is_bound_between_the_trips(self, dm):
-        """A reference into an earlier group is bound by the DM between
-        the calls, one inside a group is renumbered for the call it
-        travels in, and a statement whose referenced row is missing is
-        not sent: a group left empty is no trip."""
-        from repro.metadb import Database, Ref
-        from repro.schema import install_generic
-
-        other = Database(name="browse-db")
-        install_generic(other)
-        dm.io.attach_database("browse", other)
-        dm.io.route_table("ops_log", "browse")
-        alice = dm.users.create_user("alice", "pw", group="scientist")
-        dm.io.log("test", "routed message", user_id=alice.user_id)
-        (logged,) = other.execute(Select("ops_log"))
-
-        def batch(login: str) -> list:
-            return [
-                Select("admin_users", where=Comparison("login", "=", login)),
-                Select("ops_log", where=Comparison("user_id", "=", Ref(0, "user_id"))),
-                Select("ops_log", where=Comparison("log_id", "=", Ref(1, "log_id"))),
-                Select("admin_users", columns=["login"],
-                       where=Comparison("user_id", "=", Ref(2, "user_id"))),
-            ]
-
-        stats = dm.io.stats
-        queries, trips, ran = stats.queries, stats.round_trips, other.stats.selects
-        user, *rest = dm.io.execute_batch(batch("alice"))
-        assert user[0]["user_id"] == alice.user_id
-        assert rest == [[logged], [logged], [{"login": "alice"}]]
-        assert (stats.queries - queries, stats.round_trips - trips) == (4, 3)
-        assert other.stats.selects - ran == 2
-        queries, trips, ran = stats.queries, stats.round_trips, other.stats.selects
-        assert dm.io.execute_batch(batch("nobody")) == [[], [], [], []]
-        assert (stats.queries - queries, stats.round_trips - trips) == (4, 1)
-        assert other.stats.selects == ran
-
-    def test_unknown_route_target_rejected(self, dm):
-        with pytest.raises(ValueError):
-            dm.io.route_table("hle", "nowhere")
 
     def test_stats_track_queries_and_edits(self, dm):
         dm.io.stats.reset()
@@ -1009,59 +917,6 @@ class TestSessions:
         alice = dm.users.create_user("alice", "pw")
         with pytest.raises(ValueError):
             dm.sessions.create(alice, "weird", "ip")
-
-
-class TestRedirection:
-    def test_calls_balance_across_nodes(self, tmp_path):
-        shared_dm = DataManager.standalone(tmp_path / "node0")
-        second = DataManager(
-            shared_dm.io.default_database, shared_dm.io.storage,
-            node_name="dm1", install_schema=False,
-        )
-        router = DmRouter()
-        router.add_node(shared_dm)
-        router.add_node(second)
-        seen = []
-        for _call in range(10):
-            router.call(lambda node: seen.append(node.node_name))
-        assert set(seen) == {"dm0", "dm1"}
-        assert router.stats(0).calls + router.stats(1).calls == 10
-
-    def test_force_local_overwrite(self, tmp_path):
-        dm0 = DataManager.standalone(tmp_path / "n0")
-        dm1 = DataManager(dm0.io.default_database, dm0.io.storage,
-                          node_name="dm1", install_schema=False)
-        router = DmRouter()
-        router.add_node(dm0)
-        router.add_node(dm1)
-        names = {router.call(lambda node: node.node_name, force_local=True)
-                 for _ in range(5)}
-        assert names == {"dm0"}
-
-    def test_async_submit(self, tmp_path):
-        dm0 = DataManager.standalone(tmp_path / "n0")
-        router = DmRouter()
-        router.add_node(dm0)
-        future = router.submit(lambda node: node.node_name)
-        assert future.result(timeout=5) == "dm0"
-        router.drain()
-
-    def test_errors_are_counted_and_propagated(self, tmp_path):
-        dm0 = DataManager.standalone(tmp_path / "n0")
-        router = DmRouter()
-        router.add_node(dm0)
-
-        def boom(node):
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            router.call(boom, force_local=True)
-        assert router.stats(0).errors == 1
-
-    def test_empty_router_rejected(self):
-        router = DmRouter()
-        with pytest.raises(RuntimeError):
-            router.call(lambda node: None)
 
 
 class TestTwoNodesDrawIds:

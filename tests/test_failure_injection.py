@@ -10,9 +10,9 @@ import threading
 
 import pytest
 
-from repro.dm import DataManager, DmRouter, WorkflowError
+from repro.dm import DataManager, WorkflowError
 from repro.filestore import ArchiveError, DiskArchive, StorageManager
-from repro.metadb import Select
+from repro.metadb import Comparison, Insert, Select
 from repro.pl import (
     AnalysisRequest,
     Frontend,
@@ -179,37 +179,46 @@ class TestSessionEviction:
         assert cache.by_cookie(first.cookie) is None
 
 
-class TestRouterUnderConcurrency:
-    def test_parallel_calls_balance_and_complete(self, tmp_path):
+class TestTwoDmNodesUnderConcurrency:
+    def test_parallel_calls_on_two_nodes_complete_without_id_collisions(self, tmp_path):
+        """§7.3's two DM nodes over one database: six threads call the
+        nodes directly, alternating, reading and inserting with ids from
+        ``allocate_id``."""
         dm0 = DataManager.standalone(tmp_path / "n0")
         dm1 = DataManager(dm0.io.default_database, dm0.io.storage,
                           node_name="dm1", install_schema=False)
-        router = DmRouter()
-        router.add_node(dm0)
-        router.add_node(dm1)
         errors = []
         counted = {"n": 0}
         lock = threading.Lock()
 
-        def worker():
+        def worker(worker_index):
             try:
-                for _call in range(20):
-                    router.call(lambda node: node.io.execute(Select("hle")))
+                for call in range(20):
+                    node = (dm0, dm1)[(worker_index + call) % 2]
+                    if call % 2:
+                        node.io.execute(Select("admin_config"))
+                    else:
+                        config_id = node.io.allocate_id("admin_config", "config_id")
+                        node.io.execute(Insert("admin_config", {
+                            "config_id": config_id, "section": "load",
+                            "key": f"w{worker_index}-{call}",
+                        }))
                     with lock:
                         counted["n"] += 1
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(6)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not errors
         assert counted["n"] == 120
-        assert router.stats(0).calls + router.stats(1).calls == 120
-        assert router.stats(0).in_flight == 0
-        assert router.stats(1).in_flight == 0
+        rows = dm0.io.execute(Select("admin_config",
+                                     where=Comparison("section", "=", "load")))
+        assert len(rows) == 60
+        assert len({row["config_id"] for row in rows}) == 60
 
 
 class TestMultiNodeIdAllocation:

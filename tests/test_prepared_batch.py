@@ -6,9 +6,8 @@ binds a fresh ``Batch`` per request.  Its oracle is the batch as it was
 sent before (``tests/oracle_pages.py``: a plain list built per call,
 each statement translated on its own, references scanned for by every
 layer).  Both must return the same rows, and serve the same page bytes,
-on one ``Database``, a replica group of one and of two copies, a sharded
-catalog of one shard and of 4 x 2, and an I/O layer that routes the
-location tables to a second database.  Then the plan cache: what a
+on one ``Database``, a replica group of one and of two copies, and a
+sharded catalog of one shard and of 4 x 2.  Then the plan cache: what a
 database may keep for a shape, when it lets go of it, and what EXPLAIN
 says about it.
 """
@@ -32,7 +31,6 @@ from repro.metadb import (
 from repro.metadb import database as database_module
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
-from repro.schema import install_generic
 from repro.shard import ShardedDatabase
 from repro.web import HttpRequest, WebServer
 from repro.web.servlets import SESSION_COOKIE
@@ -41,12 +39,12 @@ from . import oracle_pages
 from .test_pages import _copies, _event, _events
 
 DAY = 86_400.0
-BUILDS = ("database", "group-x1", "group-x2", "sharded-x1", "sharded-4x2", "routed")
+BUILDS = ("database", "group-x1", "group-x2", "sharded-x1", "sharded-4x2")
 
 
 def _database(build: str):
     obs = Observability(name=build)
-    if build in ("database", "routed"):
+    if build == "database":
         return Database(name=build, obs=obs)
     if build.startswith("group"):
         return ReplicaGroup(name=build, obs=obs, n_replicas=int(build[-1]) - 1)
@@ -57,23 +55,13 @@ def _database(build: str):
 
 
 class _Stack:
-    """A small catalogue loaded through a DataManager on ``build``; the
-    ``routed`` build keeps ``loc_archives`` and ``loc_files`` on a second
-    database, so a page is three trips and its file lookup is bound by
-    the I/O layer between them."""
+    """A small catalogue loaded through a DataManager on ``build``."""
 
     def __init__(self, build: str, events, tmp_path):
-        self.databases = [_database(build)]
+        self.database = _database(build)
         storage = StorageManager(scratch_dir=tmp_path / "scratch")
         storage.register(DiskArchive("main", tmp_path / "main"))
-        dm = self.dm = DataManager(self.databases[0], storage, obs=self.databases[0].obs)
-        if build == "routed":
-            locations = Database(name="locations", obs=dm.obs)
-            install_generic(locations)
-            dm.io.attach_database("locations", locations)
-            for table in ("loc_archives", "loc_files"):
-                dm.io.route_table(table, "locations")
-            self.databases.append(locations)
+        dm = self.dm = DataManager(self.database, storage, obs=self.database.obs)
         dm.io.names.ensure_archive("main", "/mnt/main")
         alice = dm.users.create_user("alice", "pw", group="scientist")
         bob = dm.users.create_user("bob", "pw", group="scientist")
@@ -111,8 +99,7 @@ class _Stack:
 
     def executed(self) -> int:
         """Statements the plain databases underneath have run."""
-        return sum(copy.stats.selects for database in self.databases
-                   for copy in _copies(database))
+        return sum(copy.stats.selects for copy in _copies(self.database))
 
     def page_bytes(self, user, hle_id: int, fetch=None):
         if fetch is not None:
@@ -128,8 +115,7 @@ class _Stack:
                 del self.dm.fetch_page
 
     def close(self) -> None:
-        for database in self.databases:
-            database.close()
+        self.database.close()
 
 
 def _either(call):
@@ -221,36 +207,12 @@ def test_a_malformed_reference_is_refused_before_anything_runs(stacks, bad, gate
         assert stack.executed() == executed
 
 
-def test_a_reference_inside_a_routed_group_is_renumbered_for_what_is_sent(tmp_path):
-    """The second database is sent the statements of its group that can
-    run: one gated off by an empty row of the first is left out, and a
-    reference among the others names its statement's place in what is
-    sent, prepared or not."""
-    stack = _Stack("routed", [_event(1, files=[("main", "data")])], tmp_path)
-    locations = stack.databases[1]
-    archives = locations.execute(Select("loc_archives"))
-    files = locations.execute(Select("loc_files"))
-    for first in ("nobody", Param(0)):
-        statements = [
-            Select("admin_users", where=Comparison("login", "=", first)),
-            Select("loc_archives", where=Comparison("archive_id", "=", Ref(0, "login"))),
-            Select("loc_archives"),
-            Select("loc_files", where=Comparison("archive_id", "=", Ref(2, "archive_id"))),
-        ]
-        batch = statements if first == "nobody" else \
-            PreparedBatch(statements).bind(("nobody",))
-        executed = locations.stats.selects
-        assert stack.dm.io.execute_batch(batch) == [[], [], archives, files]
-        assert locations.stats.selects == executed + 2
-    stack.close()
-
-
 def test_a_bound_batch_is_checked_and_replays(tmp_path):
     """``bind`` checks the request's values as literals; a batch that
     answered leaves each statement holding the WHERE it ran with, and
     one it did not run still holds its reference."""
     stack = _Stack("database", [_event(1, files=[("main", "data")])], tmp_path)
-    database, (hle_id,) = stack.databases[0], stack.hle_ids
+    database, (hle_id,) = stack.database, stack.hle_ids
     prepared = PreparedBatch(_page_template(Param(0)))
     for params in ((), (1, 2), (float("nan"),), (b"1",), ([1],)):
         with pytest.raises(QueryError):

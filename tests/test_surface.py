@@ -28,7 +28,7 @@ ROOT = Path(repro.__file__).parent
 API = {
     "add_comment", "add_dm_node", "add_history", "add_peer", "add_purge_rule",
     "add_server", "analyses_for_hle", "apply_purge_rules",
-    "approximation_speedup", "archive_status", "attach_database",
+    "approximation_speedup", "archive_status",
     "band_profile", "band_series", "browse_hle", "browse_mix",
     "build_serving_stack", "cache_view", "cached_view", "catalog_array",
     "catalog_events", "check_can_read", "clean_iterations",
@@ -36,7 +36,7 @@ API = {
     "ConnectionPool", "deactivate", "decode_density", "delete_analysis",
     "delete_hle", "drain", "enable_canary", "enable_synoptic",
     "encode_density", "fetch_unit", "figure4_series", "figure5_series",
-    "forward2d", "generate_catalog", "history", "idle_count",
+    "forward2d", "generate_catalog", "history", "idle_count", "in_flight",
     "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
     "is_staged", "kill_replica", "lineage_for", "lognormal", "mirror_hles",
     "mixed_class_mix", "mode_bin", "move_file", "n_archives", "n_copies",
@@ -46,7 +46,7 @@ API = {
     "reconstruction_error", "record_checksum", "register_user",
     "rejoin_replica", "RemoteArchive", "remove_server", "repair",
     "replica_efficiency", "repository_totals", "resolve_tuple", "resolve_urls",
-    "route_table", "run_closed_loop", "run_open_loop", "scaling_series",
+    "run_closed_loop", "run_open_loop", "scaling_series",
     "schedule_at", "scrub_orphan_files", "select_detector", "shard_db",
     "spectrum", "stop_all", "store_file", "submit_routine",
     "sync_archive_status", "synoptic_context", "table1_histogram",
