@@ -24,23 +24,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.obs import Observability
-from repro.resil import FaultInjector, use_injector
-from repro.web.loadgen import (
-    browse_mix,
-    build_serving_stack,
-    run_closed_loop,
-    run_open_loop,
-)
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from repro.obs import Observability  # noqa: E402
+from repro.resil import FaultInjector, use_injector  # noqa: E402
+from tests.serving import build_stack, closed_loop, open_loop  # noqa: E402
 
 
 def main() -> int:
     obs = Observability(name="dashboard-capture")
     workdir = Path(tempfile.mkdtemp(prefix="hedc-dashboard-"))
-    stack = build_serving_stack(
-        workdir, n_hles=24, rtt_s=0.004, obs=obs,
-        scheduler="pool", n_workers=4, max_queue_depth=64,
-    )
+    stack = build_stack(workdir, n_hles=24, rtt_s=0.004, obs=obs,
+                        scheduler="pool", n_workers=4, max_queue_depth=64)
     collector = obs.collector
     try:
         stack.web.enable_canary(interval_s=1.0)
@@ -50,13 +46,12 @@ def main() -> int:
 
         # Warm-up at natural speed, then a 2x-capacity overload blip with
         # a short seeded burst of statement faults riding along.
-        capacity = run_closed_loop(stack, browse_mix(stack),
-                                   n_clients=8, duration_s=1.0).throughput_rps
+        capacity = closed_loop(stack, n_clients=8, duration_s=1.0)
         injector = FaultInjector(seed=17, obs=obs)
         injector.inject("metadb.statement", rate=0.02, times=5)
         with use_injector(injector):
-            overload = run_open_loop(stack, browse_mix(stack),
-                                     rate_rps=2.0 * capacity, duration_s=1.5)
+            overload = open_loop(stack, rate_rps=2.0 * capacity,
+                                 duration_s=1.5)
 
         response = stack.web.handle(
             stack.request("/hedc/dashboard?format=json"))
@@ -65,17 +60,13 @@ def main() -> int:
         text = stack.web.handle(stack.request("/hedc/dashboard"))
         assert text.status == 200
         body["text_rendering"] = text.text.splitlines()
-        body["load"] = {
-            "capacity_rps": round(capacity, 1),
-            "overload": {cls: vars_to_plain(stats) for cls, stats in
-                         overload.summary()["classes"].items()},
-        }
+        body["load"] = {"capacity_rps": round(capacity, 1),
+                        "overload": overload}
     finally:
         collector.stop()
         stack.shutdown()
 
-    root = Path(__file__).resolve().parent.parent
-    out_path = root / "DASHBOARD_capture.json"
+    out_path = ROOT / "DASHBOARD_capture.json"
     out_path.write_text(json.dumps(body, indent=2), encoding="utf-8")
 
     n_series = body["collector"]["series"]
@@ -85,12 +76,6 @@ def main() -> int:
           f"{n_series} retained series, "
           f"capacity {body['load']['capacity_rps']} rps)")
     return 0
-
-
-def vars_to_plain(stats: dict) -> dict:
-    """Per-class load summary already comes as plain dicts; keep the
-    hook in one place in case ClassStats objects ever leak through."""
-    return dict(stats)
 
 
 if __name__ == "__main__":

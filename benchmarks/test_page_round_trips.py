@@ -1,9 +1,9 @@
 """Trip budget: one DM<->DBMS round trip per read servlet, two for the
 catalogue page.
 
-Counts only (they repeat exactly), taken by a ``RemoteDatabase`` in front
-of the database that counts the ``execute``/``execute_batch`` calls
-reaching it and the statements they carry: what ``bench/deploy.py``'s
+Counts only (they repeat exactly), taken by a proxy in front of the
+database that counts the ``execute``/``execute_batch`` calls reaching
+it and the statements they carry: what ``bench/deploy.py``'s
 ``WireProxy`` charges 1/120 s for on ``serve_wire``.  Not ``IoStats``: a
 trip the DM miscounts is still a call here.  Every read servlet, on a
 plain ``Database`` and on a 4 x 2 stack:
@@ -27,6 +27,8 @@ trip, an HLE page costs one trip and under 3 ms of computing.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,6 @@ from repro.metadb import Database
 from repro.obs import Observability
 from repro.shard import ShardedDatabase
 from repro.web import HttpRequest, WebServer
-from repro.web.loadgen import RemoteDatabase
 from repro.web.servlets import SESSION_COOKIE
 
 DAY = 86_400.0
@@ -46,23 +47,32 @@ RTT_S = 1.0 / 120.0
 PAGE_COMPUTE_BUDGET_S = 0.003
 
 
-class CountingProxy(RemoteDatabase):
-    """The wire (``rtt_s`` charged per call), counting the calls that
-    reach the database and the statements they carry."""
+class CountingProxy:
+    """The wire (``rtt_s`` slept per call), counting the calls that
+    reach the database and the statements they carry; everything else
+    passes through."""
 
     def __init__(self, inner):
-        super().__init__(inner)
+        self._inner = inner
+        self.rtt_s = 0.0
         self.trips = self.statements = 0
 
-    def execute(self, statement, tx=None):
+    def _trip(self, statements: int) -> None:
         self.trips += 1
-        self.statements += 1
-        return super().execute(statement, tx=tx)
+        self.statements += statements
+        if self.rtt_s > 0:
+            time.sleep(self.rtt_s)
+
+    def execute(self, statement, tx=None):
+        self._trip(1)
+        return self._inner.execute(statement, tx=tx)
 
     def execute_batch(self, statements, tx=None):
-        self.trips += 1
-        self.statements += len(statements)
-        return super().execute_batch(statements, tx=tx)
+        self._trip(len(statements))
+        return self._inner.execute_batch(statements, tx=tx)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
 
 
 @pytest.fixture(params=["plain", "4x2"])

@@ -27,7 +27,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import min_per_call
-from repro.web import HttpResponse, build_serving_stack
+from repro.web import HttpResponse
+from tests.serving import build_stack
 
 PAGE_CALLS = 50
 NOOP_CALLS = 5_000
@@ -42,8 +43,7 @@ def _noop(request):
 
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
-    built = build_serving_stack(tmp_path_factory.mktemp("serving-bench"),
-                                n_hles=16, rtt_s=0.0)
+    built = build_stack(tmp_path_factory.mktemp("serving-bench"), n_hles=16)
     built.web.router.add("/noop", _noop)
     yield built
     built.shutdown()

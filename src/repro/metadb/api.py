@@ -5,10 +5,9 @@ replication slot in underneath it unnoticed.  :class:`DatabaseApi` is
 that narrow interface, written down once: exactly the members ``dm``,
 ``web``, ``security`` and ``schema`` call.  It is a declaration only —
 no base class, no adapter, no registry.  :class:`~repro.metadb.Database`,
-:class:`~repro.repl.ReplicaGroup`, :class:`~repro.shard.ShardedDatabase`
-and :class:`~repro.web.loadgen.RemoteDatabase` each satisfy all of it,
-and ``tests/test_database_contract.py`` holds every one of them, alone
-and composed, to the same behaviour.
+:class:`~repro.repl.ReplicaGroup` and :class:`~repro.shard.ShardedDatabase`
+each satisfy all of it, and ``tests/test_database_contract.py`` holds
+every one of them, alone and composed, to the same behaviour.
 """
 
 from __future__ import annotations

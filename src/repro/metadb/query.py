@@ -13,6 +13,7 @@ early.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -83,6 +84,8 @@ class Select:
             raise QueryError("limit must be non-negative")
         if self.offset < 0:
             raise QueryError("offset must be non-negative")
+        if self.offset + (self.limit or 0) > sys.maxsize:
+            raise QueryError("limit plus offset must not exceed sys.maxsize")
         if self.group_by and not self.aggregates:
             raise QueryError("GROUP BY requires at least one aggregate")
         if self.aggregates:

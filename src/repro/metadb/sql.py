@@ -248,9 +248,9 @@ class _Parser:
         limit = None
         offset = 0
         if self._accept("keyword", "limit"):
-            limit = int(self._expect("number").value)
+            limit = self._count("LIMIT")
             if self._accept("keyword", "offset"):
-                offset = int(self._expect("number").value)
+                offset = self._count("OFFSET")
         self._accept("punct", ";")
         if self._peek() is not None:
             raise QueryError(f"trailing tokens after statement: {self._peek()!r}")
@@ -271,6 +271,12 @@ class _Parser:
             group_by=group_by,
             aggregates=aggregates,
         )
+
+    def _count(self, clause: str) -> int:
+        value = self._expect("number").value
+        if not isinstance(value, int):
+            raise QueryError(f"{clause} takes an integer, got {value!r}")
+        return value
 
     def _select_item(self) -> tuple[Optional[str], Optional[Aggregate]]:
         token = self._next()

@@ -2,16 +2,6 @@
 (paper §6.1)."""
 
 from .http import HttpRequest, HttpResponse, Router
-from .loadgen import (
-    LoadResult,
-    RemoteDatabase,
-    ServingStack,
-    browse_mix,
-    build_serving_stack,
-    mixed_class_mix,
-    run_closed_loop,
-    run_open_loop,
-)
 from .pages import build_registry
 from .scheduler import (
     CLASS_ANALYSIS,
@@ -35,13 +25,10 @@ __all__ = [
     "CLASS_BULK",
     "HttpRequest",
     "HttpResponse",
-    "LoadResult",
-    "RemoteDatabase",
     "Router",
     "SESSION_COOKIE",
     "ScheduledRequest",
     "Servlets",
-    "ServingStack",
     "SynchronousExecutor",
     "Template",
     "TemplateError",
@@ -49,11 +36,6 @@ __all__ = [
     "ThinClient",
     "WebServer",
     "WorkerPoolExecutor",
-    "browse_mix",
-    "build_serving_stack",
     "classify_route",
     "build_registry",
-    "mixed_class_mix",
-    "run_closed_loop",
-    "run_open_loop",
 ]

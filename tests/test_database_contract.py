@@ -1,13 +1,12 @@
 """One contract, every implementation: :class:`repro.metadb.DatabaseApi`.
 
 Every class the tiers above the data tier can be handed — a plain
-``Database``, a ``ReplicaGroup``, a ``ShardedDatabase``, their
-composition, and the load harness's ``RemoteDatabase`` — is held to the
-same behaviour here.  The core is a stateful property test: a random
-interleaving of inserts, updates, deletes, batches (reads bound to an
-earlier statement's row among them), queries, transactions (with
-rollbacks) and, on the persistent builds,
-close/reopen must always agree with a plain Python-dict model,
+``Database``, a ``ReplicaGroup``, a ``ShardedDatabase`` and their
+composition — is held to the same behaviour here.  The core is a
+stateful property test: a random interleaving of inserts, updates,
+deletes, batches (reads bound to an earlier statement's row among
+them), queries, transactions (with rollbacks) and, on the persistent
+builds, close/reopen must always agree with a plain Python-dict model,
 regardless of which index, shard or copy served each statement: on a
 table the sharded builds place by its key, on a parent/child pair they
 place by a column that is not the key, where a statement selected by
@@ -21,6 +20,7 @@ line to :data:`BUILDS`.
 import inspect
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -65,7 +65,6 @@ from repro.metadb import (
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.shard import ShardedDatabase
-from repro.web.loadgen import RemoteDatabase
 
 #: Placement is declared on the schemas below.  The sharded builds place
 #: ``t`` by its key, so an update of ``v`` never moves a row between
@@ -108,7 +107,6 @@ BUILDS = [
           lambda path: ShardedDatabase(FOUR_SHARDS, path=path, name="c",
                                        replicas_per_shard=2),
           persistent=True, shard=True, replication=True),
-    Build("remote", lambda path: RemoteDatabase(Database(name="c"))),
 ]
 
 #: The builds whose shards the contract machine splits and rebalances,
@@ -1013,6 +1011,24 @@ def test_explain_plan_names_the_table(build, opened):
     assert isinstance(plan, dict)
     assert plan["table"] == "t"
     assert plan["access"]
+
+
+@every_build
+def test_a_limit_no_slice_takes_is_a_query_error(build, opened):
+    """A LIMIT or OFFSET past ``sys.maxsize`` is refused as a statement,
+    not met by a slice's ``ValueError``; the largest LIMIT a slice takes
+    returns every row, merged in order across shards."""
+    for k in range(4):
+        opened.execute(Insert("t", {"k": 9 * k, "v": k, "tag": "a"}))
+    for sql in ("SELECT * FROM t LIMIT 99999999999999999999",
+                "SELECT * FROM t ORDER BY v DESC LIMIT 5 OFFSET 99999999999999999999"):
+        with pytest.raises(QueryError):
+            opened.execute(sql)
+    with pytest.raises(QueryError):
+        opened.execute(Select("t", limit=sys.maxsize + 1))
+    assert len(opened.execute(f"SELECT * FROM t LIMIT {sys.maxsize}")) == 4
+    ordered = opened.execute(f"SELECT v FROM t ORDER BY v DESC LIMIT {sys.maxsize}")
+    assert [row["v"] for row in ordered] == [3, 2, 1, 0]
 
 
 @every_build

@@ -1,5 +1,7 @@
 """Tests for the SQL dialect: parsing, generation, round trips."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +91,25 @@ class TestParseSelect:
         assert statement.order_by == [("a", "desc"), ("b", "asc")]
         assert statement.limit == 10
         assert statement.offset == 5
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT hle_id FROM hle LIMIT 99999999999999999999",
+        "SELECT hle_id FROM hle LIMIT 5 OFFSET 99999999999999999999",
+        "SELECT hle_id FROM hle ORDER BY peak_rate DESC LIMIT 5 OFFSET 99999999999999999999",
+        "SELECT hle_id FROM hle LIMIT 9223372036854775807 OFFSET 1",
+        "SELECT hle_id FROM hle LIMIT 2.5",
+        "SELECT hle_id FROM hle LIMIT 5 OFFSET 1e3",
+    ])
+    def test_limit_and_offset_are_integers_a_slice_can_take(self, sql):
+        with pytest.raises(QueryError):
+            parse(sql)
+
+    def test_a_limit_or_offset_past_sys_maxsize_is_refused(self):
+        assert Select("hle", limit=sys.maxsize).limit == sys.maxsize
+        for kwargs in ({"limit": sys.maxsize + 1}, {"offset": sys.maxsize + 1},
+                       {"limit": sys.maxsize, "offset": 1}):
+            with pytest.raises(QueryError):
+                Select("hle", **kwargs)
 
     def test_aggregates_and_group_by(self):
         statement = parse("SELECT kind, count(*) AS n, max(rate) FROM t GROUP BY kind")

@@ -24,12 +24,8 @@ from repro.obs import (
     default_slos,
 )
 from repro.resil import FaultInjector, use_injector
-from repro.web.loadgen import (
-    browse_mix,
-    build_serving_stack,
-    run_closed_loop,
-    run_open_loop,
-)
+
+from .serving import build_stack, closed_loop, open_loop
 
 
 # -- Slo definitions ----------------------------------------------------------
@@ -283,8 +279,7 @@ class TestHealthRollup:
 class TestCanaryProbe:
     def test_canary_flips_health_red_and_back(self, tmp_path):
         obs = Observability(name="canary-test")
-        stack = build_serving_stack(tmp_path / "canary", n_hles=4,
-                                    rtt_s=0.0, obs=obs)
+        stack = build_stack(tmp_path, n_hles=4, obs=obs)
         try:
             canary = stack.web.enable_canary(interval_s=5.0)
             assert canary.probe() is True
@@ -310,8 +305,7 @@ class TestCanaryProbe:
 
     def test_probe_rate_limited_by_collector_time(self, tmp_path):
         obs = Observability(name="canary-rate")
-        stack = build_serving_stack(tmp_path / "rate", n_hles=4,
-                                    rtt_s=0.0, obs=obs)
+        stack = build_stack(tmp_path, n_hles=4, obs=obs)
         try:
             canary = stack.web.enable_canary(interval_s=5.0)
             canary(now=0.0)
@@ -329,8 +323,7 @@ class TestDashboardServlet:
     @pytest.fixture()
     def stack(self, tmp_path):
         obs = Observability(name="dash")
-        stack = build_serving_stack(tmp_path / "dash", n_hles=6,
-                                    rtt_s=0.0, obs=obs)
+        stack = build_stack(tmp_path, n_hles=6, obs=obs)
         for tick in range(3):
             response = stack.web.handle(
                 stack.request(f"/hedc/hle?id={stack.hle_ids[tick]}"))
@@ -376,38 +369,14 @@ class TestDashboardServlet:
         assert "gc_collections" in runtime
 
 
-# -- loadgen timelines --------------------------------------------------------
-
-class TestLoadgenTimelines:
-    def test_closed_loop_yields_per_class_timelines(self, tmp_path):
-        stack = build_serving_stack(tmp_path / "tl", n_hles=6, rtt_s=0.0,
-                                    scheduler="pool", n_workers=4)
-        try:
-            result = run_closed_loop(stack, browse_mix(stack),
-                                     n_clients=4, duration_s=0.4)
-        finally:
-            stack.shutdown()
-        timeline = result.timeline(bucket_s=0.1)
-        assert "browse" in timeline
-        rows = timeline["browse"]
-        assert rows and all(
-            set(row) == {"t_s", "sent", "ok", "goodput_rps", "p50_s", "p95_s"}
-            for row in rows
-        )
-        assert sum(row["sent"] for row in rows) == result.sent
-        assert rows == result.summary(bucket_s=0.1)["timeline"]["browse"]
-
-
 # -- the acceptance path ------------------------------------------------------
 
 class TestOverloadEndToEnd:
     def test_browse_latency_alert_fires_under_2x_overload_then_clears(
             self, tmp_path):
         obs = Observability(name="e2e")
-        stack = build_serving_stack(
-            tmp_path / "e2e", n_hles=12, rtt_s=0.004, obs=obs,
-            scheduler="pool", n_workers=4, max_queue_depth=64,
-        )
+        stack = build_stack(tmp_path, n_hles=12, rtt_s=0.004, obs=obs,
+                            scheduler="pool", n_workers=4, max_queue_depth=64)
         collector = obs.collector
         try:
             obs.slo.define(Slo(
@@ -418,9 +387,7 @@ class TestOverloadEndToEnd:
                 fast_burn_threshold=2.0, slow_burn_threshold=10_000.0,
                 clear_burn_threshold=1.0, clear_after_s=1.5, min_events=10,
             ))
-            capacity = run_closed_loop(stack, browse_mix(stack),
-                                       n_clients=8,
-                                       duration_s=0.5).throughput_rps
+            capacity = closed_loop(stack, n_clients=8, duration_s=0.5)
             assert capacity > 0
             # Baseline sample: everything up to here anchors the windows.
             collector.sample_once(now=0.0)
@@ -429,8 +396,7 @@ class TestOverloadEndToEnd:
             # server does, so queue waits blow through the threshold.
             outcome = []
             loader = threading.Thread(target=lambda: outcome.append(
-                run_open_loop(stack, browse_mix(stack),
-                              rate_rps=2.0 * capacity, duration_s=1.0)))
+                open_loop(stack, rate_rps=2.0 * capacity, duration_s=1.0)))
             loader.start()
             # Sample mid-overload, once the backlog is visibly deep, so
             # the firing alert can attribute its cause to the queue.
@@ -444,8 +410,7 @@ class TestOverloadEndToEnd:
             loader.join()
             collector.sample_once(now=2.0)
 
-            overload = outcome[0]
-            assert overload.sent >= 20
+            assert outcome[0]["browse"]["sent"] >= 20
             fired = obs.slo.active_alerts()
             assert [(a["slo"], a["window"]) for a in fired] == [
                 ("browse-latency", "fast"),

@@ -23,14 +23,13 @@ ROOT = Path(repro.__file__).parent
 
 #: Entry points nothing under ``src/repro`` calls: the paper's operations
 #: (ingest, analyse, share, relocate, purge, replicate), the evaluation's
-#: models and printers, operator and client calls, the load harness, and
-#: the few accessors tests read state through.
+#: models and printers, operator and client calls, and the few accessors
+#: tests read state through.
 API = {
     "add_comment", "add_dm_node", "add_history", "add_peer", "add_purge_rule",
     "add_server", "analyses_for_hle", "apply_purge_rules",
     "approximation_speedup", "archive_status",
-    "band_profile", "band_series", "browse_hle", "browse_mix",
-    "build_serving_stack", "cache_view", "cached_view", "catalog_array",
+    "band_profile", "band_series", "browse_hle", "cache_view", "cached_view", "catalog_array",
     "catalog_events", "check_can_read", "clean_iterations",
     "coefficient_count", "collapsed", "comments", "configure",
     "ConnectionPool", "deactivate", "decode_density", "delete_analysis",
@@ -39,14 +38,14 @@ API = {
     "forward2d", "generate_catalog", "history", "idle_count", "in_flight",
     "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
     "is_staged", "kill_replica", "lineage_for", "lognormal", "mirror_hles",
-    "mixed_class_mix", "mode_bin", "move_file", "n_archives", "n_copies",
+    "mode_bin", "move_file", "n_archives", "n_copies",
     "normal", "nulls", "offered_for", "parse_pgm", "peak_position", "print_figure4",
     "print_figure5", "print_table1", "progressive_lightcurve", "prune_expired",
     "publish_calibration", "publish_hle", "quiet_periods", "recalibrate_unit",
     "reconstruction_error", "record_checksum", "register_user",
     "rejoin_replica", "RemoteArchive", "remove_server", "repair",
     "replica_efficiency", "repository_totals", "resolve_tuple", "resolve_urls",
-    "run_closed_loop", "run_open_loop", "scaling_series",
+    "scaling_series",
     "schedule_at", "scrub_orphan_files", "select_detector", "shard_db",
     "spectrum", "stop_all", "store_file", "submit_routine",
     "sync_archive_status", "synoptic_context", "table1_histogram",

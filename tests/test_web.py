@@ -241,9 +241,9 @@ class TestServlets:
         """``by_cookie`` is the only session lookup the servlets make: one
         login, then pages by cookie, must read as a warm session cache on
         every surface that reports it."""
-        from repro.web.loadgen import build_serving_stack
+        from .serving import build_stack
 
-        stack = build_serving_stack(tmp_path, n_hles=2, rtt_s=0.0)
+        stack = build_stack(tmp_path, n_hles=2)
         sessions = stack.dm.sessions
         for _page in range(20):
             assert stack.web.handle(stack.request("/hedc/catalogs")).status == 200
@@ -772,6 +772,14 @@ class TestReadEdges:
         # SUM or AVG over a TEXT column.
         ("/hedc/search?sql=select+sum(kind)+as+x+from+hle", 400),
         ("/hedc/search?sql=select+avg(kind)+as+x+from+hle+group+by+kind", 400),
+        # A LIMIT or OFFSET no slice takes, or one that is not an integer.
+        ("/hedc/search?sql=SELECT+hle_id,+title,+kind,+peak_rate+FROM+hle"
+         "+LIMIT+99999999999999999999", 400),
+        ("/hedc/search?sql=SELECT+hle_id,+title,+kind,+peak_rate+FROM+hle"
+         "+LIMIT+5+OFFSET+99999999999999999999", 400),
+        ("/hedc/search?sql=SELECT+hle_id,+title,+kind,+peak_rate+FROM+hle"
+         "+ORDER+BY+peak_rate+DESC+LIMIT+5+OFFSET+99999999999999999999", 400),
+        ("/hedc/search?sql=SELECT+hle_id,+title,+kind,+peak_rate+FROM+hle+LIMIT+2.5", 400),
         # A range whose literal does not compare with an indexed column:
         # no row matches, as on a column without an index.
         ("/hedc/search?sql=select+*+from+hle+where+peak_rate+>+'x'", 200),

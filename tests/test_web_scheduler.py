@@ -2,7 +2,7 @@
 page fetch, Retry-After-honoring clients.
 
 Functional tests drive real :class:`~repro.web.WebServer` instances
-through :mod:`repro.web.loadgen` stacks at zero wire latency (fast), or
+through ``tests/serving.py`` stacks at zero wire latency (fast), or
 through deterministic gate-blocked servlets where ordering matters.
 """
 
@@ -23,22 +23,18 @@ from repro.web import (
     HttpResponse,
     ScheduledRequest,
     ThinClient,
-    browse_mix,
-    build_serving_stack,
     classify_route,
-    mixed_class_mix,
-    run_closed_loop,
-    run_open_loop,
 )
 from repro.web.scheduler import DEFAULT_ROUTE_CLASSES
 
 from . import oracle_pages
+from .serving import build_stack
 
 
 @pytest.fixture()
 def stack(tmp_path):
     """A small zero-latency deployment on the sync executor."""
-    built = build_serving_stack(tmp_path, n_hles=8, rtt_s=0.0)
+    built = build_stack(tmp_path)
     yield built
     built.shutdown()
 
@@ -46,10 +42,26 @@ def stack(tmp_path):
 @pytest.fixture()
 def pool_stack(tmp_path):
     """The same deployment on an 8-worker pool."""
-    built = build_serving_stack(tmp_path, n_hles=8, rtt_s=0.0,
-                                scheduler="pool", n_workers=8)
+    built = build_stack(tmp_path, scheduler="pool", n_workers=8)
     yield built
     built.shutdown()
+
+
+def _gated_stack(tmp_path, **kwargs):
+    """A one-worker pool and a ``/plug`` route that holds the worker
+    until ``gate`` is set."""
+    stack = build_stack(tmp_path, n_hles=4, scheduler="pool", n_workers=1,
+                        **kwargs)
+    gate = threading.Event()
+    started = threading.Event()
+
+    def plug(request):
+        started.set()
+        gate.wait(10.0)
+        return HttpResponse.html("<p>unplugged</p>")
+
+    stack.web.router.add("/plug", plug)
+    return stack, gate, started
 
 
 def _task(route: str = "/hedc/hle", cls: str = CLASS_BROWSE,
@@ -168,8 +180,7 @@ class TestSyncExecutor:
     def test_route_bulkhead_releases_on_servlet_exception(self, tmp_path):
         # Satellite audit: a raising servlet must not leak its bulkhead
         # permit — with a cap of 1, a leak would 503 every later request.
-        stack = build_serving_stack(tmp_path / "boom", n_hles=4, rtt_s=0.0,
-                                    route_limits={"/boom": 1})
+        stack = build_stack(tmp_path, n_hles=4, route_limits={"/boom": 1})
         try:
             def explode(request):
                 raise RuntimeError("boom")
@@ -220,24 +231,9 @@ class TestWorkerPool:
 class TestPriorityScheduling:
     """Deterministic priority tests: one worker, gate-blocked."""
 
-    def _gated_stack(self, tmp_path, **kwargs):
-        stack = build_serving_stack(tmp_path, n_hles=4, rtt_s=0.0,
-                                    scheduler="pool", n_workers=1,
-                                    **kwargs)
-        gate = threading.Event()
-        started = threading.Event()
-
-        def plug(request):
-            started.set()
-            gate.wait(10.0)
-            return HttpResponse.html("<p>unplugged</p>")
-
-        stack.web.router.add("/plug", plug)
-        return stack, gate, started
-
     def test_no_priority_inversion_analysis_overtakes_queued_browse(
             self, tmp_path):
-        stack, gate, started = self._gated_stack(tmp_path, max_queue_depth=8)
+        stack, gate, started = _gated_stack(tmp_path, max_queue_depth=8)
         try:
             stack.web.submit(stack.request("/plug"))    # occupy the worker
             assert started.wait(5.0)
@@ -259,7 +255,7 @@ class TestPriorityScheduling:
             stack.shutdown()
 
     def test_full_queue_sheds_browse_to_admit_analysis(self, tmp_path):
-        stack, gate, started = self._gated_stack(tmp_path, max_queue_depth=2)
+        stack, gate, started = _gated_stack(tmp_path, max_queue_depth=2)
         try:
             stack.web.submit(stack.request("/plug"))
             assert started.wait(5.0)
@@ -281,7 +277,7 @@ class TestPriorityScheduling:
 
     def test_queued_past_deadline_expires_without_occupying_the_worker(
             self, tmp_path):
-        stack, gate, started = self._gated_stack(tmp_path,
+        stack, gate, started = _gated_stack(tmp_path,
                                                  max_queue_depth=8,
                                                  request_budget_s=0.15)
         served = []
@@ -311,38 +307,40 @@ class TestPriorityScheduling:
 
 
 class TestFairnessUnderOverload:
-    def test_analysis_goodput_protected_at_two_x_overload(self, tmp_path):
-        """The acceptance shape: under 2x-capacity overload with
-        admission control, analysis-class goodput stays within 10% of
-        its uncontended (= offered) rate while browse is shed; without
-        admission control, analysis degrades with everyone else."""
-        stack = build_serving_stack(tmp_path / "ac", scheduler="pool",
-                                    n_workers=8, admission_control=True,
-                                    max_queue_depth=32)
-        capacity = run_closed_loop(stack, mixed_class_mix(stack),
-                                   n_clients=16,
-                                   duration_s=0.8).throughput_rps
-        overload = run_open_loop(stack, mixed_class_mix(stack),
-                                 rate_rps=2.0 * capacity, duration_s=1.5)
-        stack.shutdown()
-        summary = overload.summary()
-        analysis = summary["classes"]["analysis"]
-        browse = summary["classes"]["browse"]
-        # Uncontended, every offered analysis request completes; under
-        # overload, strict priority keeps it that way within 10%.
-        assert analysis["ok"] >= 0.9 * analysis["sent"]
-        assert browse["shed"] > 0
+    """The admission A/B without a clock: the one worker held, three
+    times the queue depth arrives in a fixed interleaving of the three
+    classes, then the worker is let go."""
 
-        baseline = build_serving_stack(tmp_path / "fifo", scheduler="pool",
-                                       n_workers=8, admission_control=False,
-                                       max_queue_depth=32)
-        fifo = run_open_loop(baseline, mixed_class_mix(baseline),
-                             rate_rps=2.0 * capacity, duration_s=1.5)
-        baseline.shutdown()
-        fifo_analysis = fifo.summary()["classes"]["analysis"]
-        # Plain FIFO sheds classes indiscriminately: analysis goodput is
-        # strictly worse than under priority admission.
-        assert fifo_analysis["goodput_rps"] < analysis["goodput_rps"]
+    QUEUE_DEPTH = 4
+
+    def _overload(self, tmp_path, priorities: bool) -> list[tuple[str, int]]:
+        stack, gate, started = _gated_stack(
+            tmp_path, max_queue_depth=self.QUEUE_DEPTH,
+            admission_control=priorities)
+        paths = [f"/hedc/hle?id={stack.hle_ids[0]}", "/hedc/search?min_rate=50",
+                 "/static/logo.pgm", f"/hedc/hle?id={stack.hle_ids[1]}"]
+        try:
+            stack.web.submit(stack.request("/plug"))
+            assert started.wait(5.0)
+            tasks = [stack.web.submit(stack.request(path))
+                     for path in paths * (3 * self.QUEUE_DEPTH // len(paths))]
+            gate.set()
+            return [(task.request_class, task.result(10.0).status)
+                    for task in tasks]
+        finally:
+            gate.set()
+            stack.shutdown()
+
+    def test_priorities_shed_browse_and_never_analysis(self, tmp_path):
+        outcomes = self._overload(tmp_path, priorities=True)
+        assert (CLASS_ANALYSIS, 503) not in outcomes
+        assert (CLASS_BROWSE, 503) in outcomes
+        assert {status for _cls, status in outcomes} == {200, 503}
+
+    def test_a_plain_fifo_sheds_analysis_too(self, tmp_path):
+        outcomes = self._overload(tmp_path, priorities=False)
+        assert (CLASS_ANALYSIS, 503) in outcomes
+        assert {status for _cls, status in outcomes} == {200, 503}
 
 
 class TestBatchedPageFetch:
@@ -371,9 +369,8 @@ class TestBatchedPageFetch:
         assert cost() == (7, 7)
 
     def test_fetch_page_results_match_across_paths(self, stack):
-        user = stack.dm.authenticate("loadgen", "loadgen-pw")
-        batched = stack.dm.fetch_page(user, stack.hle_ids[0])
-        unbatched = oracle_pages.fetch_page(stack.dm, user, stack.hle_ids[0])
+        batched = stack.dm.fetch_page(stack.user, stack.hle_ids[0])
+        unbatched = oracle_pages.fetch_page(stack.dm, stack.user, stack.hle_ids[0])
         assert batched.hle == unbatched.hle
         assert batched.analyses == unbatched.analyses
         assert batched.n_analyses == unbatched.n_analyses
@@ -429,37 +426,15 @@ class TestThinClientRetryAfter:
 
 
 class TestLoadHarness:
-    def test_closed_loop_reports_per_class_outcomes(self, pool_stack):
-        result = run_closed_loop(pool_stack, browse_mix(pool_stack),
-                                 n_clients=4, duration_s=0.3)
-        summary = result.summary()
-        assert summary["mode"] == "closed"
-        assert summary["ok"] > 0
-        assert "browse" in summary["classes"]
-        assert summary["classes"]["browse"]["p95_s"] >= \
-            summary["classes"]["browse"]["p50_s"]
-
-    def test_open_loop_offers_a_fixed_rate(self, pool_stack):
-        result = run_open_loop(pool_stack, browse_mix(pool_stack),
-                               rate_rps=50.0, duration_s=0.5)
-        assert result.mode == "open"
-        assert result.sent == pytest.approx(25, abs=10)
-        assert result.ok > 0
-
-    def test_remote_database_charges_one_rtt_per_round_trip(self, tmp_path):
-        stack = build_serving_stack(tmp_path, n_hles=4, rtt_s=0.02)
-        try:
-            user = stack.dm.authenticate("loadgen", "loadgen-pw")
-            started = time.perf_counter()
-            stack.dm.fetch_page(user, stack.hle_ids[0])
-            batched_s = time.perf_counter() - started
-            started = time.perf_counter()
-            oracle_pages.fetch_page(stack.dm, user, stack.hle_ids[0])
-            unbatched_s = time.perf_counter() - started
-        finally:
-            stack.shutdown()
-        # 1 sleep vs 7 sleeps of 20ms: the batched page is decisively
-        # cheaper in wall-clock, with generous slack for scheduler noise.
-        assert batched_s < 0.02 * 4
-        assert unbatched_s > 0.02 * 6
-        assert unbatched_s > batched_s
+    def test_remote_database_charges_one_rtt_per_round_trip(
+            self, stack, monkeypatch):
+        """The wire sleeps ``rtt_s`` once per call that reaches the
+        database: once for the batched page, seven times for the page
+        fetched one query at a time."""
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        stack.database.rtt_s = 0.02
+        stack.dm.fetch_page(stack.user, stack.hle_ids[0])
+        assert slept == [0.02]
+        oracle_pages.fetch_page(stack.dm, stack.user, stack.hle_ids[0])
+        assert slept == [0.02] * 8
