@@ -16,6 +16,9 @@ which repeat exactly, and one timing:
 * the shards return at most ``2 * ceil(40 / 4) * 4 = 80`` rows for
   ``similar`` (``ORDER BY peak_rate DESC LIMIT 40``) where each shipped
   its own 40; a page whose shares fell short says so as a top-up.
+* a warm page plans nothing: each copy keeps a plan per shape, the
+  shards' parts of a scattered sweep under shapes of their own, where
+  each sweep planned on every shard it reached, every page.
 * ``DataManager.fetch_page`` is at least 1.15x faster than on the
   retired path (``tests/oracle_scatter.py``) patched in.
 
@@ -30,6 +33,7 @@ from conftest import min_per_call
 from repro.dm import DataManager
 from repro.filestore import DiskArchive, StorageManager
 from repro.metadb import Insert
+from repro.metadb import database as database_module
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.shard import ShardedDatabase
@@ -86,13 +90,15 @@ def _browsed(n_pages: int) -> list[int]:
 
 class _GroupReads:
     """What reaches the replica groups while the block runs: read calls
-    (a sub-batch is one), owner probes, and for ``similar`` the rows the
-    groups returned and the top-up reads among the calls."""
+    (a sub-batch is one), owner probes, plans made by the copies, and
+    for ``similar`` the rows the groups returned and the top-up reads
+    among the calls."""
 
     def __enter__(self):
-        self.calls = self.probes = self.similar_rows = self.top_ups = 0
-        self._saved = (ReplicaGroup._read_with_failover, ReplicaGroup.holds)
-        read, holds = self._saved
+        self.calls = self.probes = self.plans = self.similar_rows = self.top_ups = 0
+        self._saved = (ReplicaGroup._read_with_failover, ReplicaGroup.holds,
+                       database_module.plan_select)
+        read, holds, plan_select = self._saved
 
         def counted_read(group, statements):
             results = read(group, statements)
@@ -108,18 +114,26 @@ class _GroupReads:
             self.probes += 1
             return holds(group, table, column, value)
 
+        def counted_plan(table, select):
+            self.plans += 1
+            return plan_select(table, select)
+
         ReplicaGroup._read_with_failover = counted_read
         ReplicaGroup.holds = counted_holds
+        database_module.plan_select = counted_plan
         return self
 
     def __exit__(self, *exc_info):
-        ReplicaGroup._read_with_failover, ReplicaGroup.holds = self._saved
+        (ReplicaGroup._read_with_failover, ReplicaGroup.holds,
+         database_module.plan_select) = self._saved
 
 
 def test_a_page_is_five_group_reads_and_its_scatter_asks_for_shares(tmp_path):
     database, dm, user = _stack(tmp_path)
     pages = _browsed(60)
-    dm.fetch_page(user, pages[0])
+    for _copy in range(2):      # each copy of each shard sees each shape
+        for hle_id in pages:
+            dm.fetch_page(user, hle_id)
     probes = top_ups = 0
     batched, shipped = {}, {}
     for hle_id in pages:
@@ -130,6 +144,7 @@ def test_a_page_is_five_group_reads_and_its_scatter_asks_for_shares(tmp_path):
         assert reads.calls - reads.top_ups == 5
         assert reads.similar_rows <= 80 + 20 * reads.top_ups
         assert reads.top_ups or reads.similar_rows <= 80
+        assert reads.plans == 0
         probes += reads.probes
         top_ups += reads.top_ups
     assert probes / len(pages) <= 8

@@ -380,13 +380,16 @@ def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
             if high is None or conjunct.high < high:
                 high, high_inclusive = conjunct.high, True
         elif isinstance(conjunct, Comparison) and conjunct.column == column:
+            # Of two equal bounds the exclusive one wins, in either order.
             if conjunct.op in (">", ">="):
                 found = True
-                if low is None or conjunct.value >= low:
+                if low is None or conjunct.value > low or (
+                        conjunct.op == ">" and conjunct.value == low):
                     low, low_inclusive = conjunct.value, conjunct.op == ">="
             elif conjunct.op in ("<", "<="):
                 found = True
-                if high is None or conjunct.value <= high:
+                if high is None or conjunct.value < high or (
+                        conjunct.op == "<" and conjunct.value == high):
                     high, high_inclusive = conjunct.value, conjunct.op == "<="
             elif conjunct.op == "=":
                 return (conjunct.value, conjunct.value, True, True)

@@ -19,7 +19,7 @@ import time
 from typing import Optional
 
 from ..obs import Observability, resolve as resolve_obs
-from ..resil import BreakerState, Deadline
+from ..resil import Deadline
 from .animation import AnimationStrategy
 from .directory import GlobalDirectory
 from .manager import IdlServerManager
@@ -161,7 +161,7 @@ class Frontend:
             return self._serve_from_cache(request, entry)
         self.obs.count("pl.product_cache.misses", algorithm=request.algorithm)
         breaker = getattr(self.context.idl, "breaker", None)
-        if breaker is not None and breaker.state is BreakerState.OPEN:
+        if breaker is not None and breaker.is_open():
             stale = cache.lookup_stale(request.user, key)
             if stale is not None:
                 self.obs.count("pl.product_cache.stale_served",

@@ -38,8 +38,8 @@ from ..metadb.query import Delete, Insert, Select, Update
 from ..metadb.schema import TableSchema
 from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction
-from ..obs import Observability, resolve as resolve_obs
-from ..resil.breaker import BreakerOpen, BreakerState, CircuitBreaker
+from ..obs import Gauge, Observability, resolve as resolve_obs
+from ..resil.breaker import BreakerOpen, CircuitBreaker
 from ..resil.faults import fire as fire_fault
 from ..resil.policies import TRANSIENT_ERRORS
 from .antientropy import repair_replica, verify_replica
@@ -57,10 +57,11 @@ class ReplicaState(enum.Enum):
 class Replica:
     """One follower copy and its replication bookkeeping."""
 
-    def __init__(self, name: str, db: Database, path: Optional[Path] = None):
+    def __init__(self, name: str, db: Database, path: Optional[Path], lag_gauge: Gauge):
         self.name = name
         self.db = db
         self.path = path
+        self.lag_gauge = lag_gauge
         self.acked_lsn = 0
         self.state = ReplicaState.IN_SYNC
         self.crashed = False
@@ -159,7 +160,8 @@ class ReplicaGroup:
         replica_path = self._path / f"replica-{index}" if self._path else None
         if db is None:
             db = Database(path=replica_path, name=name, obs=self.obs)
-        replica = Replica(name=name, db=db, path=replica_path)
+        replica = Replica(name, db, replica_path,
+                          self.obs.gauge("repl.lag", db=self.name, replica=name))
         started_empty = not db.table_names()
         with self.primary._lock:
             # Joined under the lock the clone holds: no commit can land
@@ -201,7 +203,7 @@ class ReplicaGroup:
         if replica.crashed:
             return
         lag = replica.lag(self.log.head_lsn)
-        self.obs.set_gauge("repl.lag", lag, db=self.name, replica=replica.name)
+        replica.lag_gauge.set(lag)
         self._transition(
             replica,
             ReplicaState.IN_SYNC if lag == 0 else ReplicaState.LAGGING,
@@ -331,7 +333,7 @@ class ReplicaGroup:
             replica.ship_failures += 1
             self.obs.count("repl.ship_failures", db=self.name,
                            replica=replica.name)
-            if breaker.state is BreakerState.OPEN:
+            if breaker.is_open():
                 self._transition(replica, ReplicaState.DEAD)
             else:
                 self._transition(replica, ReplicaState.LAGGING)
@@ -439,12 +441,12 @@ class ReplicaGroup:
             start = self._read_cursor
             self._read_cursor += 1
         candidates: list[tuple[str, Database, Optional[Replica]]] = []
-        if self._breaker_for(self.primary.name).state is not BreakerState.OPEN:
+        if not self._breaker_for(self.primary.name).is_open():
             candidates.append((self.primary.name, self.primary, None))
         for replica in replicas:
             if replica.crashed or replica.state is ReplicaState.REJOINING:
                 continue
-            if self._breaker_for(replica.name).state is BreakerState.OPEN:
+            if self._breaker_for(replica.name).is_open():
                 continue
             if replica.lag(head) > self.max_lag:
                 self.obs.count("repl.stale_skips", db=self.name,
@@ -467,7 +469,7 @@ class ReplicaGroup:
                 self.obs.count("repl.failovers", db=self.name, copy=name)
                 with self._lock:
                     self.failovers += 1
-                if replica is not None and breaker.state is BreakerState.OPEN:
+                if replica is not None and breaker.is_open():
                     self._transition(replica, ReplicaState.DEAD)
                 continue
             breaker.record_success()

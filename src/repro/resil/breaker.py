@@ -156,6 +156,13 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
+    def is_open(self) -> bool:
+        """True while calls are rejected outright (``state`` is OPEN), with
+        :meth:`allow`'s lock-free CLOSED fast path."""
+        if self._state is BreakerState.CLOSED:
+            return False
+        return self.state is BreakerState.OPEN
+
     def retry_after_s(self) -> float:
         """Seconds until the breaker would admit a probe again."""
         with self._lock:

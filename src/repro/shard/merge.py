@@ -44,7 +44,7 @@ def prepare_scatter(select: Select, n_shards: int = 1) -> tuple[Select, "Merge"]
     and build its merge."""
     if select.aggregates:
         partials, combiners = _rewrite_aggregates(select.aggregates)
-        shard_select = replace(
+        shard_select = _for_shards(
             select, columns=None, order_by=(), limit=None, offset=0,
             aggregates=partials,
         )
@@ -54,10 +54,19 @@ def prepare_scatter(select: Select, n_shards: int = 1) -> tuple[Select, "Merge"]
         # Strip the projection: the merge needs the ORDER BY columns even
         # when they are not in the output, and projects at the end.
         merge = _OrderedMerge(select, n_shards)
-        shard_select = replace(select, columns=None, limit=merge.share, offset=0)
+        shard_select = _for_shards(select, columns=None, limit=merge.share, offset=0)
         return shard_select, merge
-    shard_select = replace(select, limit=stop, offset=0)
+    shard_select = _for_shards(select, limit=stop, offset=0)
     return shard_select, _ConcatMerge(select)
+
+
+def _for_shards(select: Select, **changes: Any) -> Select:
+    """``select`` with ``changes`` under a shape of its own, which each shard
+    plans once: a function of the original's, told apart by LIMIT and OFFSET."""
+    shard_select = replace(select, **changes)
+    if select.shape is not None:
+        shard_select.shape = ("shard", select.shape, shard_select.limit, shard_select.offset)
+    return shard_select
 
 
 class Merge:
@@ -104,8 +113,8 @@ class _OrderedMerge(Merge):
             share = self.SHARE_FACTOR * -(-stop // n_shards)
             if share < stop:
                 self.share = share
-                self.rest = replace(select, columns=None, offset=share,
-                                    limit=stop - share)
+                self.rest = _for_shards(select, columns=None, offset=share,
+                                        limit=stop - share)
 
     def _head(self, runs: Sequence[Rows]) -> Rows:
         """The first ``offset + limit`` rows of the sorted runs."""
@@ -144,7 +153,9 @@ class _OrderedMerge(Merge):
                     shard_results[index] = \
                         shard_results[index] + ask_rest(index, self.rest)
                 head = self._head(shard_results)
-        return [_project(row, self._columns) for row in head[self._offset:]]
+        # The shards' rows are fresh dicts: handed out, copied only to project.
+        return [_project(row, self._columns) for row in head[self._offset:]] \
+            if self._columns else head[self._offset:]
 
 
 def _run_key(order_by: Sequence[tuple[str, str]], reverse: bool):

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..obs import Observability, resolve as resolve_obs
-from ..resil.breaker import BreakerOpen, BreakerState, CircuitBreaker
+from ..resil.breaker import BreakerOpen, CircuitBreaker
 from ..resil.faults import fire as fire_fault
 from ..resil.policies import TRANSIENT_ERRORS
 from ..metadb.database import Database, DatabaseStats
@@ -524,10 +524,10 @@ class ShardedDatabase:
 
         A partitioned table prunes on its partition column, else on an
         equality or IN over its primary key; a table that follows a
-        parent on the parent's key.  A table that follows its item is
-        asked for on its own item column, on every shard that holds rows
-        of the item, and placed where an item-owning table holds the
-        item, the shard the transaction last wrote being asked first.
+        parent on the parent's key, else on its own.  A table that follows
+        its item is asked for on its own item column, on every shard that
+        holds rows of the item, and placed where an item-owning table
+        holds the item, the shard the transaction last wrote asked first.
         Keys are located by probing the shards' own indexes, against the
         topology snapshot the statement holds.  A read does not probe a
         shard whose breaker is open; a write probes them all, because it
@@ -593,6 +593,9 @@ class ShardedDatabase:
             column = placement.column
             holders, by, every_holder = ((table, column),), BY_ITEM, True
         values = key_values(parts, column) if column is not None else None
+        if values is None and kind == "follows":    # ... or where its own key is
+            column, holders = schema.primary_key, ((table, schema.primary_key),)
+            values = key_values(parts, column)
         if values is None:
             return scatter_all(shard_map)
 
@@ -625,10 +628,9 @@ class ShardedDatabase:
         return RouteDecision(PRUNED, shard_map.specs[:1], by)
 
     def _open_shards(self) -> list[int]:
-        """Shards whose breaker rejects calls right now.  Reading the
-        state takes the breaker's lock; one that never tripped is spared it."""
+        """Shards whose breaker rejects calls right now."""
         return [shard_id for shard_id, breaker in list(self.breakers.items())
-                if breaker.trips and breaker.state is BreakerState.OPEN]
+                if breaker.is_open()]
 
     # -- reads ---------------------------------------------------------------------
 

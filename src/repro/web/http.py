@@ -99,22 +99,27 @@ class Router:
     """Exact-prefix path routing to servlet handlers."""
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, Handler]] = []
+        self._handlers: dict[str, Handler] = {}
+        #: ``(prefix + "/", prefix)``, longest first so /hedc/hle wins over /hedc.
+        self._stems: list[tuple[str, str]] = []
 
     def add(self, prefix: str, handler: Handler) -> None:
-        self._routes.append((prefix, handler))
-        # Longest prefix first so /hedc/hle wins over /hedc.
-        self._routes.sort(key=lambda route: -len(route[0]))
+        self._handlers[prefix] = handler
+        self._stems.append((prefix.rstrip("/") + "/", prefix))
+        self._stems.sort(key=lambda stem: -len(stem[1]))
 
     def match(self, path: str) -> Optional[str]:
         """The route prefix that would serve ``path``, or ``None``."""
-        for prefix, _handler in self._routes:
-            if path == prefix or path.startswith(prefix.rstrip("/") + "/"):
+        if path in self._handlers:
+            return path
+        for stem, prefix in self._stems:
+            if path.startswith(stem):
                 return prefix
         return None
 
-    def dispatch(self, request: HttpRequest) -> HttpResponse:
-        for prefix, handler in self._routes:
-            if request.path == prefix or request.path.startswith(prefix.rstrip("/") + "/"):
-                return handler(request)
-        return HttpResponse.error(404, f"no route for {request.path}")
+    def dispatch(self, request: HttpRequest, prefix: Optional[str] = None) -> HttpResponse:
+        """``request`` served by its route (``prefix``, if already matched)."""
+        handler = self._handlers.get(self.match(request.path) if prefix is None else prefix)
+        if handler is None:
+            return HttpResponse.error(404, f"no route for {request.path}")
+        return handler(request)

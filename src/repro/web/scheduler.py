@@ -123,7 +123,8 @@ class ScheduledRequest:
         self.resolved_at: Optional[float] = None
         self.exemplar: Optional[tuple] = None
         self.wait_s = 0.0
-        self._event = threading.Event()
+        #: Built by the first :meth:`result` that waits; never for a sync one.
+        self._event: Optional[threading.Event] = None
         self._lock = threading.Lock()
 
     @property
@@ -132,7 +133,7 @@ class ScheduledRequest:
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._event is _RESOLVED
 
     def resolve(self, response: HttpResponse) -> bool:
         """Install the response; returns False if someone beat us to it."""
@@ -143,13 +144,22 @@ class ScheduledRequest:
             self.resolved_at = time.perf_counter()
         if self.on_resolve is not None:
             self.on_resolve(self)
-        self._event.set()
+        with self._lock:
+            waiting, self._event = self._event or _RESOLVED, _RESOLVED
+        waiting.set()
         return True
 
     def result(self, timeout: Optional[float] = None) -> Optional[HttpResponse]:
         """Block until resolved (or ``timeout``); None on timeout."""
-        self._event.wait(timeout)
+        with self._lock:
+            event = self._event = self._event or threading.Event()
+        event.wait(timeout)
         return self.response
+
+
+#: A resolved request's event: set for good.
+_RESOLVED = threading.Event()
+_RESOLVED.set()
 
 
 class AdmissionController:

@@ -232,8 +232,8 @@ class WebServer:
         if task.deadline is not None:
             with task.deadline:
                 task.deadline.check("web.dispatch")
-                return self.router.dispatch(task.request)
-        return self.router.dispatch(task.request)
+                return self.router.dispatch(task.request, task.route)
+        return self.router.dispatch(task.request, task.route)
 
     def _account(self, task: ScheduledRequest) -> None:
         """Metric accounting at resolution — every outcome (served, shed,

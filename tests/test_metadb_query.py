@@ -43,6 +43,14 @@ from .oracle_ordering import ordered
 from .oracle_predicate import matches
 
 
+RANGE_CONJUNCT = st.one_of(
+    st.tuples(st.sampled_from([">", ">=", "<", "<="]), st.integers(0, 6)).map(
+        lambda pair: Comparison("x", pair[0], pair[1])),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+        lambda pair: Between("x", min(pair), max(pair))),
+)
+
+
 class TestPredicates:
     def test_comparison_operators(self):
         row = {"x": 5}
@@ -110,6 +118,44 @@ class TestPredicates:
 
     def test_range_extraction_from_equality(self):
         assert range_on(Comparison("x", "=", 5), "x") == (5, 5, True, True)
+
+    def test_range_extraction_keeps_the_stricter_of_two_equal_bounds(self):
+        for first, second in itertools.permutations(
+                [Comparison("x", ">", 5), Comparison("x", ">=", 5)]):
+            assert range_on(And([first, second]), "x") == (5, None, False, True)
+        for first, second in itertools.permutations(
+                [Comparison("x", "<", 5), Between("x", 1, 5)]):
+            assert range_on(And([first, second]), "x") == (1, 5, True, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RANGE_CONJUNCT, min_size=1, max_size=4),
+           st.one_of(st.none(), st.integers(0, 6)))
+    def test_range_extraction_ignores_conjunct_order(self, ranges, point):
+        """Every order of the same conjuncts gives the same bounds.  (At
+        most one equality: two different ones match no row, and either
+        point is then a right answer.)"""
+        parts = ranges if point is None else [*ranges, Comparison("x", "=", point)]
+        expected = range_on(And(parts), "x")
+        for order in itertools.permutations(parts):
+            assert range_on(And(list(order)), "x") == expected
+
+    def test_explain_and_rows_agree_for_both_orders_of_a_tied_bound(self):
+        database = Database(name="ties")
+        database.create_table(TableSchema(
+            "t", [Column("id", ColumnType.INTEGER, nullable=False),
+                  Column("x", ColumnType.INTEGER)],
+            primary_key="id", indexes=[("x",)]))
+        for n in range(100):
+            database.execute(Insert("t", {"id": n, "x": n // 2}))
+        seen = set()
+        for first, second in itertools.permutations(
+                [Comparison("x", ">", 29), Comparison("x", ">=", 29)]):
+            select = Select("t", where=And([first, second]))
+            plan = database.explain_plan(select)
+            rows = database.execute(select)
+            assert len(rows) == plan["estimated_rows"] == 40
+            seen.add(tuple(row["id"] for row in rows))
+        assert len(seen) == 1
 
     def test_columns_collected(self):
         predicate = And([Comparison("a", "=", 1), Or([IsNull("b"), Like("c", "%")])])

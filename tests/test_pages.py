@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dm import DataManager, EntityNotFound, NameMappingError
 from repro.filestore import DiskArchive, StorageManager
-from repro.metadb import Comparison, Database, Delete, Insert
+from repro.metadb import Comparison, Database, Delete, Insert, Select
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.resil.breaker import BreakerState
@@ -280,6 +280,39 @@ def test_search_lists_events_without_a_rate_last(build, tmp_path):
     rated = stack.hle_ids[::4]
     assert shown[:4] == rated[::-1]
     assert sorted(shown[4:]) == sorted(set(stack.hle_ids) - set(rated))
+
+
+def test_an_analysis_page_reads_the_one_shard_that_holds_it(tmp_path, monkeypatch):
+    """``/hedc/ana?id=`` selects ``ana`` by its own key: the route probes
+    the shards' key indexes and reads one replica group, where it read
+    all four, and serves the bytes the plain database does."""
+    events = [_event(day, analyses=[(True, False)]) for day in range(4)]
+    served = {}
+    for build in ("plain", "replicated"):
+        stack = _Stack(build, events, tmp_path / build)
+        alice = stack.users[0]
+        cookies = {SESSION_COOKIE: stack.dm.open_session(alice, "hle").cookie}
+        reads = []
+        read = ReplicaGroup._read_with_failover
+        monkeypatch.setattr(ReplicaGroup, "_read_with_failover",
+                            lambda group, statements: reads.append(group.name)
+                            or read(group, statements))
+        for ana_id in range(1, 5):
+            before = len(reads)
+            response = stack.web.handle(
+                HttpRequest("GET", "/hedc/ana", {"id": str(ana_id)}, cookies))
+            assert response.status == 200
+            served[build, ana_id] = response.body
+            if build == "replicated":
+                assert len(reads) == before + 1
+                route = stack.database.explain_plan(
+                    Select("ana", where=Comparison("ana_id", "=", ana_id)))
+                assert route["shard_route"]["kind"] == "pruned"
+                assert route["shard_route"]["by"] == "key"
+                assert route["shard_route"]["shards"] == [ana_id - 1]
+        monkeypatch.undo()
+    assert all(served["replicated", ana_id] == served["plain", ana_id]
+               for ana_id in range(1, 5))
 
 
 def test_what_an_operator_sees_of_one_page(tmp_path):

@@ -31,7 +31,9 @@ from repro.metadb import (
     TableSchema,
     follows,
     partitioned,
+    prepare,
 )
+from repro.metadb import database as database_module
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.resil import FaultInjector, InjectedFault, use_injector
@@ -301,6 +303,56 @@ def test_no_top_up_when_every_share_ends_past_the_kth_row():
     with _counting_top_ups() as top_ups:
         assert [row["a"] for row in sharded.execute(select)] == [0.0] * 4
     assert top_ups == []
+
+
+# -- each shard keeps a plan per shape ----------------------------------------
+
+def test_a_scattered_top_n_bound_twice_plans_once_per_shard(monkeypatch):
+    """The per-shard rewrite of a prepared statement keeps a shape of its
+    own (its LIMIT the share, its OFFSET 0; the rest's its own), so a
+    shard plans it the first time and reuses the plan after."""
+    sharded = _stack(4, 1, _skewed())
+    plain = Database(name="plain")
+    _build(plain, _skewed())
+    planned = []
+    plan_select = database_module.plan_select
+
+    def counted(table, select):
+        planned.append(select.shape)
+        return plan_select(table, select)
+
+    monkeypatch.setattr(database_module, "plan_select", counted)
+    top_n = prepare("SELECT * FROM m WHERE g != ? ORDER BY a DESC LIMIT 10")
+    for value in (0, 1, 0):
+        select = top_n.bind((value,))
+        with _counting_top_ups() as top_ups:
+            assert sharded.execute(select) == plain.execute(select)
+        assert top_ups == [3]       # the last shard holds the top rows
+    # Four shares and one rest, each planned by its shard once; the plain
+    # database planned the statement itself once.
+    assert len(planned) == 4 + 1 + 1
+    assert len(set(planned)) == 3
+    assert all(shape is not None for shape in planned)
+
+
+def test_a_following_row_selected_by_its_own_key_goes_to_its_shard():
+    sharded = _stack(4, 2, _skewed())
+    plain = Database(name="plain")
+    _build(plain, _skewed())
+    for db in (sharded, plain):
+        for cid, parent in ((1, 3), (2, 35), (3, 35)):
+            db.execute(Insert("c", {"cid": cid, "m_id": parent}))
+    for cid in (1, 2, 3, 4):
+        select = Select("c", where=Comparison("cid", "=", cid))
+        route = sharded.explain_plan(select)["shard_route"]
+        assert (route["kind"], route["by"]) == ("pruned", "key")
+        assert len(route["shards"]) == 1
+        before = sum(sharded.reads_by_shard.values())
+        assert sharded.execute(select) == plain.execute(select)
+        assert sum(sharded.reads_by_shard.values()) == before + 1
+    keys = Select("c", where=In("cid", [2, 3]), order_by=[("cid", "asc")])
+    assert sharded.explain_plan(keys)["shard_route"]["shards"] == [3]
+    assert sharded.execute(keys) == plain.execute(keys)
 
 
 # -- the bug: one batch, two states -------------------------------------------
