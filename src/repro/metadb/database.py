@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import compress
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -29,9 +30,10 @@ from .query import (
     index_rowids,
     plan_select,
     reusable_plan,
+    split_where,
 )
 from .schema import TableSchema
-from .sql import Batch, Statement, parse, to_sql
+from .sql import Batch, Statement, parse, predicate_sql, to_sql
 from .storage import Table
 from .transactions import Transaction, TxState
 from .wal import Journal
@@ -517,17 +519,16 @@ class Database:
         order the redo and undo logs record them in)."""
         if where is None:
             return list(table.rowids())
-        candidates = index_rowids(table, where)
-        if candidates is None:
-            rowids = table.rowids()
-        elif len(candidates) > 1:
+        found = index_rowids(table, where)
+        if found is None:
+            rowids = list(table.rowids())
+        else:
+            candidates, where = found
             # Only the row store knows its order; the walk costs a set
             # probe per row where the matcher would cost a row evaluation.
-            rowids = [rowid for rowid in table.rowids() if rowid in candidates]
-        else:
-            rowids = candidates
-        matcher = where.compile()
-        return [rowid for rowid in rowids if matcher(table.row(rowid))]
+            rowids = [rowid for rowid in table.rowids() if rowid in candidates] \
+                if len(candidates) > 1 else list(candidates)
+        return list(compress(rowids, map(where.compile(), table.fetch(rowids))))
 
     def _execute_mutation(self, statement: Statement, tx: Transaction) -> Any:
         if isinstance(statement, Insert):
@@ -573,8 +574,10 @@ class Database:
     def explain_plan(self, select: Union[Select, Explain, str]) -> dict[str, Any]:
         """Full EXPLAIN output: access path, cardinality estimate against
         current table statistics, executor strategy flags
-        (``limit_pushdown``, ``topn``), and whether the plan is one kept
-        for the statement's shape (``cached_plan``)."""
+        (``limit_pushdown``, ``topn``), the conjuncts the access path
+        enforces (``index_cond``) and those the filter still tests
+        (``filter``), and whether the plan is one kept for the statement's
+        shape (``cached_plan``)."""
         if isinstance(select, str):
             select = parse(select)
         if isinstance(select, Explain):
@@ -583,10 +586,13 @@ class Database:
             raise SchemaError("explain only applies to SELECT")
         with self._lock:
             table = self.table(select.table)
-            plan = self._cached_plan(table, select)
-            return {"table": select.table,
-                    **(plan or plan_select(table, select)).to_dict(),
-                    "cached_plan": plan is not None}
+            cached = self._cached_plan(table, select)
+            plan = cached or plan_select(table, select)
+            _rowids, enforced, residual = split_where(table, select, plan)
+            return {"table": select.table, **plan.to_dict(),
+                    "index_cond": list(map(predicate_sql, enforced)),
+                    "filter": list(map(predicate_sql, residual)),
+                    "cached_plan": cached is not None}
 
     def describe(self) -> dict[str, Any]:
         """The data tier's report (see :class:`~repro.metadb.api.DatabaseApi`):

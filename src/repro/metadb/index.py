@@ -10,12 +10,16 @@ Two flavours back the query planner:
 A unique hash index maps each key to its rowid, a non-unique one to a set
 of rowids.  ``None`` keys are kept in a side bucket: IS NULL probes stay
 cheap, range scans skip nulls (SQL semantics), and a whole scan yields
-them last, as ORDER BY puts them.
+them last, as ORDER BY puts them.  An ordered index keeps NaN keys there
+too, so that its keys stay totally ordered and a seek is exact.
 """
 
 from __future__ import annotations
 
 import bisect
+from functools import partial
+from itertools import chain
+from operator import is_not
 from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IntegrityError
@@ -89,8 +93,8 @@ class HashIndex:
         """
         entries = map(self._map.get, keys)
         if self.unique:
-            return (rowid for rowid in entries if rowid is not None)
-        return (rowid for bucket in entries if bucket for rowid in bucket)
+            return filter(partial(is_not, None), entries)
+        return chain.from_iterable(filter(None, entries))
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._map
@@ -115,7 +119,7 @@ class OrderedIndex:
 
     def insert(self, rowid: int, row: dict[str, Any]) -> None:
         key = row.get(self.column)
-        if key is None:
+        if key is None or key != key:   # NaN compares with nothing, as NULL does
             self._nulls.add(rowid)
             return
         position = bisect.bisect_right(self._keys, key)
@@ -124,7 +128,7 @@ class OrderedIndex:
 
     def remove(self, rowid: int, row: dict[str, Any]) -> None:
         key = row.get(self.column)
-        if key is None:
+        if key is None or key != key:
             self._nulls.discard(rowid)
             return
         left = bisect.bisect_left(self._keys, key)
@@ -161,15 +165,15 @@ class OrderedIndex:
         high_inclusive: bool = True,
         descending: bool = False,
     ) -> Iterator[int]:
-        """Yield rowids whose key falls in [low, high] in key order.
+        """The rowids whose key falls in [low, high], in key order, as a
+        lazy stream that pays no Python call per rowid.
 
         ``descending=True`` walks the same positions backwards without
         materialising the forward scan first.
         """
         start, stop = self._bounds(low, high, low_inclusive, high_inclusive)
         positions = range(stop - 1, start - 1, -1) if descending else range(start, stop)
-        for position in positions:
-            yield self._rowids[position]
+        return map(self._rowids.__getitem__, positions)
 
     def count_range(
         self,
@@ -184,10 +188,11 @@ class OrderedIndex:
         return max(0, stop - start)
 
     def scan(self, descending: bool = False) -> Iterator[int]:
-        """Yield every rowid in key order, NULL keys last in both
-        directions (ORDER BY's NULLS LAST), in rowid order."""
-        yield from reversed(self._rowids) if descending else self._rowids
-        yield from sorted(self._nulls)
+        """Every rowid in key order, NULL keys last in both directions
+        (ORDER BY's NULLS LAST), in rowid order."""
+        keyed = reversed(self._rowids) if descending else iter(self._rowids)
+        # The NULL bucket is sorted only if a walk reaches it.
+        return chain(keyed, chain.from_iterable(map(sorted, (self._nulls,))))
 
     def nulls(self) -> set[int]:
         return set(self._nulls)

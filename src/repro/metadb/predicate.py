@@ -5,12 +5,13 @@ planner to recognise *sargable* shapes (equality and range constraints on
 indexed columns).  SQL three-valued logic is approximated: any comparison
 with NULL is false, IS NULL / IS NOT NULL are explicit nodes.
 
-:meth:`Predicate.compile` returns a fused closure the executor calls once
-per candidate row — And/Or collapse their operands into a single function,
-so the hot filter loop pays no isinstance checks or method lookups.  A
-NULL never satisfies a comparison, so ``Not`` over a comparison is true on
-NULL rows.  (``tests/oracle_predicate.py`` keeps the per-node tree walk it
-is tested against.)
+:meth:`Predicate.compile` returns the closure the executor's ``filter``
+calls once per candidate row, the one Python call a row costs: an And or
+Or of two ``column = literal`` operands fuses them into it.  Only the residual
+conjuncts are compiled, those the access path did not enforce exactly
+(``query.split_where``).  A NULL never satisfies a comparison, so ``Not``
+over a comparison is true on NULL rows.  (``tests/oracle_predicate.py``
+keeps the per-node tree walk it is tested against.)
 
 A comparison's literal may be a :class:`Ref`: a value of an earlier
 statement's row, bound on the database side inside one batch.
@@ -125,11 +126,8 @@ class Comparison(Predicate):
             return lambda row: False
         if type(value) is Ref:
             value.unresolved()
-        if self.op == "=":
-            def match_eq(row: dict) -> bool:
-                actual = row.get(column)
-                return actual is not None and actual == value
-            return match_eq
+        if self.op == "=":      # a non-NULL literal never equals NULL
+            return lambda row: row.get(column) == value
         if self.op == "!=":
             def match_ne(row: dict) -> bool:
                 actual = row.get(column)
@@ -246,25 +244,43 @@ class IsNull(Predicate):
         return {self.column}
 
 
-class And(Predicate):
+class _Junction(Predicate):
+    """An And (``any_`` false) or an Or of ``operands``."""
+
+    any_: bool
+
     def __init__(self, operands: Sequence[Predicate]):
         self.operands = list(operands)
 
     def compile(self) -> RowMatcher:
-        parts = tuple(operand.compile() for operand in self.operands)
+        """One closure: two ``column = literal`` operands with non-NULL
+        literals fuse into it, so that a row costs one Python call, not
+        three."""
+        any_ = self.any_
+        pairs = [(operand.column, operand.value) for operand in self.operands
+                 if type(operand) is Comparison and operand.op == "="
+                 and operand.value is not None and type(operand.value) is not Ref]
+        if len(pairs) == 2 == len(self.operands):
+            (first, first_value), (second, second_value) = pairs
+            if any_:
+                return lambda row: row.get(first) == first_value or row.get(second) == second_value
+            return lambda row: row.get(first) == first_value and row.get(second) == second_value
+        parts = [operand.compile() for operand in self.operands]
         if not parts:
-            return lambda row: True
+            return lambda row: not any_
         if len(parts) == 1:
             return parts[0]
         if len(parts) == 2:
             first, second = parts
+            if any_:
+                return lambda row: first(row) or second(row)
             return lambda row: first(row) and second(row)
 
         def match(row: dict) -> bool:
             for part in parts:
-                if not part(row):
-                    return False
-            return True
+                if bool(part(row)) is any_:
+                    return any_
+            return not any_
         return match
 
     def columns(self) -> set[str]:
@@ -274,32 +290,12 @@ class And(Predicate):
         return result
 
 
-class Or(Predicate):
-    def __init__(self, operands: Sequence[Predicate]):
-        self.operands = list(operands)
+class And(_Junction):
+    any_ = False
 
-    def compile(self) -> RowMatcher:
-        parts = tuple(operand.compile() for operand in self.operands)
-        if not parts:
-            return lambda row: False
-        if len(parts) == 1:
-            return parts[0]
-        if len(parts) == 2:
-            first, second = parts
-            return lambda row: first(row) or second(row)
 
-        def match(row: dict) -> bool:
-            for part in parts:
-                if part(row):
-                    return True
-            return False
-        return match
-
-    def columns(self) -> set[str]:
-        result: set[str] = set()
-        for operand in self.operands:
-            result |= operand.columns()
-        return result
+class Or(_Junction):
+    any_ = True
 
 
 class Not(Predicate):

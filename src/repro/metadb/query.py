@@ -6,9 +6,9 @@ verifies and transforms into regular SQL queries" (paper §5.4).  These
 classes are those collection objects.  The planner picks an access path
 (primary-key probe, hash probe, IN-list multi-probe, ordered range scan,
 or full scan) by costing every sargable conjunct against live table
-statistics, and the executor *streams*: the WHERE clause is compiled into
-a fused closure and LIMIT/OFFSET are pushed into index scans that stop
-early.
+statistics, and the executor *streams*: what the access path leaves of
+the WHERE is compiled into one closure, the only Python call a candidate
+row costs, and LIMIT/OFFSET are pushed into index scans that stop early.
 """
 
 from __future__ import annotations
@@ -16,13 +16,17 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
+    And,
+    Between,
+    Comparison,
     Conjunction,
+    In,
     Predicate,
-    TruePredicate,
+    Ref,
     conjuncts,
     equality_on,
     in_list_on,
@@ -317,46 +321,80 @@ def _finalize(plan: Plan, select: Select) -> Plan:
     )
 
 
-def _candidate_rowids(table: Table, select: Select, plan: Plan) -> Optional[Iterable[int]]:
-    """Rowids the plan's index hands out, in its order; None for a scan."""
-    where = select.where
-    if plan.access in ("pk_probe", "hash_probe"):
-        index = table.hash_index_on(plan.index_column)
-        return index.probe(equality_on(where, plan.index_column))
+def _exact(literal: Any) -> bool:
+    """Whether an index finds exactly the keys a comparison with
+    ``literal`` accepts: not NULL (no comparison accepts it), an unbound
+    :class:`Ref` or NaN (bisect and hashing do not treat it as ``==``)."""
+    return literal is not None and type(literal) is not Ref and literal == literal
+
+
+def _seek_conjuncts(where: list[Predicate], column: str) -> list[Predicate]:
+    """The range conjuncts on ``column`` with exact literals, which a seek
+    on ``range_on``'s bounds enforces; none when an ``=`` decides those
+    bounds alone (``x = 5 AND x > 7``)."""
+    enforced = []
+    for c in where:
+        if getattr(c, "column", None) != column:
+            continue
+        if type(c) is Comparison and c.op == "=":
+            return []
+        if type(c) is Between and _exact(c.low) and _exact(c.high) \
+                or type(c) is Comparison and c.op != "!=" and _exact(c.value):
+            enforced.append(c)
+    return enforced
+
+
+def split_where(table: Table, select: Select,
+                plan: Plan) -> tuple[Optional[Iterable[int]], list[Predicate], list[Predicate]]:
+    """The rowids ``plan``'s index hands out, in its order (None for a
+    scan), the conjuncts of ``select``'s WHERE they enforce exactly, and
+    the residual ones the filter still tests: EXPLAIN's ``index_cond``
+    and ``filter``."""
+    where = conjuncts(select.where)
+    column, rowids, enforced = plan.index_column, None, []
     if plan.access == "in_probe":
-        return table.hash_index_on(plan.index_column).probe_many(plan.keys)
-    if plan.access == "range_scan":
-        ordered_index = table.ordered_index_on(plan.index_column)
-        bounds = _seekable_range(table, where, plan.index_column)
+        rowids = table.hash_index_on(column).probe_many(plan.keys)
+        enforced = [c for c in where if type(c) is In and c.column == column][:1]
+    elif plan.access in ("pk_probe", "hash_probe"):
+        probed = [c for c in where
+                  if type(c) is Comparison and c.op == "=" and c.column == column][:1]
+        rowids = table.hash_index_on(column).probe(probed[0].value if probed else None)
+        enforced = [c for c in probed if _exact(c.value)]
+    elif plan.access == "range_scan":
+        ordered_index = table.ordered_index_on(column)
+        bounds = _seekable_range(table, where, column)
         descending = bool(
             plan.ordered and select.order_by and select.order_by[0][1] == "desc"
         )
         if bounds is None:
-            return ordered_index.scan(descending=descending)
-        low, high, low_inclusive, high_inclusive = bounds
-        return ordered_index.range(
-            low, high,
-            low_inclusive=low_inclusive, high_inclusive=high_inclusive,
-            descending=descending,
-        )
-    return None
+            rowids = ordered_index.scan(descending=descending)
+        else:
+            low, high, low_inclusive, high_inclusive = bounds
+            rowids = ordered_index.range(
+                low, high,
+                low_inclusive=low_inclusive, high_inclusive=high_inclusive,
+                descending=descending,
+            )
+            enforced = _seek_conjuncts(where, column)
+    if enforced:
+        done = set(map(id, enforced))
+        where = [conjunct for conjunct in where if id(conjunct) not in done]
+    return rowids, enforced, where
 
 
-def _candidate_rows(table: Table, select: Select, plan: Plan) -> Iterator[dict[str, Any]]:
-    rowids = _candidate_rowids(table, select, plan)
-    return table.rows() if rowids is None else map(table.row, rowids)
-
-
-def index_rowids(table: Table, where: Optional[Predicate]) -> Optional[set[int]]:
-    """Rowids of the cheapest index access path for ``where``: a superset
-    of the rows it matches, for UPDATE and DELETE to filter.  None when no
-    index applies and the caller has to walk the table."""
+def index_rowids(table: Table,
+                 where: Optional[Predicate]) -> Optional[tuple[set[int], Predicate]]:
+    """Rowids of the cheapest index access path for ``where``, a superset
+    of the rows it matches, and what is left of ``where`` to test, for
+    UPDATE and DELETE.  None when no index applies and the caller has to
+    walk the table."""
     select = Select(table.name, where=where)
     try:
         plan = _index_plan(table, select, table.stats())
         if plan is None:
             return None
-        return set(_candidate_rowids(table, select, plan))
+        rowids, _enforced, residual = split_where(table, select, plan)
+        return set(rowids), And(residual)
     except TypeError:
         # A literal the index keys do not compare (or hash) with.  The
         # matcher is false on such a comparison; let it decide row by row.
@@ -423,11 +461,11 @@ def execute_select(
 ) -> list[dict[str, Any]]:
     """Run ``select`` against ``tables`` and return result rows.
 
-    The matched stream stays lazy end to end on the common paths: a
-    compiled WHERE closure filters candidates as the index scan produces
-    them and ``islice`` implements LIMIT/OFFSET pushdown (the scan stops
-    at OFFSET+LIMIT matches).  Joins and aggregates still materialise,
-    as they must.
+    The matched stream stays lazy end to end on the common paths, and
+    C-level iterators all but the residual matcher: ``map`` fetches the
+    index's rows, ``filter`` applies the matcher, ``islice`` stops the
+    scan at OFFSET+LIMIT matches, ``map(dict)`` copies a ``SELECT *``
+    row.  Joins and aggregates still materialise, as they must.
     """
     if select.table not in tables:
         raise SchemaError(f"unknown table {select.table!r}")
@@ -436,11 +474,11 @@ def execute_select(
         _check_summable(tables, select)
     if plan is None:
         plan = plan_select(table, select)
-    where = select.where
-    matched: Iterable[dict[str, Any]] = _candidate_rows(table, select, plan)
-    if where is not None and not isinstance(where, TruePredicate):
-        matcher = where.compile()
-        matched = (row for row in matched if matcher(row))
+    rowids, _enforced, residual = split_where(table, select, plan)
+    matched = table.rows() if rowids is None else table.fetch(rowids)
+    if residual:
+        matched = filter((residual[0] if len(residual) == 1 else And(residual)).compile(),
+                         matched)
     if select.join is not None:
         matched = _execute_join(tables, select, list(matched))
     if select.aggregates:
@@ -450,7 +488,9 @@ def execute_select(
     else:
         # Scan order is the output order: push LIMIT/OFFSET into the scan.
         stop = None if select.limit is None else select.offset + select.limit
-        rows = list(islice(matched, select.offset, stop))
+        rows = islice(matched, select.offset, stop)
+    if not select.columns:
+        return list(map(dict, rows))
     return [_project(row, select.columns) for row in rows]
 
 

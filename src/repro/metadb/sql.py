@@ -734,7 +734,8 @@ def _quote(value: Any) -> str:
     raise QueryError(f"cannot render literal {value!r} as SQL")
 
 
-def _predicate_sql(predicate: Predicate, literal: _Literal) -> str:
+def predicate_sql(predicate: Predicate, literal: _Literal = _quote) -> str:
+    """``predicate`` as SQL text, its literals written by ``literal``."""
     if isinstance(predicate, Comparison):
         return f"{predicate.column} {predicate.op} {literal(predicate.value)}"
     if isinstance(predicate, Between):
@@ -749,12 +750,12 @@ def _predicate_sql(predicate: Predicate, literal: _Literal) -> str:
         return f"{predicate.column} IS {'NOT ' if predicate.negated else ''}NULL"
     if isinstance(predicate, And):
         return "(" + " AND ".join(
-            [_predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
+            [predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
     if isinstance(predicate, Or):
         return "(" + " OR ".join(
-            [_predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
+            [predicate_sql(operand, literal) for operand in predicate.operands]) + ")"
     if isinstance(predicate, Not):
-        return f"NOT ({_predicate_sql(predicate.operand, literal)})"
+        return f"NOT ({predicate_sql(predicate.operand, literal)})"
     raise QueryError(f"cannot render predicate {predicate!r} as SQL")
 
 
@@ -794,7 +795,7 @@ def _statement_sql(statement: Statement, literal: _Literal) -> str:
             parts.append("SELECT *")
         parts.append(f"FROM {statement.table}")
         if statement.where is not None:
-            parts.append("WHERE " + _predicate_sql(statement.where, literal))
+            parts.append("WHERE " + predicate_sql(statement.where, literal))
         if statement.group_by:
             parts.append("GROUP BY " + ", ".join(statement.group_by))
         if statement.order_by:
@@ -816,11 +817,11 @@ def _statement_sql(statement: Statement, literal: _Literal) -> str:
             [f"{column} = {literal(value)}" for column, value in statement.changes.items()])
         sql = f"UPDATE {statement.table} SET {sets}"
         if statement.where is not None:
-            sql += " WHERE " + _predicate_sql(statement.where, literal)
+            sql += " WHERE " + predicate_sql(statement.where, literal)
         return sql
     if isinstance(statement, Delete):
         sql = f"DELETE FROM {statement.table}"
         if statement.where is not None:
-            sql += " WHERE " + _predicate_sql(statement.where, literal)
+            sql += " WHERE " + predicate_sql(statement.where, literal)
         return sql
     raise QueryError(f"cannot render {statement!r} as SQL")

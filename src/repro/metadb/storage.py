@@ -10,7 +10,7 @@ enforcement needs cross-table visibility and therefore lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import IntegrityError, SchemaError
 from .index import HashIndex, OrderedIndex
@@ -80,6 +80,10 @@ class Table:
 
     def rows(self) -> Iterator[dict[str, Any]]:
         return iter(list(self._rows.values()))
+
+    def fetch(self, rowids: Iterable[int]) -> Iterator[dict[str, Any]]:
+        """The rows under ``rowids``, in order, with no Python call per row."""
+        return map(self._rows.__getitem__, rowids)
 
     # -- index access for the planner -------------------------------------
 

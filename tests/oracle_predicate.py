@@ -1,10 +1,12 @@
 """Predicate oracle: the per-row tree walk ``Predicate.matches`` was.
 
 Every predicate node carried a ``matches(row)`` method that walked the
-tree once per row with virtual dispatch per node; the executor has long
-used the fused closures of ``compile`` instead, so the walk is kept here,
-as one function, for the differential tests
-(``tests/test_metadb_query.py``, ``tests/test_metadb_sql.py``,
+tree once per row with virtual dispatch per node.  The executor calls one
+fused closure of ``compile`` per candidate row instead, over only the
+conjuncts its access path left to test, so the walk is kept here, as one
+function, for the differential tests (``tests/test_metadb_query.py``,
+whose ``TestResidualWhere`` holds every access path's residual to this
+walk over a full scan, ``tests/test_metadb_sql.py``,
 ``tests/test_schema_security.py``) to hold those closures to.  Not
 imported by ``src``.
 """

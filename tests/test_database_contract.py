@@ -38,6 +38,7 @@ from hypothesis.stateful import (
 
 from repro.metadb import (
     Aggregate,
+    And,
     Between,
     Column,
     ColumnType,
@@ -1029,6 +1030,18 @@ def test_a_limit_no_slice_takes_is_a_query_error(build, opened):
     assert len(opened.execute(f"SELECT * FROM t LIMIT {sys.maxsize}")) == 4
     ordered = opened.execute(f"SELECT v FROM t ORDER BY v DESC LIMIT {sys.maxsize}")
     assert [row["v"] for row in ordered] == [3, 2, 1, 0]
+
+
+@every_build
+def test_explain_plan_splits_the_where(build, opened):
+    """``index_cond`` is what the access path enforces, ``filter`` what
+    the matcher still tests, as SQL text, on every implementation."""
+    plan = opened.explain_plan(Select("t", where=Comparison("k", "=", 1)))
+    assert (plan["index_cond"], plan["filter"]) == (["k = 1"], [])
+    plan = opened.explain_plan(Select("t", where=And([
+        Between("v", 1, 3), Comparison("tag", "=", "a")])))
+    assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+        ("range_scan", ["v BETWEEN 1 AND 3"], ["tag = 'a'"])
 
 
 @every_build

@@ -36,7 +36,7 @@ from repro.metadb import (
 )
 from repro.metadb.index import HashIndex, OrderedIndex
 from repro.metadb.predicate import conjuncts, equality_on, range_on
-from repro.metadb.query import Plan, _apply_order, execute_select
+from repro.metadb.query import Plan, _apply_order, _finalize, execute_select, order_and_cut
 from repro.metadb.storage import Table
 
 from .oracle_ordering import ordered
@@ -1166,12 +1166,12 @@ top_n_statements = st.builds(
 )
 
 
-def tie_runs(rows: list[dict], cut: bool) -> list[tuple]:
-    """``rows`` as runs of equal ``f``: each run's ids, but only the
+def tie_runs(rows: list[dict], cut: bool, column: str = "f") -> list[tuple]:
+    """``rows`` as runs of equal ``column``: each run's ids, but only the
     length of the first and last when OFFSET or LIMIT may cut them (which
     of several tied rows a cut keeps is each path's own order)."""
-    runs = [(f, frozenset(row["id"] for row in run))
-            for f, run in itertools.groupby(rows, key=lambda row: row["f"])]
+    runs = [(value, frozenset(row["id"] for row in run))
+            for value, run in itertools.groupby(rows, key=lambda row: row[column])]
     if cut and runs:
         for index in {0, len(runs) - 1}:
             runs[index] = (runs[index][0], len(runs[index][1]))
@@ -1239,3 +1239,220 @@ class TestRowOrder:
         cut = select.limit is not None or select.offset > 0
         assert [row["f"] for row in walk] == [row["f"] for row in sort]
         assert tie_runs(walk, cut) == tie_runs(sort, cut)
+
+
+# -- the residual WHERE under every access path ---------------------------------
+#
+# An access path leaves out of the filter only the conjuncts it enforces
+# exactly (``query.split_where``).  Every path the planner could take must
+# still return what the predicate oracle keeps of a full scan, and UPDATE
+# and DELETE must touch exactly those rows, in row-store order.
+
+def residual_schema() -> TableSchema:
+    return TableSchema(
+        "t",
+        [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("code", ColumnType.TEXT),
+            Column("x", ColumnType.INTEGER),
+            Column("y", ColumnType.REAL),
+            Column("kind", ColumnType.INTEGER),
+        ],
+        primary_key="id",
+        unique=[("code",)],
+        indexes=[("x",), ("y",)],
+    )
+
+
+MIXED_LITERALS = st.one_of(
+    st.none(), st.integers(-2, 9), st.sampled_from([-1.5, 0.5, 2.5, 7.0]),
+    st.booleans(), st.sampled_from(["", "c1", "c4", "z"]))
+RESIDUAL_COLUMNS = st.sampled_from(["id", "code", "x", "y", "kind"])
+_equality = st.builds(Comparison, RESIDUAL_COLUMNS, st.just("="), MIXED_LITERALS)
+
+residual_rows = st.lists(
+    st.fixed_dictionaries({
+        "code": st.booleans(),
+        "x": st.one_of(st.none(), st.integers(0, 8)),
+        "y": st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.5, 2.5, 7.0])),
+        "kind": st.one_of(st.none(), st.integers(0, 2)),
+    }),
+    max_size=30,
+).map(lambda rows: [{**row, "id": i, "code": f"c{i}" if row["code"] else None}
+                    for i, row in enumerate(rows)])
+
+residual_conjuncts = st.one_of(
+    st.builds(Comparison, RESIDUAL_COLUMNS,
+              st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), MIXED_LITERALS),
+    st.builds(Between, RESIDUAL_COLUMNS, MIXED_LITERALS, MIXED_LITERALS),
+    st.builds(In, RESIDUAL_COLUMNS, st.lists(MIXED_LITERALS, max_size=3)),
+    st.builds(IsNull, RESIDUAL_COLUMNS, st.booleans()),
+    st.builds(lambda first, second: Or([first, second]), _equality, _equality),
+)
+
+residual_selects = st.builds(
+    lambda conjuncts_, order_by, cut: Select(
+        "t", where=conjuncts_[0] if len(conjuncts_) == 1 else And(conjuncts_),
+        order_by=order_by, limit=cut[0] if order_by else None,
+        offset=cut[1] if order_by else 0),
+    st.lists(residual_conjuncts, min_size=1, max_size=4),
+    st.sampled_from([[], [("x", "asc")], [("x", "desc")], [("y", "asc")],
+                     [("y", "desc")], [("kind", "asc")]]),
+    st.sampled_from([(None, 0), (0, 0), (3, 0), (3, 2)]),
+)
+
+
+def access_paths(select: Select) -> list[Plan]:
+    """Every plan the planner could pick for ``select``: a scan, a probe
+    of each unique index an ``=`` or an IN names, a range on each ordered
+    index (a seek where its bounds allow one) and the walk its ORDER BY
+    offers."""
+    where = conjuncts(select.where)
+    plans = [Plan("full_scan")]
+    for column, access in (("id", "pk_probe"), ("code", "hash_probe")):
+        if any(type(c) is Comparison and c.op == "=" and c.column == column for c in where):
+            plans.append(Plan(access, column))
+        listed = [c for c in where if type(c) is In and c.column == column]
+        if listed:
+            plans.append(Plan("in_probe", column,
+                              keys=tuple(sorted(listed[0].values, key=repr))))
+    for column in ("x", "y"):
+        plans.append(Plan("range_scan", column))
+        if [column] == [c for c, _direction in select.order_by]:
+            plans.append(Plan("range_scan", column, ordered=True))
+    return [_finalize(plan, select) for plan in plans]
+
+
+def by_id(row: dict) -> int:
+    return row["id"]
+
+
+def assert_every_path(db: Database, select: Select) -> None:
+    table = db.table("t")
+    expected = order_and_cut(
+        [dict(row) for row in table.rows() if matches(select.where, row)], select)
+    answers = [db.execute(select)] + [
+        execute_select({"t": table}, select, plan=plan) for plan in access_paths(select)]
+    for answer in answers:
+        if select.order_by:
+            cut = select.limit is not None or select.offset > 0
+            column = select.order_by[0][0]
+            assert tie_runs(answer, cut, column) == tie_runs(expected, cut, column)
+        else:
+            assert sorted(answer, key=by_id) == sorted(expected, key=by_id)
+
+
+def assert_writes_match(db: Database, where) -> None:
+    """UPDATE and DELETE through ``_target_rowids`` touch exactly the rows
+    the oracle matches, in row-store order, and roll back."""
+    table = db.table("t")
+    for statement in (Update("t", {"kind": 99}, where), Delete("t", where)):
+        expected = [rowid for rowid in table.rowids() if matches(where, table.row(rowid))]
+        tx = db.begin()
+        assert db.execute(statement, tx=tx) == len(expected)
+        assert [record["rowid"] for record in tx.redo] == expected
+        db.rollback(tx)
+
+
+NAMED_RESIDUALS = {
+    "eq-then-contradicting-range": And([Comparison("x", "=", 5), Comparison("x", ">", 7)]),
+    "range-then-eq": And([Comparison("x", ">", 7), Comparison("x", "=", 8)]),
+    "tied-bounds": And([Comparison("x", ">", 5), Comparison("x", ">=", 5)]),
+    "tied-bounds-reversed": And([Comparison("x", ">=", 5), Comparison("x", ">", 5)]),
+    "between-null-and-5": Between("x", None, 5),
+    "gt-null": Comparison("x", ">", None),
+    "gt-null-and-range": And([Comparison("y", ">", None), Comparison("y", "<", 7.0)]),
+    "in-with-null-member": In("id", [1, None, 3]),
+    "two-ins-on-the-key": And([In("id", [1, 2, 3, 5]), In("id", [3, 4, 5])]),
+    "range-and-not-equal-on-the-seek-column": And([Between("x", 1, 8),
+                                                   Comparison("x", "!=", 5)]),
+    "unique-in-with-null-member": And([In("code", ["c1", None, "c4"]),
+                                       Comparison("kind", "!=", 2)]),
+    "true-against-integer": Comparison("kind", "=", True),
+    "true-against-indexed-integer": Comparison("x", "=", True),
+    "true-probing-the-key": Comparison("id", "=", True),
+    "range-and-visibility-like-or": And([
+        Between("y", 0.0, 7.0),
+        Or([Comparison("kind", "=", 1), Comparison("x", "=", 3)])]),
+    "mistyped-bound-beside-a-seekable-one": And([Comparison("y", ">", 0.0),
+                                                 Comparison("y", "<", "z")]),
+}
+
+
+@pytest.fixture(scope="module")
+def residual_db() -> Database:
+    rng = random.Random(36)
+    return _filled(residual_schema(), [{
+        "id": i, "code": f"c{i}" if rng.random() > 0.2 else None,
+        "x": rng.randint(0, 9) if rng.random() > 0.15 else None,
+        "y": rng.choice([-1.5, 0.0, 0.5, 2.5, 7.0, None]),
+        "kind": rng.choice([0, 1, 2, None]),
+    } for i in range(80)], name="residual")
+
+
+class TestResidualWhere:
+    @pytest.mark.parametrize("where", NAMED_RESIDUALS.values(), ids=NAMED_RESIDUALS.keys())
+    @pytest.mark.parametrize("order_by, limit", [
+        ((), None), ([("x", "asc")], None), ([("x", "desc")], 4), ([("y", "asc")], 3)])
+    def test_named_cases_on_every_path(self, residual_db, where, order_by, limit):
+        assert_every_path(residual_db, Select("t", where=where, order_by=order_by,
+                                              limit=limit))
+        assert_writes_match(residual_db, where)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=residual_rows, select=residual_selects)
+    def test_every_access_path_returns_what_the_oracle_keeps(self, rows, select):
+        db = _filled(residual_schema(), rows, name="residual")
+        assert_every_path(db, select)
+        assert_writes_match(db, select.where)
+
+    def test_a_kept_range_plan_rebound_to_a_str_literal(self, residual_db):
+        """The plan kept for ``y > ?`` seeks ``y``; bound to a string it
+        scans instead, and the filter keeps the comparison it can no
+        longer leave to the seek."""
+        prepared = PreparedBatch([Select("t", where=Comparison("y", ">", Param(0)))])
+        for value, index_cond, residual in ((0.5, ["y > 0.5"], []),
+                                            ("z", [], ["y > 'z'"])):
+            (select,) = prepared.bind((value,))
+            (rows,) = residual_db.execute_batch([select])
+            assert_every_path(residual_db, select)
+            plan = residual_db.explain_plan(select)
+            assert (plan["access"], plan["index_column"]) == ("range_scan", "y")
+            assert (plan["index_cond"], plan["filter"]) == (index_cond, residual)
+        assert plan["cached_plan"] is True and rows == []
+
+    def test_nan_keys_and_literals_match_nothing(self):
+        """No comparison with NaN holds.  A probe finds a stored NaN key by
+        identity and a seek from a NaN literal starts at the first key, so
+        neither leaves a NaN literal to the index; an ordered index keeps
+        NaN keys beside its NULLs, out of every seek (in its key list, a
+        NaN broke bisect's order: this walk returned 3.0, 1.0, 2.0)."""
+        db = Database()
+        db.create_table(TableSchema("n", [Column("k", ColumnType.REAL, nullable=False),
+                                          Column("v", ColumnType.REAL)],
+                                    primary_key="k", indexes=[("v",)]))
+        for k, v in ((math.nan, 3.0), (2.0, math.nan), (3.0, 1.0), (4.0, 2.0),
+                     (5.0, math.inf)):
+            db.execute(Insert("n", {"k": k, "v": v}))
+        for where in (Comparison("k", "=", math.nan), Between("v", math.nan, 5.0)):
+            assert db.execute(Select("n", where=where)) == []
+            assert db.execute(Update("n", {"v": 0.0}, where)) == 0
+        assert [row["v"] for row in db.execute(Select("n", where=Between("v", 0.5, 9.0),
+                                                      order_by=[("v", "asc")]))] == \
+            [1.0, 2.0, 3.0]
+
+    def test_explain_splits_the_where(self, residual_db):
+        plan = residual_db.explain_plan(Select("t", where=And([
+            Comparison("id", "=", 4), Comparison("kind", "=", 1)])))
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("pk_probe", ["id = 4"], ["kind = 1"])
+        plan = residual_db.explain_plan(Select("t", where=And([
+            Comparison("x", "=", 5), Comparison("x", ">", 7)])))
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("range_scan", [], ["x = 5", "x > 7"])
+        plan = residual_db.explain_plan(Select("t", where=In("code", ["c1", None])))
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("in_probe", ["code IN ('c1', NULL)"], [])
+        plan = residual_db.explain_plan(Select("t", where=IsNull("kind")))
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("full_scan", [], ["kind IS NULL"])

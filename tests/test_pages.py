@@ -340,3 +340,36 @@ def test_what_an_operator_sees_of_one_page(tmp_path):
     assert drift["dm_queries_per_page"]["measured"] == 7
     trips = drift["dm_round_trips_per_page"]
     assert (trips["predicted"], trips["measured"], trips["drifted"]) == (1.0, 1.0, False)
+
+
+@pytest.mark.parametrize("build", ["plain", "replicated"])
+def test_explain_splits_a_page_statement_into_index_cond_and_filter(build, tmp_path):
+    """EXPLAIN of the page's two sweeps and of its key probe, on one node
+    and on the 4 x 2 stack: the seek enforces the range, the probe the
+    key, and the filter tests only what is left (the visibility check)."""
+    from repro.dm.semantic import scoped_select
+    from repro.metadb import Between
+    from repro.security import scoped_where
+
+    stack = _Stack(build, [_event(day) for day in range(4)], tmp_path)
+    alice, hle_id = stack.users[0], stack.hle_ids[1]
+    visibility = f"(public = TRUE OR owner_id = {alice.user_id})"
+    sweeps = [
+        (Select("hle", where=scoped_where(alice, Between("peak_rate", 10.0, 90.0)),
+                order_by=[("peak_rate", "desc")], limit=40),
+         "peak_rate BETWEEN 10.0 AND 90.0"),
+        (Select("hle", where=scoped_where(alice, Between("start_time", 0.0, DAY)),
+                order_by=[("start_time", "asc")], limit=40),
+         f"start_time BETWEEN 0.0 AND {DAY!r}"),
+    ]
+    for select, seek in sweeps:
+        plan = stack.database.explain_plan(select)
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("range_scan", [seek], [visibility])
+    probes = [(scoped_select(alice, "hle", hle_id), [visibility]),
+              (scoped_select(None, "hle", hle_id), ["public = TRUE"]),
+              (Select("hle", where=Comparison("hle_id", "=", hle_id)), [])]
+    for select, residual in probes:
+        plan = stack.database.explain_plan(select)
+        assert (plan["access"], plan["index_cond"], plan["filter"]) == \
+            ("pk_probe", [f"hle_id = {hle_id}"], residual)
