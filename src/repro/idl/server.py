@@ -10,11 +10,9 @@ lifecycle states and failure modes the manager must cope with.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -200,25 +198,3 @@ class IdlServer:
             steps=interpreter.steps_used,
             printed=list(interpreter.printed),
         )
-
-    def invoke_async(
-        self, source: str, timeout_s: Optional[float] = None
-    ) -> "Future[InvocationResult]":
-        """Run IDL source on a worker thread; returns a future.
-
-        The caller's tracing context is carried into the worker, so the
-        asynchronous ``idl.invoke`` span still nests under the request
-        span that scheduled it.
-        """
-        future: Future[InvocationResult] = Future()
-        ctx = contextvars.copy_context()
-
-        def worker() -> None:
-            try:
-                future.set_result(ctx.run(self.invoke, source, timeout_s=timeout_s))
-            except Exception as exc:
-                future.set_exception(exc)
-
-        thread = threading.Thread(target=worker, name=f"{self.name}-async", daemon=True)
-        thread.start()
-        return future

@@ -410,24 +410,30 @@ def _project(row: dict[str, Any], columns: Optional[Sequence[str]]) -> dict[str,
         raise QueryError(f"unknown output column {exc.args[0]!r}") from exc
 
 
-def _apply_order(rows: list[dict[str, Any]], order_by: Sequence[tuple[str, str]]):
-    """Sort ``rows`` in place by ORDER BY: NULLS LAST in both directions,
-    ties in input order.
+def nulls_last_key(column: str, reverse: bool):
+    """ORDER BY's sort key on ``column``: NULLS LAST under a sort
+    ascending, and under one with ``reverse`` set (DESC).  NaN sorts
+    with the NULLs, as an ordered index keeps it; the rows of that group
+    compare equal, so no value is compared with NULL or NaN and a stable
+    sort leaves them in input order."""
+    if reverse:
+        return lambda row: (True, v) if (v := row.get(column)) is not None and v == v \
+            else (False, None)
+    return lambda row: (False, v) if (v := row.get(column)) is not None and v == v \
+        else (True, None)
 
-    One stable pass per column, minor column first, so every pass
-    compares native ``(flag, value)`` pairs and no pass compares a value
-    with NULL.  A DESC pass sorts reversed on ``(not_null, value)``:
-    NULLs still come last and, a reversed sort being stable too, ties
-    keep their input order.
+
+def _apply_order(rows: list[dict[str, Any]], order_by: Sequence[tuple[str, str]]):
+    """Sort ``rows`` in place by ORDER BY: :func:`nulls_last_key` per
+    column, ties in input order.
+
+    One stable pass per column, minor column first.  A DESC pass sorts
+    reversed: NULLs still come last and, a reversed sort being stable
+    too, ties keep their input order.
     """
     for column, direction in reversed(order_by):
-        if direction == "desc":
-            rows.sort(
-                key=lambda row, c=column: ((v := row.get(c)) is not None, v),
-                reverse=True,
-            )
-        else:
-            rows.sort(key=lambda row, c=column: ((v := row.get(c)) is None, v))
+        reverse = direction == "desc"
+        rows.sort(key=nulls_last_key(column, reverse), reverse=reverse)
     return rows
 
 

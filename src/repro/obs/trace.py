@@ -6,8 +6,8 @@ submitted) — which is exactly the per-request, per-tier breakdown the
 paper's evaluation tables are built from.  The current span travels in a
 :mod:`contextvars` variable, so nesting is automatic within a thread and
 crosses threads whenever the work is run under a copied context
-(``contextvars.copy_context().run(...)``, which the PL's asynchronous
-paths do) or under :meth:`Tracer.attach`.
+(``contextvars.copy_context().run(...)``, as the web tier's worker pool
+and :meth:`repro.pl.IdlServerManager.invoke_async` run it).
 """
 
 from __future__ import annotations
@@ -152,16 +152,6 @@ class Tracer:
             else:
                 with self._lock:
                     self._finished.append(span)
-
-    def wrap(self, fn, *args, **kwargs):
-        """Bind ``fn(*args, **kwargs)`` to the *calling* thread's context
-        so spans opened inside a worker thread nest under the caller."""
-        ctx = contextvars.copy_context()
-
-        def runner():
-            return ctx.run(fn, *args, **kwargs)
-
-        return runner
 
     # -- reading ---------------------------------------------------------------
 

@@ -3,17 +3,18 @@
 "Primary controller of sessions and requests, dispatch and scheduling of
 requests to processing subsystems.  There is one instance of this
 service."  The front end interprets abstract requests: it looks up the
-request type's strategy, runs the four phases in order, honours priority
-scheduling, bounds the number of in-flight requests (the paper's
-processing tests keep "no more than 20 requests in the system at any
-given time"), and supports cancellation with per-phase cleanup.
+request type's strategy, runs the four phases in order on the caller's
+thread, serves repeat-identical requests from the product cache, and
+supports cancellation with per-phase cleanup.
+
+Scheduling is the web tier's: ``/hedc/analyze`` is admitted in the
+analysis class, ahead of browsing, and its route bulkhead keeps the
+paper's "no more than 20 requests in the system at any given time"
+(:data:`repro.web.scheduler.DEFAULT_ROUTE_LIMITS`).
 """
 
 from __future__ import annotations
 
-import contextvars
-import heapq
-import itertools
 import threading
 import time
 from typing import Optional
@@ -40,16 +41,12 @@ class UnknownRequestType(Exception):
 
 
 class Frontend:
-    """Interpreter and scheduler of abstract analysis requests."""
+    """Interpreter of abstract analysis requests."""
 
     #: When less than this fraction of the ambient deadline budget is
     #: left at execute time, the request degrades to a cheaper
     #: approximation instead of blowing the budget mid-computation.
     degrade_fraction = 0.5
-
-    #: The paper's processing tests keep "no more than 20 requests in the
-    #: system at any given time".
-    max_in_flight = 20
 
     def __init__(
         self,
@@ -57,31 +54,20 @@ class Frontend:
         idl_manager: IdlServerManager,
         directory: Optional[GlobalDirectory] = None,
         node_name: str = "server",
-        n_workers: int = 0,
         obs: Optional[Observability] = None,
-        cache_products: bool = True,
     ):
         self.dm = dm
         self.obs = obs if obs is not None else resolve_obs(getattr(dm, "obs", None))
         #: Derived-product memoization: repeat-identical requests are
-        #: served in O(lookup) with zero IDL invocations (§3.5, §5.3).
-        #: ``cache_products=False`` gives an uncached frontend (workload
-        #: characterization runs that must exercise the full pipeline).
-        self.product_cache: Optional[ProductCache] = (
-            ProductCache(dm, obs=self.obs) if cache_products else None
-        )
+        #: served in O(lookup) with zero IDL invocations (§3.5, §5.3);
+        #: a request's ``force`` parameter runs the full pipeline.
+        self.product_cache = ProductCache(dm, obs=self.obs)
         self.context = StrategyContext(dm, idl_manager, node_name=node_name)
         self.directory = directory or GlobalDirectory()
-        self.directory.register(f"frontend:{node_name}", "frontend", node_name)
+        self._service_id = f"frontend:{node_name}"
+        self.directory.register(self._service_id, "frontend", node_name)
         self.strategies: dict[str, AnalysisStrategy] = dict(DEFAULT_STRATEGIES)
         self.strategies[AnimationStrategy.algorithm] = AnimationStrategy()
-        self._queue: list[
-            tuple[int, int, AnalysisRequest, Optional[contextvars.Context]]
-        ] = []
-        self._ticket = itertools.count()
-        self._queue_lock = threading.Lock()
-        self._queue_ready = threading.Condition(self._queue_lock)
-        self._in_flight = 0
         #: Finished requests by final phase, and the committed ones'
         #: sojourn total: what :meth:`stats` reports.  The requests
         #: themselves (raw result and product attached) go back to their
@@ -89,14 +75,6 @@ class Frontend:
         self._finished = {Phase.COMMITTED: 0, Phase.FAILED: 0, Phase.CANCELLED: 0}
         self._committed_sojourn_s = 0.0
         self._stats_lock = threading.Lock()
-        self._workers: list[threading.Thread] = []
-        self._shutdown = False
-        for worker_index in range(n_workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"pl-worker-{worker_index}", daemon=True
-            )
-            thread.start()
-            self._workers.append(thread)
 
     # -- strategy registry -----------------------------------------------------
 
@@ -111,7 +89,7 @@ class Frontend:
             raise UnknownRequestType(algorithm)
         return strategy
 
-    # -- synchronous path ---------------------------------------------------------
+    # -- running requests ---------------------------------------------------------
 
     def estimate(self, request: AnalysisRequest) -> AnalysisRequest:
         """Run only the estimation phase; returns immediately."""
@@ -152,7 +130,7 @@ class Frontend:
         the followers are served from the entry the leader committed.
         """
         cache = self.product_cache
-        if cache is None or request.parameters.get("force"):
+        if request.parameters.get("force"):
             return self._run_phases(request, estimate)
         key = fingerprint(request.algorithm, request.hle_id, request.parameters)
         entry = cache.lookup(request.user, key)
@@ -258,65 +236,9 @@ class Frontend:
         request.parameters["degraded"] = True
         self.obs.count("pl.degraded", algorithm=request.algorithm)
 
-    # -- queued/asynchronous path ----------------------------------------------------
-
-    def submit(self, request: AnalysisRequest) -> AnalysisRequest:
-        """Enqueue under priority scheduling (needs worker threads).
-
-        The submitter's tracing context rides along, so a ``pl.run`` span
-        executed on a worker thread nests under the span (web request,
-        batch job) that submitted it.
-        """
-        if not self._workers:
-            raise RuntimeError("frontend has no workers; use run() or pass n_workers")
-        # The context carries the tracing span AND any ambient Deadline
-        # onto the worker thread.
-        copy_needed = self.obs.enabled or Deadline.current() is not None
-        ctx = contextvars.copy_context() if copy_needed else None
-        with self._queue_ready:
-            heapq.heappush(
-                self._queue, (request.priority, next(self._ticket), request, ctx)
-            )
-            self.obs.set_gauge("pl.queue_depth", len(self._queue))
-            self._queue_ready.notify()
-        return request
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._queue_ready:
-                while not self._queue or self._in_flight >= self.max_in_flight:
-                    if self._shutdown:
-                        return
-                    self._queue_ready.wait(timeout=0.5)
-                _priority, _ticket, request, ctx = heapq.heappop(self._queue)
-                self._in_flight += 1
-                self.obs.set_gauge("pl.queue_depth", len(self._queue))
-                self.obs.set_gauge("pl.in_flight", self._in_flight)
-            try:
-                if ctx is not None:
-                    ctx.run(self.run, request)
-                else:
-                    self.run(request)
-            finally:
-                with self._queue_ready:
-                    self._in_flight -= 1
-                    self.obs.set_gauge("pl.in_flight", self._in_flight)
-                    self._queue_ready.notify_all()
-
-    def drain(self, timeout_s: float = 60.0) -> None:
-        """Wait until the queue is empty and nothing is in flight."""
-        deadline = time.monotonic() + timeout_s
-        with self._queue_ready:
-            while self._queue or self._in_flight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("frontend drain timed out")
-                self._queue_ready.wait(timeout=min(0.5, remaining))
-
     def close(self) -> None:
-        with self._queue_ready:
-            self._shutdown = True
-            self._queue_ready.notify_all()
+        """Leave the directory, as :meth:`IdlServerManager.stop_all` does."""
+        self.directory.deregister(self._service_id)
 
     # -- statistics ---------------------------------------------------------------------
 

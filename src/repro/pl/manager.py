@@ -290,6 +290,9 @@ class IdlServerManager:
         photons: Optional[PhotonList] = None,
         timeout_s: Optional[float] = None,
     ) -> "Future[InvocationResult]":
+        """:meth:`invoke` on a thread of its own; returns a future.  The
+        caller's context rides along, so the ``idl.invoke`` span nests
+        under the span that asked for it."""
         future: Future = Future()
         ctx = contextvars.copy_context()
 

@@ -83,7 +83,6 @@ class AnalysisRequest:
     hle_id: int
     algorithm: str
     parameters: dict[str, Any] = field(default_factory=dict)
-    priority: int = 5              # lower = more urgent
     request_id: str = field(default_factory=lambda: f"req-{next(_request_ids):06d}")
     phase: Phase = Phase.CREATED
     plan: Optional[ExecutionPlan] = None

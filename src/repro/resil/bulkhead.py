@@ -1,10 +1,10 @@
 """Bulkheads: semaphore-based concurrency caps.
 
-The paper's frontend already bounds the number of in-flight analysis
-requests ("no more than 20 requests in the system at any given time",
-§7.1); a :class:`Bulkhead` generalises that idea so any component can cap
-the concurrency it admits and shed the excess immediately instead of
-queueing without limit.
+The paper's processing tests keep "no more than 20 requests in the
+system at any given time" (§7.1).  That cap is a :class:`Bulkhead`: the
+web tier's on ``/hedc/analyze`` (:data:`repro.web.scheduler.DEFAULT_ROUTE_LIMITS`).
+Any component can cap the concurrency it admits the same way and shed
+the excess immediately instead of queueing without limit.
 """
 
 from __future__ import annotations

@@ -137,11 +137,3 @@ class RetryPolicy:
                 if delay > 0:
                     self._sleep(delay)
                 attempt += 1
-
-    def wrap(self, fn: Callable[..., T]) -> Callable[..., T]:
-        """A callable running ``fn`` under this policy."""
-        def wrapper(*args, **kwargs):
-            return self.call(fn, *args, **kwargs)
-
-        wrapper.__name__ = getattr(fn, "__name__", "wrapped")
-        return wrapper

@@ -29,7 +29,9 @@ from heapq import merge as merge_runs
 from itertools import chain, islice
 from typing import Any, Callable, Optional, Sequence
 
-from ..metadb.query import Aggregate, Select, _apply_order, _project, order_and_cut
+from ..metadb.query import (
+    Aggregate, Select, _apply_order, _project, nulls_last_key, order_and_cut,
+)
 
 Rows = list  # list[dict[str, Any]]
 
@@ -160,17 +162,12 @@ class _OrderedMerge(Merge):
 
 def _run_key(order_by: Sequence[tuple[str, str]], reverse: bool):
     """The sort key the runs of a one-direction ORDER BY are merged on:
-    ``(is NULL, value)`` per column ascending, ``(is not NULL, value)``
-    under a reversed merge, so NULLs come last both ways and no value is
-    compared with NULL (:func:`repro.metadb.query._apply_order`'s keys)."""
-    columns = [column for column, _direction in order_by]
-    if len(columns) == 1:
-        column = columns[0]
-        if reverse:
-            return lambda row: ((v := row.get(column)) is not None, v)
-        return lambda row: ((v := row.get(column)) is None, v)
-    return lambda row: tuple((((v := row.get(column)) is None) != reverse, v)
-                             for column in columns)
+    :func:`repro.metadb.query.nulls_last_key` per column, the key each
+    shard sorted its run on."""
+    keys = [nulls_last_key(column, reverse) for column, _direction in order_by]
+    if len(keys) == 1:
+        return keys[0]
+    return lambda row: tuple(key(row) for key in keys)
 
 
 def _rewrite_aggregates(

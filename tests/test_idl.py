@@ -222,12 +222,6 @@ class TestIdlServer:
         second = server.invoke("1")
         assert second.ok
 
-    def test_async_invoke(self):
-        server = IdlServer("t7")
-        server.start()
-        future = server.invoke_async("total(findgen(10))")
-        assert future.result(timeout=10).value == 45.0
-
     def test_ssw_library_loaded(self, photons_small):
         server = IdlServer("t8")
         server.start()

@@ -1241,6 +1241,63 @@ class TestRowOrder:
         assert tie_runs(walk, cut) == tie_runs(sort, cut)
 
 
+class TestNanOrder:
+    """A NaN in a REAL column sorts with the NULLs, last both ways, on
+    every path: the row sort, the walk down the ordered index and the
+    merge of four shards' runs, with one copy of each shard and with two."""
+
+    VALUES = [3.0, math.nan, 1.0, 2.0, None, -1.0, math.nan, 5.0, 0.5, None,
+              4.0, math.nan, 2.0, -math.inf]
+
+    @pytest.fixture(scope="class")
+    def rows(self) -> list[dict]:
+        return [{"id": i, "at": 100.0 * i, "f": value}
+                for i, value in enumerate(self.VALUES)]
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["4x1", "4x2"])
+    def shards(self, request, rows):
+        from repro.shard import ShardedDatabase
+
+        sharded = ShardedDatabase(boundaries=(350.0, 700.0, 1050.0),
+                                  name=f"nan-4x{request.param}",
+                                  replicas_per_shard=request.param)
+        sharded.create_table(order_schema(indexes=[("f",)]))
+        for row in rows:
+            sharded.execute(Insert("ev", dict(row)))
+        yield sharded
+        sharded.close()
+
+    @staticmethod
+    def runs(rows: list[dict], cut: bool) -> list[tuple]:
+        """:func:`tie_runs` with NaN counted as NULL."""
+        return tie_runs([{"id": row["id"],
+                          "f": None if row["f"] != row["f"] else row["f"]}
+                         for row in rows], cut)
+
+    def expected(self, rows: list[dict], direction: str) -> list[dict]:
+        valued = [row for row in rows if row["f"] is not None and row["f"] == row["f"]]
+        valued.sort(key=lambda row: row["f"], reverse=direction == "desc")
+        return valued + [row for row in rows if row not in valued]
+
+    @pytest.mark.parametrize("direction", ["asc", "desc"])
+    @pytest.mark.parametrize("limit", [None, 4, 13])
+    def test_every_path_puts_nan_with_the_nulls(self, rows, shards, direction, limit):
+        select = Select("ev", order_by=[("f", direction)], limit=limit)
+        table = Table(order_schema(indexes=[("f",)]))
+        for row in rows:
+            table.insert_row(table.schema.normalize_row(row))
+        answers = {
+            "full_scan": execute_select({"ev": table}, select, plan=Plan("full_scan")),
+            "walk": execute_select({"ev": table}, select,
+                                   plan=Plan("range_scan", "f", True)),
+            "sharded": shards.execute(select),
+        }
+        cut = limit is not None
+        expected = self.runs(self.expected(rows, direction)[:limit], cut)
+        assert {path: self.runs(answer, cut) for path, answer in answers.items()} == \
+            dict.fromkeys(answers, expected)
+
+
 # -- the residual WHERE under every access path ---------------------------------
 #
 # An access path leaves out of the filter only the conjuncts it enforces

@@ -1,6 +1,8 @@
 """Tests for the Processing Logic: directory, server manager, frontend,
 4-phase requests, strategies, cancellation and fault recovery."""
 
+import threading
+
 import pytest
 
 from repro.pl import (
@@ -173,18 +175,24 @@ class TestFourPhases:
     def test_three_queries_two_edits_per_analysis(self, stack):
         """The Tables 2/3 accounting: 3 queries + 2 edits per analysis.
 
-        Uses an uncached frontend — the workload characterization must
+        Each request passes ``force``: the workload characterization must
         exercise the full pipeline on every run, and the product cache
         would serve runs 2 and 3 with zero queries/edits otherwise.
         """
-        dm, _frontend, manager, directory, alice, hle = stack
-        frontend = Frontend(dm, manager, directory=directory,
-                            cache_products=False)
+        _dm, frontend, _mgr, _dir, alice, hle = stack
         for _run in range(3):
-            frontend.run(AnalysisRequest(alice, hle["hle_id"], "histogram", {}))
+            frontend.run(AnalysisRequest(alice, hle["hle_id"], "histogram",
+                                         {"force": True}))
         stats = frontend.stats()
         assert stats["queries"] == 9
         assert stats["edits"] == 6
+
+    def test_close_leaves_the_directory(self, stack):
+        _dm, frontend, _mgr, directory, _alice, _hle = stack
+        assert [record.service_id for record in directory.lookup("frontend")] == \
+            ["frontend:server"]
+        frontend.close()
+        assert directory.lookup("frontend") == []
 
     def test_commit_records_usage(self, stack):
         dm, frontend, _mgr, _dir, alice, hle = stack
@@ -279,52 +287,61 @@ class TestStrategyFramework:
         assert third.ana_id != first.ana_id
 
 
-class TestQueuedScheduling:
-    def test_priority_order_respected(self, stack):
-        dm, _frontend, manager, directory, alice, hle = stack
-        frontend = Frontend(dm, manager, directory=directory, n_workers=1)
-        order = []
+class TestAnalysisCap:
+    """The paper's "no more than 20 requests in the system" is the web
+    tier's: ``/hedc/analyze``'s route bulkhead on a default deployment."""
 
-        class RecordingStrategy(AnalysisStrategy):
-            algorithm = "recorder"
+    def test_a_twenty_first_analysis_is_shed_with_retry_after(self, tmp_path):
+        from repro.analysis import AnalysisProduct
+        from repro.core import Hedc
+        from repro.web import HttpRequest
 
-            def execute(self, request, context):
-                order.append(request.parameters["tag"])
-                return 0
-
-            def deliver(self, request, context):
-                from repro.analysis import AnalysisProduct
-
-                return AnalysisProduct(self.algorithm, {})
-
-            def commit(self, request, context):
-                return 0
-
-        frontend.register_strategy(RecordingStrategy())
-        # Stall the worker with a first request, then enqueue out of order.
-        import threading
-
+        hedc = Hedc.create(tmp_path / "hedc")
+        hedc.register_user("alice", "pw")
+        client = hedc.thin_client()
+        assert client.login("alice", "pw")
+        entered = threading.Semaphore(0)
         gate = threading.Event()
 
-        class GateStrategy(RecordingStrategy):
+        class GateStrategy(AnalysisStrategy):
             algorithm = "gate"
 
             def execute(self, request, context):
-                gate.wait(timeout=10)
+                entered.release()
+                gate.wait(timeout=30)
                 return 0
 
-        frontend.register_strategy(GateStrategy())
-        frontend.submit(AnalysisRequest(alice, hle["hle_id"], "gate", {"tag": "gate"}))
-        frontend.submit(AnalysisRequest(alice, hle["hle_id"], "recorder",
-                                        {"tag": "low"}, priority=9))
-        frontend.submit(AnalysisRequest(alice, hle["hle_id"], "recorder",
-                                        {"tag": "high"}, priority=1))
-        gate.set()
-        frontend.drain()
-        assert order == ["high", "low"]
-        frontend.close()
+            def deliver(self, request, context):
+                return AnalysisProduct(self.algorithm, {})
 
-    def test_submit_without_workers_rejected(self, stack):
-        _dm, frontend, _mgr, _dir, alice, hle = stack
-        with pytest.raises(RuntimeError):
-            frontend.submit(AnalysisRequest(alice, hle["hle_id"], "histogram", {}))
+            def commit(self, request, context):
+                return request.hle_id
+
+        hedc.frontend.register_strategy(GateStrategy())
+
+        def analyze(hle_id: int):
+            return hedc.web.handle(HttpRequest.post(
+                "/hedc/analyze", {"hle": str(hle_id), "algorithm": "gate"},
+                client.cookies))
+
+        # Twenty threads each hold an analysis inside the strategy; the
+        # test's own thread sends the twenty-first.
+        responses = {}
+        holders = [threading.Thread(
+            target=lambda hle_id=hle_id: responses.update({hle_id: analyze(hle_id)}))
+            for hle_id in range(1, 21)]
+        for thread in holders:
+            thread.start()
+        try:
+            for _holder in holders:
+                assert entered.acquire(timeout=30)
+            shed = analyze(21)
+        finally:
+            gate.set()
+            for thread in holders:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in holders)
+        assert shed.status == 503
+        assert int(shed.headers["Retry-After"]) >= 1
+        assert sorted(responses) == list(range(1, 21))
+        assert {response.status for response in responses.values()} == {302}

@@ -2,6 +2,9 @@
 serving with zero IDL work, epoch invalidation on write-path workflows,
 cross-user visibility, singleflight collapse and stale-while-degraded."""
 
+import threading
+import time
+
 import pytest
 
 from repro.pl import (
@@ -85,19 +88,6 @@ class TestRepeatRunServing:
         assert forced.ana_id != first.ana_id
         assert "served_from_cache" not in forced.parameters
 
-    def test_uncached_frontend_always_runs(self, stack):
-        dm, _frontend, manager, directory, alice, hle = stack
-        frontend = Frontend(dm, manager, directory=directory,
-                            cache_products=False)
-        assert frontend.product_cache is None
-        first = frontend.run(
-            AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 32}))
-        invocations = manager.stats()["invocations"]
-        second = frontend.run(
-            AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 32}))
-        assert second.ana_id != first.ana_id
-        assert manager.stats()["invocations"] > invocations
-
 
 class TestEpochInvalidation:
     def test_recalibration_invalidates_cached_products(self, stack):
@@ -168,21 +158,44 @@ class TestVisibility:
 
 class TestSingleflightCollapse:
     def test_n_identical_submits_execute_once(self, stack):
-        dm, _frontend, manager, directory, alice, hle = stack
-        frontend = Frontend(dm, manager, directory=directory, n_workers=4)
+        """Eight threads run one request at once: the first leads, and
+        the IDL call it makes waits until the other seven have joined
+        its flight, so each of them is served the leader's product."""
+        _dm, frontend, manager, _dir, alice, hle = stack
+        flight = frontend.product_cache.flight
         invocations = manager.stats()["invocations"]
+        coalesced = flight.coalesced
         requests = [
             AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 48})
-            for _submit in range(8)
+            for _run in range(8)
         ]
-        for request in requests:
-            frontend.submit(request)
-        frontend.drain()
-        frontend.close()
+        invoke = manager.invoke
+
+        def invoke_when_all_joined(*args, **kwargs):
+            deadline = time.monotonic() + 30
+            while flight.coalesced < coalesced + 7 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return invoke(*args, **kwargs)
+
+        manager.invoke = invoke_when_all_joined
+        barrier = threading.Barrier(len(requests))
+
+        def run(request):
+            barrier.wait(timeout=30)
+            frontend.run(request)
+
+        threads = [threading.Thread(target=run, args=(request,))
+                   for request in requests]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert all(r.phase is Phase.COMMITTED for r in requests), \
             [r.error for r in requests]
-        # One execution total: leader ran the pipeline, everyone else was
-        # coalesced onto its flight or served from the stored entry.
+        assert flight.coalesced == coalesced + 7
+        # One execution total: the leader ran the pipeline, everyone else
+        # was coalesced onto its flight.
         assert manager.stats()["invocations"] == invocations + 1
         assert len({r.ana_id for r in requests}) == 1
 

@@ -33,7 +33,7 @@ API = {
     "catalog_events", "check_can_read", "clean_iterations",
     "coefficient_count", "collapsed", "comments", "configure",
     "ConnectionPool", "deactivate", "decode_density", "delete_analysis",
-    "delete_hle", "drain", "enable_canary", "enable_synoptic",
+    "delete_hle", "enable_canary", "enable_synoptic",
     "encode_density", "fetch_unit", "figure4_series", "figure5_series",
     "forward2d", "generate_catalog", "history", "idle_count", "in_flight",
     "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
@@ -51,7 +51,7 @@ API = {
     "sync_archive_status", "synoptic_context", "table1_histogram",
     "table1_imaging", "thin_client", "to_jsonl", "top_users", "total_records",
     "trace_profile", "unstage", "upload_analysis", "usage_summary",
-    "use_injector", "verify", "verify_file", "verify_recorded", "wrap",
+    "use_injector", "verify", "verify_file", "verify_recorded",
     "write_bundle",
 }
 
