@@ -67,10 +67,15 @@ class DatabaseApi(Protocol):
     # -- statements ----------------------------------------------------------
 
     def execute(self, statement: Union[Statement, str], tx: Any = None) -> Any:
-        """SELECT returns a list of row dicts, INSERT the new rowid,
-        UPDATE/DELETE the affected row count, EXPLAIN a one-element list
-        holding :meth:`explain_plan`'s answer.  Without ``tx`` the
-        statement autocommits."""
+        """SELECT returns a list of read-only row mappings, INSERT the
+        new rowid, UPDATE/DELETE the affected row count, EXPLAIN a
+        one-element list holding :meth:`explain_plan`'s answer.  Without
+        ``tx`` the statement autocommits.
+
+        A ``SELECT *`` row is a snapshot of the stored row as of the
+        read: assigning a key raises ``TypeError``, and no later write,
+        rollback, reopen, shipped record, repair or split changes it.  A
+        caller that needs a mutable row copies it (``dict(row)``)."""
         ...
 
     def execute_batch(self, statements: Sequence[Union[Statement, str]],

@@ -394,7 +394,8 @@ class Database:
     ) -> Any:
         """Execute a collection-object statement or SQL text.
 
-        SELECT returns a list of row dicts.  INSERT returns the new rowid.
+        SELECT returns a list of read-only row mappings (a ``SELECT *``
+        row is a view of the stored row).  INSERT returns the new rowid.
         UPDATE/DELETE return the affected row count, EXPLAIN
         ``[explain_plan(...)]``.  Without ``tx`` the statement
         autocommits.

@@ -335,9 +335,16 @@ def conjuncts(predicate: Conjunction) -> list[Predicate]:
     if predicate is None or isinstance(predicate, TruePredicate):
         return []
     if isinstance(predicate, And):
+        # One call however deep the ANDs nest: a statement's WHERE is
+        # flattened once per execution.
         flattened: list[Predicate] = []
-        for operand in predicate.operands:
-            flattened.extend(conjuncts(operand))
+        pending = predicate.operands[::-1]
+        while pending:
+            operand = pending.pop()
+            if isinstance(operand, And):
+                pending.extend(operand.operands[::-1])
+            elif operand is not None and not isinstance(operand, TruePredicate):
+                flattened.append(operand)
         return flattened
     return [predicate]
 
@@ -361,14 +368,15 @@ def in_list_on(predicate: Conjunction, column: str) -> Optional[frozenset]:
 def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
     """Extract (low, high, low_incl, high_incl) bounds for ``column``.
 
-    Returns None when no conjunct constrains the column's range.
+    Returns None when no conjunct constrains the column's range.  A list
+    is taken as conjuncts already flattened (the executor's seek).
     """
     low: Any = None
     high: Any = None
     low_inclusive = True
     high_inclusive = True
     found = False
-    for conjunct in conjuncts(predicate):
+    for conjunct in predicate if type(predicate) is list else conjuncts(predicate):
         if isinstance(conjunct, Between) and conjunct.column == column:
             found = True
             if low is None or conjunct.low > low:

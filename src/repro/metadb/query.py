@@ -16,7 +16,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import QueryError, SchemaError
 from .predicate import (
@@ -33,7 +34,7 @@ from .predicate import (
     range_on,
 )
 from .storage import Table, TableStats
-from .types import STORED_TYPE, ColumnType
+from .types import ColumnType
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _seekable_range(table: Table, where: Conjunction, column: str) -> Optional[t
     try:
         bounds = range_on(where, column)    # compares the bounds on each side
         if bounds is not None:
-            stored = STORED_TYPE[table.schema.columns[column].type]()
+            stored = table.schema.column_plan[column][1]()
             for bound in bounds[:2]:
                 if bound is not None:
                     bound < stored          # what the matcher's comparison raises
@@ -401,7 +402,7 @@ def index_rowids(table: Table,
         return None
 
 
-def _project(row: dict[str, Any], columns: Optional[Sequence[str]]) -> dict[str, Any]:
+def _project(row: Mapping[str, Any], columns: Optional[Sequence[str]]) -> dict[str, Any]:
     if not columns:
         return dict(row)
     try:
@@ -464,14 +465,17 @@ def _aggregate(rows: list[dict[str, Any]], aggregates: Sequence[Aggregate]) -> d
 
 def execute_select(
     tables: dict[str, Table], select: Select, plan: Optional[Plan] = None
-) -> list[dict[str, Any]]:
+) -> list[Mapping[str, Any]]:
     """Run ``select`` against ``tables`` and return result rows.
 
     The matched stream stays lazy end to end on the common paths, and
     C-level iterators all but the residual matcher: ``map`` fetches the
     index's rows, ``filter`` applies the matcher, ``islice`` stops the
-    scan at OFFSET+LIMIT matches, ``map(dict)`` copies a ``SELECT *``
-    row.  Joins and aggregates still materialise, as they must.
+    scan at OFFSET+LIMIT matches.  A ``SELECT *`` row is handed out as a
+    read-only view of the row the table stores, not copied: a stored row
+    is never changed in place (:class:`~repro.metadb.storage.Table`), so
+    the view is a snapshot as of this read.  A column list projects into
+    fresh dicts; joins and aggregates still materialise, as they must.
     """
     if select.table not in tables:
         raise SchemaError(f"unknown table {select.table!r}")
@@ -496,7 +500,7 @@ def execute_select(
         stop = None if select.limit is None else select.offset + select.limit
         rows = islice(matched, select.offset, stop)
     if not select.columns:
-        return list(map(dict, rows))
+        return list(map(MappingProxyType, rows))
     return [_project(row, select.columns) for row in rows]
 
 

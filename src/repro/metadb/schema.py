@@ -131,9 +131,10 @@ class TableSchema:
                 raise SchemaError(f"duplicate column {column.name!r} in table {name!r}")
             self.columns[column.name] = column
         self.column_order = [column.name for column in columns]
-        # The insert plan normalize_row walks, in column order: name, the
-        # exact Python type a stored value has, and what else it needs.
-        self._plan = {
+        #: The insert plan normalize_row walks, in column order: name, the
+        #: exact Python type a stored value has (what the executor checks
+        #: a seek's bounds against), and what else it needs.
+        self.column_plan = {
             column.name: (column.name, STORED_TYPE.get(column.type), column.type,
                           column.nullable, column.default, callable(column.default))
             for column in columns
@@ -174,7 +175,7 @@ class TableSchema:
         defaults and NOT NULL is enforced.  On update only the provided
         columns are checked.
         """
-        plan = self._plan
+        plan = self.column_plan
         if not values.keys() <= plan.keys():
             key = next(key for key in values if key not in plan)
             raise SchemaError(f"table {self.name!r} has no column {key!r}")

@@ -38,7 +38,15 @@ class TableStats:
 
 
 class Table:
-    """One table: rows plus their indexes."""
+    """One table: rows plus their indexes.
+
+    Stored rows are copy-on-write: nothing changes a stored row dict in
+    place.  :meth:`insert_row` and :meth:`restore` store the dict they
+    are handed, which the caller gives up; :meth:`update_row` stores a
+    new dict and returns the old one untouched.  So the read-only views
+    a SELECT hands out (:func:`repro.metadb.query.execute_select`) stay
+    snapshots of the rows as they were read.
+    """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema

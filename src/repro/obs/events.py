@@ -31,6 +31,7 @@ import json
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Optional
 
 #: Ordered severities; filtering with ``min_severity`` uses this ranking.
@@ -190,6 +191,12 @@ class SlowLog(BoundedLog):
     def threshold_for(self, name: str) -> Optional[float]:
         """The configured threshold, or ``None`` — the hot-path check."""
         return self._thresholds.get(name)
+
+    def threshold_getter(self, name: str) -> Callable[[], Optional[float]]:
+        """``threshold_for(name)`` bound once, for a check made on every
+        request: one C-level call, current with every :meth:`configure`
+        (the thresholds are changed in place, never replaced)."""
+        return partial(self._thresholds.get, name)
 
     @property
     def active(self) -> bool:

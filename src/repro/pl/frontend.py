@@ -147,6 +147,13 @@ class Frontend:
                 return self._serve_from_cache(request, stale, degraded=True)
 
         def _lead() -> AnalysisRequest:
+            # A flight that left between the lookup above and this one's
+            # start has stored its entry by now.
+            entry = cache.lookup(request.user, key)
+            if entry is not None:
+                self.obs.count("pl.product_cache.coalesced",
+                               algorithm=request.algorithm)
+                return self._serve_from_cache(request, entry)
             result = self._run_phases(request, estimate)
             if (result.phase is Phase.COMMITTED and result.product is not None
                     and result.ana_id is not None):

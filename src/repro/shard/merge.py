@@ -33,7 +33,7 @@ from ..metadb.query import (
     Aggregate, Select, _apply_order, _project, nulls_last_key, order_and_cut,
 )
 
-Rows = list  # list[dict[str, Any]]
+Rows = list  # list[Mapping[str, Any]]
 
 
 #: ``ask_rest(index, statement)``: run ``index``'s shard is asked for the
@@ -155,7 +155,8 @@ class _OrderedMerge(Merge):
                     shard_results[index] = \
                         shard_results[index] + ask_rest(index, self.rest)
                 head = self._head(shard_results)
-        # The shards' rows are fresh dicts: handed out, copied only to project.
+        # The shards' rows are read-only views: handed out, copied only to
+        # project.
         return [_project(row, self._columns) for row in head[self._offset:]] \
             if self._columns else head[self._offset:]
 

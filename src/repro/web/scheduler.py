@@ -145,15 +145,17 @@ class ScheduledRequest:
         if self.on_resolve is not None:
             self.on_resolve(self)
         with self._lock:
-            waiting, self._event = self._event or _RESOLVED, _RESOLVED
-        waiting.set()
+            waiting, self._event = self._event, _RESOLVED
+        if waiting is not None:
+            waiting.set()
         return True
 
     def result(self, timeout: Optional[float] = None) -> Optional[HttpResponse]:
         """Block until resolved (or ``timeout``); None on timeout."""
         with self._lock:
             event = self._event = self._event or threading.Event()
-        event.wait(timeout)
+        if event is not _RESOLVED:
+            event.wait(timeout)
         return self.response
 
 

@@ -109,6 +109,7 @@ class WebServer:
         self.obs.slo.cause_resolver = self.obs.health.attributed_cause
         #: Set by :meth:`enable_canary`.
         self.canary = None
+        self._slow_threshold = self.obs.slowlog.threshold_getter("web.handle")
         self._requests = self.obs.counter("web.requests", server=self.name)
         self._bytes = self.obs.counter("web.bytes_sent", server=self.name)
         # Per-route metric handles, resolved lazily once per (route, status).
@@ -250,7 +251,7 @@ class WebServer:
             histogram.observe(elapsed, exemplar=task.exemplar)
         else:
             histogram.observe(elapsed)
-        threshold = self.obs.slowlog.threshold_for("web.handle")
+        threshold = self._slow_threshold()
         if threshold is not None and elapsed >= threshold:
             trace_id, span_id = task.exemplar or (None, None)
             self.obs.slowlog.record(

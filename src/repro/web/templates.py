@@ -3,9 +3,10 @@
 HEDC's web responses are built from "multiple HTML template files, which
 are populated during query processing" (paper §6.1) — header/footer
 templates plus one analysis template per ANA tuple.  The engine supports
-``{{ expr }}`` substitution (dot access into dicts/attributes, with HTML
-escaping), ``{% for x in expr %}``, ``{% if expr %}/{% else %}`` and
-``{% include name %}`` over a template registry.
+``{{ expr }}`` substitution (dot access into dicts, database rows and
+attributes, with HTML escaping), ``{% for x in expr %}``,
+``{% if expr %}/{% else %}`` and ``{% include name %}`` over a template
+registry.
 
 A template is compiled when it is constructed (for the servlets: at
 ``TemplateRegistry.register``) into closures ``emit(context, registry,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import re
 from html import escape
+from types import MappingProxyType
 from typing import Any, Callable, Optional
 
 Getter = Callable[[dict[str, Any]], Any]
@@ -33,8 +35,9 @@ _MISSING = object()
 
 
 def _step(value: Any, part: str, head: str) -> Any:
-    """One ``.part`` of a path: a key of a dict, an attribute of the rest."""
-    if isinstance(value, dict):
+    """One ``.part`` of a path: a key of a dict or of a database row (a
+    read-only view), an attribute of the rest."""
+    if isinstance(value, (dict, MappingProxyType)):
         if part not in value:
             raise TemplateError(f"no key {part!r} in {head!r}")
         return value[part]
@@ -71,8 +74,12 @@ def _getter(expression: str) -> Getter:
             if head not in context:
                 raise TemplateError(f"unknown template variable {head!r}")
             value = context[head]
-            if type(value) is dict and part in value:
-                return value[part]
+            kind = type(value)
+            if kind is dict or kind is MappingProxyType:
+                try:
+                    return value[part]
+                except KeyError:
+                    pass
             return _step(value, part, head)
 
         return get_member

@@ -2,8 +2,9 @@
 
 The tree interpreter ``repro.web.templates`` rendered pages with before
 templates were compiled into closures at registration (commit 9db3b2d),
-copied unchanged (``interpreted_pages`` at the end is the one addition):
-``_resolve`` re-reads each expression on every render, ``_For`` copies
+copied unchanged but for two things: ``interpreted_pages`` at the end,
+and ``_resolve`` taking a key of any ``Mapping``, since a database row is
+a read-only view, not a dict.  ``_resolve`` re-reads each expression on every render, ``_For`` copies
 the context per row, blocks join their children's strings.  ``TemplateError`` is the engine's own class, so messages
 compare directly.  Nothing under ``src/`` imports this module;
 ``tests/test_templates.py`` and ``benchmarks/test_template_render.py``
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import html
 import re
+from collections.abc import Mapping
 from typing import Any, Optional
 
 from repro.web import pages
@@ -24,7 +26,7 @@ _TAG_RE = re.compile(r"({{.*?}}|{%.*?%})", re.DOTALL)
 
 
 def _resolve(expression: str, context: dict[str, Any]) -> Any:
-    """Resolve dotted ``a.b.c`` paths through dicts and attributes."""
+    """Resolve dotted ``a.b.c`` paths through mappings and attributes."""
     expression = expression.strip()
     if expression.startswith(("'", '"')) and expression.endswith(expression[0]):
         return expression[1:-1]
@@ -37,7 +39,7 @@ def _resolve(expression: str, context: dict[str, Any]) -> Any:
         raise TemplateError(f"unknown template variable {parts[0]!r}")
     value = context[parts[0]]
     for part in parts[1:]:
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             if part not in value:
                 raise TemplateError(f"no key {part!r} in {parts[0]!r}")
             value = value[part]

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -1063,6 +1063,130 @@ def test_describe_reports_exactly_the_layers_present(build, opened):
     assert (report["shard"] is not None) == build.shard
     assert (report["replication"] is not None) == build.replication
     assert json.loads(json.dumps(report))["kind"] == report["kind"]
+
+
+# -- a SELECT * row is a read-only snapshot of the stored row -----------------
+
+def _copies(db) -> list[Database]:
+    """Every ``Database`` under ``db`` that answers reads: a group's
+    primary and followers, each shard's copies."""
+    if isinstance(db, Database):
+        return [db]
+    if isinstance(db, ReplicaGroup):
+        return [db.primary, *(replica.db for replica in db.replicas)]
+    return [copy for spec in db.shard_map
+            for copy in _copies(db.shard_db(spec.shard_id))]
+
+
+def _groups_with_followers(db) -> list[ReplicaGroup]:
+    groups = [db] if isinstance(db, ReplicaGroup) else [
+        db.shard_db(spec.shard_id) for spec in db.shard_map
+    ] if isinstance(db, ShardedDatabase) else []
+    return [group for group in groups
+            if isinstance(group, ReplicaGroup) and group.replicas]
+
+
+@every_build
+def test_a_select_star_row_is_read_only(build, opened):
+    """Whichever path served it (probe, scan, walk, IN list, SQL text,
+    batch, merge), no caller can change a stored row through a row it
+    was handed."""
+    for k in range(0, 32, 3):
+        opened.execute(Insert("t", {"k": k, "v": k % 5, "tag": "a"}))
+    results = [
+        opened.execute(Select("t")),
+        opened.execute(Select("t", where=Comparison("k", "=", 9))),
+        opened.execute(Select("t", where=Between("v", 1, 3),
+                              order_by=[("v", "desc")], limit=4)),
+        opened.execute("SELECT * FROM t WHERE k IN (3, 27)"),
+        *opened.execute_batch([Select("t", order_by=[("k", "asc")],
+                                      limit=5, offset=2)]),
+    ]
+    for rows in results:
+        assert rows
+        for row in rows:
+            with pytest.raises(TypeError):
+                row["v"] = 99
+            with pytest.raises(TypeError):
+                del row["tag"]
+    assert opened.execute(Select("t", where=Comparison("v", "=", 99))) == []
+    assert all(len(row) == 3 for row in opened.execute(Select("t")))
+
+
+@every_build
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_a_row_read_is_a_snapshot_of_the_stored_row(build, data):
+    """Rows read through the database and from each copy before an
+    UPDATE, a DELETE and a rollback, a reopen from the WAL, the shipping
+    of those writes to the followers and an anti-entropy repair, and a
+    split still equal what they were when read; a fresh read sees every
+    change."""
+    keys = data.draw(st.sets(KEYS, min_size=3, max_size=10), label="keys")
+    model = {k: {"k": k, "v": k % 7, "tag": "a"} for k in sorted(keys)}
+    updated, deleted = data.draw(st.permutations(sorted(keys)), label="order")[:2]
+    everything = Select("t", order_by=[("k", "asc")])
+    held: list[tuple[list, list[dict]]] = []
+
+    def read(db) -> None:
+        for source in (db, *_copies(db)):
+            rows = source.execute(everything)
+            held.append((rows, [dict(row) for row in rows]))
+
+    def unchanged() -> None:
+        for rows, as_read in held:
+            assert rows == as_read
+
+    with tempfile.TemporaryDirectory() as root:
+        db, path = _fresh(build, Path(root))
+        try:
+            for row in model.values():
+                db.execute(Insert("t", row))
+            read(db)
+            # Shipped to every follower of a replicated build as it commits.
+            db.execute(Update("t", {"v": 100}, Comparison("k", "=", updated)))
+            model[updated] = {**model[updated], "v": 100}
+            unchanged()
+            read(db)
+            tx = db.begin()
+            db.execute(Update("t", {"v": -1}, Comparison("k", "=", deleted)), tx=tx)
+            db.execute(Delete("t", Comparison("k", "=", deleted)), tx=tx)
+            db.rollback(tx)
+            unchanged()
+            db.execute(Delete("t", Comparison("k", "=", deleted)))
+            del model[deleted]
+            unchanged()
+            read(db)
+            for group in _groups_with_followers(db):
+                follower = group.replicas[0].db
+                follower.execute(Update("t", {"tag": "stray"}))
+                read(db)
+                group.repair()
+                assert group.verify() == {replica.name: {}
+                                          for replica in group.replicas}
+                unchanged()
+            if build.persistent:
+                if data.draw(st.booleans(), label="checkpoint"):
+                    db.checkpoint()
+                db.close()
+                db = build.open(path)
+                unchanged()
+                read(db)
+            if build.shard:
+                shard_map = db.shard_map
+                at = data.draw(st.sampled_from(
+                    [half / 2 for half in range(-2, 66)
+                     if shard_map.spec_for_value(half / 2).low != half / 2]),
+                    label="at")
+                db.split(shard_map.spec_for_value(at).shard_id, at)
+                unchanged()
+            assert db.execute(everything) == list(model.values())
+            for group in _groups_with_followers(db):
+                rows = group.primary.execute(everything)
+                assert all(follower.db.execute(everything) == rows
+                           for follower in group.replicas)
+        finally:
+            db.close()
 
 
 # -- a sharded transaction opens a shard's part when it first touches it -------

@@ -199,6 +199,29 @@ class TestSingleflightCollapse:
         assert manager.stats()["invocations"] == invocations + 1
         assert len({r.ana_id for r in requests}) == 1
 
+    def test_a_flight_after_the_leader_stored_serves_its_entry(self, stack):
+        """A request whose first lookup missed just before another's run
+        stored its product, and whose flight began after that run left,
+        is served the stored entry: the leader looks again."""
+        _dm, frontend, manager, _dir, alice, hle = stack
+        first = frontend.run(
+            AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 40}))
+        assert first.phase is Phase.COMMITTED, first.error
+        invocations = manager.stats()["invocations"]
+        cache = frontend.product_cache
+        lookup, misses = cache.lookup, [None]
+
+        def miss_once(user, key):
+            return misses.pop() if misses else lookup(user, key)
+
+        cache.lookup = miss_once
+        second = frontend.run(
+            AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 40}))
+        assert second.phase is Phase.COMMITTED, second.error
+        assert not misses
+        assert manager.stats()["invocations"] == invocations
+        assert second.ana_id == first.ana_id
+
 
 class TestStaleWhileDegraded:
     def test_stale_entry_served_when_breaker_open(self, stack):
