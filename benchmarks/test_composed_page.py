@@ -19,6 +19,14 @@ which repeat exactly, and one timing:
 * a warm page plans nothing: each copy keeps a plan per shape, the
   shards' parts of a scattered sweep under shapes of their own, where
   each sweep planned on every shard it reached, every page.
+* a warm page routes by rule: it compiles no route rule and rewrites no
+  scatter (``prepare_scatter``), each kept per statement shape.
+* the shard tier's own Python is bounded: the calls a page makes inside
+  ``ShardedDatabase.execute_batch`` and not under a shard database's
+  ``execute`` or ``execute_batch`` (``sys.setprofile`` "call" events,
+  generator resumes included, the merge's key calls too) were 580 a
+  page when every statement's route was worked out anew and every group
+  read looked its breakers up again, and are 459 now.  The bound is 500.
 * ``DataManager.fetch_page`` is at least 1.15x faster than on the
   retired path (``tests/oracle_scatter.py``) patched in.
 
@@ -28,20 +36,23 @@ Run from the repository root, so that ``tests`` is importable.
 from __future__ import annotations
 
 import random
+import sys
 
 from conftest import min_per_call
 from repro.dm import DataManager
 from repro.filestore import DiskArchive, StorageManager
-from repro.metadb import Insert
+from repro.metadb import Database, Insert
 from repro.metadb import database as database_module
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.shard import ShardedDatabase
+from repro.shard import sharded as sharded_module
 from tests import oracle_scatter
 
 DAY = 86_400.0
 N_EVENTS = 4000
 MIN_PAGE_SPEEDUP = 1.15
+MAX_WRAPPER_CALLS_PER_PAGE = 500
 
 
 def _stack(tmp_path):
@@ -92,13 +103,16 @@ class _GroupReads:
     """What reaches the replica groups while the block runs: read calls
     (a sub-batch is one), owner probes, plans made by the copies, and
     for ``similar`` the rows the groups returned and the top-up reads
-    among the calls."""
+    among the calls; and above them, the route rules compiled and the
+    scatter rewrites made."""
 
     def __enter__(self):
         self.calls = self.probes = self.plans = self.similar_rows = self.top_ups = 0
+        self.rules = self.scatters = 0
         self._saved = (ReplicaGroup._read_with_failover, ReplicaGroup.holds,
-                       database_module.plan_select)
-        read, holds, plan_select = self._saved
+                       database_module.plan_select, ShardedDatabase._rule,
+                       sharded_module.prepare_scatter)
+        read, holds, plan_select, rule, prepare_scatter = self._saved
 
         def counted_read(group, statements):
             results = read(group, statements)
@@ -118,14 +132,62 @@ class _GroupReads:
             self.plans += 1
             return plan_select(table, select)
 
+        def counted_rule(*args):
+            self.rules += 1
+            return rule(*args)
+
+        def counted_scatter(*args):
+            self.scatters += 1
+            return prepare_scatter(*args)
+
         ReplicaGroup._read_with_failover = counted_read
         ReplicaGroup.holds = counted_holds
         database_module.plan_select = counted_plan
+        ShardedDatabase._rule = counted_rule
+        sharded_module.prepare_scatter = counted_scatter
         return self
 
     def __exit__(self, *exc_info):
         (ReplicaGroup._read_with_failover, ReplicaGroup.holds,
-         database_module.plan_select) = self._saved
+         database_module.plan_select, ShardedDatabase._rule,
+         sharded_module.prepare_scatter) = self._saved
+
+
+def _wrapper_calls(dm, user, pages) -> float:
+    """Python calls per page inside ``ShardedDatabase.execute_batch``,
+    not counting those under a shard database's own ``execute`` or
+    ``execute_batch``."""
+    inner = {Database.execute.__code__, Database.execute_batch.__code__}
+    real = ShardedDatabase.execute_batch
+    calls = 0
+
+    def counted(database, *args, **kwargs):
+        depth = 0
+
+        def profile(frame, event, _arg):
+            nonlocal calls, depth
+            if event == "call":
+                if depth:
+                    depth += 1
+                elif frame.f_code in inner:
+                    depth = 1
+                else:
+                    calls += 1
+            elif event == "return" and depth:
+                depth -= 1
+        sys.setprofile(profile)
+        try:
+            return real(database, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+
+    ShardedDatabase.execute_batch = counted
+    try:
+        for hle_id in pages:
+            dm.fetch_page(user, hle_id)
+    finally:
+        ShardedDatabase.execute_batch = real
+    return calls / len(pages)
 
 
 def test_a_page_is_five_group_reads_and_its_scatter_asks_for_shares(tmp_path):
@@ -145,6 +207,7 @@ def test_a_page_is_five_group_reads_and_its_scatter_asks_for_shares(tmp_path):
         assert reads.similar_rows <= 80 + 20 * reads.top_ups
         assert reads.top_ups or reads.similar_rows <= 80
         assert reads.plans == 0
+        assert reads.rules == reads.scatters == 0
         probes += reads.probes
         top_ups += reads.top_ups
     assert probes / len(pages) <= 8
@@ -160,6 +223,18 @@ def test_a_page_is_five_group_reads_and_its_scatter_asks_for_shares(tmp_path):
             assert reads.similar_rows > 1.4 * shipped[hle_id]
             assert retired == batched[hle_id]
     database.close()
+
+
+def test_the_shard_tier_makes_a_bounded_number_of_python_calls_a_page(tmp_path):
+    database, dm, user = _stack(tmp_path)
+    pages = _browsed(60)
+    for _copy in range(2):
+        for hle_id in pages:
+            dm.fetch_page(user, hle_id)
+    per_page = _wrapper_calls(dm, user, pages)
+    database.close()
+    print(f"\n{per_page:.1f} Python calls a page in the shard tier")
+    assert per_page <= MAX_WRAPPER_CALLS_PER_PAGE, per_page
 
 
 def test_the_page_batch_is_faster_than_statement_by_statement(tmp_path):

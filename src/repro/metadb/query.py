@@ -402,9 +402,7 @@ def index_rowids(table: Table,
         return None
 
 
-def _project(row: Mapping[str, Any], columns: Optional[Sequence[str]]) -> dict[str, Any]:
-    if not columns:
-        return dict(row)
+def _project(row: Mapping[str, Any], columns: Sequence[str]) -> dict[str, Any]:
     try:
         return {column: row[column] for column in columns}
     except KeyError as exc:

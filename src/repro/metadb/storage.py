@@ -231,5 +231,8 @@ class Table:
             return value in index
         ordered = self.ordered_index_on(column)
         if ordered is not None:
-            return ordered.count_range(value, value) > 0
+            try:
+                return ordered.count_range(value, value) > 0
+            except TypeError:   # keys of another type: none equals it
+                return False
         return any(row.get(column) == value for row in self._rows.values())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 LabelKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -221,14 +222,8 @@ class Histogram(Metric):
             return tuple(self._counts)
 
     def _bucket_index(self, value: float) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        # NaN compares false with every bound: it goes to the overflow.
+        return len(self.bounds) if value != value else bisect_left(self.bounds, value)
 
     @property
     def mean(self) -> float:

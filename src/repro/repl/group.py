@@ -112,9 +112,10 @@ class ReplicaGroup:
         self.replicas: list[Replica] = []
         self.breakers: dict[str, CircuitBreaker] = {}
         self.stats = DatabaseStats()
-        self._lock = threading.Lock()        # topology + read cursor + counters
+        self._lock = threading.Lock()        # topology + counters
         self._ship_lock = threading.Lock()   # serialises follower applies
         self._read_cursor = 0
+        self._copies: tuple = ()     # (name, follower or None, breaker)
         self.failovers = 0
         self.rejoins = 0
         self.full_clones = 0
@@ -170,6 +171,7 @@ class ReplicaGroup:
             with self._lock:
                 self.replicas.append(replica)
                 self.reads_by_copy[name] = 0
+                self._copies = ()
         if started_empty and report["rows_cloned"]:
             self.full_clones += 1
         if not started_empty or self.primary.table_names():
@@ -427,38 +429,37 @@ class ReplicaGroup:
         next healthy, fresh-enough copy: all of it from that one copy,
         as one snapshot of it, so the statements agree with each other.
 
-        Candidates are filtered *before* any attempt: crashed/rejoining
-        copies, open breakers, and followers trailing by more than
-        ``max_lag`` never see the read (stale skips are counted).  The
-        survivors are rotated round-robin; a transient failure records
+        Candidates are filtered *before* any attempt, from a prebuilt tuple
+        of copies and breakers: crashed/rejoining copies, open breakers and
+        followers trailing by more than ``max_lag`` never see the read
+        (stale skips are counted).  The survivors are rotated round-robin
+        by a cursor moved without a lock; a transient failure records
         against the copy's breaker and fails the whole batch over to the
         next candidate, landing on the primary if every follower is out.
-        The counters move by the number of statements answered, a
-        statement whose reference found no row (its ``[]``) included."""
+        The counters move under one lock by the number of statements
+        answered, a statement whose reference found no row included."""
         head = self.log.head_lsn
-        with self._lock:
-            replicas = list(self.replicas)
-            start = self._read_cursor
-            self._read_cursor += 1
-        candidates: list[tuple[str, Database, Optional[Replica]]] = []
-        if not self._breaker_for(self.primary.name).is_open():
-            candidates.append((self.primary.name, self.primary, None))
-        for replica in replicas:
-            if replica.crashed or replica.state is ReplicaState.REJOINING:
+        start = self._read_cursor
+        self._read_cursor = start + 1
+        candidates = []
+        for copy in self._copies or self._copies_read():
+            _name, replica, breaker = copy
+            if replica is not None and (
+                    replica.crashed or replica.state is ReplicaState.REJOINING):
                 continue
-            if self._breaker_for(replica.name).is_open():
+            if breaker.is_open():
                 continue
-            if replica.lag(head) > self.max_lag:
+            if replica is not None and replica.lag(head) > self.max_lag:
                 self.obs.count("repl.stale_skips", db=self.name,
                                replica=replica.name)
                 continue
-            candidates.append((replica.name, replica.db, replica))
+            candidates.append(copy)
         last_transient: Optional[BaseException] = None
         for offset in range(len(candidates)):
-            name, db, replica = candidates[(start + offset) % len(candidates)]
-            breaker = self._breaker_for(name)
+            name, replica, breaker = candidates[(start + offset) % len(candidates)]
             if not breaker.allow():
                 continue
+            db = self.primary if replica is None else replica.db
             try:
                 fire_fault(f"repl.replica.{name}.crash")
                 results = [db.execute(statements[0])] if len(statements) == 1 \
@@ -473,8 +474,9 @@ class ReplicaGroup:
                     self._transition(replica, ReplicaState.DEAD)
                 continue
             breaker.record_success()
-            if replica is not None:
-                self._update_health(replica)
+            if replica is not None and (replica.state is not ReplicaState.IN_SYNC
+                                        or replica.acked_lsn != head):
+                self._update_health(replica)    # in sync at ``head``: no change
             with self._lock:
                 self.stats.selects += len(statements)
                 self.stats.rows_read += sum(map(len, results))
@@ -488,6 +490,14 @@ class ReplicaGroup:
             f"repl.{self.name}.reads",
             min((b.retry_after_s() for b in self.breakers.values()), default=0.0),
         )
+
+    def _copies_read(self) -> tuple:
+        """Remade after a change: the primary, then each follower."""
+        with self._lock:
+            copies = [(self.primary.name, None), *((r.name, r) for r in self.replicas)]
+            self._copies = tuple((name, replica, self._breaker_for(name))
+                                 for name, replica in copies)
+        return self._copies
 
     # -- the DatabaseApi surface ----------------------------------------------
 

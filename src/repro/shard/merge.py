@@ -71,6 +71,14 @@ def _for_shards(select: Select, **changes: Any) -> Select:
     return shard_select
 
 
+def rebound(select: Select, where: Any) -> Select:
+    """``select`` with ``where``, its shape kept: a kept rewrite, bound."""
+    statement = Select.__new__(Select)
+    statement.__dict__.update(select.__dict__)
+    statement.where = where
+    return statement
+
+
 class Merge:
     """Combines per-shard result lists into the global result."""
 
@@ -109,14 +117,15 @@ class _OrderedMerge(Merge):
         self._reverse = directions == {"desc"}
         self._key = _run_key(select.order_by, self._reverse) \
             if len(directions) == 1 else None
-        #: What a shard is asked for first, and the statement for the rest.
+        #: What a shard is asked for first, and the statement for the rest,
+        #: which ``ask_rest`` sends under the request's WHERE (:func:`rebound`).
         self.share, self.rest = stop, None
         if stop is not None and self._key is not None and select.join is None:
             share = self.SHARE_FACTOR * -(-stop // n_shards)
             if share < stop:
                 self.share = share
                 self.rest = _for_shards(select, columns=None, offset=share,
-                                        limit=stop - share)
+                                        limit=stop - share, where=None)
 
     def _head(self, runs: Sequence[Rows]) -> Rows:
         """The first ``offset + limit`` rows of the sorted runs."""

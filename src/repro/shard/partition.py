@@ -108,8 +108,9 @@ class ShardMap:
                 )
         self.specs: tuple[ShardSpec, ...] = tuple(ordered)
         self._by_id = {spec.shard_id: spec for spec in self.specs}
-        #: The router's decisions that name every shard, by kind.
-        self.whole: dict = {}
+        #: The specs, each shard's first: the order a router's hint asks in.
+        self.led_by = {spec.shard_id: (spec, *(s for s in self.specs if s is not spec))
+                       for spec in self.specs}
         if len(self._by_id) != len(self.specs):
             raise ShardError("duplicate shard ids in map")
 
@@ -151,9 +152,9 @@ class ShardMap:
         )
 
     def specs_for_values(self, values) -> tuple[ShardSpec, ...]:
-        """Shards owning any value of an IN list, in map order."""
-        hit = {self.spec_for_value(value).shard_id for value in values}
-        return tuple(spec for spec in self.specs if spec.shard_id in hit)
+        """Shards owning any value of an IN list, in map order; a value
+        no range compares with (a mistyped literal) names none."""
+        return tuple(spec for spec in self.specs if any(map(spec.covers, values)))
 
     def replace(self, shard_id: int, replacements: Sequence[ShardSpec]) -> "ShardMap":
         """A new map with ``shard_id`` swapped for ``replacements`` (a split)."""

@@ -19,8 +19,7 @@ correct, just not pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from ..metadb.predicate import Conjunction, equality_on, in_list_on, range_on
 from .partition import ShardMap, ShardSpec
@@ -39,8 +38,7 @@ BY_OWNER = "owner"          # placing a row: the shard of its item's owner
 BY_LOCAL = "local"          # a local table: one shard written, all read
 
 
-@dataclass(frozen=True)
-class RouteDecision:
+class RouteDecision(NamedTuple):
     """Which shards a statement touches and why."""
 
     kind: str
@@ -57,8 +55,8 @@ def route_partitioned(where: Conjunction, column: str,
     """Shard subset for a statement over a partitioned table."""
     value = equality_on(where, column)
     if value is not None:
-        specs = (shard_map.spec_for_value(value),)
-        return _decide(specs, shard_map, BY_PARTITION)
+        return _decide(shard_map.specs_for_values((value,)), shard_map,
+                       BY_PARTITION)
     in_values = in_list_on(where, column)
     if in_values is not None:
         return _decide(shard_map.specs_for_values(in_values), shard_map,
@@ -69,14 +67,6 @@ def route_partitioned(where: Conjunction, column: str,
         specs = shard_map.specs_for_range(low, high, low_inclusive, high_inclusive)
         return _decide(specs, shard_map, BY_PARTITION)
     return scatter_all(shard_map)
-
-
-def key_values(where: Conjunction, column: str) -> Optional[Iterable[Any]]:
-    """The values an equality or IN conjunct pins ``column`` to, if any."""
-    value = equality_on(where, column)
-    if value is not None:
-        return (value,)
-    return in_list_on(where, column)
 
 
 def route_keyed(values: Iterable[Any], shard_map: ShardMap,
@@ -100,14 +90,12 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
     holds any of ``values``.
     """
     specs = shard_map.specs
-    asked: Sequence[ShardSpec] = specs
+    asked: Sequence[ShardSpec] = shard_map.led_by.get(first, specs)
     unasked: Sequence[int] = ()
     if unreachable:
-        asked = [spec for spec in specs if spec.shard_id not in unreachable]
+        asked = [spec for spec in asked if spec.shard_id not in unreachable]
         unasked = [spec.shard_id for spec in specs
                    if spec.shard_id in unreachable]
-    if first is not None:
-        asked = sorted(asked, key=lambda spec: spec.shard_id != first)
     targets: set[int] = set()
     for value in values:
         found = False
@@ -121,22 +109,18 @@ def route_keyed(values: Iterable[Any], shard_map: ShardMap,
             targets.update(unasked)
         if len(targets) == len(specs):
             break
-    return _decide(tuple(spec for spec in specs if spec.shard_id in targets),
+    return _decide(tuple([spec for spec in specs if spec.shard_id in targets]),
                    shard_map, by)
 
 
 def scatter_all(shard_map: ShardMap, kind: str = SCATTER) -> RouteDecision:
-    """Every shard of the map; the map is immutable, so it keeps the one
-    decision of each kind (SCATTER, or BROADCAST for a read any one of
-    them answers) instead of building it per statement."""
-    decision = shard_map.whole.get(kind)
-    if decision is None:
-        decision = shard_map.whole[kind] = RouteDecision(kind, shard_map.specs)
-    return decision
+    """Every shard of the map: SCATTER, or BROADCAST for a read any one
+    of them answers."""
+    return RouteDecision(kind, shard_map.specs)
 
 
 def _decide(specs: tuple[ShardSpec, ...], shard_map: ShardMap,
             by: str) -> RouteDecision:
-    if len(specs) >= len(shard_map):
+    if len(specs) >= len(shard_map.specs):
         return scatter_all(shard_map)
     return RouteDecision(PRUNED, specs, by)

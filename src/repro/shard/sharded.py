@@ -17,9 +17,11 @@ reopened with no schema handed over routes from those.
 
 Routing: one function (:meth:`ShardedDatabase._route`) names the shards
 a statement touches, by partition column, by key or by item, and reads,
-writes and EXPLAIN all act on its decision.  A statement that names one
-shard is handed to it as written; a transaction opens a shard's part
-when it first runs a statement there.
+writes and EXPLAIN all act on its decision: the statement's values read
+through its route rule, which a prepared SELECT keeps per shape until the
+schemas are re-read.  A statement that names one shard is handed to it
+as written; a transaction opens a shard's part when it first runs a
+statement there.
 
 Degradation semantics: reads over a dead shard's range return a
 :class:`PartialResult` (a ``list`` subclass carrying the missing ranges)
@@ -38,27 +40,27 @@ import json
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from ..obs import Observability, resolve as resolve_obs
 from ..resil.breaker import BreakerOpen, CircuitBreaker
 from ..resil.faults import fire as fire_fault
 from ..resil.policies import TRANSIENT_ERRORS
-from ..metadb.database import Database, DatabaseStats
+from ..metadb.database import PLAN_CACHE_SHAPES, Database, DatabaseStats
 from ..metadb.errors import TransactionError
-from ..metadb.predicate import Comparison, Predicate, conjuncts
+from ..metadb.predicate import And, Comparison, In, Predicate, conjuncts
 from ..metadb.query import Aggregate, Delete, Explain, Insert, Join, Select, Update
 from ..metadb.schema import BROADCAST as EVERYWHERE, TableSchema
 from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction, TxState
 from ..metadb.wal import counted_fsync, replace_durably
-from .merge import prepare_scatter
+from .merge import prepare_scatter, rebound
 from .partition import (
     ShardError, ShardMap, ShardSpec, ShardUnavailable, joinable,
 )
 from .router import (
-    BROADCAST, BY_ITEM, BY_KEY, BY_LOCAL, BY_OWNER, PRUNED, RouteDecision,
-    key_values, route_keyed, route_partitioned, scatter_all,
+    BROADCAST, BY_ITEM, BY_KEY, BY_LOCAL, BY_OWNER, PRUNED, SCATTER,
+    RouteDecision, route_keyed, route_partitioned, scatter_all,
 )
 
 TOPOLOGY_FILE = "topology.json"
@@ -148,6 +150,16 @@ class _ShardedTransaction:
         for db, part in self.parts.values():
             db.rollback(part)
         stats.transactions_rolled_back += 1
+
+
+class _RouteRule(NamedTuple):
+    """What placement and a WHERE's shape decide of a route: no shard, breaker or hint."""
+
+    whole: Optional[str]            # the kind of a route to every shard
+    flat: bool = False              # the WHERE's operands are its conjuncts
+    partition: Optional[str] = None     # the partition column, if pinned
+    keys: tuple = ()                # (first =, first IN, holders) per key
+    by: str = BY_KEY
 
 
 class _Read:
@@ -294,6 +306,9 @@ class ShardedDatabase:
         self._item_owners = tuple(
             (name, schema.item_key) for name, schema in self._schemas.items()
             if schema.item_key is not None)
+        #: What a prepared SELECT's shape decides, read from these schemas:
+        #: its route rule, and per number of shards asked its scatter.
+        self._by_shape: dict[Any, Any] = {}
 
     def _placement(self, table: str):
         schema = self._schemas.get(table)
@@ -514,18 +529,16 @@ class ShardedDatabase:
                where: Optional[Predicate], join: Optional[Join] = None,
                writing: bool = False,
                placing: Optional[_ShardedTransaction] = None,
-               probes: Optional[dict] = None) -> RouteDecision:
+               probes: Optional[dict] = None, shape: Any = None) -> RouteDecision:
         """The shards a statement over ``table`` must touch: the one
         decision SELECT, UPDATE, DELETE, INSERT and EXPLAIN all act on.
         ``placing`` is the transaction of an INSERT (or of an UPDATE that
         rewrites the placing column), whose ``where`` pins that column to
         the row's value: the decision then names the one shard the row
-        belongs on.
+        belongs on.  The rule (:meth:`_rule`) is the one kept for
+        ``shape``, else compiled here.
 
-        A partitioned table prunes on its partition column, else on an
-        equality or IN over its primary key; a table that follows a
-        parent on the parent's key, else on its own.  A table that follows
-        its item is asked for on its own item column, on every shard that
+        A table that follows its item is asked for on every shard that
         holds rows of the item, and placed where an item-owning table
         holds the item, the shard the transaction last wrote asked first.
         Keys are located by probing the shards' own indexes, against the
@@ -537,7 +550,65 @@ class ShardedDatabase:
         asks first the shard that held the key found last, a hint that
         is wrong at the cost of one more probe.
         """
+        rule = None if shape is None else self._by_shape.get(shape)
+        if rule is None:
+            rule = self._rule(table, where, join, placing is not None)
+            if shape is not None:
+                self._keep(shape, rule)
         shard_map = topology.shard_map
+        if rule.whole is not None:
+            return scatter_all(shard_map, rule.whole)
+        first = placing.last_written if placing is not None \
+            else None if writing else self._held_last
+        if rule.by == BY_LOCAL:
+            return RouteDecision(
+                PRUNED, (shard_map.specs[0] if first is None
+                         else shard_map.spec(first),), BY_LOCAL)
+        if len(shard_map.specs) == 1:
+            return scatter_all(shard_map)
+        parts = where.operands if rule.flat else conjuncts(where)
+        if rule.partition is not None:
+            decision = route_partitioned(parts, rule.partition, shard_map)
+            if decision.kind == PRUNED:
+                return decision
+        for equal, listed, holders in rule.keys:
+            # The first ``=``'s value unless it is NULL, else the first IN's.
+            value = None if equal is None else parts[equal].value
+            values = (value,) if value is not None \
+                else None if listed is None else parts[listed].values
+            if values is not None:
+                break
+        else:
+            return scatter_all(shard_map)
+        dbs = topology.dbs
+        memo = {} if probes is None else probes
+
+        def holds(spec: ShardSpec, value: Any) -> bool:
+            asked = (holders, spec.shard_id, value)
+            answer = memo.get(asked)
+            if answer is None:
+                db = dbs[spec.shard_id]
+                answer = memo[asked] = any(
+                    db.holds(holder, key, value) for holder, key in holders)
+            if answer and probes is not None:
+                self._held_last = spec.shard_id
+            return answer
+
+        decision = route_keyed(values, shard_map, holds,
+                               () if writing else self._open_shards(),
+                               rule.by, rule.by == BY_ITEM, first)
+        if decision.specs or (writing and placing is None):
+            return decision
+        # Nobody holds the key: the first shard gives a read or an insert
+        # its single-node answer (no rows, a zero count, the foreign-key
+        # error); an UPDATE or DELETE has nothing to change anywhere.
+        return RouteDecision(PRUNED, shard_map.specs[:1], rule.by)
+
+    def _rule(self, table: str, where: Optional[Predicate],
+              join: Optional[Join], placing: bool) -> _RouteRule:
+        """The route rule of a statement over ``table`` (``placing``: of
+        a row being placed): the WHERE's shape fixes which conjunct pins
+        a column, its values what it pins."""
         schema = self._schemas.get(table)
         placement = EVERYWHERE if schema is None else schema.placement
         kind = placement.kind
@@ -560,72 +631,42 @@ class ShardedDatabase:
                         f"cannot left-outer join broadcast {table!r} "
                         f"with {join.table!r}, which is spread over shards"
                     )
-                return scatter_all(shard_map)
-            return scatter_all(shard_map, BROADCAST)
-        first = placing.last_written if placing is not None \
-            else None if writing else self._held_last
+                return _RouteRule(SCATTER)
+            return _RouteRule(BROADCAST)
         if kind == "local":
-            if placing is None:
-                return scatter_all(shard_map)
-            return RouteDecision(
-                PRUNED, (shard_map.specs[0] if first is None
-                         else shard_map.spec(first),), BY_LOCAL)
-        if len(shard_map) == 1:
-            return scatter_all(shard_map)
+            return _RouteRule(None if placing else SCATTER, by=BY_LOCAL)
         parts = conjuncts(where)
-        by, every_holder = BY_KEY, False
+        equal: dict[str, int] = {}      # column -> position of its first =
+        listed: dict[str, int] = {}     # ... and of its first IN
+        for at, part in enumerate(parts):
+            if isinstance(part, In):
+                listed.setdefault(part.column, at)
+            elif isinstance(part, Comparison) and part.op == "=":
+                equal.setdefault(part.column, at)
+        own = ((table, schema.primary_key),)
+        by = BY_KEY
         if kind == "partitioned":
-            decision = route_partitioned(parts, placement.column, shard_map)
-            if decision.kind == PRUNED:
-                return decision
-            # A partitioned table holds its own keys ...
-            column = schema.primary_key
-            holders = ((table, column),)
+            # A partitioned table prunes on its partition column, else its key ...
+            keys = [(schema.primary_key, own)]
         elif kind == "follows":
-            # ... a child lives where its parent's key does ...
-            column = placement.column
-            holders = ((placement.parent_table, placement.parent_column),)
-        elif placing is not None:
+            # ... a child lives where its parent's key does, else by its own ...
+            keys = [(placement.column,
+                     ((placement.parent_table, placement.parent_column),)),
+                    (schema.primary_key, own)]
+        elif placing:
             # ... a row of an item is put where the item's owner is ...
-            column, holders, by = placement.column, self._item_owners, BY_OWNER
+            keys, by = [(placement.column, self._item_owners)], BY_OWNER
         else:
             # ... and looked for wherever rows of the item are.
-            column = placement.column
-            holders, by, every_holder = ((table, column),), BY_ITEM, True
-        values = key_values(parts, column) if column is not None else None
-        if values is None and kind == "follows":    # ... or where its own key is
-            column, holders = schema.primary_key, ((table, schema.primary_key),)
-            values = key_values(parts, column)
-        if values is None:
-            return scatter_all(shard_map)
-
-        dbs = topology.dbs
-
-        def holds(spec: ShardSpec, value: Any) -> bool:
-            db = dbs[spec.shard_id]
-            return any(db.holds(holder, key, value) for holder, key in holders)
-
-        if probes is not None:
-            probe = holds
-
-            def holds(spec: ShardSpec, value: Any) -> bool:
-                asked = (holders, spec.shard_id, value)
-                answer = probes.get(asked)
-                if answer is None:
-                    answer = probes[asked] = probe(spec, value)
-                if answer:
-                    self._held_last = spec.shard_id
-                return answer
-
-        decision = route_keyed(values, shard_map, holds,
-                               () if writing else self._open_shards(),
-                               by, every_holder, first)
-        if decision.specs or (writing and placing is None):
-            return decision
-        # Nobody holds the key: the first shard gives a read or an insert
-        # its single-node answer (no rows, a zero count, the foreign-key
-        # error); an UPDATE or DELETE has nothing to change anywhere.
-        return RouteDecision(PRUNED, shard_map.specs[:1], by)
+            keys = [(placement.column, ((table, placement.column),))]
+            by = BY_ITEM
+        keys = tuple((equal.get(column), listed.get(column), holders)
+                     for column, holders in keys
+                     if column in equal or column in listed)
+        partition = placement.column if kind == "partitioned" and any(
+            getattr(part, "column", None) == placement.column for part in parts) else None
+        return _RouteRule(None, type(where) is And and parts == where.operands,
+                          partition, keys, by)
 
     def _open_shards(self) -> list[int]:
         """Shards whose breaker rejects calls right now."""
@@ -643,14 +684,14 @@ class ShardedDatabase:
         The batch is routed against one topology snapshot (inside a
         transaction, the transaction's; each wave of a batch with
         references is handed the batch's, and the owner probes answered
-        so far), each shard it targets is sent
-        its statements as one sub-batch, under its own part of ``tx`` if
-        there is one, and each statement is then merged and accounted as
-        if it had travelled alone.  A shard that cannot answer is missing
-        from every statement that targeted it and from no other.  A
-        broadcast read is any one shard's to answer: it joins the
-        sub-batch of the shard the round-robin picks and moves on to the
-        next if that one cannot.  There is no snapshot across shards.
+        so far), each shard it targets is sent its statements as one
+        sub-batch, under its own part of ``tx`` if there is one, each
+        statement is merged, and the batch is accounted in one pass.  A
+        shard that cannot answer is missing from every statement that
+        targeted it and from no other.  A broadcast read is any one
+        shard's to answer: it joins the sub-batch of the shard the
+        round-robin picks, and the next if that one cannot.  There is no
+        snapshot across shards.
         """
         if topology is None:
             topology = tx.topology if tx is not None else self._topology
@@ -661,17 +702,16 @@ class ShardedDatabase:
         asked: dict[int, list[_Read]] = {}
         for select in selects:
             decision = self._route(topology, select.table, select.where,
-                                   select.join, probes=probes)
+                                   select.join, probes=probes, shape=select.shape)
             kind, specs = decision.kind, decision.specs
             shard_select, merge, targets = select, None, specs
             if kind == BROADCAST:
-                with self._report_lock:
-                    start = self._read_cursor % len(specs)
-                    self._read_cursor += 1
+                start = self._read_cursor % len(specs)    # unlocked, as a group's
+                self._read_cursor += 1
                 specs = specs[start:] + specs[:start]
                 targets = specs[:1]
             elif len(specs) > 1:
-                shard_select, merge = prepare_scatter(select, len(specs))
+                shard_select, merge = self._scatter(select, len(specs))
             read = _Read(select, kind, specs, shard_select, merge)
             reads.append(read)
             for spec in targets:
@@ -691,7 +731,7 @@ class ShardedDatabase:
                     read.answered.append(spec.shard_id)
 
         results = []
-        shard_reads = self.reads_by_shard
+        degraded = 0
         for read in reads:
             kind, runs, touched = read.kind, read.runs, len(read.specs)
             if kind == BROADCAST:
@@ -720,7 +760,8 @@ class ShardedDatabase:
                     """A top-up is one more read of its shard; one that
                     fails leaves the shard missing from this statement."""
                     spec = shard_map.spec(read.answered[index])
-                    more = self._ask(topology, tx, spec, [rest], transient)
+                    more = self._ask(topology, tx, spec,
+                                     [rebound(rest, read.select.where)], transient)
                     if more is None:
                         read.missing.append(spec)
                         return []
@@ -729,14 +770,8 @@ class ShardedDatabase:
 
                 # The merge of nothing keeps the statement's shape (an
                 # aggregate is one row).
-                merge = read.merge or prepare_scatter(read.select)[1]
+                merge = read.merge or self._scatter(read.select, 1)[1]
                 rows = merge(runs, ask_rest)
-            with self._report_lock:
-                self.route_counts[kind] += 1
-                for shard_id in read.answered:
-                    shard_reads[shard_id] = shard_reads.get(shard_id, 0) + 1
-                self.stats.selects += 1
-                self.stats.rows_read += len(rows)
             self._count_route(kind, touched)
             missing = read.missing
             if missing:
@@ -746,12 +781,34 @@ class ShardedDatabase:
                         f"unavailable for {read.select.table!r}",
                         shard_ids=[spec.shard_id for spec in missing],
                     )
-                with self._report_lock:
-                    self.degraded_count += 1
+                degraded += 1
                 self.obs.count("metadb.shard.degraded", db=self.name)
                 rows = PartialResult(rows, missing)
             results.append(rows)
+        with self._report_lock:     # the batch's accounting, in one pass
+            for read in reads:
+                self.route_counts[read.kind] += 1
+                for shard_id in read.answered:
+                    self.reads_by_shard[shard_id] = self.reads_by_shard.get(shard_id, 0) + 1
+            self.stats.selects += len(reads)
+            self.stats.rows_read += sum(map(len, results))
+            self.degraded_count += degraded
         return results
+
+    def _scatter(self, select: Select, n_shards: int) -> tuple[Select, Any]:
+        """:func:`prepare_scatter`, kept per (shape, shards asked)."""
+        if select.shape is None:
+            return prepare_scatter(select, n_shards)
+        key = (select.shape, n_shards)
+        kept = self._by_shape.get(key) or self._keep(key, prepare_scatter(select, n_shards))
+        return rebound(kept[0], select.where), kept[1]
+
+    def _keep(self, key: Any, value: Any) -> Any:
+        """What a shape decides, kept; past the plan cache's bound, anew."""
+        if len(self._by_shape) >= PLAN_CACHE_SHAPES:
+            self._by_shape.clear()
+        self._by_shape[key] = value
+        return value
 
     def _ask(self, topology: _Topology, tx: Optional[_ShardedTransaction],
              spec: ShardSpec, statements: list[Select],
@@ -785,7 +842,7 @@ class ShardedDatabase:
 
     def _count_route(self, kind: str, n_touched: int) -> None:
         """The obs side of one routed read (``route_counts`` moves under
-        the lock the read takes anyway); both handles resolved once."""
+        the lock the batch takes anyway); both handles resolved once."""
         counters = self._route_counters.get(kind)
         if counters is None:
             counters = self._route_counters[kind] = (
@@ -823,7 +880,9 @@ class ShardedDatabase:
                 statement = Insert(table, schema.normalize_row(statement.values))
             where = None if column is None \
                 else Comparison(column, "=", statement.values.get(column))
-            decision = self._route(topology, table, where, writing=True, placing=tx)
+            # The row's own WHERE, one shape per table: its rule is kept.
+            decision = self._route(topology, table, where, writing=True,
+                                   placing=tx, shape=(Insert, table))
             specs = decision.specs if decision.kind == BROADCAST else decision.specs[:1]
         elif isinstance(statement, (Update, Delete)):
             where = statement.where
@@ -883,14 +942,15 @@ class ShardedDatabase:
         if isinstance(select, Explain):
             select = select.select
         topology = self._topology
-        decision = self._route(topology, select.table, select.where, select.join)
+        decision = self._route(topology, select.table, select.where, select.join,
+                               shape=select.shape)
         specs = decision.specs
         if decision.kind == BROADCAST:
             specs = specs[:1]
         # What a shard is handed: the statement as written when one shard
         # is asked, its scatter rewrite when several are.
         shard_select = select if len(specs) == 1 \
-            else prepare_scatter(select, len(specs))[0]
+            else self._scatter(select, len(specs))[0]
         representative = topology.db(specs[0].shard_id) if specs \
             else topology.first_db()
         plan = representative.explain_plan(shard_select)

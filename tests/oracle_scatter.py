@@ -64,7 +64,7 @@ class OrderedMerge:
 
     def __call__(self, shard_results):
         rows = _apply_order(list(chain.from_iterable(shard_results)), self._order_by)
-        return [_project(row, self._columns)
+        return [_project(row, self._columns) if self._columns else dict(row)
                 for row in rows[self._offset:self._stop]]
 
 

@@ -2,6 +2,8 @@
 
 import contextvars
 import json
+import math
+import random
 import threading
 
 import pytest
@@ -123,6 +125,34 @@ class TestHistogram:
         assert "nan" not in text.lower()
         assert "count=0i" in text
         json.loads(json.dumps(registry.snapshot()))  # strict-parsable
+
+    def test_bucket_index_matches_the_bisection_loop(self):
+        """Each observation lands in the bucket the retired Python
+        bisection put it in: the first bound at or above it, NaN and
+        anything above the last bound in the overflow bucket."""
+
+        def loop_index(bounds, value):
+            lo, hi = 0, len(bounds)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if value <= bounds[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        rng = random.Random(40)
+        for bounds in ([1.0], [0.001, 0.01, 0.1, 1.0, 10.0], [0.0, 0.0, 2.0],
+                       sorted(rng.uniform(-5.0, 5.0) for _ in range(17))):
+            histogram = MetricsRegistry().histogram("lat", bounds=bounds)
+            values = [math.nan, -math.inf, math.inf, *histogram.bounds,
+                      *(rng.uniform(-10.0, 10.0) for _ in range(500))]
+            for value in values:
+                assert histogram._bucket_index(value) == \
+                    loop_index(histogram.bounds, value), (bounds, value)
+        histogram = MetricsRegistry().histogram("lat", bounds=[1.0, 2.0])
+        histogram.observe(math.nan)
+        assert histogram._counts == [0, 0, 1]
 
     def test_snapshot_fields(self):
         histogram = MetricsRegistry().histogram("lat", route="/x")

@@ -2,6 +2,7 @@
 serving with zero IDL work, epoch invalidation on write-path workflows,
 cross-user visibility, singleflight collapse and stale-while-degraded."""
 
+import gc
 import threading
 import time
 
@@ -278,6 +279,10 @@ class TestCheckExisting:
 class TestTelemetryReport:
     def test_report_includes_unified_cache_section(self, stack):
         dm, frontend, _mgr, _dir, alice, hle = stack
+        # The process-default hub holds caches weakly and sums those of one
+        # name: an earlier test's frontend still awaiting collection would
+        # be counted with this one.
+        gc.collect()
         frontend.run(
             AnalysisRequest(alice, hle["hle_id"], "histogram", {"n_bins": 32}))
         frontend.run(

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.metadb import (
+    BROADCAST,
     Aggregate,
     Between,
     Column,
@@ -34,6 +35,7 @@ from repro.metadb import (
     prepare,
 )
 from repro.metadb import database as database_module
+from repro.metadb.database import PLAN_CACHE_SHAPES
 from repro.obs import Observability
 from repro.repl import ReplicaGroup
 from repro.resil import FaultInjector, InjectedFault, use_injector
@@ -46,7 +48,7 @@ COUNT = [Aggregate("count", "*", "n")]
 SPAN = 40       # ``at`` runs over [0, SPAN)
 
 
-def _m_schema() -> TableSchema:
+def _m_schema(placement=partitioned("at")) -> TableSchema:
     return TableSchema(
         "m",
         [Column("id", ColumnType.INTEGER, nullable=False),
@@ -56,7 +58,7 @@ def _m_schema() -> TableSchema:
          Column("g", ColumnType.INTEGER)],
         primary_key="id",
         indexes=[("at",)],
-        placement=partitioned("at"),
+        placement=placement,
     )
 
 
@@ -353,6 +355,65 @@ def test_a_following_row_selected_by_its_own_key_goes_to_its_shard():
     keys = Select("c", where=In("cid", [2, 3]), order_by=[("cid", "asc")])
     assert sharded.explain_plan(keys)["shard_route"]["shards"] == [3]
     assert sharded.execute(keys) == plain.execute(keys)
+
+
+# -- each statement shape keeps its route rule --------------------------------
+
+def test_a_kept_route_rule_follows_a_split_and_a_new_placement():
+    """A rule names no shard, so a split needs nothing dropped; a new
+    placement comes with new schemas, and the rules read from the old
+    ones go with them."""
+    sharded = _stack(4, 2, _skewed())
+    by_id = prepare("SELECT * FROM m WHERE id = ?")
+    for key in (5, 35):
+        assert [row["id"] for row in sharded.execute(by_id.bind((key,)))] == [key]
+    rule = sharded._by_shape[by_id.sql]
+    left, right = sharded.split(3, 35)
+    for key in (31, 35, 39):
+        statement = by_id.bind((key,))
+        assert [row["id"] for row in sharded.execute(statement)] == [key]
+        route = sharded.explain_plan(statement)["shard_route"]
+        assert (route["kind"], route["by"]) == ("pruned", "key")
+        assert route["shards"] == [left if key < 35 else right]
+    assert sharded._by_shape[by_id.sql] is rule
+
+    sharded.drop_table("c")
+    sharded.drop_table("m")
+    sharded.create_table(_m_schema(placement=BROADCAST))
+    sharded.execute(Insert("m", {"id": 7, "at": 7}))
+    statement = by_id.bind((7,))
+    assert sharded.explain_plan(statement)["shard_route"]["kind"] == "broadcast"
+    assert [row["id"] for row in sharded.execute(statement)] == [7]
+
+
+def test_a_kept_route_rule_sees_a_breaker_opened_after_it():
+    """Which shards are unreachable is the request's to look up: a key
+    no reachable shard holds may live on the open one, so the read names
+    it, where a rule that kept the open set of its first binding would
+    answer an empty list."""
+    sharded = _stack(4, 2, _skewed(), breaker_cooldown_s=3600.0)
+    by_id = prepare("SELECT * FROM m WHERE id = ?")
+    counted = prepare("SELECT count(*) AS n FROM m WHERE id = ?")
+    for statement in (by_id.bind((35,)), by_id.bind((1000,)), counted.bind((35,))):
+        assert type(sharded.execute(statement)) is list
+    _open_breaker(sharded, 3)
+    for statement, rows in ((by_id.bind((35,)), []), (by_id.bind((1000,)), []),
+                            (counted.bind((1000,)), [{"n": 0}])):
+        answer = sharded.execute(statement)
+        assert isinstance(answer, PartialResult) and list(answer) == rows
+        assert [m["shard_id"] for m in answer.missing_shards] == [3]
+    healthy = sharded.execute(by_id.bind((5,)))
+    assert type(healthy) is list and [row["id"] for row in healthy] == [5]
+
+
+def test_route_rules_and_scatter_rewrites_stop_at_the_plan_cache_bound():
+    sharded = _stack(4, 1, _skewed())
+    for n in range(600):
+        keyed = prepare(f"SELECT * FROM m WHERE id = ? LIMIT {n + 1}")
+        assert [row["id"] for row in sharded.execute(keyed.bind((n % 40,)))] == [n % 40]
+        swept = prepare(f"SELECT * FROM m WHERE g = ? ORDER BY a DESC LIMIT {n + 1}")
+        assert len(sharded.execute(swept.bind((n % 3,)))) == min(n + 1, 14 - (n % 3 > 0))
+    assert 0 < len(sharded._by_shape) <= PLAN_CACHE_SHAPES
 
 
 # -- the bug: one batch, two states -------------------------------------------

@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import random
 import threading
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metadb import (
     Aggregate,
@@ -29,6 +32,7 @@ from repro.metadb import (
     Select,
     TransactionError,
     Update,
+    prepare,
 )
 from repro.metadb.storage import Table
 from repro.resil import FaultInjector, use_injector
@@ -1626,6 +1630,104 @@ class TestPageRouting:
                                for statement in log)
                  for shard_id, log in received.items()}
         assert sweep == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+# -- route rules: a shape's route worked out once ------------------------------
+
+_ID = st.one_of(st.integers(0, 64), st.none(), st.just("7"), st.just(2.5))
+_TIME = st.one_of(st.floats(-DAY, 5 * DAY, allow_nan=False), st.none(), st.just("x"))
+_ITEM = st.one_of(st.sampled_from(["hle:1", "hle:2", "hle:9", "ana:1", "hle:999"]),
+                  st.none(), st.just(9))
+
+#: Prepared reads over the four tables a page routes by key, each with
+#: what binds it: equalities, IN lists, ranges and rate sweeps, with NULL
+#: and mistyped values among the keys.
+_SHAPES = [
+    ("SELECT * FROM hle WHERE hle_id = ? ORDER BY hle_id ASC", (_ID,)),
+    ("SELECT * FROM hle WHERE hle_id IN (?, ?, ?) ORDER BY hle_id ASC",
+     (_ID, _ID, _ID)),
+    ("SELECT * FROM hle WHERE start_time BETWEEN ? AND ? ORDER BY start_time ASC",
+     (_TIME, _TIME)),
+    ("SELECT * FROM hle WHERE start_time >= ? AND hle_id = ? ORDER BY hle_id ASC",
+     (_TIME, _ID)),
+    ("SELECT * FROM hle WHERE hle_id = ? AND start_time = ?", (_ID, _TIME)),
+    ("SELECT * FROM hle WHERE (start_time >= ? AND kind != ?) AND hle_id IN (?, ?) "
+     "ORDER BY hle_id ASC", (_TIME, st.just("saa"), _ID, _ID)),
+    ("SELECT * FROM hle WHERE peak_rate >= ? ORDER BY peak_rate DESC LIMIT 10",
+     (st.one_of(st.floats(0, 620, allow_nan=False), st.none()),)),
+    ("SELECT * FROM hle WHERE peak_rate BETWEEN ? AND ? ORDER BY peak_rate DESC "
+     "LIMIT 40", (st.floats(0, 620, allow_nan=False), st.floats(0, 620, allow_nan=False))),
+    ("SELECT * FROM hle WHERE item_id = ?", (_ITEM,)),
+    ("SELECT * FROM ana WHERE hle_id = ? ORDER BY ana_id ASC", (_ID,)),
+    ("SELECT count(*) AS n FROM ana WHERE hle_id = ?", (_ID,)),
+    ("SELECT * FROM ana WHERE ana_id = ? ORDER BY ana_id ASC", (_ID,)),
+    ("SELECT count(*) AS n FROM catalog_members WHERE hle_id = ?", (_ID,)),
+    ("SELECT * FROM catalog_members WHERE hle_id IN (?, ?) ORDER BY member_id ASC",
+     (_ID, _ID)),
+    ("SELECT * FROM loc_files WHERE item_id = ? ORDER BY file_id ASC", (_ITEM,)),
+    ("SELECT * FROM loc_files WHERE item_id IN (?, ?) ORDER BY file_id ASC",
+     (_ITEM, _ITEM)),
+]
+
+
+@st.composite
+def _shaped_reads(draw):
+    text, params = draw(st.sampled_from(_SHAPES))
+    return prepare(text).bind(tuple(draw(param) for param in params))
+
+
+@pytest.fixture(scope="module")
+def route_rule_pair():
+    """One node and a 4 x 2 build holding the same rows: 60 events with
+    unique start times and peak rates, their analyses, a catalogue, and
+    files of a few events and one analysis."""
+    single = Database(name="single")
+    install_all(single)
+    sharded = ShardedDatabase(boundaries=BOUNDS, name="rules", replicas_per_shard=2)
+    install_all(sharded)
+    both = (single, sharded)
+    _seed_users(*both)
+    rows = _event_rows(60, 2003)
+    for index, row in enumerate(rows):
+        row["peak_rate"] = float(index * 37 % 601)
+    for db in both:
+        for row in rows:
+            db.execute(Insert("hle", dict(row)))
+    _seed_family(both, rows)
+    for db in both:
+        db.execute(Insert("loc_archives", {"archive_id": "main", "root_path": "/a"}))
+        for file_id, item_id in enumerate(["hle:1", "hle:1", "hle:2", "hle:9", "ana:1"]):
+            db.execute(Insert("loc_files", _file_row(file_id, item_id)))
+    return single, sharded
+
+
+def _outcome(run, statement):
+    try:
+        rows = run(statement)
+    except Exception as exc:        # both sides must fail the same way
+        return type(exc).__name__
+    return [dict(row) for row in rows] if isinstance(rows, list) else rows
+
+
+class TestRouteRules:
+    @settings(max_examples=200, deadline=None)
+    @given(statements=st.lists(_shaped_reads(), min_size=1, max_size=6))
+    def test_route_rules_agree_with_the_single_node(self, route_rule_pair, statements):
+        """A shape's rule, kept from its first binding, routes every
+        later one as a statement without a shape is routed: the same
+        rows as one node, the same EXPLAIN route."""
+        single, sharded = route_rule_pair
+        for statement in statements:
+            assert statement.shape is not None
+            unshaped = replace(statement)
+            assert unshaped.shape is None
+            assert _outcome(sharded.execute, statement) == \
+                _outcome(single.execute, statement), statement
+            shaped_route = _outcome(
+                lambda s: sharded.explain_plan(s)["shard_route"], statement)
+            assert shaped_route == _outcome(
+                lambda s: sharded.explain_plan(s)["shard_route"], unshaped), statement
+        assert {statement.shape for statement in statements} <= set(sharded._by_shape)
 
 
 class TestShardedHedc:

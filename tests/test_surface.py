@@ -47,7 +47,7 @@ API = {
     "replica_efficiency", "repository_totals", "resolve_tuple", "resolve_urls",
     "scaling_series",
     "schedule_at", "scrub_orphan_files", "select_detector", "shard_db",
-    "spectrum", "stop_all", "store_file", "submit_routine",
+    "spec_for_value", "spectrum", "stop_all", "store_file", "submit_routine",
     "sync_archive_status", "synoptic_context", "table1_histogram",
     "table1_imaging", "thin_client", "to_jsonl", "top_users", "total_records",
     "trace_profile", "unstage", "upload_analysis", "usage_summary",
