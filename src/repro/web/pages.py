@@ -9,7 +9,7 @@ associated with that HLE".
 
 from __future__ import annotations
 
-from .templates import TemplateRegistry
+from .templates import Template, TemplateRegistry
 
 HEADER = """<!DOCTYPE html>
 <html><head><title>HEDC - {{ title }}</title>
@@ -120,16 +120,18 @@ SEARCH_PAGE = """{% include header %}
 """
 
 
+#: Each page compiled once per process, when this module is imported.  A
+#: ``Template`` is stateless, so every registry shares these objects.
+_compiled = {name: Template(source) for name, source in (
+    ("header", HEADER), ("footer", FOOTER), ("catalog_list", CATALOG_LIST),
+    ("catalog_page", CATALOG_PAGE), ("hle_header", HLE_HEADER), ("analysis", ANALYSIS),
+    ("ana_page", ANA_PAGE), ("login_page", LOGIN_PAGE), ("search_page", SEARCH_PAGE))}
+
+
 def build_registry() -> TemplateRegistry:
-    """The standard HEDC template set, ready for the servlets."""
+    """The standard HEDC template set, ready for the servlets; it compiles
+    nothing."""
     registry = TemplateRegistry()
-    registry.register("header", HEADER)
-    registry.register("footer", FOOTER)
-    registry.register("catalog_list", CATALOG_LIST)
-    registry.register("catalog_page", CATALOG_PAGE)
-    registry.register("hle_header", HLE_HEADER)
-    registry.register("analysis", ANALYSIS)
-    registry.register("ana_page", ANA_PAGE)
-    registry.register("login_page", LOGIN_PAGE)
-    registry.register("search_page", SEARCH_PAGE)
+    for name, template in _compiled.items():
+        registry.register(name, template)
     return registry

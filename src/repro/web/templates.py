@@ -8,11 +8,14 @@ attributes, with HTML escaping), ``{% for x in expr %}``,
 ``{% if expr %}/{% else %}`` and ``{% include name %}`` over a template
 registry.
 
-A template is compiled when it is constructed (for the servlets: at
-``TemplateRegistry.register``) into closures ``emit(context, registry,
-append)`` that write to one output list.  What an expression *is* —
-literal, integer, or dotted path — is decided then; what it resolves to,
-and which template an include names, at each render.
+A template is compiled when it is constructed into the source of one
+Python function, ``render(_c, _registry)``, which is ``compile()``d once.
+A run of text, values and includes between two control tags is one
+f-string ``append``; a loop variable is a local of that function.  Text,
+keys and names from the template enter the source only as ``repr()``
+literals, never as identifiers.  What an expression *is* — literal,
+integer, or dotted path — is decided then; what it resolves to, and which
+template an include names, at each render.
 """
 
 from __future__ import annotations
@@ -20,10 +23,7 @@ from __future__ import annotations
 import re
 from html import escape
 from types import MappingProxyType
-from typing import Any, Callable, Optional
-
-Getter = Callable[[dict[str, Any]], Any]
-Emit = Callable[[dict[str, Any], "TemplateRegistry", Callable[[str], None]], None]
+from typing import Any, Optional, Union
 
 
 class TemplateError(Exception):
@@ -47,127 +47,153 @@ def _step(value: Any, part: str, head: str) -> Any:
     return value
 
 
-def _getter(expression: str) -> Getter:
-    """``context -> value`` for a literal or a dotted ``a.b.c`` path."""
-    expression = expression.strip()
+def _unknown(head: str) -> Any:
+    raise TemplateError(f"unknown template variable {head!r}")
+
+
+def _other(value: Any, escaped: bool) -> str:
+    """A value that is not an exact ``str``, ``int``, ``float`` or ``None``:
+    ``.6g`` for a float subclass, ``str`` for the rest."""
+    text = f"{value:.6g}" if isinstance(value, float) else str(value)
+    return escape(text) if escaped else text
+
+
+#: The generated functions' globals.  No builtins: the code reaches only
+#: these names and its own locals.  ``_unsafe`` finds a character
+#: ``html.escape`` would change, so a clean string skips the escape.
+_NAMESPACE = {
+    "__builtins__": {}, "TemplateError": TemplateError, "_step": _step,
+    "_unknown": _unknown, "_other": _other, "_escape": escape,
+    "_unsafe": re.compile("[&<>\"']").search,
+    "_maps": frozenset((dict, MappingProxyType)),
+    **{kind.__name__: kind for kind in (type, dict, bool, str, int, float)},
+}
+
+
+def _literal(expression: str) -> Any:
+    """A quoted string or an integer, else ``_MISSING``."""
     if expression.startswith(("'", '"')) and expression.endswith(expression[0]):
-        literal: Any = expression[1:-1]
-        return lambda context: literal
+        return expression[1:-1]
     try:
-        literal = int(expression)
-        return lambda context: literal
+        return int(expression)
     except ValueError:
-        pass
-    head, *rest = expression.split(".")
+        return _MISSING
 
-    def get_name(context):
-        if head not in context:
-            raise TemplateError(f"unknown template variable {head!r}")
-        return context[head]
 
-    if not rest:
-        return get_name
-    if len(rest) == 1:
-        part = rest[0]
+class _Writer:
+    """Writes parsed nodes as the body of ``render(_c, _registry)``.
 
-        def get_member(context):
-            if head not in context:
-                raise TemplateError(f"unknown template variable {head!r}")
-            value = context[head]
-            kind = type(value)
-            if kind is dict or kind is MappingProxyType:
-                try:
-                    return value[part]
-                except KeyError:
-                    pass
-            return _step(value, part, head)
+    ``loops`` maps each loop variable in scope to its local; ``scope``
+    names the dict an include is rendered with: the context, or a loop's
+    one copy of it."""
 
-        return get_member
+    def __init__(self) -> None:
+        self.lines = ["def render(_c, _registry):", " _out = []", " _append = _out.append"]
+        self.count = 0
 
-    def get_path(context):
-        value = get_name(context)
+    def fresh(self, stem: str) -> str:
+        self.count += 1
+        return f"_{stem}{self.count}"
+
+    def expression(self, expression: str, loops: dict, pad: str) -> str:
+        """Emit the lines resolving ``expression``; return what holds its value."""
+        expression = expression.strip()
+        literal = _literal(expression)
+        if literal is not _MISSING:
+            return repr(literal)
+        head, *rest = expression.split(".")
+        value = loops.get(head)
+        if value is None:
+            self.lines.append(f"{pad}_v = _c[{head!r}] if {head!r} in _c else _unknown({head!r})")
+            value = "_v"
         for part in rest:
-            value = _step(value, part, head)
+            self.lines.append(f"{pad}_v = {value}[{part!r}] if type({value}) in _maps and "
+                              f"{part!r} in {value} else _step({value}, {part!r}, {head!r})")
+            value = "_v"
         return value
 
-    return get_path
+    def block(self, nodes: list, loops: dict, scope: str, pad: str) -> None:
+        start, parts = len(self.lines), []
+        for node in nodes:
+            if node[0] == "text":
+                parts.append(repr(node[1]))
+            elif node[0] == "value":
+                parts.append(self.value(node[1], node[2], loops, pad))
+            elif node[0] == "include":
+                text = self.fresh("s")
+                self.lines.append(f"{pad}{text} = _registry.render({node[1]!r}, {scope})")
+                parts.append(f"f'{{{text}}}'")
+            else:  # a control tag ends the run of parts
+                self.flush(parts, pad)
+                write = self.loop if node[0] == "for" else self.branch
+                write(*node[1:], loops, scope, pad)
+        self.flush(parts, pad)
+        if len(self.lines) == start:
+            self.lines.append(f"{pad}pass")
+
+    def value(self, expression: str, escaped: bool, loops: dict, pad: str) -> str:
+        """Emit the lines printing one ``{{ }}``; return its string token."""
+        literal = _literal(expression.strip())
+        if literal is not _MISSING:
+            return repr(escape(literal) if escaped and type(literal) is str else str(literal))
+        v, text = self.expression(expression, loops, pad), self.fresh("s")
+        string = f"(_escape({v}) if _unsafe({v}) else {v})" if escaped else v
+        self.lines.append(
+            f"{pad}{text} = {string} if (_t := type({v})) is str else f'{{{v}}}' if _t is int "
+            f"else f'{{{v}:.6g}}' if _t is float else '' if {v} is None "
+            f"else _other({v}, {escaped})")
+        return f"f'{{{text}}}'"
+
+    def flush(self, parts: list, pad: str) -> None:
+        if parts:
+            self.lines.append(f"{pad}_append({' '.join(parts)})")
+            parts.clear()
+
+    def loop(self, variable: str, expression: str, body: list, loops: dict, scope: str,
+             pad: str) -> None:
+        items, item = self.expression(expression, loops, pad), self.fresh("l")
+        # One scope copy per loop, and only if an include in the body reads it.
+        copied = _includes(body)
+        if copied:
+            outer, scope = scope, self.fresh("scope")
+            self.lines.append(f"{pad}{scope} = dict({outer})")
+        self.lines.append(f"{pad}for {item} in {items}:")
+        if copied:
+            self.lines.append(f"{pad} {scope}[{variable!r}] = {item}")
+        self.block(body, {**loops, variable: item}, scope, pad + " ")
+
+    def branch(self, expression: str, then_body: list, else_body: list, loops: dict,
+               scope: str, pad: str) -> None:
+        self.lines.append(f"{pad}try:")
+        value = self.expression(expression, loops, pad + " ")
+        self.lines += [f"{pad} _b = bool({value})", f"{pad}except TemplateError:",
+                       f"{pad} _b = False", f"{pad}if _b:"]
+        self.block(then_body, loops, scope, pad + " ")
+        if else_body:
+            self.lines.append(f"{pad}else:")
+            self.block(else_body, loops, scope, pad + " ")
 
 
-def _text(text: str) -> Emit:
-    return lambda context, registry, append: append(text)
-
-
-def _expr(get: Getter, escaped: bool) -> Emit:
-    """Emit one value: ``None`` as nothing, floats as ``.6g``, the rest
-    through ``str``; escaped unless ``|safe``.  Exact ``int`` and ``float``
-    print no character that escaping would change."""
-
-    def emit(context, registry, append):
-        value = get(context)
-        kind = type(value)
-        if kind is str:
-            append(escape(value) if escaped else value)
-        elif kind is int:
-            append(str(value))
-        elif kind is float:
-            append(f"{value:.6g}")
-        elif value is not None:
-            text = f"{value:.6g}" if isinstance(value, float) else str(value)
-            append(escape(text) if escaped else text)
-
-    return emit
-
-
-def _for(variable: str, get: Getter, body: Emit) -> Emit:
-    def emit(context, registry, append):
-        items = get(context)
-        # One scope per loop, not per row: nothing in a body can write to
-        # it but an inner loop, which copies it again.
-        scope = dict(context)
-        for item in items:
-            scope[variable] = item
-            body(scope, registry, append)
-
-    return emit
-
-
-def _if(get: Getter, then_body: Emit, else_body: Emit) -> Emit:
-    def emit(context, registry, append):
-        try:
-            branch = then_body if get(context) else else_body
-        except TemplateError:
-            branch = else_body
-        branch(context, registry, append)
-
-    return emit
-
-
-def _include(name: str) -> Emit:
-    # The name is looked up at render time: an include may be registered
-    # after its includer, and re-registered.
-    return lambda context, registry, append: append(registry.render(name, context))
-
-
-def _block(nodes: list[Emit]) -> Emit:
-    if len(nodes) == 1:
-        return nodes[0]
-    body = tuple(nodes)
-
-    def emit(context, registry, append):
-        for node in body:
-            node(context, registry, append)
-
-    return emit
+def _includes(nodes: list) -> bool:
+    """Whether an include is among ``nodes`` or in a body below them."""
+    return any(node[0] == "include" or any(_includes(part) for part in node if type(part) is list)
+               for node in nodes)
 
 
 class Template:
-    """A compiled template."""
+    """A compiled template: stateless, so one serves every registry and
+    thread."""
 
     def __init__(self, source: str):
-        self._emit = self._parse(iter(_TAG_RE.split(source)), terminators=())[0]
+        writer = _Writer()
+        writer.block(self._parse(iter(_TAG_RE.split(source)), terminators=())[0], {}, "_c", " ")
+        writer.lines.append(" return ''.join(_out)")
+        namespace = dict(_NAMESPACE)
+        exec(compile("\n".join(writer.lines), "<template>", "exec"), namespace)
+        self._render = namespace["render"]
 
-    def _parse(self, pieces, terminators) -> tuple[Emit, Optional[str]]:
-        nodes: list[Emit] = []
+    def _parse(self, pieces, terminators) -> tuple[list, Optional[str]]:
+        nodes: list = []
         for piece in pieces:
             if not piece:
                 continue
@@ -177,37 +203,35 @@ class Template:
                 if inner.endswith("|safe"):
                     inner = inner[:-5].strip()
                     escaped = False
-                nodes.append(_expr(_getter(inner), escaped))
+                nodes.append(("value", inner, escaped))
             elif piece.startswith("{%"):
                 tag = piece[2:-2].strip()
                 if tag in terminators:
-                    return _block(nodes), tag
+                    return nodes, tag
                 if tag.startswith("for "):
                     match = re.match(r"for\s+(\w+)\s+in\s+(.+)", tag)
                     if not match:
                         raise TemplateError(f"bad for tag: {tag!r}")
                     body, terminator = self._parse(pieces, ("endfor",))
-                    nodes.append(_for(match.group(1), _getter(match.group(2)), body))
+                    nodes.append(("for", match.group(1), match.group(2), body))
                 elif tag.startswith("if "):
                     then_body, terminator = self._parse(pieces, ("else", "endif"))
-                    else_body = _block([])
+                    else_body: list = []
                     if terminator == "else":
                         else_body, _terminator = self._parse(pieces, ("endif",))
-                    nodes.append(_if(_getter(tag[3:]), then_body, else_body))
+                    nodes.append(("if", tag[3:], then_body, else_body))
                 elif tag.startswith("include "):
-                    nodes.append(_include(tag[8:].strip()))
+                    nodes.append(("include", tag[8:].strip()))
                 else:
                     raise TemplateError(f"unknown tag {tag!r}")
             else:
-                nodes.append(_text(piece))
+                nodes.append(("text", piece))
         if terminators:
             raise TemplateError(f"missing {'/'.join(terminators)}")
-        return _block(nodes), None
+        return nodes, None
 
     def render(self, context: dict[str, Any], registry: Optional["TemplateRegistry"] = None) -> str:
-        out: list[str] = []
-        self._emit(context, registry or TemplateRegistry(), out.append)
-        return "".join(out)
+        return self._render(context, registry or TemplateRegistry())
 
 
 class TemplateRegistry:
@@ -216,13 +240,15 @@ class TemplateRegistry:
     def __init__(self) -> None:
         self._templates: dict[str, Template] = {}
 
-    def register(self, name: str, source: str) -> None:
-        self._templates[name] = Template(source)
+    def register(self, name: str, template: Union[str, Template]) -> None:
+        """Register a source, compiling it, or an already compiled template."""
+        self._templates[name] = template if isinstance(template, Template) else Template(template)
 
     def render(self, name: str, context: dict[str, Any]) -> str:
-        if name not in self._templates:
+        template = self._templates.get(name)
+        if template is None:
             raise TemplateError(f"unknown template {name!r}")
-        return self._templates[name].render(context, self)
+        return template._render(context, self)
 
     def __contains__(self, name: str) -> bool:
         return name in self._templates

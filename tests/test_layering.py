@@ -28,7 +28,7 @@ DOMAIN = {"rhessi", "analysis", "schema", "schema.rhessi_schema", "idl.ssw", "sy
 ASSEMBLY = {"core"}
 
 #: (generic module, domain layer) pairs that exist today.  Each is work
-#: left for ROADMAP item 4's domain interface; none may be added.
+#: left for ROADMAP item 6's domain interface; none may be added.
 ALLOWED = {
     ("dm.dm", "schema"),
     ("dm.process", "rhessi"),

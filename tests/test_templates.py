@@ -1,13 +1,15 @@
 """The compiled template engine against the interpreter it replaced.
 
-``repro.web.templates`` compiles a template into closures when it is
-registered; ``tests/oracle_templates.py`` is the tree interpreter that
-rendered every page before, copied unchanged.  Whatever hypothesis writes
-as template source and context, the two return the same string or raise
-the same exception with the same text; the named cases pin what is bound
-at compile time and what at render time.
+``repro.web.templates`` compiles a template into one generated Python
+function when it is constructed; ``tests/oracle_templates.py`` is the
+tree interpreter that rendered every page before, copied unchanged.
+Whatever hypothesis writes as template source and context, the two
+return the same string or raise the same exception with the same text;
+the named cases pin what is bound at compile time and what at render
+time, and that nothing in a template's text becomes code.
 """
 
+import builtins
 import math
 import sys
 import threading
@@ -16,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.web import Template, TemplateError, TemplateRegistry, ThinClient, pages
+from repro.web import Template, TemplateError, TemplateRegistry, ThinClient, pages, templates
 
 from . import oracle_templates as oracle
 
@@ -235,6 +237,70 @@ class TestAgainstTheInterpreter:
         assert template.render({"show": False}) == "ok"
         with pytest.raises(TemplateError):
             template.render({"show": True})
+
+
+class TestHostileSource:
+    """Text, paths, include names and loop variables that would be code if
+    they reached the generated source as anything but a quoted literal.
+    Each renders the interpreter's bytes or raises its error, and leaves
+    the caller's context, the engine's module and the builtins as they
+    were."""
+
+    PART = "[{% if for %}{{ for }}{% endif %}{% if _out %}{{ _out }}{% endif %}]"
+
+    @pytest.mark.parametrize("source", [
+        pytest.param("'''", id="triple-single-quote"),
+        pytest.param('"""', id="triple-double-quote"),
+        pytest.param("a\\b\\\\c\\n\\x00\\N{BULLET}\\", id="backslashes"),
+        pytest.param("{ } }{ {x} {{ a }}}", id="lone-braces"),
+        pytest.param("\x00{{ a }}\x00\r\n\t\ud800", id="nul-and-controls"),
+        pytest.param("{x!r} {0:>{1}} {__import__('os').getcwd()} f'{a}' %s %(a)s",
+                     id="f-string-syntax-as-text"),
+        pytest.param("{{ '{x}' }}{{ '\\'' }}{{ \"'''\" }}{{ '\"\"\"'|safe }}{{ '\x00' }}",
+                     id="quotes-in-literals"),
+        pytest.param("{{ a.__class__ }}|{{ x.__dict__ }}|{{ x.__class__.__name__ }}",
+                     id="dunder-paths"),
+        pytest.param("{% for k in x.__dict__ %}{{ k }};{% endfor %}{{ a.__class__.__mro__ }}",
+                     id="dunder-loop-source"),
+        pytest.param("{{ _c }}", id="generated-name-_c"),
+        pytest.param("{{ __builtins__ }}", id="generated-name-builtins"),
+        pytest.param("{% if _registry %}y{% else %}n{% endif %}"
+                     "{% if type %}y{% else %}n{% endif %}",
+                     id="generated-names-in-if"),
+        pytest.param("{% include x'); import os; (' %}", id="include-name-with-code"),
+        pytest.param("{% for for in xs %}{{ for }}{% include part %}{% endfor %}", id="loop-for"),
+        pytest.param("{% for __import__ in xs %}{{ __import__ }}{% endfor %}"
+                     "{% if __import__ %}leak{% endif %}",
+                     id="loop-__import__"),
+        pytest.param("{% for _out in xs %}{{ _out }}{% include part %}{% endfor %}"
+                     "{% if _out %}leak{% endif %}",
+                     id="loop-_out"),
+        pytest.param("{% for a in xs %}{{ a }}{% for a in a.__class__.__mro__ %}{{ a }}"
+                     "{% endfor %}{{ a }}{% endfor %}{{ a }}", id="loop-a-shadowed"),
+        pytest.param("{% for _c in xs %}{% for _append in xs %}{% for _v in xs %}"
+                     "{{ _c }}{{ _append }}{{ _v }}{% endfor %}{% endfor %}{% endfor %}",
+                     id="loop-generated-locals"),
+        pytest.param("{% for _l1 in xs %}{% for _scope2 in xs %}{% for TemplateError in xs %}"
+                     "{{ _l1 }}{{ _scope2 }}{{ TemplateError }}{% include part %}"
+                     "{% endfor %}{% endfor %}{% endfor %}", id="loop-numbered-locals"),
+    ])
+    def test_renders_the_interpreters_bytes(self, source):
+        context = {"a": 1.5, "x": Thing(kind="<k>"), "xs": ["<", "'", 3]}
+        bound = [(key, id(value)) for key, value in context.items()]
+        module, namespace, builtin = (dict(vars(templates)), dict(templates._NAMESPACE),
+                                      dict(vars(builtins)))
+        compiled, interpreted = _registries({"page": source, "part": self.PART})
+        if not isinstance(interpreted, oracle.TemplateRegistry):
+            assert compiled == interpreted
+        else:
+            assert (_outcome(lambda: compiled.render("page", context))
+                    == _outcome(lambda: interpreted.render("page", context)))
+            assert (_outcome(lambda: Template(source).render(context))
+                    == _outcome(lambda: oracle.Template(source).render(context)))
+        assert [(key, id(value)) for key, value in context.items()] == bound
+        assert vars(templates) == module
+        assert templates._NAMESPACE == namespace
+        assert vars(builtins) == builtin
 
 
 class TestBinding:
