@@ -15,7 +15,8 @@ Subpackages: ``core`` (facade), ``dm``/``pl`` (application logic tier),
 ``metadb``/``filestore``/``schema`` (resource tier), ``web``/
 ``streamcorder`` (presentation tier), ``rhessi``/``fits``/``analysis``/
 ``idl``/``wavelets``/``viz``/``synoptic`` (domain substrates),
-``simkit``/``evalmodel`` (performance models for the paper's evaluation).
+``simkit``/``evalmodel`` (models of the paper's two testbeds: browsing,
+Figures 4-5, and processing, Tables 1-3).
 """
 
 from .core import Hedc, IngestReport

@@ -22,59 +22,23 @@ from .processing import (
     table1_histogram,
     table1_imaging,
 )
-from .serving import (
-    DEFAULT_CLASS_SHARES,
-    SERVING_CLASSES,
-    ServingModelResult,
-    admission_ab,
-    print_serving,
-    simulate_serving,
-    worker_scaling_series,
-)
-from .sharding import (
-    ScalingProjection,
-    ShardedBrowsingResult,
-    figure5_sharded_series,
-    print_scaling_projection,
-    print_sharded_figure5,
-    project_scaling,
-    replica_efficiency,
-    scaling_series,
-    simulate_sharded_browsing,
-)
 
 __all__ = [
     "BrowsingResult",
     "Configuration",
-    "DEFAULT_CLASS_SHARES",
-    "SERVING_CLASSES",
-    "ServingModelResult",
-    "admission_ab",
     "HISTOGRAM",
     "HISTOGRAM_CONFIGS",
     "IMAGING",
     "IMAGING_CONFIGS",
     "ProcessingResult",
-    "ScalingProjection",
-    "ShardedBrowsingResult",
     "Workload",
     "figure4_series",
     "figure5_series",
-    "figure5_sharded_series",
     "print_figure4",
     "print_figure5",
-    "print_scaling_projection",
-    "print_serving",
-    "print_sharded_figure5",
     "print_table1",
-    "project_scaling",
-    "replica_efficiency",
-    "scaling_series",
     "simulate_browsing",
     "simulate_processing",
-    "simulate_serving",
-    "simulate_sharded_browsing",
     "table1_histogram",
     "table1_imaging",
-    "worker_scaling_series",
 ]

@@ -8,16 +8,21 @@ shared DBMS).  Clients are spread evenly over the middle-tier nodes
 evenly").
 
 ``simulate_browsing`` returns throughput and utilisation for one
-configuration, run by the sharded model with one shard
-(:mod:`repro.evalmodel.sharding`); :func:`figure4_series` and
-:func:`figure5_series` sweep the paper's x-axes.
+configuration; :func:`figure4_series` and :func:`figure5_series` sweep
+the paper's x-axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sharding import simulate_sharded_browsing
+from ..simkit import FcfsServer, ProcessorSharing, Simulator, Tally, spawn
+from .calibration import (
+    CPU_BASE_S,
+    CPU_PER_CLIENT_S,
+    DB_QUERIES_PER_SECOND,
+    QUERIES_PER_REQUEST,
+)
 
 
 @dataclass(frozen=True)
@@ -39,19 +44,48 @@ def simulate_browsing(
     duration_s: float = 400.0,
     warmup_s: float = 50.0,
 ) -> BrowsingResult:
-    """Simulate one (clients, middle-tier nodes) configuration: the
-    sharded model with one shard, which is the one shared DBMS."""
-    result = simulate_sharded_browsing(
-        n_clients, n_middle_tier=n_middle_tier, n_shards=1,
-        duration_s=duration_s, warmup_s=warmup_s)
+    """Simulate one (clients, middle-tier nodes) configuration."""
+    if n_clients < 1 or n_middle_tier < 1:
+        raise ValueError("need at least one client and one middle-tier node")
+    sim = Simulator()
+    dbms = FcfsServer(sim, servers=1, name="dbms")
+    nodes = [
+        ProcessorSharing(sim, cores=1, speed=1.0, name=f"app{node}")
+        for node in range(n_middle_tier)
+    ]
+    clients_per_node = [
+        n_clients // n_middle_tier + (1 if node < n_clients % n_middle_tier else 0)
+        for node in range(n_middle_tier)
+    ]
+    query_service = 1.0 / DB_QUERIES_PER_SECOND
+    response_times = Tally()   # one sample per request completed after warm-up
+
+    def client_loop(node_index: int):
+        node = nodes[node_index]
+        cpu_demand = CPU_BASE_S + CPU_PER_CLIENT_S * clients_per_node[node_index]
+        while True:
+            started = sim.now
+            yield node.service(cpu_demand)
+            for _query in range(QUERIES_PER_REQUEST):
+                yield dbms.request(query_service)
+            if sim.now > warmup_s:
+                response_times.record(sim.now - started)
+
+    for node_index, count in enumerate(clients_per_node):
+        for _client in range(count):
+            spawn(sim, client_loop(node_index))
+    sim.run(until=duration_s)
+
+    throughput = response_times.count / (duration_s - warmup_s)
     return BrowsingResult(
         n_clients=n_clients,
         n_middle_tier=n_middle_tier,
-        throughput_rps=result.throughput_rps,
-        db_queries_per_s=result.db_queries_per_s,
-        avg_response_s=result.avg_response_s,
-        middle_tier_utilization=result.middle_tier_utilization,
-        db_utilization=result.shard_utilization,
+        throughput_rps=throughput,
+        db_queries_per_s=throughput * QUERIES_PER_REQUEST,
+        avg_response_s=response_times.mean,
+        middle_tier_utilization=sum(node.busy_time for node in nodes)
+        / (duration_s * len(nodes)),
+        db_utilization=dbms.busy_time / duration_s,
     )
 
 

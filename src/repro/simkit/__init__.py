@@ -1,35 +1,24 @@
 """Discrete-event simulation substrate.
 
-Used by :mod:`repro.evalmodel` to reproduce the paper's testbed experiments
-(Figures 4-5, Table 1) on a single machine.
+Used by :mod:`repro.evalmodel` to reproduce the paper's two testbeds,
+browsing (Figures 4-5) and processing (Tables 1-3), on a single machine.
 """
 
 from .events import EventHandle, SimulationError, Simulator
-from .process import AllOf, Future, Interrupted, Process, spawn
-from .random_streams import RandomStream, StreamFactory
-from .resources import (
-    FcfsServer,
-    PriorityFcfsServer,
-    ProcessorSharing,
-    scatter_gather,
-)
+from .process import Future, Interrupted, Process, spawn
+from .resources import FcfsServer, ProcessorSharing
 from .stats import Tally, TimeWeighted
 
 __all__ = [
-    "AllOf",
     "EventHandle",
     "FcfsServer",
     "Future",
     "Interrupted",
-    "PriorityFcfsServer",
     "Process",
     "ProcessorSharing",
-    "RandomStream",
     "SimulationError",
     "Simulator",
-    "StreamFactory",
     "Tally",
     "TimeWeighted",
-    "scatter_gather",
     "spawn",
 ]

@@ -4,7 +4,7 @@ A process is a Python generator that yields *waitables*:
 
 * a ``float`` — hold for that many time units;
 * a :class:`Future` — resume when the future resolves;
-* an :class:`AllOf` — resume when every future in a set resolves.
+* a :class:`Process` — resume when that process finishes.
 
 The scheduler drives the generator, resuming it with the value carried by
 the waitable (``Future.value``), mirroring the structure of SimPy-style
@@ -13,7 +13,7 @@ process interaction without any external dependency.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from .events import Simulator, SimulationError
 
@@ -65,13 +65,6 @@ class Future:
             callback(self)
         else:
             self._callbacks.append(callback)
-
-
-class AllOf:
-    """Waitable that resolves when all component futures have resolved."""
-
-    def __init__(self, futures: Iterable[Future]):
-        self.futures = list(futures)
 
 
 class Process:
@@ -133,25 +126,8 @@ class Process:
             item.add_callback(lambda future: self._resume(future.value))
         elif isinstance(item, Process):
             item.result.add_callback(lambda future: self._resume(future.value))
-        elif isinstance(item, AllOf):
-            self._wait_all(item)
         else:
             raise SimulationError(f"process yielded unsupported waitable: {item!r}")
-
-    def _wait_all(self, group: AllOf) -> None:
-        pending = [future for future in group.futures if not future.done]
-        if not pending:
-            self._resume([future.value for future in group.futures])
-            return
-        remaining = {"count": len(pending)}
-
-        def on_done(_future: Future) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self._resume([future.value for future in group.futures])
-
-        for future in pending:
-            future.add_callback(on_done)
 
 
 def spawn(sim: Simulator, generator: ProcessGenerator, name: str = "") -> Process:

@@ -9,12 +9,11 @@ from .events import Simulator
 
 
 class Tally:
-    """Running mean/variance/min/max of observed samples (Welford)."""
+    """Running mean/min/max of observed samples."""
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
 
@@ -22,21 +21,12 @@ class Tally:
         self.count += 1
         delta = value - self._mean
         self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
         self.minimum = min(self.minimum, value)
         self.maximum = max(self.maximum, value)
 
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class TimeWeighted:

@@ -1,4 +1,4 @@
-"""The layer map of ROADMAP item 4, asserted on the import graph.
+"""The layer map of ROADMAP item 6, asserted on the import graph.
 
 The paper's first contribution is "strict separation of generic vs.
 domain-specific code in every tier".  Every ``import`` statement of every

@@ -654,40 +654,6 @@ class TestHedcIntegration:
         assert metadb["causes"] == ["replica hedc-s1-r1 (shard 1) dead"]
 
 
-class TestEvalmodelReplicaMath:
-    def test_default_efficiency_reproduces_legacy_projection(self):
-        from repro.evalmodel import project_scaling
-
-        legacy = project_scaling(16, replicas_per_shard=1)
-        replicated = project_scaling(16, replicas_per_shard=4)
-        assert replicated.capacity_rps == pytest.approx(4 * legacy.capacity_rps)
-        assert replicated.effective_copies == 4.0
-
-    def test_measured_losses_discount_follower_capacity(self):
-        from repro.evalmodel import project_scaling, replica_efficiency
-
-        efficiency = replica_efficiency(
-            stale_skip_fraction=0.1, failover_blip_s=2.0, mtbf_s=100.0,
-            ship_overhead_fraction=0.05,
-        )
-        assert 0.0 < efficiency < 1.0
-        ideal = project_scaling(16, replicas_per_shard=4)
-        lossy = project_scaling(16, replicas_per_shard=4,
-                                replica_read_efficiency=efficiency)
-        assert lossy.capacity_rps < ideal.capacity_rps
-        # The primary always counts in full.
-        floor = project_scaling(16, replicas_per_shard=1)
-        assert lossy.capacity_rps > floor.capacity_rps
-
-    def test_efficiency_bounds_are_validated(self):
-        from repro.evalmodel import project_scaling, replica_efficiency
-
-        with pytest.raises(ValueError):
-            replica_efficiency(stale_skip_fraction=1.5)
-        with pytest.raises(ValueError):
-            project_scaling(4, replica_read_efficiency=-0.1)
-
-
 class TestOpenBreakerSkip:
     def test_open_breaker_copies_are_filtered_before_any_attempt(self):
         """A copy whose breaker is already open leaves the rotation

@@ -1773,40 +1773,11 @@ class TestShardedHedc:
         assert populated_hedc.telemetry_report()["shard"] is None
 
 
-class TestScalingModel:
-    def test_throughput_grows_with_shards(self):
-        from repro.evalmodel import simulate_sharded_browsing
-
-        results = [
-            simulate_sharded_browsing(96, n_middle_tier=5, n_shards=n,
-                                      duration_s=120.0)
-            for n in (1, 4)
-        ]
-        assert results[1].throughput_rps > 1.5 * results[0].throughput_rps
-
-    def test_projection_reaches_millions_of_users(self):
-        from repro.evalmodel import project_scaling, scaling_series
-
-        series = scaling_series()
-        capacities = [p.capacity_rps for p in series]
-        assert capacities == sorted(capacities)
-        assert series[-1].users_supported > 1_000_000
-        # Replication multiplies shard capacity linearly.
-        replicated = project_scaling(256, replicas_per_shard=4)
-        assert replicated.users_supported > 4_000_000
-
-    def test_fully_pruned_workload_scales_linearly(self):
-        from repro.evalmodel import project_scaling
-
-        one = project_scaling(1, pruned_fraction=1.0)
-        four = project_scaling(4, pruned_fraction=1.0)
-        assert four.capacity_rps == pytest.approx(4 * one.capacity_rps)
-
-    def test_measured_pruned_fraction_feeds_the_projection(self):
-        """Close the loop: the route counters of a real sharded workload
-        calibrate the analytic model."""
-        from repro.evalmodel import project_scaling
-
+class TestRouteMixAndPlacement:
+    def test_a_real_workload_counts_pruned_and_scatter_routes(self):
+        """The route counters of a real sharded workload see both kinds
+        of data read: window scans prune to one shard, rate-ordered
+        top-k scans scatter."""
         _single, sharded = _fresh_pair()
         _seed_users(sharded)
         rows = _seed_events([sharded], n=40)
@@ -1821,25 +1792,6 @@ class TestScalingModel:
         data_reads = routed["pruned"] + routed["scatter"]
         fraction = routed["pruned"] / data_reads
         assert 0.0 < fraction < 1.0
-        projection = project_scaling(16, pruned_fraction=fraction)
-        assert projection.capacity_rps > \
-            project_scaling(1, pruned_fraction=fraction).capacity_rps
-
-    def test_scatter_gather_resumes_on_the_slowest_branch(self):
-        from repro.simkit import FcfsServer, Simulator, scatter_gather, spawn
-
-        sim = Simulator()
-        servers = [FcfsServer(sim, name=f"s{i}") for i in range(3)]
-        servers[2].request(0.5)  # pre-load one branch with queueing delay
-        finished = {}
-
-        def fan_out():
-            yield scatter_gather(servers, 0.1)
-            finished["at"] = sim.now
-
-        spawn(sim, fan_out())
-        sim.run(until=2.0)
-        assert finished["at"] == pytest.approx(0.6)
 
     def test_config_placement_classes(self):
         from repro.schema import GENERIC_SCHEMAS, RHESSI_SCHEMAS

@@ -37,15 +37,14 @@ API = {
     "encode_density", "fetch_unit", "figure4_series", "figure5_series",
     "forward2d", "generate_catalog", "history", "idle_count", "in_flight",
     "ingest_observation", "inject", "interrupt", "inverse2d", "invoke_async",
-    "is_staged", "kill_replica", "lineage_for", "lognormal", "mirror_hles",
+    "is_staged", "kill_replica", "lineage_for", "mirror_hles",
     "mode_bin", "move_file", "n_archives", "n_copies",
-    "normal", "nulls", "offered_for", "parse_pgm", "peak_position", "print_figure4",
+    "nulls", "offered_for", "parse_pgm", "peak_position", "print_figure4",
     "print_figure5", "print_table1", "progressive_lightcurve", "prune_expired",
     "publish_calibration", "publish_hle", "quiet_periods", "recalibrate_unit",
     "reconstruction_error", "record_checksum", "register_user",
     "rejoin_replica", "RemoteArchive", "remove_server", "repair",
-    "replica_efficiency", "repository_totals", "resolve_tuple", "resolve_urls",
-    "scaling_series",
+    "repository_totals", "resolve_tuple", "resolve_urls",
     "schedule_at", "scrub_orphan_files", "select_detector", "shard_db",
     "spec_for_value", "spectrum", "stop_all", "store_file", "submit_routine",
     "sync_archive_status", "synoptic_context", "table1_histogram",
@@ -54,15 +53,6 @@ API = {
     "use_injector", "verify", "verify_file", "verify_recorded",
     "write_bundle",
 }
-
-
-#: Evaluation printers and series nothing calls: the digests in
-#: EXPERIMENTS.md were made with them.
-UNCALLED_PRINTERS = {
-    "admission_ab", "figure5_sharded_series", "print_scaling_projection",
-    "print_serving", "print_sharded_figure5", "worker_scaling_series",
-}
-API |= UNCALLED_PRINTERS
 
 
 def _re_exports(tree: ast.Module) -> set[int]:

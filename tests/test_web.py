@@ -17,6 +17,8 @@ from repro.web import (
     pages,
 )
 
+from .oracle_templates import PAGE_NAMES
+
 
 class TestTemplates:
     def test_variable_substitution_and_escaping(self):
@@ -570,7 +572,7 @@ _FRAGMENT = re.compile(r"<[^<>]*>")
 #: Tags the pages themselves are written in: a request that spells one of
 #: these cannot be told from the page.
 _OUR_TAGS = set(_FRAGMENT.findall(
-    "".join(source for name, source in vars(pages).items() if name.isupper())
+    "".join(getattr(pages, name.upper()) for name in PAGE_NAMES)
     + HttpResponse.error(0, "").text))
 
 _MARKUP = [
