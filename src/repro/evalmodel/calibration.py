@@ -39,10 +39,6 @@ CPU_PER_CLIENT_S = 0.0034
 #: Page payloads (§7.2): "The average response size is 12 KB for the
 #: response HTML page and 35 KB for the embedded dynamic images."
 HTML_RESPONSE_KB = 12.0
-IMAGE_RESPONSE_KB = 35.0
-
-#: Tuples parsed per request (§7.2).
-TUPLES_PER_REQUEST = 80
 
 # -- service-level objectives (PR-10 observability) ----------------------------
 #
@@ -103,13 +99,6 @@ HISTOGRAM_WORK_SERVER_S = 6.2
 #: "The HTTP bandwidth between client and server is 2 MB/s" — paid only
 #: by processing clients on non-cached input.
 HTTP_BANDWIDTH_MB_S = 2.0
-
-#: Central scheduling + fault-tolerant service protocol cost per job
-#: (§8.4: "in scenarios with parallel computations of analyses shorter
-#: than 5 s, the central scheduling ... becomes critical: jobs are not
-#: scheduled timely to available resources").  One dispatcher serializes
-#: job handoffs.
-DISPATCH_OVERHEAD_S = 2.0
 
 #: Per-job DM interaction cost (3 queries + 2 edits, §8.4: "the duration
 #: of query and edit operations is almost constant and equal in all

@@ -28,14 +28,18 @@ from ..simkit import FcfsServer, Simulator, Tally, spawn
 from .calibration import (
     CLIENT_CORES,
     DM_INTERACTION_S,
+    HISTOGRAM_EDITS_PER_REQUEST,
     HISTOGRAM_INPUT_MB_PER_REQUEST,
     HISTOGRAM_OUTPUT_MB_TOTAL,
+    HISTOGRAM_QUERIES_PER_REQUEST,
     HISTOGRAM_REQUESTS,
     HISTOGRAM_WORK_CLIENT_S,
     HISTOGRAM_WORK_SERVER_S,
     HTTP_BANDWIDTH_MB_S,
+    IMAGING_EDITS_PER_REQUEST,
     IMAGING_INPUT_MB_PER_REQUEST,
     IMAGING_OUTPUT_MB_TOTAL,
+    IMAGING_QUERIES_PER_REQUEST,
     IMAGING_REQUESTS,
     IMAGING_WORK_CLIENT_S,
     IMAGING_WORK_SERVER_S,
@@ -69,17 +73,21 @@ class Workload:
     work_server_s: float       # single-slot service time on the server
     work_client_s: float
     paced: bool                # True: submit near capacity; False: window
+    queries_per_request: int   # DM queries and edits of one job (§8.4)
+    edits_per_request: int
 
 
 IMAGING = Workload(
     "imaging", IMAGING_REQUESTS, IMAGING_INPUT_MB_PER_REQUEST, 50.0,
     IMAGING_OUTPUT_MB_TOTAL, IMAGING_WORK_SERVER_S, IMAGING_WORK_CLIENT_S,
-    paced=True,
+    paced=True, queries_per_request=IMAGING_QUERIES_PER_REQUEST,
+    edits_per_request=IMAGING_EDITS_PER_REQUEST,
 )
 HISTOGRAM = Workload(
     "histogram", HISTOGRAM_REQUESTS, HISTOGRAM_INPUT_MB_PER_REQUEST, 50.0,
     HISTOGRAM_OUTPUT_MB_TOTAL, HISTOGRAM_WORK_SERVER_S, HISTOGRAM_WORK_CLIENT_S,
-    paced=False,
+    paced=False, queries_per_request=HISTOGRAM_QUERIES_PER_REQUEST,
+    edits_per_request=HISTOGRAM_EDITS_PER_REQUEST,
 )
 
 
@@ -264,8 +272,8 @@ def simulate_processing(workload: Workload, config: Configuration) -> Processing
         usr_cpu_server_pct=usr_server,
         sys_cpu_client_pct=sys_client,
         usr_cpu_client_pct=usr_client,
-        queries=workload.n_requests * 3,
-        edits=workload.n_requests * 2,
+        queries=workload.n_requests * workload.queries_per_request,
+        edits=workload.n_requests * workload.edits_per_request,
     )
 
 

@@ -97,8 +97,10 @@ class DatabaseApi(Protocol):
         statement by statement.  ``statements`` may be a
         :class:`~repro.metadb.Batch` that recorded its references when
         it was bound (:class:`~repro.metadb.PreparedBatch`): each layer
-        reads that record, where a list is scanned once on entry.  This
-        is what makes an HLE page one round trip, prepared once.
+        reads that record, where a list is scanned once on entry, and a
+        reference's value enters the WHERE by the walk that bound the
+        request's values.  This is what makes an HLE page one round
+        trip, prepared once.
 
         What the statements of one batch share depends on who answers.
         A :class:`~repro.metadb.Database` runs the batch under one lock,

@@ -401,32 +401,3 @@ def range_on(predicate: Conjunction, column: str) -> Optional[tuple]:
         return None
     return (low, high, low_inclusive, high_inclusive)
 
-
-def map_refs(node: Optional[Predicate], bind: Callable[[Ref], Any]) -> Optional[Predicate]:
-    """``node`` with each :class:`Ref` literal replaced by ``bind(ref)``,
-    in tree order; a subtree without one is kept as it is."""
-    kind = type(node)
-    if kind is Comparison:
-        if type(node.value) is Ref:
-            return Comparison(node.column, node.op, bind(node.value))
-    elif kind is And or kind is Or:
-        operands = None
-        for position, operand in enumerate(node.operands):
-            if type(operand) is Comparison and type(operand.value) is not Ref:
-                continue        # the common leaf, skipped without a call
-            mapped = map_refs(operand, bind)
-            if mapped is not operand:
-                operands = operands or list(node.operands)
-                operands[position] = mapped
-        if operands is not None:
-            return kind(operands)
-    elif kind is Between:
-        low, high = node.low, node.high
-        if type(low) is Ref or type(high) is Ref:
-            return Between(node.column, bind(low) if type(low) is Ref else low,
-                           bind(high) if type(high) is Ref else high)
-    elif kind is Not:
-        operand = map_refs(node.operand, bind)
-        if operand is not node.operand:
-            return Not(operand)
-    return node

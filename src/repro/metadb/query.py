@@ -100,6 +100,19 @@ class Select:
                     raise QueryError(f"ORDER BY {column!r} names neither a GROUP BY "
                                      "column nor an aggregate alias")
 
+    def with_where(self, where: Optional[Predicate]) -> "Select":
+        """This statement under ``where``, its shape kept and its lists
+        its own: what a bound or rebound template hands out."""
+        statement = Select.__new__(Select)
+        fields = statement.__dict__
+        fields.update(self.__dict__)
+        fields["where"] = where
+        if self.columns is not None:
+            fields["columns"] = [*self.columns]
+        fields["order_by"], fields["group_by"], fields["aggregates"] = \
+            [*self.order_by], [*self.group_by], [*self.aggregates]
+        return statement
+
 
 @dataclass
 class Insert:

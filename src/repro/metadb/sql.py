@@ -11,10 +11,14 @@ HEDC supports two SQL paths that this module covers:
 The DM's own statements travel as *prepared statements*:
 ``to_sql(statement, params)`` renders every literal as ``?`` and collects
 the values, so the text is the statement's shape; :func:`prepare` parses
-such a text once into a :class:`PreparedStatement` whose ``bind(params)``
-builds what ``parse(to_sql(statement))`` would, without tokenizing or
-parsing again; so is a whole batch (:class:`PreparedBatch`, bound as a
-:class:`Batch`).  Plain :func:`parse` rejects an unbound ``?``.
+such a text once into a template holding ``Param(i)`` for each ``?``,
+and ``bind(params)`` builds what ``parse(to_sql(statement))`` would,
+without tokenizing or parsing again; so is a whole batch
+(:class:`PreparedBatch`, bound as a :class:`Batch`).  Every value enters
+a WHERE through one walk of the template (``_bound``), and a SELECT is
+handed out by ``Select.with_where``: a statement, a batch, a reference
+filled in when its row is read.  Plain :func:`parse` rejects an unbound
+``?``.
 
 Supported grammar (case-insensitive keywords)::
 
@@ -36,8 +40,7 @@ from __future__ import annotations
 import re
 from copy import copy
 from dataclasses import replace
-from operator import itemgetter
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .errors import QueryError
 from .predicate import (
@@ -52,7 +55,6 @@ from .predicate import (
     Predicate,
     Ref,
     check_literal,
-    map_refs,
 )
 from .query import Aggregate, Delete, Explain, Insert, Select, Update
 
@@ -144,6 +146,18 @@ class _LikeParam:
     def __init__(self, column: str, pattern: Param):
         self.column = column
         self.pattern = pattern
+
+
+class _InParam:
+    """``column IN (...)`` holding a ``?`` in a template: its values in the
+    order they are bound in, literals first, then placeholders by number,
+    which a frozen set would lose."""
+
+    __slots__ = ("column", "values")
+
+    def __init__(self, column: str, values: list):
+        self.column = column
+        self.values = values
 
 
 class _Parser:
@@ -381,6 +395,9 @@ class _Parser:
             while self._accept("punct", ","):
                 values.append(self._literal())
             self._expect("punct", ")")
+            if any(type(value) is Param for value in values):
+                return _InParam(column, sorted(
+                    values, key=lambda value: value.index if type(value) is Param else -1))
             return In(column, values)
         if self._accept("keyword", "like"):
             if self._accept("param"):
@@ -422,145 +439,113 @@ def parse(sql: str) -> Statement:
 
 # -- prepared statements -----------------------------------------------------
 
-#: ``params -> node``: what a template node compiles to.
-_Builder = Callable[[Sequence[Any]], Any]
+def _value(literal: Any, values: Sequence[Any], ref: Optional[Callable[[Ref], Any]] = None) -> Any:
+    if type(literal) is Param:
+        return values[literal.index]
+    return ref(literal) if ref is not None and type(literal) is Ref else literal
 
 
-def _value_builder(literal: Any) -> _Builder:
-    if isinstance(literal, Param):
-        return itemgetter(literal.index)
-    return lambda params: literal
+def _bound(node: Any, values: Sequence[Any], ref: Optional[Callable[[Ref], Any]] = None) -> Any:
+    """The WHERE ``node`` with each ``Param(i)`` replaced by ``values[i]``
+    and, given ``ref``, each :class:`Ref` by ``ref(it)``, in tree order.
+    A junction or NOT comes back new, a leaf only where a value went in:
+    the others are never changed, so binds share them."""
+    kind = type(node)
+    if kind is And or kind is Or:
+        operands = []
+        for operand in node.operands:
+            if type(operand) is Comparison and type(operand.value) is Param:
+                # The common leaf, bound without a call; a literal one is kept.
+                operand = Comparison(operand.column, operand.op, values[operand.value.index])
+            elif type(operand) is not Comparison or type(operand.value) is Ref:
+                operand = _bound(operand, values, ref)
+            operands.append(operand)
+        return kind(operands)
+    if kind is Comparison:
+        value = _value(node.value, values, ref)
+        return node if value is node.value else Comparison(node.column, node.op, value)
+    if kind is Between:
+        low, high = _value(node.low, values, ref), _value(node.high, values, ref)
+        return node if low is node.low and high is node.high else Between(node.column, low, high)
+    if kind is Not:
+        return Not(_bound(node.operand, values, ref))
+    if kind is _InParam:
+        return In(node.column, [_value(value, values) for value in node.values])
+    if kind is _LikeParam:
+        pattern = values[node.pattern.index]
+        if not isinstance(pattern, str):
+            raise QueryError(f"LIKE pattern must be a string, got {pattern!r}")
+        return Like(node.column, pattern)
+    return node
 
 
-def _values_builder(literals: Sequence[Any]) -> _Builder:
-    """``params -> values`` for a literal list given in text order."""
-    if all(isinstance(literal, Param) for literal in literals):
-        # Placeholders are numbered as they are read, so a list made of
-        # nothing else is one contiguous run of ``params``.
-        low = literals[0].index
-        high = low + len(literals)
-        return lambda params: params[low:high]
-    builders = [_value_builder(literal) for literal in literals]
-    return lambda params: [build(params) for build in builders]
-
-
-def _predicate_builder(node: Any) -> _Builder:
-    if node is None:
-        return lambda params: None
-    if isinstance(node, Comparison):
-        column, op, value = node.column, node.op, _value_builder(node.value)
-        return lambda params: Comparison(column, op, value(params))
-    if isinstance(node, Between):
-        column = node.column
-        low, high = _value_builder(node.low), _value_builder(node.high)
-        return lambda params: Between(column, low(params), high(params))
-    if isinstance(node, In):
-        column = node.column
-        # The frozen set lost the text order; literals first, then the
-        # placeholders by number, gives a run of them back its order.
-        values = _values_builder(sorted(
-            node.values,
-            key=lambda value: value.index if isinstance(value, Param) else -1,
-        ))
-        return lambda params: In(column, values(params))
-    if isinstance(node, _LikeParam):
-        column, index = node.column, node.pattern.index
-
-        def like(params: Sequence[Any]) -> Like:
-            pattern = params[index]
-            if not isinstance(pattern, str):
-                raise QueryError(f"LIKE pattern must be a string, got {pattern!r}")
-            return Like(column, pattern)
-        return like
-    if isinstance(node, (And, Or)):
-        combine = type(node)
-        operands = [_predicate_builder(operand) for operand in node.operands]
-        return lambda params: combine([build(params) for build in operands])
-    if isinstance(node, Not):
-        operand = _predicate_builder(node.operand)
-        return lambda params: Not(operand(params))
-    # Like with a literal pattern, IsNull: no placeholder, never mutated.
-    return lambda params: node
-
-
-def _statement_builder(template: Statement) -> _Builder:
-    if isinstance(template, Explain):
-        select = _statement_builder(template.select)
-        return lambda params: Explain(select(params))
-    table = template.table
-    if isinstance(template, Select):
-        where = _predicate_builder(template.where)
-        columns, order_by = template.columns, template.order_by
-        limit, offset = template.limit, template.offset
-        group_by, aggregates = template.group_by, template.aggregates
-        return lambda params: Select(
-            table,
-            columns=None if columns is None else list(columns),
-            where=where(params),
-            order_by=list(order_by),
-            limit=limit,
-            offset=offset,
-            group_by=list(group_by),
-            aggregates=list(aggregates),
-        )
-    if isinstance(template, Insert):
-        columns = list(template.values)
-        values = _values_builder(list(template.values.values()))
-        return lambda params: Insert(table, dict(zip(columns, values(params))))
-    if isinstance(template, Update):
-        columns = list(template.changes)
-        values = _values_builder(list(template.changes.values()))
-        where = _predicate_builder(template.where)
-        return lambda params: Update(
-            table, dict(zip(columns, values(params))), where(params)
-        )
-    where = _predicate_builder(template.where)
-    return lambda params: Delete(table, where(params))
+def _check(params: Sequence[Any], arity: int, what: str) -> None:
+    """``arity`` values, each one a ``?`` may stand for; a :class:`Ref`
+    is bound as it is, and the database checks the value it resolves to
+    the same way."""
+    if len(params) != arity:
+        raise QueryError(f"{what} takes {arity} parameters, got {len(params)}")
+    for value in params:
+        if value is None or isinstance(value, (int, str)):  # bool is an int
+            continue
+        if type(value) is not Ref:
+            check_literal(value)
 
 
 class PreparedStatement:
     """A ``?`` template parsed once; :meth:`bind` builds statements from it."""
 
-    __slots__ = ("sql", "arity", "_build")
+    __slots__ = ("sql", "arity", "template")
 
-    def __init__(self, sql: str, arity: int, build: _Builder):
+    def __init__(self, sql: str, arity: int, template: Statement):
         self.sql = sql
         self.arity = arity
-        self._build = build
+        self.template = template
 
     def bind(self, params: Sequence[Any]) -> Statement:
         """A fresh statement, equal to parsing ``sql`` with each ``?``
         written out as the literal :func:`to_sql` renders for its value
-        (a SELECT carries ``sql`` as its shape).  A
-        :class:`~repro.metadb.predicate.Ref` is bound as it is: the
-        database checks the value it resolves to the same way."""
-        if len(params) != self.arity:
-            raise QueryError(
-                f"statement takes {self.arity} parameters, got {len(params)}: {self.sql}"
-            )
-        for value in params:
-            if value is None or isinstance(value, (int, str)):  # bool is an int
-                continue
-            if type(value) is not Ref:
-                check_literal(value)
-        statement = self._build(params)
-        if type(statement) is Select:
-            statement.shape = self.sql
-        return statement
+        (a SELECT carries ``sql`` as its shape)."""
+        _check(params, self.arity, f"statement {self.sql!r}")
+        template = self.template
+        kind = type(template)
+        if kind is Select:
+            return template.with_where(_bound(template.where, params))
+        if kind is Explain:
+            return Explain(template.select.with_where(_bound(template.select.where, params)))
+        if kind is Insert:
+            return Insert(template.table, {column: _value(value, params)
+                                           for column, value in template.values.items()})
+        where = _bound(template.where, params)
+        if kind is Update:
+            return Update(template.table, {column: _value(value, params)
+                                           for column, value in template.changes.items()},
+                          where)
+        return Delete(template.table, where)
 
 
 def prepare(sql: str) -> PreparedStatement:
     """Parse one statement whose literals may be ``?`` placeholders."""
     parser = _Parser(_tokenize(sql), template=True)
     template = parser.statement()
-    return PreparedStatement(sql, parser.arity, _statement_builder(template))
+    if type(template) is Select:
+        template.shape = sql
+    return PreparedStatement(sql, parser.arity, template)
 
 
 # -- batches -------------------------------------------------------------------
 
 #: How a statement of a batch is bound: its WHERE's slot values, the
-#: ``(slot, Ref)`` pairs a reference fills, the WHERE's builder.
-_Bind = tuple[list, tuple[tuple[int, Ref], ...], _Builder]
+#: ``(slot, Ref)`` pairs a reference fills, the WHERE with ``Param(slot)``.
+_Bind = tuple[list, tuple[tuple[int, Ref], ...], Any]
+
+
+def _check_refs(statements: Sequence[Any], index: int, refs: Iterable[Ref]) -> None:
+    for ref in refs:
+        target = ref.statement
+        if not 0 <= target < index or not isinstance(statements[target], Select):
+            raise QueryError(f"statement {index} references statement {target}: "
+                             "a reference names an earlier SELECT of its batch")
 
 
 def references(statements: Sequence[Any]) -> Optional[list[Optional[_Bind]]]:
@@ -570,16 +555,15 @@ def references(statements: Sequence[Any]) -> Optional[list[Optional[_Bind]]]:
     found: Optional[list[Optional[_Bind]]] = None
     for index, statement in enumerate(statements):
         refs: list[Ref] = []
-        template = map_refs(getattr(statement, "where", None),
-                            lambda ref: refs.append(ref) or Param(len(refs) - 1))
-        for ref in refs:
-            target = ref.statement
-            if not 0 <= target < index or not isinstance(statements[target], Select):
-                raise QueryError(f"statement {index} references statement {target}: "
-                                 "a reference names an earlier SELECT of its batch")
+        try:
+            where = _bound(getattr(statement, "where", None), (),
+                           lambda ref: refs.append(ref) or Param(len(refs) - 1))
+        except IndexError:      # a Param: only a prepared template holds one
+            raise QueryError(f"statement {index} holds an unbound Param") from None
+        _check_refs(statements, index, refs)
         if refs:
             found = found or [None] * len(statements)
-            found[index] = (refs, tuple(enumerate(refs)), _predicate_builder(template))
+            found[index] = (refs, tuple(enumerate(refs)), where)
     return found
 
 
@@ -600,8 +584,12 @@ class Batch(list):
     A batch owns each statement it binds (:meth:`PreparedBatch.bind`
     builds them, :meth:`of` copies them): :meth:`bound` sets its WHERE
     from the record, nothing shared changes, and a retry binds afresh.
-    A batch that answered leaves each statement the caller handed in
-    holding the WHERE it ran with, so a recorded batch replays."""
+    A bound statement, here or from :meth:`PreparedStatement.bind`, owns
+    its containers: its lists and each AND, OR and NOT of its WHERE are
+    new on every bind; only a frozen leaf that held no placeholder is
+    shared.  A batch that answered leaves each statement the caller
+    handed in holding the WHERE it ran with, so a recorded batch
+    replays."""
 
     __slots__ = ("binds", "waves", "_handed")
 
@@ -634,7 +622,7 @@ class Batch(list):
         bind = self.binds[index] if self.binds is not None else None
         if bind is None:
             return self[index]
-        values, refs, build = bind
+        values, refs, where = bind
         for _slot, ref in refs:
             if not results[ref.statement]:
                 return None
@@ -642,7 +630,7 @@ class Batch(list):
         for slot, ref in refs:
             values[slot] = ref.value_in(results[ref.statement][0])
         statement = self[index]
-        statement.where = build(values)
+        statement.where = _bound(where, values)
         return statement
 
     def run(self, execute: Callable[[Any], Any]) -> list[Any]:
@@ -663,55 +651,51 @@ class Batch(list):
 class PreparedBatch:
     """A batch of SELECTs translated once per shape (paper §5.4): each
     statement, holding ``Param(i)`` for a request's value and a
-    :class:`Ref` for an earlier row, is rendered to ``?`` text and parsed
-    once (a join travels beside its text), its references checked once.
-    Never changed after construction, so threads share one."""
+    :class:`Ref` for an earlier row, is rendered to ``?`` text and
+    prepared once (a join travels beside its text), its references
+    checked once.  Never changed after construction, so threads share
+    one."""
 
     def __init__(self, statements: Sequence[Select]):
         self.statements = tuple(statements)
         if not all(isinstance(statement, Select) for statement in self.statements):
             raise QueryError("a prepared batch holds SELECTs only")
-        references(self.statements)
         self.arity = 0
         self._parts = []
-        for statement in self.statements:
+        for index, statement in enumerate(self.statements):
             slots: list[Any] = []
             text = to_sql(replace(statement, join=None), slots)
-            parsed = _Parser(_tokenize(text), template=True).statement()
-            build = _predicate_builder(parsed.where)
+            template = prepare(text).template
             # What a request's statement starts as.  Unbound, one holding
-            # a reference keeps the template's WHERE: its Ref fails typed.
-            parsed.where, parsed.join = statement.where, statement.join
-            parsed.shape = text if statement.join is None else (text, statement.join)
+            # a reference keeps the statement's WHERE: its Ref fails typed.
+            where, template.where, template.join = template.where, statement.where, statement.join
+            if statement.join is not None:
+                template.shape = (text, statement.join)
             params = tuple([(slot, value.index) for slot, value in enumerate(slots)
                             if type(value) is Param])
             refs = tuple([(slot, value) for slot, value in enumerate(slots)
                           if type(value) is Ref])
-            self.arity = max([self.arity, *(index + 1 for _slot, index in params)])
-            self._parts.append((parsed, tuple(slots), params, refs, build))
+            _check_refs(self.statements, index, (ref for _slot, ref in refs))
+            self.arity = max([self.arity, *(number + 1 for _slot, number in params)])
+            self._parts.append((template, tuple(slots), params, refs, where))
         named = [part[3] for part in self._parts]
         self.waves = _waves(named) if any(named) else None
 
     def bind(self, params: Sequence[Any] = ()) -> Batch:
         """One request's batch: fresh statements, ``Param(i)`` bound to
-        ``params[i]``, each checked as a literal."""
-        if len(params) != self.arity:
-            raise QueryError(f"batch takes {self.arity} parameters, got {len(params)}")
-        for value in params:
-            check_literal(value)
+        ``params[i]``."""
+        _check(params, self.arity, "batch")
         statements, binds = [], []
-        for parsed, slots, at, refs, build in self._parts:
+        for template, slots, at, refs, where in self._parts:
             values = list(slots)
             for slot, index in at:
                 values[slot] = params[index]
-            # The parsed fields in a new object (the lists shared: nothing
-            # changes a statement's lists in place).
-            statement = Select.__new__(Select)
-            statement.__dict__.update(parsed.__dict__)
-            if not refs:
-                statement.where = build(values)
-            statements.append(statement)
-            binds.append((values, refs, build) if refs else None)
+            if refs:
+                statements.append(template.with_where(template.where))
+                binds.append((values, refs, where))
+            else:
+                statements.append(template.with_where(_bound(where, values)))
+                binds.append(None)
         return Batch(statements, binds if self.waves else None, self.waves)
 
 

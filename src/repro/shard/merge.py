@@ -71,14 +71,6 @@ def _for_shards(select: Select, **changes: Any) -> Select:
     return shard_select
 
 
-def rebound(select: Select, where: Any) -> Select:
-    """``select`` with ``where``, its shape kept: a kept rewrite, bound."""
-    statement = Select.__new__(Select)
-    statement.__dict__.update(select.__dict__)
-    statement.where = where
-    return statement
-
-
 class Merge:
     """Combines per-shard result lists into the global result."""
 
@@ -118,7 +110,7 @@ class _OrderedMerge(Merge):
         self._key = _run_key(select.order_by, self._reverse) \
             if len(directions) == 1 else None
         #: What a shard is asked for first, and the statement for the rest,
-        #: which ``ask_rest`` sends under the request's WHERE (:func:`rebound`).
+        #: which ``ask_rest`` sends under the request's WHERE (``Select.with_where``).
         self.share, self.rest = stop, None
         if stop is not None and self._key is not None and select.join is None:
             share = self.SHARE_FACTOR * -(-stop // n_shards)

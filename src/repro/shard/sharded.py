@@ -54,7 +54,7 @@ from ..metadb.schema import BROADCAST as EVERYWHERE, TableSchema
 from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction, TxState
 from ..metadb.wal import counted_fsync, replace_durably
-from .merge import prepare_scatter, rebound
+from .merge import prepare_scatter
 from .partition import (
     ShardError, ShardMap, ShardSpec, ShardUnavailable, joinable,
 )
@@ -761,7 +761,7 @@ class ShardedDatabase:
                     fails leaves the shard missing from this statement."""
                     spec = shard_map.spec(read.answered[index])
                     more = self._ask(topology, tx, spec,
-                                     [rebound(rest, read.select.where)], transient)
+                                     [rest.with_where(read.select.where)], transient)
                     if more is None:
                         read.missing.append(spec)
                         return []
@@ -801,7 +801,7 @@ class ShardedDatabase:
             return prepare_scatter(select, n_shards)
         key = (select.shape, n_shards)
         kept = self._by_shape.get(key) or self._keep(key, prepare_scatter(select, n_shards))
-        return rebound(kept[0], select.where), kept[1]
+        return kept[0].with_where(select.where), kept[1]
 
     def _keep(self, key: Any, value: Any) -> Any:
         """What a shape decides, kept; past the plan cache's bound, anew."""

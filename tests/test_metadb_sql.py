@@ -464,6 +464,14 @@ class TestPreparedStatements:
         assert _canon(bound) == _canon(oracle)
         assert _outcome(_seeded_database(), bound) == _outcome(_seeded_database(), oracle)
 
+    def test_an_in_list_binds_literals_first_then_placeholders_by_number(self):
+        """Of values a set holds once (1, True, 1.0), the first bound
+        stays: the list's literals, then its placeholders in order."""
+        statement = prepare("SELECT * FROM t WHERE alpha IN (?, 1, ?)").bind([True, 1.0])
+        assert [type(value) for value in statement.where.values] == [int]
+        statement = prepare("SELECT * FROM t WHERE alpha IN (?, ?)").bind([True, 1])
+        assert [type(value) for value in statement.where.values] == [bool]
+
     def test_explain_binds_too(self):
         statement = Explain(Select("t", where=Comparison("alpha", "=", 3), limit=2))
         assert _canon(_bind(statement)) == _canon(parse(to_sql(statement)))
@@ -516,11 +524,14 @@ class TestPreparedStatements:
             prepared.bind([value])
 
     def test_like_pattern_must_be_a_string(self):
+        """Refused as the text with the value written in is."""
         prepared = prepare("SELECT * FROM t WHERE beta LIKE ?")
         assert prepared.bind(["a%"]).where.pattern == "a%"
-        for value in (5, None, True):
+        for value, text in ((5, "5"), (1.5, "1.5"), (None, "NULL"), (True, "TRUE")):
             with pytest.raises(QueryError):
                 prepared.bind([value])
+            with pytest.raises(QueryError):
+                parse(f"SELECT * FROM t WHERE beta LIKE {text}")
 
     @pytest.mark.parametrize("sql", [
         "SELECT * FROM t WHERE alpha = ?",
@@ -595,6 +606,40 @@ class TestPreparedStatements:
         first.values["alpha"] = 99
         params[0] = 98
         assert second.values == row and prepared.bind([1, "x"]).values == row
+
+        # A prepared batch's statements, a referencing one bound as it ran.
+        from repro.metadb import Or, Param, PreparedBatch, Ref
+
+        prepared = PreparedBatch([
+            Select("t", columns=["alpha", "beta"],
+                   where=And([Comparison("alpha", "=", Param(0)),
+                              In("alpha", [Param(1), 2]) | IsNull("beta")]),
+                   order_by=[("alpha", "asc")], limit=3),
+            Select("t", where=Or([Comparison("alpha", "=", Ref(0, "alpha")),
+                                  Comparison("gamma", "<", Param(1)) & IsNull("beta")])),
+        ])
+        database = _seeded_database()
+        expected = database.execute_batch(prepared.bind((1, 0)))
+        assert expected[0] and expected[1]
+        first, second = prepared.bind((1, 0)), prepared.bind((1, 0))
+        assert database.execute_batch(first) == database.execute_batch(second) == expected
+        for one, other in zip(first, second):
+            for mine, theirs in [(one.columns, other.columns),
+                                 (one.order_by, other.order_by),
+                                 (one.group_by, other.group_by),
+                                 (one.aggregates, other.aggregates),
+                                 (one.where, other.where),
+                                 (one.where.operands, other.where.operands),
+                                 (one.where.operands[1].operands,
+                                  other.where.operands[1].operands)]:
+                assert mine is not theirs or mine is None
+        for statement in first:
+            statement.where.operands[1].operands.clear()
+            statement.where.operands.append(IsNull("gamma"))
+            statement.order_by.append(("beta", "desc"))
+        first[0].columns.append("gamma")
+        assert database.execute_batch(second) == expected
+        assert database.execute_batch(prepared.bind((1, 0))) == expected
 
         params = []
         prepared = prepare(to_sql(Update("t", row, Comparison("alpha", "=", 1)), params))

@@ -25,8 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dm import DataManager, EntityNotFound
 from repro.filestore import DiskArchive, StorageManager
 from repro.metadb import (
-    And, Between, Column, ColumnType, Comparison, Database, In, Insert, Not, Or,
-    Param, PreparedBatch, QueryError, Ref, Select, TableSchema, Update,
+    And, Between, Column, ColumnType, Comparison, Database, In, Insert, IsNull, Like,
+    Not, Or, Param, PreparedBatch, QueryError, Ref, Select, TableSchema, Update,
+    partitioned,
 )
 from repro.metadb import database as database_module
 from repro.obs import Observability
@@ -207,6 +208,19 @@ def test_a_malformed_reference_is_refused_before_anything_runs(stacks, bad, gate
         assert stack.executed() == executed
 
 
+def test_a_placeholder_outside_a_prepared_batch_is_refused(stacks):
+    """A ``Param`` in a batch sent as a list has no value to stand for:
+    ``QueryError`` before anything runs, not a statement matching nothing."""
+    for stack in stacks.values():
+        executed = stack.executed()
+        with pytest.raises(QueryError, match="unbound Param"):
+            stack.dm.io.default_database.execute_batch([
+                Select("hle", where=Comparison("hle_id", "=", stack.hle_ids[0])),
+                Select("ana", where=And([Comparison("hle_id", "=", Ref(0, "hle_id")),
+                                         Comparison("owner_id", "=", Param(0))]))])
+        assert stack.executed() == executed
+
+
 def test_a_bound_batch_is_checked_and_replays(tmp_path):
     """``bind`` checks the request's values as literals; a batch that
     answered leaves each statement holding the WHERE it ran with, and
@@ -226,6 +240,158 @@ def test_a_bound_batch_is_checked_and_replays(tmp_path):
     with pytest.raises(QueryError, match="unresolved"):
         database.execute(missing[1])
     stack.close()
+
+
+# -- generated batch shapes ----------------------------------------------------
+
+_M_TYPES = {"id": "int", "at": "int", "a": "real", "b": "text", "g": "int"}
+_NUMERIC = ("id", "at", "a", "g")
+_LITERALS = {
+    "int": st.integers(-3, 43),
+    "real": st.floats(-6.0, 6.0, allow_nan=False).map(lambda value: round(value, 1)),
+    "text": st.sampled_from(["x", "xy", "y", "", "y'x"]),
+}
+
+
+def _m_database(build: str):
+    """``m``: 40 rows partitioned on ``at`` over four shards of two copies
+    (``sharded-4x2``) or on one ``Database``, NULLs in every column but
+    the key and ``at``."""
+    if build == "database":
+        database = Database(name=build)
+    else:
+        database = ShardedDatabase((10, 20, 30), name=build, replicas_per_shard=2)
+    database.create_table(TableSchema(
+        "m",
+        [Column("id", ColumnType.INTEGER, nullable=False),
+         Column("at", ColumnType.INTEGER, nullable=False),
+         Column("a", ColumnType.REAL), Column("b", ColumnType.TEXT),
+         Column("g", ColumnType.INTEGER)],
+        primary_key="id", indexes=[("at",), ("a",)], placement=partitioned("at")))
+    for n in range(40):
+        database.execute(Insert("m", {
+            "id": n, "at": (7 * n) % 40,
+            "a": None if n % 7 == 0 else (n % 13) - 5.5,
+            "b": None if n % 5 == 0 else "xy"[n % 2] + "y" * (n % 3),
+            "g": None if n % 4 == 0 else n % 6 - 1,
+        }))
+    return database
+
+
+@pytest.fixture(scope="module")
+def m_databases():
+    built = [_m_database(build) for build in ("database", "sharded-4x2")]
+    yield built
+    for database in built:
+        database.close()
+
+
+@st.composite
+def _batch_shapes(draw):
+    """A batch of SELECTs on ``m`` whose literals are request values
+    (``Param(i)``, ``values[i]``), literals, or references (scaled,
+    shifted, NULL-defaulted, now and then to a statement not before
+    theirs), in every node the binder walks: ``=``, ``!=``, ``<``, ...,
+    BETWEEN, IN, LIKE, IS NULL, NOT and nested AND/OR."""
+    n = draw(st.integers(1, 4))
+    values: list = []
+
+    def slot(column: str, k: int, refs: bool = True):
+        kind = draw(st.sampled_from(("literal", "param", "ref") if refs
+                                    else ("literal", "param")))
+        if kind == "literal":
+            return draw(st.none() | _LITERALS[_M_TYPES[column]])
+        if kind == "param":
+            values.append(draw(_LITERALS[_M_TYPES[column]]))
+            return Param(len(values) - 1)
+        target = draw(st.integers(0, k - 1)) if k and draw(st.integers(0, 9)) \
+            else draw(st.integers(k, n))
+        if column == "b":
+            return Ref(target, "b", if_null=draw(st.sampled_from([None, "x"])))
+        return Ref(target, draw(st.sampled_from(_NUMERIC)),
+                   scale=draw(st.sampled_from([1.0, 2.0, -0.5])),
+                   shift=draw(st.sampled_from([0.0, 3.0])),
+                   if_null=draw(st.sampled_from([None, 4, float("nan")])))
+
+    def node(k: int, depth: int):
+        kind = draw(st.sampled_from(
+            ("cmp", "between", "in", "like", "null")
+            + (("not", "and", "or") if depth else ())))
+        column = draw(st.sampled_from(sorted(_M_TYPES)))
+        if kind == "cmp":
+            return Comparison(column, draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="])),
+                              slot(column, k))
+        if kind == "between":
+            return Between(column, slot(column, k), slot(column, k))
+        if kind == "in":
+            return In(column, [slot(column, k, refs=False)
+                               for _value in range(draw(st.integers(1, 4)))])
+        if kind == "like":
+            return Like("b", draw(st.sampled_from(["x%", "%y", "_", "xy", "%'%"])))
+        if kind == "null":
+            return IsNull(column, negated=draw(st.booleans()))
+        if kind == "not":
+            return Not(node(k, depth - 1))
+        operands = [node(k, depth - 1) for _operand in range(draw(st.integers(1, 3)))]
+        return And(operands) if kind == "and" else Or(operands)
+
+    statements = []
+    for k in range(n):
+        order_by = draw(st.lists(st.tuples(st.sampled_from(["a", "g", "b"]),
+                                           st.sampled_from(["asc", "desc"])),
+                                 max_size=2, unique_by=lambda item: item[0]))
+        statements.append(Select(
+            "m", where=node(k, 2) if draw(st.integers(0, 4)) else None,
+            order_by=order_by + [("id", "asc")],
+            limit=draw(st.none() | st.integers(1, 6))))
+    return statements, values
+
+
+def _written(node, values):
+    """``node`` with each ``Param(i)`` written out as ``values[i]``."""
+    def value(literal):
+        return values[literal.index] if isinstance(literal, Param) else literal
+
+    if isinstance(node, Comparison):
+        return Comparison(node.column, node.op, value(node.value))
+    if isinstance(node, Between):
+        return Between(node.column, value(node.low), value(node.high))
+    if isinstance(node, In):
+        return In(node.column, [value(literal) for literal in node.values])
+    if isinstance(node, (And, Or)):
+        return type(node)([_written(operand, values) for operand in node.operands])
+    if isinstance(node, Not):
+        return Not(_written(node.operand, values))
+    return node
+
+
+def _answers(database, batch) -> object:
+    """The rows ``batch()`` answers with, or the type of the error its
+    building or running raised."""
+    try:
+        return [[dict(row) for row in rows] for rows in database.execute_batch(batch())]
+    except Exception as exc:  # the two paths must fail alike, too
+        return type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=_batch_shapes())
+def test_generated_batches_bind_as_the_statements_written_out(m_databases, shape):
+    """A generated batch bound by ``PreparedBatch.bind`` answers as the
+    same statements with the values written in and sent as a list (the
+    references found by ``Batch.of``), on a ``Database`` and on 4 x 2:
+    the same rows, the ``[]`` of a statement whose referenced statement
+    found none, and the same error for a reference that resolves to a
+    non-finite value or names no earlier statement.  (A batch's LIKE
+    pattern is a string literal; a ``LIKE ?`` bound to anything else is
+    ``test_metadb_sql.py``'s ``test_like_pattern_must_be_a_string``.)"""
+    statements, values = shape
+    for database in m_databases:
+        expected = _answers(database, lambda: [
+            replace(statement, where=_written(statement.where, values))
+            for statement in statements])
+        assert _answers(database, lambda: PreparedBatch(statements).bind(values)) == expected
 
 
 def _fingerprint(prepared: PreparedBatch) -> list:
