@@ -26,9 +26,10 @@ which repeat exactly, and one timing:
   ``execute`` or ``execute_batch`` (``sys.setprofile`` "call" events,
   generator resumes included, the merge's key calls too) were 580 a
   page when every statement's route was worked out anew and every group
-  read looked its breakers up again, and 459 when a referencing
-  statement's WHERE was rebuilt from builder closures; 453 now that
-  every value enters through one walk.  The bound is 494.
+  read looked its breakers up again, 459 when a referencing
+  statement's WHERE was rebuilt from builder closures, and 453 before
+  an owner probe read its table and hash index without a Python call
+  each; 433 now.  The bound is 474.
 * ``DataManager.fetch_page`` is at least 1.15x faster than on the
   retired path (``tests/oracle_scatter.py``) patched in.
 
@@ -54,7 +55,7 @@ from tests import oracle_scatter
 DAY = 86_400.0
 N_EVENTS = 4000
 MIN_PAGE_SPEEDUP = 1.15
-MAX_WRAPPER_CALLS_PER_PAGE = 494
+MAX_WRAPPER_CALLS_PER_PAGE = 474
 
 
 def _stack(tmp_path):

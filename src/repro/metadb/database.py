@@ -42,6 +42,12 @@ from .wal import Journal
 PLAN_CACHE_SHAPES = 512
 
 
+def _ddl_record(kind: str, **detail: Any) -> dict[str, Any]:
+    """A schema change as a redo record: what the WAL journals, the
+    commit listeners are told, and a replay or a follower applies."""
+    return {"op": "__ddl__", "kind": kind, **detail}
+
+
 class DatabaseStats:
     """Operation counters, reset-able between measurement windows."""
 
@@ -57,6 +63,23 @@ class DatabaseStats:
         self.transactions_rolled_back = 0
         self.rows_read = 0
         self.rows_written = 0
+
+    def count(self, statement: Statement, result: Any) -> None:
+        """One executed statement: a SELECT reads ``len(result)`` rows, an
+        INSERT writes one, an UPDATE or DELETE ``result``; EXPLAIN
+        counts nothing.  A batch of n SELECTs is this rule n times."""
+        if isinstance(statement, Select):
+            self.selects += 1
+            self.rows_read += len(result)
+        elif isinstance(statement, Insert):
+            self.inserts += 1
+            self.rows_written += 1
+        elif isinstance(statement, Update):
+            self.updates += 1
+            self.rows_written += result
+        elif isinstance(statement, Delete):
+            self.deletes += 1
+            self.rows_written += result
 
     @property
     def queries(self) -> int:
@@ -183,10 +206,7 @@ class Database:
                         f"foreign key references unknown table {fk.ref_table!r}"
                     )
             self._tables[schema.name] = Table(schema)
-            if self._journal is not None:
-                self._journal.append_ddl(
-                    {"kind": "create_table", "schema": schema.to_dict()}
-                )
+            self._publish(0, [_ddl_record("create_table", schema=schema.to_dict())])
 
     def drop_table(self, name: str) -> None:
         with self._lock:
@@ -202,8 +222,7 @@ class Database:
                             f"cannot drop {name!r}: referenced by {other.name!r}"
                         )
             del self._tables[name]
-            if self._journal is not None:
-                self._journal.append_ddl({"kind": "drop_table", "table": name})
+            self._publish(0, [_ddl_record("drop_table", table=name)])
 
     def table(self, name: str) -> Table:
         with self._lock:
@@ -227,7 +246,11 @@ class Database:
         router locating a key) never sees a row mid-update, while its
         index entries are removed and not yet re-inserted."""
         with self._lock:
-            return self.table(table).exists_value(column, value)
+            found = None if self._closed else self._tables.get(table)
+            if found is None:
+                self._require_open()
+                raise SchemaError(f"unknown table {table!r}")
+            return found.exists_value(column, value)
 
     # -- id allocation --------------------------------------------------------------
 
@@ -265,16 +288,22 @@ class Database:
         with self._lock:
             self._require_open()
             tx.mark_committed()
-            if self._journal is not None and tx.redo:
-                self._journal.append_transaction(tx.tx_id, tx.redo)
+            if tx.redo:
+                self._publish(tx.tx_id, tx.redo)
             self.stats.transactions_committed += 1
-            if tx.redo and self._commit_listeners:
-                for listener in self._commit_listeners:
-                    listener(tx.tx_id, tx.redo)
+
+    def _publish(self, tx_id: int, records: list[dict[str, Any]]) -> None:
+        """Journal a committed batch (a schema change is one of its own,
+        tx 0, as a follower journals it), then tell the commit listeners."""
+        if self._journal is not None:
+            self._journal.append_transaction(tx_id, records)
+        for listener in self._commit_listeners:
+            listener(tx_id, records)
 
     def add_commit_listener(self, listener: Any) -> None:
         """Register ``fn(tx_id, redo_records)`` called after each durable
-        commit with a non-empty redo — the replication log-shipping hook.
+        commit with a non-empty redo and after each CREATE or DROP TABLE
+        (``tx_id`` 0) — the replication log-shipping hook.
 
         Fired under the database lock, after the WAL append: what the
         listener sees is exactly what recovery would replay.
@@ -496,8 +525,7 @@ class Database:
                         self._plans[statement.shape] = (table.stats(), plan)
                 self._count_access_path(plan)
                 rows = execute_select(self._tables, statement, plan=plan)
-                self.stats.selects += 1
-                self.stats.rows_read += len(rows)
+                self.stats.count(statement, rows)
                 return rows
             autocommit = tx is None
             local_tx = tx or self.begin()
@@ -507,6 +535,7 @@ class Database:
                 if autocommit:
                     self.rollback(local_tx)
                 raise
+            self.stats.count(statement, result)
             if autocommit:
                 self.commit(local_tx)
             return result
@@ -538,8 +567,6 @@ class Database:
             self._check_fk_on_write(table, row)
             rowid = table.insert_row(row)
             tx.log_insert(table.name, rowid, row)
-            self.stats.inserts += 1
-            self.stats.rows_written += 1
             return rowid
         if isinstance(statement, Update):
             table = self.table(statement.table)
@@ -550,8 +577,6 @@ class Database:
                 self._check_fk_on_write(table, merged)
                 old_row = table.update_row(rowid, changes)
                 tx.log_update(table.name, rowid, old_row, changes)
-            self.stats.updates += 1
-            self.stats.rows_written += len(target_rowids)
             return len(target_rowids)
         if isinstance(statement, Delete):
             table = self.table(statement.table)
@@ -560,8 +585,6 @@ class Database:
                 self._check_fk_on_delete(table, table.row(rowid))
                 old_row = table.delete(rowid)
                 tx.log_delete(table.name, rowid, old_row)
-            self.stats.deletes += 1
-            self.stats.rows_written += len(target_rowids)
             return len(target_rowids)
         raise SchemaError(f"cannot execute {statement!r}")
 

@@ -76,6 +76,36 @@ class Ref:
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = unresolved
 
 
+class Param:
+    """Stands in a template (a ``?`` or a :class:`~repro.metadb.PreparedBatch`'s
+    literal) for the literal ``bind`` takes from ``params[index]``.
+    Outside a bound template it has no value, like an unbound
+    :class:`Ref`: comparing or compiling one raises :class:`QueryError`.
+    It hashes, so that a template's IN-list can hold it."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def unresolved(self, *_args: Any) -> Any:
+        raise QueryError(f"unbound Param({self.index}): a placeholder has a value "
+                         "only in the statement its template binds")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = unresolved
+    __hash__ = object.__hash__
+
+
+#: The types of the literals that stand for a value and are none until bound.
+_UNBOUND = frozenset((Ref, Param))
+
+
+def _check_bound(values: Iterable[Any]) -> None:
+    """The first unbound literal of ``values`` raises (a scan in C)."""
+    if not _UNBOUND.isdisjoint(map(type, values)):
+        next(value for value in values if type(value) in _UNBOUND).unresolved()
+
+
 class Predicate:
     """Base class; subclasses implement :meth:`compile` and
     :meth:`columns`."""
@@ -124,7 +154,7 @@ class Comparison(Predicate):
         column, value = self.column, self.value
         if value is None:
             return lambda row: False
-        if type(value) is Ref:
+        if type(value) in _UNBOUND:
             value.unresolved()
         if self.op == "=":      # a non-NULL literal never equals NULL
             return lambda row: row.get(column) == value
@@ -159,9 +189,7 @@ class Between(Predicate):
 
     def compile(self) -> RowMatcher:
         column, low, high = self.column, self.low, self.high
-        for bound in (low, high):
-            if type(bound) is Ref:
-                bound.unresolved()
+        _check_bound((low, high))
 
         def match(row: dict) -> bool:
             actual = row.get(column)
@@ -186,6 +214,7 @@ class In(Predicate):
 
     def compile(self) -> RowMatcher:
         column, values = self.column, self.values
+        _check_bound(values)
 
         def match(row: dict) -> bool:
             actual = row.get(column)
@@ -259,7 +288,7 @@ class _Junction(Predicate):
         any_ = self.any_
         pairs = [(operand.column, operand.value) for operand in self.operands
                  if type(operand) is Comparison and operand.op == "="
-                 and operand.value is not None and type(operand.value) is not Ref]
+                 and operand.value is not None and type(operand.value) not in _UNBOUND]
         if len(pairs) == 2 == len(self.operands):
             (first, first_value), (second, second_value) = pairs
             if any_:
@@ -361,6 +390,7 @@ def in_list_on(predicate: Conjunction, column: str) -> Optional[frozenset]:
     """If a conjunct restricts ``column`` to an IN-list, return its values."""
     for conjunct in conjuncts(predicate):
         if isinstance(conjunct, In) and conjunct.column == column:
+            _check_bound(conjunct.values)
             return conjunct.values
     return None
 

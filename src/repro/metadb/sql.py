@@ -52,6 +52,7 @@ from .predicate import (
     Like,
     Not,
     Or,
+    Param,
     Predicate,
     Ref,
     check_literal,
@@ -125,16 +126,6 @@ def _tokenize(text: str) -> list[_Token]:
             else:
                 tokens.append(_Token("name", lowered))
     return tokens
-
-
-class Param:
-    """Stands in a template (a ``?`` or a :class:`PreparedBatch`'s
-    literal) for the literal ``bind`` takes from ``params[index]``."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
 
 
 class _LikeParam:

@@ -70,6 +70,11 @@ class Table:
                     self._ordered_indexes[column] = OrderedIndex(column)
             else:
                 self._hash_indexes.append(HashIndex(index_cols, unique=False))
+        #: Each single-column hash index by its column (the first declared).
+        self._hash_by_column: dict[str, HashIndex] = {}
+        for index in self._hash_indexes:
+            if len(index.columns) == 1:
+                self._hash_by_column.setdefault(index.columns[0], index)
 
     # -- basic properties -------------------------------------------------
 
@@ -96,16 +101,13 @@ class Table:
     # -- index access for the planner -------------------------------------
 
     def hash_index_on(self, column: str) -> Optional[HashIndex]:
-        for index in self._hash_indexes:
-            if index.columns == (column,):
-                return index
-        return None
+        return self._hash_by_column.get(column)
 
     def ordered_index_on(self, column: str) -> Optional[OrderedIndex]:
         return self._ordered_indexes.get(column)
 
     def has_index_on(self, column: str) -> bool:
-        return self.hash_index_on(column) is not None or column in self._ordered_indexes
+        return column in self._hash_by_column or column in self._ordered_indexes
 
     def stats(self) -> TableStats:
         """Planner statistics, cached against the mutation epoch.
@@ -226,10 +228,10 @@ class Table:
 
     def exists_value(self, column: str, value: Any) -> bool:
         """True when some row has ``column == value`` (FK checks)."""
-        index = self.hash_index_on(column)
+        index = self._hash_by_column.get(column)
         if index is not None:
             return value in index
-        ordered = self.ordered_index_on(column)
+        ordered = self._ordered_indexes.get(column)
         if ordered is not None:
             try:
                 return ordered.count_range(value, value) > 0

@@ -143,20 +143,14 @@ class Journal:
         return self._handle
 
     def append_transaction(self, tx_id: int, records: list[dict[str, Any]]) -> None:
-        """Durably record one committed transaction."""
+        """Durably record one committed transaction (a schema change is
+        one of its own)."""
         handle = self._open_handle()
         handle.write(json.dumps({"tx": tx_id, "records": records},
                                 default=encode_blob) + "\n")
         handle.flush()
         self._fsync(handle)
         self.obs.count("metadb.wal.records", len(records))
-
-    def append_ddl(self, record: dict[str, Any]) -> None:
-        """Record a schema change (CREATE/DROP TABLE)."""
-        handle = self._open_handle()
-        handle.write(json.dumps({"ddl": record}) + "\n")
-        handle.flush()
-        self._fsync(handle)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -272,7 +266,7 @@ class Journal:
                     if "changes" in record:
                         record["changes"] = _decode_row(record["changes"])
                     yield record
-            elif "ddl" in entry:
+            elif "ddl" in entry:    # a schema change as journals once wrote it
                 yield {"op": "__ddl__", **entry["ddl"]}
 
     def close(self) -> None:

@@ -19,7 +19,7 @@ import json
 from typing import Any, Optional
 
 from ..filestore.checksums import checksum_bytes
-from ..metadb.database import Database
+from ..metadb.database import Database, _ddl_record
 from ..metadb.storage import Table
 from ..metadb.wal import encode_blob
 
@@ -109,16 +109,13 @@ def repair_replica(primary: Database, replica: Database,
         primary_tables = primary.table_names()
         for name in replica.table_names():
             if name not in primary_tables:
-                replica.apply_redo([{"op": "__ddl__", "kind": "drop_table",
-                                     "table": name}])
+                replica.apply_redo([_ddl_record("drop_table", table=name)])
                 report["tables"][name] = "dropped"
         for name in primary_tables:
             ptable = primary.table(name)
             if not replica.has_table(name):
-                replica.apply_redo([{
-                    "op": "__ddl__", "kind": "create_table",
-                    "schema": ptable.schema.to_dict(),
-                }])
+                replica.apply_redo([_ddl_record(
+                    "create_table", schema=ptable.schema.to_dict())])
             report["ranges_checked"] += len(rowid_ranges(ptable, n_ranges))
         for name, bad in verify_replica(primary, replica, n_ranges).items():
             ptable, rtable = primary.table(name), replica.table(name)

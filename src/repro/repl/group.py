@@ -3,11 +3,12 @@
 A :class:`ReplicaGroup` satisfies :class:`~repro.metadb.api.DatabaseApi`,
 so the DM's I/O layer and :class:`~repro.shard.ShardedDatabase` sit on
 top of it unchanged.  Writes go to the primary only; its commit listener
-appends each durable redo batch to the :class:`ReplicationLog`, and the
-:class:`LogShipper` streams the batches to followers.  Reads rotate
-across the primary and every follower that is healthy *and* fresh
-enough (``max_lag``), behind the standard breaker machinery; a read
-inside a transaction goes to the primary, which holds the transaction.
+appends each durable redo batch (a schema change is one of its own) to
+the :class:`ReplicationLog`, and the :class:`LogShipper` streams the
+batches to followers.  Reads rotate across the primary and every
+follower that is healthy *and* fresh enough (``max_lag``), behind the
+standard breaker machinery; a read inside a transaction goes to the
+primary, which holds the transaction.
 
 Per-copy state machine::
 
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..metadb.database import Database, DatabaseStats
-from ..metadb.query import Delete, Insert, Select, Update
+from ..metadb.query import Select
 from ..metadb.schema import TableSchema
 from ..metadb.sql import Batch, Statement, parse
 from ..metadb.transactions import Transaction
@@ -291,6 +292,8 @@ class ReplicaGroup:
     # -- log shipping --------------------------------------------------------
 
     def _on_primary_commit(self, tx_id: int, records: list[dict[str, Any]]) -> None:
+        """Each batch the primary journals, a schema change (tx 0) too:
+        logged, then shipped."""
         lsn = self.log.append(tx_id, records)
         self._head_gauge.set(lsn)
         if self.auto_ship and self.replicas:
@@ -515,19 +518,9 @@ class ReplicaGroup:
 
     def create_table(self, schema: TableSchema) -> None:
         self.primary.create_table(schema)
-        self._replicate_ddl({
-            "op": "__ddl__", "kind": "create_table", "schema": schema.to_dict(),
-        })
 
     def drop_table(self, name: str) -> None:
         self.primary.drop_table(name)
-        self._replicate_ddl({"op": "__ddl__", "kind": "drop_table", "table": name})
-
-    def _replicate_ddl(self, record: dict[str, Any]) -> None:
-        self.log.append(0, [record])
-        self._head_gauge.set(self.log.head_lsn)
-        if self.auto_ship and self.replicas:
-            self.ship()
 
     def explain_plan(self, select) -> dict[str, Any]:
         return self.primary.explain_plan(select)
@@ -559,19 +552,9 @@ class ReplicaGroup:
         # a transaction: only the primary holds its uncommitted rows.
         result = self.primary.execute(statement, tx=tx)
         with self._lock:
+            self.stats.count(statement, result)
             if isinstance(statement, Select):
-                self.stats.selects += 1
-                self.stats.rows_read += len(result)
                 self.reads_by_copy[self.primary.name] += 1
-            elif isinstance(statement, Insert):
-                self.stats.inserts += 1
-                self.stats.rows_written += 1
-            elif isinstance(statement, Update):
-                self.stats.updates += 1
-                self.stats.rows_written += int(result or 0)
-            elif isinstance(statement, Delete):
-                self.stats.deletes += 1
-                self.stats.rows_written += int(result or 0)
         return result
 
     def execute_batch(

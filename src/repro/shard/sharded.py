@@ -28,10 +28,13 @@ Degradation semantics: reads over a dead shard's range return a
 when ``degraded_reads`` is on; writes never degrade — a failed shard
 write raises and the cross-shard transaction rolls back everywhere.
 
-Concurrency: reads are never blocked.  Writes and ``begin()`` pass a
-gate that an online split closes briefly during cutover
-(:mod:`repro.shard.split`); topology is an immutable snapshot swapped
-atomically, so in-flight readers keep a consistent view throughout.
+Concurrency: reads are never blocked.  Every write passes one gate and
+is counted in flight while it runs: a transaction from ``begin()`` to its
+commit or rollback, an autocommit write or a DDL change for the one
+call.  An online split (:mod:`repro.shard.split`) closes the gate
+briefly during cutover and waits for that count to drain; topology is an
+immutable snapshot swapped atomically, so in-flight readers keep a
+consistent view throughout.
 """
 
 from __future__ import annotations
@@ -206,11 +209,11 @@ class ShardedDatabase:
         self.replicas_per_shard = replicas_per_shard
         self.stats = DatabaseStats()
         self.breakers: dict[int, CircuitBreaker] = {}
-        # Write/begin gate an online split closes briefly during cutover.
+        # The write gate an online split closes briefly during cutover,
+        # and the writes in flight through it.
         self._gate = threading.Condition(threading.Lock())
         self._stalled = False
-        self._open_txs = 0
-        self._autocommit_writes = 0
+        self._in_flight = 0
         self._split_lock = threading.Lock()
         self._seq_lock = threading.Lock()
         self._sequences: dict[tuple[str, str], int] = {}
@@ -333,29 +336,28 @@ class ShardedDatabase:
                 f"metadb.shard.{self.name}-s{shard_id}", self.breaker_cooldown_s, self.obs)
         return breaker
 
-    # -- write/begin gate (closed briefly by an online split) -------------------
+    # -- the write gate (closed briefly by an online split) ----------------------
 
-    @contextmanager
-    def _write_permit(self):
+    def _enter_gate(self) -> None:
+        """One more write in flight, once no split holds the gate."""
         with self._gate:
             while self._stalled:
                 self._gate.wait()
-            self._autocommit_writes += 1
-        try:
-            yield
-        finally:
-            with self._gate:
-                self._autocommit_writes -= 1
-                self._gate.notify_all()
+            self._in_flight += 1
+
+    def _leave_gate(self) -> None:
+        with self._gate:
+            self._in_flight -= 1
+            self._gate.notify_all()
 
     @contextmanager
     def _writes_stalled(self):
-        """Close the gate and wait for in-flight writes and open
-        transactions to drain: what a topology change holds while it
-        moves rows.  Reads keep flowing."""
+        """Close the gate and wait for the writes in flight to drain:
+        what a topology change holds while it moves rows.  Reads keep
+        flowing."""
         with self._gate:
             self._stalled = True
-            while self._open_txs or self._autocommit_writes:
+            while self._in_flight:
                 self._gate.wait()
         try:
             yield
@@ -395,10 +397,13 @@ class ShardedDatabase:
 
     def _ddl(self, change) -> None:
         """One schema change on every shard, then placement re-read."""
-        with self._write_permit():
+        self._enter_gate()
+        try:
             for spec in self._topology.shard_map:
                 change(self._topology.db(spec.shard_id))
             self._read_schemas()
+        finally:
+            self._leave_gate()
 
     def allocate_id(self, table: str, column: str) -> int:
         """Globally unique ids: the counter seeds from the maximum across
@@ -430,10 +435,7 @@ class ShardedDatabase:
     # -- transactions -------------------------------------------------------------
 
     def begin(self) -> _ShardedTransaction:
-        with self._gate:
-            while self._stalled:
-                self._gate.wait()
-            self._open_txs += 1
+        self._enter_gate()
         return _ShardedTransaction(self._topology)
 
     def commit(self, tx: _ShardedTransaction) -> None:
@@ -450,11 +452,6 @@ class ShardedDatabase:
             tx.rollback(self.stats)
         finally:
             self._leave_gate()
-
-    def _leave_gate(self) -> None:
-        with self._gate:
-            self._open_txs -= 1
-            self._gate.notify_all()
 
     # -- execution -----------------------------------------------------------------
 
@@ -474,15 +471,18 @@ class ShardedDatabase:
         self._admit(tx)
         if tx is not None:
             return self._write(statement, tx)
-        with self._write_permit():
-            local_tx = _ShardedTransaction(self._topology)
-            try:
-                result = self._write(statement, local_tx)
-            except Exception:
-                local_tx.rollback(self.stats)
-                raise
+        self._enter_gate()
+        local_tx = _ShardedTransaction(self._topology)
+        try:
+            result = self._write(statement, local_tx)
+        except Exception:
+            local_tx.rollback(self.stats)
+            raise
+        else:
             local_tx.commit(self.stats)
-            return result
+        finally:
+            self._leave_gate()
+        return result
 
     def _admit(self, tx: Optional[_ShardedTransaction]) -> None:
         if tx is not None:
@@ -532,9 +532,9 @@ class ShardedDatabase:
                probes: Optional[dict] = None, shape: Any = None) -> RouteDecision:
         """The shards a statement over ``table`` must touch: the one
         decision SELECT, UPDATE, DELETE, INSERT and EXPLAIN all act on.
-        ``placing`` is the transaction of an INSERT (or of an UPDATE that
-        rewrites the placing column), whose ``where`` pins that column to
-        the row's value: the decision then names the one shard the row
+        ``placing`` is the transaction a row is placed under
+        (:meth:`_place`), whose ``where`` pins the placing column to the
+        row's value: the decision then names the one shard the row
         belongs on.  The rule (:meth:`_rule`) is the one kept for
         ``shape``, else compiled here.
 
@@ -667,6 +667,19 @@ class ShardedDatabase:
             getattr(part, "column", None) == placement.column for part in parts) else None
         return _RouteRule(None, type(where) is And and parts == where.operands,
                           partition, keys, by)
+
+    def _place(self, tx: _ShardedTransaction, table: str,
+               row: dict[str, Any]) -> tuple[ShardSpec, ...]:
+        """The shards a row of ``table`` goes to under ``tx``'s topology:
+        every shard for a broadcast table, else the one its placing value
+        names.  An INSERT's row, an UPDATE's new placing value and the
+        rows a split copies are all placed here."""
+        column = self._placement(table).column
+        where = None if column is None else Comparison(column, "=", row.get(column))
+        # The row's own WHERE, one shape per table: its rule is kept.
+        decision = self._route(tx.topology, table, where, writing=True,
+                               placing=tx, shape=(Insert, table))
+        return decision.specs if decision.kind == BROADCAST else decision.specs[:1]
 
     def _open_shards(self) -> list[int]:
         """Shards whose breaker rejects calls right now."""
@@ -855,8 +868,8 @@ class ShardedDatabase:
     # -- writes --------------------------------------------------------------------
 
     def _write(self, statement: Statement, tx: _ShardedTransaction) -> Any:
-        """Every INSERT, UPDATE and DELETE: routed by :meth:`_route`, run on
-        each shard the decision names, accounted once.
+        """Every INSERT, UPDATE and DELETE: placed by :meth:`_place` or
+        routed by :meth:`_route`, run on each shard named, counted once.
 
         Values are normalised here, before the shard that owns the row does
         it again (a walk over values already of their stored types):
@@ -871,30 +884,21 @@ class ShardedDatabase:
         the shard the new value belongs on (``home``) may run it.
         """
         table = statement.table
-        topology = tx.topology
         schema = self._schemas.get(table)
-        column = None if schema is None else schema.placement.column
         home = refusal = None
         if isinstance(statement, Insert):
             if schema is not None:
                 statement = Insert(table, schema.normalize_row(statement.values))
-            where = None if column is None \
-                else Comparison(column, "=", statement.values.get(column))
-            # The row's own WHERE, one shape per table: its rule is kept.
-            decision = self._route(topology, table, where, writing=True,
-                                   placing=tx, shape=(Insert, table))
-            specs = decision.specs if decision.kind == BROADCAST else decision.specs[:1]
+            specs, first_answers = self._place(tx, table, statement.values), True
         elif isinstance(statement, (Update, Delete)):
             where = statement.where
-            decision = self._route(topology, table, where, writing=True)
-            specs = decision.specs
+            decision = self._route(tx.topology, table, where, writing=True)
+            specs, first_answers = decision.specs, decision.kind == BROADCAST
             if isinstance(statement, Update) and schema is not None:
                 changes = schema.normalize_row(statement.changes, for_update=True)
                 statement = Update(table, changes, where)
-                if column in changes:
-                    home = self._route(topology, table,
-                                       Comparison(column, "=", changes[column]),
-                                       writing=True, placing=tx).specs[0].shard_id
+                if schema.placement.column in changes:
+                    home = self._place(tx, table, changes)[0].shard_id
                     refusal = (
                         "update would move {table!r} rows out of {shard}; "
                         "cross-shard row migration requires a split/rebalance"
@@ -916,20 +920,12 @@ class ShardedDatabase:
             tx.last_written = shard_id
             with self._report_lock:
                 self.writes_by_shard[shard_id] = self.writes_by_shard.get(shard_id, 0) + 1
-        stats = self.stats
-        if isinstance(statement, Insert):
-            stats.inserts += 1
-            stats.rows_written += 1
-            return results[0]
-        # Every copy of a broadcast table changes the same rows, so one
-        # copy's count is the statement's; disjoint shards add up.
-        total = results[0] if decision.kind == BROADCAST else sum(results)
-        if isinstance(statement, Update):
-            stats.updates += 1
-        else:
-            stats.deletes += 1
-        stats.rows_written += total
-        return total
+        # An INSERT returns the first copy's rowid.  Every copy of a
+        # broadcast table changes the same rows, so one copy's count is
+        # the statement's; disjoint shards add up.
+        result = results[0] if first_answers else sum(results)
+        self.stats.count(statement, result)
+        return result
 
     # -- EXPLAIN -------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ readable throughout and loses/duplicates nothing:
 The old database object is left open and unreferenced — a reader that
 snapshotted the old topology mid-scatter may still finish against it.
 
-Placement, as an INSERT would place it: :meth:`ShardedDatabase._route`
+Placement, as an INSERT would place it: :meth:`ShardedDatabase._place`
 decides for every row against a two-shard topology over the new
 databases (parents and item owners are copied first).  A row whose
 placing value is NULL or found on neither side, like a row of a local
@@ -32,14 +32,11 @@ and grow them with ``add_replica`` once the cutover has settled.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional
+from typing import Optional
 
-from ..metadb.database import Database
 from ..metadb.errors import SchemaError
-from ..metadb.predicate import Comparison
 from ..metadb.schema import TableSchema
 from .partition import ShardError, ShardMap, ShardSpec
-from .router import BROADCAST
 from .sharded import ShardedDatabase, _ShardedTransaction, _Topology
 
 
@@ -70,27 +67,6 @@ def _dependency_order(sharded: ShardedDatabase) -> list[str]:
     return ordered
 
 
-def _create_schema(source: Database, targets: list[Database],
-                   tables: list[str]) -> None:
-    for name in tables:
-        schema = source.table(name).schema
-        for target in targets:
-            target.create_table(TableSchema.from_dict(schema.to_dict()))
-
-
-def _sides_for(sharded: ShardedDatabase, placing: _ShardedTransaction,
-               table: str, row: dict[str, Any]) -> tuple:
-    """The new databases an INSERT of ``row`` would write, ``placing``
-    being a transaction over the two-shard topology of the split."""
-    column = sharded._placement(table).column
-    where = None if column is None else Comparison(column, "=", row.get(column))
-    topology = placing.topology
-    decision = sharded._route(topology, table, where, writing=True,
-                              placing=placing)
-    specs = decision.specs if decision.kind == BROADCAST else decision.specs[:1]
-    return tuple(topology.db(spec.shard_id) for spec in specs)
-
-
 def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int, int]:
     """Split ``shard_id`` at partition value ``at``; returns the two new ids."""
     with sharded._split_lock:
@@ -109,11 +85,16 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
         # bypassing log shipping: followers join after the cutover.
         low_db = sharded._new_shard_db(low_id, followers=0)
         high_db = sharded._new_shard_db(high_id, followers=0)
+        # Rows are placed as an INSERT under this transaction would place
+        # them: over the two new databases, the old range cut at ``at``.
+        sides = {low_id: low_db, high_id: high_db}
         placing = _ShardedTransaction(_Topology(
-            ShardMap([ShardSpec(low_id, None, at), ShardSpec(high_id, at, None)]),
-            {low_id: low_db, high_id: high_db}))
+            ShardMap([ShardSpec(low_id, None, at), ShardSpec(high_id, at, None)]), sides))
         tables = _dependency_order(sharded)
-        _create_schema(old_db, [low_db, high_db], tables)
+        for name in tables:
+            schema = old_db.table(name).schema
+            for side in sides.values():
+                side.create_table(TableSchema.from_dict(schema.to_dict()))
 
         # Warm copy: reads and writes keep flowing to the old shard.
         copied: dict[str, dict[int, tuple]] = {}
@@ -125,10 +106,10 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
                     row = dict(table.row(rowid))
                 except KeyError:
                     continue  # deleted mid-scan; reconcile handles it
-                sides = _sides_for(sharded, placing, name, row)
-                for side in sides:
-                    side.table(name).restore(rowid, dict(row))
-                snapshot[rowid] = (sides, row)
+                homes = sharded._place(placing, name, row)
+                for home in homes:
+                    sides[home.shard_id].table(name).restore(rowid, dict(row))
+                snapshot[rowid] = (homes, row)
             copied[name] = snapshot
 
         # Cutover: close the write gate, drain in-flight writes and open
@@ -138,35 +119,21 @@ def split_shard(sharded: ShardedDatabase, shard_id: int, at: float) -> tuple[int
             for name in tables:
                 table = old_db.table(name)
                 snapshot = copied[name]
-                current_ids = set(table.rowids())
-                # Two passes: all deletions first, then restores, so a
-                # unique value that moved between rows mid-copy cannot
-                # collide with its own stale copy.
-                to_restore: list[tuple[int, dict, tuple]] = []
-                for rowid in current_ids:
+                current: dict[int, tuple] = {}
+                for rowid in table.rowids():
                     row = dict(table.row(rowid))
-                    sides = _sides_for(sharded, placing, name, row)
-                    previous = snapshot.get(rowid)
-                    if previous is not None and previous[1] == row \
-                            and previous[0] == sides:
-                        continue
-                    if previous is not None:
-                        for side in previous[0]:
-                            try:
-                                side.table(name).delete(rowid)
-                            except KeyError:
-                                pass
-                    to_restore.append((rowid, row, sides))
-                for rowid, (sides, _row) in snapshot.items():
-                    if rowid not in current_ids:
-                        for side in sides:
-                            try:
-                                side.table(name).delete(rowid)
-                            except KeyError:
-                                pass
-                for rowid, row, sides in to_restore:
-                    for side in sides:
-                        side.table(name).restore(rowid, dict(row))
+                    current[rowid] = (sharded._place(placing, name, row), row)
+                # Every stale copy (a row changed, moved or gone) goes
+                # before any restore, so a unique value that moved between
+                # rows mid-copy cannot collide with its own stale copy.
+                for rowid, (homes, row) in snapshot.items():
+                    if current.get(rowid) != (homes, row):
+                        for home in homes:
+                            sides[home.shard_id].table(name).delete(rowid)
+                for rowid, (homes, row) in current.items():
+                    if snapshot.get(rowid) != (homes, row):
+                        for home in homes:
+                            sides[home.shard_id].table(name).restore(rowid, dict(row))
             new_map = topology.shard_map.replace(shard_id, [low_spec, high_spec])
             new_dbs = dict(topology.dbs)
             del new_dbs[shard_id]

@@ -1227,10 +1227,10 @@ def test_a_transaction_commits_only_on_the_shards_it_touched(copies):
 
     # No statement: no shard hears of it.
     tx = db.begin()
-    assert db._open_txs == 1 and tx.parts == {}
+    assert db._in_flight == 1 and tx.parts == {}
     db.commit(tx)
     assert begins == [] and _shard_transactions(db) == before
-    assert db._open_txs == 0
+    assert db._in_flight == 0
 
     # One write, one shard (k=20 lives on shard 2), then a read of the
     # same key inside the transaction: still that shard alone.
@@ -1241,7 +1241,7 @@ def test_a_transaction_commits_only_on_the_shards_it_touched(copies):
     db.commit(tx)
     assert begins == [2]
     assert _moved(before, _shard_transactions(db)) == {2: (1, 0)}
-    assert db._open_txs == 0
+    assert db._in_flight == 0
 
     # Autocommit is the same object: a by-key write opens one part (the
     # row with id 3 is placed by at=21, on shard 2), a broadcast write four.
@@ -1256,7 +1256,7 @@ def test_a_transaction_commits_only_on_the_shards_it_touched(copies):
     begins.clear()
     db.execute(Insert("notes", {"note_id": 1, "text": "everywhere"}))
     assert sorted(begins) == [0, 1, 2, 3]
-    assert db._open_txs == 0 and db._autocommit_writes == 0
+    assert db._in_flight == 0
     db.close()
 
 
@@ -1274,12 +1274,12 @@ def test_a_failed_statement_rolls_back_every_part_it_opened():
     assert _moved(before, _shard_transactions(db)) == {
         0: (0, 1), 1: (0, 1), 3: (0, 1)}
     assert db.execute(Select("t")) == [{"k": 1, "v": 1, "tag": "a"}]
-    assert db._open_txs == 0
+    assert db._in_flight == 0
     with pytest.raises(TransactionError):
         db.rollback(tx)
     with pytest.raises(TransactionError):
         db.commit(tx)
-    assert db._open_txs == 0
+    assert db._in_flight == 0
 
     # Autocommit: the failing statement undoes what it did on the shards
     # it reached (a broadcast insert that the last shard refuses).
@@ -1291,6 +1291,6 @@ def test_a_failed_statement_rolls_back_every_part_it_opened():
     assert moved == {0: (0, 1), 1: (0, 1), 2: (0, 1), 3: (0, 1)}
     assert [len(db.shard_db(spec.shard_id).table("notes"))
             for spec in db.shard_map] == [0, 0, 0, 1]
-    assert db._open_txs == 0 and db._autocommit_writes == 0
+    assert db._in_flight == 0
     assert db.stats.transactions_rolled_back == 2
     db.close()

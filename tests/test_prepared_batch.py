@@ -221,6 +221,36 @@ def test_a_placeholder_outside_a_prepared_batch_is_refused(stacks):
         assert stack.executed() == executed
 
 
+_PLACEHOLDER_WHERE = {
+    "=": lambda column: Comparison(column, "=", Param(0)),
+    "BETWEEN": lambda column: Between(column, Param(0), Param(1)),
+    "IN": lambda column: In(column, [Param(0), 2]),
+}
+
+
+@pytest.mark.parametrize("build", ["database", "sharded-4x2"])
+@pytest.mark.parametrize("column", ["id", "t", "note"])
+@pytest.mark.parametrize("op", sorted(_PLACEHOLDER_WHERE))
+def test_a_placeholder_handed_to_execute_fails_typed(build, column, op):
+    """A ``Param`` that reaches ``execute`` outside a prepared template has
+    no value to stand for: ``QueryError`` where it is first used, on an
+    empty table and a full one, by the key, the partition column and a
+    column with no index, as for a ``Ref`` -- not a statement that
+    matches nothing."""
+    database = _database(build)
+    database.create_table(TableSchema("m", [
+        Column("id", ColumnType.INTEGER, nullable=False),
+        Column("t", ColumnType.REAL, nullable=False),
+        Column("note", ColumnType.TEXT)],
+        primary_key="id", indexes=[("t",)], placement=partitioned("t")))
+    for rows in (0, 8):
+        for key in range(rows):
+            database.execute(Insert("m", {"id": key, "t": key * DAY / 2, "note": "n"}))
+        with pytest.raises(QueryError, match="unbound Param"):
+            database.execute(Select("m", where=_PLACEHOLDER_WHERE[op](column)))
+    database.close()
+
+
 def test_a_bound_batch_is_checked_and_replays(tmp_path):
     """``bind`` checks the request's values as literals; a batch that
     answered leaves each statement holding the WHERE it ran with, and

@@ -9,6 +9,7 @@ a crashed follower rejoins by log replay (not a full re-clone), and
 anti-entropy provably restores byte-identity.
 """
 
+import os
 import random
 import threading
 
@@ -103,6 +104,58 @@ class TestWriteReplication:
         group.create_table(_schema())
         group.drop_table("events")
         assert not group.replicas[0].db.has_table("events")
+
+    def test_ddl_through_the_group_is_a_tx0_log_entry_for_every_follower(self):
+        group = ReplicaGroup(name="g", n_replicas=2, auto_ship=False)
+        group.create_table(_schema())
+        group.drop_table("events")
+        group.create_table(_schema("other"))
+        entries = group.log.entries_from(0)
+        assert [(entry.tx_id, entry.records) for entry in entries] == [
+            (0, ({"op": "__ddl__", "kind": "create_table",
+                  "schema": _schema().to_dict()},)),
+            (0, ({"op": "__ddl__", "kind": "drop_table", "table": "events"},)),
+            (0, ({"op": "__ddl__", "kind": "create_table",
+                  "schema": _schema("other").to_dict()},)),
+        ]
+        group.ship()
+        for replica in group.replicas:
+            assert replica.db.table_names() == ["other"]
+            assert replica.acked_lsn == 3
+        assert group.verify() == {"g-r1": {}, "g-r2": {}}
+
+    def test_ddl_on_the_primary_itself_reaches_every_follower(self):
+        """The primary announces a schema change as it announces a
+        commit, so a change made on it directly is shipped too."""
+        group = ReplicaGroup(name="g", n_replicas=2)
+        group.primary.create_table(_schema())
+        _fill(group, 3)
+        group.primary.create_table(_schema("other"))
+        group.primary.drop_table("other")
+        for replica in group.replicas:
+            assert replica.db.table_names() == ["events"]
+            assert len(replica.db.table("events")) == 3
+            assert replica.state is ReplicaState.IN_SYNC
+        assert group.verify() == {"g-r1": {}, "g-r2": {}}
+
+    def test_a_ddl_change_costs_one_fsync_a_copy(self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        db = Database(path=tmp_path / "db", name="db")
+        for change in (lambda: db.create_table(_schema()),
+                       lambda: db.drop_table("events")):
+            fsyncs.clear()
+            change()
+            assert len(fsyncs) == 1
+        db.close()
+        group = ReplicaGroup(name="g", path=tmp_path / "g", n_replicas=2)
+        for change in (lambda: group.create_table(_schema()),
+                       lambda: group.drop_table("events")):
+            fsyncs.clear()
+            change()
+            assert len(fsyncs) == 3     # the primary's, then each follower's
+        group.close()
 
     def test_explicit_transaction_replicates_on_commit_only(self):
         group = ReplicaGroup(name="g", n_replicas=1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from repro.metadb import (
     Aggregate,
     Between,
+    Column,
+    ColumnType,
     Comparison,
     Database,
     Delete,
@@ -30,6 +34,7 @@ from repro.metadb import (
     Join,
     Or,
     Select,
+    TableSchema,
     TransactionError,
     Update,
     prepare,
@@ -1148,6 +1153,99 @@ class TestOnlineSplit:
         )
         assert per_shard == len(expected)
 
+    def test_the_cutover_reconciles_what_changed_after_the_warm_copy(self):
+        """Rows changed, moved, deleted and inserted between the warm copy
+        and the stall end up where one database has them, each on the
+        one half it is placed on."""
+        single, sharded = _fresh_pair()
+        _seed_users(single, sharded)
+        events = _seed_events([single, sharded], n=80)
+        low = [row["hle_id"] for row in events if DAY <= row["start_time"] < 1.5 * DAY]
+        high = [row["hle_id"] for row in events if 1.5 * DAY <= row["start_time"] < 2 * DAY]
+        analysis = {"ana_id": 1, "item_id": "ana:1", "hle_id": low[0], "owner_id": 1,
+                    "algorithm": "histogram", "created_at": 1000.0}
+        fresh = {**events[0], "hle_id": 500, "item_id": "hle:500",
+                 "start_time": 1.75 * DAY}
+
+        def change(db):
+            db.execute(Update("hle", {"kind": "changed"}, Comparison("hle_id", "=", low[1])))
+            db.execute(Delete("hle", Comparison("hle_id", "=", high[1])))
+            db.execute(Insert("hle", dict(fresh)))
+            db.execute(Update("ana", {"hle_id": high[0]}, Comparison("ana_id", "=", 1)))
+
+        for db in (single, sharded):
+            db.execute(Insert("ana", dict(analysis)))
+        change(single)
+        stalled = sharded._writes_stalled
+
+        @contextmanager
+        def changed_then_stalled():
+            change(sharded)
+            with stalled():
+                yield
+
+        sharded._writes_stalled = changed_then_stalled
+        sharded.split(1, 1.5 * DAY)
+        for table in ("hle", "ana"):
+            _assert_same(single, sharded, Select(table), ordered=False)
+        assert _owner(sharded, "ana", "ana_id", 1) == _owner(sharded, "hle", "hle_id", high[0])
+        for spec in sharded.shard_map:
+            for row in sharded.shard_db(spec.shard_id).table("hle").rows():
+                assert spec.covers(row["start_time"]), spec.describe()
+
+    @pytest.mark.parametrize("change", ["autocommit write", "ddl"])
+    def test_the_cutover_waits_for_a_write_in_flight(self, change):
+        """An autocommit write and a DDL change are in flight through the
+        gate as a transaction is: the split's stall waits for each to
+        finish before it swaps the topology."""
+        _single, sharded = _fresh_pair()
+        _seed_users(sharded)
+        _seed_events([sharded], n=40)
+        entered, release = threading.Event(), threading.Event()
+        shard = sharded.shard_db(0)
+        held = "create_table" if change == "ddl" else "execute"
+        inner = getattr(shard, held)
+
+        def holding(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return inner(*args, **kwargs)
+
+        setattr(shard, held, holding)
+        def write():
+            if change == "ddl":
+                sharded.create_table(TableSchema("extra", [Column("n", ColumnType.INTEGER)]))
+            else:
+                sharded.execute(Insert("admin_users", {
+                    "user_id": 2, "login": "bob", "password_hash": "y"}))
+
+        errors: list = []
+
+        def run(call):
+            try:
+                call()
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        writer = threading.Thread(target=run, args=(write,), daemon=True)
+        writer.start()
+        assert entered.wait(10)
+        splitter = threading.Thread(
+            target=run, args=(lambda: sharded.split(1, 1.5 * DAY),), daemon=True)
+        splitter.start()
+        for _ in range(1000):
+            if sharded._stalled:
+                break
+            time.sleep(0.01)
+        time.sleep(0.1)
+        assert sharded._stalled and splitter.is_alive() and sharded.n_shards == 4
+        release.set()
+        writer.join(timeout=30)
+        splitter.join(timeout=30)
+        assert not writer.is_alive() and not splitter.is_alive()
+        assert not errors, errors
+        assert sharded.n_shards == 5 and sharded._in_flight == 0
+
     def test_finishing_a_transaction_twice_cannot_wedge_a_split(self):
         """A second commit/rollback used to take the open-transaction
         count below zero, and the next split drained forever."""
@@ -1168,7 +1266,7 @@ class TestOnlineSplit:
                     sharded.execute(Select("hle"), tx=tx)
                 with pytest.raises(TransactionError):
                     sharded.execute(Delete("hle"), tx=tx)
-                assert sharded._open_txs == 0
+                assert sharded._in_flight == 0
         assert len(sharded.execute(Select("hle"))) == 40
         done = []
         splitter = threading.Thread(
@@ -1567,7 +1665,7 @@ class TestConcurrentRouting:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:1]
         assert reads[0] > 0
-        assert sharded._open_txs == 0 and sharded._autocommit_writes == 0
+        assert sharded._in_flight == 0
 
 
 class TestPageRouting:

@@ -415,6 +415,29 @@ class TestCheckpointCrash:
             Select("samples", order_by=[("id", "asc")]))] == [0, 1]
         reopened.close()
 
+    def test_a_journal_with_schema_changes_in_the_old_form_reopens(self, tmp_path):
+        """Schema changes were once journaled as ``{"ddl": ...}`` lines of
+        their own; a journal that holds them reopens to the same tables,
+        and goes on taking new records after them."""
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "journal.jsonl").write_text("".join(json.dumps(line) + "\n" for line in [
+            {"ddl": {"kind": "create_table", "schema": _schema().to_dict()}},
+            {"ddl": {"kind": "create_table", "schema": _schema("gone").to_dict()}},
+            {"tx": 1, "records": [{"op": "insert", "table": "samples", "rowid": 1,
+                                   "row": {"id": 0, "note": "a", "payload": None}}]},
+            {"ddl": {"kind": "drop_table", "table": "gone"}},
+        ]))
+        db = Database(path=root, name="old")
+        assert db.table_names() == ["samples"]
+        assert db.table("samples").row(1) == {"id": 0, "note": "a", "payload": None}
+        db.create_table(_schema("later"))
+        db.close()
+        reopened = Database(path=root, name="old")
+        assert reopened.table_names() == ["later", "samples"]
+        assert len(reopened.table("samples")) == 1
+        reopened.close()
+
 
 class TestFollowerCheckpoint:
     def test_a_follower_snapshot_keeps_the_acked_offset(self, tmp_path):
